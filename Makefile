@@ -1,7 +1,8 @@
 # Benchmark-regression tooling. The gated set — the scheduler hot paths
-# (arbiter, delivery) and the stats counters — lives in the root package
-# and internal/sim; BENCH_sim.json is the committed baseline the CI
-# bench leg compares against (see README "Performance").
+# (arbiter, delivery) and the stats counters in the root package and
+# internal/sim, plus one representative each for the vm and tmk layers —
+# is compared by the CI bench leg against BENCH_sim.json, the committed
+# baseline (see README "Performance").
 #
 # The numbers are machine-relative: regenerate the baseline (and commit
 # it) after a deliberate perf change, or when the CI runner class
@@ -18,11 +19,20 @@ BENCH_FLAGS   := -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime=100x -count=6
 # `scenario run -j` wall-clock claim.
 BENCH_SWEEP_FLAGS := -run '^$$' -bench '^BenchmarkTableSweep' -benchtime=1x -count=3
 
+# One representative per DESIGN.md §1 layer under the run-times: the vm
+# accessor fast path and tmk's per-episode set-up (New + SealInit at
+# 16 procs x 8 MB). Their costs are six orders of magnitude apart (3 ns,
+# 3 ms), so no iteration count suits both: they run in their own
+# invocation on a time budget.
+BENCH_LAYER_PKGS    := ./internal/vm ./internal/tmk
+BENCH_LAYER_PATTERN := ^Benchmark(ReadF64|WriteF64|NewSealInit)$$
+BENCH_LAYER_FLAGS   := -run '^$$' -bench '$(BENCH_LAYER_PATTERN)' -benchtime=200ms -count=6
+
 # The in-process benchmark names, as a benchgate -filter: the bench
 # legs gate only these against BENCH_sim.json, and the service leg
 # gates only BenchmarkSimdLoad — each leg filters the shared baseline
 # to what it actually ran.
-GATE_FILTER  := ^Benchmark(Arbiter|Delivery|Send|StatsCount|TableSweep)
+GATE_FILTER  := ^Benchmark(Arbiter|Delivery|Send|StatsCount|TableSweep|ReadF64|WriteF64|NewSealInit)
 LOAD_FILTER  := ^BenchmarkSimdLoad
 
 # The service load test (cmd/simd + cmd/simload); see README "Running
@@ -53,12 +63,14 @@ profile:
 bench-baseline:
 	go test $(BENCH_FLAGS) $(BENCH_PKGS) > /tmp/bench-raw.txt
 	go test $(BENCH_SWEEP_FLAGS) ./internal/runner >> /tmp/bench-raw.txt
+	go test $(BENCH_LAYER_FLAGS) $(BENCH_LAYER_PKGS) >> /tmp/bench-raw.txt
 	go run ./cmd/benchgate -filter '$(GATE_FILTER)' -merge BENCH_sim.json -out BENCH_sim.json < /tmp/bench-raw.txt
 
 # Run the same gate CI runs: fail if anything regressed >30%.
 bench-check:
 	go test $(BENCH_FLAGS) $(BENCH_PKGS) > /tmp/bench-raw.txt
 	go test $(BENCH_SWEEP_FLAGS) ./internal/runner >> /tmp/bench-raw.txt
+	go test $(BENCH_LAYER_FLAGS) $(BENCH_LAYER_PKGS) >> /tmp/bench-raw.txt
 	go run ./cmd/benchgate -filter '$(GATE_FILTER)' -baseline BENCH_sim.json < /tmp/bench-raw.txt
 
 # Run the simd service in the foreground with a disk cache tier.

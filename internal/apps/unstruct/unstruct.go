@@ -15,6 +15,7 @@ package unstruct
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/apps"
 	"repro/internal/chaos"
@@ -168,17 +169,21 @@ func relax(x, y, drift float64) float64 {
 // partitionEdges orders the edges by owner (RCB on coordinates,
 // almost-owner-computes per edge) and returns per-processor boundaries.
 func partitionEdges(w *Workload, part *chaos.Partition) (sorted [][2]int32, starts []int) {
-	buckets := make([][][2]int32, part.NProcs)
+	// A stable counting sort on the owner: count, prefix-sum, place.
+	starts = make([]int, part.NProcs+1)
+	for _, e := range w.Edges {
+		starts[part.Owner[e[0]]+1]++
+	}
+	for p := 0; p < part.NProcs; p++ {
+		starts[p+1] += starts[p]
+	}
+	sorted = make([][2]int32, len(w.Edges))
+	next := slices.Clone(starts[:part.NProcs])
 	for _, e := range w.Edges {
 		o := part.Owner[e[0]]
-		buckets[o] = append(buckets[o], e)
+		sorted[next[o]] = e
+		next[o]++
 	}
-	starts = make([]int, part.NProcs+1)
-	for p := 0; p < part.NProcs; p++ {
-		starts[p] = len(sorted)
-		sorted = append(sorted, buckets[p]...)
-	}
-	starts[part.NProcs] = len(sorted)
 	return
 }
 

@@ -1,9 +1,12 @@
 package unstruct
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/chaos"
 )
 
 func testParams(nodes, procs, steps int) Params {
@@ -116,5 +119,33 @@ func TestInspectorReportedOnce(t *testing.T) {
 	r := RunChaos(Generate(testParams(512, 4, 3)))
 	if r.Detail["inspector_s"] <= 0 {
 		t.Fatal("inspector time missing")
+	}
+}
+
+func TestPartitionEdgesIsStableSortByOwner(t *testing.T) {
+	// Edges grouped by the owner of their first endpoint, original order
+	// kept within a group — the layout every backend's loop bounds and
+	// the goldens depend on.
+	w := Generate(testParams(600, 5, 1))
+	part := &chaos.Partition{NProcs: 5, Owner: make([]int, w.P.Nodes)}
+	for g := range part.Owner {
+		part.Owner[g] = (g * 7) % 4 // owner 4 gets no edges
+	}
+	want := append([][2]int32(nil), w.Edges...)
+	sort.SliceStable(want, func(i, j int) bool { return part.Owner[want[i][0]] < part.Owner[want[j][0]] })
+
+	sorted, starts := partitionEdges(w, part)
+	if !reflect.DeepEqual(sorted, want) {
+		t.Fatal("edges are not in stable owner order")
+	}
+	if len(starts) != part.NProcs+1 || starts[0] != 0 || starts[part.NProcs] != len(w.Edges) {
+		t.Fatalf("starts = %v", starts)
+	}
+	for p := 0; p < part.NProcs; p++ {
+		for _, e := range sorted[starts[p]:starts[p+1]] {
+			if part.Owner[e[0]] != p {
+				t.Fatalf("edge %v in processor %d's range, owner %d", e, p, part.Owner[e[0]])
+			}
+		}
 	}
 }

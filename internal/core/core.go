@@ -22,6 +22,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/rsd"
@@ -236,8 +237,6 @@ func (rt *Runtime) sched(id int) *schedule {
 // and performs preemptive consistency actions (twin creation,
 // write-enabling, whole-page-reduction marking).
 func (rt *Runtime) Validate(descs ...Desc) {
-	arena := rt.n.Space().Arena()
-
 	// Pass 1: resolve each descriptor's page set.
 	pageSets := make([][]vm.PageID, len(descs))
 	covered := make([]map[vm.PageID]bool, len(descs))
@@ -267,7 +266,7 @@ func (rt *Runtime) Validate(descs ...Desc) {
 			}
 			pages = sch.pages
 		case Direct:
-			pages = rt.sectionPages(d.Data, d.Section)
+			pages = rt.sectionPages(d.Data, d.Section, []int{d.Data.Len})
 		default:
 			panic("core: bad descriptor type")
 		}
@@ -285,7 +284,6 @@ func (rt *Runtime) Validate(descs ...Desc) {
 			}
 		}
 	}
-	_ = arena
 
 	// Pass 2: fetch the diffs for every invalid page. All diff requests
 	// to the same processor are aggregated into a single message.
@@ -364,7 +362,7 @@ func (rt *Runtime) readIndices(sch *schedule, d *Desc) {
 	// The first indirection level is a regular section: fetch it
 	// aggregated before scanning (it may have been invalidated by a
 	// rebuild).
-	rt.prefetchArrayRange(chain[0], offsets)
+	rt.prefetchSection(chain[0], d.Section, d.indirSizes())
 
 	if rt.Incremental && sch.refcnt != nil && len(chain) == 1 {
 		rt.incrementalScan(sch, d, offsets)
@@ -492,21 +490,17 @@ func (rt *Runtime) writeProtect(sch *schedule, d *Desc) {
 	sch.watch = sch.watch[:0]
 	arena := rt.n.Space().Arena()
 	space := rt.n.Space()
-	offsets := d.Section.LinearOffsets(d.indirSizes())
-	mark := map[vm.PageID]bool{}
-	for _, off := range offsets {
-		addr := d.Indir.Addr(0) + vm.Addr(off*d.Indir.ElemSize)
-		mark[arena.PageOf(addr)] = true
-	}
+	pages := rt.sectionPages(d.Indir, d.Section, d.indirSizes())
 	// Deeper chain levels are watched in full (their accessed subset is
 	// value-dependent, so any change must trigger recomputation).
 	for _, arr := range d.Indirs[min(1, len(d.Indirs)):] {
 		first, last := arena.PageRange(arr.Addr(0), arr.Bytes())
 		for pg := first; pg <= last; pg++ {
-			mark[pg] = true
+			pages = append(pages, pg)
 		}
 	}
-	for _, pg := range sortedPages(mark) {
+	slices.Sort(pages)
+	for _, pg := range slices.Compact(pages) {
 		sch.watch = append(sch.watch, pg)
 		rt.watched[pg] = append(rt.watched[pg], sch)
 		if space.Page(pg).Prot() == vm.ReadWrite {
@@ -515,35 +509,37 @@ func (rt *Runtime) writeProtect(sch *schedule, d *Desc) {
 	}
 }
 
-// prefetchArrayRange fetches (aggregated) any invalid pages of arr
-// covering the given element offsets.
-func (rt *Runtime) prefetchArrayRange(arr *Array, offsets []int) {
-	arena := rt.n.Space().Arena()
-	mark := map[vm.PageID]bool{}
-	for _, off := range offsets {
-		addr := arr.Addr(0) + vm.Addr(off*arr.ElemSize)
-		pg := arena.PageOf(addr)
+// prefetchSection fetches (aggregated) any invalid pages of arr holding
+// the section sec, linearized over sizes.
+func (rt *Runtime) prefetchSection(arr *Array, sec rsd.Section, sizes []int) {
+	var fetch []vm.PageID
+	for _, pg := range rt.sectionPages(arr, sec, sizes) {
 		if rt.n.IsInvalid(pg) {
-			mark[pg] = true
+			fetch = append(fetch, pg)
 		}
 	}
-	if len(mark) > 0 {
-		rt.n.FetchPages(sortedPages(mark), DiffKind)
+	if len(fetch) > 0 {
+		rt.n.FetchPages(fetch, DiffKind)
 	}
 }
 
-// sectionPages returns the sorted pages covered by a direct section of
-// the data array.
-func (rt *Runtime) sectionPages(arr *Array, sec rsd.Section) []vm.PageID {
+// sectionPages returns the sorted pages of arr holding the section sec,
+// linearized over sizes (arr's dimensions in units of its elements). It
+// walks the section's contiguous runs, which arrive in address order, so
+// a page is new exactly when it lies past the last one emitted.
+func (rt *Runtime) sectionPages(arr *Array, sec rsd.Section, sizes []int) []vm.PageID {
 	arena := rt.n.Space().Arena()
-	mark := map[vm.PageID]bool{}
-	for _, off := range sec.LinearOffsets([]int{arr.Len}) {
-		first, last := arena.PageRange(arr.Addr(off), arr.ElemSize)
-		for pg := first; pg <= last; pg++ {
-			mark[pg] = true
+	var out []vm.PageID
+	sec.ForEachRun(sizes, func(off, n int) {
+		first, last := arena.PageRange(arr.Addr(off), n*arr.ElemSize)
+		if k := len(out); k > 0 && first <= out[k-1] {
+			first = out[k-1] + 1
 		}
-	}
-	return sortedPages(mark)
+		for pg := first; pg <= last; pg++ {
+			out = append(out, pg)
+		}
+	})
+	return out
 }
 
 func sortedPages(mark map[vm.PageID]bool) []vm.PageID {

@@ -6,6 +6,7 @@ import (
 	"repro/internal/rsd"
 	"repro/internal/sim"
 	"repro/internal/tmk"
+	"repro/internal/vm"
 )
 
 func TestFullyCoveredGeometry(t *testing.T) {
@@ -269,4 +270,55 @@ func TestChainValidatePrefetchesAllLevels(t *testing.T) {
 		}
 		n.Barrier(2)
 	})
+}
+
+func TestSectionPagesMatchesPerElementExpansion(t *testing.T) {
+	// sectionPages walks contiguous runs; the definition it must agree
+	// with expands every element: dense and strided sections, a
+	// two-dimensional one, elements smaller and larger than the 1 KB
+	// page, aligned and unaligned bases.
+	c := sim.NewCluster(sim.DefaultConfig(1))
+	d := tmk.New(c, 1024, 1<<22)
+	d.AllocUnaligned(40) // push the next unaligned array off the page boundary
+	arrays := []*Array{
+		{Name: "i32", Base: d.AllocUnaligned(4 * 6000), ElemSize: 4, Len: 6000},
+		{Name: "vec3", Base: d.Alloc(24 * 3000), ElemSize: 24, Len: 3000},
+		{Name: "blob", Base: d.Alloc(2500 * 40), ElemSize: 2500, Len: 40},
+	}
+	d.SealInit()
+	rt := NewRuntime(d.Node(0))
+	arena := d.Arena()
+	for _, arr := range arrays {
+		rows := arr.Len / 2
+		cases := []struct {
+			sec   rsd.Section
+			sizes []int
+		}{
+			{rsd.Range1(0, arr.Len-1), []int{arr.Len}},
+			{rsd.Range1(arr.Len/3, arr.Len/2), []int{arr.Len}},
+			{rsd.Range1(7, 6), []int{arr.Len}}, // empty
+			{rsd.New(rsd.Dim{Lo: 3, Hi: arr.Len - 1, Stride: 37}), []int{arr.Len}},
+			{rsd.New(rsd.Dim{Lo: 0, Hi: 1, Stride: 1}, rsd.Dim{Lo: 5, Hi: rows - 3, Stride: 1}), []int{2, rows}},
+			{rsd.New(rsd.Dim{Lo: 1, Hi: 1, Stride: 1}, rsd.Dim{Lo: 0, Hi: rows - 1, Stride: 9}), []int{2, rows}},
+		}
+		for _, cs := range cases {
+			mark := map[vm.PageID]bool{}
+			for _, off := range cs.sec.LinearOffsets(cs.sizes) {
+				first, last := arena.PageRange(arr.Addr(off), arr.ElemSize)
+				for pg := first; pg <= last; pg++ {
+					mark[pg] = true
+				}
+			}
+			want := sortedPages(mark)
+			got := rt.sectionPages(arr, cs.sec, cs.sizes)
+			if len(got) != len(want) {
+				t.Fatalf("%s %v: %d pages, want %d", arr.Name, cs.sec, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%s %v: page %d is %d, want %d", arr.Name, cs.sec, i, got[i], want[i])
+				}
+			}
+		}
+	}
 }

@@ -109,3 +109,45 @@ func TestNegativeStridePanics(t *testing.T) {
 	}()
 	Dim{0, 10, 0}.Count()
 }
+
+func TestForEachRunExpandsToLinearOffsetsProperty(t *testing.T) {
+	// The runs, expanded, are exactly LinearOffsets in the same order;
+	// a unit-stride leading dimension is visited whole.
+	f := func(lo1, n1, st1, lo2, n2, st2, pad uint8) bool {
+		d1 := Dim{Lo: int(lo1 % 4), Hi: int(lo1%4) + int(n1%6) - 1, Stride: int(st1%2) + 1}
+		d2 := Dim{Lo: int(lo2 % 6), Hi: int(lo2%6) + int(n2%6) - 1, Stride: int(st2%3) + 1}
+		s := New(d1, d2)
+		sizes := []int{d1.Lo + int(n1%6) + int(pad%3), d2.Lo + int(n2%6) + 1}
+		var got []int
+		s.ForEachRun(sizes, func(off, n int) {
+			if d1.Stride == 1 && n != d1.Count() {
+				t.Errorf("%v: run of %d elements, leading dimension has %d", s, n, d1.Count())
+			}
+			for i := 0; i < n; i++ {
+				got = append(got, off+i)
+			}
+		})
+		want := s.LinearOffsets(sizes)
+		if len(got) != len(want) {
+			return false
+		}
+		for i := range got {
+			if got[i] != want[i] || (i > 0 && got[i] <= got[i-1]) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestForEachRunRejectsSectionOutsideArray(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("no panic for a section past the array's end")
+		}
+	}()
+	Range1(0, 10).ForEachRun([]int{10}, func(off, n int) {})
+}

@@ -184,6 +184,39 @@ func (s Section) String() string {
 // section covers within an array of the given dimension sizes. Dims of
 // the array are sizes per dimension; indices are zero-based.
 func (s Section) LinearOffsets(sizes []int) []int {
+	out := make([]int, 0, s.Count())
+	s.forEachOffset(sizes, func(off int) { out = append(out, off) })
+	return out
+}
+
+// ForEachRun visits the section as runs of n contiguous elements
+// starting at flat offset off — what a caller needs to learn which
+// memory the section touches without expanding every element. A
+// unit-stride leading dimension yields one run per setting of the other
+// dimensions; any other stride yields single elements. The section must
+// lie inside the array, which also makes the runs arrive in increasing
+// offset order.
+func (s Section) ForEachRun(sizes []int, f func(off, n int)) {
+	if len(sizes) != len(s.Dims) {
+		panic("rsd: sizes arity mismatch")
+	}
+	if len(s.Dims) == 0 {
+		return
+	}
+	for i, d := range s.Dims {
+		if c := d.Count(); c > 0 && (d.Lo < 0 || d.Lo+(c-1)*d.Stride >= sizes[i]) {
+			panic(fmt.Sprintf("rsd: section %v outside array of sizes %v", s, sizes))
+		}
+	}
+	n := 1
+	if d0 := s.Dims[0]; d0.Stride == 1 {
+		n = d0.Count()
+		s = Section{Dims: append([]Dim{{Lo: d0.Lo, Hi: min(d0.Lo, d0.Hi), Stride: 1}}, s.Dims[1:]...)}
+	}
+	s.forEachOffset(sizes, func(off int) { f(off, n) })
+}
+
+func (s Section) forEachOffset(sizes []int, f func(off int)) {
 	if len(sizes) != len(s.Dims) {
 		panic("rsd: sizes arity mismatch")
 	}
@@ -193,15 +226,13 @@ func (s Section) LinearOffsets(sizes []int) []int {
 		strides[i] = acc
 		acc *= n
 	}
-	out := make([]int, 0, s.Count())
 	s.ForEach(func(idx []int) {
 		off := 0
 		for i, v := range idx {
 			off += v * strides[i]
 		}
-		out = append(out, off)
+		f(off)
 	})
-	return out
 }
 
 func max(a, b int) int {

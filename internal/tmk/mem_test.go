@@ -22,9 +22,15 @@ func TestMemLedgerConservation(t *testing.T) {
 	}
 	d.SealInit()
 
+	// The modeled machine holds one copy of the image per node, so every
+	// node is charged all of it, however few copies the host keeps
+	// (DESIGN.md §9, "Host memory").
+	const imageBytes = 2 * 4096
 	snap := cl.Mem.Snapshot()
-	if got := snap[sim.MemKey{Cat: MemCatPages, Proc: 1}].CurBytes; got != d.pagesCharged {
-		t.Fatalf("page charge on node 1 = %d, want %d", got, d.pagesCharged)
+	for pr := 0; pr < np; pr++ {
+		if got := snap[sim.MemKey{Cat: MemCatPages, Proc: pr}].CurBytes; got != imageBytes {
+			t.Fatalf("page charge on node %d = %d, want %d", pr, got, imageBytes)
+		}
 	}
 
 	cl.Run(func(p *sim.Proc) {
@@ -74,6 +80,12 @@ func TestMemLedgerConservation(t *testing.T) {
 	}
 	if cl.Mem.MaxPeakBytes() == 0 {
 		t.Error("peaks lost at Close")
+	}
+	snap = cl.Mem.Snapshot()
+	for pr := 0; pr < np; pr++ {
+		if m := snap[sim.MemKey{Cat: MemCatPages, Proc: pr}]; m.CurBytes != 0 || m.PeakBytes != imageBytes {
+			t.Errorf("node %d pages after Close: %d live, peak %d, want 0 and %d", pr, m.CurBytes, m.PeakBytes, imageBytes)
+		}
 	}
 	d.Close() // idempotent
 	if err := cl.Mem.CheckBalanced(); err != nil {

@@ -75,15 +75,16 @@ func New(c *sim.Cluster, pageSize, arenaBytes int) *DSM {
 	}
 	for i := 0; i < c.NProcs(); i++ {
 		n := &Node{
-			d:    d,
-			proc: c.Proc(i),
-			vc:   NewVC(c.NProcs()),
-			// Proc 0 initializes shared data before SealInit; give it
-			// write access, everyone else starts read-only (they will
-			// receive the initial image at SealInit).
+			d:         d,
+			proc:      c.Proc(i),
+			vc:        NewVC(c.NProcs()),
 			diffStore: map[diffKey]*storedDiff{},
 			dirty:     map[vm.PageID]*dirtyPage{},
 		}
+		// Proc 0 initializes shared data before SealInit; give it write
+		// access (and so the one private image), everyone else starts
+		// read-only on the zero page (they will share the initial image
+		// at SealInit).
 		prot := vm.ReadOnly
 		if i == 0 {
 			prot = vm.ReadWrite
@@ -128,8 +129,10 @@ func (d *DSM) AllocUnaligned(size int) vm.Addr {
 // initial image written by processor 0 is replicated to every node, all
 // pages become clean read-only copies, and clocks and traffic statistics
 // are reset. The paper likewise excludes data initialization and
-// partitioning from all measurements. Must be called once, from a single
-// goroutine, before Cluster.Run.
+// partitioning from all measurements. On the host the replicas are
+// copy-on-write aliases of processor 0's now-immutable image (DESIGN.md
+// §9, "Host memory"); the modeled ledger still charges every node a full
+// copy. Must be called once, from a single goroutine, before Cluster.Run.
 func (d *DSM) SealInit() {
 	if d.sealed {
 		panic("tmk: SealInit called twice")
@@ -140,14 +143,16 @@ func (d *DSM) SealInit() {
 		panic("tmk: unexpected twins during initialization")
 	}
 	numPages := d.arena.NumPages()
-	for _, n := range d.nodes {
+	nprocs := d.cluster.NProcs()
+	for _, n := range d.nodes { // n0 first: its pages are sealed before they are shared
 		n.pages = make([]pageMeta, numPages)
+		applied := make([]int32, numPages*nprocs)
 		for p := 0; p < numPages; p++ {
-			n.pages[p].applied = make([]int32, d.cluster.NProcs())
-			if n != n0 {
-				n.space.CopyPageFrom(n0.space, vm.PageID(p))
-			}
+			n.pages[p].applied = applied[p*nprocs : (p+1)*nprocs : (p+1)*nprocs]
 			n.space.Protect(vm.PageID(p), vm.ReadOnly)
+			if n != n0 {
+				n.space.SharePageFrom(n0.space, vm.PageID(p))
+			}
 		}
 		n.space.ReadFaults = 0
 		n.space.WriteFaults = 0
@@ -330,22 +335,27 @@ func (n *Node) MarkFullyWritten(page vm.PageID) {
 // entire page as about-to-be-overwritten (WRITE_ALL: twinning is
 // skipped and a whole-page snapshot is shipped instead of a diff).
 func (n *Node) TwinForWrite(page vm.PageID, fullWrite bool) {
-	if dp, ok := n.dirty[page]; ok {
-		// Already dirty this interval; a full write upgrade keeps the
-		// stronger (twin-backed) representation if one exists.
-		_ = dp
+	// A page already dirty this interval keeps its representation: a
+	// full-write upgrade keeps the stronger, twin-backed one.
+	if _, dirty := n.dirty[page]; dirty {
 		n.space.Protect(page, vm.ReadWrite)
 		return
 	}
-	cfg := n.proc.Config()
-	pg := n.space.Page(page)
 	if fullWrite {
 		n.dirty[page] = &dirtyPage{fullWrite: true}
 	} else {
-		n.proc.Advance(cfg.TwinUSPerB * float64(len(pg.Data())))
-		n.dirty[page] = &dirtyPage{twin: diff.Twin(pg.Data())}
+		pg := n.space.Page(page)
+		twin := pg.Data()
+		n.proc.Advance(n.proc.Config().TwinUSPerB * float64(len(twin)))
+		// A still-shared page's bytes are immutable, and Protect below
+		// gives the node its own copy to write: they are the twin as they
+		// stand. Only an already-private page needs a second copy.
+		if !pg.Shared() {
+			twin = diff.Twin(twin)
+		}
+		n.dirty[page] = &dirtyPage{twin: twin}
 		n.TwinsMade++
-		n.d.cluster.Mem.Alloc(n.proc.ID(), MemCatTwins, int64(len(pg.Data())))
+		n.d.cluster.Mem.Alloc(n.proc.ID(), MemCatTwins, int64(len(twin)))
 	}
 	n.space.Protect(page, vm.ReadWrite)
 }
@@ -558,7 +568,6 @@ func (n *Node) FetchPages(pages []vm.PageID, kind string) {
 		var applyBytes int
 		for page, ds := range byPage {
 			meta := &n.pages[page]
-			pg := n.space.Page(page)
 			// A whole-page snapshot (WRITE_ALL) supersedes every diff
 			// its writer had already applied; pick the causally latest
 			// (ties broken by writer id and interval).
@@ -575,7 +584,7 @@ func (n *Node) FetchPages(pages []vm.PageID, kind string) {
 					// Covered by the snapshot.
 					continue
 				}
-				wd.D.Apply(pg.Data())
+				wd.D.Apply(n.space.MutableData(page))
 				applyBytes += wd.D.WireBytes()
 				n.DiffsApplied++
 				if meta.applied[wd.Proc] < wd.Interval {

@@ -141,59 +141,76 @@ func TestWriterSeesOwnWritesAfterInvalidation(t *testing.T) {
 }
 
 func TestRandomReplayEquivalence(t *testing.T) {
-	// Property-style stress: random procs write random disjoint-by-proc
-	// slots each epoch; final shared state must equal a sequential
-	// replay. Slots are partitioned mod nprocs to avoid true races, but
-	// pages are heavily false-shared (page = 128 words, slots
-	// interleaved).
-	const np = 4
-	const words = 512
+	// Property-style stress over random cluster sizes and write plans:
+	// each epoch every proc writes random slots it owns, and after every
+	// barrier every node's whole view must equal a plain-Go replay. The
+	// low half of the array is owned slot-by-slot mod nprocs (pages
+	// heavily false-shared: page = 128 words), the high half in
+	// page-aligned per-proc blocks (disjoint pages), and the initial
+	// image is non-zero, so pages are read while still shared with the
+	// sealed image, written (the copy-on-write break), and patched by
+	// diffs in every combination. Run under -race this also checks that
+	// no node ever writes bytes another still reads.
 	const epochs = 6
-	d, addr := harness(t, np, words)
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		np := 4 + rng.Intn(5)
+		half := 128 * np // one page per proc in the blocked half
+		words := 2 * half
 
-	type write struct {
-		slot int
-		val  float64
-	}
-	plans := make([][][]write, np) // [proc][epoch][]write
-	ref := make([]float64, words)
-	rng := rand.New(rand.NewSource(7))
-	for pr := 0; pr < np; pr++ {
-		plans[pr] = make([][]write, epochs)
-		for e := 0; e < epochs; e++ {
-			k := rng.Intn(20)
-			for i := 0; i < k; i++ {
-				slot := (rng.Intn(words/np))*np + pr // owned by pr
-				v := rng.Float64()
-				plans[pr][e] = append(plans[pr][e], write{slot, v})
-			}
+		c := sim.NewCluster(sim.DefaultConfig(np))
+		d := New(c, 1024, 1<<22)
+		addr := d.Alloc(8 * words)
+		ref := make([]float64, words)
+		for s := range ref {
+			ref[s] = float64(s + 1)
+			d.Node(0).Space().WriteF64(addr+vm.Addr(8*s), ref[s])
 		}
-	}
-	for e := 0; e < epochs; e++ {
-		for pr := 0; pr < np; pr++ {
-			for _, w := range plans[pr][e] {
-				ref[w.slot] = w.val
-			}
-		}
-	}
+		d.SealInit()
 
-	d.Cluster().Run(func(p *sim.Proc) {
-		n := d.Node(p.ID())
+		type write struct {
+			slot int
+			val  float64
+		}
+		plans := make([][][]write, np)    // [proc][epoch][]write
+		refs := make([][]float64, epochs) // [epoch] the array after that epoch
+		for pr := range plans {
+			plans[pr] = make([][]write, epochs)
+		}
 		for e := 0; e < epochs; e++ {
-			for _, w := range plans[p.ID()][e] {
-				n.Space().WriteF64(addr+vm.Addr(8*w.slot), w.val)
+			for pr := 0; pr < np; pr++ {
+				for i := rng.Intn(20); i > 0; i-- {
+					slot := rng.Intn(half/np)*np + pr // interleaved
+					if rng.Intn(2) == 0 {
+						slot = half + 128*pr + rng.Intn(128) // blocked
+					}
+					w := write{slot, rng.Float64()}
+					plans[pr][e] = append(plans[pr][e], w)
+					ref[w.slot] = w.val
+				}
 			}
-			n.Barrier(1000 + e)
+			refs[e] = append([]float64(nil), ref...)
 		}
-		// Everyone verifies the full array.
-		for s := 0; s < words; s++ {
-			if got := n.Space().ReadF64(addr + vm.Addr(8*s)); got != ref[s] {
-				t.Errorf("proc %d slot %d: %v != %v", p.ID(), s, got, ref[s])
-				return
+
+		c.Run(func(p *sim.Proc) {
+			n := d.Node(p.ID())
+			for e := 0; e < epochs; e++ {
+				for _, w := range plans[p.ID()][e] {
+					n.Space().WriteF64(addr+vm.Addr(8*w.slot), w.val)
+				}
+				n.Barrier(1000 + e)
+				for s, want := range refs[e] {
+					if got := n.Space().ReadF64(addr + vm.Addr(8*s)); got != want {
+						t.Errorf("seed %d, %d procs: proc %d epoch %d slot %d: %v != %v",
+							seed, np, p.ID(), e, s, got, want)
+						break // keep joining barriers so the peers can finish
+					}
+				}
 			}
-		}
-		n.Barrier(2000)
-	})
+			n.Barrier(2000)
+		})
+		d.Close()
+	}
 }
 
 func TestLockTransferConsistency(t *testing.T) {
@@ -370,6 +387,40 @@ func TestSealInitResetsAndReplicates(t *testing.T) {
 	}
 	if c.MaxTime() != 0 {
 		t.Fatal("clocks not reset")
+	}
+}
+
+// setUpTearDown is one DSM episode's set-up at the given geometry: New,
+// an image of the whole arena, SealInit, Close.
+func setUpTearDown(nprocs, arenaBytes int) {
+	d := New(sim.NewCluster(sim.DefaultConfig(nprocs)), 4096, arenaBytes)
+	d.Alloc(arenaBytes)
+	d.SealInit()
+	d.Close()
+}
+
+func TestNewSealInitAllocsIndependentOfPages(t *testing.T) {
+	// Set-up allocates per node (page table, applied slab, maps), never
+	// per page: the image is one slab and the replicas alias it.
+	const np = 8
+	allocs := func(pages int) float64 {
+		return testing.AllocsPerRun(5, func() { setUpTearDown(np, pages*4096) })
+	}
+	small, large := allocs(4), allocs(1024)
+	if large > small {
+		t.Fatalf("set-up allocations grow with the arena: %v at 4 pages, %v at 1024", small, large)
+	}
+	if small > 64*np {
+		t.Fatalf("set-up makes %v allocations for %d nodes", small, np)
+	}
+}
+
+// BenchmarkNewSealInit is the per-episode set-up cost at paper scale:
+// 16 address spaces over an 8 MB image (perf's tmk.new_seal_ms probe).
+func BenchmarkNewSealInit(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		setUpTearDown(16, 8<<20)
 	}
 }
 

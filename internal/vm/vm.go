@@ -14,6 +14,7 @@
 package vm
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -69,6 +70,9 @@ type Arena struct {
 	mask     int
 	next     Addr
 	limit    Addr
+	// zero is the one all-zero page every never-written page of every
+	// Space aliases copy-on-write (DESIGN.md §9, "Host memory").
+	zero []byte
 }
 
 // NewArena creates an address space of totalBytes capacity with the
@@ -86,6 +90,7 @@ func NewArena(pageSize int, totalBytes int) *Arena {
 		shift:    shift,
 		mask:     pageSize - 1,
 		limit:    Addr(totalBytes),
+		zero:     make([]byte, pageSize),
 	}
 }
 
@@ -139,29 +144,35 @@ func (a *Arena) allocAt(size int) Addr {
 	return addr
 }
 
-// Page is one processor's copy of a page: its bytes and protection.
+// Page is one processor's view of a page: its protection and its bytes.
+// The bytes are copy-on-write: while shared is set they alias immutable
+// storage other Spaces also read (the arena's zero page, or a peer's
+// sealed image) and must not be written. A ReadWrite page is never
+// shared; Space.Protect is the one place that guarantees it.
 type Page struct {
-	id   PageID
-	prot Prot
-	data []byte
+	data   []byte
+	prot   Prot
+	shared bool
 }
-
-// ID returns the page id.
-func (pg *Page) ID() PageID { return pg.id }
 
 // Prot returns the current protection.
 func (pg *Page) Prot() Prot { return pg.prot }
 
-// Data exposes the raw page bytes for protocol use (twinning, diffing,
+// Shared reports whether the page still aliases copy-on-write storage,
+// i.e. this Space has neither written it nor applied a diff to it.
+func (pg *Page) Shared() bool { return pg.shared }
+
+// Data exposes the raw page bytes for protocol reads (twinning, diffing,
 // full-page transfer). Protocol code bypasses protection, exactly as the
-// DSM library does via its own mappings in TreadMarks.
+// DSM library does via its own mappings in TreadMarks. The bytes may be
+// shared: writes go through Space.MutableData.
 func (pg *Page) Data() []byte { return pg.data }
 
 // Space is one processor's view of the arena: its page table. Accesses
 // through a Space check protection and deliver faults to the handler.
 type Space struct {
 	arena   *Arena
-	pages   []*Page
+	pages   []Page
 	handler FaultHandler
 
 	// Counters for the fault-driven behaviour under test.
@@ -169,13 +180,24 @@ type Space struct {
 	WriteFaults int64
 }
 
-// NewSpace creates a processor-local view with all pages present and
-// protection prot. (Initialization is untimed and replicated; see
-// DESIGN.md §6.)
+// NewSpace creates a processor-local view with all pages present, zero,
+// and at protection prot. A ReadWrite space owns one private slab (it is
+// the initializing processor's image); any other space costs a page
+// table only, every page aliasing the arena's zero page until it is
+// written. (Initialization is untimed and replicated; see DESIGN.md §9,
+// "Host memory".)
 func NewSpace(a *Arena, prot Prot) *Space {
-	s := &Space{arena: a, pages: make([]*Page, a.Capacity())}
+	s := &Space{arena: a, pages: make([]Page, a.Capacity())}
+	if prot == ReadWrite {
+		ps := a.pageSize
+		slab := make([]byte, len(s.pages)*ps)
+		for i := range s.pages {
+			s.pages[i] = Page{data: slab[i*ps : (i+1)*ps : (i+1)*ps], prot: prot}
+		}
+		return s
+	}
 	for i := range s.pages {
-		s.pages[i] = &Page{id: PageID(i), prot: prot, data: make([]byte, a.pageSize)}
+		s.pages[i] = Page{data: a.zero, prot: prot, shared: true}
 	}
 	return s
 }
@@ -186,46 +208,87 @@ func (s *Space) SetHandler(h FaultHandler) { s.handler = h }
 // Arena returns the shared arena geometry.
 func (s *Space) Arena() *Arena { return s.arena }
 
-// Page returns the processor's copy of page id.
-func (s *Space) Page(id PageID) *Page { return s.pages[id] }
+// Page returns the processor's view of page id.
+func (s *Space) Page(id PageID) *Page { return &s.pages[id] }
+
+// privatize gives pg its own copy of the bytes it shares.
+func (pg *Page) privatize() {
+	pg.data = bytes.Clone(pg.data)
+	pg.shared = false
+}
 
 // Protect sets the protection of page id, like mprotect on one page.
-func (s *Space) Protect(id PageID, p Prot) { s.pages[id].prot = p }
+// Making a shared page writable materialises its private copy — the
+// copy-on-write break — so a ReadWrite page is always private and the
+// store accessors need no check of their own.
+func (s *Space) Protect(id PageID, p Prot) {
+	pg := &s.pages[id]
+	if p == ReadWrite && pg.shared {
+		pg.privatize()
+	}
+	pg.prot = p
+}
 
 // ProtectRange sets the protection of every page covering
 // [addr, addr+size).
 func (s *Space) ProtectRange(addr Addr, size int, p Prot) {
 	first, last := s.arena.PageRange(addr, size)
 	for id := first; id <= last; id++ {
-		s.pages[id].prot = p
+		s.Protect(id, p)
 	}
+}
+
+// MutableData returns page id's bytes for a protocol write (applying a
+// diff), whatever the page's protection; a shared page is made private
+// first.
+func (s *Space) MutableData(id PageID) []byte {
+	pg := &s.pages[id]
+	if pg.shared {
+		pg.privatize()
+	}
+	return pg.data
 }
 
 // CopyPageFrom copies the page contents (not protection) from another
-// Space, used for untimed initialization broadcast.
+// Space into this one's own bytes: the two never alias afterwards.
 func (s *Space) CopyPageFrom(o *Space, id PageID) {
-	copy(s.pages[id].data, o.pages[id].data)
+	copy(s.MutableData(id), o.pages[id].data)
 }
 
-func (s *Space) faultRead(pg *Page) {
+// SharePageFrom makes page id alias o's bytes copy-on-write instead of
+// copying them, used for the untimed initialization broadcast (DESIGN.md
+// §9, "Host memory"). o's page becomes shared too, so neither side can
+// write the common bytes; neither page may be writable.
+func (s *Space) SharePageFrom(o *Space, id PageID) {
+	src, dst := &o.pages[id], &s.pages[id]
+	if src.prot == ReadWrite || dst.prot == ReadWrite {
+		panic(fmt.Sprintf("vm: sharing writable page %d", id))
+	}
+	src.shared = true
+	dst.data, dst.shared = src.data, true
+}
+
+func (s *Space) faultRead(addr Addr) {
+	id := s.arena.PageOf(addr)
 	s.ReadFaults++
 	if s.handler == nil {
-		panic(fmt.Sprintf("vm: read fault on page %d with no handler", pg.id))
+		panic(fmt.Sprintf("vm: read fault on page %d with no handler", id))
 	}
-	s.handler.HandleFault(pg.id, false)
-	if pg.prot == NoAccess {
-		panic(fmt.Sprintf("vm: handler left page %d inaccessible after read fault", pg.id))
+	s.handler.HandleFault(id, false)
+	if s.pages[id].prot == NoAccess {
+		panic(fmt.Sprintf("vm: handler left page %d inaccessible after read fault", id))
 	}
 }
 
-func (s *Space) faultWrite(pg *Page) {
+func (s *Space) faultWrite(addr Addr) {
+	id := s.arena.PageOf(addr)
 	s.WriteFaults++
 	if s.handler == nil {
-		panic(fmt.Sprintf("vm: write fault on page %d with no handler", pg.id))
+		panic(fmt.Sprintf("vm: write fault on page %d with no handler", id))
 	}
-	s.handler.HandleFault(pg.id, true)
-	if pg.prot != ReadWrite {
-		panic(fmt.Sprintf("vm: handler left page %d non-writable after write fault", pg.id))
+	s.handler.HandleFault(id, true)
+	if s.pages[id].prot != ReadWrite {
+		panic(fmt.Sprintf("vm: handler left page %d non-writable after write fault", id))
 	}
 }
 
@@ -233,9 +296,9 @@ func (s *Space) faultWrite(pg *Page) {
 // The value must not straddle a page boundary (allocation code keeps
 // elements aligned).
 func (s *Space) ReadF64(addr Addr) float64 {
-	pg := s.pages[addr>>s.arena.shift]
+	pg := &s.pages[addr>>s.arena.shift]
 	if pg.prot == NoAccess {
-		s.faultRead(pg)
+		s.faultRead(addr)
 	}
 	off := int(addr) & s.arena.mask
 	return math.Float64frombits(binary.LittleEndian.Uint64(pg.data[off:]))
@@ -243,9 +306,9 @@ func (s *Space) ReadF64(addr Addr) float64 {
 
 // WriteF64 stores v at addr, faulting if the page is not writable.
 func (s *Space) WriteF64(addr Addr, v float64) {
-	pg := s.pages[addr>>s.arena.shift]
+	pg := &s.pages[addr>>s.arena.shift]
 	if pg.prot != ReadWrite {
-		s.faultWrite(pg)
+		s.faultWrite(addr)
 	}
 	off := int(addr) & s.arena.mask
 	binary.LittleEndian.PutUint64(pg.data[off:], math.Float64bits(v))
@@ -253,9 +316,9 @@ func (s *Space) WriteF64(addr Addr, v float64) {
 
 // ReadI32 loads the int32 at addr.
 func (s *Space) ReadI32(addr Addr) int32 {
-	pg := s.pages[addr>>s.arena.shift]
+	pg := &s.pages[addr>>s.arena.shift]
 	if pg.prot == NoAccess {
-		s.faultRead(pg)
+		s.faultRead(addr)
 	}
 	off := int(addr) & s.arena.mask
 	return int32(binary.LittleEndian.Uint32(pg.data[off:]))
@@ -263,9 +326,9 @@ func (s *Space) ReadI32(addr Addr) int32 {
 
 // WriteI32 stores v at addr.
 func (s *Space) WriteI32(addr Addr, v int32) {
-	pg := s.pages[addr>>s.arena.shift]
+	pg := &s.pages[addr>>s.arena.shift]
 	if pg.prot != ReadWrite {
-		s.faultWrite(pg)
+		s.faultWrite(addr)
 	}
 	off := int(addr) & s.arena.mask
 	binary.LittleEndian.PutUint32(pg.data[off:], uint32(v))
@@ -273,9 +336,9 @@ func (s *Space) WriteI32(addr Addr, v int32) {
 
 // ReadI64 loads the int64 at addr.
 func (s *Space) ReadI64(addr Addr) int64 {
-	pg := s.pages[addr>>s.arena.shift]
+	pg := &s.pages[addr>>s.arena.shift]
 	if pg.prot == NoAccess {
-		s.faultRead(pg)
+		s.faultRead(addr)
 	}
 	off := int(addr) & s.arena.mask
 	return int64(binary.LittleEndian.Uint64(pg.data[off:]))
@@ -283,9 +346,9 @@ func (s *Space) ReadI64(addr Addr) int64 {
 
 // WriteI64 stores v at addr.
 func (s *Space) WriteI64(addr Addr, v int64) {
-	pg := s.pages[addr>>s.arena.shift]
+	pg := &s.pages[addr>>s.arena.shift]
 	if pg.prot != ReadWrite {
-		s.faultWrite(pg)
+		s.faultWrite(addr)
 	}
 	off := int(addr) & s.arena.mask
 	binary.LittleEndian.PutUint64(pg.data[off:], uint64(v))
@@ -294,16 +357,16 @@ func (s *Space) WriteI64(addr Addr, v int64) {
 // TouchRead forces the page containing addr valid (a prefetch-style
 // access with no data movement at the caller).
 func (s *Space) TouchRead(addr Addr) {
-	pg := s.pages[addr>>s.arena.shift]
+	pg := &s.pages[addr>>s.arena.shift]
 	if pg.prot == NoAccess {
-		s.faultRead(pg)
+		s.faultRead(addr)
 	}
 }
 
 // TouchWrite forces the page containing addr writable.
 func (s *Space) TouchWrite(addr Addr) {
-	pg := s.pages[addr>>s.arena.shift]
+	pg := &s.pages[addr>>s.arena.shift]
 	if pg.prot != ReadWrite {
-		s.faultWrite(pg)
+		s.faultWrite(addr)
 	}
 }

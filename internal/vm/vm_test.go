@@ -184,12 +184,153 @@ func TestProtectRange(t *testing.T) {
 func TestCopyPageFrom(t *testing.T) {
 	a := NewArena(512, 1<<16)
 	s1 := NewSpace(a, ReadWrite)
-	s2 := NewSpace(a, ReadWrite)
 	addr := a.Alloc(8)
+	id := a.PageOf(addr)
 	s1.WriteF64(addr, 7.5)
-	s2.CopyPageFrom(s1, a.PageOf(addr))
-	if got := s2.ReadF64(addr); got != 7.5 {
-		t.Fatalf("copied page read %v", got)
+	// Into a private (ReadWrite) page and into a still-shared one: both
+	// must end up with their own bytes, not an alias of the source's.
+	for _, s2 := range []*Space{NewSpace(a, ReadWrite), NewSpace(a, ReadOnly)} {
+		s2.CopyPageFrom(s1, id)
+		if got := s2.ReadF64(addr); got != 7.5 {
+			t.Fatalf("copied page read %v", got)
+		}
+		if s2.Page(id).Shared() {
+			t.Fatal("page still shared after CopyPageFrom")
+		}
+		s1.WriteF64(addr, 8.5)
+		if got := s2.ReadF64(addr); got != 7.5 {
+			t.Fatalf("copy aliases its source: read %v after the source changed", got)
+		}
+		s1.WriteF64(addr, 7.5)
+	}
+}
+
+func TestNeverWrittenPagesReadZero(t *testing.T) {
+	a := NewArena(512, 1<<12)
+	addr := a.Alloc(1 << 12)
+	s1, s2 := NewSpace(a, ReadOnly), NewSpace(a, NoAccess)
+	// Writing through one space must not leak into the zero page the
+	// other still aliases.
+	s1.Protect(a.PageOf(addr), ReadWrite)
+	s1.WriteF64(addr, 1)
+	for id := PageID(0); id < PageID(a.NumPages()); id++ {
+		s2.Protect(id, ReadOnly)
+	}
+	for off := 0; off < 1<<12; off += 8 {
+		if got := s2.ReadI64(addr + Addr(off)); got != 0 {
+			t.Fatalf("never-written word at %d reads %d", off, got)
+		}
+		if got := s1.ReadI64(addr + Addr(off)); off > 0 && got != 0 {
+			t.Fatalf("unwritten word at %d of a written space reads %d", off, got)
+		}
+	}
+}
+
+// sealedImage builds the SealInit shape: an image space that wrote
+// word i of the arena as i+1 and was then sealed read-only, and peers
+// sharing every page of it.
+func sealedImage(t *testing.T, npeers int) (a *Arena, addr Addr, img *Space, peers []*Space) {
+	t.Helper()
+	a = NewArena(512, 1<<11)
+	addr = a.Alloc(1 << 11)
+	img = NewSpace(a, ReadWrite)
+	for i := 0; i < 1<<8; i++ {
+		img.WriteI64(addr+Addr(8*i), int64(i+1))
+	}
+	for p := 0; p < npeers; p++ {
+		peers = append(peers, NewSpace(a, ReadOnly))
+	}
+	for id := PageID(0); id < PageID(a.NumPages()); id++ {
+		img.Protect(id, ReadOnly)
+		for _, s := range peers {
+			s.SharePageFrom(img, id)
+		}
+	}
+	return
+}
+
+func TestSharedPagesAreCopyOnWrite(t *testing.T) {
+	a, addr, img, peers := sealedImage(t, 2)
+	all := append([]*Space{img}, peers...)
+	check := func(when string, s *Space, word int, want int64) {
+		t.Helper()
+		if got := s.ReadI64(addr + Addr(8*word)); got != want {
+			t.Fatalf("%s: word %d reads %d, want %d", when, word, got, want)
+		}
+	}
+	for _, s := range all {
+		check("after sharing", s, 3, 4)
+		if !s.Page(0).Shared() {
+			t.Fatal("page 0 not shared after SharePageFrom")
+		}
+	}
+	// A write through any one space — the image's owner included — is
+	// invisible to every other.
+	for k, s := range all {
+		s.Protect(0, ReadWrite)
+		s.WriteI64(addr+Addr(8*3), int64(-k-1))
+		if s.Page(0).Shared() {
+			t.Fatal("a writable page is still shared")
+		}
+		for j, o := range all {
+			switch {
+			case j < k:
+				check("earlier writer", o, 3, int64(-j-1))
+			case j == k:
+				check("writer", o, 3, int64(-k-1))
+				check("writer, rest of page", o, 4, 5)
+			default:
+				check("not yet written", o, 3, 4)
+			}
+		}
+	}
+	// Pages nobody wrote still share one copy.
+	last := PageID(a.NumPages() - 1)
+	for _, s := range peers {
+		if &s.Page(last).Data()[0] != &img.Page(last).Data()[0] {
+			t.Fatal("untouched page was copied")
+		}
+	}
+}
+
+func TestMutableDataPrivatizes(t *testing.T) {
+	_, addr, img, peers := sealedImage(t, 2)
+	data := peers[0].MutableData(1)
+	if peers[0].Page(1).Shared() {
+		t.Fatal("page still shared after MutableData")
+	}
+	if peers[0].Page(1).Prot() != ReadOnly {
+		t.Fatal("MutableData changed the protection")
+	}
+	for i := range data {
+		data[i] = 0xff
+	}
+	word := 512 / 8 // first word of page 1
+	if got := peers[0].ReadI64(addr + Addr(8*word)); got != -1 {
+		t.Fatalf("patched page reads %d", got)
+	}
+	for _, s := range []*Space{img, peers[1]} {
+		if got := s.ReadI64(addr + Addr(8*word)); got != int64(word+1) {
+			t.Fatalf("protocol write leaked into a peer: %d", got)
+		}
+	}
+	// Once private, the accessor hands out the same bytes again.
+	if &peers[0].MutableData(1)[0] != &data[0] {
+		t.Fatal("MutableData copied an already-private page")
+	}
+}
+
+func TestSharePageFromRejectsWritablePages(t *testing.T) {
+	a := NewArena(512, 1<<12)
+	for _, c := range []struct{ src, dst Prot }{{ReadWrite, ReadOnly}, {ReadOnly, ReadWrite}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("sharing %v into %v did not panic", c.src, c.dst)
+				}
+			}()
+			NewSpace(a, c.dst).SharePageFrom(NewSpace(a, c.src), 0)
+		}()
 	}
 }
 
