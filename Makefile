@@ -1,6 +1,6 @@
 # Benchmark-regression tooling. The gated set — the scheduler hot paths
 # (arbiter, delivery) and the stats counters in the root package and
-# internal/sim, plus one representative each for the vm and tmk layers —
+# internal/sim, plus representatives of the vm, diff and tmk layers —
 # is compared by the CI bench leg against BENCH_sim.json, the committed
 # baseline (see README "Performance").
 #
@@ -19,20 +19,22 @@ BENCH_FLAGS   := -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime=100x -count=6
 # `scenario run -j` wall-clock claim.
 BENCH_SWEEP_FLAGS := -run '^$$' -bench '^BenchmarkTableSweep' -benchtime=1x -count=3
 
-# One representative per DESIGN.md §1 layer under the run-times: the vm
-# accessor fast path and tmk's per-episode set-up (New + SealInit at
-# 16 procs x 8 MB). Their costs are six orders of magnitude apart (3 ns,
-# 3 ms), so no iteration count suits both: they run in their own
+# The DESIGN.md §1 layers under the run-times: the vm accessor fast path,
+# the diff encoder on a sparse and a dense page, and tmk's per-episode
+# set-up (New + SealInit at 16 procs x 8 MB), lock hand-off and demand
+# fault + fetch (the inputs of the perf probes tmk.lock_handoff_us and
+# tmk.fault_fetch_us). Their costs are six orders of magnitude apart
+# (3 ns, 3 ms), so no iteration count suits all: they run in their own
 # invocation on a time budget.
-BENCH_LAYER_PKGS    := ./internal/vm ./internal/tmk
-BENCH_LAYER_PATTERN := ^Benchmark(ReadF64|WriteF64|NewSealInit)$$
+BENCH_LAYER_PKGS    := ./internal/vm ./internal/diff ./internal/tmk
+BENCH_LAYER_PATTERN := ^Benchmark(ReadF64|WriteF64|EncodeSparse|EncodeDense|NewSealInit|LockHandoff|FaultFetch)$$
 BENCH_LAYER_FLAGS   := -run '^$$' -bench '$(BENCH_LAYER_PATTERN)' -benchtime=200ms -count=6
 
 # The in-process benchmark names, as a benchgate -filter: the bench
 # legs gate only these against BENCH_sim.json, and the service leg
 # gates only BenchmarkSimdLoad — each leg filters the shared baseline
 # to what it actually ran.
-GATE_FILTER  := ^Benchmark(Arbiter|Delivery|Send|StatsCount|TableSweep|ReadF64|WriteF64|NewSealInit)
+GATE_FILTER  := ^Benchmark(Arbiter|Delivery|Send|StatsCount|TableSweep|ReadF64|WriteF64|EncodeSparse|EncodeDense|NewSealInit|LockHandoff|FaultFetch)
 LOAD_FILTER  := ^BenchmarkSimdLoad
 
 # The service load test (cmd/simd + cmd/simload); see README "Running

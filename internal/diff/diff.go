@@ -5,6 +5,11 @@
 // the current page contents at the next synchronization point.
 package diff
 
+import (
+	"encoding/binary"
+	"math/bits"
+)
+
 // Run is one contiguous stretch of modified bytes within a page.
 type Run struct {
 	Off  int    // byte offset within the page
@@ -24,46 +29,80 @@ const WireHeaderB = 4
 // returns the run-length encoding of their differences. minGap merges
 // runs separated by fewer than minGap identical bytes, trading a few
 // redundant bytes for fewer runs — TreadMarks uses a small gap for the
-// same reason; 8 is a reasonable default.
+// same reason; 8 is a reasonable default. An identical stretch that
+// reaches the end of the page is never merged, whatever its length.
+//
+// The scan works a word at a time and only records run boundaries; the
+// payloads are then copied into one allocation shared by all runs.
 func Encode(twin, cur []byte, minGap int) Diff {
 	if len(twin) != len(cur) {
 		panic("diff: twin and page differ in length")
 	}
-	var runs []Run
 	n := len(cur)
-	i := 0
-	for i < n {
-		if twin[i] == cur[i] {
-			i++
-			continue
+	// Run boundaries [start, end). Up to 64 runs stay on the stack; a
+	// page with more spills to the heap through append.
+	var stack [64][2]int
+	bounds := stack[:0]
+	total := 0
+	for i := nextDiff(twin, cur, 0); i < n; {
+		// i is a differing byte. Extend the run over differing stretches
+		// and the short interior gaps between them; it ends, on a
+		// differing byte, before a gap of minGap or one that reaches n.
+		start, end := i, 0
+		for {
+			end = nextEqual(twin, cur, i+1)
+			i = nextDiff(twin, cur, end)
+			if i == n || i-end >= minGap {
+				break
+			}
 		}
-		start := i
-		last := i // index of the last differing byte in this run
-		j := i + 1
-		for j < n {
-			if twin[j] != cur[j] {
-				last = j
-				j++
-				continue
-			}
-			// A stretch of identical bytes: if shorter than minGap (and
-			// not at end of page), swallow it into the run.
-			g := 0
-			for j+g < n && twin[j+g] == cur[j+g] {
-				g++
-			}
-			if g < minGap && j+g < n {
-				j += g
-				continue
-			}
-			break
-		}
-		data := make([]byte, last+1-start)
-		copy(data, cur[start:last+1])
-		runs = append(runs, Run{Off: start, Data: data})
-		i = j
+		bounds = append(bounds, [2]int{start, end})
+		total += end - start
+	}
+	if len(bounds) == 0 {
+		return Diff{}
+	}
+	payload := make([]byte, total)
+	runs := make([]Run, len(bounds))
+	off := 0
+	for k, b := range bounds {
+		size := copy(payload[off:], cur[b[0]:b[1]])
+		runs[k] = Run{Off: b[0], Data: payload[off : off+size : off+size]}
+		off += size
 	}
 	return Diff{Runs: runs}
+}
+
+// nextDiff returns the first index at or after i where a and b differ,
+// or len(a) if they agree from i on.
+func nextDiff(a, b []byte, i int) int {
+	n := len(a)
+	for ; i+8 <= n; i += 8 {
+		if x := binary.LittleEndian.Uint64(a[i:]) ^ binary.LittleEndian.Uint64(b[i:]); x != 0 {
+			return i + bits.TrailingZeros64(x)/8
+		}
+	}
+	for ; i < n && a[i] == b[i]; i++ {
+	}
+	return i
+}
+
+// nextEqual returns the first index at or after i where a and b agree,
+// or len(a) if they differ from i on.
+func nextEqual(a, b []byte, i int) int {
+	const lo, hi = 0x0101010101010101, 0x8080808080808080
+	n := len(a)
+	for ; i+8 <= n; i += 8 {
+		x := binary.LittleEndian.Uint64(a[i:]) ^ binary.LittleEndian.Uint64(b[i:])
+		// Zero-byte test: the lowest set bit of z marks the first zero
+		// byte of x exactly (borrows only disturb the bytes above it).
+		if z := (x - lo) &^ x & hi; z != 0 {
+			return i + bits.TrailingZeros64(z)/8
+		}
+	}
+	for ; i < n && a[i] != b[i]; i++ {
+	}
+	return i
 }
 
 // FullPage returns a diff that replaces the entire page — the

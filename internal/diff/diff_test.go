@@ -163,12 +163,31 @@ func TestEncodeLengthMismatchPanics(t *testing.T) {
 	Encode(make([]byte, 3), make([]byte, 4), 8)
 }
 
-func BenchmarkEncodeSparse(b *testing.B) {
-	twin := make([]byte, 4096)
-	cur := append([]byte(nil), twin...)
+// sparsePage is the perf probe's sparse input (diff.encode_sparse_ns,
+// diff.allocs_per_encode): one modified byte every 128, 32 runs.
+func sparsePage() (twin, cur []byte) {
+	twin = make([]byte, 4096)
+	cur = make([]byte, 4096)
 	for i := 0; i < 4096; i += 128 {
 		cur[i] = 1
 	}
+	return twin, cur
+}
+
+// TestEncodeAllocs pins the encoder's allocation count: one payload
+// block and one []Run, however many runs the page has.
+func TestEncodeAllocs(t *testing.T) {
+	twin, cur := sparsePage()
+	if got := testing.AllocsPerRun(100, func() { Encode(twin, cur, 8) }); got > 2 {
+		t.Fatalf("Encode allocates %v times per sparse page, want <= 2", got)
+	}
+	if got := testing.AllocsPerRun(100, func() { Encode(twin, twin, 8) }); got != 0 {
+		t.Fatalf("Encode allocates %v times on an unchanged page, want 0", got)
+	}
+}
+
+func BenchmarkEncodeSparse(b *testing.B) {
+	twin, cur := sparsePage()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Encode(twin, cur, 8)

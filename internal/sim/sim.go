@@ -532,6 +532,7 @@ type Proc struct {
 	mbFree    []*mailbox              // guarded by mbMu: drained mailboxes for reuse
 	sendSeq   int64                   // owner-goroutine only: per-sender message sequence
 	drainBuf  []envelope              // owner-goroutine only: reused by drain
+	callBuf   []any                   // owner-goroutine only: CallMulti's result slice, reused
 
 	// cpuf is the processor's CPU speed factor (§15): every compute
 	// charge is multiplied by it. 1 for unperturbed clusters — and
@@ -743,7 +744,8 @@ func (p *Proc) Call(target int, kind string, req any, reqBytes int) any {
 // CallMulti issues several requests concurrently (the aggregated
 // prefetch pattern: one exchange per remote processor, all overlapped).
 // The caller's clock advances by the maximum round-trip time among the
-// requests, not the sum. Responses are returned in request order.
+// requests, not the sum. Responses are returned in request order, in a
+// slice the processor's next Call or CallMulti overwrites.
 //
 // Perturbation (§15): each leg is priced on its directed link, the
 // handler and interrupt costs scale with the target's CPU factor, and
@@ -754,7 +756,8 @@ func (p *Proc) CallMulti(specs []CallSpec) []any {
 	cfg := &p.c.cfg
 	c := p.c
 	t0 := p.Clock()
-	resps := make([]any, len(specs))
+	resps := slices.Grow(p.callBuf[:0], len(specs))[:len(specs)] // every entry is assigned below
+	p.callBuf = resps
 	done := t0
 	for i, s := range specs {
 		if s.Target == p.id {

@@ -2,6 +2,7 @@ package tmk
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
@@ -214,24 +215,35 @@ func TestDiffRequestRangeSemantics(t *testing.T) {
 }
 
 func TestWireDiffBytes(t *testing.T) {
-	wd := WireDiff{VC: NewVC(4)}
-	if wd.wireBytes() != 16+16 {
-		t.Fatalf("wireBytes = %d", wd.wireBytes())
+	sd := storedDiff{vc: NewVC(4), dataB: 5}
+	if sd.wireBytes() != 16+16+5 {
+		t.Fatalf("wireBytes = %d", sd.wireBytes())
 	}
 }
 
 func TestSortDiffsCausalOrder(t *testing.T) {
-	ds := []WireDiff{
-		{Proc: 1, Interval: 2, VC: VC{0, 2}},
-		{Proc: 0, Interval: 1, VC: VC{1, 0}},
-		{Proc: 0, Interval: 2, VC: VC{2, 2}},
+	mk := func(page vm.PageID, proc int, interval int32, vc VC) *storedDiff {
+		return &storedDiff{page: page, proc: proc, interval: interval, vc: vc, vcSum: vc.Sum()}
 	}
-	sortDiffsCausal(ds)
-	// Sum-ordered: {1,0}=1, {0,2}=2, {2,2}=4.
-	if ds[0].Proc != 0 || ds[0].Interval != 1 {
-		t.Fatalf("order[0] = %+v", ds[0])
+	ds := []*storedDiff{
+		mk(7, 1, 2, VC{0, 2}),
+		mk(9, 0, 1, VC{1, 0}),
+		mk(7, 0, 1, VC{1, 0}),
+		mk(7, 0, 2, VC{2, 2}),
+		mk(7, 1, 1, VC{0, 1}),
 	}
-	if ds[2].Interval != 2 || ds[2].Proc != 0 {
-		t.Fatalf("order[2] = %+v", ds[2])
+	slices.SortFunc(ds, compareCausal)
+	// Page first; within page 7 Sum-ordered, {1,0} and {0,1} tie at 1 and
+	// fall back to the writer id: {1,0}=1 (p0), {0,1}=1 (p1), {0,2}=2, {2,2}=4.
+	want := []struct {
+		page     vm.PageID
+		proc     int
+		interval int32
+	}{{7, 0, 1}, {7, 1, 1}, {7, 1, 2}, {7, 0, 2}, {9, 0, 1}}
+	for i, w := range want {
+		if ds[i].page != w.page || ds[i].proc != w.proc || ds[i].interval != w.interval {
+			t.Fatalf("order[%d] = page %d proc %d interval %d, want %+v",
+				i, ds[i].page, ds[i].proc, ds[i].interval, w)
+		}
 	}
 }

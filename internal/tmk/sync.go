@@ -41,13 +41,6 @@ type barrierReply struct {
 	gc      bool
 }
 
-// ensureSeen lazily initializes the per-writer watermark.
-func (n *Node) ensureSeen() {
-	if n.seen == nil {
-		n.seen = make([]int32, n.proc.NProcs())
-	}
-}
-
 // Barrier performs a TreadMarks barrier: the arrival message carries the
 // node's new interval notices to the manager; the release message
 // carries back every notice the node has not seen; the node then
@@ -55,7 +48,6 @@ func (n *Node) ensureSeen() {
 // the acquirer of which pages have been modified, causing the acquirer
 // to invalidate its local copies of these pages").
 func (n *Node) Barrier(id int) {
-	n.ensureSeen()
 	n.closeInterval()
 
 	contrib := &barrierContribution{
@@ -100,7 +92,7 @@ func (n *Node) Barrier(id int) {
 		var totalNotices int
 		for i, c := range contribs {
 			cb := c.(*barrierContribution)
-			nts, nb := board.missingForLocked(cb.seen, i)
+			nts, nb := board.missingForLocked(nil, cb.seen, i)
 			replies[i] = &barrierReply{notices: nts, gc: gc}
 			rbytes[i] = nb
 			totalNotices += len(nts)
@@ -109,7 +101,7 @@ func (n *Node) Barrier(id int) {
 		return replies, rbytes, combineUS
 	})
 
-	n.newNotices = nil
+	n.newNotices = n.newNotices[:0]
 	gc := false
 	if reply != nil {
 		r := reply.(*barrierReply)
@@ -145,15 +137,16 @@ func (n *Node) gcFlush(barrierID int) {
 	n.proc.BarrierExchange(1<<19+barrierID, nil, 0, nil)
 	n.mu.Lock()
 	n.d.cluster.Mem.Free(n.proc.ID(), MemCatDiffs, n.diffBytes)
-	n.diffStore = map[diffKey]*storedDiff{}
+	clear(n.diffStore)
 	n.diffBytes = 0
 	n.mu.Unlock()
 	n.GCs++
 }
 
-// missingForLocked is missingFor with the board lock already held.
-func (b *noticeBoard) missingForLocked(seen []int32, self int) ([]*Notice, int) {
-	var out []*Notice
+// missingForLocked appends to out the notices of every writer but self
+// that lie beyond the seen watermarks, and returns them with their wire
+// size. The board lock must be held.
+func (b *noticeBoard) missingForLocked(out []*Notice, seen []int32, self int) ([]*Notice, int) {
 	bytes := 0
 	for w, nts := range b.byWriter {
 		if w == self {
@@ -181,22 +174,15 @@ func (b *noticeBoard) missingForLocked(seen []int32, self int) ([]*Notice, int) 
 // instant (the onGrant hook), when no other processor is mutating the
 // board.
 func (n *Node) AcquireLock(id int) {
-	n.ensureSeen()
 	cfg := n.proc.Config()
 	d := n.d
 	cl := n.proc.Cluster()
 	mgr := id % cfg.Procs // static manager assignment
 
 	reqArrive := n.proc.Clock() + cl.LinkLatencyUS(n.proc.ID(), mgr)
-	var nts []*Notice
-	var bytes int
-	grantFree := n.proc.AcquireResource(id, reqArrive, func() {
-		// The grant carries the missing notices.
-		board := d.board
-		board.mu.Lock()
-		nts, bytes = board.missingForLocked(n.seen, n.proc.ID())
-		board.mu.Unlock()
-	})
+	// The grant carries the missing notices (snapshotGrant).
+	grantFree := n.proc.AcquireResource(id, reqArrive, n.onGrant)
+	nts, bytes := n.grantNotices, n.grantBytes
 	grantAt := reqArrive
 	if grantFree > grantAt {
 		grantAt = grantFree
@@ -220,11 +206,20 @@ func (n *Node) AcquireLock(id int) {
 	}
 }
 
+// snapshotGrant is AcquireLock's onGrant hook: it records the notices
+// this node lacks at the grant instant. applyNotices keeps the notices,
+// not the slice, so the buffer is reused by the next acquire.
+func (n *Node) snapshotGrant() {
+	board := n.d.board
+	board.mu.Lock()
+	n.grantNotices, n.grantBytes = board.missingForLocked(n.grantNotices[:0], n.seen, n.proc.ID())
+	board.mu.Unlock()
+}
+
 // ReleaseLock releases lock id: the current interval closes (creating
 // diffs and a write notice), the notice is posted to the manager, and a
 // queued waiter (if any) is granted.
 func (n *Node) ReleaseLock(id int) {
-	n.ensureSeen()
 	cfg := n.proc.Config()
 	d := n.d
 	n.closeInterval()
@@ -247,7 +242,7 @@ func (n *Node) ReleaseLock(id int) {
 	board.mu.Unlock()
 	d.cluster.Mem.Alloc(-1, MemCatBoard, postedBytes)
 	n.seen[n.proc.ID()] = n.vc[n.proc.ID()]
-	n.newNotices = nil
+	n.newNotices = n.newNotices[:0]
 
 	d.cluster.Stats.CountP(n.proc.ID(), "tmk.lock", cfg.Frags(bytes), cfg.WireBytes(bytes))
 	// The release notification travels to the lock's static manager.

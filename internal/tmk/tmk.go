@@ -13,8 +13,9 @@
 package tmk
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/diff"
@@ -73,14 +74,22 @@ func New(c *sim.Cluster, pageSize, arenaBytes int) *DSM {
 		arena:   vm.NewArena(pageSize, arenaBytes),
 		board:   newNoticeBoard(c.NProcs()),
 	}
-	for i := 0; i < c.NProcs(); i++ {
+	nprocs := c.NProcs()
+	for i := 0; i < nprocs; i++ {
 		n := &Node{
 			d:         d,
 			proc:      c.Proc(i),
-			vc:        NewVC(c.NProcs()),
-			diffStore: map[diffKey]*storedDiff{},
-			dirty:     map[vm.PageID]*dirtyPage{},
+			vc:        NewVC(nprocs),
+			seen:      make([]int32, nprocs),
+			dirty:     map[vm.PageID]dirtyPage{},
+			diffStore: map[vm.PageID][]*storedDiff{},
 		}
+		n.fetch.upTo = make([]int32, nprocs)
+		n.fetch.reqs = make([]diffRequest, nprocs)
+		for w := range n.fetch.reqs {
+			n.fetch.reqs[w].resp = &n.fetch.diffs
+		}
+		n.onGrant = n.snapshotGrant
 		// Proc 0 initializes shared data before SealInit; give it write
 		// access (and so the one private image), everyone else starts
 		// read-only on the zero page (they will share the initial image
@@ -187,10 +196,11 @@ func (d *DSM) Close() {
 				mem.Free(i, MemCatTwins, int64(d.arena.PageSize()))
 			}
 		}
-		n.dirty = map[vm.PageID]*dirtyPage{}
+		clear(n.dirty)
+		n.freeTwins = nil
 		n.mu.Lock()
 		mem.Free(i, MemCatDiffs, n.diffBytes)
-		n.diffStore = map[diffKey]*storedDiff{}
+		clear(n.diffStore)
 		n.diffBytes = 0
 		n.mu.Unlock()
 	}
@@ -201,14 +211,13 @@ func (d *DSM) Close() {
 	mem.Free(-1, MemCatBoard, bb)
 }
 
-type diffKey struct {
-	page     vm.PageID
-	interval int32
-}
-
 type dirtyPage struct {
 	twin      []byte // nil when fullWrite
 	fullWrite bool   // WRITE_ALL: the whole page will be (re)written
+	// owned marks a twin this node copied, which closeInterval recycles.
+	// The other kind of twin is the still-shared sealed image itself
+	// (see TwinForWrite), which other nodes go on reading.
+	owned bool
 }
 
 // pageMeta is one node's coherence state for one page.
@@ -228,8 +237,15 @@ type Node struct {
 	space *vm.Space
 
 	vc    VC
-	dirty map[vm.PageID]*dirtyPage
+	dirty map[vm.PageID]dirtyPage
 	pages []pageMeta
+	// freeTwins holds the owned twins of closed intervals for the next
+	// write faults to reuse: at most as many as one interval dirtied.
+	freeTwins [][]byte
+	// dirtyOrder is closeInterval's sorted page list, reused.
+	dirtyOrder []vm.PageID
+	// fetch is FetchPages' scratch state.
+	fetch fetchScratch
 
 	// newNotices are this node's interval notices not yet posted to the
 	// central board (at most one per release).
@@ -237,9 +253,17 @@ type Node struct {
 	// seen[w] is the highest interval of writer w whose notice this node
 	// has received — the watermark the notice board filters against.
 	seen []int32
+	// grantNotices and grantBytes are the notices the latest lock grant
+	// carried and their wire size, filled by onGrant (snapshotGrant, bound
+	// once) at the grant instant while this node is blocked in the acquire.
+	grantNotices []*Notice
+	grantBytes   int
+	onGrant      func()
 
-	mu        sync.Mutex // guards diffStore against remote handler reads
-	diffStore map[diffKey]*storedDiff
+	mu sync.Mutex // guards diffStore against remote handler reads
+	// diffStore[page] are this node's retained diffs of page, in
+	// ascending interval order.
+	diffStore map[vm.PageID][]*storedDiff
 	diffBytes int64 // wire bytes retained in diffStore
 
 	// Hooks used by the augmented run-time (internal/core) for
@@ -342,7 +366,7 @@ func (n *Node) TwinForWrite(page vm.PageID, fullWrite bool) {
 		return
 	}
 	if fullWrite {
-		n.dirty[page] = &dirtyPage{fullWrite: true}
+		n.dirty[page] = dirtyPage{fullWrite: true}
 	} else {
 		pg := n.space.Page(page)
 		twin := pg.Data()
@@ -350,14 +374,27 @@ func (n *Node) TwinForWrite(page vm.PageID, fullWrite bool) {
 		// A still-shared page's bytes are immutable, and Protect below
 		// gives the node its own copy to write: they are the twin as they
 		// stand. Only an already-private page needs a second copy.
-		if !pg.Shared() {
-			twin = diff.Twin(twin)
+		owned := !pg.Shared()
+		if owned {
+			twin = n.copyTwin(twin)
 		}
-		n.dirty[page] = &dirtyPage{twin: twin}
+		n.dirty[page] = dirtyPage{twin: twin, owned: owned}
 		n.TwinsMade++
 		n.d.cluster.Mem.Alloc(n.proc.ID(), MemCatTwins, int64(len(twin)))
 	}
 	n.space.Protect(page, vm.ReadWrite)
+}
+
+// copyTwin returns a private copy of page, in a recycled buffer when one
+// is free.
+func (n *Node) copyTwin(page []byte) []byte {
+	if last := len(n.freeTwins) - 1; last >= 0 {
+		twin := n.freeTwins[last]
+		n.freeTwins = n.freeTwins[:last]
+		copy(twin, page)
+		return twin
+	}
+	return diff.Twin(page)
 }
 
 // IsInvalid reports whether the node's copy of page is invalid.
@@ -377,49 +414,50 @@ func (n *Node) closeInterval() {
 	me := n.proc.ID()
 	n.vc[me]++
 	nt := &Notice{Proc: me, Interval: n.vc[me], VC: n.vc.Clone()}
+	vcSum := nt.VC.Sum()
 	// Byte counts accumulate as integers and convert to time once, so
 	// the result is independent of iteration order (floating-point
 	// addition is not associative). The dirty set is still drained in
 	// sorted page order so the notice's page list — and everything that
 	// flows from it — has one canonical layout.
-	dirtyPages := make([]vm.PageID, 0, len(n.dirty))
+	order := n.dirtyOrder[:0]
 	for page := range n.dirty {
-		dirtyPages = append(dirtyPages, page)
+		order = append(order, page)
 	}
-	sort.Slice(dirtyPages, func(i, j int) bool { return dirtyPages[i] < dirtyPages[j] })
+	slices.Sort(order)
+	n.dirtyOrder = order
+	nt.Pages = slices.Clone(order)
 	var snapBytes, scanBytes int
 	var twinFreed, diffStored int64
 	n.mu.Lock()
-	for _, page := range dirtyPages {
+	for _, page := range order {
 		dp := n.dirty[page]
 		pg := n.space.Page(page)
-		var d diff.Diff
-		full := false
+		sd := &storedDiff{page: page, proc: me, interval: n.vc[me], vc: nt.VC, vcSum: vcSum}
 		if dp.fullWrite {
-			d = diff.FullPage(pg.Data())
-			full = true
+			sd.d = diff.FullPage(pg.Data())
+			sd.full = true
 			snapBytes += len(pg.Data())
+			nt.FullPages = append(nt.FullPages, page)
 		} else {
-			d = diff.Encode(dp.twin, pg.Data(), minGap)
+			sd.d = diff.Encode(dp.twin, pg.Data(), minGap)
 			scanBytes += len(pg.Data())
 			twinFreed += int64(len(pg.Data())) // twin discarded below
+			if dp.owned {
+				n.freeTwins = append(n.freeTwins, dp.twin)
+			}
 		}
-		n.diffStore[diffKey{page, n.vc[me]}] = &storedDiff{
-			page: page, proc: me, interval: n.vc[me], vc: nt.VC, full: full, d: d,
-		}
-		n.diffBytes += int64(d.WireBytes())
-		diffStored += int64(d.WireBytes())
+		sd.dataB = sd.d.WireBytes()
+		n.diffStore[page] = append(n.diffStore[page], sd)
+		diffStored += int64(sd.dataB)
 		n.DiffsCreated++
-		nt.Pages = append(nt.Pages, page)
-		if full {
-			nt.FullPages = append(nt.FullPages, page)
-		}
 		n.pages[page].applied[me] = n.vc[me]
 		n.space.Protect(page, vm.ReadOnly)
 	}
+	n.diffBytes += diffStored
 	n.mu.Unlock()
 	n.proc.Advance(cfg.TwinUSPerB*float64(snapBytes) + cfg.DiffUSPerB*float64(scanBytes))
-	n.dirty = map[vm.PageID]*dirtyPage{}
+	clear(n.dirty)
 	n.d.cluster.Mem.Free(me, MemCatTwins, twinFreed)
 	n.d.cluster.Mem.Alloc(me, MemCatDiffs, diffStored)
 	n.newNotices = append(n.newNotices, nt)
@@ -497,12 +535,24 @@ type pageRequest struct {
 	UpTo  int32
 }
 
+// diffRequest is the request of one diff exchange. CallMulti runs the
+// target's handler synchronously on the requester's goroutine, so the
+// request carries the requester's own response buffer and the handler
+// appends the stored diffs to it directly.
 type diffRequest struct {
-	Pages []pageRequest
+	pages []pageRequest
+	resp  *[]*storedDiff
 }
 
-type diffResponse struct {
-	Diffs []WireDiff
+// fetchScratch is the state FetchPages reuses from call to call.
+// FetchPages runs only on the node's own goroutine and never re-enters,
+// so one instance per node suffices. Everything is empty between calls.
+type fetchScratch struct {
+	upTo    []int32       // [writer] highest pending interval for the page at hand, 0 = none
+	reqs    []diffRequest // [writer] request under construction, pages in argument order
+	writers []int         // writers with a non-empty request
+	specs   []sim.CallSpec
+	diffs   []*storedDiff // every response of the exchange, flat
 }
 
 // FetchPages brings every page in pages up to date: it determines the
@@ -514,8 +564,8 @@ type diffResponse struct {
 // aggregated prefetch (many pages). The stat category is kind.
 func (n *Node) FetchPages(pages []vm.PageID, kind string) {
 	cfg := n.proc.Config()
+	f := &n.fetch
 	// Group needed (page, interval-range) pairs by writer.
-	perWriter := map[int][]pageRequest{}
 	for _, page := range pages {
 		meta := &n.pages[page]
 		meta.pending = pruneSuperseded(meta.pending, page)
@@ -525,82 +575,89 @@ func (n *Node) FetchPages(pages []vm.PageID, kind string) {
 			}
 			continue
 		}
-		upTo := map[int]int32{}
 		for _, nt := range meta.pending {
-			if nt.Interval > upTo[nt.Proc] {
-				upTo[nt.Proc] = nt.Interval
-			}
+			f.upTo[nt.Proc] = max(f.upTo[nt.Proc], nt.Interval)
 		}
-		for w, hi := range upTo {
-			perWriter[w] = append(perWriter[w], pageRequest{
+		for _, nt := range meta.pending {
+			w := nt.Proc
+			hi := f.upTo[w]
+			if hi == 0 {
+				continue // w's request for this page is already queued
+			}
+			f.upTo[w] = 0
+			if len(f.reqs[w].pages) == 0 {
+				f.writers = append(f.writers, w)
+			}
+			f.reqs[w].pages = append(f.reqs[w].pages, pageRequest{
 				Page: page, After: meta.applied[w], UpTo: hi,
 			})
 		}
 	}
-	if len(perWriter) > 0 {
-		// One spec per writer, in writer-id order (map iteration order
-		// would still be correct — responses are keyed by page — but a
-		// canonical order keeps the exchange reproducible to a reader).
-		writers := make([]int, 0, len(perWriter))
-		for w := range perWriter {
-			writers = append(writers, w)
-		}
-		sort.Ints(writers)
-		specs := make([]sim.CallSpec, 0, len(writers))
-		for _, w := range writers {
-			reqs := perWriter[w]
-			specs = append(specs, sim.CallSpec{
+	if len(f.writers) > 0 {
+		// One spec per writer, in writer-id order. The order is part of
+		// the simulated result: under arrival jitter each exchange draws
+		// its delay from the caller's next sequence number.
+		slices.Sort(f.writers)
+		for _, w := range f.writers {
+			f.specs = append(f.specs, sim.CallSpec{
 				Target:   w,
 				Kind:     kind,
-				Req:      &diffRequest{Pages: reqs},
-				ReqBytes: 12 * len(reqs),
+				Req:      &f.reqs[w],
+				ReqBytes: 12 * len(f.reqs[w].pages),
 			})
 		}
-		resps := n.proc.CallMulti(specs)
+		n.proc.CallMulti(f.specs)
 
-		// Collect diffs per page across all responses.
-		byPage := map[vm.PageID][]WireDiff{}
-		for _, r := range resps {
-			for _, wd := range r.(*diffResponse).Diffs {
-				byPage[wd.Page] = append(byPage[wd.Page], wd)
-			}
-		}
+		// Apply page by page, each page's diffs in causal order.
+		ds := f.diffs
+		slices.SortFunc(ds, compareCausal)
 		var applyBytes int
-		for page, ds := range byPage {
+		for lo := 0; lo < len(ds); {
+			page := ds[lo].page
 			meta := &n.pages[page]
 			// A whole-page snapshot (WRITE_ALL) supersedes every diff
 			// its writer had already applied; pick the causally latest
 			// (ties broken by writer id and interval).
-			sortDiffsCausal(ds)
-			var snap *WireDiff
-			for i := range ds {
-				if ds[i].Full {
-					snap = &ds[i] // last Full in causal order wins
+			hi, snap := lo, -1
+			for ; hi < len(ds) && ds[hi].page == page; hi++ {
+				if ds[hi].full {
+					snap = hi // last full in causal order wins
 				}
 			}
-			for i := range ds {
-				wd := &ds[i]
-				if snap != nil && wd != snap && wd.Interval <= snap.VC[wd.Proc] {
+			for i := lo; i < hi; i++ {
+				sd := ds[i]
+				if snap >= 0 && i != snap && sd.interval <= ds[snap].vc[sd.proc] {
 					// Covered by the snapshot.
 					continue
 				}
-				wd.D.Apply(n.space.MutableData(page))
-				applyBytes += wd.D.WireBytes()
+				sd.d.Apply(n.space.MutableData(page))
+				applyBytes += sd.dataB
 				n.DiffsApplied++
-				if meta.applied[wd.Proc] < wd.Interval {
-					meta.applied[wd.Proc] = wd.Interval
+				if meta.applied[sd.proc] < sd.interval {
+					meta.applied[sd.proc] = sd.interval
 				}
-				if wd.Full {
+				if sd.full {
 					// Snapshot carries every write its writer had seen.
-					for w2, iv := range wd.VC {
+					for w2, iv := range sd.vc {
 						if meta.applied[w2] < iv {
 							meta.applied[w2] = iv
 						}
 					}
 				}
 			}
+			lo = hi
 		}
 		n.proc.Advance(cfg.ApplyUSPerB * float64(applyBytes))
+
+		// Empty the scratch state; dropping the diff pointers lets a
+		// writer's gcFlush free its diffs on the host too.
+		for _, w := range f.writers {
+			f.reqs[w].pages = f.reqs[w].pages[:0]
+		}
+		f.writers = f.writers[:0]
+		f.specs = f.specs[:0]
+		clear(ds)
+		f.diffs = ds[:0]
 	}
 	// Clear satisfied pending notices and revalidate.
 	for _, page := range pages {
@@ -624,29 +681,29 @@ func (n *Node) FetchPages(pages []vm.PageID, kind string) {
 
 // handleDiffRequest services a diff fetch on the writer side: it looks
 // up the stored diffs for each requested page and interval range and
-// ships them back, all in one response message.
+// ships them back, all in one response message. It runs on the
+// requester's goroutine: the requester's buffer is private to it, the
+// writer's diffStore is read under its mutex.
 func (n *Node) handleDiffRequest(from int, req any) (any, int, float64) {
 	r := req.(*diffRequest)
-	resp := &diffResponse{}
+	out := *r.resp
+	first := len(out)
 	bytes := 0
 	n.mu.Lock()
-	for _, pr := range r.Pages {
-		for iv := pr.After + 1; iv <= pr.UpTo; iv++ {
-			sd, ok := n.diffStore[diffKey{pr.Page, iv}]
-			if !ok {
-				continue // this interval did not touch the page
-			}
-			wd := WireDiff{
-				Page: sd.page, Proc: sd.proc, Interval: sd.interval,
-				VC: sd.vc, Full: sd.full, D: sd.d,
-			}
-			resp.Diffs = append(resp.Diffs, wd)
-			bytes += wd.wireBytes()
+	for _, pr := range r.pages {
+		stored := n.diffStore[pr.Page]
+		i, _ := slices.BinarySearchFunc(stored, pr.After+1, func(sd *storedDiff, iv int32) int {
+			return cmp.Compare(sd.interval, iv)
+		})
+		for ; i < len(stored) && stored[i].interval <= pr.UpTo; i++ {
+			out = append(out, stored[i])
+			bytes += stored[i].wireBytes()
 		}
 	}
 	n.mu.Unlock()
-	handlerUS := 4 + 0.5*float64(len(resp.Diffs)) // lookup + packaging
-	return resp, bytes, handlerUS
+	*r.resp = out
+	handlerUS := 4 + 0.5*float64(len(out)-first) // lookup + packaging
+	return nil, bytes, handlerUS
 }
 
 func (n *Node) String() string {

@@ -2,8 +2,8 @@
 package tmk
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
 
 	"repro/internal/diff"
 	"repro/internal/vm"
@@ -91,45 +91,40 @@ func (nt *Notice) WireBytes() int {
 	return 8 + 4*len(nt.VC) + 4*len(nt.Pages) + 4*len(nt.FullPages)
 }
 
-// storedDiff is a diff retained by its writer, keyed by (page,
-// interval), served on request.
+// storedDiff is a diff retained by its writer, indexed by page in
+// ascending interval order. A fetcher receives it by pointer — shipping
+// it is priced by wireBytes, never copied on the host — so it is
+// immutable once stored. vcSum and dataB cache what every fetch would
+// otherwise recompute.
 type storedDiff struct {
 	page     vm.PageID
 	proc     int
 	interval int32
 	vc       VC
-	full     bool // whole-page snapshot (WRITE_ALL reduction shipping)
+	vcSum    int64 // vc.Sum(), the causal sort key
+	full     bool  // whole-page snapshot (WRITE_ALL reduction shipping)
 	d        diff.Diff
-}
-
-// WireDiff is a diff as shipped in a response message.
-type WireDiff struct {
-	Page     vm.PageID
-	Proc     int
-	Interval int32
-	VC       VC
-	Full     bool
-	D        diff.Diff
+	dataB    int // d.WireBytes()
 }
 
 // wireBytes of one shipped diff: metadata plus encoded runs.
-func (w *WireDiff) wireBytes() int {
-	return 16 + 4*len(w.VC) + w.D.WireBytes()
+func (sd *storedDiff) wireBytes() int {
+	return 16 + 4*len(sd.vc) + sd.dataB
 }
 
-// sortDiffsCausal orders diffs by a linear extension of happens-before
-// (Sum of the vector clock, ties by writer id, then interval).
-// Concurrent diffs only arise from false sharing and touch disjoint
-// bytes, so any linear extension applies them correctly.
-func sortDiffsCausal(ds []WireDiff) {
-	sort.Slice(ds, func(i, j int) bool {
-		si, sj := ds[i].VC.Sum(), ds[j].VC.Sum()
-		if si != sj {
-			return si < sj
-		}
-		if ds[i].Proc != ds[j].Proc {
-			return ds[i].Proc < ds[j].Proc
-		}
-		return ds[i].Interval < ds[j].Interval
-	})
+// compareCausal orders diffs by page and, within a page, by a linear
+// extension of happens-before (Sum of the vector clock, ties by writer
+// id, then interval). Concurrent diffs only arise from false sharing and
+// touch disjoint bytes, so any linear extension applies them correctly.
+func compareCausal(a, b *storedDiff) int {
+	if c := cmp.Compare(a.page, b.page); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.vcSum, b.vcSum); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.proc, b.proc); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.interval, b.interval)
 }
