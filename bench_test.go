@@ -1,7 +1,7 @@
 // Package repro's benchmark harness: one benchmark per table row group
 // of the paper's evaluation (§5, Tables 1 and 2) plus protocol
 // micro-benchmarks. The table benchmarks run scaled-down workloads (the
-// full sweeps are cmd/table1 and cmd/table2) and report the simulated
+// full sweeps are scenarios/table1.yaml and table2.yaml) and report the simulated
 // metrics — simulated seconds ("sim-s"), messages, and megabytes — as
 // custom benchmark metrics alongside the real Go run time.
 package repro

@@ -63,15 +63,16 @@ func run(ctx context.Context, w io.Writer, sweep string, n, procs int) error {
 		sweepTTable(w, n, procs)
 	case "memory":
 		// The §9 capacity sweep executes through the shared runner and
-		// renders via bench.PresentMemorySweep so the scenario engine
-		// produces identical bytes (cmd/scenario).
-		sp := bench.MemorySweepParams{N: n, Procs: procs}
-		res, err := runner.Default().Do(ctx, bench.MemoryRequest(sp, nil))
+		// renders via bench.PresentResult, the scenario engine's path.
+		req, err := bench.Request("memory", map[string]int{"n": n, "procs": procs})
 		if err != nil {
 			return err
 		}
-		bench.PresentMemorySweep(w, sp, res)
-		return nil
+		res, err := runner.Default().Do(ctx, req)
+		if err != nil {
+			return err
+		}
+		return bench.PresentResult(w, req, res)
 	default:
 		return fmt.Errorf("unknown sweep: %s", sweep)
 	}

@@ -1,9 +1,9 @@
 // Command scenario loads, validates, and executes experiment spec
 // files (internal/scenario): the paper tables, the §9 memory sweep,
 // and generic registered-application runs, as data instead of bespoke
-// flag wrappers. A canned-experiment scenario renders byte-identically
-// to the corresponding command (cmd/table1..5, cmd/ablate
-// -sweep=memory), so the existing golden fixtures are the contract.
+// flag wrappers. Canned experiments render through bench.PresentResult,
+// the run service's path; the golden fixtures under testdata (and
+// cmd/ablate's memory.golden) are the contract.
 //
 //	scenario run [-j N] [-repro] [-procs N] [-out dir] [-metrics[=addr|-]] [-trace dir] <file|dir|dir/...>...
 //	scenario validate <file|dir|dir/...>...
@@ -22,8 +22,7 @@
 // its rendering; -metrics=- dumps the process metrics registry
 // (Prometheus text format) after the outcomes; -metrics=ADDR serves
 // that registry at http://ADDR/metrics for the run's duration (the
-// same handler cmd/simd mounts). The former -obs and -metrics-addr
-// spellings still work as deprecated aliases that warn on stderr.
+// same handler cmd/simd mounts).
 //
 // -trace <dir> records the deterministic simulated-time trace of every
 // scenario (DESIGN.md §13) and writes <dir>/<name>.trace.json — Chrome
@@ -51,6 +50,7 @@ import (
 	"strings"
 	"syscall"
 
+	"repro/internal/bench"
 	"repro/internal/cache"
 	"repro/internal/obs"
 	"repro/internal/runner"
@@ -199,19 +199,9 @@ func runCmd(ctx context.Context, w io.Writer, args []string) error {
 	fs.StringVar(&opts.outDir, "out", "", "also write each scenario's rendered output to <dir>/<name>.txt")
 	fs.Var(&metricsFlag{&opts}, "metrics", "print per-scenario metrics; -metrics=- dumps the registry, -metrics=ADDR serves it at http://ADDR/metrics")
 	fs.StringVar(&opts.traceDir, "trace", "", "record the simulated-time trace of every scenario into <dir>/<name>.trace.json")
-	fs.BoolVar(&opts.obs, "obs", false, "deprecated alias for -metrics=-")
-	fs.StringVar(&opts.metricsAddr, "metrics-addr", "", "deprecated alias for -metrics=ADDR")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	fs.Visit(func(fl *flag.Flag) {
-		switch fl.Name {
-		case "obs":
-			fmt.Fprintln(os.Stderr, "scenario: -obs is deprecated; use -metrics=-")
-		case "metrics-addr":
-			fmt.Fprintln(os.Stderr, "scenario: -metrics-addr is deprecated; use -metrics=<addr>")
-		}
-	})
 	files, err := expand(fs.Args())
 	if err != nil {
 		return err
@@ -252,9 +242,9 @@ func run(ctx context.Context, w io.Writer, files []string, opts runOpts) error {
 		if opts.repro {
 			spec.Repro = true
 		}
-		if opts.traceDir != "" && spec.Experiment != "memory" {
-			// The memory experiment stays untraced (DESIGN.md §13), so
-			// -trace leaves such specs alone instead of failing the run.
+		if e, canned := bench.Canned(spec.Experiment); opts.traceDir != "" && (!canned || e.Traceable) {
+			// Untraceable experiments (DESIGN.md §13) are left alone
+			// instead of failing the run.
 			spec.Trace = true
 		}
 		if opts.procs > 0 {
@@ -313,7 +303,7 @@ func run(ctx context.Context, w io.Writer, files []string, opts runOpts) error {
 
 // serveMetrics exposes the process registry at /metrics on addr — the
 // same handler cmd/simd mounts — until stop is called. `scenario run
-// -metrics-addr` uses it so a scraper pointed at a long sweep sees
+// -metrics=ADDR` uses it so a scraper pointed at a long sweep sees
 // live series under the same names the run service exports.
 func serveMetrics(addr string) (url string, stop func(), err error) {
 	ln, err := net.Listen("tcp", addr)

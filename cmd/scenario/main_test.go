@@ -6,6 +6,7 @@ import (
 	"flag"
 	"io"
 	"net/http"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -18,25 +19,21 @@ import (
 var update = flag.Bool("update", false, "rewrite the golden fixtures")
 
 // TestGoldenScenarios runs every shipped CI-size scenario and diffs
-// the output against its golden fixture. For the canned experiments
-// the fixture is the *other command's* checked-in golden
-// (cmd/table1..5, cmd/ablate): a scenario file must reproduce the
-// bespoke program's bytes exactly — that cross-command identity is the
-// engine's core contract. The shipped specs carry repro: true, so each
-// rendering here also run-twice byte-diffs itself.
+// the output against its golden fixture. The memory fixture is
+// cmd/ablate's checked-in golden: the scenario must reproduce
+// `ablate -sweep=memory` byte for byte. The shipped specs carry
+// repro: true, so each rendering here also run-twice byte-diffs itself.
 func TestGoldenScenarios(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("golden render skipped under -race (see internal/raceflag)")
 	}
 	cases := []struct{ spec, fixture string }{
-		{"../../scenarios/table1.yaml", "../table1/testdata/table1.golden"},
-		{"../../scenarios/table2.yaml", "../table2/testdata/table2.golden"},
-		{"../../scenarios/table3.yaml", "../table3/testdata/table3.golden"},
-		{"../../scenarios/table4.yaml", "../table4/testdata/table4.golden"},
-		{"../../scenarios/table5.yaml", "../table5/testdata/table5.golden"},
+		{"../../scenarios/table1.yaml", "testdata/table1.golden"},
+		{"../../scenarios/table2.yaml", "testdata/table2.golden"},
+		{"../../scenarios/table3.yaml", "testdata/table3.golden"},
+		{"../../scenarios/table4.yaml", "testdata/table4.golden"},
+		{"../../scenarios/table5.yaml", "testdata/table5.golden"},
 		{"../../scenarios/memory.yaml", "../ablate/testdata/memory.golden"},
-		// The app-experiment scenarios have no bespoke command; their
-		// fixtures live here.
 		{"../../scenarios/latency.yaml", "testdata/latency.golden"},
 		{"../../scenarios/trace.yaml", "testdata/trace.golden"},
 	}
@@ -131,7 +128,7 @@ func TestListScenarios(t *testing.T) {
 	}
 }
 
-// TestMetricsAddrServes checks the -metrics-addr endpoint: the served
+// TestMetricsAddrServes checks the -metrics=ADDR endpoint: the served
 // page is the process registry in Prometheus text format, including
 // the cache-tier gauge family the service job scrapes.
 func TestMetricsAddrServes(t *testing.T) {
@@ -163,7 +160,7 @@ func TestMetricsAddrServes(t *testing.T) {
 }
 
 // TestRunPrintsMetricsURL checks the run command announces where the
-// registry is being served when -metrics-addr is set.
+// registry is being served when -metrics=ADDR is set.
 func TestRunPrintsMetricsURL(t *testing.T) {
 	var buf bytes.Buffer
 	err := run(context.Background(), &buf,
@@ -177,10 +174,8 @@ func TestRunPrintsMetricsURL(t *testing.T) {
 	}
 }
 
-// TestMetricsFlagForms pins the consolidated -metrics flag's three
-// forms and their mapping onto the run options, plus the repeatable
-// combination — one spelling replacing the old -obs / -metrics-addr
-// pair.
+// TestMetricsFlagForms pins the -metrics flag's three forms and their
+// mapping onto the run options, plus the repeatable combination.
 func TestMetricsFlagForms(t *testing.T) {
 	cases := []struct {
 		name string
@@ -191,8 +186,6 @@ func TestMetricsFlagForms(t *testing.T) {
 		{"registry dump", []string{"-metrics=-"}, runOpts{obs: true}},
 		{"serve", []string{"-metrics=127.0.0.1:0"}, runOpts{metricsAddr: "127.0.0.1:0"}},
 		{"combined", []string{"-metrics", "-metrics=-"}, runOpts{metrics: true, obs: true}},
-		{"deprecated obs", []string{"-obs"}, runOpts{obs: true}},
-		{"deprecated addr", []string{"-metrics-addr=127.0.0.1:0"}, runOpts{metricsAddr: "127.0.0.1:0"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -200,8 +193,6 @@ func TestMetricsFlagForms(t *testing.T) {
 			fs.SetOutput(io.Discard)
 			opts := runOpts{}
 			fs.Var(&metricsFlag{&opts}, "metrics", "")
-			fs.BoolVar(&opts.obs, "obs", false, "")
-			fs.StringVar(&opts.metricsAddr, "metrics-addr", "", "")
 			if err := fs.Parse(tc.args); err != nil {
 				t.Fatalf("Parse(%v): %v", tc.args, err)
 			}
@@ -210,4 +201,66 @@ func TestMetricsFlagForms(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestLockColumnsNonZero asserts Table 4's acceptance criterion on its
+// golden rendering (TestGoldenScenarios pins the rendering to it):
+// every TMK row of every configuration reports nonzero lock
+// statistics, and the sequential/PVM rows report zeros.
+func TestLockColumnsNonZero(t *testing.T) {
+	tmkRows := 0
+	for _, line := range strings.Split(readGolden(t, "table4"), "\n") {
+		fs := strings.Fields(line)
+		switch {
+		case strings.Contains(line, "Tmk base") || strings.Contains(line, "Tmk batched"):
+			tmkRows++
+			// ... Lock acq, Wait, Hold, Grant are the last four fields.
+			if len(fs) < 4 || fs[len(fs)-4] == "0" {
+				t.Errorf("TMK row has zero lock acquires: %q", line)
+			}
+		case strings.Contains(line, "Sequential") || strings.Contains(line, "PVM m/w"):
+			if len(fs) >= 4 && fs[len(fs)-4] != "0" {
+				t.Errorf("lock-free row has lock acquires: %q", line)
+			}
+		}
+	}
+	if tmkRows != 4 {
+		t.Errorf("expected 4 TMK rows (2 configs x 2 variants), saw %d", tmkRows)
+	}
+}
+
+// TestPolicySelectsAllThreeOrganizations asserts Table 5's point on its
+// golden rendering: under the default budget the capacity policy lands
+// each app on a different organization — moldyn's table still
+// replicates, nbf's is forced to the distributed segment, spmv's banded
+// working set earns the bounded paged cache.
+func TestPolicySelectsAllThreeOrganizations(t *testing.T) {
+	out := readGolden(t, "table5")
+	for app, org := range map[string]string{
+		"moldyn": "replicated", "nbf": "distributed", "spmv": "paged",
+	} {
+		found := false
+		for _, line := range strings.Split(out, "\n") {
+			if strings.Contains(line, "CHAOS table:") && strings.Contains(line, app) &&
+				strings.Contains(line, org) {
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("expected %s to run the %s table under the default budget", app, org)
+		}
+	}
+	// TMK rows must report page-copy footprints; CHAOS rows table storage.
+	if !strings.Contains(out, "Tmk base") {
+		t.Fatal("missing TMK rows")
+	}
+}
+
+func readGolden(t *testing.T, name string) string {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }

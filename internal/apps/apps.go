@@ -296,7 +296,7 @@ func (r *Result) SetLockStats(locks map[sim.LockKey]sim.LockStat) {
 
 // SetMemStats stores the window's memory ledger and per-processor
 // footprint totals (kept off Detail so the traffic tables' output is
-// unchanged; cmd/table5 reads these fields directly).
+// unchanged; Table 5 reads these fields directly).
 func (r *Result) SetMemStats(snap map[sim.MemKey]sim.MemStat, peaks []sim.MemStat) {
 	r.Mem = snap
 	r.MemPeak = peaks

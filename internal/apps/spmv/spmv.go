@@ -31,8 +31,7 @@ type Costs struct {
 	RefreshUSPerRow float64 // one x-entry relaxation update
 }
 
-// DefaultCosts returns the calibrated model (matching the former
-// examples/spmv constants).
+// DefaultCosts returns the calibrated model.
 func DefaultCosts() Costs {
 	return Costs{MulAddUS: 0.15, RefreshUSPerRow: 0.10}
 }

@@ -1,5 +1,5 @@
 // Package taskq implements the migratory-counter task queue: the
-// minimal lock-stress workload behind cmd/table4 and the arbiter
+// minimal lock-stress workload behind Table 4 and the arbiter
 // contention tests. A single shared counter is the queue head; claiming
 // item i means reading the counter at value i and bumping it, then
 // "processing" the item by spinning for its (seeded, per-item) compute

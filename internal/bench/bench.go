@@ -13,7 +13,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/apps"
@@ -36,7 +35,6 @@ type Row struct {
 	Speedup  float64
 	Messages int64
 	DataMB   float64
-	Detail   map[string]float64
 }
 
 // Table is a formatted experiment result.
@@ -66,27 +64,6 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// DetailString renders the per-row named details (inspector/scan times,
-// per-category traffic).
-func (t *Table) DetailString() string {
-	var b strings.Builder
-	for _, r := range t.Rows {
-		if len(r.Detail) == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "%s / %s:\n", r.Config, r.System)
-		keys := make([]string, 0, len(r.Detail))
-		for k := range r.Detail {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Fprintf(&b, "    %-24s %12.4f\n", k, r.Detail[k])
-		}
-	}
-	return b.String()
-}
-
 // AppResults holds one configuration's verified backend runs for any
 // registered application. Config is the decorated row-group heading the
 // tables print; Label is the undecorated spec label the scenario
@@ -98,15 +75,11 @@ type AppResults struct {
 	*apps.VariantSet
 }
 
-// RunApp builds the named registered application's workload from cfg,
-// executes all four backends, and verifies bit-exact agreement.
-func RunApp(name string, cfg apps.Config, label string) (*AppResults, error) {
-	return RunAppCtx(context.Background(), name, cfg, label)
-}
-
-// RunAppCtx is RunApp observing a context: cancellation is checked
-// before each of the four backend executions (apps.RunAllCtx), so an
-// aborted run never returns a partially-verified result.
+// RunAppCtx builds the named registered application's workload from
+// cfg, executes all four backends, and verifies bit-exact agreement.
+// Cancellation is checked before each of the four backend executions
+// (apps.RunAllCtx), so an aborted run never returns a partially-verified
+// result.
 func RunAppCtx(ctx context.Context, name string, cfg apps.Config, label string) (*AppResults, error) {
 	w, err := apps.New(name, cfg)
 	if err != nil {
@@ -151,28 +124,9 @@ func Metrics(all []*AppResults) map[string]float64 {
 	return out
 }
 
-// RowSpec names one table row group: a label and the workload config
-// that produces it.
-type RowSpec struct {
-	Label string
-	Cfg   apps.Config
-}
-
-// AppTable runs every configuration of one registered application and
-// assembles the table. withSeq additionally emits the sequential row
-// (Tables 1 and 2 fold it into the configuration label; Table 3 prints
-// it).
-func AppTable(title, app string, specs []RowSpec, withSeq bool) (*Table, []*AppResults, error) {
-	all, err := runItems(context.Background(), nil, itemsOf(app, specs))
-	if err != nil {
-		return nil, nil, err
-	}
-	return appTableView(title, all, withSeq), all, nil
-}
-
-// appTableView assembles a table from already-run results — the pure
-// view half of AppTable, shared with the Present* functions so cached
-// results render identically to cold ones.
+// appTableView assembles a table from already-run results. withSeq
+// additionally emits the sequential row (Tables 1 and 2 fold it into
+// the configuration label; Table 3 prints it).
 func appTableView(title string, all []*AppResults, withSeq bool) *Table {
 	t := &Table{Title: title}
 	for _, res := range all {
@@ -185,10 +139,7 @@ func appTableView(title string, all []*AppResults, withSeq bool) *Table {
 // paper's order (CHAOS, Tmk base, Tmk optimized), optionally preceded
 // by the sequential reference.
 func rowsOf(res *AppResults, withSeq bool) []Row {
-	mk := func(sys string, r *apps.Result) Row {
-		return Row{Config: res.Config, System: sys, TimeSec: r.TimeSec, Speedup: r.Speedup,
-			Messages: r.Messages, DataMB: r.DataMB, Detail: r.Detail}
-	}
+	mk := func(sys string, r *apps.Result) Row { return rowOf(res.Config, sys, r) }
 	var rows []Row
 	if withSeq {
 		rows = append(rows, mk("Sequential", res.Seq))
@@ -197,61 +148,10 @@ func rowsOf(res *AppResults, withSeq bool) []Row {
 		mk("CHAOS", res.Chaos), mk("Tmk base", res.Base), mk("Tmk optimized", res.Opt))
 }
 
-// Size names one problem size of a table sweep.
-type Size struct {
-	Label string
-	N     int
-}
-
-// fmtN renders a config value for a table title; zero means the app's
-// default was used, which the title must not misreport as 0.
-func fmtN(v int, unit string) string {
-	if v > 0 {
-		return fmt.Sprintf("%d %s", v, unit)
-	}
-	return "default " + unit
-}
-
-// Table1 reproduces the paper's Table 1: moldyn with the interaction
-// list updated at the given intervals.
-func Table1(cfg apps.Config, updates []int) (*Table, []*AppResults, error) {
-	t := fmt.Sprintf(
-		"Table 1: Moldyn - %d processor results (N=%d, %s). The interaction list is updated at varying intervals.",
-		cfg.Procs, cfg.N, fmtN(cfg.Steps, "steps"))
-	return AppTable(t, "moldyn", table1Specs(cfg, updates), false)
-}
-
-// Table2 reproduces the paper's Table 2: the nbf kernel across problem
-// sizes (including the false-sharing-inducing one).
-func Table2(cfg apps.Config, sizes []Size) (*Table, []*AppResults, error) {
-	t := fmt.Sprintf(
-		"Table 2: NBF Kernel - %d processor results (%s, %s).",
-		cfg.Procs, fmtN(cfg.Knob("partners", 0), "partners/molecule"),
-		fmtN(cfg.Steps, "timed steps"))
-	return AppTable(t, "nbf", sizeSpecs(cfg, sizes), false)
-}
-
-// Table3 extends the evaluation beyond the paper's two apps: the spmv
-// workload (all four systems, sequential included, across matrix sizes)
-// followed by the unstructured-mesh row group at its own sizes. The
-// config's knobs apply to spmv only (unstruct declares none).
-func Table3(cfg apps.Config, spmvSizes, unstructSizes []Size) (*Table, []*AppResults, error) {
-	t := fmt.Sprintf(
-		"Table 3: SPMV and Unstruct - %d processor results (%s, %s).",
-		cfg.Procs, fmtN(cfg.Knob("nnz_row", 0), "nonzeros/row"),
-		fmtN(cfg.Steps, "timed sweeps"))
-	tbl, all, err := AppTable(t, "spmv", sizeSpecs(cfg, spmvSizes), true)
-	if err != nil {
-		return nil, nil, err
-	}
-	ucfg := cfg
-	ucfg.Knobs = nil
-	utbl, uall, err := AppTable("", "unstruct", sizeSpecs(ucfg, unstructSizes), true)
-	if err != nil {
-		return nil, nil, err
-	}
-	tbl.Rows = append(tbl.Rows, utbl.Rows...)
-	return tbl, append(all, uall...), nil
+// rowOf is one backend's common columns under a configuration heading.
+func rowOf(config, sys string, r *apps.Result) Row {
+	return Row{Config: config, System: sys, TimeSec: r.TimeSec, Speedup: r.Speedup,
+		Messages: r.Messages, DataMB: r.DataMB}
 }
 
 // LockRow is one line of the lock-workload table: the common columns
@@ -262,7 +162,7 @@ type LockRow struct {
 }
 
 // LockTable is the formatted lock-workload experiment result
-// (cmd/table4).
+// (Table 4).
 type LockTable struct {
 	Title string
 	Rows  []LockRow
@@ -301,8 +201,7 @@ func (t *LockTable) String() string {
 func lockRowsOf(res *AppResults) []LockRow {
 	mk := func(sys string, r *apps.Result) LockRow {
 		return LockRow{
-			Row: Row{Config: res.Config, System: sys, TimeSec: r.TimeSec, Speedup: r.Speedup,
-				Messages: r.Messages, DataMB: r.DataMB, Detail: r.Detail},
+			Row:   rowOf(res.Config, sys, r),
 			Locks: r.LockTotal(),
 		}
 	}
@@ -312,40 +211,11 @@ func lockRowsOf(res *AppResults) []LockRow {
 	}
 }
 
-// Table4 opens the lock-based scenario class: branch-and-bound TSP and
-// the migratory-counter task queue, comparing the sequential reference,
-// a PVM-style message-passing master/worker program, base TreadMarks
-// (one queue claim per lock acquire), and batched-claim TreadMarks.
-// tspCfg/taskqCfg carry the per-app knobs; the sizes name the row
-// groups (cities for tsp, items for taskq).
-func Table4(tspCfg, taskqCfg apps.Config, tspSizes, taskqSizes []Size) (*LockTable, []*AppResults, error) {
-	items := append(itemsOf("tsp", sizeSpecs(tspCfg, tspSizes)),
-		itemsOf("taskq", sizeSpecs(taskqCfg, taskqSizes))...)
-	all, err := runItems(context.Background(), nil, items)
-	if err != nil {
-		return nil, nil, err
-	}
-	return lockTableView(fmt.Sprintf(
-		"Table 4: Lock-based workloads - %d processor results (branch-and-bound TSP; migratory task queue).",
-		tspCfg.Procs), all), all, nil
-}
-
-// lockTableView assembles the lock table from already-run results —
-// the pure view half of Table4, shared with PresentTable4.
+// lockTableView assembles the lock table from already-run results.
 func lockTableView(title string, all []*AppResults) *LockTable {
 	t := &LockTable{Title: title}
 	for _, res := range all {
 		t.Rows = append(t.Rows, lockRowsOf(res)...)
 	}
 	return t
-}
-
-func sizeSpecs(cfg apps.Config, sizes []Size) []RowSpec {
-	specs := make([]RowSpec, 0, len(sizes))
-	for _, sz := range sizes {
-		c := cfg
-		c.N = sz.N
-		specs = append(specs, RowSpec{Label: sz.Label, Cfg: c})
-	}
-	return specs
 }

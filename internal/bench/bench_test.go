@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -12,21 +13,24 @@ import (
 // (protocol, Validate, CHAOS, cost model) that would change the paper's
 // story fails CI rather than silently producing a different table.
 
-func table1Small(t *testing.T) (*Table, []*AppResults) {
+// runApp runs one generic app request and returns its verified
+// configurations, in sweep order.
+func runApp(t *testing.T, req RunRequest) []*AppResults {
 	t.Helper()
-	cfg := apps.Config{N: 768, Procs: 8, Steps: 24}
-	tbl, all, err := Table1(cfg, []int{12, 6})
+	req.Experiment = "app"
+	res, err := Run(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tbl, all
+	return res.Apps
 }
 
 func TestTable1Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shape test runs seconds")
 	}
-	_, all := table1Small(t)
+	all := runApp(t, RunRequest{App: "moldyn", N: 768, Procs: []int{8}, Steps: 24,
+		Sweep: &SweepAxis{Axis: "update_every", Values: []int{12, 6}}})
 	for _, r := range all {
 		// The optimized system beats base TreadMarks everywhere (§5.1:
 		// up to 38% on these apps).
@@ -64,14 +68,9 @@ func TestTable2Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shape test runs seconds")
 	}
-	cfg := apps.Config{Procs: 8, Steps: 10}.WithKnob("partners", 50)
-	tbl, all, err := Table2(cfg, []Size{
-		{Label: "8 x 1024", N: 8 * 1024},
-		{Label: "8 x 1000", N: 8 * 1000},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	all := runApp(t, RunRequest{App: "nbf", Procs: []int{8}, Steps: 10,
+		Knobs: map[string]int{"partners": 50},
+		Sweep: &SweepAxis{Axis: "n", Values: []int{8 * 1024, 8 * 1000}}})
 	aligned, shared := all[0], all[1]
 	// CHAOS wins the executor-only timing (§5.2: TreadMarks is at most
 	// 14% slower; allow up to 60% at this reduced scale).
@@ -93,9 +92,6 @@ func TestTable2Shape(t *testing.T) {
 		t.Errorf("C3 violated: no false-sharing penalty (%.4f vs %.4f normalized)",
 			shared.Opt.TimeSec/shared.Seq.TimeSec, aligned.Opt.TimeSec/aligned.Seq.TimeSec)
 	}
-	if !strings.Contains(tbl.String(), "NBF Kernel") {
-		t.Error("table title missing")
-	}
 }
 
 func TestTable3Shape(t *testing.T) {
@@ -104,17 +100,8 @@ func TestTable3Shape(t *testing.T) {
 	}
 	// Page 1024 B so each 512-row block spans four pages and
 	// aggregation has page sets to coalesce.
-	cfg := apps.Config{Procs: 8, Steps: 6}.WithKnob("nnz_row", 12).WithKnob("page_size", 1024)
-	tbl, all, err := Table3(cfg,
-		[]Size{{Label: "SPMV N = 4096", N: 4096}},
-		[]Size{{Label: "Unstruct N = 1024", N: 1024}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != 2 {
-		t.Fatalf("expected 2 row groups (spmv + unstruct), got %d", len(all))
-	}
-	r := all[0]
+	r := runApp(t, RunRequest{App: "spmv", N: 4096, Procs: []int{8}, Steps: 6,
+		Knobs: map[string]int{"nnz_row": 12, "page_size": 1024}})[0]
 	// Aggregated prefetch beats demand paging on messages and time.
 	if r.Opt.Messages >= r.Base.Messages {
 		t.Errorf("opt msgs (%d) not below base (%d)", r.Opt.Messages, r.Base.Messages)
@@ -122,18 +109,17 @@ func TestTable3Shape(t *testing.T) {
 	if r.Opt.TimeSec >= r.Base.TimeSec {
 		t.Errorf("opt (%.3fs) not faster than base (%.3fs)", r.Opt.TimeSec, r.Base.TimeSec)
 	}
-	// Table 3 prints the sequential row and both app groups.
-	out := tbl.String()
-	if !strings.Contains(out, "Sequential") || !strings.Contains(out, "SPMV") ||
-		!strings.Contains(out, "Unstruct") {
-		t.Fatalf("table 3 missing sequential row, spmv group, or unstruct group:\n%s", out)
-	}
-	// The unstruct group verified bit-identically too (RunApp returned);
+	// The unstruct group verified bit-identically too (Run returned);
 	// the optimized system wins on time (at small sizes the message
 	// counts can tie — the sweep's pages are all resident after warmup).
-	u := all[1]
+	u := runApp(t, RunRequest{App: "unstruct", N: 1024, Procs: []int{8}, Steps: 6})[0]
 	if u.Opt.TimeSec >= u.Base.TimeSec {
 		t.Errorf("unstruct: opt (%.3fs) not faster than base (%.3fs)", u.Opt.TimeSec, u.Base.TimeSec)
+	}
+	// Table 3's view prints the sequential row of both groups.
+	out := appTableView("T3", []*AppResults{r, u}, true).String()
+	if n := strings.Count(out, "Sequential"); n != 2 {
+		t.Fatalf("table 3 view has %d sequential rows, want 2:\n%s", n, out)
 	}
 }
 
@@ -141,13 +127,9 @@ func TestTable4Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shape test runs seconds")
 	}
-	cfg := apps.Config{Procs: 4}
-	tbl, all, err := Table4(cfg, cfg,
-		[]Size{{Label: "TSP, 9 cities", N: 9}},
-		[]Size{{Label: "TaskQ, 128 items", N: 128}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	all := append(runApp(t, RunRequest{App: "tsp", N: 9, Procs: []int{4}}),
+		runApp(t, RunRequest{App: "taskq", N: 128, Procs: []int{4}})...)
+	tbl := lockTableView("T4", all)
 	if len(all) != 2 || len(tbl.Rows) != 8 {
 		t.Fatalf("expected 2 configs x 4 rows, got %d configs, %d rows", len(all), len(tbl.Rows))
 	}
@@ -191,7 +173,7 @@ func TestTableFormatting(t *testing.T) {
 
 func TestRunAppMoldynVerifies(t *testing.T) {
 	cfg := apps.Config{N: 256, Procs: 4, Steps: 4}.WithKnob("update_every", 2)
-	res, err := RunApp("moldyn", cfg, "test")
+	res, err := RunAppCtx(context.Background(), "moldyn", cfg, "test")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +184,7 @@ func TestRunAppMoldynVerifies(t *testing.T) {
 
 func TestRunAppNBFVerifies(t *testing.T) {
 	cfg := apps.Config{N: 512, Procs: 4, Steps: 3}.WithKnob("partners", 20)
-	res, err := RunApp("nbf", cfg, "test")
+	res, err := RunAppCtx(context.Background(), "nbf", cfg, "test")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +194,7 @@ func TestRunAppNBFVerifies(t *testing.T) {
 }
 
 func TestRunAppUnknownName(t *testing.T) {
-	if _, err := RunApp("no-such-app", apps.Config{N: 8, Procs: 2}, "x"); err == nil {
+	if _, err := RunAppCtx(context.Background(), "no-such-app", apps.Config{N: 8, Procs: 2}, "x"); err == nil {
 		t.Fatal("unknown app accepted")
 	}
 }

@@ -3,7 +3,7 @@
 // deterministic JSON encoding for RunResult (EncodeResult /
 // DecodeResult — the disk tier's payload and the HTTP wire format),
 // and PresentResult, the single render dispatch that turns a stored
-// (request, result) pair back into the exact Present* text. Together
+// (request, result) pair back into the exact rendered text. Together
 // they let a result land on disk, outlive the process, and still
 // render byte-for-byte what the original run printed — the cold-start
 // contract of internal/cache/disk.
@@ -311,21 +311,18 @@ func PresentAppRows(w io.Writer, title string, want map[string]bool, res *RunRes
 			if want != nil && !want[r.System] {
 				continue
 			}
-			tbl.Rows = append(tbl.Rows, Row{
-				Config: ar.Config, System: r.System, TimeSec: r.TimeSec,
-				Speedup: r.Speedup, Messages: r.Messages, DataMB: r.DataMB,
-				Detail: r.Detail,
-			})
+			tbl.Rows = append(tbl.Rows, rowOf(ar.Config, r.System, r))
 		}
 	}
 	fmt.Fprint(w, tbl.String())
-	fmt.Fprintln(w, "\nAll parallel backends verified bit-identical to the sequential program.")
+	fmt.Fprintln(w, verified)
 }
 
-// PresentResult renders a result exactly as the experiment's command
-// would, deriving the presentation parameters from the request that
-// produced it — the render dispatch of the run service, where the
-// request (not a scenario spec) is all that survives on disk. App
+// PresentResult renders a result with its experiment's presenter,
+// deriving the presentation parameters from the request that produced
+// it — the render dispatch of the scenario engine for canned
+// experiments and of the run service, where the request (not a
+// scenario spec) is all that survives on disk. App
 // results render every backend row under a request-derived title;
 // per-spec variant filters and scenario names are presentation-only
 // state the service deliberately does not persist.
@@ -334,24 +331,15 @@ func PresentResult(w io.Writer, req RunRequest, res *RunResult) error {
 		return fmt.Errorf("bench: request experiment %q does not match result experiment %q",
 			req.Experiment, res.Experiment)
 	}
-	switch req.Experiment {
-	case "table1":
-		PresentTable1(w, table1ParamsOf(req), res)
-	case "table2":
-		PresentTable2(w, table2ParamsOf(req), res)
-	case "table3":
-		PresentTable3(w, table3ParamsOf(req), res)
-	case "table4":
-		PresentTable4(w, table4ParamsOf(req), res)
-	case "table5":
-		PresentTable5(w, table5ParamsOf(req), res)
-	case "memory":
-		PresentMemorySweep(w, memoryParamsOf(req), res)
-	case "app":
+	if req.Experiment == "app" {
 		PresentAppRows(w, fmt.Sprintf("App %s (N=%d).", req.App, req.N), nil, res)
-	default:
+		return nil
+	}
+	e, ok := experiments[req.Experiment]
+	if !ok {
 		return fmt.Errorf("bench: unknown experiment %q", req.Experiment)
 	}
+	e.present(w, req.Params, res)
 	return nil
 }
 

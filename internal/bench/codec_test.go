@@ -13,10 +13,10 @@ import (
 // machine overrides, a sweep axis, and the budget axis.
 func codecRequests() map[string]RunRequest {
 	return map[string]RunRequest{
-		"table1": Table1Request(Table1Params{N: 512, Procs: 8, Steps: 10}),
-		"table4": Table4Request(Table4Params{Cities: 10, Items: 96, Procs: 4,
-			Depth: 4, Batch: 4, ItemBatch: 8}),
-		"memory+budget": MemoryRequest(MemorySweepParams{N: 512, Procs: 8}, []int{48, 16}),
+		"table1": canned("table1", map[string]int{"n": 512, "procs": 8, "steps": 10}),
+		"table4": canned("table4", map[string]int{"cities": 10, "items": 96, "procs": 4,
+			"depth": 4, "batch": 4, "item_batch": 8}),
+		"memory+budget": canned("memory", map[string]int{"n": 512, "procs": 8}, 48, 16),
 		"app": {Experiment: "app", App: "taskq", N: 64, Steps: 3, Seed: 7,
 			Procs: []int{2, 4}, Knobs: map[string]int{"batch": 8}},
 		"app+sweep+machine": {Experiment: "app", App: "moldyn", N: 256,
@@ -65,7 +65,7 @@ func TestDecodeCanonicalRoundTrip(t *testing.T) {
 // TestDecodeCanonicalRejectsMalformed checks the strict parser fails
 // loudly rather than guessing.
 func TestDecodeCanonicalRejectsMalformed(t *testing.T) {
-	good := string(Table1Request(Table1Params{N: 64, Procs: 2, Steps: 2}).Canonical())
+	good := string(canned("table1", map[string]int{"n": 64, "procs": 2, "steps": 2}).Canonical())
 	bad := map[string]string{
 		"empty":            "",
 		"no header":        "experiment=table1\n",
@@ -132,7 +132,7 @@ func TestResultCodecRoundTrip(t *testing.T) {
 // TestPresentResultMismatch checks the dispatch refuses a request /
 // result experiment mismatch instead of rendering garbage.
 func TestPresentResultMismatch(t *testing.T) {
-	req := Table1Request(Table1Params{N: 64, Procs: 2, Steps: 2})
+	req := canned("table1", map[string]int{"n": 64, "procs": 2, "steps": 2})
 	res := &RunResult{Experiment: "table2"}
 	var buf bytes.Buffer
 	if err := PresentResult(&buf, req, res); err == nil {

@@ -8,7 +8,6 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -35,7 +34,7 @@ type MemRow struct {
 	TableOrg  string
 }
 
-// MemTable is the formatted memory experiment result (cmd/table5).
+// MemTable is the formatted memory experiment result (Table 5).
 type MemTable struct {
 	Title string
 	Rows  []MemRow
@@ -98,44 +97,7 @@ func memRowsOf(res *AppResults) []MemRow {
 	}
 }
 
-// MemSpec names one row group of Table 5.
-type MemSpec struct {
-	App   string
-	Label string
-	Cfg   apps.Config
-}
-
-// Table5 runs each spec's four backends under a per-processor
-// translation-table budget (budgetKB; 0 = no budget, app-default
-// organizations) and assembles the memory table. The budget knob is
-// understood by the apps whose factories consult the capacity policy
-// (moldyn, nbf, spmv).
-func Table5(specs []MemSpec, budgetKB, procs int) (*MemTable, []*AppResults, error) {
-	budget := "no table budget (app-default organizations)"
-	if budgetKB > 0 {
-		budget = fmt.Sprintf("table budget %d KB/proc, organization policy-selected", budgetKB)
-	}
-	title := fmt.Sprintf(
-		"Table 5: Simulated per-processor memory footprint - %d processor results (%s).",
-		procs, budget)
-	items := make([]runItem, 0, len(specs))
-	for _, s := range specs {
-		cfg := s.Cfg
-		cfg.Procs = procs
-		if budgetKB > 0 {
-			cfg = cfg.WithKnob("table_budget_kb", budgetKB)
-		}
-		items = append(items, runItem{App: s.App, Label: s.Label, Cfg: cfg})
-	}
-	all, err := runItems(context.Background(), nil, items)
-	if err != nil {
-		return nil, nil, err
-	}
-	return memTableView(title, all), all, nil
-}
-
-// memTableView assembles the memory table from already-run results —
-// the pure view half of Table5, shared with PresentTable5.
+// memTableView assembles the memory table from already-run results.
 func memTableView(title string, all []*AppResults) *MemTable {
 	t := &MemTable{Title: title}
 	for _, res := range all {

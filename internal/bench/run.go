@@ -1,9 +1,9 @@
 // The run layer (DESIGN.md §12): every experiment the repo knows —
-// the five paper tables, the §9 memory sweep, and the generic
+// the canned experiments (experiments.go) and the generic
 // registered-application grid — executes through one canonical entry
 // point, Run(ctx, RunRequest), returning a structured RunResult with
 // no io.Writer in sight. Rendering is a separate, pure pass over the
-// result (render.go), so the same numbers can be printed, asserted,
+// result (PresentResult), so the same numbers can be printed, asserted,
 // cached, or served without re-simulating.
 //
 // A RunRequest has a canonical byte encoding (Canonical) and a
@@ -11,7 +11,7 @@
 // pure function of its configuration (§7/§10 determinism), two
 // requests with equal keys have bit-identical results — the cache
 // coherence argument internal/cache and internal/runner build on.
-// Presentation-only choices (the Detail flag, variant row filters)
+// Presentation-only choices (variant row filters, scenario titles)
 // are deliberately absent from the request so they cannot fragment
 // the cache.
 package bench
@@ -54,19 +54,18 @@ type SweepAxis struct {
 
 // RunRequest canonically encodes one experiment execution: which
 // experiment, at what sizes, on how many simulated processors, with
-// which knobs and machine overrides. Build requests with the
-// TableNRequest/MemoryRequest helpers (or the scenario engine's
-// Spec.Request) so Params is fully resolved — the encoding hashes
-// exactly what is in the struct, and a default left implicit would
-// alias two different runs under one key.
+// which knobs and machine overrides. Build canned requests with
+// Request (or the scenario engine's Spec.Request) so Params is fully
+// resolved — the encoding hashes exactly what is in the struct, and a
+// default left implicit would alias two different runs under one key.
 type RunRequest struct {
 	// Version is the encoding schema version; 0 is normalized to
 	// RequestVersion.
 	Version int
 	// Experiment is table1..table5, memory, or app.
 	Experiment string
-	// Params carries the canned experiments' fully-resolved
-	// parameters (the corresponding command's flags).
+	// Params carries a canned experiment's fully-resolved parameters
+	// (its schema in experiments.go).
 	Params map[string]int
 
 	// The app-experiment fields (mirroring scenario.Spec).
@@ -86,9 +85,9 @@ type RunRequest struct {
 	BudgetSweepKB []int
 
 	// Trace asks the run to record a deterministic simulated-event
-	// trace (RunResult.Trace, DESIGN.md §13). Like the old Detail flag
-	// it is deliberately NOT part of the canonical encoding: the
-	// simulated numbers are identical with or without it. The runner
+	// trace (RunResult.Trace, DESIGN.md §13). It is deliberately NOT
+	// part of the canonical encoding: the simulated numbers are
+	// identical with or without it. The runner
 	// compensates by bypassing the result cache for traced requests —
 	// a cache hit cannot replay a side effect.
 	Trace bool
@@ -275,34 +274,22 @@ func Run(ctx context.Context, req RunRequest) (*RunResult, error) {
 		return nil, fmt.Errorf("bench: unsupported request version %d (supported: %d, %d)",
 			req.Version, RequestVersion, RequestVersionPerturb)
 	}
+	e, canned := experiments[req.Experiment]
+	if !canned && req.Experiment != "app" {
+		return nil, fmt.Errorf("bench: unknown experiment %q", req.Experiment)
+	}
 	res := &RunResult{Experiment: req.Experiment}
 	// The trace recorder, when asked for: plumbed to every parallel
-	// cluster through the Machine funnel (apps.Machine.Trace). The
-	// memory experiment stays untraced — its grids re-run one backend
-	// many times and the anecdote's run-twice identity check would
-	// double every episode (DESIGN.md §13).
+	// cluster through the Machine funnel (apps.Machine.Trace).
 	var tr *obs.Trace
-	if req.Trace && req.Experiment != "memory" {
+	if req.Trace && (!canned || e.Traceable) {
 		tr = obs.NewTrace()
 	}
 	var err error
-	switch req.Experiment {
-	case "table1":
-		res.Apps, err = runItems(ctx, tr, table1Items(table1ParamsOf(req)))
-	case "table2":
-		res.Apps, err = runItems(ctx, tr, table2Items(table2ParamsOf(req)))
-	case "table3":
-		res.Apps, err = runItems(ctx, tr, table3Items(table3ParamsOf(req)))
-	case "table4":
-		res.Apps, err = runItems(ctx, tr, table4Items(table4ParamsOf(req)))
-	case "table5":
-		res.Apps, err = runItems(ctx, tr, table5Items(table5ParamsOf(req)))
-	case "memory":
-		res.Mem, err = runMemorySweep(ctx, memoryParamsOf(req), req.BudgetSweepKB)
-	case "app":
+	if canned {
+		err = e.run(ctx, tr, req, res)
+	} else {
 		res.Apps, err = runAppGrid(ctx, tr, req)
-	default:
-		return nil, fmt.Errorf("bench: unknown experiment %q", req.Experiment)
 	}
 	if err != nil {
 		return nil, err
@@ -346,190 +333,12 @@ func runItems(ctx context.Context, tr *obs.Trace, items []runItem) ([]*AppResult
 	return all, nil
 }
 
-// itemsOf adapts the RowSpec form the table builders use.
-func itemsOf(app string, specs []RowSpec) []runItem {
-	items := make([]runItem, 0, len(specs))
-	for _, s := range specs {
-		items = append(items, runItem{App: app, Label: s.Label, Cfg: s.Cfg})
-	}
-	return items
-}
-
-// ---- Canned-experiment run lists ---------------------------------------
-//
-// Each tableNItems function is the single place the experiment's
-// configuration grid is defined; the request builders (render.go) and
-// the compat Table1..5 wrappers (bench.go, memtable.go) both resolve
-// to these.
-
-func table1Items(p Table1Params) []runItem {
-	cfg := apps.Config{N: p.N, Procs: p.Procs, Steps: p.Steps}
-	return itemsOf("moldyn", table1Specs(cfg, []int{20, 15, 11}))
-}
-
-func table1Specs(cfg apps.Config, updates []int) []RowSpec {
-	specs := make([]RowSpec, 0, len(updates))
-	for _, u := range updates {
-		specs = append(specs, RowSpec{
-			Label: fmt.Sprintf("Every %d iterations", u),
-			Cfg:   cfg.WithKnob("update_every", u),
-		})
-	}
-	return specs
-}
-
-func table2Items(p Table2Params) []runItem {
-	cfg := apps.Config{Procs: p.Procs, Steps: p.Steps}.WithKnob("partners", p.Partners)
-	return itemsOf("nbf", sizeSpecs(cfg, table2Sizes(p)))
-}
-
-func table2Sizes(p Table2Params) []Size {
-	return []Size{
-		{Label: fmt.Sprintf("%d x 1024", p.Scale), N: p.Scale * 1024},
-		{Label: fmt.Sprintf("%d x 1000", p.Scale), N: p.Scale * 1000},
-		{Label: fmt.Sprintf("%d x 1024", p.Scale/2), N: p.Scale / 2 * 1024},
-	}
-}
-
-func table3Items(p Table3Params) []runItem {
-	cfg := apps.Config{Procs: p.Procs, Steps: p.Steps}.WithKnob("nnz_row", p.NNZ)
-	ucfg := cfg
-	ucfg.Knobs = nil
-	spmvSizes, unstructSizes := table3Sizes(p)
-	return append(itemsOf("spmv", sizeSpecs(cfg, spmvSizes)),
-		itemsOf("unstruct", sizeSpecs(ucfg, unstructSizes))...)
-}
-
-func table3Sizes(p Table3Params) (spmvSizes, unstructSizes []Size) {
-	spmvSizes = []Size{
-		{Label: fmt.Sprintf("SPMV N = %d", p.N), N: p.N},
-		{Label: fmt.Sprintf("SPMV N = %d", p.N/2), N: p.N / 2},
-	}
-	unstructSizes = []Size{
-		{Label: fmt.Sprintf("Unstruct N = %d", p.N/2), N: p.N / 2},
-		{Label: fmt.Sprintf("Unstruct N = %d", p.N/4), N: p.N / 4},
-	}
-	return spmvSizes, unstructSizes
-}
-
-func table4Items(p Table4Params) []runItem {
-	tspCfg := apps.Config{Procs: p.Procs}.
-		WithKnob("depth", p.Depth).WithKnob("batch", p.Batch)
-	taskqCfg := apps.Config{Procs: p.Procs}.WithKnob("batch", p.ItemBatch)
-	tspSizes := []Size{{Label: fmt.Sprintf("TSP, %d cities", p.Cities), N: p.Cities}}
-	taskqSizes := []Size{{Label: fmt.Sprintf("TaskQ, %d items", p.Items), N: p.Items}}
-	return append(itemsOf("tsp", sizeSpecs(tspCfg, tspSizes)),
-		itemsOf("taskq", sizeSpecs(taskqCfg, taskqSizes))...)
-}
-
-func table5Items(p Table5Params) []runItem {
-	specs := table5Specs(p)
-	items := make([]runItem, 0, len(specs))
-	for _, s := range specs {
-		cfg := s.Cfg
-		cfg.Procs = p.Procs
-		if p.BudgetKB > 0 {
-			cfg = cfg.WithKnob("table_budget_kb", p.BudgetKB)
-		}
-		items = append(items, runItem{App: s.App, Label: s.Label, Cfg: cfg})
-	}
-	return items
-}
-
-func table5Specs(p Table5Params) []MemSpec {
-	return []MemSpec{
-		{App: "moldyn", Label: fmt.Sprintf("moldyn, %d mol", p.MoldynN),
-			Cfg: apps.Config{N: p.MoldynN, Steps: p.MoldynSteps}},
-		{App: "nbf", Label: fmt.Sprintf("nbf, %d mol", p.NbfN),
-			Cfg: apps.Config{N: p.NbfN, Steps: p.Steps}.WithKnob("partners", 40)},
-		// far_per_row 0: the pure-banded matrix whose localized working
-		// set is what the paged organization exists for.
-		{App: "spmv", Label: fmt.Sprintf("spmv, %d rows", p.SpmvN),
-			Cfg: apps.Config{N: p.SpmvN, Steps: p.Steps}.WithKnob("far_per_row", 0)},
-	}
-}
-
-// ---- Params <-> request mapping ----------------------------------------
-
-func table1ParamsOf(req RunRequest) Table1Params {
-	return Table1Params{N: req.Params["n"], Procs: req.Params["procs"], Steps: req.Params["steps"]}
-}
-
-func table2ParamsOf(req RunRequest) Table2Params {
-	return Table2Params{Scale: req.Params["scale"], Procs: req.Params["procs"],
-		Steps: req.Params["steps"], Partners: req.Params["partners"]}
-}
-
-func table3ParamsOf(req RunRequest) Table3Params {
-	return Table3Params{N: req.Params["n"], NNZ: req.Params["nnz"],
-		Procs: req.Params["procs"], Steps: req.Params["steps"]}
-}
-
-func table4ParamsOf(req RunRequest) Table4Params {
-	return Table4Params{Cities: req.Params["cities"], Items: req.Params["items"],
-		Procs: req.Params["procs"], Depth: req.Params["depth"],
-		Batch: req.Params["batch"], ItemBatch: req.Params["item_batch"]}
-}
-
-func table5ParamsOf(req RunRequest) Table5Params {
-	return Table5Params{Procs: req.Params["procs"], BudgetKB: req.Params["budget_kb"],
-		MoldynN: req.Params["n"], NbfN: req.Params["nbf"], SpmvN: req.Params["spmv"],
-		MoldynSteps: req.Params["moldyn_steps"], Steps: req.Params["steps"]}
-}
-
-func memoryParamsOf(req RunRequest) MemorySweepParams {
-	return MemorySweepParams{N: req.Params["n"], Procs: req.Params["procs"]}
-}
-
-// Table1Request canonically encodes one table1 execution. (Detail is
-// presentation-only and deliberately not part of the request.)
-func Table1Request(p Table1Params) RunRequest {
-	return RunRequest{Experiment: "table1",
-		Params: map[string]int{"n": p.N, "procs": p.Procs, "steps": p.Steps}}
-}
-
-// Table2Request canonically encodes one table2 execution.
-func Table2Request(p Table2Params) RunRequest {
-	return RunRequest{Experiment: "table2",
-		Params: map[string]int{"scale": p.Scale, "procs": p.Procs, "steps": p.Steps, "partners": p.Partners}}
-}
-
-// Table3Request canonically encodes one table3 execution.
-func Table3Request(p Table3Params) RunRequest {
-	return RunRequest{Experiment: "table3",
-		Params: map[string]int{"n": p.N, "nnz": p.NNZ, "procs": p.Procs, "steps": p.Steps}}
-}
-
-// Table4Request canonically encodes one table4 execution.
-func Table4Request(p Table4Params) RunRequest {
-	return RunRequest{Experiment: "table4",
-		Params: map[string]int{"cities": p.Cities, "items": p.Items, "procs": p.Procs,
-			"depth": p.Depth, "batch": p.Batch, "item_batch": p.ItemBatch}}
-}
-
-// Table5Request canonically encodes one table5 execution.
-func Table5Request(p Table5Params) RunRequest {
-	return RunRequest{Experiment: "table5",
-		Params: map[string]int{"procs": p.Procs, "budget_kb": p.BudgetKB,
-			"n": p.MoldynN, "nbf": p.NbfN, "spmv": p.SpmvN,
-			"moldyn_steps": p.MoldynSteps, "steps": p.Steps}}
-}
-
-// MemoryRequest canonically encodes one memory-sweep execution,
-// optionally extended with the table_budget_kb axis.
-func MemoryRequest(p MemorySweepParams, budgetSweepKB []int) RunRequest {
-	return RunRequest{Experiment: "memory",
-		Params:        map[string]int{"n": p.N, "procs": p.Procs},
-		BudgetSweepKB: append([]int(nil), budgetSweepKB...)}
-}
-
 // ---- The memory experiment's run side ----------------------------------
 
 // runMemorySweep computes the §9 capacity sweep's structured data: the
 // moldyn and banded-spmv budget grids, the anecdote run twice and
 // verified bit-identical, and the optional table_budget_kb axis.
-func runMemorySweep(ctx context.Context, sp MemorySweepParams, budgetSweepKB []int) (*MemSweepData, error) {
-	n, procs := sp.N, sp.Procs
+func runMemorySweep(ctx context.Context, n, procs int, budgetSweepKB []int) (*MemSweepData, error) {
 	data := &MemSweepData{}
 
 	moldynWork := mem.TablePages(n)
@@ -636,6 +445,20 @@ func (d *MemSweepData) metrics() map[string]float64 {
 		out[prefix+"peak_kb"] = bp.PeakKB
 	}
 	return out
+}
+
+// memBudgets returns table budgets spanning the organization crossover
+// for an n-entry table with the given working set: comfortably above
+// the replicated table, just below it, at the paged working set (if it
+// is below replication), and at the bare segment.
+func memBudgets(n, procs, workPages int) []int64 {
+	repl := mem.ReplicatedBytes(n)
+	seg := mem.SegmentBytes(n, procs)
+	budgets := []int64{repl + (8 << 10), repl - 1}
+	if paged := seg + int64(workPages)*mem.TablePageBytes; paged < repl {
+		budgets = append(budgets, paged)
+	}
+	return append(budgets, seg)
 }
 
 // ---- The generic app experiment ----------------------------------------

@@ -7,12 +7,23 @@ import (
 	"testing"
 )
 
+// canned builds a canned experiment's request through Request, with an
+// optional table_budget_kb sweep; it panics on a rejected request.
+func canned(name string, params map[string]int, budgetSweepKB ...int) RunRequest {
+	req, err := Request(name, params)
+	if err != nil {
+		panic(err)
+	}
+	req.BudgetSweepKB = budgetSweepKB
+	return req
+}
+
 // TestCanonicalEncodingStable checks structurally-equal requests built
 // by different code paths share one encoding and one key, and that the
 // encoding carries the version header.
 func TestCanonicalEncodingStable(t *testing.T) {
-	a := Table1Request(Table1Params{N: 512, Procs: 8, Steps: 10})
-	b := Table1Request(Table1Params{N: 512, Procs: 8, Steps: 10})
+	a := canned("table1", map[string]int{"n": 512, "procs": 8, "steps": 10})
+	b := canned("table1", map[string]int{"n": 512, "procs": 8, "steps": 10})
 	if !bytes.Equal(a.Canonical(), b.Canonical()) {
 		t.Errorf("equal requests encode differently:\n%s\nvs\n%s", a.Canonical(), b.Canonical())
 	}
@@ -27,11 +38,11 @@ func TestCanonicalEncodingStable(t *testing.T) {
 // TestCanonicalEncodingDiverges checks every semantic field moves the
 // content address.
 func TestCanonicalEncodingDiverges(t *testing.T) {
-	base := Table1Request(Table1Params{N: 512, Procs: 8, Steps: 10})
+	base := canned("table1", map[string]int{"n": 512, "procs": 8, "steps": 10})
 	variants := map[string]RunRequest{
-		"different param": Table1Request(Table1Params{N: 1024, Procs: 8, Steps: 10}),
-		"different table": Table2Request(Table2Params{Scale: 2, Procs: 8, Steps: 4, Partners: 40}),
-		"budget axis":     MemoryRequest(MemorySweepParams{N: 512, Procs: 8}, []int{48, 16}),
+		"different param": canned("table1", map[string]int{"n": 1024, "procs": 8, "steps": 10}),
+		"different table": canned("table2", map[string]int{"scale": 2, "procs": 8, "steps": 4, "partners": 40}),
+		"budget axis":     canned("memory", map[string]int{"n": 512, "procs": 8}, 48, 16),
 		"app run":         {Experiment: "app", App: "moldyn", N: 512, Procs: []int{8}},
 	}
 	for name, v := range variants {
@@ -41,19 +52,20 @@ func TestCanonicalEncodingDiverges(t *testing.T) {
 	}
 }
 
-// TestPresentationExcludedFromKey checks the Detail flag — pure
-// presentation — does not fragment the cache.
+// TestPresentationExcludedFromKey checks the Trace flag — a side
+// effect of the run, not a different run — does not fragment the cache.
 func TestPresentationExcludedFromKey(t *testing.T) {
-	plain := Table1Request(Table1Params{N: 512, Procs: 8, Steps: 10})
-	detail := Table1Request(Table1Params{N: 512, Procs: 8, Steps: 10, Detail: true})
-	if plain.Key() != detail.Key() {
-		t.Error("the Detail flag changed the content address")
+	plain := canned("table1", map[string]int{"n": 512, "procs": 8, "steps": 10})
+	traced := plain
+	traced.Trace = true
+	if plain.Key() != traced.Key() {
+		t.Error("the Trace flag changed the content address")
 	}
 }
 
 // TestRunRejectsUnknownVersion checks the version gate fails loudly.
 func TestRunRejectsUnknownVersion(t *testing.T) {
-	req := Table1Request(Table1Params{N: 64, Procs: 2, Steps: 2})
+	req := canned("table1", map[string]int{"n": 64, "procs": 2, "steps": 2})
 	req.Version = 3
 	_, err := Run(context.Background(), req)
 	if err == nil {
@@ -70,7 +82,7 @@ func TestRunRejectsUnknownVersion(t *testing.T) {
 func TestRunCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Run(ctx, Table1Request(Table1Params{N: 64, Procs: 2, Steps: 2})); err != context.Canceled {
+	if _, err := Run(ctx, canned("table1", map[string]int{"n": 64, "procs": 2, "steps": 2})); err != context.Canceled {
 		t.Errorf("Run on canceled context = %v, want context.Canceled", err)
 	}
 }

@@ -128,9 +128,6 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 func (s *Store) path(k cache.Key) string {
 	return filepath.Join(s.dir, k.String()+fileSuffix)
 }

@@ -202,9 +202,6 @@ func NewRuntime(n *tmk.Node) *Runtime {
 	return rt
 }
 
-// Node returns the underlying protocol instance.
-func (rt *Runtime) Node() *tmk.Node { return rt.n }
-
 // onWriteFault marks every schedule watching the faulted page as
 // modified (the paper's protection-violation handler "sets a flag").
 func (rt *Runtime) onWriteFault(page vm.PageID) {

@@ -8,7 +8,7 @@
 // The budget here is table slack: the per-processor bytes left for
 // translation-table storage once the application's arrays, ghost
 // regions, and schedules are resident (those are charged to the ledger
-// by the runtimes themselves and reported by cmd/table5; the policy
+// by the runtimes themselves and reported by Table 5; the policy
 // ranks only the part the runtime gets to choose). Like every size in
 // this reproduction, paper-flavored budgets are scaled alongside the
 // scaled-down problem sizes.

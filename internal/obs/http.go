@@ -1,7 +1,7 @@
 // The metrics endpoint: the one piece of HTTP the observability
 // substrate owns. Everything else about serving (mux, lifecycle,
 // drain) belongs to the caller — internal/simd mounts this under
-// /metrics, and `scenario run -metrics-addr` serves the same handler
+// /metrics, and `scenario run -metrics=ADDR` serves the same handler
 // during long sweeps, so a scrape sees identical series either way.
 package obs
 

@@ -10,13 +10,24 @@ import (
 // ciTableRequests is the determinism leg's full table set at CI size —
 // the workload `scenario run -j` parallelizes.
 func ciTableRequests() []bench.RunRequest {
-	return []bench.RunRequest{
-		bench.Table1Request(bench.Table1Params{N: 512, Procs: 8, Steps: 10}),
-		bench.Table2Request(bench.Table2Params{Scale: 2, Procs: 8, Steps: 4, Partners: 40}),
-		bench.Table3Request(bench.Table3Params{N: 2048, NNZ: 24, Procs: 8, Steps: 4}),
-		bench.Table4Request(bench.Table4Params{Cities: 9, Items: 256, Procs: 8, Depth: 3, Batch: 4, ItemBatch: 8}),
-		bench.Table5Request(bench.Table5Params{Procs: 8, BudgetKB: 12, MoldynN: 512, NbfN: 2048, SpmvN: 4096, MoldynSteps: 10, Steps: 4}),
+	var reqs []bench.RunRequest
+	for _, c := range []struct {
+		name   string
+		params map[string]int
+	}{
+		{"table1", map[string]int{"n": 512, "steps": 10}},
+		{"table2", map[string]int{"scale": 2, "steps": 4, "partners": 40}},
+		{"table3", map[string]int{"n": 2048, "steps": 4}},
+		{"table4", map[string]int{"cities": 9, "items": 256}},
+		{"table5", nil},
+	} {
+		req, err := bench.Request(c.name, c.params)
+		if err != nil {
+			panic(err)
+		}
+		reqs = append(reqs, req)
 	}
+	return reqs
 }
 
 // BenchmarkTableSweep measures the full CI-size table sweep through a

@@ -49,9 +49,6 @@ func New(workers int, c *cache.LRU) *Runner {
 	return &Runner{sem: make(chan struct{}, workers), c: c}
 }
 
-// Workers returns the pool bound.
-func (r *Runner) Workers() int { return cap(r.sem) }
-
 // CacheStats snapshots the cache counters (zero Stats when caching is
 // disabled).
 func (r *Runner) CacheStats() cache.Stats {

@@ -83,38 +83,33 @@ func fmtMetric(v float64) string {
 }
 
 // Request maps the validated spec onto its canonical bench.RunRequest.
-// Canned params are fully resolved against the experiment defaults
-// before encoding, so a spec relying on a flag default and one
-// spelling it out share a content address. Variants are presentation
-// (a row filter) and never reach the request.
+// Canned params are fully resolved against the schema defaults
+// (bench.Request), so a spec relying on a default and one spelling it
+// out share a content address. Variants are presentation (a row
+// filter) and never reach the request.
 func (s *Spec) Request() bench.RunRequest {
-	req := bench.RunRequest{Version: s.Version, Experiment: s.Experiment}
-	switch s.Experiment {
-	case "app":
-		req.App, req.N, req.Steps, req.Seed = s.App, s.N, s.Steps, s.Seed
-		req.Procs = append([]int(nil), s.Procs...)
-		req.Machine = s.Machine
-		if len(s.Knobs) > 0 {
-			req.Knobs = make(map[string]int, len(s.Knobs))
-			for k, v := range s.Knobs {
-				req.Knobs[k] = v
-			}
-		}
+	if s.Experiment != "app" {
+		// validate already ran bench.Request on these params.
+		req, _ := bench.Request(s.Experiment, s.Params)
+		req.Version, req.Trace = s.Version, s.Trace
 		if s.Sweep != nil {
-			req.Sweep = &bench.SweepAxis{Axis: s.Sweep.Axis,
-				Values: append([]int(nil), s.Sweep.Values...)}
-		}
-	default:
-		params := map[string]int{}
-		for k := range experiments[s.Experiment] {
-			params[k] = s.Param(k)
-		}
-		req.Params = params
-		if s.Experiment == "memory" && s.Sweep != nil {
 			req.BudgetSweepKB = append([]int(nil), s.Sweep.Values...)
 		}
+		return req
 	}
-	req.Trace = s.Trace
+	req := bench.RunRequest{Version: s.Version, Experiment: s.Experiment, Trace: s.Trace,
+		App: s.App, N: s.N, Steps: s.Steps, Seed: s.Seed,
+		Procs: append([]int(nil), s.Procs...), Machine: s.Machine}
+	if len(s.Knobs) > 0 {
+		req.Knobs = make(map[string]int, len(s.Knobs))
+		for k, v := range s.Knobs {
+			req.Knobs[k] = v
+		}
+	}
+	if s.Sweep != nil {
+		req.Sweep = &bench.SweepAxis{Axis: s.Sweep.Axis,
+			Values: append([]int(nil), s.Sweep.Values...)}
+	}
 	return req
 }
 
@@ -137,7 +132,10 @@ func RunCtx(ctx context.Context, r *runner.Runner, spec *Spec) (*Outcome, error)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %q: %w", spec.Name, err)
 	}
-	out := outcomeOf(spec, res)
+	out, err := outcomeOf(spec, req, res)
+	if err != nil {
+		return nil, err
+	}
 	if spec.Repro {
 		// The cached pass: a repeated request must be served from the
 		// result cache (or re-executed if evicted) and render the same
@@ -154,7 +152,10 @@ func RunCtx(ctx context.Context, r *runner.Runner, spec *Spec) (*Outcome, error)
 			if err != nil {
 				return nil, fmt.Errorf("scenario %q: repro rerun failed: %w", spec.Name, err)
 			}
-			o2 := outcomeOf(spec, again)
+			o2, err := outcomeOf(spec, req, again)
+			if err != nil {
+				return nil, err
+			}
 			if out.Rendered != o2.Rendered {
 				return nil, fmt.Errorf("scenario %q: not reproducible: rendered output differs across runs", spec.Name)
 			}
@@ -182,44 +183,17 @@ func RunCtx(ctx context.Context, r *runner.Runner, spec *Spec) (*Outcome, error)
 }
 
 // outcomeOf renders one structured result into an outcome — a pure
-// function, so equal results always yield equal bytes.
-func outcomeOf(spec *Spec, res *bench.RunResult) *Outcome {
+// function, so equal results always yield equal bytes. Canned
+// experiments render through bench.PresentResult (the run service's
+// render path); app scenarios carry their own title and variant filter.
+func outcomeOf(spec *Spec, req bench.RunRequest, res *bench.RunResult) (*Outcome, error) {
 	var buf bytes.Buffer
-	present(&buf, spec, res)
-	return &Outcome{Spec: spec, Rendered: buf.String(), Metrics: res.Metrics, Trace: res.Trace}
-}
-
-// present formats the result exactly as the corresponding command
-// would (the golden fixtures are the contract).
-func present(w io.Writer, spec *Spec, res *bench.RunResult) {
-	switch spec.Experiment {
-	case "table1":
-		bench.PresentTable1(w, bench.Table1Params{
-			N: spec.Param("n"), Procs: spec.Param("procs"), Steps: spec.Param("steps")}, res)
-	case "table2":
-		bench.PresentTable2(w, bench.Table2Params{
-			Scale: spec.Param("scale"), Procs: spec.Param("procs"),
-			Steps: spec.Param("steps"), Partners: spec.Param("partners")}, res)
-	case "table3":
-		bench.PresentTable3(w, bench.Table3Params{
-			N: spec.Param("n"), NNZ: spec.Param("nnz"),
-			Procs: spec.Param("procs"), Steps: spec.Param("steps")}, res)
-	case "table4":
-		bench.PresentTable4(w, bench.Table4Params{
-			Cities: spec.Param("cities"), Items: spec.Param("items"),
-			Procs: spec.Param("procs"), Depth: spec.Param("depth"),
-			Batch: spec.Param("batch"), ItemBatch: spec.Param("item_batch")}, res)
-	case "table5":
-		bench.PresentTable5(w, bench.Table5Params{
-			Procs: spec.Param("procs"), BudgetKB: spec.Param("budget_kb"),
-			MoldynN: spec.Param("n"), NbfN: spec.Param("nbf"), SpmvN: spec.Param("spmv"),
-			MoldynSteps: spec.Param("moldyn_steps"), Steps: spec.Param("steps")}, res)
-	case "memory":
-		bench.PresentMemorySweep(w, bench.MemorySweepParams{
-			N: spec.Param("n"), Procs: spec.Param("procs")}, res)
-	case "app":
-		presentApp(w, spec, res)
+	if spec.Experiment == "app" {
+		presentApp(&buf, spec, res)
+	} else if err := bench.PresentResult(&buf, req, res); err != nil {
+		return nil, fmt.Errorf("scenario %q: %w", spec.Name, err)
 	}
+	return &Outcome{Spec: spec, Rendered: buf.String(), Metrics: res.Metrics, Trace: res.Trace}, nil
 }
 
 // presentApp renders the generic app experiment: one table whose rows

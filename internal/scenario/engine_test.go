@@ -1,8 +1,14 @@
 package scenario
 
 import (
+	"bytes"
+	"context"
 	"strings"
 	"testing"
+
+	"repro/internal/bench"
+	"repro/internal/cache"
+	"repro/internal/runner"
 )
 
 // TestAppExperiment runs the generic app experiment end to end on a
@@ -161,5 +167,52 @@ assert:
 	_, err = Run(spec)
 	if err == nil || !strings.Contains(err.Error(), `assertion metric "moldyn/2 procs/seq/wall_ns" was not produced`) {
 		t.Fatalf("Run error = %v, want unknown-metric error", err)
+	}
+}
+
+// TestPresentResultMatchesEngine checks, for every canned experiment,
+// that the run service's render path — the request decoded from its
+// canonical bytes, served by the runner, rendered by bench.PresentResult
+// — prints exactly the scenario engine's bytes. Tiny sizes keep it
+// fast; the shipped CI-size renderings are cmd/scenario's goldens.
+func TestPresentResultMatchesEngine(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every canned experiment")
+	}
+	for name, params := range map[string]string{
+		"table1": "n: 64\n  procs: 2\n  steps: 2",
+		"table2": "scale: 2\n  procs: 2\n  steps: 1\n  partners: 8",
+		"table3": "n: 256\n  nnz: 4\n  procs: 2\n  steps: 1",
+		"table4": "cities: 5\n  items: 16\n  procs: 2",
+		"table5": "procs: 2\n  n: 64\n  nbf: 256\n  spmv: 256\n  moldyn_steps: 2\n  steps: 1",
+		"memory": "n: 64\n  procs: 2",
+	} {
+		t.Run(name, func(t *testing.T) {
+			spec, err := Parse([]byte("name: x\nexperiment: " + name + "\nparams:\n  " + params + "\n"))
+			if err != nil {
+				t.Fatalf("Parse: %v", err)
+			}
+			r := runner.New(1, cache.New(4))
+			out, err := RunCtx(context.Background(), r, spec)
+			if err != nil {
+				t.Fatalf("RunCtx: %v", err)
+			}
+			req, err := bench.DecodeCanonical(spec.Request().Canonical())
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := r.Do(context.Background(), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := bench.PresentResult(&buf, req, res); err != nil {
+				t.Fatal(err)
+			}
+			if buf.String() != out.Rendered {
+				t.Errorf("PresentResult differs from the engine:\n--- served ---\n%s--- engine ---\n%s",
+					buf.String(), out.Rendered)
+			}
+		})
 	}
 }

@@ -2,10 +2,10 @@
 // (YAML subset or JSON) names an experiment — one of the paper tables,
 // the §9 memory sweep, or a generic registered application — with its
 // parameters, optional sweep axis, assertion bands on the verified
-// metrics, and an exact-reproducibility check. The engine (engine.go)
-// executes a validated spec through the same internal/bench renderers
-// the table commands use, so a scenario's rendered output is
-// byte-identical to the bespoke command's golden fixture.
+// metrics, and an exact-reproducibility check. The canned experiments'
+// schemas live in internal/bench (bench.Canned); the engine (engine.go)
+// executes a validated spec through bench.Run and renders it through
+// bench.PresentResult, the same path the run service uses.
 package scenario
 
 import (
@@ -17,6 +17,7 @@ import (
 	"strings"
 
 	"repro/internal/apps"
+	"repro/internal/bench"
 )
 
 // MaxProcs bounds the simulated cluster a spec may ask for; the
@@ -69,17 +70,16 @@ type Spec struct {
 	Version int
 	// Experiment is table1..table5, memory, or app.
 	Experiment string
-	// Params carries the table/memory experiments' parameters (the
-	// corresponding command's flags); unset keys take the command's
-	// flag defaults.
+	// Params carries the canned experiments' parameters; unset keys
+	// take the schema defaults (bench.Canned).
 	Params map[string]int
 	// Repro asks the engine to run the whole experiment twice and
 	// byte-diff the rendered output and the metrics text.
 	Repro bool
 	// Trace asks the run to record the deterministic simulated-event
 	// trace (DESIGN.md §13); `scenario run -trace <dir>` writes it to
-	// <dir>/<name>.trace.json. Rejected for the memory experiment,
-	// which the run layer keeps untraced.
+	// <dir>/<name>.trace.json. Rejected for canned experiments the run
+	// layer keeps untraced (bench.Experiment.Traceable).
 	Trace bool
 
 	// The app-experiment fields (rejected for the other experiments).
@@ -106,28 +106,17 @@ type Spec struct {
 	Assert []Band
 }
 
-// experiments maps each canned experiment to its parameter schema; the
-// defaults mirror the corresponding command's flag defaults, so an
-// empty params block reproduces `go run ./cmd/tableN` exactly.
-var experiments = map[string]map[string]int{
-	"table1": {"n": 4096, "procs": 8, "steps": 40},
-	"table2": {"scale": 16, "procs": 8, "steps": 10, "partners": 100},
-	"table3": {"n": 16384, "nnz": 24, "procs": 8, "steps": 12},
-	"table4": {"cities": 11, "items": 2048, "procs": 8, "depth": 3, "batch": 4, "item_batch": 8},
-	"table5": {"procs": 8, "budget_kb": 12, "n": 512, "nbf": 2048, "spmv": 4096, "moldyn_steps": 10, "steps": 4},
-	"memory": {"n": 1024, "procs": 8},
-}
-
 // variantSlots is the registry's four result slots (apps.Result.System).
 var variantSlots = []string{"seq", "chaos", "tmk", "tmk-opt"}
 
-// Param returns a table/memory experiment parameter, falling back to
-// the command-flag default.
+// Param returns a canned experiment parameter, falling back to the
+// schema default.
 func (s *Spec) Param(name string) int {
 	if v, ok := s.Params[name]; ok {
 		return v
 	}
-	return experiments[s.Experiment][name]
+	e, _ := bench.Canned(s.Experiment)
+	return e.Params[name]
 }
 
 // Load reads and validates one spec file; the format follows the
@@ -292,13 +281,15 @@ func (s *Spec) validate() error {
 	if s.Experiment == "" {
 		return fmt.Errorf(`scenario %q: missing required key "experiment"`, s.Name)
 	}
-	schema, canned := experiments[s.Experiment]
-	if !canned && s.Experiment != "app" {
-		return fmt.Errorf("scenario %q: unknown experiment %q (want app, memory, table1, table2, table3, table4, or table5)",
-			s.Name, s.Experiment)
+	e, canned := bench.Canned(s.Experiment)
+	if s.Experiment != "app" {
+		// Unknown experiments, unknown params, and negative values.
+		if _, err := bench.Request(s.Experiment, s.Params); err != nil {
+			return fmt.Errorf("scenario %q: %v", s.Name, err)
+		}
 	}
-	if s.Trace && s.Experiment == "memory" {
-		return fmt.Errorf("scenario %q: the memory experiment does not support trace: true (its grids re-run one backend many times; see DESIGN.md §13)", s.Name)
+	if s.Trace && canned && !e.Traceable {
+		return fmt.Errorf("scenario %q: the %s experiment does not support trace: true (its grids re-run one backend many times; see DESIGN.md §13)", s.Name, s.Experiment)
 	}
 
 	if canned {
@@ -317,12 +308,12 @@ func (s *Spec) validate() error {
 			}
 		}
 		if s.Sweep != nil {
-			if s.Experiment != "memory" {
+			if e.SweepAxis == "" {
 				return fmt.Errorf(`scenario %q: key "sweep" only applies to the app and memory experiments`, s.Name)
 			}
-			if s.Sweep.Axis != "table_budget_kb" {
-				return fmt.Errorf(`scenario %q: the memory experiment can only sweep "table_budget_kb" (got %q)`,
-					s.Name, s.Sweep.Axis)
+			if s.Sweep.Axis != e.SweepAxis {
+				return fmt.Errorf(`scenario %q: the %s experiment can only sweep %q (got %q)`,
+					s.Name, s.Experiment, e.SweepAxis, s.Sweep.Axis)
 			}
 			if len(s.Sweep.Values) == 0 {
 				return fmt.Errorf("scenario %q: sweep over %q has no values", s.Name, s.Sweep.Axis)
@@ -331,15 +322,6 @@ func (s *Spec) validate() error {
 				if v <= 0 {
 					return fmt.Errorf("scenario %q: sweep value %d must be positive", s.Name, v)
 				}
-			}
-		}
-		for _, k := range sortedIntMapKeys(s.Params) {
-			if _, ok := schema[k]; !ok {
-				return fmt.Errorf("scenario %q: experiment %s does not take param %q (takes: %v)",
-					s.Name, s.Experiment, k, sortedIntMapKeys(schema))
-			}
-			if s.Params[k] < 0 {
-				return fmt.Errorf("scenario %q: param %q must be non-negative (got %d)", s.Name, k, s.Params[k])
 			}
 		}
 		if p := s.Param("procs"); p < 1 || p > MaxProcs {

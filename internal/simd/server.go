@@ -4,7 +4,7 @@
 // same strict registry-validated format `scenario run` executes);
 // the service resolves it to a canonical bench.RunRequest, answers
 // with the SHA-256 content address, and serves the structured result
-// — or its exact Present* rendering — from a two-tier cache: the
+// — or its exact rendering — from a two-tier cache: the
 // memory LRU of internal/cache in front of the disk store of
 // internal/cache/disk. Determinism does the heavy lifting: results
 // are pure functions of requests, so concurrent identical
@@ -161,12 +161,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /v1/runs/{addr}", s.handleStatus)
 	s.mux.HandleFunc("GET /v1/runs/{addr}/render", s.handleRender)
 	s.mux.HandleFunc("GET /v1/version", s.handleVersion)
-	// Unprefixed aliases, kept for one release so pre-/v1/ clients keep
-	// working while they migrate.
-	s.mux.HandleFunc("POST /runs", s.handleSubmit)
-	s.mux.HandleFunc("GET /runs/{addr}", s.handleStatus)
-	s.mux.HandleFunc("GET /runs/{addr}/render", s.handleRender)
-	s.mux.HandleFunc("GET /version", s.handleVersion)
 	s.mux.Handle("GET /metrics", obs.Handler(obs.Default()))
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		io.WriteString(w, "ok\n")
@@ -504,9 +498,9 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleRender is GET /v1/runs/{addr}/render?view=<experiment>: the
-// exact Present* text of a finished run. The optional view parameter
-// is a guard, not a selector — it must name the experiment the result
-// belongs to (there is exactly one rendering per experiment).
+// exact bench.PresentResult text of a finished run. The optional view
+// parameter is a guard, not a selector — it must name the experiment
+// the result belongs to (there is exactly one rendering per experiment).
 func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 	mRequests.With("render").Inc()
 	addr := r.PathValue("addr")

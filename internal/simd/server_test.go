@@ -419,64 +419,63 @@ func TestFailedRunReported(t *testing.T) {
 	}
 }
 
-// TestVersionEndpoint checks GET /v1/version (and its unprefixed
-// alias): the negotiation surface a client reads before choosing a
-// request encoding, reporting the API generation and both accepted
-// runrequest schema versions.
+// TestVersionEndpoint checks GET /v1/version: the negotiation surface
+// a client reads before choosing a request encoding, reporting the API
+// generation and both accepted runrequest schema versions.
 func TestVersionEndpoint(t *testing.T) {
 	srv := New(Config{})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	for _, path := range []string{"/v1/version", "/version"} {
-		code, body, hdr := get(t, ts, path)
-		if code != http.StatusOK {
-			t.Fatalf("%s: %d %s", path, code, body)
-		}
-		if ct := hdr.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
-			t.Errorf("%s content type = %q", path, ct)
-		}
-		var v versionInfo
-		if err := json.Unmarshal(body, &v); err != nil {
-			t.Fatalf("%s: decoding %q: %v", path, body, err)
-		}
-		if v.API != "v1" {
-			t.Errorf("%s: api = %q, want v1", path, v.API)
-		}
-		want := []int{bench.RequestVersion, bench.RequestVersionPerturb}
-		if len(v.RunRequestVersions) != 2 || v.RunRequestVersions[0] != want[0] || v.RunRequestVersions[1] != want[1] {
-			t.Errorf("%s: runrequest_versions = %v, want %v", path, v.RunRequestVersions, want)
-		}
+	code, body, hdr := get(t, ts, "/v1/version")
+	if code != http.StatusOK {
+		t.Fatalf("%d %s", code, body)
+	}
+	if ct := hdr.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
+		t.Errorf("content type = %q", ct)
+	}
+	var v versionInfo
+	if err := json.Unmarshal(body, &v); err != nil {
+		t.Fatalf("decoding %q: %v", body, err)
+	}
+	if v.API != "v1" {
+		t.Errorf("api = %q, want v1", v.API)
+	}
+	want := []int{bench.RequestVersion, bench.RequestVersionPerturb}
+	if len(v.RunRequestVersions) != 2 || v.RunRequestVersions[0] != want[0] || v.RunRequestVersions[1] != want[1] {
+		t.Errorf("runrequest_versions = %v, want %v", v.RunRequestVersions, want)
 	}
 }
 
-// TestUnprefixedAliases checks the one-release compatibility routes:
-// the pre-/v1/ paths serve the same bytes as their versioned
-// counterparts, so existing clients keep working for one release
-// while they migrate.
+// TestUnprefixedAliases checks the pre-/v1/ paths are gone: the
+// versioned routes serve a run and its render, while the unprefixed
+// spellings of every route answer 404.
 func TestUnprefixedAliases(t *testing.T) {
 	srv := New(Config{})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	code, body := post(t, ts, "/runs?wait=1", taskqSpec)
+	code, body := post(t, ts, "/v1/runs?wait=1", taskqSpec)
 	if code != http.StatusOK {
-		t.Fatalf("unprefixed submit: %d %s", code, body)
+		t.Fatalf("submit: %d %s", code, body)
 	}
 	st := decodeStatus(t, body)
 	if st.Status != "done" || st.Result == nil {
-		t.Fatalf("unprefixed submit envelope: %+v", st)
+		t.Fatalf("submit envelope: %+v", st)
 	}
-
+	if code, _ := post(t, ts, "/runs?wait=1", taskqSpec); code != http.StatusNotFound {
+		t.Errorf("POST /runs: %d, want 404", code)
+	}
 	for _, suffix := range []string{"", "/render?view=app"} {
-		codeV1, bodyV1, _ := get(t, ts, "/v1/runs/"+st.Address+suffix)
-		codeAlias, bodyAlias, _ := get(t, ts, "/runs/"+st.Address+suffix)
-		if codeV1 != http.StatusOK || codeAlias != codeV1 {
-			t.Fatalf("suffix %q: v1 = %d, alias = %d", suffix, codeV1, codeAlias)
+		if code, body, _ := get(t, ts, "/v1/runs/"+st.Address+suffix); code != http.StatusOK {
+			t.Errorf("/v1/runs/<addr>%s: %d %s", suffix, code, body)
 		}
-		if !bytes.Equal(bodyV1, bodyAlias) {
-			t.Errorf("suffix %q: alias serves different bytes than /v1", suffix)
+		if code, _, _ := get(t, ts, "/runs/"+st.Address+suffix); code != http.StatusNotFound {
+			t.Errorf("/runs/<addr>%s: %d, want 404", suffix, code)
 		}
+	}
+	if code, _, _ := get(t, ts, "/version"); code != http.StatusNotFound {
+		t.Errorf("/version: %d, want 404", code)
 	}
 }
 

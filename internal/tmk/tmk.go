@@ -294,9 +294,6 @@ func (n *Node) Proc() *sim.Proc { return n.proc }
 // Space returns the node's software-MMU view of shared memory.
 func (n *Node) Space() *vm.Space { return n.space }
 
-// VCNow returns a copy of the node's current vector time.
-func (n *Node) VCNow() VC { return n.vc.Clone() }
-
 // DSM returns the owning system.
 func (n *Node) DSM() *DSM { return n.d }
 
