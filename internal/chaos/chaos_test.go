@@ -2,6 +2,8 @@ package chaos
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -109,6 +111,65 @@ func TestRCBDeterministic(t *testing.T) {
 	for g := range p1.Owner {
 		if p1.Owner[g] != p2.Owner[g] {
 			t.Fatal("RCB not deterministic")
+		}
+	}
+}
+
+// rcbStableReference is RCB with each split ordered by a stable sort on
+// the coordinate alone, ties left in the incoming (ascending id) order:
+// the owners RCB's (coordinate, id) order must reproduce.
+func rcbStableReference(coords [][3]float64, nprocs int) []int {
+	owner := make([]int, len(coords))
+	var split func(ids []int, base, count int)
+	split = func(ids []int, base, count int) {
+		if count == 1 || len(ids) == 0 {
+			for _, id := range ids {
+				owner[id] = base
+			}
+			return
+		}
+		lo, hi := coords[ids[0]], coords[ids[0]]
+		for _, id := range ids {
+			for d := 0; d < 3; d++ {
+				lo[d] = min(lo[d], coords[id][d])
+				hi[d] = max(hi[d], coords[id][d])
+			}
+		}
+		dim := 0
+		for d := 1; d < 3; d++ {
+			if hi[d]-lo[d] > hi[dim]-lo[dim] {
+				dim = d
+			}
+		}
+		slices.Sort(ids)
+		sort.SliceStable(ids, func(a, b int) bool { return coords[ids[a]][dim] < coords[ids[b]][dim] })
+		left := count / 2
+		cut := len(ids) * left / count
+		split(ids[:cut], base, left)
+		split(ids[cut:], base+left, count-left)
+	}
+	ids := make([]int, len(coords))
+	for i := range ids {
+		ids[i] = i
+	}
+	split(ids, 0, nprocs)
+	return owner
+}
+
+func TestRCBMatchesStableSortReference(t *testing.T) {
+	// Coordinates on a coarse lattice, so most splits cut through runs of
+	// equal coordinates and the id tie-break decides who goes where.
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 200 + rng.Intn(800)
+		coords := make([][3]float64, n)
+		for i := range coords {
+			coords[i] = [3]float64{float64(rng.Intn(4)), float64(rng.Intn(3)), float64(rng.Intn(5))}
+		}
+		for _, procs := range []int{2, 3, 7, 16} {
+			if got, want := RCB(coords, procs).Owner, rcbStableReference(coords, procs); !slices.Equal(got, want) {
+				t.Fatalf("seed %d, %d procs: RCB owners differ from the stable-sort reference", seed, procs)
+			}
 		}
 	}
 }

@@ -4,7 +4,8 @@
 package chaos
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 )
 
 // Partition assigns each of N global data elements to a processor.
@@ -108,12 +109,13 @@ func rcbSplit(coords [][3]float64, ids []int, base, count int, owner []int) {
 			dim = d
 		}
 	}
-	sort.Slice(ids, func(a, b int) bool {
-		ca, cb := coords[ids[a]][dim], coords[ids[b]][dim]
-		if ca != cb {
-			return ca < cb
+	// Ids are distinct, so (coordinate, id) is a total order and the
+	// result cannot depend on the sort algorithm.
+	slices.SortFunc(ids, func(a, b int) int {
+		if c := cmp.Compare(coords[a][dim], coords[b][dim]); c != 0 {
+			return c
 		}
-		return ids[a] < ids[b] // deterministic tie-break
+		return cmp.Compare(a, b)
 	})
 	// Processor counts split as evenly as possible; element counts split
 	// proportionally.

@@ -23,7 +23,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/rsd"
 	"repro/internal/tmk"
@@ -130,36 +129,73 @@ type Desc struct {
 }
 
 // indirSizes returns the dimension sizes used to linearize Section over
-// the indirection array.
-func (d *Desc) indirSizes() []int {
+// the indirection array. The flat default [Len] is written into one, a
+// buffer the caller keeps on its stack.
+func (d *Desc) indirSizes(one *[1]int) []int {
 	if len(d.IndirDims) > 0 {
 		return d.IndirDims
 	}
-	return []int{d.Indir.Len}
+	one[0] = d.Indir.Len
+	return one[:]
 }
 
 // schedule is the cached state for one schedule number.
 type schedule struct {
-	id       int
-	pages    []vm.PageID // computed page set, sorted
+	id int
+	// pages is the computed page set, sorted. Its backing array belongs
+	// to this schedule alone: recomputation rewrites it in place, so it
+	// never aliases another schedule's set or the Runtime's scratch.
+	pages    []vm.PageID
 	computed bool
 	modified bool        // indirection array changed since last compute
 	section  rsd.Section // the section the page set was computed for
-	watch    []vm.PageID // write-protected indirection pages
+	watch    []vm.PageID // write-protected indirection pages, sorted
+	call     uint64      // the Validate call that last resolved this schedule
 
 	// Incremental recomputation state (the paper's "more sophisticated
 	// version ... could use diffing to incrementally recompute the page
 	// sets"); populated only when the Runtime enables it.
 	prevIdx []int32 // previous indirection values
-	refcnt  map[vm.PageID]int
+	refcnt  []int32 // [page] entries of prevIdx touching it; nonzero exactly on pages
 }
+
+// pageSet is a dense set of pages: a page is a member while its stamp
+// equals the epoch, so emptying the set is one increment.
+type pageSet struct {
+	stamp []uint32
+	epoch uint32
+}
+
+func newPageSet(pages int) pageSet { return pageSet{stamp: make([]uint32, pages), epoch: 1} }
+
+// reset empties the set.
+func (s *pageSet) reset() {
+	s.epoch++
+	if s.epoch == 0 { // wrapped: a stale stamp could equal the new epoch
+		clear(s.stamp)
+		s.epoch = 1
+	}
+}
+
+// add inserts pg and reports whether it was absent.
+func (s *pageSet) add(pg vm.PageID) bool {
+	if s.stamp[pg] == s.epoch {
+		return false
+	}
+	s.stamp[pg] = s.epoch
+	return true
+}
+
+// pageRange is the page interval [lo, hi).
+type pageRange struct{ lo, hi vm.PageID }
+
+func (r pageRange) has(pg vm.PageID) bool { return r.lo <= pg && pg < r.hi }
 
 // Runtime is the augmented run-time system of §3.2, one per processor.
 // It layers on the node's TreadMarks protocol instance.
 type Runtime struct {
 	n         *tmk.Node
-	schedules map[int]*schedule
-	watched   map[vm.PageID][]*schedule
+	schedules []*schedule // in creation order; a runtime has a handful
 
 	// Cost model for the index scan (the "checking the indirection
 	// array" times reported in §5: ~0.4–0.8 s for moldyn's list vs
@@ -180,6 +216,19 @@ type Runtime struct {
 	Recomputes  int64
 	Revalidates int64
 	ScanEntries int64
+
+	// Scratch reused from call to call (DESIGN.md §3, "Host-side data
+	// path"). Validate runs on its node's goroutine only and never
+	// re-enters, so one instance per Runtime suffices.
+	calls    uint64
+	mark     pageSet       // readIndices: the pages of one level
+	seen     pageSet       // Validate: the pages on the fetch list
+	levels   [2][]int32    // readIndices: this and the next level's values
+	prefetch []vm.PageID   // readIndices: an indirection section's or level's invalid pages
+	pageSets [][]vm.PageID // Validate: each descriptor's pages
+	covered  []pageRange   // Validate: each descriptor's fully covered pages
+	direct   []vm.PageID   // Validate: the Direct descriptors' pages, back to back
+	fetch    []vm.PageID   // Validate: the aggregated fetch list
 }
 
 // DiffKind is the stat category for Validate's aggregated fetches.
@@ -188,43 +237,42 @@ const DiffKind = "validate.diff"
 // NewRuntime attaches an augmented run-time to a node. It takes over the
 // node's fault hooks (for indirection-array change detection).
 func NewRuntime(n *tmk.Node) *Runtime {
+	pages := n.Space().Arena().Capacity()
 	rt := &Runtime{
 		n:                  n,
-		schedules:          map[int]*schedule{},
-		watched:            map[vm.PageID][]*schedule{},
 		ScanUSPerEntry:     0.030,
 		IncrScanUSPerEntry: 0.008,
 		PageSetUSPerPage:   0.30,
+		mark:               newPageSet(pages),
+		seen:               newPageSet(pages),
 	}
 	n.DSM().RegisterDiffKind(DiffKind)
-	n.WriteFaultHook = rt.onWriteFault
-	n.InvalidateHook = rt.onInvalidate
+	// Both a local write fault (the paper's protection-violation handler
+	// "sets a flag") and a remote write notice invalidating the page
+	// ("both local and remote modifications cause the modified function
+	// to return true") mark the schedules watching it.
+	n.WriteFaultHook = rt.markModified
+	n.InvalidateHook = rt.markModified
 	return rt
 }
 
-// onWriteFault marks every schedule watching the faulted page as
-// modified (the paper's protection-violation handler "sets a flag").
-func (rt *Runtime) onWriteFault(page vm.PageID) {
-	for _, sch := range rt.watched[page] {
-		sch.modified = true
-	}
-}
-
-// onInvalidate marks schedules whose indirection pages were invalidated
-// by a remote write notice ("both local and remote modifications cause
-// the modified function to return true").
-func (rt *Runtime) onInvalidate(page vm.PageID) {
-	for _, sch := range rt.watched[page] {
-		sch.modified = true
+// markModified flags every schedule watching page for recomputation.
+func (rt *Runtime) markModified(page vm.PageID) {
+	for _, sch := range rt.schedules {
+		if _, ok := slices.BinarySearch(sch.watch, page); ok {
+			sch.modified = true
+		}
 	}
 }
 
 func (rt *Runtime) sched(id int) *schedule {
-	sch := rt.schedules[id]
-	if sch == nil {
-		sch = &schedule{id: id, modified: true}
-		rt.schedules[id] = sch
+	for _, sch := range rt.schedules {
+		if sch.id == id {
+			return sch
+		}
 	}
+	sch := &schedule{id: id, modified: true}
+	rt.schedules = append(rt.schedules, sch)
 	return sch
 }
 
@@ -234,15 +282,17 @@ func (rt *Runtime) sched(id int) *schedule {
 // and performs preemptive consistency actions (twin creation,
 // write-enabling, whole-page-reduction marking).
 func (rt *Runtime) Validate(descs ...Desc) {
+	rt.calls++
+	rt.pageSets, rt.covered = rt.pageSets[:0], rt.covered[:0]
+	rt.direct, rt.fetch = rt.direct[:0], rt.fetch[:0]
+	rt.seen.reset()
+
 	// Pass 1: resolve each descriptor's page set.
-	pageSets := make([][]vm.PageID, len(descs))
-	covered := make([]map[vm.PageID]bool, len(descs))
-	var fetch []vm.PageID
-	seen := map[vm.PageID]bool{}
 	for i := range descs {
 		d := &descs[i]
+		var covered pageRange
 		if d.Access.full() {
-			covered[i] = rt.fullyCovered(d)
+			covered = rt.fullyCovered(d)
 		}
 		var pages []vm.PageID
 		switch d.Type {
@@ -252,6 +302,11 @@ func (rt *Runtime) Validate(descs ...Desc) {
 			// interaction list was rebuilt with a different size) also
 			// forces recomputation, independent of the modified flag.
 			if !sch.computed || sch.modified || !sch.section.Equal(d.Section) {
+				if sch.call == rt.calls {
+					// An earlier descriptor of this call still holds the
+					// page set for pass 3: recompute into a copy.
+					sch.pages = slices.Clone(sch.pages)
+				}
 				rt.readIndices(sch, d)
 				rt.writeProtect(sch, d)
 				sch.computed = true
@@ -261,36 +316,40 @@ func (rt *Runtime) Validate(descs ...Desc) {
 			} else {
 				rt.Revalidates++
 			}
+			sch.call = rt.calls
 			pages = sch.pages
 		case Direct:
-			pages = rt.sectionPages(d.Data, d.Section, []int{d.Data.Len})
+			sizes := [1]int{d.Data.Len}
+			start := len(rt.direct)
+			rt.direct = rt.sectionPages(rt.direct, d.Data, d.Section, sizes[:])
+			pages = rt.direct[start:]
 		default:
 			panic("core: bad descriptor type")
 		}
-		pageSets[i] = pages
+		rt.pageSets = append(rt.pageSets, pages)
+		rt.covered = append(rt.covered, covered)
 		for _, pg := range pages {
 			// A WRITE_ALL page entirely inside the section needs no
 			// fetch: every byte will be overwritten. Boundary pages (and
 			// all READ&WRITE_ALL pages, which are read first) fetch.
-			if d.Access == WriteAll && covered[i][pg] {
+			if d.Access == WriteAll && covered.has(pg) {
 				continue
 			}
-			if rt.n.IsInvalid(pg) && !seen[pg] {
-				seen[pg] = true
-				fetch = append(fetch, pg)
+			if rt.n.IsInvalid(pg) && rt.seen.add(pg) {
+				rt.fetch = append(rt.fetch, pg)
 			}
 		}
 	}
 
 	// Pass 2: fetch the diffs for every invalid page. All diff requests
 	// to the same processor are aggregated into a single message.
-	if len(fetch) > 0 {
+	if len(rt.fetch) > 0 {
 		if rt.NoAggregation {
-			for _, pg := range fetch {
-				rt.n.FetchPages([]vm.PageID{pg}, DiffKind)
+			for i := range rt.fetch {
+				rt.n.FetchPages(rt.fetch[i:i+1], DiffKind)
 			}
 		} else {
-			rt.n.FetchPages(fetch, DiffKind)
+			rt.n.FetchPages(rt.fetch, DiffKind)
 		}
 	}
 
@@ -305,8 +364,8 @@ func (rt *Runtime) Validate(descs ...Desc) {
 		if !d.Access.writes() {
 			continue
 		}
-		for _, pg := range pageSets[i] {
-			if d.Access.full() && covered[i][pg] {
+		for _, pg := range rt.pageSets[i] {
+			if d.Access.full() && rt.covered[i].has(pg) {
 				rt.n.MarkFullyWritten(pg)
 			} else {
 				rt.n.TwinForWrite(pg, false)
@@ -319,23 +378,19 @@ func (rt *Runtime) Validate(descs ...Desc) {
 // descriptor's section — the pages on which WRITE_ALL may skip twinning
 // and ship a whole-page snapshot. Only dense one-dimensional direct
 // sections qualify; anything else conservatively returns none.
-func (rt *Runtime) fullyCovered(d *Desc) map[vm.PageID]bool {
+func (rt *Runtime) fullyCovered(d *Desc) pageRange {
 	if d.Type != Direct || len(d.Section.Dims) != 1 || d.Section.Dims[0].Stride != 1 {
-		return nil
+		return pageRange{}
 	}
-	arena := rt.n.Space().Arena()
 	dim := d.Section.Dims[0]
 	if dim.Hi < dim.Lo {
-		return nil
+		return pageRange{}
 	}
 	startB := int(d.Data.Addr(dim.Lo))
 	endB := int(d.Data.Addr(dim.Hi)) + d.Data.ElemSize
-	ps := arena.PageSize()
-	out := map[vm.PageID]bool{}
-	for pg := (startB + ps - 1) / ps; pg < endB/ps; pg++ {
-		out[vm.PageID(pg)] = true
-	}
-	return out
+	ps := rt.n.Space().Arena().PageSize()
+	lo, hi := vm.PageID((startB+ps-1)/ps), vm.PageID(endB/ps)
+	return pageRange{lo, max(lo, hi)}
 }
 
 // readIndices recomputes pages[sch] by scanning the section of the
@@ -354,71 +409,105 @@ func (rt *Runtime) readIndices(sch *schedule, d *Desc) {
 	}
 	arena := rt.n.Space().Arena()
 	space := rt.n.Space()
-	offsets := d.Section.LinearOffsets(d.indirSizes())
+	var one [1]int
+	sizes := d.indirSizes(&one)
 
 	// The first indirection level is a regular section: fetch it
 	// aggregated before scanning (it may have been invalidated by a
 	// rebuild).
-	rt.prefetchSection(chain[0], d.Section, d.indirSizes())
+	rt.prefetchSection(chain[0], d.Section, sizes)
 
-	if rt.Incremental && sch.refcnt != nil && len(chain) == 1 {
-		rt.incrementalScan(sch, d, offsets)
+	single := len(chain) == 1
+	incremental := rt.Incremental && single
+	count := d.Section.Count()
+	if incremental && sch.refcnt != nil && count == len(sch.prevIdx) {
+		rt.incrementalScan(sch, d, sizes)
 		return
 	}
+	if incremental {
+		if sch.refcnt == nil {
+			sch.refcnt = make([]int32, len(rt.seen.stamp))
+		}
+		for _, pg := range sch.pages {
+			sch.refcnt[pg] = 0
+		}
+		sch.prevIdx = slices.Grow(sch.prevIdx[:0], count)
+	} else {
+		sch.refcnt, sch.prevIdx = nil, nil
+	}
 
-	mark := map[vm.PageID]bool{}
-	var prev []int32
-	single := len(chain) == 1
-	if rt.Incremental && single {
-		prev = make([]int32, len(offsets))
-		sch.refcnt = map[vm.PageID]int{}
-	}
-	scanned := int64(0)
-	// Level 0: read the indices named by the section.
-	idxs := make([]int32, len(offsets))
-	for k, off := range offsets {
-		idxs[k] = space.ReadI32(chain[0].Addr(0) + vm.Addr(off*chain[0].ElemSize))
-	}
-	scanned += int64(len(offsets))
-	if rt.Incremental && single {
-		copy(prev, idxs)
-	}
-	// Intermediate levels: each value indexes the next array. Prefetch
-	// the touched pages of the level aggregated, then load its values.
-	for lv := 1; lv < len(chain); lv++ {
-		arr := chain[lv]
-		lvPages := map[vm.PageID]bool{}
-		for _, v := range idxs {
-			first, last := arena.PageRange(arr.Addr(int(v)), arr.ElemSize)
-			for pg := first; pg <= last; pg++ {
-				if rt.n.IsInvalid(pg) {
-					lvPages[pg] = true
-				}
-			}
-		}
-		if len(lvPages) > 0 {
-			rt.n.FetchPages(sortedPages(lvPages), DiffKind)
-		}
-		next := make([]int32, len(idxs))
-		for k, v := range idxs {
-			next[k] = space.ReadI32(arr.Addr(int(v)))
-		}
-		idxs = next
-		scanned += int64(len(idxs))
-	}
-	// Final level: the values index the data array.
-	for _, v := range idxs {
+	// The last level's values index the data array; each adds its pages.
+	rt.mark.reset()
+	pages := sch.pages[:0]
+	addData := func(v int32) {
 		first, last := arena.PageRange(d.Data.Addr(int(v)), d.Data.ElemSize)
 		for pg := first; pg <= last; pg++ {
-			mark[pg] = true
-			if rt.Incremental && single {
+			if rt.mark.add(pg) {
+				pages = append(pages, pg)
+			}
+			if incremental {
 				sch.refcnt[pg]++
 			}
 		}
 	}
+
+	// Level 0: read the indices named by the section. A single level
+	// indexes the data as it is read; a chain keeps the values for the
+	// next level.
+	cur, next := rt.levels[0][:0], rt.levels[1]
+	if !single {
+		cur = slices.Grow(cur, count)
+	}
+	d.Section.ForEachRun(sizes, func(off, n int) {
+		for k := off; k < off+n; k++ {
+			v := space.ReadI32(chain[0].Addr(k))
+			if single {
+				addData(v)
+			} else {
+				cur = append(cur, v)
+			}
+			if incremental {
+				sch.prevIdx = append(sch.prevIdx, v)
+			}
+		}
+	})
+	scanned := int64(count)
+	// Intermediate levels: each value indexes the next array. Prefetch
+	// the touched pages of the level aggregated, then load its values.
+	for lv := 1; lv < len(chain); lv++ {
+		arr := chain[lv]
+		rt.mark.reset()
+		fetch := rt.prefetch[:0]
+		for _, v := range cur {
+			first, last := arena.PageRange(arr.Addr(int(v)), arr.ElemSize)
+			for pg := first; pg <= last; pg++ {
+				if rt.n.IsInvalid(pg) && rt.mark.add(pg) {
+					fetch = append(fetch, pg)
+				}
+			}
+		}
+		if len(fetch) > 0 {
+			slices.Sort(fetch)
+			rt.n.FetchPages(fetch, DiffKind)
+		}
+		rt.prefetch = fetch
+		next = slices.Grow(next[:0], len(cur))
+		for _, v := range cur {
+			next = append(next, space.ReadI32(arr.Addr(int(v))))
+		}
+		cur, next = next, cur
+		scanned += int64(len(cur))
+	}
+	rt.levels = [2][]int32{cur, next}
+	if !single {
+		rt.mark.reset()
+		for _, v := range cur {
+			addData(v)
+		}
+	}
+	slices.Sort(pages)
+	sch.pages = pages
 	rt.ScanEntries += scanned
-	sch.pages = sortedPages(mark)
-	sch.prevIdx = prev
 	rt.n.Proc().Advance(rt.ScanUSPerEntry*float64(scanned) +
 		rt.PageSetUSPerPage*float64(len(sch.pages)))
 }
@@ -427,79 +516,69 @@ func (rt *Runtime) readIndices(sch *schedule, d *Desc) {
 // from scratch, compare the current indirection values against the
 // previous snapshot and adjust per-page reference counts for the entries
 // that changed — the "diffing" recomputation the paper sketches but does
-// not implement.
-func (rt *Runtime) incrementalScan(sch *schedule, d *Desc, offsets []int) {
+// not implement. The section has as many entries as the snapshot.
+func (rt *Runtime) incrementalScan(sch *schedule, d *Desc, sizes []int) {
 	arena := rt.n.Space().Arena()
 	space := rt.n.Space()
-	if len(offsets) != len(sch.prevIdx) {
-		// Section shape changed; fall back to a full rebuild.
-		sch.refcnt = nil
-		rt.readIndices(sch, d)
-		return
-	}
-	changed := 0
-	for k, off := range offsets {
-		idx := space.ReadI32(d.Indir.Addr(0) + vm.Addr(off*d.Indir.ElemSize))
-		old := sch.prevIdx[k]
-		if idx == old {
-			continue
-		}
-		changed++
-		sch.prevIdx[k] = idx
-		of, ol := arena.PageRange(d.Data.Addr(int(old)), d.Data.ElemSize)
-		for pg := of; pg <= ol; pg++ {
-			sch.refcnt[pg]--
-			if sch.refcnt[pg] == 0 {
-				delete(sch.refcnt, pg)
+	pages := sch.pages
+	k, changed, added := 0, 0, false
+	d.Section.ForEachRun(sizes, func(off, n int) {
+		for e := off; e < off+n; e++ {
+			idx, old := space.ReadI32(d.Indir.Addr(e)), sch.prevIdx[k]
+			k++
+			if idx == old {
+				continue
+			}
+			changed++
+			sch.prevIdx[k-1] = idx
+			// A page whose count drops to zero leaves the set below.
+			of, ol := arena.PageRange(d.Data.Addr(int(old)), d.Data.ElemSize)
+			for pg := of; pg <= ol; pg++ {
+				sch.refcnt[pg]--
+			}
+			nf, nl := arena.PageRange(d.Data.Addr(int(idx)), d.Data.ElemSize)
+			for pg := nf; pg <= nl; pg++ {
+				if sch.refcnt[pg] == 0 {
+					pages = append(pages, pg) // maybe twice; Compact below
+					added = true
+				}
+				sch.refcnt[pg]++
 			}
 		}
-		nf, nl := arena.PageRange(d.Data.Addr(int(idx)), d.Data.ElemSize)
-		for pg := nf; pg <= nl; pg++ {
-			sch.refcnt[pg]++
+	})
+	if changed > 0 {
+		pages = slices.DeleteFunc(pages, func(pg vm.PageID) bool { return sch.refcnt[pg] == 0 })
+		if added {
+			slices.Sort(pages)
+			pages = slices.Compact(pages)
 		}
 	}
-	rt.ScanEntries += int64(len(offsets))
-	pages := make([]vm.PageID, 0, len(sch.refcnt))
-	for pg := range sch.refcnt {
-		pages = append(pages, pg)
-	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
 	sch.pages = pages
-	rt.n.Proc().Advance(rt.IncrScanUSPerEntry*float64(len(offsets)) +
+	rt.ScanEntries += int64(k)
+	rt.n.Proc().Advance(rt.IncrScanUSPerEntry*float64(k) +
 		rt.PageSetUSPerPage*float64(changed))
 }
 
 // writeProtect write-protects the pages holding the scanned section of
-// the indirection array and registers them so a later write (local
-// fault) or invalidation (remote notice) flips the schedule's modified
-// flag (§3.2: "the pages in section are write protected").
+// the indirection array and makes them the schedule's watch set, so a
+// later write (local fault) or invalidation (remote notice) flips its
+// modified flag (§3.2: "the pages in section are write protected").
 func (rt *Runtime) writeProtect(sch *schedule, d *Desc) {
-	// Deregister the previous watch set.
-	for _, pg := range sch.watch {
-		ws := rt.watched[pg]
-		for i, s := range ws {
-			if s == sch {
-				rt.watched[pg] = append(ws[:i], ws[i+1:]...)
-				break
-			}
-		}
-	}
-	sch.watch = sch.watch[:0]
 	arena := rt.n.Space().Arena()
 	space := rt.n.Space()
-	pages := rt.sectionPages(d.Indir, d.Section, d.indirSizes())
+	var one [1]int
+	watch := rt.sectionPages(sch.watch[:0], d.Indir, d.Section, d.indirSizes(&one))
 	// Deeper chain levels are watched in full (their accessed subset is
 	// value-dependent, so any change must trigger recomputation).
 	for _, arr := range d.Indirs[min(1, len(d.Indirs)):] {
 		first, last := arena.PageRange(arr.Addr(0), arr.Bytes())
 		for pg := first; pg <= last; pg++ {
-			pages = append(pages, pg)
+			watch = append(watch, pg)
 		}
 	}
-	slices.Sort(pages)
-	for _, pg := range slices.Compact(pages) {
-		sch.watch = append(sch.watch, pg)
-		rt.watched[pg] = append(rt.watched[pg], sch)
+	slices.Sort(watch)
+	sch.watch = slices.Compact(watch)
+	for _, pg := range sch.watch {
 		if space.Page(pg).Prot() == vm.ReadWrite {
 			space.Protect(pg, vm.ReadOnly)
 		}
@@ -509,41 +588,30 @@ func (rt *Runtime) writeProtect(sch *schedule, d *Desc) {
 // prefetchSection fetches (aggregated) any invalid pages of arr holding
 // the section sec, linearized over sizes.
 func (rt *Runtime) prefetchSection(arr *Array, sec rsd.Section, sizes []int) {
-	var fetch []vm.PageID
-	for _, pg := range rt.sectionPages(arr, sec, sizes) {
-		if rt.n.IsInvalid(pg) {
-			fetch = append(fetch, pg)
-		}
-	}
+	fetch := rt.sectionPages(rt.prefetch[:0], arr, sec, sizes)
+	fetch = slices.DeleteFunc(fetch, func(pg vm.PageID) bool { return !rt.n.IsInvalid(pg) })
 	if len(fetch) > 0 {
 		rt.n.FetchPages(fetch, DiffKind)
 	}
+	rt.prefetch = fetch
 }
 
-// sectionPages returns the sorted pages of arr holding the section sec,
-// linearized over sizes (arr's dimensions in units of its elements). It
-// walks the section's contiguous runs, which arrive in address order, so
-// a page is new exactly when it lies past the last one emitted.
-func (rt *Runtime) sectionPages(arr *Array, sec rsd.Section, sizes []int) []vm.PageID {
+// sectionPages appends to out the sorted pages of arr holding the
+// section sec, linearized over sizes (arr's dimensions in units of its
+// elements). It walks the section's contiguous runs, which arrive in
+// address order, so a page is new exactly when it lies past the last one
+// appended.
+func (rt *Runtime) sectionPages(out []vm.PageID, arr *Array, sec rsd.Section, sizes []int) []vm.PageID {
 	arena := rt.n.Space().Arena()
-	var out []vm.PageID
+	start := len(out)
 	sec.ForEachRun(sizes, func(off, n int) {
 		first, last := arena.PageRange(arr.Addr(off), n*arr.ElemSize)
-		if k := len(out); k > 0 && first <= out[k-1] {
+		if k := len(out); k > start && first <= out[k-1] {
 			first = out[k-1] + 1
 		}
 		for pg := first; pg <= last; pg++ {
 			out = append(out, pg)
 		}
 	})
-	return out
-}
-
-func sortedPages(mark map[vm.PageID]bool) []vm.PageID {
-	out := make([]vm.PageID, 0, len(mark))
-	for pg := range mark {
-		out = append(out, pg)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

@@ -57,7 +57,7 @@ func TestReadIndicesComputesPageSet(t *testing.T) {
 			t.Errorf("Recomputes = %d", rt.Recomputes)
 		}
 		arena := e.d.Arena()
-		sch := rt.schedules[1]
+		sch := rt.sched(1)
 		want := []vm.PageID{arena.PageOf(e.data.Addr(0)), arena.PageOf(e.data.Addr(500))}
 		if len(sch.pages) != 2 || sch.pages[0] != want[0] || sch.pages[1] != want[1] {
 			t.Errorf("pages = %v, want %v", sch.pages, want)
@@ -115,7 +115,7 @@ func TestLocalWriteToIndirectionTriggersRecompute(t *testing.T) {
 		}
 		arena := e.d.Arena()
 		found := false
-		for _, pg := range rt.schedules[1].pages {
+		for _, pg := range rt.sched(1).pages {
 			if pg == arena.PageOf(e.data.Addr(999)) {
 				found = true
 			}
@@ -368,7 +368,7 @@ func TestIncrementalRecomputationMatchesFull(t *testing.T) {
 			}
 			n.Barrier(2)
 			rt.Validate(desc)
-			pages = append([]vm.PageID(nil), rt.schedules[1].pages...)
+			pages = append([]vm.PageID(nil), rt.sched(1).pages...)
 			n.Barrier(3)
 		})
 		return pages

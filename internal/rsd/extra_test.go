@@ -5,8 +5,27 @@ import (
 	"testing/quick"
 )
 
+// linearOffsets returns the flat (column-major) element offsets the
+// section covers within an array of the given dimension sizes, one per
+// element: the expansion ForEachRun's runs are checked against.
+func linearOffsets(s Section, sizes []int) []int {
+	if len(sizes) != len(s.Dims) {
+		panic("rsd: sizes arity mismatch")
+	}
+	out := make([]int, 0, s.Count())
+	s.ForEach(func(idx []int) {
+		off, stride := 0, 1
+		for i, v := range idx {
+			off += v * stride
+			stride *= sizes[i]
+		}
+		out = append(out, off)
+	})
+	return out
+}
+
 func TestLinearOffsetsMatchesForEachProperty(t *testing.T) {
-	// LinearOffsets must enumerate exactly the column-major positions
+	// linearOffsets must enumerate exactly the column-major positions
 	// ForEach visits.
 	f := func(lo1, n1, lo2, n2, st uint8) bool {
 		d1 := Dim{Lo: int(lo1 % 4), Hi: int(lo1%4) + int(n1%5), Stride: 1}
@@ -18,7 +37,7 @@ func TestLinearOffsetsMatchesForEachProperty(t *testing.T) {
 		s.ForEach(func(idx []int) {
 			want = append(want, idx[0]+idx[1]*strideRow)
 		})
-		got := s.LinearOffsets(sizes)
+		got := linearOffsets(s, sizes)
 		if len(got) != len(want) {
 			return false
 		}
@@ -111,7 +130,7 @@ func TestNegativeStridePanics(t *testing.T) {
 }
 
 func TestForEachRunExpandsToLinearOffsetsProperty(t *testing.T) {
-	// The runs, expanded, are exactly LinearOffsets in the same order;
+	// The runs, expanded, are exactly linearOffsets in the same order;
 	// a unit-stride leading dimension is visited whole.
 	f := func(lo1, n1, st1, lo2, n2, st2, pad uint8) bool {
 		d1 := Dim{Lo: int(lo1 % 4), Hi: int(lo1%4) + int(n1%6) - 1, Stride: int(st1%2) + 1}
@@ -127,7 +146,7 @@ func TestForEachRunExpandsToLinearOffsetsProperty(t *testing.T) {
 				got = append(got, off+i)
 			}
 		})
-		want := s.LinearOffsets(sizes)
+		want := linearOffsets(s, sizes)
 		if len(got) != len(want) {
 			return false
 		}
@@ -150,4 +169,18 @@ func TestForEachRunRejectsSectionOutsideArray(t *testing.T) {
 		}
 	}()
 	Range1(0, 10).ForEachRun([]int{10}, func(off, n int) {})
+}
+
+func TestForEachRunAllocatesNothing(t *testing.T) {
+	s := New(Dim{Lo: 0, Hi: 1, Stride: 1}, Dim{Lo: 3, Hi: 90, Stride: 3}, Dim{Lo: 1, Hi: 4, Stride: 1})
+	sizes := []int{2, 100, 5}
+	total := 0
+	if got := testing.AllocsPerRun(100, func() {
+		s.ForEachRun(sizes, func(off, n int) { total += n })
+	}); got != 0 {
+		t.Fatalf("ForEachRun allocated %v times per call, want 0", got)
+	}
+	if want := 101 * s.Count(); total != want {
+		t.Fatalf("runs covered %d elements over 101 calls, want %d", total, want)
+	}
 }

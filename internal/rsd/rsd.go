@@ -180,59 +180,51 @@ func (s Section) String() string {
 	return "[" + strings.Join(parts, ", ") + "]"
 }
 
-// LinearOffsets returns the flat (column-major) element offsets the
-// section covers within an array of the given dimension sizes. Dims of
-// the array are sizes per dimension; indices are zero-based.
-func (s Section) LinearOffsets(sizes []int) []int {
-	out := make([]int, 0, s.Count())
-	s.forEachOffset(sizes, func(off int) { out = append(out, off) })
-	return out
-}
-
 // ForEachRun visits the section as runs of n contiguous elements
-// starting at flat offset off — what a caller needs to learn which
+// starting at flat (column-major, zero-based) offset off within an array
+// of the given dimension sizes — what a caller needs to learn which
 // memory the section touches without expanding every element. A
 // unit-stride leading dimension yields one run per setting of the other
 // dimensions; any other stride yields single elements. The section must
 // lie inside the array, which also makes the runs arrive in increasing
-// offset order.
+// offset order. ForEachRun allocates nothing.
 func (s Section) ForEachRun(sizes []int, f func(off, n int)) {
 	if len(sizes) != len(s.Dims) {
 		panic("rsd: sizes arity mismatch")
 	}
-	if len(s.Dims) == 0 {
+	empty := false
+	for i, d := range s.Dims {
+		c := d.Count()
+		if c > 0 && (d.Lo < 0 || d.Lo+(c-1)*d.Stride >= sizes[i]) {
+			panic(fmt.Sprintf("rsd: section %s outside array of sizes %v", s.String(), append([]int(nil), sizes...)))
+		}
+		empty = empty || c == 0
+	}
+	if len(s.Dims) == 0 || empty {
 		return
 	}
-	for i, d := range s.Dims {
-		if c := d.Count(); c > 0 && (d.Lo < 0 || d.Lo+(c-1)*d.Stride >= sizes[i]) {
-			panic(fmt.Sprintf("rsd: section %v outside array of sizes %v", s, sizes))
-		}
-	}
-	n := 1
+	lead, base, n := 0, 0, 1
 	if d0 := s.Dims[0]; d0.Stride == 1 {
-		n = d0.Count()
-		s = Section{Dims: append([]Dim{{Lo: d0.Lo, Hi: min(d0.Lo, d0.Hi), Stride: 1}}, s.Dims[1:]...)}
+		lead, base, n = 1, d0.Lo, d0.Count()
 	}
-	s.forEachOffset(sizes, func(off int) { f(off, n) })
+	s.walkRuns(sizes, len(s.Dims)-1, lead, base, n, f)
 }
 
-func (s Section) forEachOffset(sizes []int, f func(off int)) {
-	if len(sizes) != len(s.Dims) {
-		panic("rsd: sizes arity mismatch")
+// walkRuns visits dimensions dim down to lead, outermost first, at flat
+// offset base; below lead it emits the run of n elements at base.
+func (s Section) walkRuns(sizes []int, dim, lead, base, n int, f func(off, n int)) {
+	if dim < lead {
+		f(base, n)
+		return
 	}
-	strides := make([]int, len(sizes))
-	acc := 1
-	for i, n := range sizes {
-		strides[i] = acc
-		acc *= n
+	stride := 1 // elements between consecutive indices of dimension dim
+	for _, sz := range sizes[:dim] {
+		stride *= sz
 	}
-	s.ForEach(func(idx []int) {
-		off := 0
-		for i, v := range idx {
-			off += v * strides[i]
-		}
-		f(off)
-	})
+	d := s.Dims[dim]
+	for i := d.Lo; i <= d.Hi; i += d.Stride {
+		s.walkRuns(sizes, dim-1, lead, base+i*stride, n, f)
+	}
 }
 
 func max(a, b int) int {

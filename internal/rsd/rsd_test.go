@@ -134,7 +134,7 @@ func TestIntersectIsSoundProperty(t *testing.T) {
 func TestLinearOffsets2D(t *testing.T) {
 	// A (2, M) Fortran array: column-major, leftmost fastest.
 	s := New(Dim{0, 1, 1}, Dim{3, 4, 1})
-	got := s.LinearOffsets([]int{2, 10})
+	got := linearOffsets(s, []int{2, 10})
 	want := []int{6, 7, 8, 9} // columns 3 and 4: offsets 2*3..2*3+1, 2*4..2*4+1
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("got %v want %v", got, want)
@@ -143,7 +143,7 @@ func TestLinearOffsets2D(t *testing.T) {
 
 func TestLinearOffsets1D(t *testing.T) {
 	s := Range1(5, 8)
-	got := s.LinearOffsets([]int{100})
+	got := linearOffsets(s, []int{100})
 	if !reflect.DeepEqual(got, []int{5, 6, 7, 8}) {
 		t.Fatalf("got %v", got)
 	}

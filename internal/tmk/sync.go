@@ -32,6 +32,7 @@ type barrierContribution struct {
 	notices   []*Notice
 	seen      []int32
 	diffBytes int64
+	reply     *barrierReply // the arriving node's reply, filled by the combine
 }
 
 // barrierReply travels back: the notices this node lacks, and whether a
@@ -47,59 +48,25 @@ type barrierReply struct {
 // invalidates the pages those notices name (§2: "the releaser notifies
 // the acquirer of which pages have been modified, causing the acquirer
 // to invalidate its local copies of these pages").
+//
+// The contribution and the reply are the node's own, reused every
+// episode. The node hands its contribution over and is blocked in
+// BarrierExchange until the combine has read it and written the reply,
+// and it is done with the reply before it can arrive at the next
+// barrier — the only place either is written again.
 func (n *Node) Barrier(id int) {
 	n.closeInterval()
 
-	contrib := &barrierContribution{
-		notices:   n.newNotices,
-		seen:      append([]int32(nil), n.seen...),
-		diffBytes: n.DiffStoreBytes(),
-	}
+	contrib := &n.barrierIn
+	contrib.notices = n.newNotices
+	contrib.seen = append(contrib.seen[:0], n.seen...)
+	contrib.diffBytes = n.DiffStoreBytes()
 	bytes := 4 * len(contrib.seen)
 	for _, nt := range contrib.notices {
 		bytes += nt.WireBytes()
 	}
-	board := n.d.board
 
-	reply := n.proc.BarrierExchange(id, contrib, bytes, func(contribs []any) ([]any, []int, float64) {
-		board.mu.Lock()
-		defer board.mu.Unlock()
-		posted := 0
-		var postedBytes int64
-		for _, c := range contribs {
-			cb := c.(*barrierContribution)
-			for _, nt := range cb.notices {
-				w := nt.Proc
-				if int(nt.Interval) == len(board.byWriter[w])+1 {
-					board.byWriter[w] = append(board.byWriter[w], nt)
-					posted++
-					postedBytes += int64(nt.WireBytes())
-				}
-			}
-		}
-		// The retained store grows on the manager; charged to the global
-		// mem shard (grow-only, so the peak is interleaving-independent
-		// even though combines run on whichever goroutine arrives last).
-		n.d.boardBytes += postedBytes
-		n.d.cluster.Mem.Alloc(-1, MemCatBoard, postedBytes)
-		var retained int64
-		for _, c := range contribs {
-			retained += c.(*barrierContribution).diffBytes
-		}
-		gc := n.d.GCThresholdBytes > 0 && retained > n.d.GCThresholdBytes
-		replies := make([]any, len(contribs))
-		rbytes := make([]int, len(contribs))
-		var totalNotices int
-		for i, c := range contribs {
-			cb := c.(*barrierContribution)
-			nts, nb := board.missingForLocked(nil, cb.seen, i)
-			replies[i] = &barrierReply{notices: nts, gc: gc}
-			rbytes[i] = nb
-			totalNotices += len(nts)
-		}
-		combineUS := float64(posted)*1.0 + float64(totalNotices)*0.3
-		return replies, rbytes, combineUS
-	})
+	reply := n.proc.BarrierExchange(id, contrib, bytes, n.combine)
 
 	n.newNotices = n.newNotices[:0]
 	gc := false
@@ -117,6 +84,52 @@ func (n *Node) Barrier(id int) {
 	if gc {
 		n.gcFlush(id)
 	}
+}
+
+// combineBarrier is the barrier manager's logic (Barrier's combine,
+// bound once per node as n.combine): it posts every arrival's new
+// notices to the board and writes each arrival's reply with the notices
+// that node lacks.
+func (n *Node) combineBarrier(contribs []any) ([]any, []int, float64) {
+	board := n.d.board
+	board.mu.Lock()
+	defer board.mu.Unlock()
+	posted := 0
+	var postedBytes int64
+	for _, c := range contribs {
+		cb := c.(*barrierContribution)
+		for _, nt := range cb.notices {
+			w := nt.Proc
+			if int(nt.Interval) == len(board.byWriter[w])+1 {
+				board.byWriter[w] = append(board.byWriter[w], nt)
+				posted++
+				postedBytes += int64(nt.WireBytes())
+			}
+		}
+	}
+	// The retained store grows on the manager; charged to the global
+	// mem shard (grow-only, so the peak is interleaving-independent
+	// even though combines run on whichever goroutine arrives last).
+	n.d.boardBytes += postedBytes
+	n.d.cluster.Mem.Alloc(-1, MemCatBoard, postedBytes)
+	var retained int64
+	for _, c := range contribs {
+		retained += c.(*barrierContribution).diffBytes
+	}
+	gc := n.d.GCThresholdBytes > 0 && retained > n.d.GCThresholdBytes
+	replies := make([]any, len(contribs))
+	rbytes := make([]int, len(contribs))
+	var totalNotices int
+	for i, c := range contribs {
+		cb := c.(*barrierContribution)
+		r := cb.reply
+		r.notices, rbytes[i] = board.missingForLocked(r.notices[:0], cb.seen, i)
+		r.gc = gc
+		replies[i] = r
+		totalNotices += len(r.notices)
+	}
+	combineUS := float64(posted)*1.0 + float64(totalNotices)*0.3
+	return replies, rbytes, combineUS
 }
 
 // gcFlush performs TreadMarks' consistency-data garbage collection: the

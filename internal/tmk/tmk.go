@@ -90,6 +90,8 @@ func New(c *sim.Cluster, pageSize, arenaBytes int) *DSM {
 			n.fetch.reqs[w].resp = &n.fetch.diffs
 		}
 		n.onGrant = n.snapshotGrant
+		n.barrierIn.reply = &n.barrierOut
+		n.combine = n.combineBarrier
 		// Proc 0 initializes shared data before SealInit; give it write
 		// access (and so the one private image), everyone else starts
 		// read-only on the zero page (they will share the initial image
@@ -259,6 +261,11 @@ type Node struct {
 	grantNotices []*Notice
 	grantBytes   int
 	onGrant      func()
+	// barrierIn and barrierOut are Barrier's contribution and reply,
+	// reused every episode; combine is combineBarrier, bound once.
+	barrierIn  barrierContribution
+	barrierOut barrierReply
+	combine    sim.CombineFunc
 
 	mu sync.Mutex // guards diffStore against remote handler reads
 	// diffStore[page] are this node's retained diffs of page, in
