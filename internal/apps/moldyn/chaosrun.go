@@ -21,7 +21,9 @@ func RunChaos(w *Workload) *apps.Result {
 	icost := p.Inspector
 	ecost := chaos.DefaultExecutorCost()
 
-	cl := sim.NewCluster(p.simConfig())
+	ep := apps.NewEpisode("chaos", p.simConfig())
+	ep.Res.TableOrg = p.TableKind.String()
+	cl := ep.Cluster
 	part := chaos.RCB(Coords(w.X0), nprocs)
 	tt := chaos.NewTransTable(part, p.TableKind)
 	tt.CachePages = p.TableCachePages
@@ -37,9 +39,8 @@ func RunChaos(w *Workload) *apps.Result {
 	initPairs, _ := BuildPairs(&p, w.L, w.X0)
 	initSorted, initStarts := PartitionPairs(initPairs, part)
 
-	res := &apps.Result{System: "chaos", TableOrg: p.TableKind.String()}
-	meas := apps.NewMeasure(cl)
-	inspectorSec := make([]float64, nprocs)
+	meas := ep.Meas
+	inspectorSec := ep.PerProc("inspector_s")
 
 	// Final state per proc for post-run assembly.
 	finalX := make([][]float64, nprocs)
@@ -158,20 +159,8 @@ func RunChaos(w *Workload) *apps.Result {
 	})
 	tt.ReleaseMem(cl)
 
-	res.TimeSec = meas.TimeSec()
-	res.Messages, res.DataMB = meas.Traffic()
-	res.SetMemStats(meas.MemStats())
-	for k, v := range meas.Categories() {
-		res.AddDetail("msgs."+k, float64(v.Messages))
-		res.AddDetail("mb."+k, float64(v.Bytes)/1e6)
-	}
-	worst := 0.0
-	for _, s := range inspectorSec {
-		if s > worst {
-			worst = s
-		}
-	}
-	res.AddDetail("inspector_s", worst)
+	res := ep.Finish()
+	ep.TrafficDetail()
 
 	// Assemble global state from the remapped local arrays.
 	res.X = make([]float64, 3*n)

@@ -1,4 +1,4 @@
-// Registry adapter: moldyn as an apps.Workload. The factory maps the
+// Registry adapter: moldyn as apps.Variants. The factory maps the
 // harness Config onto Params (knob "update_every" selects the
 // interaction-list rebuild interval Table 1 sweeps; "table_budget_kb"
 // hands the translation-table choice to the memory capacity policy).
@@ -8,24 +8,6 @@ import (
 	"repro/internal/apps"
 	"repro/internal/mem"
 )
-
-// App adapts a generated moldyn workload to the registry interface.
-type App struct{ W *Workload }
-
-// Name implements apps.Workload.
-func (a App) Name() string { return "moldyn" }
-
-// Sequential implements apps.Workload.
-func (a App) Sequential() *apps.Result { return RunSequential(a.W) }
-
-// Chaos implements apps.Workload.
-func (a App) Chaos() *apps.Result { return RunChaos(a.W) }
-
-// TmkBase implements apps.Workload.
-func (a App) TmkBase() *apps.Result { return RunTmk(a.W, TmkOptions{}) }
-
-// TmkOpt implements apps.Workload.
-func (a App) TmkOpt() *apps.Result { return RunTmk(a.W, TmkOptions{Optimized: true}) }
 
 func init() {
 	apps.Register("moldyn", func(cfg apps.Config) apps.Workload {
@@ -41,6 +23,12 @@ func init() {
 			p.TableKind = plan.Kind
 			p.TableCachePages = plan.CachePages
 		}
-		return App{W: Generate(p)}
+		w := Generate(p)
+		return apps.Variants{App: "moldyn",
+			RunSeq:   func() *apps.Result { return RunSequential(w) },
+			RunChaos: func() *apps.Result { return RunChaos(w) },
+			RunBase:  func() *apps.Result { return RunTmk(w, TmkOptions{}) },
+			RunOpt:   func() *apps.Result { return RunTmk(w, TmkOptions{Optimized: true}) },
+		}
 	}, "update_every", "table_budget_kb")
 }

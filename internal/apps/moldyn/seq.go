@@ -12,8 +12,8 @@ import (
 // other backends' final state must match it bit-for-bit.
 func RunSequential(w *Workload) *apps.Result {
 	p := w.P
-	cl := sim.NewCluster(sim.DefaultConfig(1))
-	proc := cl.Proc(0)
+	ep := apps.NewEpisode("seq", sim.DefaultConfig(1))
+	proc := ep.Cluster.Proc(0)
 	cost := p.Costs
 	n := p.N
 
@@ -21,7 +21,7 @@ func RunSequential(w *Workload) *apps.Result {
 	forces := make([]float64, 3*n)
 	pairs, _ := BuildPairs(&p, w.L, x) // initial build is untimed (init)
 
-	res := &apps.Result{System: "seq"}
+	res := ep.Res
 	var interactions int64
 
 	for step := 1; step <= p.Steps; step++ {

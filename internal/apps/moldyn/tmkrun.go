@@ -44,7 +44,8 @@ func RunTmk(w *Workload, opt TmkOptions) *apps.Result {
 	n := p.N
 	cost := p.Costs
 
-	cl := sim.NewCluster(p.simConfig())
+	ep := apps.NewEpisode(apps.TmkSystem(opt.Optimized), p.simConfig())
+	cl := ep.Cluster
 	// Capacity for the shared interaction list: the pair count drifts as
 	// molecules move; 1.5x the initial count plus slack covers it.
 	initPairs, _ := BuildPairs(&p, w.L, w.X0)
@@ -74,12 +75,8 @@ func RunTmk(w *Workload, opt TmkOptions) *apps.Result {
 	writePairs(s0, interArr, startsAddr, sorted, starts)
 	d.SealInit()
 
-	res := &apps.Result{System: "tmk"}
-	if opt.Optimized {
-		res.System = "tmk-opt"
-	}
-	meas := apps.NewMeasure(cl)
-	scans := make([]float64, nprocs) // indirection-scan seconds per proc
+	meas := ep.Meas
+	scans := ep.PerProc("scan_s") // indirection-scan seconds
 
 	cl.Run(func(proc *sim.Proc) {
 		me := proc.ID()
@@ -96,16 +93,6 @@ func RunTmk(w *Workload, opt TmkOptions) *apps.Result {
 		lf := make([]float64, 3*n) // private local_forces (full size; §5.1)
 		cl.Mem.Alloc(me, apps.MemCatPrivate, int64(8*len(lf)))
 		mlo, mhi := chaos.BlockRange(n, nprocs, me)
-
-		redAccess := func(s int) core.AccessType {
-			if opt.NoWriteAll {
-				return core.ReadWrite
-			}
-			if s == 0 {
-				return core.WriteAll
-			}
-			return core.ReadWriteAll
-		}
 
 		for step := 1; step <= p.Steps; step++ {
 			// Rebuild the interaction list in parallel: each processor
@@ -150,35 +137,8 @@ func RunTmk(w *Workload, opt TmkOptions) *apps.Result {
 			}
 			proc.Advance(cost.InteractionUS * float64(hi-lo))
 
-			// Pipelined update of the shared forces in nprocs steps; in
-			// step s processor me updates block (me+s) mod nprocs. The
-			// first writer of a block overwrites (WRITE_ALL), later
-			// writers read-modify-write every element (READ&WRITE_ALL).
-			for s := 0; s < nprocs; s++ {
-				b := (me + s) % nprocs
-				blo, bhi := chaos.BlockRange(n, nprocs, b)
-				if blo < bhi {
-					if opt.Optimized {
-						rt.Validate(core.Desc{
-							Type: core.Direct, Data: fArr,
-							Section: rsd.Range1(3*blo, 3*bhi-1),
-							Access:  redAccess(s), Sched: 2,
-						})
-					}
-					if s == 0 {
-						for j := 3 * blo; j < 3*bhi; j++ {
-							space.WriteF64(fArr.Base+vm.Addr(8*j), lf[j])
-						}
-					} else {
-						for j := 3 * blo; j < 3*bhi; j++ {
-							v := space.ReadF64(fArr.Base + vm.Addr(8*j))
-							space.WriteF64(fArr.Base+vm.Addr(8*j), v+lf[j])
-						}
-					}
-					proc.Advance(cost.ReduceUSPerElem * float64(3*(bhi-blo)))
-				}
-				node.Barrier(barPipeline)
-			}
+			// Pipelined update of the shared forces (Figure 2).
+			apps.PipelinedReduce(proc, node, rt, fArr, lf, 3, barPipeline, opt.NoWriteAll, cost.ReduceUSPerElem)
 
 			// Integrate own block: x <- wrap(q(x + dt*f + drift)).
 			if mlo < mhi {
@@ -208,25 +168,11 @@ func RunTmk(w *Workload, opt TmkOptions) *apps.Result {
 		cl.Mem.Free(me, apps.MemCatPrivate, int64(8*len(lf)))
 	})
 
-	res.TimeSec = meas.TimeSec()
-	res.Messages, res.DataMB = meas.Traffic()
-	res.SetMemStats(meas.MemStats())
-	for k, v := range meas.Categories() {
-		res.AddDetail("msgs."+k, float64(v.Messages))
-		res.AddDetail("mb."+k, float64(v.Bytes)/1e6)
-	}
-	var scanTotal float64
-	for _, s := range scans {
-		if s > scanTotal {
-			scanTotal = s
-		}
-	}
-	res.AddDetail("scan_s", scanTotal)
-
-	// Collect the final state for verification (outside the window).
-	res.X, res.Forces = collectShared(d, xArr, fArr, n)
+	ep.Finish()
+	ep.TrafficDetail()
+	ep.CollectShared(d, xArr, fArr, 3*n)
 	d.Close()
-	return res
+	return ep.Res
 }
 
 // rebuildParallel rebuilds the interaction list cooperatively: every
@@ -327,17 +273,4 @@ func writePairs(space *vm.Space, interArr *core.Array, startsAddr vm.Addr,
 	for i, s := range starts {
 		space.WriteI64(startsAddr+vm.Addr(8*i), int64(s))
 	}
-}
-
-// collectShared reads the final coordinates and forces through proc 0's
-// space (demand-fetching whatever it does not hold).
-func collectShared(d *tmk.DSM, xArr, fArr *core.Array, n int) (x, f []float64) {
-	s := d.Node(0).Space()
-	x = make([]float64, 3*n)
-	f = make([]float64, 3*n)
-	for i := 0; i < 3*n; i++ {
-		x[i] = s.ReadF64(xArr.Base + vm.Addr(8*i))
-		f[i] = s.ReadF64(fArr.Base + vm.Addr(8*i))
-	}
-	return
 }

@@ -3,7 +3,8 @@
 // interface and self-registers a named factory from an init function.
 // The table commands and the bench harness iterate the registry instead
 // of hard-coding per-app calls, so opening a new workload is: implement
-// the four backends, register a factory, done.
+// the four backends on an Episode, register a factory returning them as
+// Variants, done.
 package apps
 
 import (
@@ -27,6 +28,19 @@ type Workload interface {
 	TmkBase() *Result
 	TmkOpt() *Result
 }
+
+// Variants is the Workload every app's factory returns: its name and
+// four backend funcs closed over the generated workload, one per slot.
+type Variants struct {
+	App                               string
+	RunSeq, RunChaos, RunBase, RunOpt func() *Result
+}
+
+func (v Variants) Name() string        { return v.App }
+func (v Variants) Sequential() *Result { return v.RunSeq() }
+func (v Variants) Chaos() *Result      { return v.RunChaos() }
+func (v Variants) TmkBase() *Result    { return v.RunBase() }
+func (v Variants) TmkOpt() *Result     { return v.RunOpt() }
 
 // Config parameterizes a registered application's workload factory with
 // the knobs the harness sweeps. Zero Steps/Seed mean "app default"; N
