@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/chaos"
+	"repro/internal/sim"
 )
 
 // Costs is the compute-cost model (microseconds).
@@ -142,8 +143,8 @@ func RunSequential(w *Workload) *apps.Result {
 	x := append([]float64(nil), w.X0...)
 	forces := make([]float64, n)
 
-	cl := newSeqCluster()
-	proc := cl.Proc(0)
+	ep := apps.NewEpisode("seq", sim.DefaultConfig(1))
+	proc := ep.Cluster.Proc(0)
 	var t0 float64
 	for step := 0; step <= p.Steps; step++ {
 		if step == 1 {
@@ -168,13 +169,11 @@ func RunSequential(w *Workload) *apps.Result {
 		}
 		proc.Advance(p.Costs.IntegrateUSPerMol * float64(n))
 	}
-	return &apps.Result{
-		System:  "seq",
-		TimeSec: (proc.Time() - t0) / 1e6,
-		Speedup: 1,
-		Forces:  forces,
-		X:       x,
-	}
+	res := ep.Res
+	res.TimeSec = (proc.Time() - t0) / 1e6
+	res.Speedup = 1
+	res.Forces, res.X = forces, x
+	return res
 }
 
 func (w *Workload) String() string {

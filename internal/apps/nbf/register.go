@@ -1,4 +1,4 @@
-// Registry adapter: nbf as an apps.Workload. The factory maps the
+// Registry adapter: nbf as apps.Variants. The factory maps the
 // harness Config onto Params (knob "partners" sets the partner-list
 // length Table 2 uses).
 package nbf
@@ -7,24 +7,6 @@ import (
 	"repro/internal/apps"
 	"repro/internal/mem"
 )
-
-// App adapts a generated nbf workload to the registry interface.
-type App struct{ W *Workload }
-
-// Name implements apps.Workload.
-func (a App) Name() string { return "nbf" }
-
-// Sequential implements apps.Workload.
-func (a App) Sequential() *apps.Result { return RunSequential(a.W) }
-
-// Chaos implements apps.Workload.
-func (a App) Chaos() *apps.Result { return RunChaos(a.W) }
-
-// TmkBase implements apps.Workload.
-func (a App) TmkBase() *apps.Result { return RunTmk(a.W, TmkOptions{}) }
-
-// TmkOpt implements apps.Workload.
-func (a App) TmkOpt() *apps.Result { return RunTmk(a.W, TmkOptions{Optimized: true}) }
 
 func init() {
 	apps.Register("nbf", func(cfg apps.Config) apps.Workload {
@@ -45,6 +27,12 @@ func init() {
 			p.TableKind = plan.Kind
 			p.TableCachePages = plan.CachePages
 		}
-		return App{W: Generate(p)}
+		w := Generate(p)
+		return apps.Variants{App: "nbf",
+			RunSeq:   func() *apps.Result { return RunSequential(w) },
+			RunChaos: func() *apps.Result { return RunChaos(w) },
+			RunBase:  func() *apps.Result { return RunTmk(w, TmkOptions{}) },
+			RunOpt:   func() *apps.Result { return RunTmk(w, TmkOptions{Optimized: true}) },
+		}
 	}, "partners", "page_size", "table_budget_kb")
 }

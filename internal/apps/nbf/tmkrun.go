@@ -19,10 +19,6 @@ const (
 	barIntegrate
 )
 
-func newSeqCluster() *sim.Cluster {
-	return sim.NewCluster(sim.DefaultConfig(1))
-}
-
 // TmkOptions selects the TreadMarks variant and ablation knobs.
 type TmkOptions struct {
 	Optimized     bool
@@ -37,7 +33,8 @@ func RunTmk(w *Workload, opt TmkOptions) *apps.Result {
 	n := p.N
 	cost := p.Costs
 
-	cl := sim.NewCluster(p.Machine.Config(nprocs))
+	ep := apps.NewEpisode(apps.TmkSystem(opt.Optimized), p.Machine.Config(nprocs))
+	cl := ep.Cluster
 	arenaBytes := apps.PageRound(8*n, p.PageSize)*2 + apps.PageRound(4*n*p.Partners, p.PageSize) + 8*p.PageSize
 	d := tmk.New(cl, p.PageSize, arenaBytes)
 
@@ -59,12 +56,8 @@ func RunTmk(w *Workload, opt TmkOptions) *apps.Result {
 	}
 	d.SealInit()
 
-	res := &apps.Result{System: "tmk"}
-	if opt.Optimized {
-		res.System = "tmk-opt"
-	}
-	meas := apps.NewMeasure(cl)
-	scans := make([]float64, nprocs)
+	meas := ep.Meas
+	scans := ep.PerProc("scan_s")
 
 	cl.Run(func(proc *sim.Proc) {
 		me := proc.ID()
@@ -78,16 +71,6 @@ func RunTmk(w *Workload, opt TmkOptions) *apps.Result {
 		lf := make([]float64, n)
 		cl.Mem.Alloc(me, apps.MemCatPrivate, int64(8*len(lf)))
 		mlo, mhi := chaos.BlockRange(n, nprocs, me)
-
-		redAccess := func(s int) core.AccessType {
-			if opt.NoWriteAll {
-				return core.ReadWrite
-			}
-			if s == 0 {
-				return core.WriteAll
-			}
-			return core.ReadWriteAll
-		}
 
 		for step := 0; step <= p.Steps; step++ {
 			if step == 1 {
@@ -120,30 +103,7 @@ func RunTmk(w *Workload, opt TmkOptions) *apps.Result {
 			proc.Advance(cost.InteractionUS * float64((mhi-mlo)*p.Partners))
 
 			// Pipelined reduction into the shared forces.
-			for s := 0; s < nprocs; s++ {
-				b := (me + s) % nprocs
-				blo, bhi := chaos.BlockRange(n, nprocs, b)
-				if blo < bhi {
-					if opt.Optimized {
-						rt.Validate(core.Desc{
-							Type: core.Direct, Data: fArr,
-							Section: rsd.Range1(blo, bhi-1),
-							Access:  redAccess(s), Sched: 2,
-						})
-					}
-					if s == 0 {
-						for j := blo; j < bhi; j++ {
-							space.WriteF64(fArr.Addr(j), lf[j])
-						}
-					} else {
-						for j := blo; j < bhi; j++ {
-							space.WriteF64(fArr.Addr(j), space.ReadF64(fArr.Addr(j))+lf[j])
-						}
-					}
-					proc.Advance(cost.ReduceUSPerElem * float64(bhi-blo))
-				}
-				node.Barrier(barPipeline)
-			}
+			apps.PipelinedReduce(proc, node, rt, fArr, lf, 1, barPipeline, opt.NoWriteAll, cost.ReduceUSPerElem)
 
 			// Integrate own block.
 			if mlo < mhi {
@@ -168,29 +128,9 @@ func RunTmk(w *Workload, opt TmkOptions) *apps.Result {
 		cl.Mem.Free(me, apps.MemCatPrivate, int64(8*len(lf)))
 	})
 
-	res.TimeSec = meas.TimeSec()
-	res.Messages, res.DataMB = meas.Traffic()
-	res.SetMemStats(meas.MemStats())
-	for k, v := range meas.Categories() {
-		res.AddDetail("msgs."+k, float64(v.Messages))
-		res.AddDetail("mb."+k, float64(v.Bytes)/1e6)
-	}
-	worst := 0.0
-	for _, s := range scans {
-		if s > worst {
-			worst = s
-		}
-	}
-	res.AddDetail("scan_s", worst)
-
-	// Collect final state via proc 0 (outside the window).
-	s := d.Node(0).Space()
-	res.X = make([]float64, n)
-	res.Forces = make([]float64, n)
-	for i := 0; i < n; i++ {
-		res.X[i] = s.ReadF64(xArr.Addr(i))
-		res.Forces[i] = s.ReadF64(fArr.Addr(i))
-	}
+	ep.Finish()
+	ep.TrafficDetail()
+	ep.CollectShared(d, xArr, fArr, n)
 	d.Close()
-	return res
+	return ep.Res
 }
