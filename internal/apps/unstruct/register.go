@@ -1,31 +1,19 @@
-// Registry adapter: the unstructured-mesh sweep as an apps.Workload.
+// Registry adapter: the unstructured-mesh sweep as apps.Variants.
 package unstruct
 
 import "repro/internal/apps"
-
-// App adapts a generated mesh workload to the registry interface.
-type App struct{ W *Workload }
-
-// Name implements apps.Workload.
-func (a App) Name() string { return "unstruct" }
-
-// Sequential implements apps.Workload.
-func (a App) Sequential() *apps.Result { return RunSequential(a.W) }
-
-// Chaos implements apps.Workload.
-func (a App) Chaos() *apps.Result { return RunChaos(a.W) }
-
-// TmkBase implements apps.Workload.
-func (a App) TmkBase() *apps.Result { return RunTmk(a.W, TmkOptions{}) }
-
-// TmkOpt implements apps.Workload.
-func (a App) TmkOpt() *apps.Result { return RunTmk(a.W, TmkOptions{Optimized: true}) }
 
 func init() {
 	apps.Register("unstruct", func(cfg apps.Config) apps.Workload {
 		p := DefaultParams(cfg.N, cfg.Procs)
 		cfg.ApplyCommon(&p.Steps, &p.Seed)
 		p.Machine = cfg.Machine
-		return App{W: Generate(p)}
+		w := Generate(p)
+		return apps.Variants{App: "unstruct",
+			RunSeq:   func() *apps.Result { return RunSequential(w) },
+			RunChaos: func() *apps.Result { return RunChaos(w) },
+			RunBase:  func() *apps.Result { return RunTmk(w, TmkOptions{}) },
+			RunOpt:   func() *apps.Result { return RunTmk(w, TmkOptions{Optimized: true}) },
+		}
 	})
 }

@@ -190,8 +190,8 @@ func partitionEdges(w *Workload, part *chaos.Partition) (sorted [][2]int32, star
 // RunSequential is the reference program.
 func RunSequential(w *Workload) *apps.Result {
 	p := w.P
-	cl := sim.NewCluster(sim.DefaultConfig(1))
-	proc := cl.Proc(0)
+	ep := apps.NewEpisode("seq", sim.DefaultConfig(1))
+	proc := ep.Cluster.Proc(0)
 	x := append([]float64(nil), w.X0...)
 	y := make([]float64, p.Nodes)
 	var t0 float64
@@ -214,8 +214,11 @@ func RunSequential(w *Workload) *apps.Result {
 		}
 		proc.Advance(p.Costs.RelaxUSPerNode * float64(p.Nodes))
 	}
-	return &apps.Result{System: "seq", TimeSec: (proc.Time() - t0) / 1e6,
-		Speedup: 1, Forces: y, X: x}
+	res := ep.Res
+	res.TimeSec = (proc.Time() - t0) / 1e6
+	res.Speedup = 1
+	res.Forces, res.X = y, x
+	return res
 }
 
 // TmkOptions selects the TreadMarks variant.
@@ -235,7 +238,8 @@ func RunTmk(w *Workload, opt TmkOptions) *apps.Result {
 	n := p.Nodes
 	cost := p.Costs
 
-	cl := sim.NewCluster(p.Machine.Config(nprocs))
+	ep := apps.NewEpisode(apps.TmkSystem(opt.Optimized), p.Machine.Config(nprocs))
+	cl := ep.Cluster
 	arenaBytes := apps.PageRound(8*n, p.PageSize)*2 + apps.PageRound(8*len(w.Edges), p.PageSize) + 4*p.PageSize
 	d := tmk.New(cl, p.PageSize, arenaBytes)
 	xArr := &core.Array{Name: "x", Base: d.Alloc(8 * n), ElemSize: 8, Len: n}
@@ -255,12 +259,6 @@ func RunTmk(w *Workload, opt TmkOptions) *apps.Result {
 	}
 	d.SealInit()
 
-	res := &apps.Result{System: "tmk"}
-	if opt.Optimized {
-		res.System = "tmk-opt"
-	}
-	meas := apps.NewMeasure(cl)
-
 	cl.Run(func(proc *sim.Proc) {
 		me := proc.ID()
 		node := d.Node(me)
@@ -275,7 +273,7 @@ func RunTmk(w *Workload, opt TmkOptions) *apps.Result {
 
 		for step := 0; step <= p.Steps; step++ {
 			if step == 1 {
-				meas.Start(proc)
+				ep.Meas.Start(proc)
 			}
 			if opt.Optimized && lo < hi {
 				rt.Validate(core.Desc{
@@ -298,31 +296,7 @@ func RunTmk(w *Workload, opt TmkOptions) *apps.Result {
 			}
 			proc.Advance(cost.EdgeUS * float64(hi-lo))
 
-			for s := 0; s < nprocs; s++ {
-				b := (me + s) % nprocs
-				blo, bhi := chaos.BlockRange(n, nprocs, b)
-				if blo < bhi {
-					acc := core.ReadWriteAll
-					if s == 0 {
-						acc = core.WriteAll
-					}
-					if opt.Optimized {
-						rt.Validate(core.Desc{Type: core.Direct, Data: yArr,
-							Section: rsd.Range1(blo, bhi-1), Access: acc, Sched: 2})
-					}
-					if s == 0 {
-						for j := blo; j < bhi; j++ {
-							space.WriteF64(yArr.Addr(j), ly[j])
-						}
-					} else {
-						for j := blo; j < bhi; j++ {
-							space.WriteF64(yArr.Addr(j), space.ReadF64(yArr.Addr(j))+ly[j])
-						}
-					}
-					proc.Advance(cost.ReduceUSPerElem * float64(bhi-blo))
-				}
-				node.Barrier(barPipeline)
-			}
+			apps.PipelinedReduce(proc, node, rt, yArr, ly, 1, barPipeline, false, cost.ReduceUSPerElem)
 
 			if mlo < mhi {
 				if opt.Optimized {
@@ -341,21 +315,15 @@ func RunTmk(w *Workload, opt TmkOptions) *apps.Result {
 			}
 			node.Barrier(barRelax)
 		}
-		meas.End(proc)
+		ep.Meas.End(proc)
 	})
 
-	res.TimeSec = meas.TimeSec()
-	res.Messages, res.DataMB = meas.Traffic()
-	res.SetMemStats(meas.MemStats())
-	s := d.Node(0).Space()
-	res.X = make([]float64, n)
-	res.Forces = make([]float64, n)
-	for i := 0; i < n; i++ {
-		res.X[i] = s.ReadF64(xArr.Addr(i))
-		res.Forces[i] = s.ReadF64(yArr.Addr(i))
-	}
+	// unstruct reports no traffic detail and no scan_s, unlike the other
+	// barrier apps; the benchmark's result fingerprints pin that gap.
+	ep.Finish()
+	ep.CollectShared(d, xArr, yArr, n)
 	d.Close()
-	return res
+	return ep.Res
 }
 
 // RunChaos executes the mesh sweep with the inspector-executor library.
@@ -366,7 +334,9 @@ func RunChaos(w *Workload) *apps.Result {
 	cost := p.Costs
 	ecost := chaos.DefaultExecutorCost()
 
-	cl := sim.NewCluster(p.Machine.Config(nprocs))
+	ep := apps.NewEpisode("chaos", p.Machine.Config(nprocs))
+	ep.Res.TableOrg = chaos.Replicated.String()
+	cl := ep.Cluster
 	part := chaos.RCB(w.Coords, nprocs)
 	tt := chaos.NewTransTable(part, chaos.Replicated)
 	counts := part.Counts()
@@ -377,9 +347,7 @@ func RunChaos(w *Workload) *apps.Result {
 		ownGlobals[part.Owner[g]] = append(ownGlobals[part.Owner[g]], g)
 	}
 
-	res := &apps.Result{System: "chaos", TableOrg: chaos.Replicated.String()}
-	meas := apps.NewMeasure(cl)
-	inspectorSec := make([]float64, nprocs)
+	inspectorSec := ep.PerProc("inspector_s")
 	finalX := make([][]float64, nprocs)
 	finalY := make([][]float64, nprocs)
 
@@ -407,7 +375,7 @@ func RunChaos(w *Workload) *apps.Result {
 		tag := 0
 		for step := 0; step <= p.Steps; step++ {
 			if step == 1 {
-				meas.Start(proc)
+				ep.Meas.Start(proc)
 			}
 			tag++
 			chaos.Gather(proc, tag, sch, xLoc, 1, ecost)
@@ -430,7 +398,7 @@ func RunChaos(w *Workload) *apps.Result {
 			}
 			proc.Advance(cost.RelaxUSPerNode * float64(own))
 		}
-		meas.End(proc)
+		ep.Meas.End(proc)
 		finalX[me] = xLoc[:own]
 		finalY[me] = yLoc[:own]
 		cl.Mem.Free(me, apps.MemCatData, int64(2*8*slots))
@@ -438,16 +406,7 @@ func RunChaos(w *Workload) *apps.Result {
 	})
 	tt.ReleaseMem(cl)
 
-	res.TimeSec = meas.TimeSec()
-	res.Messages, res.DataMB = meas.Traffic()
-	res.SetMemStats(meas.MemStats())
-	worst := 0.0
-	for _, s := range inspectorSec {
-		if s > worst {
-			worst = s
-		}
-	}
-	res.AddDetail("inspector_s", worst)
+	res := ep.Finish() // no traffic detail (see RunTmk)
 
 	res.X = make([]float64, n)
 	res.Forces = make([]float64, n)
