@@ -20,15 +20,15 @@ func RunChaos(w *Workload) *apps.Result {
 	icost := p.Inspector
 	ecost := chaos.DefaultExecutorCost()
 
-	cl := sim.NewCluster(p.Machine.Config(nprocs))
+	ep := apps.NewEpisode("chaos", p.Machine.Config(nprocs))
+	ep.Res.TableOrg = p.TableKind.String()
+	cl := ep.Cluster
 	part := chaos.Block(n, nprocs)
 	tt := chaos.NewTransTable(part, p.TableKind)
 	tt.CachePages = p.TableCachePages
 	counts := part.Counts()
 
-	res := &apps.Result{System: "chaos", TableOrg: p.TableKind.String()}
-	meas := apps.NewMeasure(cl)
-	inspectorSec := make([]float64, nprocs)
+	inspectorSec := ep.PerProc("inspector_s")
 	finalX := make([][]float64, nprocs)
 	finalY := make([][]float64, nprocs)
 
@@ -61,7 +61,7 @@ func RunChaos(w *Workload) *apps.Result {
 		tag := 0
 		for step := 0; step <= p.Steps; step++ {
 			if step == 1 {
-				meas.Start(proc)
+				ep.Meas.Start(proc)
 			}
 			tag++
 			chaos.Gather(proc, tag, sch, xLoc, 1, ecost)
@@ -78,7 +78,7 @@ func RunChaos(w *Workload) *apps.Result {
 			}
 			proc.Advance(cost.RefreshUSPerRow * float64(rhi-rlo))
 		}
-		meas.End(proc)
+		ep.Meas.End(proc)
 		finalX[me] = xLoc[:own]
 		finalY[me] = yLoc
 		cl.Mem.Free(me, apps.MemCatData, int64(8*(2*own+sch.Ghosts)))
@@ -86,20 +86,8 @@ func RunChaos(w *Workload) *apps.Result {
 	})
 	tt.ReleaseMem(cl)
 
-	res.TimeSec = meas.TimeSec()
-	res.Messages, res.DataMB = meas.Traffic()
-	res.SetMemStats(meas.MemStats())
-	for k, v := range meas.Categories() {
-		res.AddDetail("msgs."+k, float64(v.Messages))
-		res.AddDetail("mb."+k, float64(v.Bytes)/1e6)
-	}
-	worst := 0.0
-	for _, s := range inspectorSec {
-		if s > worst {
-			worst = s
-		}
-	}
-	res.AddDetail("inspector_s", worst)
+	res := ep.Finish()
+	ep.TrafficDetail()
 
 	// Assemble global state (block partition: local offsets are dense in
 	// global order).

@@ -1,4 +1,4 @@
-// Registry adapter: spmv as an apps.Workload (knob "nnz_row" sets the
+// Registry adapter: spmv as apps.Variants (knob "nnz_row" sets the
 // nonzeros per row).
 package spmv
 
@@ -6,24 +6,6 @@ import (
 	"repro/internal/apps"
 	"repro/internal/mem"
 )
-
-// App adapts a generated spmv workload to the registry interface.
-type App struct{ W *Workload }
-
-// Name implements apps.Workload.
-func (a App) Name() string { return "spmv" }
-
-// Sequential implements apps.Workload.
-func (a App) Sequential() *apps.Result { return RunSequential(a.W) }
-
-// Chaos implements apps.Workload.
-func (a App) Chaos() *apps.Result { return RunChaos(a.W) }
-
-// TmkBase implements apps.Workload.
-func (a App) TmkBase() *apps.Result { return RunTmk(a.W, TmkOptions{}) }
-
-// TmkOpt implements apps.Workload.
-func (a App) TmkOpt() *apps.Result { return RunTmk(a.W, TmkOptions{Optimized: true}) }
 
 func init() {
 	apps.Register("spmv", func(cfg apps.Config) apps.Workload {
@@ -38,6 +20,12 @@ func init() {
 			p.TableKind = plan.Kind
 			p.TableCachePages = plan.CachePages
 		}
-		return App{W: Generate(p)}
+		w := Generate(p)
+		return apps.Variants{App: "spmv",
+			RunSeq:   func() *apps.Result { return RunSequential(w) },
+			RunChaos: func() *apps.Result { return RunChaos(w) },
+			RunBase:  func() *apps.Result { return RunTmk(w, TmkOptions{}) },
+			RunOpt:   func() *apps.Result { return RunTmk(w, TmkOptions{Optimized: true}) },
+		}
 	}, "nnz_row", "page_size", "far_per_row", "table_budget_kb")
 }

@@ -176,8 +176,8 @@ func RunSequential(w *Workload) *apps.Result {
 	x := append([]float64(nil), w.X0...)
 	y := make([]float64, n)
 
-	cl := sim.NewCluster(sim.DefaultConfig(1))
-	proc := cl.Proc(0)
+	ep := apps.NewEpisode("seq", sim.DefaultConfig(1))
+	proc := ep.Cluster.Proc(0)
 	var t0 float64
 	for step := 0; step <= p.Steps; step++ {
 		if step == 1 {
@@ -192,13 +192,11 @@ func RunSequential(w *Workload) *apps.Result {
 		}
 		proc.Advance(p.Costs.RefreshUSPerRow * float64(n))
 	}
-	return &apps.Result{
-		System:  "seq",
-		TimeSec: (proc.Time() - t0) / 1e6,
-		Speedup: 1,
-		Forces:  y,
-		X:       x,
-	}
+	res := ep.Res
+	res.TimeSec = (proc.Time() - t0) / 1e6
+	res.Speedup = 1
+	res.Forces, res.X = y, x
+	return res
 }
 
 func (w *Workload) String() string {

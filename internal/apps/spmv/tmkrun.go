@@ -34,7 +34,8 @@ func RunTmk(w *Workload, opt TmkOptions) *apps.Result {
 	nnz := n * p.NNZRow
 	cost := p.Costs
 
-	cl := sim.NewCluster(p.Machine.Config(nprocs))
+	ep := apps.NewEpisode(apps.TmkSystem(opt.Optimized), p.Machine.Config(nprocs))
+	cl := ep.Cluster
 	arenaBytes := apps.PageRound(8*n, p.PageSize)*2 +
 		apps.PageRound(4*nnz, p.PageSize) + apps.PageRound(8*nnz, p.PageSize) + 8*p.PageSize
 	d := tmk.New(cl, p.PageSize, arenaBytes)
@@ -55,12 +56,7 @@ func RunTmk(w *Workload, opt TmkOptions) *apps.Result {
 	}
 	d.SealInit()
 
-	res := &apps.Result{System: "tmk"}
-	if opt.Optimized {
-		res.System = "tmk-opt"
-	}
-	meas := apps.NewMeasure(cl)
-	scans := make([]float64, nprocs)
+	scans := ep.PerProc("scan_s")
 
 	cl.Run(func(proc *sim.Proc) {
 		me := proc.ID()
@@ -74,7 +70,7 @@ func RunTmk(w *Workload, opt TmkOptions) *apps.Result {
 
 		for step := 0; step <= p.Steps; step++ {
 			if step == 1 {
-				meas.Start(proc)
+				ep.Meas.Start(proc)
 			}
 			if opt.Optimized && rlo < rhi {
 				before := rt.ScanEntries
@@ -111,32 +107,12 @@ func RunTmk(w *Workload, opt TmkOptions) *apps.Result {
 			proc.Advance(cost.RefreshUSPerRow * float64(rhi-rlo))
 			node.Barrier(barRefresh)
 		}
-		meas.End(proc)
+		ep.Meas.End(proc)
 	})
 
-	res.TimeSec = meas.TimeSec()
-	res.Messages, res.DataMB = meas.Traffic()
-	res.SetMemStats(meas.MemStats())
-	for k, v := range meas.Categories() {
-		res.AddDetail("msgs."+k, float64(v.Messages))
-		res.AddDetail("mb."+k, float64(v.Bytes)/1e6)
-	}
-	worst := 0.0
-	for _, s := range scans {
-		if s > worst {
-			worst = s
-		}
-	}
-	res.AddDetail("scan_s", worst)
-
-	// Collect final state via proc 0 (outside the window).
-	s := d.Node(0).Space()
-	res.X = make([]float64, n)
-	res.Forces = make([]float64, n)
-	for i := 0; i < n; i++ {
-		res.X[i] = s.ReadF64(xArr.Addr(i))
-		res.Forces[i] = s.ReadF64(yArr.Addr(i))
-	}
+	ep.Finish()
+	ep.TrafficDetail()
+	ep.CollectShared(d, xArr, yArr, n)
 	d.Close()
-	return res
+	return ep.Res
 }
