@@ -22,13 +22,12 @@ const (
 func RunMP(w *Workload) *apps.Result {
 	p := w.P
 	nprocs := p.Procs
-	cl := sim.NewCluster(p.Machine.Config(nprocs))
-	meas := apps.NewMeasure(cl)
+	ep := apps.NewEpisode("mp", p.Machine.Config(nprocs))
 
 	var counter, sum int64
-	cl.Run(func(proc *sim.Proc) {
+	ep.Cluster.Run(func(proc *sim.Proc) {
 		me := proc.ID()
-		meas.Start(proc)
+		ep.Meas.Start(proc)
 		if nprocs == 1 {
 			// Degenerate cluster: the master drains the queue itself.
 			for i := 0; i < p.N; i++ {
@@ -36,7 +35,7 @@ func RunMP(w *Workload) *apps.Result {
 				sum += int64(i)
 				proc.Advance(w.WorkUS[i])
 			}
-			meas.End(proc)
+			ep.Meas.End(proc)
 			return
 		}
 		if me == 0 {
@@ -69,16 +68,10 @@ func RunMP(w *Workload) *apps.Result {
 				proc.Advance(w.WorkUS[idx])
 			}
 		}
-		meas.End(proc)
+		ep.Meas.End(proc)
 	})
 
-	res := resultOf("mp", counter, sum)
-	res.TimeSec = meas.TimeSec()
-	res.Messages, res.DataMB = meas.Traffic()
-	res.SetMemStats(meas.MemStats())
-	for k, v := range meas.Categories() {
-		res.AddDetail("msgs."+k, float64(v.Messages))
-		res.AddDetail("mb."+k, float64(v.Bytes)/1e6)
-	}
+	res := resultOf(ep.Finish(), counter, sum)
+	ep.TrafficDetail()
 	return res
 }

@@ -1,4 +1,4 @@
-// Registry adapter: taskq as an apps.Workload. The registry's Chaos
+// Registry adapter: taskq as apps.Variants. The registry's Chaos
 // slot runs the message-passing master/worker program and the TmkOpt
 // slot the batched-claim variant. Knobs: "batch" (items per lock
 // acquire in the batched variant), "work_lo"/"work_hi" (per-item cost
@@ -6,24 +6,6 @@
 package taskq
 
 import "repro/internal/apps"
-
-// App adapts a generated taskq workload to the registry interface.
-type App struct{ W *Workload }
-
-// Name implements apps.Workload.
-func (a App) Name() string { return "taskq" }
-
-// Sequential implements apps.Workload.
-func (a App) Sequential() *apps.Result { return RunSequential(a.W) }
-
-// Chaos implements apps.Workload (the message-passing variant).
-func (a App) Chaos() *apps.Result { return RunMP(a.W) }
-
-// TmkBase implements apps.Workload.
-func (a App) TmkBase() *apps.Result { return RunTmk(a.W, TmkOptions{}) }
-
-// TmkOpt implements apps.Workload (the batched-claim variant).
-func (a App) TmkOpt() *apps.Result { return RunTmk(a.W, TmkOptions{Batched: true}) }
 
 func init() {
 	apps.Register("taskq", func(cfg apps.Config) apps.Workload {
@@ -41,6 +23,12 @@ func init() {
 		p.WorkLoUS = cfg.Knob("work_lo", p.WorkLoUS)
 		p.WorkHiUS = cfg.Knob("work_hi", p.WorkHiUS)
 		p.PageSize = cfg.Knob("page_size", p.PageSize)
-		return App{W: Generate(p)}
+		w := Generate(p)
+		return apps.Variants{App: "taskq",
+			RunSeq:   func() *apps.Result { return RunSequential(w) },
+			RunChaos: func() *apps.Result { return RunMP(w) },
+			RunBase:  func() *apps.Result { return RunTmk(w, TmkOptions{}) },
+			RunOpt:   func() *apps.Result { return RunTmk(w, TmkOptions{Batched: true}) },
+		}
 	}, "batch", "work_lo", "work_hi", "page_size")
 }

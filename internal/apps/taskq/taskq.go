@@ -82,38 +82,28 @@ func Generate(p Params) *Workload {
 	return w
 }
 
-// checkSum is the assignment-independent invariant: Σ i for i in [0,N).
-func (w *Workload) checkSum() int64 {
-	n := int64(w.P.N)
-	return n * (n - 1) / 2
-}
-
-// resultOf packages the final counter and checksum as the common Result
+// resultOf stores the final counter and checksum as the common Result
 // state (X = [counter], Forces = [checksum]), asserted with == across
 // variants by the harness.
-func resultOf(system string, counter, sum int64) *apps.Result {
-	return &apps.Result{
-		System: system,
-		X:      []float64{float64(counter)},
-		Forces: []float64{float64(sum)},
-	}
+func resultOf(r *apps.Result, counter, sum int64) *apps.Result {
+	r.X, r.Forces = []float64{float64(counter)}, []float64{float64(sum)}
+	return r
 }
 
 // RunSequential is the reference program: one processor drains the
 // whole queue.
 func RunSequential(w *Workload) *apps.Result {
-	cl := sim.NewCluster(sim.DefaultConfig(1))
-	proc := cl.Proc(0)
-	meas := apps.NewMeasure(cl)
-	meas.Start(proc)
+	ep := apps.NewEpisode("seq", sim.DefaultConfig(1))
+	proc := ep.Cluster.Proc(0)
+	ep.Meas.Start(proc)
 	var sum int64
 	for i := 0; i < w.P.N; i++ {
 		sum += int64(i)
 		proc.Advance(w.WorkUS[i])
 	}
-	meas.End(proc)
-	res := resultOf("seq", int64(w.P.N), sum)
-	res.TimeSec = meas.TimeSec()
+	ep.Meas.End(proc)
+	res := resultOf(ep.Res, int64(w.P.N), sum)
+	res.TimeSec = ep.Meas.TimeSec()
 	res.Speedup = 1
 	return res
 }

@@ -26,25 +26,23 @@ func RunTmk(w *Workload, opt TmkOptions) *apps.Result {
 	p := w.P
 	nprocs := p.Procs
 	batch := int64(1)
-	system := "tmk"
 	if opt.Batched {
 		batch = int64(p.Batch)
-		system = "tmk-opt"
 	}
 
-	cl := sim.NewCluster(p.Machine.Config(nprocs))
+	ep := apps.NewEpisode(apps.TmkSystem(opt.Batched), p.Machine.Config(nprocs))
+	cl := ep.Cluster
 	d := tmk.New(cl, p.PageSize, 2*p.PageSize)
 	cAddr := d.Alloc(8)
 	d.Node(0).Space().WriteI64(cAddr, 0)
 	d.SealInit()
 
-	meas := apps.NewMeasure(cl)
 	sums := make([]int64, nprocs)
 	cl.Run(func(proc *sim.Proc) {
 		me := proc.ID()
 		node := d.Node(me)
 		space := node.Space()
-		meas.Start(proc)
+		ep.Meas.Start(proc)
 		for {
 			node.AcquireLock(lockCounter)
 			lo := space.ReadI64(cAddr)
@@ -66,7 +64,7 @@ func RunTmk(w *Workload, opt TmkOptions) *apps.Result {
 			}
 		}
 		node.Barrier(1)
-		meas.End(proc)
+		ep.Meas.End(proc)
 	})
 
 	var sum int64
@@ -74,15 +72,8 @@ func RunTmk(w *Workload, opt TmkOptions) *apps.Result {
 		sum += s
 	}
 	counter := d.Node(0).Space().ReadI64(cAddr)
-	res := resultOf(system, counter, sum)
-	res.TimeSec = meas.TimeSec()
-	res.Messages, res.DataMB = meas.Traffic()
-	for k, v := range meas.Categories() {
-		res.AddDetail("msgs."+k, float64(v.Messages))
-		res.AddDetail("mb."+k, float64(v.Bytes)/1e6)
-	}
-	res.SetLockStats(meas.LockStats())
-	res.SetMemStats(meas.MemStats())
+	res := resultOf(ep.Finish(), counter, sum)
+	ep.TrafficDetail()
 	d.Close()
 	return res
 }

@@ -32,16 +32,15 @@ func (m bestMsg) bytes() int { return 8 + 4*len(m.tour) }
 func RunMP(w *Workload) *apps.Result {
 	p := w.P
 	nprocs := p.Procs
-	cl := sim.NewCluster(p.Machine.Config(nprocs))
-	meas := apps.NewMeasure(cl)
+	ep := apps.NewEpisode("mp", p.Machine.Config(nprocs))
 	rounds := (len(w.Tasks) + nprocs - 1) / nprocs
 
 	finals := make([]*searcher, nprocs)
-	cl.Run(func(proc *sim.Proc) {
+	ep.Cluster.Run(func(proc *sim.Proc) {
 		me := proc.ID()
 		s := newSearcher(w)
 		finals[me] = s
-		meas.Start(proc)
+		ep.Meas.Start(proc)
 		for r := 0; r < rounds; r++ {
 			if ti := r*nprocs + me; ti < len(w.Tasks) {
 				nodes := s.exploreTask(w.Tasks[ti])
@@ -70,18 +69,12 @@ func RunMP(w *Workload) *apps.Result {
 				s.adopt(g.cost, g.tour)
 			}
 		}
-		meas.End(proc)
+		ep.Meas.End(proc)
 	})
 
 	master := finals[0]
-	res := resultOf("mp", master.bestCost, master.bestTour)
-	res.TimeSec = meas.TimeSec()
-	res.Messages, res.DataMB = meas.Traffic()
-	res.SetMemStats(meas.MemStats())
-	for k, v := range meas.Categories() {
-		res.AddDetail("msgs."+k, float64(v.Messages))
-		res.AddDetail("mb."+k, float64(v.Bytes)/1e6)
-	}
+	res := resultOf(ep.Finish(), master.bestCost, master.bestTour)
+	ep.TrafficDetail()
 	var nodes int64
 	for _, s := range finals {
 		nodes += s.nodes

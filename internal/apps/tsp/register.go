@@ -1,4 +1,4 @@
-// Registry adapter: TSP as an apps.Workload. The registry's Chaos slot
+// Registry adapter: TSP as apps.Variants. The registry's Chaos slot
 // runs the message-passing master/worker program (the PVM-style
 // contrast — TSP has no inspector-executor form), and the TmkOpt slot
 // runs the batched-claim variant. Knobs: "depth" (seed-task prefix
@@ -8,39 +8,32 @@ package tsp
 
 import "repro/internal/apps"
 
-// App adapts a generated TSP workload to the registry interface.
-type App struct{ W *Workload }
-
-// Name implements apps.Workload.
-func (a App) Name() string { return "tsp" }
-
-// Sequential implements apps.Workload.
-func (a App) Sequential() *apps.Result { return RunSequential(a.W) }
-
-// Chaos implements apps.Workload (the message-passing variant).
-func (a App) Chaos() *apps.Result { return RunMP(a.W) }
-
-// TmkBase implements apps.Workload.
-func (a App) TmkBase() *apps.Result { return RunTmk(a.W, TmkOptions{}) }
-
-// TmkOpt implements apps.Workload (the batched-claim variant).
-func (a App) TmkOpt() *apps.Result { return RunTmk(a.W, TmkOptions{Batched: true}) }
+// params maps the harness Config onto Params.
+func params(cfg apps.Config) Params {
+	if cfg.Steps != 0 {
+		// Branch and bound has no step count; a sweep over Steps must
+		// fail loudly, not produce identical runs.
+		panic("tsp: Steps is not a parameter of this workload")
+	}
+	p := DefaultParams(cfg.N, cfg.Procs)
+	if cfg.Seed != 0 {
+		p.Seed = cfg.Seed
+	}
+	p.Machine = cfg.Machine
+	p.SeedDepth = cfg.Knob("depth", p.SeedDepth)
+	p.Batch = cfg.Knob("batch", p.Batch)
+	p.PageSize = cfg.Knob("page_size", p.PageSize)
+	return p
+}
 
 func init() {
 	apps.Register("tsp", func(cfg apps.Config) apps.Workload {
-		if cfg.Steps != 0 {
-			// Branch and bound has no step count; a sweep over Steps
-			// must fail loudly, not produce identical runs.
-			panic("tsp: Steps is not a parameter of this workload")
+		w := Generate(params(cfg))
+		return apps.Variants{App: "tsp",
+			RunSeq:   func() *apps.Result { return RunSequential(w) },
+			RunChaos: func() *apps.Result { return RunMP(w) },
+			RunBase:  func() *apps.Result { return RunTmk(w, TmkOptions{}) },
+			RunOpt:   func() *apps.Result { return RunTmk(w, TmkOptions{Batched: true}) },
 		}
-		p := DefaultParams(cfg.N, cfg.Procs)
-		if cfg.Seed != 0 {
-			p.Seed = cfg.Seed
-		}
-		p.Machine = cfg.Machine
-		p.SeedDepth = cfg.Knob("depth", p.SeedDepth)
-		p.Batch = cfg.Knob("batch", p.Batch)
-		p.PageSize = cfg.Knob("page_size", p.PageSize)
-		return App{W: Generate(p)}
 	}, "depth", "batch", "page_size")
 }

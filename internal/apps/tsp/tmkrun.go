@@ -62,13 +62,12 @@ func RunTmk(w *Workload, opt TmkOptions) *apps.Result {
 	p := w.P
 	nprocs := p.Procs
 	batch := 1
-	system := "tmk"
 	if opt.Batched {
 		batch = p.Batch
-		system = "tmk-opt"
 	}
 
-	cl := sim.NewCluster(p.Machine.Config(nprocs))
+	ep := apps.NewEpisode(apps.TmkSystem(opt.Batched), p.Machine.Config(nprocs))
+	cl := ep.Cluster
 	d := tmk.New(cl, p.PageSize, 4*p.PageSize)
 	qAddr := d.Alloc(8)
 	bound := boundPage{base: d.Alloc(8 + 4*p.N), n: p.N}
@@ -78,7 +77,6 @@ func RunTmk(w *Workload, opt TmkOptions) *apps.Result {
 	s0.WriteI64(bound.base, noBest)
 	d.SealInit()
 
-	meas := apps.NewMeasure(cl)
 	finals := make([]*searcher, nprocs)
 	cl.Run(func(proc *sim.Proc) {
 		me := proc.ID()
@@ -86,7 +84,7 @@ func RunTmk(w *Workload, opt TmkOptions) *apps.Result {
 		space := node.Space()
 		s := newSearcher(w)
 		finals[me] = s
-		meas.Start(proc)
+		ep.Meas.Start(proc)
 		for {
 			node.AcquireLock(lockQueue)
 			lo := space.ReadI64(qAddr)
@@ -123,24 +121,17 @@ func RunTmk(w *Workload, opt TmkOptions) *apps.Result {
 		// every node (and the post-run state collection) sees the final
 		// bound.
 		node.Barrier(1)
-		meas.End(proc)
+		ep.Meas.End(proc)
 	})
 
 	cost, tour := bound.read(d.Node(0).Space())
-	res := resultOf(system, cost, tour)
-	res.TimeSec = meas.TimeSec()
-	res.Messages, res.DataMB = meas.Traffic()
-	for k, v := range meas.Categories() {
-		res.AddDetail("msgs."+k, float64(v.Messages))
-		res.AddDetail("mb."+k, float64(v.Bytes)/1e6)
-	}
+	res := resultOf(ep.Finish(), cost, tour)
+	ep.TrafficDetail()
 	var nodes int64
 	for _, s := range finals {
 		nodes += s.nodes
 	}
 	res.AddDetail("nodes", float64(nodes))
-	res.SetLockStats(meas.LockStats())
-	res.SetMemStats(meas.MemStats())
 	d.Close()
 	return res
 }

@@ -264,11 +264,10 @@ func (s *searcher) dfs(tour []int32, used []bool, cost int64) {
 	}
 }
 
-// resultOf packages a final (cost, tour) as the common Result state:
-// X is the tour (city ids, exact small integers) and Forces the
+// resultOf stores a final (cost, tour) as the common Result state: X
+// is the tour (city ids, exact small integers) and Forces the
 // single-element cost, so apps.VerifyEqual asserts the optimum with ==.
-func resultOf(system string, cost int64, tour []int32) *apps.Result {
-	r := &apps.Result{System: system}
+func resultOf(r *apps.Result, cost int64, tour []int32) *apps.Result {
 	r.Forces = []float64{float64(cost)}
 	r.X = make([]float64, len(tour))
 	for i, c := range tour {
@@ -281,19 +280,18 @@ func resultOf(system string, cost int64, tour []int32) *apps.Result {
 // task pool in queue order with the same searcher the parallel variants
 // use.
 func RunSequential(w *Workload) *apps.Result {
-	cl := sim.NewCluster(sim.DefaultConfig(1))
-	proc := cl.Proc(0)
+	ep := apps.NewEpisode("seq", sim.DefaultConfig(1))
+	proc := ep.Cluster.Proc(0)
 	s := newSearcher(w)
-	meas := apps.NewMeasure(cl)
-	meas.Start(proc)
+	ep.Meas.Start(proc)
 	for _, t := range w.Tasks {
 		nodes := s.exploreTask(t)
 		proc.Advance(w.P.Costs.NodeUS * float64(nodes))
 	}
-	meas.End(proc)
+	ep.Meas.End(proc)
 
-	res := resultOf("seq", s.bestCost, s.bestTour)
-	res.TimeSec = meas.TimeSec()
+	res := resultOf(ep.Res, s.bestCost, s.bestTour)
+	res.TimeSec = ep.Meas.TimeSec()
 	res.Speedup = 1
 	res.AddDetail("nodes", float64(s.nodes))
 	return res

@@ -151,14 +151,12 @@ func TestTmkDeterministicIncludingLockStats(t *testing.T) {
 }
 
 func TestRegistryKnobs(t *testing.T) {
-	w, err := apps.New("tsp", apps.Config{N: 8, Procs: 2,
-		Knobs: map[string]int{"depth": 2, "batch": 2}})
-	if err != nil {
+	cfg := apps.Config{N: 8, Procs: 2, Knobs: map[string]int{"depth": 2, "batch": 2}}
+	if _, err := apps.New("tsp", cfg); err != nil {
 		t.Fatal(err)
 	}
-	app := w.(App)
-	if app.W.P.SeedDepth != 2 || app.W.P.Batch != 2 {
-		t.Fatalf("knobs not applied: %+v", app.W.P)
+	if p := params(cfg); p.SeedDepth != 2 || p.Batch != 2 {
+		t.Fatalf("knobs not applied: %+v", p)
 	}
 	if _, err := apps.New("tsp", apps.Config{N: 8, Procs: 2,
 		Knobs: map[string]int{"bogus": 1}}); err == nil {
