@@ -279,29 +279,6 @@ func (r *Result) LockTotal() sim.LockStat {
 	return sim.TotalLockStat(r.Locks)
 }
 
-// SetLockStats stores the window's lock grid and mirrors the aggregate
-// as Detail entries ("lock_acquires", "lock_wait_s", "lock_hold_s",
-// "lock_grant_kb") so the generic detail printers show it.
-func (r *Result) SetLockStats(locks map[sim.LockKey]sim.LockStat) {
-	r.Locks = locks
-	t := sim.TotalLockStat(locks)
-	if t.IsZero() {
-		return
-	}
-	r.AddDetail("lock_acquires", float64(t.Acquires))
-	r.AddDetail("lock_wait_s", t.WaitUS/1e6)
-	r.AddDetail("lock_hold_s", t.HoldUS/1e6)
-	r.AddDetail("lock_grant_kb", float64(t.GrantBytes)/1e3)
-}
-
-// SetMemStats stores the window's memory ledger and per-processor
-// footprint totals (kept off Detail so the traffic tables' output is
-// unchanged; Table 5 reads these fields directly).
-func (r *Result) SetMemStats(snap map[sim.MemKey]sim.MemStat, peaks []sim.MemStat) {
-	r.Mem = snap
-	r.MemPeak = peaks
-}
-
 // MaxPeakMB returns the largest per-processor footprint high-water mark
 // in megabytes (zero for the sequential backend).
 func (r *Result) MaxPeakMB() float64 {
@@ -438,22 +415,6 @@ func (m *Measure) Traffic() (msgs int64, dataMB float64) {
 		bytes += end.Bytes - start.Bytes
 	}
 	return msgs, float64(bytes) / 1e6
-}
-
-// LockStats returns the per-(lock, processor) synchronization deltas
-// within the window.
-func (m *Measure) LockStats() map[sim.LockKey]sim.LockStat {
-	return sim.SubSnapshots(m.endSync, m.startSync)
-}
-
-// MemStats returns the simulated-memory ledger snapshotted inside the
-// End barrier (quiescent, hence consistent) plus the per-processor
-// footprint totals. Unlike traffic, footprints are ledger state rather
-// than flows — the snapshot deliberately includes memory allocated
-// before Start, because the arrays set up during initialization are
-// resident throughout the window.
-func (m *Measure) MemStats() (map[sim.MemKey]sim.MemStat, []sim.MemStat) {
-	return m.endMem, m.endMemPk
 }
 
 // Categories returns the per-category traffic within the window.

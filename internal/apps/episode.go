@@ -67,13 +67,33 @@ func (e *Episode) Finish() *Result {
 	r, m := e.Res, e.Meas
 	r.TimeSec = m.TimeSec()
 	r.Messages, r.DataMB = m.Traffic()
-	r.SetMemStats(m.MemStats())
+	// Footprints are ledger state rather than flows: the snapshot taken
+	// inside the End barrier includes the memory allocated before Start,
+	// because the arrays set up during initialization stay resident.
+	r.Mem, r.MemPeak = m.endMem, m.endMemPk
 	for _, p := range e.maxima {
 		r.AddDetail(p.key, slices.Max(p.sec))
 	}
-	if locks := m.LockStats(); len(locks) > 0 {
-		r.SetLockStats(locks)
+	// The lock grid's aggregate is mirrored into Detail so the generic
+	// detail printers show it.
+	if locks := sim.SubSnapshots(m.endSync, m.startSync); len(locks) > 0 {
+		r.Locks = locks
+		t := sim.TotalLockStat(locks)
+		r.AddDetail("lock_acquires", float64(t.Acquires))
+		r.AddDetail("lock_wait_s", t.WaitUS/1e6)
+		r.AddDetail("lock_hold_s", t.HoldUS/1e6)
+		r.AddDetail("lock_grant_kb", float64(t.GrantBytes)/1e3)
 	}
+	return r
+}
+
+// FinishSeq fills a sequential reference's result: the time its one
+// processor spent since t0, and the final state.
+func (e *Episode) FinishSeq(t0 float64, x, f []float64) *Result {
+	r := e.Res
+	r.TimeSec = (e.Cluster.Proc(0).Time() - t0) / 1e6
+	r.Speedup = 1
+	r.X, r.Forces = x, f
 	return r
 }
 
@@ -97,6 +117,37 @@ func (e *Episode) CollectShared(d *tmk.DSM, x, f *core.Array, n int) {
 		e.Res.X[i] = s.ReadF64(x.Base + vm.Addr(8*i))
 		e.Res.Forces[i] = s.ReadF64(f.Base + vm.Addr(8*i))
 	}
+}
+
+// Assemble stores a CHAOS backend's final state into the result in
+// global order: processor p's xs[p] and fs[p] hold width values for
+// each element of owned[p], in order.
+func (e *Episode) Assemble(owned [][]int, width int, xs, fs [][]float64) {
+	n := 0
+	for _, globals := range owned {
+		n += width * len(globals)
+	}
+	e.Res.X, e.Res.Forces = make([]float64, n), make([]float64, n)
+	for p, globals := range owned {
+		for k, g := range globals {
+			copy(e.Res.X[width*g:width*(g+1)], xs[p][width*k:])
+			copy(e.Res.Forces[width*g:width*(g+1)], fs[p][width*k:])
+		}
+	}
+}
+
+// RowRefs is a CHAOS inspector's reference stream for rows [lo, hi) of
+// a flat per-row index list: each row's own index, then its per
+// entries of refs.
+func RowRefs(lo, hi, per int, refs []int32) []int {
+	out := make([]int, 0, (hi-lo)*(per+1))
+	for i := lo; i < hi; i++ {
+		out = append(out, i)
+		for _, r := range refs[i*per : (i+1)*per] {
+			out = append(out, int(r))
+		}
+	}
+	return out
 }
 
 // PipelinedReduce is the paper's Figure 2 force reduction: the calling

@@ -16,9 +16,7 @@ import (
 func RunChaos(w *Workload) *apps.Result {
 	p := w.P
 	nprocs := p.Procs
-	n := p.N
 	cost := p.Costs
-	icost := p.Inspector
 	ecost := chaos.DefaultExecutorCost()
 
 	ep := apps.NewEpisode("chaos", p.simConfig())
@@ -29,17 +27,11 @@ func RunChaos(w *Workload) *apps.Result {
 	tt.CachePages = p.TableCachePages
 	counts := part.Counts()
 
-	// ownGlobals[p] lists the globals proc p owns, in local-offset order.
-	ownGlobals := make([][]int, nprocs)
-	for g := 0; g < n; g++ {
-		o := part.Owner[g]
-		ownGlobals[o] = append(ownGlobals[o], g)
-	}
+	ownGlobals := part.Owned() // in local-offset order
 
 	initPairs, _ := BuildPairs(&p, w.L, w.X0)
 	initSorted, initStarts := PartitionPairs(initPairs, part)
 
-	meas := ep.Meas
 	inspectorSec := ep.PerProc("inspector_s")
 
 	// Final state per proc for post-run assembly.
@@ -50,7 +42,7 @@ func RunChaos(w *Workload) *apps.Result {
 		me := proc.ID()
 		own := counts[me]
 		mem := &cl.Mem
-		meas.Start(proc)
+		ep.Meas.Start(proc)
 
 		// Working state: current pair section and local arrays.
 		pairs := initSorted[initStarts[me]:initStarts[me+1]]
@@ -74,7 +66,7 @@ func RunChaos(w *Workload) *apps.Result {
 			if sch != nil {
 				sch.ReleaseMem(proc) // replaced by the re-run below
 			}
-			sch = chaos.Inspect(proc, tag, globals, tt, icost)
+			sch = chaos.Inspect(proc, tag, globals, tt, p.Inspector)
 			slots := own + sch.Ghosts
 			mem.Free(me, apps.MemCatData, dataBytes)
 			dataBytes = int64(2 * 8 * 3 * slots) // xLoc + fLoc
@@ -148,7 +140,7 @@ func RunChaos(w *Workload) *apps.Result {
 			}
 			proc.Advance(cost.IntegrateUSPerMol * float64(own))
 		}
-		meas.End(proc)
+		ep.Meas.End(proc)
 		finalX[me] = xLoc[:3*own]
 		finalF[me] = fLoc[:3*own]
 		// Teardown: return the app-level charges so the ledger balances.
@@ -159,21 +151,10 @@ func RunChaos(w *Workload) *apps.Result {
 	})
 	tt.ReleaseMem(cl)
 
-	res := ep.Finish()
+	ep.Finish()
 	ep.TrafficDetail()
-
-	// Assemble global state from the remapped local arrays.
-	res.X = make([]float64, 3*n)
-	res.Forces = make([]float64, 3*n)
-	for pr := 0; pr < nprocs; pr++ {
-		for k, g := range ownGlobals[pr] {
-			for dd := 0; dd < 3; dd++ {
-				res.X[3*g+dd] = finalX[pr][3*k+dd]
-				res.Forces[3*g+dd] = finalF[pr][3*k+dd]
-			}
-		}
-	}
-	return res
+	ep.Assemble(ownGlobals, 3, finalX, finalF)
+	return ep.Res
 }
 
 // allgatherX refreshes every processor's replicated coordinate copy: each

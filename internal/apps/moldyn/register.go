@@ -23,12 +23,7 @@ func init() {
 			p.TableKind = plan.Kind
 			p.TableCachePages = plan.CachePages
 		}
-		w := Generate(p)
-		return apps.Variants{App: "moldyn",
-			RunSeq:   func() *apps.Result { return RunSequential(w) },
-			RunChaos: func() *apps.Result { return RunChaos(w) },
-			RunBase:  func() *apps.Result { return RunTmk(w, TmkOptions{}) },
-			RunOpt:   func() *apps.Result { return RunTmk(w, TmkOptions{Optimized: true}) },
-		}
+		return apps.NewVariants("moldyn", Generate(p), RunSequential, RunChaos, RunTmk,
+			TmkOptions{}, TmkOptions{Optimized: true})
 	}, "update_every", "table_budget_kb")
 }

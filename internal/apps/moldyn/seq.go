@@ -55,10 +55,6 @@ func RunSequential(w *Workload) *apps.Result {
 		proc.Advance(cost.IntegrateUSPerMol * float64(n))
 	}
 
-	res.TimeSec = proc.Time() / 1e6
-	res.Speedup = 1
-	res.Forces = forces
-	res.X = x
 	res.AddDetail("interactions", float64(interactions))
-	return res
+	return ep.FinishSeq(0, x, forces)
 }

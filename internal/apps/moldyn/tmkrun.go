@@ -75,7 +75,6 @@ func RunTmk(w *Workload, opt TmkOptions) *apps.Result {
 	writePairs(s0, interArr, startsAddr, sorted, starts)
 	d.SealInit()
 
-	meas := ep.Meas
 	scans := ep.PerProc("scan_s") // indirection-scan seconds
 
 	cl.Run(func(proc *sim.Proc) {
@@ -88,7 +87,7 @@ func RunTmk(w *Workload, opt TmkOptions) *apps.Result {
 			rt.NoAggregation = opt.NoAggregation
 			rt.Incremental = opt.Incremental
 		}
-		meas.Start(proc)
+		ep.Meas.Start(proc)
 
 		lf := make([]float64, 3*n) // private local_forces (full size; §5.1)
 		cl.Mem.Alloc(me, apps.MemCatPrivate, int64(8*len(lf)))
@@ -164,7 +163,7 @@ func RunTmk(w *Workload, opt TmkOptions) *apps.Result {
 			}
 			node.Barrier(barIntegrate)
 		}
-		meas.End(proc)
+		ep.Meas.End(proc)
 		cl.Mem.Free(me, apps.MemCatPrivate, int64(8*len(lf)))
 	})
 

@@ -12,7 +12,6 @@
 package moldyn
 
 import (
-	"fmt"
 	"math/rand"
 
 	"repro/internal/apps"
@@ -330,10 +329,4 @@ func (p *Params) simConfig() sim.Config {
 		cfg.MaxMsgB = p.MaxMsgB
 	}
 	return cfg
-}
-
-// String summarizes the workload.
-func (w *Workload) String() string {
-	return fmt.Sprintf("moldyn N=%d steps=%d update=%d procs=%d box=%.1f cutoff=%.1f",
-		w.P.N, w.P.Steps, w.P.UpdateEvery, w.P.Procs, w.L, w.P.Cutoff)
 }

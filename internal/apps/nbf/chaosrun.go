@@ -16,7 +16,6 @@ func RunChaos(w *Workload) *apps.Result {
 	nprocs := p.Procs
 	n := p.N
 	cost := p.Costs
-	icost := p.Inspector
 	ecost := chaos.DefaultExecutorCost()
 
 	ep := apps.NewEpisode("chaos", p.Machine.Config(nprocs))
@@ -27,7 +26,6 @@ func RunChaos(w *Workload) *apps.Result {
 	tt.CachePages = p.TableCachePages
 	counts := part.Counts()
 
-	meas := ep.Meas
 	inspectorSec := ep.PerProc("inspector_s")
 	finalX := make([][]float64, nprocs)
 	finalF := make([][]float64, nprocs)
@@ -39,14 +37,7 @@ func RunChaos(w *Workload) *apps.Result {
 
 		// Inspector: called once, at the beginning of the program.
 		t0 := proc.Clock()
-		globals := make([]int, 0, (mhi-mlo)*(p.Partners+1))
-		for i := mlo; i < mhi; i++ {
-			globals = append(globals, i)
-			for k := 0; k < p.Partners; k++ {
-				globals = append(globals, int(w.Partners[i*p.Partners+k]))
-			}
-		}
-		sch := chaos.Inspect(proc, 0, globals, tt, icost)
+		sch := chaos.Inspect(proc, 0, apps.RowRefs(mlo, mhi, p.Partners, w.Partners), tt, p.Inspector)
 		inspectorSec[me] = (proc.Clock() - t0) / 1e6
 
 		slots := own + sch.Ghosts
@@ -60,7 +51,7 @@ func RunChaos(w *Workload) *apps.Result {
 		tag := 0
 		for step := 0; step <= p.Steps; step++ {
 			if step == 1 {
-				meas.Start(proc)
+				ep.Meas.Start(proc)
 			}
 			tag++
 			chaos.Gather(proc, tag, sch, xLoc, 1, ecost)
@@ -88,7 +79,7 @@ func RunChaos(w *Workload) *apps.Result {
 			}
 			proc.Advance(cost.IntegrateUSPerMol * float64(mhi-mlo))
 		}
-		meas.End(proc)
+		ep.Meas.End(proc)
 		finalX[me] = xLoc[:own]
 		finalF[me] = fLoc[:own]
 		cl.Mem.Free(me, apps.MemCatData, int64(2*8*slots))
@@ -96,17 +87,8 @@ func RunChaos(w *Workload) *apps.Result {
 	})
 	tt.ReleaseMem(cl)
 
-	res := ep.Finish()
+	ep.Finish()
 	ep.TrafficDetail()
-
-	// Assemble global state (block partition: local offsets are dense in
-	// global order).
-	res.X = make([]float64, n)
-	res.Forces = make([]float64, n)
-	for pr := 0; pr < nprocs; pr++ {
-		lo, _ := chaos.BlockRange(n, nprocs, pr)
-		copy(res.X[lo:], finalX[pr])
-		copy(res.Forces[lo:], finalF[pr])
-	}
-	return res
+	ep.Assemble(part.Owned(), 1, finalX, finalF)
+	return ep.Res
 }

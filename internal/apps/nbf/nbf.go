@@ -12,7 +12,6 @@
 package nbf
 
 import (
-	"fmt"
 	"math/rand"
 
 	"repro/internal/apps"
@@ -169,14 +168,5 @@ func RunSequential(w *Workload) *apps.Result {
 		}
 		proc.Advance(p.Costs.IntegrateUSPerMol * float64(n))
 	}
-	res := ep.Res
-	res.TimeSec = (proc.Time() - t0) / 1e6
-	res.Speedup = 1
-	res.Forces, res.X = forces, x
-	return res
-}
-
-func (w *Workload) String() string {
-	return fmt.Sprintf("nbf N=%d partners=%d steps=%d procs=%d",
-		w.P.N, w.P.Partners, w.P.Steps, w.P.Procs)
+	return ep.FinishSeq(t0, x, forces)
 }

@@ -27,12 +27,7 @@ func init() {
 			p.TableKind = plan.Kind
 			p.TableCachePages = plan.CachePages
 		}
-		w := Generate(p)
-		return apps.Variants{App: "nbf",
-			RunSeq:   func() *apps.Result { return RunSequential(w) },
-			RunChaos: func() *apps.Result { return RunChaos(w) },
-			RunBase:  func() *apps.Result { return RunTmk(w, TmkOptions{}) },
-			RunOpt:   func() *apps.Result { return RunTmk(w, TmkOptions{Optimized: true}) },
-		}
+		return apps.NewVariants("nbf", Generate(p), RunSequential, RunChaos, RunTmk,
+			TmkOptions{}, TmkOptions{Optimized: true})
 	}, "partners", "page_size", "table_budget_kb")
 }

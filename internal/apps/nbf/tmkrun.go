@@ -56,7 +56,6 @@ func RunTmk(w *Workload, opt TmkOptions) *apps.Result {
 	}
 	d.SealInit()
 
-	meas := ep.Meas
 	scans := ep.PerProc("scan_s")
 
 	cl.Run(func(proc *sim.Proc) {
@@ -74,7 +73,7 @@ func RunTmk(w *Workload, opt TmkOptions) *apps.Result {
 
 		for step := 0; step <= p.Steps; step++ {
 			if step == 1 {
-				meas.Start(proc) // warmup (inspector/scan analog) excluded
+				ep.Meas.Start(proc) // warmup (inspector/scan analog) excluded
 			}
 			// Validate at the start of the time step: fetch the updated
 			// coordinate values through the partner-list section.
@@ -124,7 +123,7 @@ func RunTmk(w *Workload, opt TmkOptions) *apps.Result {
 			}
 			node.Barrier(barIntegrate)
 		}
-		meas.End(proc)
+		ep.Meas.End(proc)
 		cl.Mem.Free(me, apps.MemCatPrivate, int64(8*len(lf)))
 	})
 

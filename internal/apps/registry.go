@@ -42,6 +42,19 @@ func (v Variants) Chaos() *Result      { return v.RunChaos() }
 func (v Variants) TmkBase() *Result    { return v.RunBase() }
 func (v Variants) TmkOpt() *Result     { return v.RunOpt() }
 
+// NewVariants closes an app's backends over its generated workload w:
+// seq and chaos run as they are, tmk once under the base and once under
+// the optimized options.
+func NewVariants[W, O any](app string, w W, seq, chaos func(W) *Result,
+	tmk func(W, O) *Result, base, opt O) Variants {
+	return Variants{App: app,
+		RunSeq:   func() *Result { return seq(w) },
+		RunChaos: func() *Result { return chaos(w) },
+		RunBase:  func() *Result { return tmk(w, base) },
+		RunOpt:   func() *Result { return tmk(w, opt) },
+	}
+}
+
 // Config parameterizes a registered application's workload factory with
 // the knobs the harness sweeps. Zero Steps/Seed mean "app default"; N
 // and Procs have no default and must be positive (New rejects them

@@ -17,7 +17,6 @@ func RunChaos(w *Workload) *apps.Result {
 	nprocs := p.Procs
 	n := p.N
 	cost := p.Costs
-	icost := p.Inspector
 	ecost := chaos.DefaultExecutorCost()
 
 	ep := apps.NewEpisode("chaos", p.Machine.Config(nprocs))
@@ -41,14 +40,7 @@ func RunChaos(w *Workload) *apps.Result {
 		// reference stream is every column index of the owned rows plus
 		// the owned entries themselves (the refresh).
 		t0 := proc.Clock()
-		globals := make([]int, 0, (rhi-rlo)*(p.NNZRow+1))
-		for i := rlo; i < rhi; i++ {
-			globals = append(globals, i)
-			for k := 0; k < p.NNZRow; k++ {
-				globals = append(globals, int(w.Cols[i*p.NNZRow+k]))
-			}
-		}
-		sch := chaos.Inspect(proc, 0, globals, tt, icost)
+		sch := chaos.Inspect(proc, 0, apps.RowRefs(rlo, rhi, p.NNZRow, w.Cols), tt, p.Inspector)
 		inspectorSec[me] = (proc.Clock() - t0) / 1e6
 
 		cl.Mem.Alloc(me, apps.MemCatData, int64(8*(2*own+sch.Ghosts))) // xLoc + yLoc
@@ -86,17 +78,8 @@ func RunChaos(w *Workload) *apps.Result {
 	})
 	tt.ReleaseMem(cl)
 
-	res := ep.Finish()
+	ep.Finish()
 	ep.TrafficDetail()
-
-	// Assemble global state (block partition: local offsets are dense in
-	// global order).
-	res.X = make([]float64, n)
-	res.Forces = make([]float64, n)
-	for pr := 0; pr < nprocs; pr++ {
-		lo, _ := chaos.BlockRange(n, nprocs, pr)
-		copy(res.X[lo:], finalX[pr])
-		copy(res.Forces[lo:], finalY[pr])
-	}
-	return res
+	ep.Assemble(part.Owned(), 1, finalX, finalY)
+	return ep.Res
 }

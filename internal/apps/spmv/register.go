@@ -20,12 +20,7 @@ func init() {
 			p.TableKind = plan.Kind
 			p.TableCachePages = plan.CachePages
 		}
-		w := Generate(p)
-		return apps.Variants{App: "spmv",
-			RunSeq:   func() *apps.Result { return RunSequential(w) },
-			RunChaos: func() *apps.Result { return RunChaos(w) },
-			RunBase:  func() *apps.Result { return RunTmk(w, TmkOptions{}) },
-			RunOpt:   func() *apps.Result { return RunTmk(w, TmkOptions{Optimized: true}) },
-		}
+		return apps.NewVariants("spmv", Generate(p), RunSequential, RunChaos, RunTmk,
+			TmkOptions{}, TmkOptions{Optimized: true})
 	}, "nnz_row", "page_size", "far_per_row", "table_budget_kb")
 }

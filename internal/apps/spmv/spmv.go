@@ -17,7 +17,6 @@
 package spmv
 
 import (
-	"fmt"
 	"math/rand"
 
 	"repro/internal/apps"
@@ -192,14 +191,5 @@ func RunSequential(w *Workload) *apps.Result {
 		}
 		proc.Advance(p.Costs.RefreshUSPerRow * float64(n))
 	}
-	res := ep.Res
-	res.TimeSec = (proc.Time() - t0) / 1e6
-	res.Speedup = 1
-	res.Forces, res.X = y, x
-	return res
-}
-
-func (w *Workload) String() string {
-	return fmt.Sprintf("spmv n=%d nnz/row=%d steps=%d procs=%d",
-		w.P.N, w.P.NNZRow, w.P.Steps, w.P.Procs)
+	return ep.FinishSeq(t0, x, y)
 }

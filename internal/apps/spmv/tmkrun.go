@@ -35,10 +35,9 @@ func RunTmk(w *Workload, opt TmkOptions) *apps.Result {
 	cost := p.Costs
 
 	ep := apps.NewEpisode(apps.TmkSystem(opt.Optimized), p.Machine.Config(nprocs))
-	cl := ep.Cluster
 	arenaBytes := apps.PageRound(8*n, p.PageSize)*2 +
 		apps.PageRound(4*nnz, p.PageSize) + apps.PageRound(8*nnz, p.PageSize) + 8*p.PageSize
-	d := tmk.New(cl, p.PageSize, arenaBytes)
+	d := tmk.New(ep.Cluster, p.PageSize, arenaBytes)
 
 	xArr := &core.Array{Name: "x", Base: d.Alloc(8 * n), ElemSize: 8, Len: n}
 	yArr := &core.Array{Name: "y", Base: d.Alloc(8 * n), ElemSize: 8, Len: n}
@@ -58,7 +57,7 @@ func RunTmk(w *Workload, opt TmkOptions) *apps.Result {
 
 	scans := ep.PerProc("scan_s")
 
-	cl.Run(func(proc *sim.Proc) {
+	ep.Cluster.Run(func(proc *sim.Proc) {
 		me := proc.ID()
 		node := d.Node(me)
 		space := node.Space()

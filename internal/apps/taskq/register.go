@@ -23,12 +23,7 @@ func init() {
 		p.WorkLoUS = cfg.Knob("work_lo", p.WorkLoUS)
 		p.WorkHiUS = cfg.Knob("work_hi", p.WorkHiUS)
 		p.PageSize = cfg.Knob("page_size", p.PageSize)
-		w := Generate(p)
-		return apps.Variants{App: "taskq",
-			RunSeq:   func() *apps.Result { return RunSequential(w) },
-			RunChaos: func() *apps.Result { return RunMP(w) },
-			RunBase:  func() *apps.Result { return RunTmk(w, TmkOptions{}) },
-			RunOpt:   func() *apps.Result { return RunTmk(w, TmkOptions{Batched: true}) },
-		}
+		return apps.NewVariants("taskq", Generate(p), RunSequential, RunMP, RunTmk,
+			TmkOptions{}, TmkOptions{Batched: true})
 	}, "batch", "work_lo", "work_hi", "page_size")
 }

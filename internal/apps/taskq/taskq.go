@@ -107,8 +107,3 @@ func RunSequential(w *Workload) *apps.Result {
 	res.Speedup = 1
 	return res
 }
-
-func (w *Workload) String() string {
-	return fmt.Sprintf("taskq n=%d work=%d..%dus procs=%d",
-		w.P.N, w.P.WorkLoUS, w.P.WorkHiUS, w.P.Procs)
-}

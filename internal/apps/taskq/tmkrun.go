@@ -31,14 +31,13 @@ func RunTmk(w *Workload, opt TmkOptions) *apps.Result {
 	}
 
 	ep := apps.NewEpisode(apps.TmkSystem(opt.Batched), p.Machine.Config(nprocs))
-	cl := ep.Cluster
-	d := tmk.New(cl, p.PageSize, 2*p.PageSize)
+	d := tmk.New(ep.Cluster, p.PageSize, 2*p.PageSize)
 	cAddr := d.Alloc(8)
 	d.Node(0).Space().WriteI64(cAddr, 0)
 	d.SealInit()
 
 	sums := make([]int64, nprocs)
-	cl.Run(func(proc *sim.Proc) {
+	ep.Cluster.Run(func(proc *sim.Proc) {
 		me := proc.ID()
 		node := d.Node(me)
 		space := node.Space()

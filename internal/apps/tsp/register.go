@@ -28,12 +28,7 @@ func params(cfg apps.Config) Params {
 
 func init() {
 	apps.Register("tsp", func(cfg apps.Config) apps.Workload {
-		w := Generate(params(cfg))
-		return apps.Variants{App: "tsp",
-			RunSeq:   func() *apps.Result { return RunSequential(w) },
-			RunChaos: func() *apps.Result { return RunMP(w) },
-			RunBase:  func() *apps.Result { return RunTmk(w, TmkOptions{}) },
-			RunOpt:   func() *apps.Result { return RunTmk(w, TmkOptions{Batched: true}) },
-		}
+		return apps.NewVariants("tsp", Generate(params(cfg)), RunSequential, RunMP, RunTmk,
+			TmkOptions{}, TmkOptions{Batched: true})
 	}, "depth", "batch", "page_size")
 }

@@ -67,8 +67,7 @@ func RunTmk(w *Workload, opt TmkOptions) *apps.Result {
 	}
 
 	ep := apps.NewEpisode(apps.TmkSystem(opt.Batched), p.Machine.Config(nprocs))
-	cl := ep.Cluster
-	d := tmk.New(cl, p.PageSize, 4*p.PageSize)
+	d := tmk.New(ep.Cluster, p.PageSize, 4*p.PageSize)
 	qAddr := d.Alloc(8)
 	bound := boundPage{base: d.Alloc(8 + 4*p.N), n: p.N}
 
@@ -78,7 +77,7 @@ func RunTmk(w *Workload, opt TmkOptions) *apps.Result {
 	d.SealInit()
 
 	finals := make([]*searcher, nprocs)
-	cl.Run(func(proc *sim.Proc) {
+	ep.Cluster.Run(func(proc *sim.Proc) {
 		me := proc.ID()
 		node := d.Node(me)
 		space := node.Space()

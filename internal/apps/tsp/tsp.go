@@ -296,8 +296,3 @@ func RunSequential(w *Workload) *apps.Result {
 	res.AddDetail("nodes", float64(s.nodes))
 	return res
 }
-
-func (w *Workload) String() string {
-	return fmt.Sprintf("tsp n=%d depth=%d tasks=%d procs=%d",
-		w.P.N, w.P.SeedDepth, len(w.Tasks), w.P.Procs)
-}

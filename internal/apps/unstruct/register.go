@@ -8,12 +8,7 @@ func init() {
 		p := DefaultParams(cfg.N, cfg.Procs)
 		cfg.ApplyCommon(&p.Steps, &p.Seed)
 		p.Machine = cfg.Machine
-		w := Generate(p)
-		return apps.Variants{App: "unstruct",
-			RunSeq:   func() *apps.Result { return RunSequential(w) },
-			RunChaos: func() *apps.Result { return RunChaos(w) },
-			RunBase:  func() *apps.Result { return RunTmk(w, TmkOptions{}) },
-			RunOpt:   func() *apps.Result { return RunTmk(w, TmkOptions{Optimized: true}) },
-		}
+		return apps.NewVariants("unstruct", Generate(p), RunSequential, RunChaos, RunTmk,
+			TmkOptions{}, TmkOptions{Optimized: true})
 	})
 }

@@ -13,7 +13,6 @@
 package unstruct
 
 import (
-	"fmt"
 	"math/rand"
 	"slices"
 
@@ -214,11 +213,7 @@ func RunSequential(w *Workload) *apps.Result {
 		}
 		proc.Advance(p.Costs.RelaxUSPerNode * float64(p.Nodes))
 	}
-	res := ep.Res
-	res.TimeSec = (proc.Time() - t0) / 1e6
-	res.Speedup = 1
-	res.Forces, res.X = y, x
-	return res
+	return ep.FinishSeq(t0, x, y)
 }
 
 // TmkOptions selects the TreadMarks variant.
@@ -330,7 +325,6 @@ func RunTmk(w *Workload, opt TmkOptions) *apps.Result {
 func RunChaos(w *Workload) *apps.Result {
 	p := w.P
 	nprocs := p.Procs
-	n := p.Nodes
 	cost := p.Costs
 	ecost := chaos.DefaultExecutorCost()
 
@@ -342,10 +336,7 @@ func RunChaos(w *Workload) *apps.Result {
 	counts := part.Counts()
 	sorted, starts := partitionEdges(w, part)
 
-	ownGlobals := make([][]int, nprocs)
-	for g := 0; g < n; g++ {
-		ownGlobals[part.Owner[g]] = append(ownGlobals[part.Owner[g]], g)
-	}
+	ownGlobals := part.Owned()
 
 	inspectorSec := ep.PerProc("inspector_s")
 	finalX := make([][]float64, nprocs)
@@ -406,19 +397,7 @@ func RunChaos(w *Workload) *apps.Result {
 	})
 	tt.ReleaseMem(cl)
 
-	res := ep.Finish() // no traffic detail (see RunTmk)
-
-	res.X = make([]float64, n)
-	res.Forces = make([]float64, n)
-	for pr := 0; pr < nprocs; pr++ {
-		for k, g := range ownGlobals[pr] {
-			res.X[g] = finalX[pr][k]
-			res.Forces[g] = finalY[pr][k]
-		}
-	}
-	return res
-}
-
-func (w *Workload) String() string {
-	return fmt.Sprintf("unstruct nodes=%d edges=%d procs=%d", w.P.Nodes, len(w.Edges), w.P.Procs)
+	ep.Finish() // no traffic detail (see RunTmk)
+	ep.Assemble(ownGlobals, 1, finalX, finalY)
+	return ep.Res
 }

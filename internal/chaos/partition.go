@@ -23,6 +23,16 @@ func (p *Partition) Counts() []int {
 	return c
 }
 
+// Owned lists each processor's elements in ascending global order —
+// the order of the owned prefix of its remapped local arrays.
+func (p *Partition) Owned() [][]int {
+	out := make([][]int, p.NProcs)
+	for g, o := range p.Owner {
+		out[o] = append(out[o], g)
+	}
+	return out
+}
+
 // Block partitions n elements into contiguous blocks, one per processor
 // (the BLOCK distribution; nbf uses this since its load is uniform).
 func Block(n, nprocs int) *Partition {

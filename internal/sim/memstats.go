@@ -275,19 +275,3 @@ func (m *MemStats) String() string {
 	}
 	return b.String()
 }
-
-// Reset clears all counters, peaks included. The DSM layers do NOT
-// call this from SealInit (footprints are ledger state; see the
-// package comment) — it exists for tests and benchmarks.
-func (m *MemStats) Reset() {
-	clear := func(sh *memShard) {
-		sh.mu.Lock()
-		sh.byCat = map[string]*MemStat{}
-		sh.total = MemStat{}
-		sh.mu.Unlock()
-	}
-	clear(&m.global)
-	for i := range m.shards {
-		clear(&m.shards[i])
-	}
-}
