@@ -17,13 +17,15 @@ import (
 )
 
 // Episode is one backend run: the simulated cluster, its measurement
-// window, the result under construction, and the per-processor seconds
-// figures the result reports as maxima.
+// window, the result under construction, the per-processor seconds
+// figures the result reports as maxima, and a CHAOS backend's final
+// per-processor state.
 type Episode struct {
-	Cluster *sim.Cluster
-	Meas    *Measure
-	Res     *Result
-	maxima  []procSeconds
+	Cluster        *sim.Cluster
+	Meas           *Measure
+	Res            *Result
+	maxima         []procSeconds
+	ownedX, ownedF [][]float64
 }
 
 // procSeconds is one PerProc accumulator and its Detail key.
@@ -39,7 +41,8 @@ type procSeconds struct {
 // references pass sim.DefaultConfig(1), which is never traced.
 func NewEpisode(system string, cfg sim.Config) *Episode {
 	cl := sim.NewCluster(cfg)
-	return &Episode{Cluster: cl, Meas: NewMeasure(cl), Res: &Result{System: system}}
+	return &Episode{Cluster: cl, Meas: NewMeasure(cl), Res: &Result{System: system},
+		ownedX: make([][]float64, cfg.Procs), ownedF: make([][]float64, cfg.Procs)}
 }
 
 // TmkSystem is the Result.System name of a TreadMarks backend: "tmk-opt"
@@ -119,10 +122,16 @@ func (e *Episode) CollectShared(d *tmk.DSM, x, f *core.Array, n int) {
 	}
 }
 
+// KeepOwned records processor me's final state for Assemble: width
+// values per owned element, in local-offset order.
+func (e *Episode) KeepOwned(me int, x, f []float64) {
+	e.ownedX[me], e.ownedF[me] = x, f
+}
+
 // Assemble stores a CHAOS backend's final state into the result in
-// global order: processor p's xs[p] and fs[p] hold width values for
-// each element of owned[p], in order.
-func (e *Episode) Assemble(owned [][]int, width int, xs, fs [][]float64) {
+// global order, owned[p] listing the elements processor p kept.
+func (e *Episode) Assemble(owned [][]int, width int) {
+	xs, fs := e.ownedX, e.ownedF
 	n := 0
 	for _, globals := range owned {
 		n += width * len(globals)

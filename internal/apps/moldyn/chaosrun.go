@@ -26,17 +26,11 @@ func RunChaos(w *Workload) *apps.Result {
 	tt := chaos.NewTransTable(part, p.TableKind)
 	tt.CachePages = p.TableCachePages
 	counts := part.Counts()
-
 	ownGlobals := part.Owned() // in local-offset order
 
 	initPairs, _ := BuildPairs(&p, w.L, w.X0)
 	initSorted, initStarts := PartitionPairs(initPairs, part)
-
 	inspectorSec := ep.PerProc("inspector_s")
-
-	// Final state per proc for post-run assembly.
-	finalX := make([][]float64, nprocs)
-	finalF := make([][]float64, nprocs)
 
 	cl.Run(func(proc *sim.Proc) {
 		me := proc.ID()
@@ -141,8 +135,7 @@ func RunChaos(w *Workload) *apps.Result {
 			proc.Advance(cost.IntegrateUSPerMol * float64(own))
 		}
 		ep.Meas.End(proc)
-		finalX[me] = xLoc[:3*own]
-		finalF[me] = fLoc[:3*own]
+		ep.KeepOwned(me, xLoc[:3*own], fLoc[:3*own])
 		// Teardown: return the app-level charges so the ledger balances.
 		mem.Free(me, apps.MemCatData, dataBytes)
 		mem.Free(me, apps.MemCatPairs, int64(8*len(pairs)))
@@ -153,7 +146,7 @@ func RunChaos(w *Workload) *apps.Result {
 
 	ep.Finish()
 	ep.TrafficDetail()
-	ep.Assemble(ownGlobals, 3, finalX, finalF)
+	ep.Assemble(ownGlobals, 3)
 	return ep.Res
 }
 

@@ -108,15 +108,7 @@ func RunTmk(w *Workload, opt TmkOptions) *apps.Result {
 			hi := int(space.ReadI64(startsAddr + vm.Addr(8*(me+1))))
 			if opt.Optimized {
 				before := rt.ScanEntries
-				rt.Validate(core.Desc{
-					Type: core.Indirect, Data: xArr, Indir: interArr,
-					Section: rsd.New(
-						rsd.Dim{Lo: 0, Hi: 1, Stride: 1},
-						rsd.Dim{Lo: lo, Hi: hi - 1, Stride: 1},
-					),
-					IndirDims: []int{2, capPairs},
-					Access:    core.Read, Sched: 1,
-				})
+				rt.Validate(forceDesc(xArr, interArr, lo, hi, capPairs))
 				scans[me] += rt.ScanUSPerEntry * float64(rt.ScanEntries-before) / 1e6
 			}
 			for i := range lf {
@@ -172,6 +164,15 @@ func RunTmk(w *Workload, opt TmkOptions) *apps.Result {
 	ep.CollectShared(d, xArr, fArr, 3*n)
 	d.Close()
 	return ep.Res
+}
+
+// forceDesc is the descriptor the optimized program validates at the
+// top of ComputeForces: x through the section [0:1, lo:hi-1] of the
+// interaction list (capPairs pairs of capacity).
+func forceDesc(xArr, interArr *core.Array, lo, hi, capPairs int) core.Desc {
+	return core.Desc{Type: core.Indirect, Data: xArr, Indir: interArr,
+		Section:   rsd.New(rsd.Dim{Lo: 0, Hi: 1, Stride: 1}, rsd.Dim{Lo: lo, Hi: hi - 1, Stride: 1}),
+		IndirDims: []int{2, capPairs}, Access: core.Read, Sched: 1}
 }
 
 // rebuildParallel rebuilds the interaction list cooperatively: every

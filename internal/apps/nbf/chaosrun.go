@@ -27,8 +27,6 @@ func RunChaos(w *Workload) *apps.Result {
 	counts := part.Counts()
 
 	inspectorSec := ep.PerProc("inspector_s")
-	finalX := make([][]float64, nprocs)
-	finalF := make([][]float64, nprocs)
 
 	cl.Run(func(proc *sim.Proc) {
 		me := proc.ID()
@@ -80,8 +78,7 @@ func RunChaos(w *Workload) *apps.Result {
 			proc.Advance(cost.IntegrateUSPerMol * float64(mhi-mlo))
 		}
 		ep.Meas.End(proc)
-		finalX[me] = xLoc[:own]
-		finalF[me] = fLoc[:own]
+		ep.KeepOwned(me, xLoc[:own], fLoc[:own])
 		cl.Mem.Free(me, apps.MemCatData, int64(2*8*slots))
 		sch.ReleaseMem(proc)
 	})
@@ -89,6 +86,6 @@ func RunChaos(w *Workload) *apps.Result {
 
 	ep.Finish()
 	ep.TrafficDetail()
-	ep.Assemble(part.Owned(), 1, finalX, finalF)
+	ep.Assemble(part.Owned(), 1)
 	return ep.Res
 }

@@ -79,11 +79,7 @@ func RunTmk(w *Workload, opt TmkOptions) *apps.Result {
 			// coordinate values through the partner-list section.
 			if opt.Optimized && mlo < mhi {
 				before := rt.ScanEntries
-				rt.Validate(core.Desc{
-					Type: core.Indirect, Data: xArr, Indir: partArr,
-					Section: rsd.Range1(mlo*p.Partners, mhi*p.Partners-1),
-					Access:  core.Read, Sched: 1,
-				})
+				rt.Validate(forceDesc(xArr, partArr, mlo, mhi, p.Partners))
 				scans[me] += rt.ScanUSPerEntry * float64(rt.ScanEntries-before) / 1e6
 			}
 			for i := range lf {
@@ -132,4 +128,12 @@ func RunTmk(w *Workload, opt TmkOptions) *apps.Result {
 	ep.CollectShared(d, xArr, fArr, n)
 	d.Close()
 	return ep.Res
+}
+
+// forceDesc is the descriptor the optimized program validates at the
+// start of each time step: x through the partner-list section of
+// molecules [mlo, mhi).
+func forceDesc(xArr, partArr *core.Array, mlo, mhi, partners int) core.Desc {
+	return core.Desc{Type: core.Indirect, Data: xArr, Indir: partArr,
+		Section: rsd.Range1(mlo*partners, mhi*partners-1), Access: core.Read, Sched: 1}
 }

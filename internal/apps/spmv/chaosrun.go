@@ -28,8 +28,6 @@ func RunChaos(w *Workload) *apps.Result {
 	counts := part.Counts()
 
 	inspectorSec := ep.PerProc("inspector_s")
-	finalX := make([][]float64, nprocs)
-	finalY := make([][]float64, nprocs)
 
 	cl.Run(func(proc *sim.Proc) {
 		me := proc.ID()
@@ -71,8 +69,7 @@ func RunChaos(w *Workload) *apps.Result {
 			proc.Advance(cost.RefreshUSPerRow * float64(rhi-rlo))
 		}
 		ep.Meas.End(proc)
-		finalX[me] = xLoc[:own]
-		finalY[me] = yLoc
+		ep.KeepOwned(me, xLoc[:own], yLoc)
 		cl.Mem.Free(me, apps.MemCatData, int64(8*(2*own+sch.Ghosts)))
 		sch.ReleaseMem(proc)
 	})
@@ -80,6 +77,6 @@ func RunChaos(w *Workload) *apps.Result {
 
 	ep.Finish()
 	ep.TrafficDetail()
-	ep.Assemble(part.Owned(), 1, finalX, finalY)
+	ep.Assemble(part.Owned(), 1)
 	return ep.Res
 }

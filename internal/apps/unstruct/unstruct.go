@@ -339,8 +339,6 @@ func RunChaos(w *Workload) *apps.Result {
 	ownGlobals := part.Owned()
 
 	inspectorSec := ep.PerProc("inspector_s")
-	finalX := make([][]float64, nprocs)
-	finalY := make([][]float64, nprocs)
 
 	cl.Run(func(proc *sim.Proc) {
 		me := proc.ID()
@@ -390,14 +388,13 @@ func RunChaos(w *Workload) *apps.Result {
 			proc.Advance(cost.RelaxUSPerNode * float64(own))
 		}
 		ep.Meas.End(proc)
-		finalX[me] = xLoc[:own]
-		finalY[me] = yLoc[:own]
+		ep.KeepOwned(me, xLoc[:own], yLoc[:own])
 		cl.Mem.Free(me, apps.MemCatData, int64(2*8*slots))
 		sch.ReleaseMem(proc)
 	})
 	tt.ReleaseMem(cl)
 
 	ep.Finish() // no traffic detail (see RunTmk)
-	ep.Assemble(ownGlobals, 1, finalX, finalY)
+	ep.Assemble(ownGlobals, 1)
 	return ep.Res
 }
