@@ -27,6 +27,9 @@ func (p *Partition) Counts() []int {
 // the order of the owned prefix of its remapped local arrays.
 func (p *Partition) Owned() [][]int {
 	out := make([][]int, p.NProcs)
+	for o, c := range p.Counts() {
+		out[o] = make([]int, 0, c)
+	}
 	for g, o := range p.Owner {
 		out[o] = append(out[o], g)
 	}
