@@ -35,8 +35,8 @@ type procSeconds struct {
 }
 
 // NewEpisode builds the cluster a backend reporting as system runs on,
-// and the cluster's measurement window (which draws the window's two
-// barrier ids now, before the backend draws any of its own). Parallel
+// and the cluster's measurement window, whose two barrier ids are drawn
+// here, before anything runs on the cluster. Parallel
 // backends pass their workload's machine config; the sequential
 // references pass sim.DefaultConfig(1), which is never traced.
 func NewEpisode(system string, cfg sim.Config) *Episode {
