@@ -250,13 +250,13 @@ type Result struct {
 	Detail map[string]float64
 
 	// Locks is the per-(lock, processor) synchronization grid of the
-	// measured window (nil for backends that use no locks). Filled from
-	// Measure.LockStats by the lock-based workloads.
+	// measured window (nil when the window saw no lock activity). Filled
+	// by Episode.Finish whenever the window saw lock activity.
 	Locks map[sim.LockKey]sim.LockStat
 
 	// Mem is the simulated-memory ledger at the window's end (nil for
-	// the sequential backend, which runs on no cluster), and MemPeak the
-	// per-processor footprint totals. Filled from Measure.MemStats.
+	// the sequential backend, which does not finish through Finish), and MemPeak the
+	// per-processor footprint totals. Filled by Episode.Finish.
 	Mem     map[sim.MemKey]sim.MemStat
 	MemPeak []sim.MemStat
 

@@ -17,15 +17,13 @@ import (
 )
 
 // Episode is one backend run: the simulated cluster, its measurement
-// window, the result under construction, the per-processor seconds
-// figures the result reports as maxima, and a CHAOS backend's final
-// per-processor state.
+// window, the result under construction, and the per-processor seconds
+// figures the result reports as maxima.
 type Episode struct {
-	Cluster        *sim.Cluster
-	Meas           *Measure
-	Res            *Result
-	maxima         []procSeconds
-	ownedX, ownedF [][]float64
+	Cluster *sim.Cluster
+	Meas    *Measure
+	Res     *Result
+	maxima  []procSeconds
 }
 
 // procSeconds is one PerProc accumulator and its Detail key.
@@ -41,8 +39,7 @@ type procSeconds struct {
 // references pass sim.DefaultConfig(1), which is never traced.
 func NewEpisode(system string, cfg sim.Config) *Episode {
 	cl := sim.NewCluster(cfg)
-	return &Episode{Cluster: cl, Meas: NewMeasure(cl), Res: &Result{System: system},
-		ownedX: make([][]float64, cfg.Procs), ownedF: make([][]float64, cfg.Procs)}
+	return &Episode{Cluster: cl, Meas: NewMeasure(cl), Res: &Result{System: system}}
 }
 
 // TmkSystem is the Result.System name of a TreadMarks backend: "tmk-opt"
@@ -122,25 +119,19 @@ func (e *Episode) CollectShared(d *tmk.DSM, x, f *core.Array, n int) {
 	}
 }
 
-// KeepOwned records processor me's final state for Assemble: width
-// values per owned element, in local-offset order.
-func (e *Episode) KeepOwned(me int, x, f []float64) {
-	e.ownedX[me], e.ownedF[me] = x, f
-}
-
-// Assemble stores a CHAOS backend's final state into the result in
-// global order, owned[p] listing the elements processor p kept.
-func (e *Episode) Assemble(owned [][]int, width int) {
-	xs, fs := e.ownedX, e.ownedF
+// Assemble stores a CHAOS backend's final state into res in global
+// order: owned[p] lists the elements processor p kept, and xs[p], fs[p]
+// hold width values per owned element, in local-offset order.
+func Assemble(res *Result, owned [][]int, width int, xs, fs [][]float64) {
 	n := 0
 	for _, globals := range owned {
 		n += width * len(globals)
 	}
-	e.Res.X, e.Res.Forces = make([]float64, n), make([]float64, n)
+	res.X, res.Forces = make([]float64, n), make([]float64, n)
 	for p, globals := range owned {
 		for k, g := range globals {
-			copy(e.Res.X[width*g:width*(g+1)], xs[p][width*k:])
-			copy(e.Res.Forces[width*g:width*(g+1)], fs[p][width*k:])
+			copy(res.X[width*g:width*(g+1)], xs[p][width*k:])
+			copy(res.Forces[width*g:width*(g+1)], fs[p][width*k:])
 		}
 	}
 }

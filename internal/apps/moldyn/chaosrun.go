@@ -31,6 +31,7 @@ func RunChaos(w *Workload) *apps.Result {
 	initPairs, _ := BuildPairs(&p, w.L, w.X0)
 	initSorted, initStarts := PartitionPairs(initPairs, part)
 	inspectorSec := ep.PerProc("inspector_s")
+	xs, fs := make([][]float64, nprocs), make([][]float64, nprocs)
 
 	cl.Run(func(proc *sim.Proc) {
 		me := proc.ID()
@@ -135,7 +136,7 @@ func RunChaos(w *Workload) *apps.Result {
 			proc.Advance(cost.IntegrateUSPerMol * float64(own))
 		}
 		ep.Meas.End(proc)
-		ep.KeepOwned(me, xLoc[:3*own], fLoc[:3*own])
+		xs[me], fs[me] = xLoc[:3*own], fLoc[:3*own]
 		// Teardown: return the app-level charges so the ledger balances.
 		mem.Free(me, apps.MemCatData, dataBytes)
 		mem.Free(me, apps.MemCatPairs, int64(8*len(pairs)))
@@ -146,7 +147,7 @@ func RunChaos(w *Workload) *apps.Result {
 
 	ep.Finish()
 	ep.TrafficDetail()
-	ep.Assemble(ownGlobals, 3)
+	apps.Assemble(ep.Res, ownGlobals, 3, xs, fs)
 	return ep.Res
 }
 

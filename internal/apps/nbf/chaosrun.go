@@ -27,6 +27,7 @@ func RunChaos(w *Workload) *apps.Result {
 	counts := part.Counts()
 
 	inspectorSec := ep.PerProc("inspector_s")
+	xs, fs := make([][]float64, nprocs), make([][]float64, nprocs)
 
 	cl.Run(func(proc *sim.Proc) {
 		me := proc.ID()
@@ -78,7 +79,7 @@ func RunChaos(w *Workload) *apps.Result {
 			proc.Advance(cost.IntegrateUSPerMol * float64(mhi-mlo))
 		}
 		ep.Meas.End(proc)
-		ep.KeepOwned(me, xLoc[:own], fLoc[:own])
+		xs[me], fs[me] = xLoc[:own], fLoc[:own]
 		cl.Mem.Free(me, apps.MemCatData, int64(2*8*slots))
 		sch.ReleaseMem(proc)
 	})
@@ -86,6 +87,6 @@ func RunChaos(w *Workload) *apps.Result {
 
 	ep.Finish()
 	ep.TrafficDetail()
-	ep.Assemble(part.Owned(), 1)
+	apps.Assemble(ep.Res, part.Owned(), 1, xs, fs)
 	return ep.Res
 }

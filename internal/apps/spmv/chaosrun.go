@@ -28,6 +28,7 @@ func RunChaos(w *Workload) *apps.Result {
 	counts := part.Counts()
 
 	inspectorSec := ep.PerProc("inspector_s")
+	xs, ys := make([][]float64, nprocs), make([][]float64, nprocs)
 
 	cl.Run(func(proc *sim.Proc) {
 		me := proc.ID()
@@ -69,7 +70,7 @@ func RunChaos(w *Workload) *apps.Result {
 			proc.Advance(cost.RefreshUSPerRow * float64(rhi-rlo))
 		}
 		ep.Meas.End(proc)
-		ep.KeepOwned(me, xLoc[:own], yLoc)
+		xs[me], ys[me] = xLoc[:own], yLoc
 		cl.Mem.Free(me, apps.MemCatData, int64(8*(2*own+sch.Ghosts)))
 		sch.ReleaseMem(proc)
 	})
@@ -77,6 +78,6 @@ func RunChaos(w *Workload) *apps.Result {
 
 	ep.Finish()
 	ep.TrafficDetail()
-	ep.Assemble(part.Owned(), 1)
+	apps.Assemble(ep.Res, part.Owned(), 1, xs, ys)
 	return ep.Res
 }

@@ -339,6 +339,7 @@ func RunChaos(w *Workload) *apps.Result {
 	ownGlobals := part.Owned()
 
 	inspectorSec := ep.PerProc("inspector_s")
+	xs, ys := make([][]float64, nprocs), make([][]float64, nprocs)
 
 	cl.Run(func(proc *sim.Proc) {
 		me := proc.ID()
@@ -388,13 +389,13 @@ func RunChaos(w *Workload) *apps.Result {
 			proc.Advance(cost.RelaxUSPerNode * float64(own))
 		}
 		ep.Meas.End(proc)
-		ep.KeepOwned(me, xLoc[:own], yLoc[:own])
+		xs[me], ys[me] = xLoc[:own], yLoc[:own]
 		cl.Mem.Free(me, apps.MemCatData, int64(2*8*slots))
 		sch.ReleaseMem(proc)
 	})
 	tt.ReleaseMem(cl)
 
 	ep.Finish() // no traffic detail (see RunTmk)
-	ep.Assemble(ownGlobals, 1)
+	apps.Assemble(ep.Res, ownGlobals, 1, xs, ys)
 	return ep.Res
 }
