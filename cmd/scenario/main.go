@@ -2,8 +2,8 @@
 // files (internal/scenario): the paper tables, the §9 memory sweep,
 // and generic registered-application runs, as data instead of bespoke
 // flag wrappers. Canned experiments render through bench.PresentResult,
-// the run service's path; the golden fixtures under testdata (and
-// cmd/ablate's memory.golden) are the contract.
+// the run service's path; the golden fixtures under testdata are the
+// contract.
 //
 //	scenario run [-j N] [-repro] [-procs N] [-out dir] [-metrics[=addr|-]] [-trace dir] <file|dir|dir/...>...
 //	scenario validate <file|dir|dir/...>...

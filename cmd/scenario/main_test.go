@@ -19,9 +19,7 @@ import (
 var update = flag.Bool("update", false, "rewrite the golden fixtures")
 
 // TestGoldenScenarios runs every shipped CI-size scenario and diffs
-// the output against its golden fixture. The memory fixture is
-// cmd/ablate's checked-in golden: the scenario must reproduce
-// `ablate -sweep=memory` byte for byte. The shipped specs carry
+// the output against its golden fixture. The shipped specs carry
 // repro: true, so each rendering here also run-twice byte-diffs itself.
 func TestGoldenScenarios(t *testing.T) {
 	if raceflag.Enabled {
@@ -33,7 +31,7 @@ func TestGoldenScenarios(t *testing.T) {
 		{"../../scenarios/table3.yaml", "testdata/table3.golden"},
 		{"../../scenarios/table4.yaml", "testdata/table4.golden"},
 		{"../../scenarios/table5.yaml", "testdata/table5.golden"},
-		{"../../scenarios/memory.yaml", "../ablate/testdata/memory.golden"},
+		{"../../scenarios/memory.yaml", "testdata/memory.golden"},
 		{"../../scenarios/latency.yaml", "testdata/latency.golden"},
 		{"../../scenarios/trace.yaml", "testdata/trace.golden"},
 	}
@@ -98,17 +96,17 @@ func TestRunFailsOnViolation(t *testing.T) {
 }
 
 // TestValidateTree lints the whole scenarios tree the way the CI leg
-// does, nightly specs included.
+// does, nightly and claims specs included.
 func TestValidateTree(t *testing.T) {
 	var buf bytes.Buffer
 	if err := validateCmd(&buf, []string{"../../scenarios/..."}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	if !strings.Contains(out, "21 scenario(s) valid") {
+	if !strings.Contains(out, "28 scenario(s) valid") {
 		t.Errorf("validate output:\n%s", out)
 	}
-	for _, f := range []string{"table1.yaml", "nightly/memory.yaml"} {
+	for _, f := range []string{"table1.yaml", "nightly/memory.yaml", "claims/c3-nbf-baseline.yaml"} {
 		if !strings.Contains(out, f) {
 			t.Errorf("validate output missing %s:\n%s", f, out)
 		}

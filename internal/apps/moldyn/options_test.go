@@ -96,3 +96,42 @@ func TestGCEnabledAgreement(t *testing.T) {
 		t.Fatalf("with GC: %v", err)
 	}
 }
+
+// TestRegistryKnobs checks the no_aggregation knob reaches the tmk-opt
+// slot alone: with it set, the registry's TmkOpt is RunTmk with
+// NoAggregation on the same workload, and the other three slots are
+// the knob-free registry's.
+func TestRegistryKnobs(t *testing.T) {
+	cfg := apps.Config{N: 256, Procs: 4, Steps: 4}
+	plain, err := apps.New("moldyn", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	knob, err := apps.New("moldyn", cfg.WithKnob("no_aggregation", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := DefaultParams(cfg.N, cfg.Procs)
+	p.Steps = cfg.Steps
+	got := knob.TmkOpt()
+	sameResult(t, "tmk-opt", got, RunTmk(Generate(p), TmkOptions{Optimized: true, NoAggregation: true}))
+	if opt := plain.TmkOpt(); got.Messages == opt.Messages {
+		t.Errorf("no_aggregation left tmk-opt's %d messages unchanged", opt.Messages)
+	}
+	sameResult(t, "seq", knob.Sequential(), plain.Sequential())
+	sameResult(t, "chaos", knob.Chaos(), plain.Chaos())
+	sameResult(t, "tmk", knob.TmkBase(), plain.TmkBase())
+}
+
+// sameResult requires bit-identical final state and equal time,
+// message and byte totals.
+func sameResult(t *testing.T, slot string, got, want *apps.Result) {
+	t.Helper()
+	if err := apps.VerifyEqual(want, got); err != nil {
+		t.Fatalf("%s: %v", slot, err)
+	}
+	if got.TimeSec != want.TimeSec || got.Messages != want.Messages || got.DataMB != want.DataMB {
+		t.Errorf("%s: got %g s, %d msgs, %g MB; want %g s, %d msgs, %g MB", slot,
+			got.TimeSec, got.Messages, got.DataMB, want.TimeSec, want.Messages, want.DataMB)
+	}
+}

@@ -1,7 +1,9 @@
 // Registry adapter: moldyn as apps.Variants. The factory maps the
 // harness Config onto Params (knob "update_every" selects the
 // interaction-list rebuild interval Table 1 sweeps; "table_budget_kb"
-// hands the translation-table choice to the memory capacity policy).
+// hands the translation-table choice to the memory capacity policy;
+// "no_aggregation" = 1 runs the tmk-opt slot without message
+// aggregation, ablation A3).
 package moldyn
 
 import (
@@ -23,7 +25,8 @@ func init() {
 			p.TableKind = plan.Kind
 			p.TableCachePages = plan.CachePages
 		}
+		opt := TmkOptions{Optimized: true, NoAggregation: cfg.Knob("no_aggregation", 0) != 0}
 		return apps.NewVariants("moldyn", Generate(p), RunSequential, RunChaos, RunTmk,
-			TmkOptions{}, TmkOptions{Optimized: true})
-	}, "update_every", "table_budget_kb")
+			TmkOptions{}, opt)
+	}, "update_every", "table_budget_kb", "no_aggregation")
 }

@@ -31,8 +31,8 @@ const (
 // TmkOptions selects the TreadMarks variant and its ablation knobs.
 type TmkOptions struct {
 	Optimized        bool  // compiler-inserted Validate calls
-	NoAggregation    bool  // ablation A1: Validate without message aggregation
-	NoWriteAll       bool  // ablation A2: reductions use READ&WRITE (twinned diffs)
+	NoAggregation    bool  // ablation A3: Validate without message aggregation
+	NoWriteAll       bool  // ablation A4: reductions use READ&WRITE (twinned diffs)
 	Incremental      bool  // extension S13: incremental page-set recomputation
 	GCThresholdBytes int64 // extension S16: consistency-data GC threshold (0 = off)
 }

@@ -183,3 +183,51 @@ func TestScanMuchCheaperThanInspector(t *testing.T) {
 			opt.Detail["scan_s"], ch.Detail["inspector_s"])
 	}
 }
+
+// TestRegistryKnobs checks each ablation knob reaches the tmk-opt slot
+// alone: with it set, the registry's TmkOpt is RunTmk with the matching
+// option on the same workload, and the other three slots are the
+// knob-free registry's.
+func TestRegistryKnobs(t *testing.T) {
+	cfg := apps.Config{N: 4096, Procs: 4, Steps: 2}
+	plain, err := apps.New("nbf", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := DefaultParams(cfg.N, cfg.Procs)
+	p.Steps = cfg.Steps
+	w := Generate(p)
+	opt := plain.TmkOpt()
+	for knobName, o := range map[string]TmkOptions{
+		"no_aggregation": {Optimized: true, NoAggregation: true},
+		"no_write_all":   {Optimized: true, NoWriteAll: true},
+	} {
+		t.Run(knobName, func(t *testing.T) {
+			knob, err := apps.New("nbf", cfg.WithKnob(knobName, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := knob.TmkOpt()
+			sameResult(t, "tmk-opt", got, RunTmk(w, o))
+			if got.Messages == opt.Messages {
+				t.Errorf("%s left tmk-opt's %d messages unchanged", knobName, opt.Messages)
+			}
+			sameResult(t, "seq", knob.Sequential(), plain.Sequential())
+			sameResult(t, "chaos", knob.Chaos(), plain.Chaos())
+			sameResult(t, "tmk", knob.TmkBase(), plain.TmkBase())
+		})
+	}
+}
+
+// sameResult requires bit-identical final state and equal time,
+// message and byte totals.
+func sameResult(t *testing.T, slot string, got, want *apps.Result) {
+	t.Helper()
+	if err := apps.VerifyEqual(want, got); err != nil {
+		t.Fatalf("%s: %v", slot, err)
+	}
+	if got.TimeSec != want.TimeSec || got.Messages != want.Messages || got.DataMB != want.DataMB {
+		t.Errorf("%s: got %g s, %d msgs, %g MB; want %g s, %d msgs, %g MB", slot,
+			got.TimeSec, got.Messages, got.DataMB, want.TimeSec, want.Messages, want.DataMB)
+	}
+}

@@ -1,6 +1,8 @@
 // Registry adapter: nbf as apps.Variants. The factory maps the
 // harness Config onto Params (knob "partners" sets the partner-list
-// length Table 2 uses).
+// length Table 2 uses). "no_aggregation" = 1 and "no_write_all" = 1
+// run the tmk-opt slot without message aggregation (ablation A3) or
+// without WRITE_ALL reduction shipping (ablation A4).
 package nbf
 
 import (
@@ -27,7 +29,10 @@ func init() {
 			p.TableKind = plan.Kind
 			p.TableCachePages = plan.CachePages
 		}
+		opt := TmkOptions{Optimized: true,
+			NoAggregation: cfg.Knob("no_aggregation", 0) != 0,
+			NoWriteAll:    cfg.Knob("no_write_all", 0) != 0}
 		return apps.NewVariants("nbf", Generate(p), RunSequential, RunChaos, RunTmk,
-			TmkOptions{}, TmkOptions{Optimized: true})
-	}, "partners", "page_size", "table_budget_kb")
+			TmkOptions{}, opt)
+	}, "partners", "page_size", "table_budget_kb", "no_aggregation", "no_write_all")
 }

@@ -21,9 +21,9 @@ const (
 
 // TmkOptions selects the TreadMarks variant and ablation knobs.
 type TmkOptions struct {
-	Optimized     bool
-	NoAggregation bool
-	NoWriteAll    bool
+	Optimized     bool // compiler-inserted Validate calls
+	NoAggregation bool // ablation A3: Validate without message aggregation
+	NoWriteAll    bool // ablation A4: reductions use READ&WRITE (twinned diffs)
 }
 
 // RunTmk executes nbf on the TreadMarks DSM.

@@ -86,10 +86,10 @@ func TestTable2Shape(t *testing.T) {
 	if aligned.Chaos.Messages >= aligned.Opt.Messages {
 		t.Errorf("chaos msgs (%d) not below opt (%d)", aligned.Chaos.Messages, aligned.Opt.Messages)
 	}
-	// C3: the misaligned size is relatively slower for opt than the
+	// A2: the misaligned size is relatively slower for opt than the
 	// aligned size (per molecule).
 	if shared.Opt.TimeSec/float64(shared.Seq.TimeSec) <= aligned.Opt.TimeSec/float64(aligned.Seq.TimeSec) {
-		t.Errorf("C3 violated: no false-sharing penalty (%.4f vs %.4f normalized)",
+		t.Errorf("A2 violated: no false-sharing penalty (%.4f vs %.4f normalized)",
 			shared.Opt.TimeSec/shared.Seq.TimeSec, aligned.Opt.TimeSec/aligned.Seq.TimeSec)
 	}
 }

@@ -208,7 +208,7 @@ type Runtime struct {
 	// (extension S13; off by default to match the paper's implementation).
 	Incremental bool
 
-	// Aggregation can be disabled for ablation A1: Validate then fetches
+	// Aggregation can be disabled for ablation A3: Validate then fetches
 	// each page with its own exchange, like the base system.
 	NoAggregation bool
 

@@ -344,10 +344,12 @@ func Test2DIndirectionSection(t *testing.T) {
 
 func TestIncrementalRecomputationMatchesFull(t *testing.T) {
 	// Extension S13: incremental page-set maintenance must produce the
-	// same page set as a full rescan after the indirection array changes.
-	build := func(incremental bool) []vm.PageID {
+	// same page set as a full rescan after the indirection array
+	// changes, and must charge proc 0 less simulated time for it.
+	build := func(incremental bool) ([]vm.PageID, float64) {
 		e := newEnv(t, 2, 4000, 200, func(i int) int32 { return int32(i * 13 % 4000) })
 		var pages []vm.PageID
+		var spent float64
 		e.d.Cluster().Run(func(p *sim.Proc) {
 			n := e.d.Node(p.ID())
 			if p.ID() != 0 {
@@ -367,14 +369,19 @@ func TestIncrementalRecomputationMatchesFull(t *testing.T) {
 				n.Space().WriteI32(e.indir.Addr(k), int32(3999-k))
 			}
 			n.Barrier(2)
+			t0 := p.Clock()
 			rt.Validate(desc)
+			spent = p.Clock() - t0
 			pages = append([]vm.PageID(nil), rt.sched(1).pages...)
 			n.Barrier(3)
 		})
-		return pages
+		return pages, spent
 	}
-	full := build(false)
-	incr := build(true)
+	full, fullSpent := build(false)
+	incr, incrSpent := build(true)
+	if incrSpent >= fullSpent {
+		t.Errorf("incremental Validate advanced the clock %g, full rescan %g: want less", incrSpent, fullSpent)
+	}
 	if len(full) == 0 || len(full) != len(incr) {
 		t.Fatalf("page set length mismatch: full=%d incr=%d", len(full), len(incr))
 	}

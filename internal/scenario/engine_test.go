@@ -3,11 +3,13 @@ package scenario
 import (
 	"bytes"
 	"context"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/cache"
+	"repro/internal/raceflag"
 	"repro/internal/runner"
 )
 
@@ -54,6 +56,41 @@ assert:
 	}
 	if !strings.Contains(out.MetricsText(), "moldyn/2 procs/seq/speedup = 1\n") {
 		t.Errorf("MetricsText missing the seq speedup line:\n%s", out.MetricsText())
+	}
+}
+
+// TestClaims runs every spec under scenarios/claims — the paper's
+// claims C2 and C3 and ablations A1-A5 (DESIGN.md §4) — and fails on
+// any band violation: the bands are the claims.
+func TestClaims(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("claim sweeps skipped under -race (see internal/raceflag)")
+	}
+	if testing.Short() {
+		t.Skip("claim sweeps run seconds")
+	}
+	files, err := Files("../../scenarios/claims")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) == 0 {
+		t.Fatal("no claim specs found")
+	}
+	for _, file := range files {
+		t.Run(filepath.Base(file), func(t *testing.T) {
+			t.Parallel()
+			spec, err := Load(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := Run(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range out.Violations {
+				t.Error(v)
+			}
+		})
 	}
 }
 

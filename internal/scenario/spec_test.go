@@ -152,10 +152,10 @@ func TestValidationErrors(t *testing.T) {
 			`scenario "x": unknown variant "fast" (want seq, chaos, tmk, tmk-opt)`},
 		{"unknown knob",
 			"name: x\nexperiment: app\napp: moldyn\nn: 64\nknobs:\n  warp: 1\n",
-			`scenario "x": moldyn does not declare knob "warp" (declares: [table_budget_kb update_every])`},
+			`scenario "x": moldyn does not declare knob "warp" (declares: [no_aggregation table_budget_kb update_every])`},
 		{"malformed sweep axis",
 			"name: x\nexperiment: app\napp: moldyn\nn: 64\nsweep:\n  axis: warp\n  values: [1]\n",
-			`scenario "x": moldyn cannot sweep axis "warp" (axes: n, steps, latency_us, bandwidth_mbs, and knobs [table_budget_kb update_every])`},
+			`scenario "x": moldyn cannot sweep axis "warp" (axes: n, steps, latency_us, bandwidth_mbs, and knobs [no_aggregation table_budget_kb update_every])`},
 		{"procs is not an axis",
 			"name: x\nexperiment: app\napp: moldyn\nn: 64\nsweep:\n  axis: procs\n  values: [2, 4]\n",
 			`scenario "x": "procs" is not a sweep axis (give a procs list instead)`},
