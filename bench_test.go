@@ -261,24 +261,12 @@ func BenchmarkInspector(b *testing.B) {
 	}
 }
 
-// BenchmarkStatsCountGlobal measures the traffic-counter hot path when
-// every simulated processor funnels through the single global shard —
-// the pre-sharding behaviour, kept as the contention baseline.
-func BenchmarkStatsCountGlobal(b *testing.B) {
-	s := sim.NewStats(8)
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			s.Count("tmk.diff", 2, 4096)
-		}
-	})
-}
-
-// BenchmarkStatsCountSharded measures the same path with per-processor
-// shards (CountP), the layout every message path now uses: each
-// goroutine hits its own mutex and cache line, so the counters scale
-// instead of serializing.
+// BenchmarkStatsCountSharded measures the traffic-counter hot path with
+// per-processor shards (CountP), the layout every message path uses:
+// each goroutine hits its own mutex and cache line, so the counters
+// scale instead of serializing.
 func BenchmarkStatsCountSharded(b *testing.B) {
-	s := sim.NewStats(8)
+	s := &sim.NewCluster(sim.DefaultConfig(8)).Stats
 	var ids atomic.Int64
 	b.RunParallel(func(pb *testing.PB) {
 		id := int(ids.Add(1)-1) % 8

@@ -95,15 +95,12 @@ func resultOf(r *apps.Result, counter, sum int64) *apps.Result {
 func RunSequential(w *Workload) *apps.Result {
 	ep := apps.NewEpisode("seq", sim.DefaultConfig(1))
 	proc := ep.Cluster.Proc(0)
-	ep.Meas.Start(proc)
+	t0 := proc.Time()
 	var sum int64
 	for i := 0; i < w.P.N; i++ {
 		sum += int64(i)
 		proc.Advance(w.WorkUS[i])
 	}
-	ep.Meas.End(proc)
 	res := resultOf(ep.Res, int64(w.P.N), sum)
-	res.TimeSec = ep.Meas.TimeSec()
-	res.Speedup = 1
-	return res
+	return ep.FinishSeq(t0, res.X, res.Forces)
 }

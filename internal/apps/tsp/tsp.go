@@ -283,16 +283,13 @@ func RunSequential(w *Workload) *apps.Result {
 	ep := apps.NewEpisode("seq", sim.DefaultConfig(1))
 	proc := ep.Cluster.Proc(0)
 	s := newSearcher(w)
-	ep.Meas.Start(proc)
+	t0 := proc.Time()
 	for _, t := range w.Tasks {
 		nodes := s.exploreTask(t)
 		proc.Advance(w.P.Costs.NodeUS * float64(nodes))
 	}
-	ep.Meas.End(proc)
-
 	res := resultOf(ep.Res, s.bestCost, s.bestTour)
-	res.TimeSec = ep.Meas.TimeSec()
-	res.Speedup = 1
+	ep.FinishSeq(t0, res.X, res.Forces)
 	res.AddDetail("nodes", float64(s.nodes))
 	return res
 }

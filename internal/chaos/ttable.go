@@ -124,9 +124,6 @@ func NewTransTable(part *Partition, kind TableKind) *TransTable {
 	return t
 }
 
-// Kind returns the table organization.
-func (t *TransTable) Kind() TableKind { return t.kind }
-
 // N returns the number of elements.
 func (t *TransTable) N() int { return t.n }
 

@@ -95,13 +95,6 @@ func (h *Histogram) Observe(v float64) {
 	h.mu.Unlock()
 }
 
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
 // snapshot returns copies of the per-bucket counts, sum, and count.
 func (h *Histogram) snapshot() ([]uint64, float64, uint64) {
 	h.mu.Lock()

@@ -81,22 +81,6 @@ func TestTagIsolation(t *testing.T) {
 	})
 }
 
-func TestBusyVersusClock(t *testing.T) {
-	c := NewCluster(DefaultConfig(2))
-	c.Run(func(p *Proc) {
-		if p.ID() == 0 {
-			p.Advance(10)
-			p.Send(1, "x", 0, nil, 4000)
-		} else {
-			p.Recv("x", 0)
-			// Clock includes waiting; busy only the local compute.
-			if p.BusyUS() >= p.Clock() {
-				t.Errorf("busy %v not below clock %v (waiting time missing)", p.BusyUS(), p.Clock())
-			}
-		}
-	})
-}
-
 func TestCallMultiRespectsSlowestTarget(t *testing.T) {
 	cfg := DefaultConfig(3)
 	c := NewCluster(cfg)
@@ -116,7 +100,7 @@ func TestInterruptAggregationAcrossCalls(t *testing.T) {
 	c.Proc(1).RegisterHandler("h", func(int, any) (any, int, float64) { return nil, 0, 2.5 })
 	p0 := c.Proc(0)
 	for i := 0; i < 4; i++ {
-		p0.Call(1, "h", nil, 0)
+		p0.CallMulti([]CallSpec{{Target: 1, Kind: "h"}})
 	}
 	want := 4 * (cfg.InterruptUS + 2.5)
 	if got := c.Proc(1).InterruptUS(); got != want {

@@ -27,8 +27,8 @@ func TestEnvelopeTotalOrderKey(t *testing.T) {
 		{envelope{from: 1, seq: 3, sentAt: 10}, envelope{from: 1, seq: 3, sentAt: 10}, false},
 	}
 	for i, c := range cases {
-		if got := c.a.before(c.b); got != c.want {
-			t.Errorf("case %d: before = %v, want %v", i, got, c.want)
+		if got := compareEnvelopes(c.a, c.b) < 0; got != c.want {
+			t.Errorf("case %d: precedes = %v, want %v", i, got, c.want)
 		}
 	}
 }
@@ -180,7 +180,7 @@ func TestInterruptChargesDeterministic(t *testing.T) {
 				return
 			}
 			for i := 0; i < 50; i++ {
-				p.Call(0, "h", nil, 8)
+				p.CallMulti([]CallSpec{{Target: 0, Kind: "h", ReqBytes: 8}})
 			}
 		})
 		return c.Proc(0).Time()
@@ -236,23 +236,21 @@ func TestSendRecvCountsFragmentBytes(t *testing.T) {
 }
 
 // TestStatsShardsMerge: CountP writes land on per-proc shards and merge
-// with global Count writes in Totals/Categories.
+// in Totals/Categories.
 func TestStatsShardsMerge(t *testing.T) {
-	s := NewStats(4)
+	s := &NewCluster(DefaultConfig(4)).Stats
 	s.CountP(0, "a", 1, 10)
 	s.CountP(3, "a", 2, 20)
 	s.CountP(2, "b", 1, 5)
-	s.Count("a", 1, 1)      // global shard
-	s.CountP(99, "b", 1, 1) // out of range -> global shard
 	cats := s.Categories()
-	if cats["a"].Messages != 4 || cats["a"].Bytes != 31 {
+	if cats["a"].Messages != 3 || cats["a"].Bytes != 30 {
 		t.Errorf("cat a = %+v", cats["a"])
 	}
-	if cats["b"].Messages != 2 || cats["b"].Bytes != 6 {
+	if cats["b"].Messages != 1 || cats["b"].Bytes != 5 {
 		t.Errorf("cat b = %+v", cats["b"])
 	}
 	msgs, bytes := s.Totals()
-	if msgs != 6 || bytes != 37 {
+	if msgs != 4 || bytes != 35 {
 		t.Errorf("totals = %d msgs %d bytes", msgs, bytes)
 	}
 	s.Reset()

@@ -8,6 +8,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"sort"
@@ -132,36 +133,46 @@ func TestGrantHooksSnapshotBeforeGranteesResume(t *testing.T) {
 	}
 }
 
-// TestRecvOutsideRun covers the uncounted path: a goroutine outside
-// Cluster.Run blocks in a receive (it must not count toward quiescence)
-// and is woken by a delivery. The old global-lock scheduler supported
-// this; the shards must too.
-func TestRecvOutsideRun(t *testing.T) {
+// TestBlockingOutsideRunPanics pins the ownership rule: every blocking
+// operation panics at entry when called outside Cluster.Run, before it
+// takes a lock or publishes wait state. A normal Run on the same
+// cluster afterwards must then complete, which it could not if a
+// rejected call had left a waiter, a held lock or a skewed runnable
+// count behind.
+func TestBlockingOutsideRunPanics(t *testing.T) {
 	c := NewCluster(DefaultConfig(2))
-	go func() {
-		time.Sleep(time.Millisecond)
-		c.Proc(0).Send(1, "ext", 0, "hello", 8)
-	}()
-	from, payload := c.Proc(1).Recv("ext", 0)
-	if from != 0 || payload.(string) != "hello" {
-		t.Fatalf("got from=%d payload=%v", from, payload)
+	for _, tc := range []struct {
+		name string
+		proc int
+		op   func(p *Proc)
+	}{
+		{"Recv", 1, func(p *Proc) { p.Recv("ext", 0) }},
+		{"Barrier", 0, func(p *Proc) { p.Barrier(1) }},
+		{"AcquireResource", 1, func(p *Proc) { p.AcquireResource(3, 0, nil) }},
+	} {
+		func() {
+			defer func() {
+				want := fmt.Sprintf("sim: processor %d blocks outside Cluster.Run", tc.proc)
+				if r := recover(); r != want {
+					t.Errorf("%s outside Run: recovered %v, want %q", tc.name, r, want)
+				}
+			}()
+			tc.op(c.Proc(tc.proc))
+		}()
 	}
-}
-
-// TestAcquireResourceOutsideRun covers the uncounted arbiter path: with
-// no processors inside Run the cluster is trivially quiescent, so an
-// acquire from an outside goroutine must be granted immediately, and a
-// release must hand the freed resource to the next outside acquirer.
-func TestAcquireResourceOutsideRun(t *testing.T) {
-	c := NewCluster(DefaultConfig(2))
-	if v := c.Proc(0).AcquireResource(3, 0, nil); v != 0 {
-		t.Fatalf("first grant value = %v, want 0", v)
+	c.Run(func(p *Proc) {
+		if p.ID() == 0 {
+			p.Send(1, "ext", 0, "hello", 8)
+		} else if _, v := p.Recv("ext", 0); v != "hello" {
+			t.Errorf("payload = %v", v)
+		}
+		p.Barrier(1)
+		p.AcquireResource(3, float64(p.ID()), nil)
+		p.ReleaseResource(3, p.Clock())
+	})
+	if got := TotalLockStat(c.Sync.Snapshot()).Acquires; got != 2 {
+		t.Fatalf("acquires = %d, want 2", got)
 	}
-	c.Proc(0).ReleaseResource(3, 42)
-	if v := c.Proc(1).AcquireResource(3, 1, nil); v != 42 {
-		t.Fatalf("second grant value = %v, want 42", v)
-	}
-	c.Proc(1).ReleaseResource(3, 43)
 }
 
 // TestQuiescenceEpochTorture interleaves every blocking primitive —
@@ -265,13 +276,14 @@ func TestDrainBufferReuseAcrossSizes(t *testing.T) {
 // a contended steady-state acquire/release cycle must not allocate (the
 // per-proc waiter and its grant channel are reused).
 func TestArbiterZeroAllocSteadyState(t *testing.T) {
-	c := NewCluster(DefaultConfig(1))
-	p := c.Proc(0)
-	p.AcquireResource(7, 0, nil)
-	p.ReleaseResource(7, 0)
-	allocs := testing.AllocsPerRun(100, func() {
+	var allocs float64
+	NewCluster(DefaultConfig(1)).Run(func(p *Proc) {
 		p.AcquireResource(7, 0, nil)
 		p.ReleaseResource(7, 0)
+		allocs = testing.AllocsPerRun(100, func() {
+			p.AcquireResource(7, 0, nil)
+			p.ReleaseResource(7, 0)
+		})
 	})
 	if allocs > 0 {
 		t.Fatalf("steady-state acquire/release allocates %.1f times per cycle, want 0", allocs)
@@ -280,28 +292,28 @@ func TestArbiterZeroAllocSteadyState(t *testing.T) {
 
 // TestConcurrentAcquireOnOneProcPanics pins the documented invariant
 // behind the reusable waiter: a processor has at most one resource
-// acquire in flight.
+// acquire in flight. Processor 1's goroutine breaks the ownership rule
+// on purpose and occupies processor 0's waiter slot; the acquire stays
+// in flight because processor 0 is runnable, so the cluster cannot
+// quiesce. Processor 0's own acquire must then panic, and the queued
+// one is granted once processor 0 returns.
 func TestConcurrentAcquireOnOneProcPanics(t *testing.T) {
 	c := NewCluster(DefaultConfig(2))
-	p := c.Proc(0)
-	p.AcquireResource(1, 0, nil) // holds 1; waiter slot is free again
-	done := make(chan any, 1)
-	go func() {
-		defer func() { done <- recover() }()
-		// Blocks forever (resource 1 is held): occupies the waiter slot.
-		p.AcquireResource(1, 1, nil)
-	}()
-	time.Sleep(2 * time.Millisecond)
-	func() {
+	p0 := c.Proc(0)
+	c.Run(func(p *Proc) {
+		if p.ID() == 1 {
+			p0.AcquireResource(1, 0, nil)
+			p0.ReleaseResource(1, 0)
+			return
+		}
+		for !p.inflight.Load() {
+			runtime.Gosched()
+		}
 		defer func() {
 			if r := recover(); r == nil {
 				t.Error("second concurrent acquire did not panic")
 			}
 		}()
-		p.AcquireResource(2, 2, nil)
-	}()
-	p.ReleaseResource(1, 5)
-	if r := <-done; r != nil {
-		t.Fatalf("queued acquire panicked: %v", r)
-	}
+		p.AcquireResource(2, 0, nil)
+	})
 }

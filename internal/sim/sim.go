@@ -26,6 +26,12 @@
 //     uniquely determined by the program, so picking the least
 //     (key, proc) waiter is reproducible.
 //
+// Every simulated action belongs to one processor. Its blocking
+// operations (Recv, RecvEach, a multi-processor barrier, AcquireResource)
+// run on its own goroutine inside Cluster.Run and panic anywhere else,
+// so the quiescence count sees every blocked goroutine, and traffic and
+// lock statistics are kept per processor.
+//
 // The scheduler that enforces these rules is sharded (DESIGN.md §10):
 // mailbox delivery takes only the target processor's shard lock,
 // barriers their own lock, the arbiter its own, and quiescence is
@@ -168,49 +174,28 @@ func (s *statsShard) count(cat string, msgs, bytes int64) {
 // layers (e.g. "diff.req", "barrier", "chaos.gather").
 //
 // Counts are sharded per processor (CountP) and merged at read time, so
-// the per-message hot path never touches a shared mutex; Count without a
-// processor id falls back to a global shard. Counters are integers, so
-// the merge is order-independent and deterministic.
+// the per-message hot path never touches a shared mutex. Counters are
+// integers, so the merge is order-independent and deterministic.
 type Stats struct {
-	global statsShard
 	shards []statsShard
 }
 
-// NewStats returns a Stats with procs per-processor shards (the cluster
-// does this itself; the constructor exists for benchmarks and tests).
-func NewStats(procs int) *Stats {
-	s := &Stats{}
-	s.init(procs)
-	return s
-}
-
 func (s *Stats) init(procs int) {
-	s.global.byCat = map[string]*CatStat{}
 	s.shards = make([]statsShard, procs)
 	for i := range s.shards {
 		s.shards[i].byCat = map[string]*CatStat{}
 	}
 }
 
-// Count records msgs messages totalling bytes payload bytes in category
-// cat on the global shard. Prefer CountP on per-processor paths.
-func (s *Stats) Count(cat string, msgs, bytes int64) {
-	s.global.count(cat, msgs, bytes)
-}
-
-// CountP records traffic attributed to processor proc's shard. It is the
-// per-message hot path: shards are uncontended in steady state because a
-// processor's traffic is counted by its own goroutine.
+// CountP records msgs messages totalling bytes payload bytes in category
+// cat on processor proc's shard. It is the per-message hot path: shards
+// are uncontended in steady state because a processor's traffic is
+// counted by its own goroutine.
 func (s *Stats) CountP(proc int, cat string, msgs, bytes int64) {
-	if proc >= 0 && proc < len(s.shards) {
-		s.shards[proc].count(cat, msgs, bytes)
-		return
-	}
-	s.global.count(cat, msgs, bytes)
+	s.shards[proc].count(cat, msgs, bytes)
 }
 
 func (s *Stats) forEachShard(f func(sh *statsShard)) {
-	f(&s.global)
 	for i := range s.shards {
 		f(&s.shards[i])
 	}
@@ -392,11 +377,9 @@ func (c *Cluster) NProcs() int { return len(c.procs) }
 func (c *Cluster) Proc(i int) *Proc { return c.procs[i] }
 
 // Run executes body once per processor, each on its own goroutine, and
-// waits for all of them to return. This is the SPMD entry point.
+// waits for all of them to return. This is the SPMD entry point and the
+// only place a processor may block.
 func (c *Cluster) Run(body func(p *Proc)) {
-	// p.running is written here before the goroutines launch (the go
-	// statement publishes it) and cleared by each processor's own
-	// goroutine at exit; it is only ever read by that goroutine.
 	for _, p := range c.procs {
 		p.running = true
 	}
@@ -438,7 +421,6 @@ func (c *Cluster) ResetClocks() {
 	for _, p := range c.procs {
 		p.mu.Lock()
 		p.clock = 0
-		p.busyUS = 0
 		for i := range p.intrBy {
 			p.intrBy[i] = 0
 		}
@@ -446,46 +428,45 @@ func (c *Cluster) ResetClocks() {
 	}
 }
 
-// blockSelf marks the calling processor blocked for quiescence
-// accounting and reports whether it was counted (goroutines outside
-// Cluster.Run are never counted). The caller must have already
-// published its wait state under the shard lock its waker takes — the
-// mailbox waiting flag, the barrier slot, or the resource waiter — so
-// the matching wake cannot be missed; blockSelf may be (and is) invoked
-// while still holding that shard lock. The decrement that reaches zero
-// runs the arbiter.
-func (c *Cluster) blockSelf(p *Proc) bool {
-	if p == nil || !p.running {
-		return false
+// mustBeRunning is every blocking operation's entry check, made before
+// the caller takes a lock or publishes any wait state.
+func (p *Proc) mustBeRunning() {
+	if !p.running {
+		panic(fmt.Sprintf("sim: processor %d blocks outside Cluster.Run", p.id))
 	}
+}
+
+// blockSelf marks the calling processor blocked for quiescence
+// accounting. The caller must have already published its wait state
+// under the shard lock its waker takes — the mailbox waiting flag, the
+// barrier slot, or the resource waiter — so the matching wake cannot be
+// missed; blockSelf may be (and is) invoked while still holding that
+// shard lock. The decrement that reaches zero runs the arbiter.
+func (c *Cluster) blockSelf() {
 	if atomic.AddInt64(&c.active, -1) == 0 {
 		c.arbitrate()
 	}
-	return true
 }
 
-// unblock reverses a counted blockSelf. The waker calls it at signal
-// time — before the blocked goroutine can resume — so the runnable
-// count never under-reports and quiescence is never declared while a
-// wake-up is in flight. The epoch bump precedes the increment: an
-// arbiter that re-reads an unchanged qgen under arbMu knows no wake
-// slipped in between its quiescence observation and its grants.
-func (c *Cluster) unblock(counted bool) {
-	if counted {
-		atomic.AddUint64(&c.qgen, 1)
-		atomic.AddInt64(&c.active, 1)
-	}
+// unblock reverses a blockSelf. The waker calls it at signal time —
+// before the blocked goroutine can resume — so the runnable count never
+// under-reports and quiescence is never declared while a wake-up is in
+// flight. The epoch bump precedes the increment: an arbiter that
+// re-reads an unchanged qgen under arbMu knows no wake slipped in
+// between its quiescence observation and its grants.
+func (c *Cluster) unblock() {
+	atomic.AddUint64(&c.qgen, 1)
+	atomic.AddInt64(&c.active, 1)
 }
 
 // arbitrate runs the conservative arbiter if the cluster is quiescent.
 // It is called by whichever goroutine's decrement brought the runnable
-// count to zero (and by uncounted goroutines about to wait, which never
-// decrement). The epoch check makes the decision sound without a global
-// scheduler lock: grants happen only when no wake occurred between
-// observing active == 0 and holding arbMu. If a wake did slip in, the
-// goroutine that re-quiesced the cluster owns a fresh arbitrate call of
-// its own, so bowing out (or retrying with the fresh epoch) never
-// strands a grantable waiter.
+// count to zero. The epoch check makes the decision sound without a
+// global scheduler lock: grants happen only when no wake occurred
+// between observing active == 0 and holding arbMu. If a wake did slip
+// in, the goroutine that re-quiesced the cluster owns a fresh arbitrate
+// call of its own, so bowing out (or retrying with the fresh epoch)
+// never strands a grantable waiter.
 func (c *Cluster) arbitrate() {
 	for {
 		gen := atomic.LoadUint64(&c.qgen)
@@ -510,9 +491,8 @@ type Proc struct {
 	id int
 	c  *Cluster
 
-	mu     sync.Mutex // protects clock, busyUS and intrBy
-	clock  float64    // simulated local time, us
-	busyUS float64    // time spent in local compute (for utilization reporting)
+	mu    sync.Mutex // protects clock and intrBy
+	clock float64    // simulated local time, us
 	// intrBy[q] is the interrupt-service time charged by calls from
 	// processor q. A single caller issues its calls in program order, so
 	// each shard's accumulation order is deterministic; Time sums the
@@ -549,7 +529,7 @@ type Proc struct {
 	// running reports whether the processor is inside Cluster.Run. It is
 	// written by Run before the goroutines launch (published by the go
 	// statement) and cleared by the processor's own goroutine at exit;
-	// it is read only by that goroutine, so it needs no lock.
+	// mustBeRunning reads it on that goroutine, so it needs no lock.
 	running bool
 }
 
@@ -563,11 +543,6 @@ type envelope struct {
 	sentAt  float64
 	payload any
 	bytes   int
-}
-
-// before reports whether e precedes o in the mailbox total order.
-func (e envelope) before(o envelope) bool {
-	return compareEnvelopes(e, o) < 0
 }
 
 // compareEnvelopes is the single definition of the mailbox total order,
@@ -604,10 +579,9 @@ type mailboxKey struct {
 // kept unsorted (arrival order) and sorted by the total-order key at
 // drain time.
 type mailbox struct {
-	cond        *sync.Cond // on the owning processor's mbMu
-	msgs        []envelope
-	waiting     bool // the owning processor is blocked on this mailbox
-	waitCounted bool // ... and was counted in Cluster.active
+	cond    *sync.Cond // on the owning processor's mbMu
+	msgs    []envelope
+	waiting bool // the owning processor is blocked on this mailbox
 }
 
 // ID returns the processor id in [0, NProcs).
@@ -629,13 +603,6 @@ func (p *Proc) Clock() float64 {
 	return p.clock
 }
 
-// BusyUS returns the accumulated local compute time.
-func (p *Proc) BusyUS() float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.busyUS
-}
-
 // Advance charges dt microseconds of local computation, scaled by the
 // processor's CPU factor (1.0 unless Config.Perturb names it).
 func (p *Proc) Advance(dt float64) {
@@ -645,7 +612,6 @@ func (p *Proc) Advance(dt float64) {
 	dt *= p.cpuf
 	p.mu.Lock()
 	p.clock += dt
-	p.busyUS += dt
 	p.mu.Unlock()
 }
 
@@ -658,17 +624,13 @@ func (p *Proc) clockThenAdvance(dt float64) float64 {
 	p.mu.Lock()
 	t := p.clock
 	p.clock += dt
-	p.busyUS += dt
 	p.mu.Unlock()
 	return t
 }
 
 // AdvanceTo moves the clock forward to at least t (message causality).
 // Protocol layers use it when they model an exchange's timing manually.
-func (p *Proc) AdvanceTo(t float64) { p.advanceTo(t) }
-
-// advanceTo moves the clock forward to at least t (message causality).
-func (p *Proc) advanceTo(t float64) {
+func (p *Proc) AdvanceTo(t float64) {
 	p.mu.Lock()
 	if t > p.clock {
 		p.clock = t
@@ -732,20 +694,12 @@ type CallSpec struct {
 	ReqBytes int
 }
 
-// Call performs a request/response exchange with target: two messages
-// (the TreadMarks access-miss pattern the paper contrasts with CHAOS's
-// one-message push). The caller blocks; its clock advances by the full
-// round trip including the remote handler time. Stat category is kind.
-func (p *Proc) Call(target int, kind string, req any, reqBytes int) any {
-	rs := p.CallMulti([]CallSpec{{Target: target, Kind: kind, Req: req, ReqBytes: reqBytes}})
-	return rs[0]
-}
-
-// CallMulti issues several requests concurrently (the aggregated
-// prefetch pattern: one exchange per remote processor, all overlapped).
-// The caller's clock advances by the maximum round-trip time among the
-// requests, not the sum. Responses are returned in request order, in a
-// slice the processor's next Call or CallMulti overwrites.
+// CallMulti issues several request/response exchanges (two messages
+// each, stat category Kind) concurrently: the aggregated prefetch
+// pattern, one exchange per remote processor, all overlapped. The
+// caller's clock advances by the maximum round-trip time among the
+// requests, handler time included, not the sum. Responses are returned
+// in request order, in a slice the processor's next CallMulti overwrites.
 //
 // Perturbation (§15): each leg is priced on its directed link, the
 // handler and interrupt costs scale with the target's CPU factor, and
@@ -790,7 +744,7 @@ func (p *Proc) CallMulti(specs []CallSpec) []any {
 			cfg.WireBytes(s.ReqBytes)+cfg.WireBytes(respBytes))
 		resps[i] = resp
 	}
-	p.advanceTo(done)
+	p.AdvanceTo(done)
 	return resps
 }
 
@@ -823,8 +777,7 @@ func (p *Proc) Send(target int, kind string, tag int, payload any, bytes int) {
 	mb.msgs = append(mb.msgs, env)
 	if mb.waiting {
 		mb.waiting = false
-		c.unblock(mb.waitCounted)
-		mb.waitCounted = false
+		c.unblock()
 		mb.cond.Broadcast()
 	}
 	tgt.mbMu.Unlock()
@@ -846,7 +799,7 @@ func (p *Proc) Recv(kind string, tag int) (from int, payload any) {
 	if tr := p.c.trace; tr != nil {
 		tr.Deliver(p.id, env.from, kind, arrival, cfg.WireBytes(env.bytes))
 	}
-	p.advanceTo(arrival)
+	p.AdvanceTo(arrival)
 	return env.from, env.payload
 }
 
@@ -884,7 +837,7 @@ func (p *Proc) RecvEach(kind string, tag int, n int, fn func(from int, payload a
 				last = t
 			}
 		}
-		p.advanceTo(last)
+		p.AdvanceTo(last)
 		p.reclaimDrainBuf(envs)
 		return
 	}
@@ -893,7 +846,7 @@ func (p *Proc) RecvEach(kind string, tag int, n int, fn func(from int, payload a
 		if tr != nil {
 			tr.Deliver(p.id, env.from, kind, arrival, cfg.WireBytes(env.bytes))
 		}
-		p.advanceTo(arrival)
+		p.AdvanceTo(arrival)
 		fn(env.from, env.payload)
 	}
 	p.reclaimDrainBuf(envs)
@@ -907,12 +860,12 @@ func (p *Proc) RecvEach(kind string, tag int, n int, fn func(from int, payload a
 // held; the grant path never takes a mailbox shard, so that nesting is
 // safe).
 func (p *Proc) drain(kind string, tag int, n int) []envelope {
-	c := p.c
+	p.mustBeRunning()
 	p.mbMu.Lock()
 	mb := p.mailboxLocked(kind, tag)
 	for len(mb.msgs) < n {
 		mb.waiting = true
-		mb.waitCounted = c.blockSelf(p)
+		p.c.blockSelf()
 		mb.cond.Wait()
 	}
 	if len(mb.msgs) > 1 {
@@ -998,7 +951,6 @@ type resource struct {
 type resWaiter struct {
 	key      float64
 	proc     int
-	counted  bool
 	grantVal float64
 	onGrant  func()
 	// ready receives one token at the grant instant — after every onGrant
@@ -1030,7 +982,7 @@ func (c *Cluster) resourceLocked(id int) *resource {
 //
 // key is the request's simulated arrival time at the manager; grants go
 // to the least (key, proc) waiter. The arbiter decides only at cluster
-// quiescence — when every processor inside Run is blocked (in a receive,
+// quiescence — when every processor is blocked (in a receive,
 // a barrier, a resource acquire, or finished). At that instant no new
 // request can appear until a grant wakes someone, and the waiting set
 // itself is uniquely determined by the program (each processor ran
@@ -1044,6 +996,7 @@ func (c *Cluster) resourceLocked(id int) *resource {
 // grant uses to pick up the notices the acquirer lacks. onGrant must not
 // call back into blocking simulator operations.
 func (p *Proc) AcquireResource(res int, key float64, onGrant func()) float64 {
+	p.mustBeRunning()
 	c := p.c
 	if !p.inflight.CompareAndSwap(false, true) {
 		panic(fmt.Sprintf("sim: concurrent AcquireResource on processor %d", p.id))
@@ -1051,7 +1004,6 @@ func (p *Proc) AcquireResource(res int, key float64, onGrant func()) float64 {
 	w := &p.resw
 	w.key = key
 	w.onGrant = onGrant
-	w.counted = p.running
 	c.arbMu.Lock()
 	r := c.resourceLocked(res)
 	r.waiters = append(r.waiters, w)
@@ -1061,23 +1013,15 @@ func (p *Proc) AcquireResource(res int, key float64, onGrant func()) float64 {
 	// ordered after ours through the counter's RMW chain — always finds
 	// this request when it arbitrates. While we are still counted, no
 	// other decrement can reach zero, so no grant can race the append.
-	if w.counted {
-		if atomic.AddInt64(&c.active, -1) == 0 {
-			c.arbitrate()
-		}
-	} else {
-		// A goroutine outside Run never counts toward quiescence, but the
-		// cluster may already be quiescent right now: decide immediately,
-		// as the old global-lock scheduler did.
-		c.arbitrate()
-	}
+	c.blockSelf()
 	<-w.ready
 	p.inflight.Store(false)
 	return w.grantVal
 }
 
 // ReleaseResource marks res free and records val for the next grantee.
-// The grant itself happens at the next quiescent instant.
+// The grant itself happens at the next quiescent instant: the releaser
+// is runnable, so the last processor to block runs the arbiter.
 func (p *Proc) ReleaseResource(res int, val float64) {
 	c := p.c
 	c.arbMu.Lock()
@@ -1095,13 +1039,6 @@ func (p *Proc) ReleaseResource(res int, val float64) {
 		tr.LockHold(r.holder, res, r.grantAt, val)
 	}
 	c.arbMu.Unlock()
-	// A counted releaser is itself runnable, so the cluster cannot be
-	// quiescent here — the freed resource is granted when the last
-	// processor blocks. An uncounted releaser may be the only activity
-	// left, so it must check for quiescence itself.
-	if !p.running {
-		c.arbitrate()
-	}
 }
 
 // grantQuiescentLocked performs the deterministic arbitration: at
@@ -1153,7 +1090,7 @@ func (c *Cluster) grantQuiescentLocked() {
 		granted = append(granted, w)
 	}
 	for _, w := range granted {
-		c.unblock(w.counted)
+		c.unblock()
 		w.ready <- struct{}{}
 	}
 }
@@ -1165,16 +1102,15 @@ func (c *Cluster) grantQuiescentLocked() {
 type CombineFunc func(contrib []any) (replies []any, replyBytes []int, combineUS float64)
 
 type barrier struct {
-	cond           *sync.Cond // on Cluster.barMu
-	gen            int64
-	waiting        int
-	blockedRunners int
-	contrib        []any
-	cbytes         []int
-	arrive         []float64
-	replies        []any
-	rbytesStash    []int
-	release        float64
+	cond        *sync.Cond // on Cluster.barMu
+	gen         int64
+	waiting     int
+	contrib     []any
+	cbytes      []int
+	arrive      []float64
+	replies     []any
+	rbytesStash []int
+	release     float64
 }
 
 // barrierLocked returns the barrier for id, creating it if needed.
@@ -1207,6 +1143,7 @@ func (p *Proc) Barrier(id int) {
 // a max over the arrival array and combine sees contributions indexed by
 // processor id, so the episode is deterministic no matter which
 // goroutine arrives last.
+// A one-processor barrier never blocks and may run outside Cluster.Run.
 func (p *Proc) BarrierExchange(id int, data any, bytes int, combine CombineFunc) any {
 	cfg := &p.c.cfg
 	n := len(p.c.procs)
@@ -1221,6 +1158,7 @@ func (p *Proc) BarrierExchange(id int, data any, bytes int, combine CombineFunc)
 		return nil
 	}
 
+	p.mustBeRunning()
 	arriveAt := p.Clock()
 	if p.id != 0 {
 		// Arrival message to the manager, priced on the p.id -> 0 link.
@@ -1270,18 +1208,14 @@ func (p *Proc) BarrierExchange(id int, data any, bytes int, combine CombineFunc)
 		b.rbytesStash = rbytes
 		b.waiting = 0
 		b.gen++
-		// Bulk wake: one epoch bump covers the whole release (the last
-		// arriver is runnable, so no arbitration can be concluding).
-		if b.blockedRunners > 0 {
-			atomic.AddUint64(&c.qgen, 1)
-			atomic.AddInt64(&c.active, int64(b.blockedRunners))
-			b.blockedRunners = 0
-		}
+		// Bulk wake: the n-1 others all called blockSelf under barMu, so
+		// one epoch bump re-counts them (the last arriver is runnable, so
+		// no arbitration can be concluding).
+		atomic.AddUint64(&c.qgen, 1)
+		atomic.AddInt64(&c.active, int64(n-1))
 		b.cond.Broadcast()
 	} else {
-		if c.blockSelf(p) {
-			b.blockedRunners++
-		}
+		c.blockSelf()
 		for gen == b.gen {
 			b.cond.Wait()
 		}
@@ -1305,7 +1239,7 @@ func (p *Proc) BarrierExchange(id int, data any, bytes int, combine CombineFunc)
 	if tr := c.trace; tr != nil {
 		tr.Barrier(p.id, id, arriveAt, depart)
 	}
-	p.advanceTo(depart)
+	p.AdvanceTo(depart)
 	return reply
 }
 

@@ -19,9 +19,6 @@ func TestAdvanceAndClock(t *testing.T) {
 	if got := p.Clock(); got != 15.5 {
 		t.Fatalf("clock = %v, want 15.5", got)
 	}
-	if got := p.BusyUS(); got != 15.5 {
-		t.Fatalf("busy = %v", got)
-	}
 }
 
 func TestNegativeAdvancePanics(t *testing.T) {
@@ -47,7 +44,7 @@ func TestCallRoundTripTiming(t *testing.T) {
 	})
 	p0 := c.Proc(0)
 	p0.Advance(3)
-	resp := p0.Call(1, "ping", "ping", 50)
+	resp := p0.CallMulti([]CallSpec{{Target: 1, Kind: "ping", Req: "ping", ReqBytes: 50}})[0]
 	if resp != "pong" {
 		t.Fatalf("resp = %v", resp)
 	}
@@ -108,7 +105,7 @@ func TestSelfCallPanics(t *testing.T) {
 			t.Fatal("no panic on self-call")
 		}
 	}()
-	c.Proc(0).Call(0, "x", nil, 0)
+	c.Proc(0).CallMulti([]CallSpec{{Target: 0, Kind: "x"}})
 }
 
 func TestSendRecvCausality(t *testing.T) {
@@ -228,9 +225,9 @@ func TestSingleProcBarrierIsFree(t *testing.T) {
 
 func TestStatsCategories(t *testing.T) {
 	c := NewCluster(tiny(2))
-	c.Stats.Count("a", 2, 100)
-	c.Stats.Count("b", 1, 50)
-	c.Stats.Count("a", 1, 10)
+	c.Stats.CountP(0, "a", 2, 100)
+	c.Stats.CountP(1, "b", 1, 50)
+	c.Stats.CountP(1, "a", 1, 10)
 	cats := c.Stats.Categories()
 	if cats["a"].Messages != 3 || cats["a"].Bytes != 110 {
 		t.Fatalf("cat a = %+v", cats["a"])
@@ -260,7 +257,7 @@ func TestMissingHandlerPanics(t *testing.T) {
 			t.Fatal("no panic for missing handler")
 		}
 	}()
-	c.Proc(0).Call(1, "nope", nil, 0)
+	c.Proc(0).CallMulti([]CallSpec{{Target: 1, Kind: "nope"}})
 }
 
 func TestXferUS(t *testing.T) {

@@ -9,6 +9,8 @@
 // ordered by its own execution, which is deterministic by DESIGN.md
 // §7), and reads merge the shards in processor-id order so the
 // non-associative float additions happen in one canonical order.
+// AcquireResource panics outside Cluster.Run, so every update has an
+// owning processor and there is no unowned shard.
 //
 // Locking contract under the sharded scheduler (DESIGN.md §10): shard
 // mutexes are leaf locks. recordGrant and recordRelease run under
@@ -22,9 +24,7 @@
 package sim
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -102,10 +102,8 @@ func (s *syncShard) cell(res int) *LockStat {
 }
 
 // SyncStats is the cluster-wide synchronization-statistics store, one
-// shard per processor plus a global fallback for goroutines outside the
-// cluster.
+// shard per processor.
 type SyncStats struct {
-	global syncShard
 	shards []syncShard
 }
 
@@ -113,16 +111,9 @@ func (s *SyncStats) init(procs int) {
 	s.shards = make([]syncShard, procs)
 }
 
-func (s *SyncStats) shard(proc int) *syncShard {
-	if proc >= 0 && proc < len(s.shards) {
-		return &s.shards[proc]
-	}
-	return &s.global
-}
-
 // recordGrant credits one acquire and its simulated wait to proc.
 func (s *SyncStats) recordGrant(proc, res int, waitUS float64) {
-	sh := s.shard(proc)
+	sh := &s.shards[proc]
 	sh.mu.Lock()
 	c := sh.cell(res)
 	c.Acquires++
@@ -132,7 +123,7 @@ func (s *SyncStats) recordGrant(proc, res int, waitUS float64) {
 
 // recordRelease credits the hold interval to proc.
 func (s *SyncStats) recordRelease(proc, res int, holdUS float64) {
-	sh := s.shard(proc)
+	sh := &s.shards[proc]
 	sh.mu.Lock()
 	sh.cell(res).HoldUS += holdUS
 	sh.mu.Unlock()
@@ -143,28 +134,22 @@ func (s *SyncStats) recordRelease(proc, res int, holdUS float64) {
 // grantee's own goroutine (deterministic per-shard order); integers
 // merge order-independently anyway.
 func (s *SyncStats) CountGrantBytes(proc, res int, bytes int64) {
-	sh := s.shard(proc)
+	sh := &s.shards[proc]
 	sh.mu.Lock()
 	sh.cell(res).GrantBytes += bytes
 	sh.mu.Unlock()
 }
 
-// Snapshot returns the full per-(resource, processor) grid. The global
-// shard (updates from goroutines outside the cluster) appears as
-// Proc == -1.
+// Snapshot returns the full per-(resource, processor) grid.
 func (s *SyncStats) Snapshot() map[LockKey]LockStat {
 	out := map[LockKey]LockStat{}
-	collect := func(sh *syncShard, proc int) {
+	for i := range s.shards {
+		sh := &s.shards[i]
 		sh.mu.Lock()
 		for res, ls := range sh.byRes {
-			k := LockKey{Res: res, Proc: proc}
-			out[k] = out[k].Add(*ls)
+			out[LockKey{Res: res, Proc: i}] = *ls
 		}
 		sh.mu.Unlock()
-	}
-	collect(&s.global, -1)
-	for i := range s.shards {
-		collect(&s.shards[i], i)
 	}
 	return out
 }
@@ -218,29 +203,13 @@ func SubSnapshots(end, start map[LockKey]LockStat) map[LockKey]LockStat {
 	return out
 }
 
-// String formats the statistics, one (lock, proc) cell per line in
-// canonical order.
-func (s *SyncStats) String() string {
-	snap := s.Snapshot()
-	var b strings.Builder
-	for _, k := range SortedLockKeys(snap) {
-		ls := snap[k]
-		fmt.Fprintf(&b, "lock %4d proc %3d: %6d acq %12.1f wait-us %12.1f hold-us %10d grant-bytes\n",
-			k.Res, k.Proc, ls.Acquires, ls.WaitUS, ls.HoldUS, ls.GrantBytes)
-	}
-	return b.String()
-}
-
 // Reset clears all counters.
 func (s *SyncStats) Reset() {
-	clearShard := func(sh *syncShard) {
+	for i := range s.shards {
+		sh := &s.shards[i]
 		sh.mu.Lock()
 		sh.byRes = map[int]*LockStat{}
 		sh.lastRes, sh.last = 0, nil
 		sh.mu.Unlock()
-	}
-	clearShard(&s.global)
-	for i := range s.shards {
-		clearShard(&s.shards[i])
 	}
 }

@@ -78,13 +78,13 @@ func TestSyncStatsGrantBytesAndReset(t *testing.T) {
 	c := NewCluster(DefaultConfig(2))
 	c.Sync.CountGrantBytes(1, 5, 64)
 	c.Sync.CountGrantBytes(1, 5, 36)
-	c.Sync.CountGrantBytes(-1, 5, 9) // outside the cluster: global shard
+	c.Sync.CountGrantBytes(0, 5, 9)
 	snap := c.Sync.Snapshot()
 	if got := snap[LockKey{Res: 5, Proc: 1}].GrantBytes; got != 100 {
 		t.Fatalf("proc 1 grant bytes = %d, want 100", got)
 	}
-	if got := snap[LockKey{Res: 5, Proc: -1}].GrantBytes; got != 9 {
-		t.Fatalf("global grant bytes = %d, want 9", got)
+	if got := snap[LockKey{Res: 5, Proc: 0}].GrantBytes; got != 9 {
+		t.Fatalf("proc 0 grant bytes = %d, want 9", got)
 	}
 	if got := TotalLockStat(snap).GrantBytes; got != 109 {
 		t.Fatalf("total grant bytes = %d, want 109", got)
