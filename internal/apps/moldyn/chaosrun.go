@@ -22,14 +22,12 @@ func RunChaos(w *Workload) *apps.Result {
 	ep := apps.NewEpisode("chaos", p.simConfig())
 	ep.Res.TableOrg = p.TableKind.String()
 	cl := ep.Cluster
-	part := chaos.RCB(Coords(w.X0), nprocs)
+	part := w.Part
 	tt := chaos.NewTransTable(part, p.TableKind)
 	tt.CachePages = p.TableCachePages
 	counts := part.Counts()
 	ownGlobals := part.Owned() // in local-offset order
 
-	initPairs, _ := BuildPairs(&p, w.L, w.X0)
-	initSorted, initStarts := PartitionPairs(initPairs, part)
 	inspectorSec := ep.PerProc("inspector_s")
 	xs, fs := make([][]float64, nprocs), make([][]float64, nprocs)
 
@@ -39,8 +37,10 @@ func RunChaos(w *Workload) *apps.Result {
 		mem := &cl.Mem
 		ep.Meas.Start(proc)
 
-		// Working state: current pair section and local arrays.
-		pairs := initSorted[initStarts[me]:initStarts[me+1]]
+		// Working state: current pair section (the workload's, read
+		// only, until the first rebuild) and local arrays.
+		lo, hi := w.Starts[me], w.Starts[me+1]
+		pairs := w.Sorted[lo:hi:hi]
 		mem.Alloc(me, apps.MemCatPairs, int64(8*len(pairs)))
 		// xGlob is this proc's replicated coordinate copy, refreshed at
 		// every rebuild (allgather) and used only to rebuild the list.
@@ -90,7 +90,7 @@ func RunChaos(w *Workload) *apps.Result {
 				proc.Advance(cost.RebuildUSPerCheck * float64(checks))
 				tag++
 				mem.Free(me, apps.MemCatPairs, int64(8*len(pairs)))
-				pairs = exchangePairs(proc, tag, BucketPairsByOwner(myPairs, part))
+				pairs = exchangePairs(proc, tag, myPairs, part)
 				mem.Alloc(me, apps.MemCatPairs, int64(8*len(pairs)))
 				tag++
 				runInspector()
@@ -182,26 +182,31 @@ func allgatherX(proc *sim.Proc, tag int, part *chaos.Partition,
 	})
 }
 
-// exchangePairs routes each builder's per-owner pair buckets to their
+// exchangePairs routes each builder's pairs, sorted by owner, to their
 // owners ("chaos.pairx", one message per pair of processors) and returns
-// this processor's section: the concatenation, in builder order, of
-// every builder's bucket for it — the same deterministic layout the
-// TreadMarks backend stores in shared memory.
-func exchangePairs(proc *sim.Proc, tag int, buckets [][][2]int32) [][2]int32 {
+// this processor's section in new storage: the concatenation, in
+// builder order, of every builder's section for it — the same
+// deterministic layout the TreadMarks backend stores in shared memory.
+// A sent section is never written again, by either side.
+func exchangePairs(proc *sim.Proc, tag int, pairs [][2]int32, part *chaos.Partition) [][2]int32 {
 	me := proc.ID()
 	np := proc.NProcs()
+	sorted, starts := chaos.PartitionPairs(pairs, part)
 	byBuilder := make([][][2]int32, np)
-	byBuilder[me] = buckets[me]
+	byBuilder[me] = sorted[starts[me]:starts[me+1]]
 	for o := 0; o < np; o++ {
 		if o == me {
 			continue
 		}
-		proc.Send(o, "chaos.pairx", tag, buckets[o], 8*len(buckets[o]))
+		sec := sorted[starts[o]:starts[o+1]:starts[o+1]]
+		proc.Send(o, "chaos.pairx", tag, sec, 8*len(sec))
 	}
+	total := len(byBuilder[me])
 	proc.RecvEach("chaos.pairx", tag, np-1, func(from int, payload any) {
 		byBuilder[from] = payload.([][2]int32)
+		total += len(byBuilder[from])
 	})
-	var out [][2]int32
+	out := make([][2]int32, 0, total)
 	for b := 0; b < np; b++ {
 		out = append(out, byBuilder[b]...)
 	}

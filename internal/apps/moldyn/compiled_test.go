@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/chaos"
 	"repro/internal/compiler"
 	"repro/internal/core"
 	"repro/internal/lang"
@@ -33,9 +32,8 @@ func TestForceDescAgainstCompiledKernel(t *testing.T) {
 
 	p := DefaultParams(128, 4)
 	w := Generate(p)
-	pairs, _ := BuildPairs(&w.P, w.L, w.X0)
-	_, starts := PartitionPairs(pairs, chaos.RCB(Coords(w.X0), p.Procs))
-	capPairs := len(pairs)*3/2 + 4096 // RunTmk's capacity rule
+	starts := w.Starts
+	capPairs := len(w.Pairs)*3/2 + 4096 // RunTmk's capacity rule
 	xApp := &core.Array{Name: "x", ElemSize: 24, Len: p.N}
 	xDeclared := &core.Array{Name: "x", ElemSize: 8, Len: 3 * p.N}
 	inter := &core.Array{Name: "interaction_list", Base: 24 * 4096, ElemSize: 4, Len: 2 * capPairs}

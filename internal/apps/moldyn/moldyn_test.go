@@ -1,6 +1,8 @@
 package moldyn
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/apps"
@@ -78,7 +80,7 @@ func TestPartitionPairsSectionsAreContiguous(t *testing.T) {
 	w := Generate(p)
 	pairs, _ := BuildPairs(&p, w.L, w.X0)
 	part := chaos.RCB(Coords(w.X0), 4)
-	sorted, starts := PartitionPairs(pairs, part)
+	sorted, starts := chaos.PartitionPairs(pairs, part)
 	if len(sorted) != len(pairs) {
 		t.Fatal("pairs lost in partitioning")
 	}
@@ -87,7 +89,7 @@ func TestPartitionPairsSectionsAreContiguous(t *testing.T) {
 	}
 	for pr := 0; pr < 4; pr++ {
 		for k := starts[pr]; k < starts[pr+1]; k++ {
-			if ownerOfPair(sorted[k], part) != pr {
+			if part.Owner[sorted[k][0]] != pr {
 				t.Fatalf("pair %d assigned to wrong section", k)
 			}
 		}
@@ -211,5 +213,40 @@ func TestChaosInspectorCostGrowsWithRebuilds(t *testing.T) {
 	if r2.Detail["inspector_s"] <= r1.Detail["inspector_s"] {
 		t.Errorf("inspector time did not grow with rebuilds: %v vs %v",
 			r1.Detail["inspector_s"], r2.Detail["inspector_s"])
+	}
+}
+
+// TestBackendsLeaveWorkloadUntouched: Generate's pair list, partition
+// and sorted sections are shared by every backend and read-only. Run
+// all four backends with rebuilds on one Workload, concurrently so the
+// race detector sees any write, then compare the set-up with a fresh
+// Generate: a backend that appends into a section or rewrites shared
+// set-up fails here.
+func TestBackendsLeaveWorkloadUntouched(t *testing.T) {
+	p := testParams(192, 4, 6, 2)
+	w := Generate(p)
+	var wg sync.WaitGroup
+	for _, run := range []func() *apps.Result{
+		func() *apps.Result { return RunSequential(w) },
+		func() *apps.Result { return RunChaos(w) },
+		func() *apps.Result { return RunTmk(w, TmkOptions{}) },
+		func() *apps.Result { return RunTmk(w, TmkOptions{Optimized: true}) },
+	} {
+		wg.Add(1)
+		go func() { defer wg.Done(); run() }()
+	}
+	wg.Wait()
+	fresh := Generate(p)
+	for _, f := range []struct {
+		name      string
+		got, want any
+	}{
+		{"X0", w.X0, fresh.X0}, {"Drift", w.Drift, fresh.Drift},
+		{"Pairs", w.Pairs, fresh.Pairs}, {"Part", w.Part, fresh.Part},
+		{"Sorted", w.Sorted, fresh.Sorted}, {"Starts", w.Starts, fresh.Starts},
+	} {
+		if !reflect.DeepEqual(f.got, f.want) {
+			t.Errorf("Workload.%s changed while the backends ran", f.name)
+		}
 	}
 }

@@ -48,8 +48,7 @@ func RunTmk(w *Workload, opt TmkOptions) *apps.Result {
 	cl := ep.Cluster
 	// Capacity for the shared interaction list: the pair count drifts as
 	// molecules move; 1.5x the initial count plus slack covers it.
-	initPairs, _ := BuildPairs(&p, w.L, w.X0)
-	capPairs := len(initPairs)*3/2 + 4096
+	capPairs := len(w.Pairs)*3/2 + 4096
 
 	arenaBytes := apps.PageRound(24*n, p.PageSize) + apps.PageRound(8*3*n, p.PageSize) +
 		apps.PageRound(8*capPairs, p.PageSize) + apps.PageRound(8*(nprocs+2), p.PageSize) +
@@ -65,14 +64,12 @@ func RunTmk(w *Workload, opt TmkOptions) *apps.Result {
 	// Initialization (untimed, like the paper): proc 0 lays out the
 	// coordinates, the RCB-partitioned interaction list, and the section
 	// boundaries.
-	part := chaos.RCB(Coords(w.X0), nprocs)
 	s0 := d.Node(0).Space()
 	for i := 0; i < 3*n; i++ {
 		s0.WriteF64(xArr.Base+vm.Addr(8*i), w.X0[i])
 		s0.WriteF64(fArr.Base+vm.Addr(8*i), 0)
 	}
-	sorted, starts := PartitionPairs(initPairs, part)
-	writePairs(s0, interArr, startsAddr, sorted, starts)
+	writePairs(s0, interArr, startsAddr, w.Sorted, w.Starts)
 	d.SealInit()
 
 	scans := ep.PerProc("scan_s") // indirection-scan seconds
@@ -99,7 +96,7 @@ func RunTmk(w *Workload, opt TmkOptions) *apps.Result {
 			// are merged deterministically in shared memory.
 			if p.UpdateEvery > 0 && step > 1 && (step-1)%p.UpdateEvery == 0 {
 				node.Barrier(barBeforeRebuild)
-				rebuildParallel(proc, node, rt, w, &p, part, xArr, interArr, startsAddr)
+				rebuildParallel(proc, node, rt, w, &p, xArr, interArr, startsAddr)
 				node.Barrier(barAfterRebuild)
 			}
 
@@ -178,13 +175,14 @@ func forceDesc(xArr, interArr *core.Array, lo, hi, capPairs int) core.Desc {
 // rebuildParallel rebuilds the interaction list cooperatively: every
 // processor reads the current coordinates through shared memory, scans
 // the rows i with i mod nprocs == me (balancing the triangular loop),
-// buckets its pairs by the almost-owner-computes owner, exchanges bucket
-// counts to compute deterministic write offsets, and stores its buckets
-// into the shared list. The stores fault, twin, and diff through the
-// normal protocol — the writes to the write-protected indirection pages
-// are exactly what flips every processor's Validate modified flag.
+// sorts its pairs by the almost-owner-computes owner, exchanges the
+// per-owner counts to compute deterministic write offsets, and stores
+// each owner's pairs into that owner's section of the shared list. The
+// stores fault, twin, and diff through the normal protocol — the writes
+// to the write-protected indirection pages are exactly what flips every
+// processor's Validate modified flag.
 func rebuildParallel(proc *sim.Proc, node *tmk.Node, rt *core.Runtime, w *Workload,
-	p *Params, part *chaos.Partition, xArr, interArr *core.Array, startsAddr vm.Addr) {
+	p *Params, xArr, interArr *core.Array, startsAddr vm.Addr) {
 
 	me := proc.ID()
 	nprocs := proc.NProcs()
@@ -203,10 +201,10 @@ func rebuildParallel(proc *sim.Proc, node *tmk.Node, rt *core.Runtime, w *Worklo
 	}
 	pairs, checks := BuildPairsStrided(p, w.L, x, nprocs, me)
 	proc.Advance(p.Costs.RebuildUSPerCheck * float64(checks))
-	buckets := BucketPairsByOwner(pairs, part)
+	byOwner, bounds := chaos.PartitionPairs(pairs, w.Part)
 	counts := make([]int, nprocs)
-	for o := range buckets {
-		counts[o] = len(buckets[o])
+	for o := range counts {
+		counts[o] = bounds[o+1] - bounds[o]
 	}
 
 	// Exchange bucket counts; the manager computes each builder's write
@@ -248,9 +246,9 @@ func rebuildParallel(proc *sim.Proc, node *tmk.Node, rt *core.Runtime, w *Worklo
 	if 2*r.starts[nprocs] > interArr.Len {
 		panic("moldyn: interaction list exceeded shared capacity")
 	}
-	for o, bucket := range buckets {
+	for o := range counts {
 		k := r.offs[o]
-		for _, pr := range bucket {
+		for _, pr := range byOwner[bounds[o]:bounds[o+1]] {
 			space.WriteI32(interArr.Base+vm.Addr(8*k), pr[0])
 			space.WriteI32(interArr.Base+vm.Addr(8*k+4), pr[1])
 			k++

@@ -14,7 +14,6 @@ package unstruct
 
 import (
 	"math/rand"
-	"slices"
 
 	"repro/internal/apps"
 	"repro/internal/chaos"
@@ -66,7 +65,8 @@ func DefaultParams(nodes, procs int) Params {
 	}
 }
 
-// Workload is the generated mesh.
+// Workload is the generated mesh and the partition every parallel
+// backend shares, computed once by Generate and only read after it.
 type Workload struct {
 	P      Params
 	L      float64 // box side
@@ -74,6 +74,10 @@ type Workload struct {
 	X0     []float64  // initial node values (quantized)
 	Drift  []float64  // per-node per-step drift
 	Edges  [][2]int32 // static edge list (a < b)
+
+	Part   *chaos.Partition // RCB partition of Coords over P.Procs
+	Sorted [][2]int32       // Edges by owner under Part (chaos.PartitionPairs)
+	Starts []int            // processor p's edges are Sorted[Starts[p]:Starts[p+1]]
 }
 
 // Generate builds a random geometric mesh with unit density.
@@ -146,7 +150,10 @@ func Generate(p Params) *Workload {
 			}
 		}
 	}
-	return &Workload{P: p, L: l, Coords: coords, X0: x, Drift: drift, Edges: edges}
+	w := &Workload{P: p, L: l, Coords: coords, X0: x, Drift: drift, Edges: edges}
+	w.Part = chaos.RCB(coords, p.Procs)
+	w.Sorted, w.Starts = chaos.PartitionPairs(edges, w.Part)
+	return w
 }
 
 func cube(v float64) float64 {
@@ -163,27 +170,6 @@ func flux(xa, xb float64) float64 { return xa - xb }
 // relax advances one node value.
 func relax(x, y, drift float64) float64 {
 	return apps.Q(x + apps.Dt*y + drift)
-}
-
-// partitionEdges orders the edges by owner (RCB on coordinates,
-// almost-owner-computes per edge) and returns per-processor boundaries.
-func partitionEdges(w *Workload, part *chaos.Partition) (sorted [][2]int32, starts []int) {
-	// A stable counting sort on the owner: count, prefix-sum, place.
-	starts = make([]int, part.NProcs+1)
-	for _, e := range w.Edges {
-		starts[part.Owner[e[0]]+1]++
-	}
-	for p := 0; p < part.NProcs; p++ {
-		starts[p+1] += starts[p]
-	}
-	sorted = make([][2]int32, len(w.Edges))
-	next := slices.Clone(starts[:part.NProcs])
-	for _, e := range w.Edges {
-		o := part.Owner[e[0]]
-		sorted[next[o]] = e
-		next[o]++
-	}
-	return
 }
 
 // RunSequential is the reference program.
@@ -241,14 +227,12 @@ func RunTmk(w *Workload, opt TmkOptions) *apps.Result {
 	yArr := &core.Array{Name: "y", Base: d.Alloc(8 * n), ElemSize: 8, Len: n}
 	eArr := &core.Array{Name: "edges", Base: d.Alloc(8 * len(w.Edges)), ElemSize: 4, Len: 2 * len(w.Edges)}
 
-	part := chaos.RCB(w.Coords, nprocs)
-	sorted, starts := partitionEdges(w, part)
 	s0 := d.Node(0).Space()
 	for i := 0; i < n; i++ {
 		s0.WriteF64(xArr.Addr(i), w.X0[i])
 		s0.WriteF64(yArr.Addr(i), 0)
 	}
-	for k, e := range sorted {
+	for k, e := range w.Sorted {
 		s0.WriteI32(eArr.Addr(2*k), e[0])
 		s0.WriteI32(eArr.Addr(2*k+1), e[1])
 	}
@@ -263,7 +247,7 @@ func RunTmk(w *Workload, opt TmkOptions) *apps.Result {
 			rt = core.NewRuntime(node)
 		}
 		ly := make([]float64, n)
-		lo, hi := starts[me], starts[me+1]
+		lo, hi := w.Starts[me], w.Starts[me+1]
 		mlo, mhi := chaos.BlockRange(n, nprocs, me)
 
 		for step := 0; step <= p.Steps; step++ {
@@ -331,11 +315,9 @@ func RunChaos(w *Workload) *apps.Result {
 	ep := apps.NewEpisode("chaos", p.Machine.Config(nprocs))
 	ep.Res.TableOrg = chaos.Replicated.String()
 	cl := ep.Cluster
-	part := chaos.RCB(w.Coords, nprocs)
+	part := w.Part
 	tt := chaos.NewTransTable(part, chaos.Replicated)
 	counts := part.Counts()
-	sorted, starts := partitionEdges(w, part)
-
 	ownGlobals := part.Owned()
 
 	inspectorSec := ep.PerProc("inspector_s")
@@ -344,7 +326,8 @@ func RunChaos(w *Workload) *apps.Result {
 	cl.Run(func(proc *sim.Proc) {
 		me := proc.ID()
 		own := counts[me]
-		edges := sorted[starts[me]:starts[me+1]]
+		lo, hi := w.Starts[me], w.Starts[me+1]
+		edges := w.Sorted[lo:hi:hi]
 
 		t0 := proc.Clock()
 		globals := make([]int, 0, 2*len(edges))

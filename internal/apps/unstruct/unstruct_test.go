@@ -3,6 +3,7 @@ package unstruct
 import (
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/apps"
@@ -134,7 +135,7 @@ func TestPartitionEdgesIsStableSortByOwner(t *testing.T) {
 	want := append([][2]int32(nil), w.Edges...)
 	sort.SliceStable(want, func(i, j int) bool { return part.Owner[want[i][0]] < part.Owner[want[j][0]] })
 
-	sorted, starts := partitionEdges(w, part)
+	sorted, starts := chaos.PartitionPairs(w.Edges, part)
 	if !reflect.DeepEqual(sorted, want) {
 		t.Fatal("edges are not in stable owner order")
 	}
@@ -147,5 +148,28 @@ func TestPartitionEdgesIsStableSortByOwner(t *testing.T) {
 				t.Fatalf("edge %v in processor %d's range, owner %d", e, p, part.Owner[e[0]])
 			}
 		}
+	}
+}
+
+// TestBackendsLeaveWorkloadUntouched: the mesh, its partition and the
+// owner-sorted edges are shared by every backend and read-only. Run all
+// four backends on one Workload, concurrently so the race detector sees
+// any write, then compare with a fresh Generate.
+func TestBackendsLeaveWorkloadUntouched(t *testing.T) {
+	p := testParams(512, 4, 3)
+	w := Generate(p)
+	var wg sync.WaitGroup
+	for _, run := range []func() *apps.Result{
+		func() *apps.Result { return RunSequential(w) },
+		func() *apps.Result { return RunChaos(w) },
+		func() *apps.Result { return RunTmk(w, TmkOptions{}) },
+		func() *apps.Result { return RunTmk(w, TmkOptions{Optimized: true}) },
+	} {
+		wg.Add(1)
+		go func() { defer wg.Done(); run() }()
+	}
+	wg.Wait()
+	if fresh := Generate(p); !reflect.DeepEqual(w, fresh) {
+		t.Error("Workload changed while the backends ran")
 	}
 }

@@ -9,11 +9,7 @@
 // accumulated contributions back to their owners.
 package chaos
 
-import (
-	"sort"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // Schedule is a communication schedule: for each peer, which of the
 // peer's local elements we receive (into which ghost slots), and which
@@ -39,6 +35,10 @@ type Schedule struct {
 	// localOf maps a global element index to its local slot (owned or
 	// ghost) on this processor; -1 if untouched here.
 	localOf []int32
+
+	// bufs[q] is the executor payload last received from q, kept as the
+	// next send buffer to q (see Gather).
+	bufs [][]float64
 }
 
 // MemCatSched is the sim.MemStats category for retained schedule
@@ -116,7 +116,7 @@ func Inspect(p *sim.Proc, tag int, globals []int, tt *TransTable, cost Inspector
 	if cost.TranslateAll {
 		// Translate the raw reference stream (charging the full
 		// distributed-table traffic), then dedup.
-		tt.LookupBatch(p, globals)
+		tt.chargeLookups(p, globals)
 	}
 
 	// Duplicate elimination via a hash table sized to the data array
@@ -125,26 +125,30 @@ func Inspect(p *sim.Proc, tag int, globals []int, tt *TransTable, cost Inspector
 	// exactly the transient allocation the paper's memory observation is
 	// about, so it is charged (and freed below) — the per-proc peak
 	// footprint sees it even though it does not outlive the inspector.
+	// The distinct set is the table's marked entries read in index
+	// order, i.e. sorted.
 	mem := &p.Cluster().Mem
 	mem.Alloc(me, MemCatInspector, int64(n))
 	seen := make([]bool, n)
-	distinct := make([]int, 0, len(globals))
+	ndistinct := 0
 	for _, g := range globals {
 		if !seen[g] {
 			seen[g] = true
+			ndistinct++
+		}
+	}
+	distinct := make([]int, 0, ndistinct)
+	for g, ok := range seen {
+		if ok {
 			distinct = append(distinct, g)
 		}
 	}
-	sort.Ints(distinct)
 	p.Advance(cost.HashUSPerEntry * float64(len(globals)))
 
 	// Translate the distinct elements (may communicate, depending on the
 	// table organization; already paid above under TranslateAll).
-	var locs []Loc
-	if cost.TranslateAll {
-		locs = tt.LookupLocal(distinct)
-	} else {
-		locs = tt.LookupBatch(p, distinct)
+	if !cost.TranslateAll {
+		tt.chargeLookups(p, distinct)
 	}
 
 	sch := &Schedule{
@@ -154,6 +158,7 @@ func Inspect(p *sim.Proc, tag int, globals []int, tt *TransTable, cost Inspector
 		RecvSlot: make([][]int32, nprocs),
 		SendTo:   make([][]int32, nprocs),
 		localOf:  make([]int32, n),
+		bufs:     make([][]float64, nprocs),
 	}
 	for i := range sch.localOf {
 		sch.localOf[i] = -1
@@ -170,12 +175,12 @@ func Inspect(p *sim.Proc, tag int, globals []int, tt *TransTable, cost Inspector
 	sch.OwnCount = own
 	// Ghost slots for remote elements, grouped by home processor.
 	ghost := int32(own)
-	for i, g := range distinct {
-		if locs[i].Proc == me {
+	for _, g := range distinct {
+		q := tt.owner[g]
+		if q == me {
 			continue
 		}
-		q := locs[i].Proc
-		sch.RecvFrom[q] = append(sch.RecvFrom[q], locs[i].Off)
+		sch.RecvFrom[q] = append(sch.RecvFrom[q], tt.local[g])
 		sch.RecvSlot[q] = append(sch.RecvSlot[q], ghost)
 		sch.localOf[g] = ghost
 		ghost++
@@ -213,12 +218,31 @@ type ExecutorCost struct {
 // DefaultExecutorCost returns the calibrated executor cost.
 func DefaultExecutorCost() ExecutorCost { return ExecutorCost{PackUSPerElem: 0.05} }
 
+// sendBuf returns a buffer of exactly n values for a message to q: the
+// payload last received from q if its capacity suffices, else a new
+// one. The caller overwrites every element, sends it, and never touches
+// it again.
+func (s *Schedule) sendBuf(q, n int) []float64 {
+	buf := s.bufs[q]
+	s.bufs[q] = nil
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
+}
+
 // Gather fills the ghost region of data from the owners, using one
 // sender-initiated message per communicating pair ("chaos.gather") — the
 // one-message push the paper contrasts with TreadMarks' two-message
 // request/response. data holds width float64 values per element slot,
 // layout [owned | ghosts]. All processors must call Gather collectively
 // with the same tag (a unique phase id, e.g. the time step).
+//
+// Payloads travel with the messages: a sender never touches a payload
+// after Send, and the receiver, once it has copied the values out,
+// keeps the payload as its next send buffer to that peer (Gather and
+// ScatterAdd alike). A steady-state executor round allocates no
+// payload storage.
 func Gather(p *sim.Proc, tag int, sch *Schedule, data []float64, width int, cost ExecutorCost) {
 	me := sch.Me
 	expect := 0
@@ -232,7 +256,7 @@ func Gather(p *sim.Proc, tag int, sch *Schedule, data []float64, width int, cost
 		if len(sch.SendTo[q]) == 0 {
 			continue
 		}
-		vals := make([]float64, width*len(sch.SendTo[q]))
+		vals := sch.sendBuf(q, width*len(sch.SendTo[q]))
 		for i, li := range sch.SendTo[q] {
 			copy(vals[i*width:], data[int(li)*width:int(li)*width+width])
 		}
@@ -249,13 +273,15 @@ func Gather(p *sim.Proc, tag int, sch *Schedule, data []float64, width int, cost
 			copy(data[int(slots[i])*width:int(slots[i])*width+width], vals[i*width:i*width+width])
 		}
 		p.Advance(cost.PackUSPerElem * float64(len(vals)))
+		sch.bufs[from] = vals
 	})
 }
 
 // ScatterAdd pushes ghost-slot contributions back to their owners, which
 // add them into their elements ("chaos.scatter"); used for the force
 // reduction. data holds width float64 values per slot. All processors
-// must call ScatterAdd collectively with the same tag.
+// must call ScatterAdd collectively with the same tag. Payloads travel
+// as in Gather.
 func ScatterAdd(p *sim.Proc, tag int, sch *Schedule, data []float64, width int, cost ExecutorCost) {
 	me := sch.Me
 	expect := 0
@@ -269,7 +295,7 @@ func ScatterAdd(p *sim.Proc, tag int, sch *Schedule, data []float64, width int, 
 		if len(sch.RecvFrom[q]) == 0 {
 			continue
 		}
-		vals := make([]float64, width*len(sch.RecvFrom[q]))
+		vals := sch.sendBuf(q, width*len(sch.RecvFrom[q]))
 		for i, slot := range sch.RecvSlot[q] {
 			copy(vals[i*width:], data[int(slot)*width:int(slot)*width+width])
 		}
@@ -288,5 +314,6 @@ func ScatterAdd(p *sim.Proc, tag int, sch *Schedule, data []float64, width int, 
 			}
 		}
 		p.Advance(cost.PackUSPerElem * float64(len(vals)))
+		sch.bufs[from] = vals
 	})
 }

@@ -152,6 +152,37 @@ func AlmostOwnerComputes(iters [][]int, part *Partition) [][]int {
 	return out
 }
 
+// PartitionPairs applies almost-owner-computes to iterations that each
+// access two elements: with two elements the majority rule reduces to
+// the first element's owner. It returns the pairs stably sorted by that
+// owner (a counting sort: count, prefix-sum, place) and the section
+// boundaries starts, where processor p's pairs occupy
+// sorted[starts[p]:starts[p+1]]. The regular section of the indirection
+// array each processor accesses — the compiler's key fact — is exactly
+// that contiguous range. Only the two results are allocated.
+func PartitionPairs(pairs [][2]int32, part *Partition) (sorted [][2]int32, starts []int) {
+	nprocs := part.NProcs
+	starts = make([]int, nprocs+1)
+	for _, pr := range pairs {
+		starts[part.Owner[pr[0]]+1]++
+	}
+	for p := 0; p < nprocs; p++ {
+		starts[p+1] += starts[p]
+	}
+	// Place each pair at its owner's cursor, kept in starts[o] (which
+	// therefore ends at the section's end, i.e. starts[o+1]); shift
+	// back afterwards.
+	sorted = make([][2]int32, len(pairs))
+	for _, pr := range pairs {
+		o := part.Owner[pr[0]]
+		sorted[starts[o]] = pr
+		starts[o]++
+	}
+	copy(starts[1:], starts[:nprocs])
+	starts[0] = 0
+	return sorted, starts
+}
+
 // chooseOwner implements the almost-owner-computes rule for a single
 // iteration: the owner of the most accessed elements wins, with ties
 // going to whichever owner reached that count first (so the first

@@ -91,6 +91,10 @@ type TransTable struct {
 	// cluster is known).
 	charged []bool
 
+	// remote[p*nprocs+q] counts the entries processor p requests from
+	// segment owner q: chargeLookups' scratch, zero between calls.
+	remote []int
+
 	// CachePages bounds the per-processor cached-page count in Paged
 	// mode; 0 means unbounded (the historical behavior).
 	CachePages int
@@ -111,6 +115,7 @@ func NewTransTable(part *Partition, kind TableKind) *TransTable {
 		local:    local,
 		nprocs:   part.NProcs,
 		charged:  make([]bool, part.NProcs),
+		remote:   make([]int, part.NProcs*part.NProcs),
 		LookupUS: 0.12,
 	}
 	if kind == Paged {
@@ -201,52 +206,62 @@ func (t *TransTable) LookupLocal(globals []int) []Loc {
 // request/response exchanges with remote segment owners. Traffic is
 // counted under "chaos.ttable".
 func (t *TransTable) LookupBatch(p *sim.Proc, globals []int) []Loc {
-	cfg := p.Config()
+	t.chargeLookups(p, globals)
+	return t.LookupLocal(globals)
+}
+
+// chargeLookups charges processor p for translating globals, exactly as
+// LookupBatch does, without building the result: the cost of a lookup
+// does not depend on what it returns.
+func (t *TransTable) chargeLookups(p *sim.Proc, globals []int) {
+	me := p.ID()
 	t.chargeStorage(p)
-	out := make([]Loc, len(globals))
-	remote := map[int]int{} // segment owner -> #entries requested
-	for i, g := range globals {
-		out[i] = Loc{Proc: t.owner[g], Off: t.local[g]}
+	remote := t.remote[me*t.nprocs : (me+1)*t.nprocs]
+	for _, g := range globals {
 		switch t.kind {
 		case Replicated:
 			// Local.
 		case Distributed:
-			if q := t.segmentOwner(g); q != p.ID() {
+			if q := t.segmentOwner(g); q != me {
 				remote[q]++
 			}
 		case Paged:
 			page := g / TablePageEntries
-			if q := t.segmentOwner(g); q != p.ID() && !t.cached[p.ID()][page] {
+			if q := t.segmentOwner(g); q != me && !t.cached[me][page] {
 				t.cachePage(p, page)
 				remote[q] += TablePageEntries // whole page shipped
 			}
 		}
 	}
 	p.Advance(t.LookupUS * float64(len(globals)))
-	if len(remote) > 0 {
-		done := p.Clock()
-		t0 := done
-		var msgs, bytes int64
-		for q, entries := range remote {
-			reqB := TableEntryBytes * entries
-			respB := TableEntryBytes * entries
-			if t.kind == Paged {
-				reqB = TableEntryBytes * (entries / TablePageEntries)
-			}
-			cl := p.Cluster()
-			rtt := cl.LinkLatencyUS(p.ID(), q) + cl.LinkXferUS(p.ID(), q, reqB) +
-				0.05*float64(entries)*cl.CPUFactor(q) + // segment-owner lookup, at the owner's speed
-				cl.LinkLatencyUS(q, p.ID()) + cl.LinkXferUS(q, p.ID(), respB)
-			if t0+rtt > done {
-				done = t0 + rtt
-			}
-			msgs += cfg.Frags(reqB) + cfg.Frags(respB)
-			bytes += cfg.WireBytes(reqB) + cfg.WireBytes(respB)
+	cfg := p.Config()
+	cl := p.Cluster()
+	done := p.Clock()
+	t0 := done
+	var msgs, bytes int64
+	for q, entries := range remote {
+		if entries == 0 {
+			continue
 		}
-		p.AdvanceTo(done)
-		p.Cluster().Stats.CountP(p.ID(), "chaos.ttable", msgs, bytes)
+		remote[q] = 0
+		reqB := TableEntryBytes * entries
+		respB := TableEntryBytes * entries
+		if t.kind == Paged {
+			reqB = TableEntryBytes * (entries / TablePageEntries)
+		}
+		rtt := cl.LinkLatencyUS(me, q) + cl.LinkXferUS(me, q, reqB) +
+			0.05*float64(entries)*cl.CPUFactor(q) + // segment-owner lookup, at the owner's speed
+			cl.LinkLatencyUS(q, me) + cl.LinkXferUS(q, me, respB)
+		if t0+rtt > done {
+			done = t0 + rtt
+		}
+		msgs += cfg.Frags(reqB) + cfg.Frags(respB)
+		bytes += cfg.WireBytes(reqB) + cfg.WireBytes(respB)
 	}
-	return out
+	if msgs > 0 {
+		p.AdvanceTo(done)
+		cl.Stats.CountP(me, "chaos.ttable", msgs, bytes)
+	}
 }
 
 // cachePage records that processor p now caches table page pg, charging
