@@ -30,8 +30,22 @@ import (
 	"repro/internal/simd"
 )
 
+// Connection timeouts: a client gets this long to send its request
+// headers, and an idle keep-alive connection is closed after the
+// second. Bodies and responses are not bounded here: a run's own
+// deadline (-run-timeout) bounds the slow part of a request.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	os.Exit(realMain())
+}
+
+// newHTTPServer returns the HTTP server that serves h.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 func realMain() int {
@@ -80,7 +94,7 @@ func realMain() int {
 		log.Print(err)
 		return 1
 	}
-	hs := &http.Server{Handler: srv}
+	hs := newHTTPServer(srv)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 	log.Printf("listening on %s", ln.Addr())

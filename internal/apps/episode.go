@@ -136,20 +136,6 @@ func Assemble(res *Result, owned [][]int, width int, xs, fs [][]float64) {
 	}
 }
 
-// RowRefs is a CHAOS inspector's reference stream for rows [lo, hi) of
-// a flat per-row index list: each row's own index, then its per
-// entries of refs.
-func RowRefs(lo, hi, per int, refs []int32) []int {
-	out := make([]int, 0, (hi-lo)*(per+1))
-	for i := lo; i < hi; i++ {
-		out = append(out, i)
-		for _, r := range refs[i*per : (i+1)*per] {
-			out = append(out, int(r))
-		}
-	}
-	return out
-}
-
 // PipelinedReduce is the paper's Figure 2 force reduction: the calling
 // processor adds its private accumulation local into the shared array
 // arr in nprocs stages, updating block (me+s) mod nprocs in stage s and

@@ -54,14 +54,10 @@ func RunChaos(w *Workload) *apps.Result {
 
 		runInspector := func() {
 			t0 := proc.Clock()
-			globals := make([]int, 0, 2*len(pairs))
-			for _, pr := range pairs {
-				globals = append(globals, int(pr[0]), int(pr[1]))
-			}
 			if sch != nil {
 				sch.ReleaseMem(proc) // replaced by the re-run below
 			}
-			sch = chaos.Inspect(proc, tag, globals, tt, p.Inspector)
+			sch = chaos.InspectStream(proc, tag, apps.PairRefs(pairs), tt, p.Inspector)
 			slots := own + sch.Ghosts
 			mem.Free(me, apps.MemCatData, dataBytes)
 			dataBytes = int64(2 * 8 * 3 * slots) // xLoc + fLoc

@@ -181,6 +181,7 @@ func Coords(x []float64) [][3]float64 {
 func BuildPairs(p *Params, l float64, x []float64) (pairs [][2]int32, checks int64) {
 	n := p.N
 	rc2 := p.Cutoff * p.Cutoff
+	var b apps.PairBuilder
 	if !p.CellRebuild {
 		for i := 0; i < n; i++ {
 			xi, yi, zi := x[3*i], x[3*i+1], x[3*i+2]
@@ -190,11 +191,11 @@ func BuildPairs(p *Params, l float64, x []float64) (pairs [][2]int32, checks int
 				dy := apps.MinImage(yi-x[3*j+1], l)
 				dz := apps.MinImage(zi-x[3*j+2], l)
 				if dx*dx+dy*dy+dz*dz <= rc2 {
-					pairs = append(pairs, [2]int32{int32(i), int32(j)})
+					b.Add(int32(i), int32(j))
 				}
 			}
 		}
-		return pairs, checks
+		return b.Pairs(), checks
 	}
 	// Cell-grid variant: cells of side >= cutoff; scan half the 27
 	// neighborhood to keep i<j order deterministic. With fewer than
@@ -234,14 +235,14 @@ func BuildPairs(p *Params, l float64, x []float64) (pairs [][2]int32, checks int
 						dy2 := apps.MinImage(yi-x[3*j+1], l)
 						dz2 := apps.MinImage(zi-x[3*j+2], l)
 						if dx*dx+dy2*dy2+dz2*dz2 <= rc2 {
-							pairs = append(pairs, [2]int32{int32(i), j})
+							b.Add(int32(i), j)
 						}
 					}
 				}
 			}
 		}
 	}
-	return pairs, checks
+	return b.Pairs(), checks
 }
 
 func clampCell(c, nc int) int {
@@ -271,6 +272,7 @@ func mod(a, n int) int {
 func BuildPairsStrided(p *Params, l float64, x []float64, mod, eq int) (pairs [][2]int32, checks int64) {
 	n := p.N
 	rc2 := p.Cutoff * p.Cutoff
+	var b apps.PairBuilder
 	for i := eq; i < n; i += mod {
 		xi, yi, zi := x[3*i], x[3*i+1], x[3*i+2]
 		for j := i + 1; j < n; j++ {
@@ -279,11 +281,11 @@ func BuildPairsStrided(p *Params, l float64, x []float64, mod, eq int) (pairs []
 			dy := apps.MinImage(yi-x[3*j+1], l)
 			dz := apps.MinImage(zi-x[3*j+2], l)
 			if dx*dx+dy*dy+dz*dz <= rc2 {
-				pairs = append(pairs, [2]int32{int32(i), int32(j)})
+				b.Add(int32(i), int32(j))
 			}
 		}
 	}
-	return pairs, checks
+	return b.Pairs(), checks
 }
 
 // stepPositions integrates one molecule's coordinate: exact arithmetic

@@ -36,7 +36,7 @@ func RunChaos(w *Workload) *apps.Result {
 
 		// Inspector: called once, at the beginning of the program.
 		t0 := proc.Clock()
-		sch := chaos.Inspect(proc, 0, apps.RowRefs(mlo, mhi, p.Partners, w.Partners), tt, p.Inspector)
+		sch := chaos.InspectStream(proc, 0, apps.RowRefs(mlo, mhi, p.Partners, w.Partners), tt, p.Inspector)
 		inspectorSec[me] = (proc.Clock() - t0) / 1e6
 
 		slots := own + sch.Ghosts

@@ -39,7 +39,7 @@ func RunChaos(w *Workload) *apps.Result {
 		// reference stream is every column index of the owned rows plus
 		// the owned entries themselves (the refresh).
 		t0 := proc.Clock()
-		sch := chaos.Inspect(proc, 0, apps.RowRefs(rlo, rhi, p.NNZRow, w.Cols), tt, p.Inspector)
+		sch := chaos.InspectStream(proc, 0, apps.RowRefs(rlo, rhi, p.NNZRow, w.Cols), tt, p.Inspector)
 		inspectorSec[me] = (proc.Clock() - t0) / 1e6
 
 		cl.Mem.Alloc(me, apps.MemCatData, int64(8*(2*own+sch.Ghosts))) // xLoc + yLoc

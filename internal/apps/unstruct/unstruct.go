@@ -102,7 +102,7 @@ func Generate(p Params) *Workload {
 		drift[i] = apps.Q((rng.Float64() - 0.5) * 0.03)
 	}
 	// Edges: cell-grid neighbor search, deterministic order, a < b.
-	var edges [][2]int32
+	var edges apps.PairBuilder
 	nc := int(l / p.Radius)
 	if nc < 1 {
 		nc = 1
@@ -143,16 +143,16 @@ func Generate(p Params) *Workload {
 						ddy := coords[i][1] - coords[j][1]
 						ddz := coords[i][2] - coords[j][2]
 						if ddx*ddx+ddy*ddy+ddz*ddz <= r2 {
-							edges = append(edges, [2]int32{int32(i), j})
+							edges.Add(int32(i), j)
 						}
 					}
 				}
 			}
 		}
 	}
-	w := &Workload{P: p, L: l, Coords: coords, X0: x, Drift: drift, Edges: edges}
+	w := &Workload{P: p, L: l, Coords: coords, X0: x, Drift: drift, Edges: edges.Pairs()}
 	w.Part = chaos.RCB(coords, p.Procs)
-	w.Sorted, w.Starts = chaos.PartitionPairs(edges, w.Part)
+	w.Sorted, w.Starts = chaos.PartitionPairs(w.Edges, w.Part)
 	return w
 }
 
@@ -330,11 +330,7 @@ func RunChaos(w *Workload) *apps.Result {
 		edges := w.Sorted[lo:hi:hi]
 
 		t0 := proc.Clock()
-		globals := make([]int, 0, 2*len(edges))
-		for _, e := range edges {
-			globals = append(globals, int(e[0]), int(e[1]))
-		}
-		sch := chaos.Inspect(proc, 0, globals, tt, p.Inspector)
+		sch := chaos.InspectStream(proc, 0, apps.PairRefs(edges), tt, p.Inspector)
 		inspectorSec[me] = (proc.Clock() - t0) / 1e6
 
 		slots := own + sch.Ghosts

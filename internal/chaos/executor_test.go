@@ -211,19 +211,20 @@ func BenchmarkGatherScatter(b *testing.B) {
 
 // BenchmarkInspect is one collective inspector run at moldyn's
 // irregular_tables size: 512 molecules on 8 processors, each processor
-// translating a 13,000-entry reference stream through the distributed
-// table before duplicate elimination (TranslateAll), as moldyn does.
+// streaming 6,500 interaction pairs (13,000 references) in place through
+// the distributed table before duplicate elimination (TranslateAll), as
+// moldyn does.
 func BenchmarkInspect(b *testing.B) {
-	const n, nprocs, refs = 512, 8, 13000
+	const n, nprocs, npairs = 512, 8, 6500
 	part := Block(n, nprocs)
 	tt := NewTransTable(part, Distributed)
 	cost := InspectorCost{HashUSPerEntry: 2.0, BuildUSPerElem: 0.5, TranslateAll: true}
-	streams := make([][]int, nprocs)
+	pairs := make([][][2]int32, nprocs)
 	rng := rand.New(rand.NewSource(1))
-	for q := range streams {
-		streams[q] = make([]int, refs)
-		for i := range streams[q] {
-			streams[q][i] = rng.Intn(n)
+	for q := range pairs {
+		pairs[q] = make([][2]int32, npairs)
+		for i := range pairs[q] {
+			pairs[q][i] = [2]int32{int32(rng.Intn(n)), int32(rng.Intn(n))}
 		}
 	}
 	c := sim.NewCluster(sim.DefaultConfig(nprocs))
@@ -231,7 +232,7 @@ func BenchmarkInspect(b *testing.B) {
 	b.ResetTimer()
 	c.Run(func(p *sim.Proc) {
 		for i := 0; i < b.N; i++ {
-			Inspect(p, i, streams[p.ID()], tt, cost).ReleaseMem(p)
+			InspectStream(p, i, pairStream(pairs[p.ID()]), tt, cost).ReleaseMem(p)
 		}
 	})
 }

@@ -9,7 +9,12 @@
 // accumulated contributions back to their owners.
 package chaos
 
-import "repro/internal/sim"
+import (
+	"iter"
+	"slices"
+
+	"repro/internal/sim"
+)
 
 // Schedule is a communication schedule: for each peer, which of the
 // peer's local elements we receive (into which ghost slots), and which
@@ -101,13 +106,20 @@ func DefaultInspectorCost() InspectorCost {
 	return InspectorCost{HashUSPerEntry: 0.25, BuildUSPerElem: 0.15}
 }
 
-// Inspect builds processor p's communication schedule. globals lists, in
-// iteration order and with duplicates, every global data element the
-// processor's iterations access; tt supplies translation. Peer send
-// lists are exchanged with one message per communicating pair
-// ("chaos.sched"). All processors must call Inspect collectively with
-// the same tag (a phase id distinguishing successive inspector runs).
+// Inspect is InspectStream over a materialized reference list.
 func Inspect(p *sim.Proc, tag int, globals []int, tt *TransTable, cost InspectorCost) *Schedule {
+	return InspectStream(p, tag, slices.Values(globals), tt, cost)
+}
+
+// InspectStream builds processor p's communication schedule. refs
+// yields, in iteration order and with duplicates, every global data
+// element the processor's iterations access; it is walked in place (once
+// for dedup, and once more before it under TranslateAll), never copied.
+// tt supplies translation. Peer send lists are exchanged with one
+// message per communicating pair ("chaos.sched"). All processors must
+// call InspectStream collectively with the same tag (a phase id
+// distinguishing successive inspector runs).
+func InspectStream(p *sim.Proc, tag int, refs iter.Seq[int], tt *TransTable, cost InspectorCost) *Schedule {
 	me := p.ID()
 	nprocs := p.NProcs()
 	n := tt.N()
@@ -116,7 +128,7 @@ func Inspect(p *sim.Proc, tag int, globals []int, tt *TransTable, cost Inspector
 	if cost.TranslateAll {
 		// Translate the raw reference stream (charging the full
 		// distributed-table traffic), then dedup.
-		tt.chargeLookups(p, globals)
+		tt.chargeLookups(p, refs)
 	}
 
 	// Duplicate elimination via a hash table sized to the data array
@@ -126,24 +138,23 @@ func Inspect(p *sim.Proc, tag int, globals []int, tt *TransTable, cost Inspector
 	// about, so it is charged (and freed below) — the per-proc peak
 	// footprint sees it even though it does not outlive the inspector.
 	// The distinct set is the table's marked entries read in index
-	// order, i.e. sorted.
+	// order, i.e. sorted; it is never materialized.
 	mem := &p.Cluster().Mem
 	mem.Alloc(me, MemCatInspector, int64(n))
 	seen := make([]bool, n)
-	ndistinct := 0
-	for _, g := range globals {
-		if !seen[g] {
-			seen[g] = true
-			ndistinct++
+	nrefs := 0
+	for g := range refs {
+		seen[g] = true
+		nrefs++
+	}
+	distinct := func(yield func(int) bool) {
+		for g, ok := range seen {
+			if ok && !yield(g) {
+				return
+			}
 		}
 	}
-	distinct := make([]int, 0, ndistinct)
-	for g, ok := range seen {
-		if ok {
-			distinct = append(distinct, g)
-		}
-	}
-	p.Advance(cost.HashUSPerEntry * float64(len(globals)))
+	p.Advance(cost.HashUSPerEntry * float64(nrefs))
 
 	// Translate the distinct elements (may communicate, depending on the
 	// table organization; already paid above under TranslateAll).
@@ -160,22 +171,36 @@ func Inspect(p *sim.Proc, tag int, globals []int, tt *TransTable, cost Inspector
 		localOf:  make([]int32, n),
 		bufs:     make([][]float64, nprocs),
 	}
-	for i := range sch.localOf {
-		sch.localOf[i] = -1
-	}
 	// Owned elements occupy their remapped offsets — all of them, not
 	// just the accessed ones, so ghost slots start past the full block.
-	own := 0
+	// Count the remote distinct elements per home processor so the
+	// receive lists are allocated at their exact sizes.
+	own, ndistinct := 0, 0
+	remote := make([]int, nprocs)
 	for g := 0; g < n; g++ {
-		if tt.owner[g] == me {
+		sch.localOf[g] = -1
+		q := tt.owner[g]
+		if q == me {
 			sch.localOf[g] = tt.local[g]
 			own++
 		}
+		if seen[g] {
+			ndistinct++
+			if q != me {
+				remote[q]++
+			}
+		}
 	}
 	sch.OwnCount = own
+	for q, k := range remote {
+		if k > 0 {
+			sch.RecvFrom[q] = make([]int32, 0, k)
+			sch.RecvSlot[q] = make([]int32, 0, k)
+		}
+	}
 	// Ghost slots for remote elements, grouped by home processor.
 	ghost := int32(own)
-	for _, g := range distinct {
+	for g := range distinct {
 		q := tt.owner[g]
 		if q == me {
 			continue
@@ -186,7 +211,7 @@ func Inspect(p *sim.Proc, tag int, globals []int, tt *TransTable, cost Inspector
 		ghost++
 	}
 	sch.Ghosts = int(ghost) - own
-	p.Advance(cost.BuildUSPerElem * float64(len(distinct)))
+	p.Advance(cost.BuildUSPerElem * float64(ndistinct))
 	mem.Free(me, MemCatInspector, int64(n))
 
 	// Exchange send lists: q must learn which of its elements we want.

@@ -21,6 +21,8 @@ package chaos
 
 import (
 	"fmt"
+	"iter"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -79,6 +81,7 @@ type TransTable struct {
 	owner  []int
 	local  []int32
 	nprocs int
+	seg    uint32 // entries per table segment (Distributed/Paged)
 
 	// cached[p] marks table pages processor p has cached (Paged mode);
 	// fifo[p] remembers their fill order for eviction. Each processor
@@ -114,6 +117,7 @@ func NewTransTable(part *Partition, kind TableKind) *TransTable {
 		owner:    part.Owner,
 		local:    local,
 		nprocs:   part.NProcs,
+		seg:      uint32((len(part.Owner) + part.NProcs - 1) / part.NProcs),
 		charged:  make([]bool, part.NProcs),
 		remote:   make([]int, part.NProcs*part.NProcs),
 		LookupUS: 0.12,
@@ -135,7 +139,9 @@ func (t *TransTable) N() int { return t.n }
 // segmentOwner returns the processor holding global index g's table
 // entry under the Distributed/Paged organizations.
 func (t *TransTable) segmentOwner(g int) int {
-	return blockOwner(g, t.n, t.nprocs)
+	// blockOwner(g, t.n, t.nprocs), with the segment size computed once
+	// and a 32-bit divide (indices are int32 throughout).
+	return int(uint32(g) / t.seg)
 }
 
 // StorageBytes returns the modeled per-processor table storage of
@@ -206,18 +212,20 @@ func (t *TransTable) LookupLocal(globals []int) []Loc {
 // request/response exchanges with remote segment owners. Traffic is
 // counted under "chaos.ttable".
 func (t *TransTable) LookupBatch(p *sim.Proc, globals []int) []Loc {
-	t.chargeLookups(p, globals)
+	t.chargeLookups(p, slices.Values(globals))
 	return t.LookupLocal(globals)
 }
 
-// chargeLookups charges processor p for translating globals, exactly as
-// LookupBatch does, without building the result: the cost of a lookup
-// does not depend on what it returns.
-func (t *TransTable) chargeLookups(p *sim.Proc, globals []int) {
+// chargeLookups charges processor p for translating the indices refs
+// yields, in order, exactly as LookupBatch does, without building the
+// result: the cost of a lookup does not depend on what it returns.
+func (t *TransTable) chargeLookups(p *sim.Proc, refs iter.Seq[int]) {
 	me := p.ID()
 	t.chargeStorage(p)
 	remote := t.remote[me*t.nprocs : (me+1)*t.nprocs]
-	for _, g := range globals {
+	nrefs := 0
+	for g := range refs {
+		nrefs++
 		switch t.kind {
 		case Replicated:
 			// Local.
@@ -233,7 +241,7 @@ func (t *TransTable) chargeLookups(p *sim.Proc, globals []int) {
 			}
 		}
 	}
-	p.Advance(t.LookupUS * float64(len(globals)))
+	p.Advance(t.LookupUS * float64(nrefs))
 	cfg := p.Config()
 	cl := p.Cluster()
 	done := p.Clock()

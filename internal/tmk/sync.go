@@ -138,8 +138,8 @@ func (n *Node) combineBarrier(contribs []any) ([]any, []int, float64) {
 // stored diffs. Traffic is counted under "tmk.gc".
 func (n *Node) gcFlush(barrierID int) {
 	var invalid []vm.PageID
-	for pg := range n.pages {
-		if len(n.pages[pg].pending) > 0 {
+	for pg, meta := range n.pages {
+		if meta != nil && len(meta.pending) > 0 {
 			invalid = append(invalid, vm.PageID(pg))
 		}
 	}

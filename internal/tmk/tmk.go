@@ -154,12 +154,9 @@ func (d *DSM) SealInit() {
 		panic("tmk: unexpected twins during initialization")
 	}
 	numPages := d.arena.NumPages()
-	nprocs := d.cluster.NProcs()
 	for _, n := range d.nodes { // n0 first: its pages are sealed before they are shared
-		n.pages = make([]pageMeta, numPages)
-		applied := make([]int32, numPages*nprocs)
+		n.pages = make([]*pageMeta, numPages)
 		for p := 0; p < numPages; p++ {
-			n.pages[p].applied = applied[p*nprocs : (p+1)*nprocs : (p+1)*nprocs]
 			n.space.Protect(vm.PageID(p), vm.ReadOnly)
 			if n != n0 {
 				n.space.SharePageFrom(n0.space, vm.PageID(p))
@@ -222,7 +219,11 @@ type dirtyPage struct {
 	owned bool
 }
 
-// pageMeta is one node's coherence state for one page.
+// pageMeta is one node's coherence state for one page, created by
+// Node.meta at the page's first protocol event: a write notice naming
+// it, an interval close covering it, or MarkFullyWritten. A page
+// without one has applied nothing and has nothing pending, so a fetch
+// or gcFlush that finds none has nothing to do for it.
 type pageMeta struct {
 	// applied[w] is the highest interval of writer w whose modifications
 	// are present in the local copy.
@@ -240,7 +241,9 @@ type Node struct {
 
 	vc    VC
 	dirty map[vm.PageID]dirtyPage
-	pages []pageMeta
+	// pages[pg] is the coherence state of page pg, nil until its first
+	// protocol event.
+	pages []*pageMeta
 	// freeTwins holds the owned twins of closed intervals for the next
 	// write faults to reuse: at most as many as one interval dirtied.
 	freeTwins [][]byte
@@ -286,6 +289,17 @@ type Node struct {
 	DiffsApplied int64
 	TwinsMade    int64
 	GCs          int64
+}
+
+// meta returns page's coherence state, creating it at the page's first
+// protocol event.
+func (n *Node) meta(page vm.PageID) *pageMeta {
+	m := n.pages[page]
+	if m == nil {
+		m = &pageMeta{applied: make([]int32, len(n.vc))}
+		n.pages[page] = m
+	}
+	return m
 }
 
 // DiffStoreBytes returns the wire bytes of retained diffs.
@@ -348,7 +362,7 @@ func (n *Node) HandleFault(page vm.PageID, write bool) {
 // the node's current vector time (all known writes are covered by the
 // upcoming snapshot) and the page becomes writable with no twin.
 func (n *Node) MarkFullyWritten(page vm.PageID) {
-	meta := &n.pages[page]
+	meta := n.meta(page)
 	for w := range meta.applied {
 		if meta.applied[w] < n.vc[w] {
 			meta.applied[w] = n.vc[w]
@@ -455,7 +469,7 @@ func (n *Node) closeInterval() {
 		n.diffStore[page] = append(n.diffStore[page], sd)
 		diffStored += int64(sd.dataB)
 		n.DiffsCreated++
-		n.pages[page].applied[me] = n.vc[me]
+		n.meta(page).applied[me] = n.vc[me]
 		n.space.Protect(page, vm.ReadOnly)
 	}
 	n.diffBytes += diffStored
@@ -478,7 +492,7 @@ func (n *Node) applyNotices(nts []*Notice) {
 		}
 		n.vc.Join(nt.VC)
 		for _, page := range nt.Pages {
-			meta := &n.pages[page]
+			meta := n.meta(page)
 			if nt.Interval <= meta.applied[nt.Proc] {
 				continue
 			}
@@ -571,9 +585,11 @@ func (n *Node) FetchPages(pages []vm.PageID, kind string) {
 	f := &n.fetch
 	// Group needed (page, interval-range) pairs by writer.
 	for _, page := range pages {
-		meta := &n.pages[page]
-		meta.pending = pruneSuperseded(meta.pending, page)
-		if len(meta.pending) == 0 {
+		meta := n.pages[page]
+		if meta != nil {
+			meta.pending = pruneSuperseded(meta.pending, page)
+		}
+		if meta == nil || len(meta.pending) == 0 {
 			if n.space.Page(page).Prot() == vm.NoAccess {
 				n.space.Protect(page, vm.ReadOnly)
 			}
@@ -618,7 +634,7 @@ func (n *Node) FetchPages(pages []vm.PageID, kind string) {
 		var applyBytes int
 		for lo := 0; lo < len(ds); {
 			page := ds[lo].page
-			meta := &n.pages[page]
+			meta := n.pages[page] // pending notices named it, so it exists
 			// A whole-page snapshot (WRITE_ALL) supersedes every diff
 			// its writer had already applied; pick the causally latest
 			// (ties broken by writer id and interval).
@@ -665,15 +681,19 @@ func (n *Node) FetchPages(pages []vm.PageID, kind string) {
 	}
 	// Clear satisfied pending notices and revalidate.
 	for _, page := range pages {
-		meta := &n.pages[page]
-		keep := meta.pending[:0]
-		for _, nt := range meta.pending {
-			if nt.Interval > meta.applied[nt.Proc] {
-				keep = append(keep, nt)
+		if meta := n.pages[page]; meta != nil {
+			keep := meta.pending[:0]
+			for _, nt := range meta.pending {
+				if nt.Interval > meta.applied[nt.Proc] {
+					keep = append(keep, nt)
+				}
+			}
+			meta.pending = keep
+			if len(keep) > 0 {
+				continue
 			}
 		}
-		meta.pending = keep
-		if len(meta.pending) == 0 && n.space.Page(page).Prot() == vm.NoAccess {
+		if n.space.Page(page).Prot() == vm.NoAccess {
 			if _, dirtyHere := n.dirty[page]; dirtyHere {
 				n.space.Protect(page, vm.ReadWrite)
 			} else {

@@ -400,7 +400,7 @@ func setUpTearDown(nprocs, arenaBytes int) {
 }
 
 func TestNewSealInitAllocsIndependentOfPages(t *testing.T) {
-	// Set-up allocates per node (page table, applied slab, maps), never
+	// Set-up allocates per node (page table, maps), never
 	// per page: the image is one slab and the replicas alias it.
 	const np = 8
 	allocs := func(pages int) float64 {
