@@ -21,7 +21,8 @@ BENCH_SWEEP_FLAGS := -run '^$$' -bench '^BenchmarkTableSweep' -benchtime=1x -cou
 
 # The DESIGN.md §1 layers under the run-times: the vm accessor fast path,
 # the diff encoder on a sparse and a dense page, tmk's per-episode
-# set-up (New + SealInit at 16 procs x 8 MB), lock hand-off and demand
+# set-up (New + SealInit at 16 procs x 8 MB, and NewFromImage attaching
+# 16 procs to a sealed 8 MB image), lock hand-off and demand
 # fault + fetch (the inputs of the perf probes tmk.lock_handoff_us and
 # tmk.fault_fetch_us), core's Validate recomputing and revalidating
 # a 4096-entry indirect descriptor (the input of the core.validate_*
@@ -30,14 +31,14 @@ BENCH_SWEEP_FLAGS := -run '^$$' -bench '^BenchmarkTableSweep' -benchtime=1x -cou
 # orders of magnitude apart (3 ns, 3 ms), so no iteration count suits
 # all: they run in their own invocation on a time budget.
 BENCH_LAYER_PKGS    := ./internal/vm ./internal/diff ./internal/tmk ./internal/core ./internal/chaos
-BENCH_LAYER_PATTERN := ^Benchmark(ReadF64|WriteF64|EncodeSparse|EncodeDense|NewSealInit|LockHandoff|FaultFetch|ValidateRecompute|ValidateRevalidate|Inspect|GatherScatter)$$
+BENCH_LAYER_PATTERN := ^Benchmark(ReadF64|WriteF64|EncodeSparse|EncodeDense|NewSealInit|NewFromImage|LockHandoff|FaultFetch|ValidateRecompute|ValidateRevalidate|Inspect|GatherScatter)$$
 BENCH_LAYER_FLAGS   := -run '^$$' -bench '$(BENCH_LAYER_PATTERN)' -benchtime=200ms -count=6
 
 # The in-process benchmark names, as a benchgate -filter: the bench
 # legs gate only these against BENCH_sim.json, and the service leg
 # gates only BenchmarkSimdLoad — each leg filters the shared baseline
 # to what it actually ran.
-GATE_FILTER  := ^Benchmark(Arbiter|Delivery|Send|StatsCount|TableSweep|ReadF64|WriteF64|EncodeSparse|EncodeDense|NewSealInit|LockHandoff|FaultFetch|ValidateRecompute|ValidateRevalidate|Inspect|GatherScatter)
+GATE_FILTER  := ^Benchmark(Arbiter|Delivery|Send|StatsCount|TableSweep|ReadF64|WriteF64|EncodeSparse|EncodeDense|NewSealInit|NewFromImage|LockHandoff|FaultFetch|ValidateRecompute|ValidateRevalidate|Inspect|GatherScatter)
 LOAD_FILTER  := ^BenchmarkSimdLoad
 
 # The service load test (cmd/simd + cmd/simload); see README "Running

@@ -61,7 +61,7 @@ func BenchmarkTable1MoldynTmkBase(b *testing.B) {
 	w := moldyn.Generate(moldynParams(10))
 	var r *apps.Result
 	for i := 0; i < b.N; i++ {
-		r = moldyn.RunTmk(w, moldyn.TmkOptions{})
+		r = moldyn.RunTmk(w, moldyn.BuildImage(w), moldyn.TmkOptions{})
 	}
 	report(b, r)
 }
@@ -70,7 +70,7 @@ func BenchmarkTable1MoldynTmkOpt(b *testing.B) {
 	w := moldyn.Generate(moldynParams(10))
 	var r *apps.Result
 	for i := 0; i < b.N; i++ {
-		r = moldyn.RunTmk(w, moldyn.TmkOptions{Optimized: true})
+		r = moldyn.RunTmk(w, moldyn.BuildImage(w), moldyn.TmkOptions{Optimized: true})
 	}
 	report(b, r)
 }
@@ -79,7 +79,7 @@ func BenchmarkTable1MoldynTmkOptUpdate5(b *testing.B) {
 	w := moldyn.Generate(moldynParams(5))
 	var r *apps.Result
 	for i := 0; i < b.N; i++ {
-		r = moldyn.RunTmk(w, moldyn.TmkOptions{Optimized: true})
+		r = moldyn.RunTmk(w, moldyn.BuildImage(w), moldyn.TmkOptions{Optimized: true})
 	}
 	report(b, r)
 }
@@ -115,7 +115,7 @@ func BenchmarkTable2NBFTmkBase(b *testing.B) {
 	w := nbf.Generate(nbfParams(4 * 1024))
 	var r *apps.Result
 	for i := 0; i < b.N; i++ {
-		r = nbf.RunTmk(w, nbf.TmkOptions{})
+		r = nbf.RunTmk(w, nbf.BuildImage(w), nbf.TmkOptions{})
 	}
 	report(b, r)
 }
@@ -124,7 +124,7 @@ func BenchmarkTable2NBFTmkOpt(b *testing.B) {
 	w := nbf.Generate(nbfParams(4 * 1024))
 	var r *apps.Result
 	for i := 0; i < b.N; i++ {
-		r = nbf.RunTmk(w, nbf.TmkOptions{Optimized: true})
+		r = nbf.RunTmk(w, nbf.BuildImage(w), nbf.TmkOptions{Optimized: true})
 	}
 	report(b, r)
 }
@@ -133,7 +133,7 @@ func BenchmarkTable2NBFTmkOptFalseSharing(b *testing.B) {
 	w := nbf.Generate(nbfParams(4 * 1000)) // misaligned: the 64x1000 analogue
 	var r *apps.Result
 	for i := 0; i < b.N; i++ {
-		r = nbf.RunTmk(w, nbf.TmkOptions{Optimized: true})
+		r = nbf.RunTmk(w, nbf.BuildImage(w), nbf.TmkOptions{Optimized: true})
 	}
 	report(b, r)
 }
@@ -169,7 +169,7 @@ func BenchmarkTable3SpmvTmkBase(b *testing.B) {
 	w := spmv.Generate(spmvParams(8 * 1024))
 	var r *apps.Result
 	for i := 0; i < b.N; i++ {
-		r = spmv.RunTmk(w, spmv.TmkOptions{})
+		r = spmv.RunTmk(w, spmv.BuildImage(w), spmv.TmkOptions{})
 	}
 	report(b, r)
 }
@@ -178,7 +178,7 @@ func BenchmarkTable3SpmvTmkOpt(b *testing.B) {
 	w := spmv.Generate(spmvParams(8 * 1024))
 	var r *apps.Result
 	for i := 0; i < b.N; i++ {
-		r = spmv.RunTmk(w, spmv.TmkOptions{Optimized: true})
+		r = spmv.RunTmk(w, spmv.BuildImage(w), spmv.TmkOptions{Optimized: true})
 	}
 	report(b, r)
 }

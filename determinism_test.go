@@ -92,9 +92,9 @@ func TestMoldynByteIdenticalAcrossRuns(t *testing.T) {
 	p.UpdateEvery = 2
 	w := moldyn.Generate(p)
 	stress(t, "moldyn/chaos", 4, func() *apps.Result { return moldyn.RunChaos(w) })
-	stress(t, "moldyn/tmk", 4, func() *apps.Result { return moldyn.RunTmk(w, moldyn.TmkOptions{}) })
+	stress(t, "moldyn/tmk", 4, func() *apps.Result { return moldyn.RunTmk(w, moldyn.BuildImage(w), moldyn.TmkOptions{}) })
 	stress(t, "moldyn/tmk-opt", 4, func() *apps.Result {
-		return moldyn.RunTmk(w, moldyn.TmkOptions{Optimized: true})
+		return moldyn.RunTmk(w, moldyn.BuildImage(w), moldyn.TmkOptions{Optimized: true})
 	})
 }
 
@@ -104,9 +104,9 @@ func TestNBFByteIdenticalAcrossRuns(t *testing.T) {
 	p.Partners = 24
 	w := nbf.Generate(p)
 	stress(t, "nbf/chaos", 4, func() *apps.Result { return nbf.RunChaos(w) })
-	stress(t, "nbf/tmk", 4, func() *apps.Result { return nbf.RunTmk(w, nbf.TmkOptions{}) })
+	stress(t, "nbf/tmk", 4, func() *apps.Result { return nbf.RunTmk(w, nbf.BuildImage(w), nbf.TmkOptions{}) })
 	stress(t, "nbf/tmk-opt", 4, func() *apps.Result {
-		return nbf.RunTmk(w, nbf.TmkOptions{Optimized: true})
+		return nbf.RunTmk(w, nbf.BuildImage(w), nbf.TmkOptions{Optimized: true})
 	})
 }
 
@@ -115,9 +115,9 @@ func TestSpmvByteIdenticalAcrossRuns(t *testing.T) {
 	p.Steps = 4
 	w := spmv.Generate(p)
 	stress(t, "spmv/chaos", 4, func() *apps.Result { return spmv.RunChaos(w) })
-	stress(t, "spmv/tmk", 4, func() *apps.Result { return spmv.RunTmk(w, spmv.TmkOptions{}) })
+	stress(t, "spmv/tmk", 4, func() *apps.Result { return spmv.RunTmk(w, spmv.BuildImage(w), spmv.TmkOptions{}) })
 	stress(t, "spmv/tmk-opt", 4, func() *apps.Result {
-		return spmv.RunTmk(w, spmv.TmkOptions{Optimized: true})
+		return spmv.RunTmk(w, spmv.BuildImage(w), spmv.TmkOptions{Optimized: true})
 	})
 }
 
@@ -144,9 +144,9 @@ func TestTaskqByteIdenticalAcrossRuns(t *testing.T) {
 		w := taskq.Generate(p)
 		tag := func(sys string) string { return fmt.Sprintf("taskq/%s@%dp", sys, procs) }
 		stress(t, tag("mp"), runs, func() *apps.Result { return taskq.RunMP(w) })
-		stress(t, tag("tmk"), runs, func() *apps.Result { return taskq.RunTmk(w, taskq.TmkOptions{}) })
+		stress(t, tag("tmk"), runs, func() *apps.Result { return taskq.RunTmk(w, taskq.BuildImage(w), taskq.TmkOptions{}) })
 		stress(t, tag("tmk-batch"), runs, func() *apps.Result {
-			return taskq.RunTmk(w, taskq.TmkOptions{Batched: true})
+			return taskq.RunTmk(w, taskq.BuildImage(w), taskq.TmkOptions{Batched: true})
 		})
 	}
 }
@@ -234,8 +234,8 @@ func TestTspByteIdenticalAcrossRuns(t *testing.T) {
 	p := tsp.DefaultParams(10, 8)
 	w := tsp.Generate(p)
 	stress(t, "tsp/mp", 4, func() *apps.Result { return tsp.RunMP(w) })
-	stress(t, "tsp/tmk", 4, func() *apps.Result { return tsp.RunTmk(w, tsp.TmkOptions{}) })
+	stress(t, "tsp/tmk", 4, func() *apps.Result { return tsp.RunTmk(w, tsp.BuildImage(w), tsp.TmkOptions{}) })
 	stress(t, "tsp/tmk-batch", 4, func() *apps.Result {
-		return tsp.RunTmk(w, tsp.TmkOptions{Batched: true})
+		return tsp.RunTmk(w, tsp.BuildImage(w), tsp.TmkOptions{Batched: true})
 	})
 }

@@ -13,7 +13,7 @@ import (
 // moldyn's ComputeForces, and records its known layout mismatch
 // (DESIGN.md §3). The kernel declares x(3, n): 8-byte reals, 3n of
 // them. The interaction list's values are molecule numbers, so the
-// optimized RunTmk lays x out as one 24-byte unit per molecule. Bound
+// image BuildImage lays x out as one 24-byte unit per molecule. Bound
 // against that layout, the compiled descriptor equals the one RunTmk
 // validates field for field; bound against the declared layout, it
 // differs in the Data array's geometry alone.
@@ -33,7 +33,7 @@ func TestForceDescAgainstCompiledKernel(t *testing.T) {
 	p := DefaultParams(128, 4)
 	w := Generate(p)
 	starts := w.Starts
-	capPairs := len(w.Pairs)*3/2 + 4096 // RunTmk's capacity rule
+	capPairs := len(w.Pairs)*3/2 + 4096 // BuildImage's capacity rule
 	xApp := &core.Array{Name: "x", ElemSize: 24, Len: p.N}
 	xDeclared := &core.Array{Name: "x", ElemSize: 8, Len: 3 * p.N}
 	inter := &core.Array{Name: "interaction_list", Base: 24 * 4096, ElemSize: 4, Len: 2 * capPairs}

@@ -101,8 +101,8 @@ func runAll(t *testing.T, p Params) map[string]*apps.Result {
 	t.Helper()
 	w := Generate(p)
 	seq := RunSequential(w)
-	tmkBase := RunTmk(w, TmkOptions{})
-	tmkOpt := RunTmk(w, TmkOptions{Optimized: true})
+	tmkBase := RunTmk(w, BuildImage(w), TmkOptions{})
+	tmkOpt := RunTmk(w, BuildImage(w), TmkOptions{Optimized: true})
 	ch := RunChaos(w)
 	for _, r := range []*apps.Result{tmkBase, tmkOpt, ch} {
 		if err := apps.VerifyEqual(seq, r); err != nil {
@@ -150,7 +150,7 @@ func TestSpeedupReasonable(t *testing.T) {
 	p.Costs.InteractionUS = 100
 	w := Generate(p)
 	seq := RunSequential(w)
-	opt := RunTmk(w, TmkOptions{Optimized: true})
+	opt := RunTmk(w, BuildImage(w), TmkOptions{Optimized: true})
 	sp := seq.TimeSec / opt.TimeSec
 	if sp < 4 || sp > 8.2 {
 		t.Errorf("8-proc compute-bound speedup = %.2f, implausible", sp)
@@ -193,7 +193,7 @@ func TestTmkDeterministicAcrossRuns(t *testing.T) {
 	p := testParams(192, 4, 4, 2)
 	w := Generate(p)
 	for name, run := range map[string]func() *apps.Result{
-		"tmk-opt": func() *apps.Result { return RunTmk(w, TmkOptions{Optimized: true}) },
+		"tmk-opt": func() *apps.Result { return RunTmk(w, BuildImage(w), TmkOptions{Optimized: true}) },
 		"chaos":   func() *apps.Result { return RunChaos(w) },
 	} {
 		a := run()
@@ -229,8 +229,8 @@ func TestBackendsLeaveWorkloadUntouched(t *testing.T) {
 	for _, run := range []func() *apps.Result{
 		func() *apps.Result { return RunSequential(w) },
 		func() *apps.Result { return RunChaos(w) },
-		func() *apps.Result { return RunTmk(w, TmkOptions{}) },
-		func() *apps.Result { return RunTmk(w, TmkOptions{Optimized: true}) },
+		func() *apps.Result { return RunTmk(w, BuildImage(w), TmkOptions{}) },
+		func() *apps.Result { return RunTmk(w, BuildImage(w), TmkOptions{Optimized: true}) },
 	} {
 		wg.Add(1)
 		go func() { defer wg.Done(); run() }()

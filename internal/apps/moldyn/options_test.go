@@ -16,8 +16,8 @@ func TestCellRebuildBackendAgreement(t *testing.T) {
 	w := Generate(p)
 	seq := RunSequential(w)
 	for _, r := range []*apps.Result{
-		RunTmk(w, TmkOptions{}),
-		RunTmk(w, TmkOptions{Optimized: true}),
+		RunTmk(w, BuildImage(w), TmkOptions{}),
+		RunTmk(w, BuildImage(w), TmkOptions{Optimized: true}),
 		RunChaos(w),
 	} {
 		if err := apps.VerifyEqual(seq, r); err != nil {
@@ -47,7 +47,7 @@ func TestIncrementalOptionAgreement(t *testing.T) {
 	p := testParams(256, 4, 6, 2)
 	w := Generate(p)
 	seq := RunSequential(w)
-	r := RunTmk(w, TmkOptions{Optimized: true, Incremental: true})
+	r := RunTmk(w, BuildImage(w), TmkOptions{Optimized: true, Incremental: true})
 	if err := apps.VerifyEqual(seq, r); err != nil {
 		t.Fatalf("incremental: %v", err)
 	}
@@ -57,11 +57,11 @@ func TestNoAggregationAgreement(t *testing.T) {
 	p := testParams(256, 4, 4, 2)
 	w := Generate(p)
 	seq := RunSequential(w)
-	noAgg := RunTmk(w, TmkOptions{Optimized: true, NoAggregation: true})
+	noAgg := RunTmk(w, BuildImage(w), TmkOptions{Optimized: true, NoAggregation: true})
 	if err := apps.VerifyEqual(seq, noAgg); err != nil {
 		t.Fatalf("no-aggregation: %v", err)
 	}
-	agg := RunTmk(w, TmkOptions{Optimized: true})
+	agg := RunTmk(w, BuildImage(w), TmkOptions{Optimized: true})
 	if agg.Messages > noAgg.Messages {
 		t.Errorf("aggregation increased messages: %d vs %d", agg.Messages, noAgg.Messages)
 	}
@@ -71,7 +71,7 @@ func TestNoWriteAllAgreement(t *testing.T) {
 	p := testParams(256, 4, 4, 0)
 	w := Generate(p)
 	seq := RunSequential(w)
-	r := RunTmk(w, TmkOptions{Optimized: true, NoWriteAll: true})
+	r := RunTmk(w, BuildImage(w), TmkOptions{Optimized: true, NoWriteAll: true})
 	if err := apps.VerifyEqual(seq, r); err != nil {
 		t.Fatalf("no-writeall: %v", err)
 	}
@@ -91,7 +91,7 @@ func TestGCEnabledAgreement(t *testing.T) {
 	w := Generate(p)
 	seq := RunSequential(w)
 
-	r := RunTmk(w, TmkOptions{Optimized: true, GCThresholdBytes: 1024})
+	r := RunTmk(w, BuildImage(w), TmkOptions{Optimized: true, GCThresholdBytes: 1024})
 	if err := apps.VerifyEqual(seq, r); err != nil {
 		t.Fatalf("with GC: %v", err)
 	}
@@ -114,7 +114,8 @@ func TestRegistryKnobs(t *testing.T) {
 	p := DefaultParams(cfg.N, cfg.Procs)
 	p.Steps = cfg.Steps
 	got := knob.TmkOpt()
-	sameResult(t, "tmk-opt", got, RunTmk(Generate(p), TmkOptions{Optimized: true, NoAggregation: true}))
+	w := Generate(p)
+	sameResult(t, "tmk-opt", got, RunTmk(w, BuildImage(w), TmkOptions{Optimized: true, NoAggregation: true}))
 	if opt := plain.TmkOpt(); got.Messages == opt.Messages {
 		t.Errorf("no_aggregation left tmk-opt's %d messages unchanged", opt.Messages)
 	}

@@ -26,7 +26,7 @@ func init() {
 			p.TableCachePages = plan.CachePages
 		}
 		opt := TmkOptions{Optimized: true, NoAggregation: cfg.Knob("no_aggregation", 0) != 0}
-		return apps.NewVariants("moldyn", Generate(p), RunSequential, RunChaos, RunTmk,
+		return apps.NewVariants("moldyn", Generate(p), RunSequential, RunChaos, BuildImage, RunTmk,
 			TmkOptions{}, opt)
 	}, "update_every", "table_budget_kb", "no_aggregation")
 }

@@ -37,8 +37,49 @@ type TmkOptions struct {
 	GCThresholdBytes int64 // extension S16: consistency-data GC threshold (0 = off)
 }
 
-// RunTmk executes the workload on the TreadMarks DSM.
-func RunTmk(w *Workload, opt TmkOptions) *apps.Result {
+// Image is moldyn's initial TreadMarks image: the coordinates, the
+// forces, the RCB-partitioned interaction list (with room to grow) and
+// its section boundaries laid out in one sealed arena, built once per
+// workload and shared by both TreadMarks variants.
+type Image struct {
+	*tmk.Image
+	xArr, fArr, interArr *core.Array
+	startsAddr           vm.Addr
+	capPairs             int // the interaction list's capacity in pairs
+}
+
+// BuildImage lays out moldyn's shared arrays and writes their initial
+// values (untimed, like the paper): processor 0's coordinates, zero
+// forces, the RCB-partitioned interaction list, and the section
+// boundaries.
+func BuildImage(w *Workload) *Image {
+	p := w.P
+	n := p.N
+	// Capacity for the shared interaction list: the pair count drifts as
+	// molecules move; 1.5x the initial count plus slack covers it.
+	capPairs := len(w.Pairs)*3/2 + 4096
+	arenaBytes := apps.PageRound(24*n, p.PageSize) + apps.PageRound(8*3*n, p.PageSize) +
+		apps.PageRound(8*capPairs, p.PageSize) + apps.PageRound(8*(p.Procs+2), p.PageSize) +
+		8*p.PageSize
+	img := tmk.NewImage(p.PageSize, arenaBytes)
+	im := &Image{Image: img, capPairs: capPairs,
+		xArr:     &core.Array{Name: "x", Base: img.Alloc(24 * n), ElemSize: 24, Len: n},
+		fArr:     &core.Array{Name: "forces", Base: img.Alloc(8 * 3 * n), ElemSize: 8, Len: 3 * n},
+		interArr: &core.Array{Name: "interaction_list", Base: img.Alloc(8 * capPairs), ElemSize: 4, Len: 2 * capPairs},
+	}
+	im.startsAddr = img.Alloc(8 * (p.Procs + 1))
+	s0 := img.Space()
+	for i := 0; i < 3*n; i++ {
+		s0.WriteF64(im.xArr.Base+vm.Addr(8*i), w.X0[i])
+		s0.WriteF64(im.fArr.Base+vm.Addr(8*i), 0)
+	}
+	writePairs(s0, im.interArr, im.startsAddr, w.Sorted, w.Starts)
+	img.Seal()
+	return im
+}
+
+// RunTmk executes the workload on the TreadMarks DSM, starting from im.
+func RunTmk(w *Workload, im *Image, opt TmkOptions) *apps.Result {
 	p := w.P
 	nprocs := p.Procs
 	n := p.N
@@ -46,31 +87,9 @@ func RunTmk(w *Workload, opt TmkOptions) *apps.Result {
 
 	ep := apps.NewEpisode(apps.TmkSystem(opt.Optimized), p.simConfig())
 	cl := ep.Cluster
-	// Capacity for the shared interaction list: the pair count drifts as
-	// molecules move; 1.5x the initial count plus slack covers it.
-	capPairs := len(w.Pairs)*3/2 + 4096
-
-	arenaBytes := apps.PageRound(24*n, p.PageSize) + apps.PageRound(8*3*n, p.PageSize) +
-		apps.PageRound(8*capPairs, p.PageSize) + apps.PageRound(8*(nprocs+2), p.PageSize) +
-		8*p.PageSize
-	d := tmk.New(cl, p.PageSize, arenaBytes)
+	d := tmk.NewFromImage(cl, im.Image)
 	d.GCThresholdBytes = opt.GCThresholdBytes
-
-	xArr := &core.Array{Name: "x", Base: d.Alloc(24 * n), ElemSize: 24, Len: n}
-	fArr := &core.Array{Name: "forces", Base: d.Alloc(8 * 3 * n), ElemSize: 8, Len: 3 * n}
-	interArr := &core.Array{Name: "interaction_list", Base: d.Alloc(8 * capPairs), ElemSize: 4, Len: 2 * capPairs}
-	startsAddr := d.Alloc(8 * (nprocs + 1))
-
-	// Initialization (untimed, like the paper): proc 0 lays out the
-	// coordinates, the RCB-partitioned interaction list, and the section
-	// boundaries.
-	s0 := d.Node(0).Space()
-	for i := 0; i < 3*n; i++ {
-		s0.WriteF64(xArr.Base+vm.Addr(8*i), w.X0[i])
-		s0.WriteF64(fArr.Base+vm.Addr(8*i), 0)
-	}
-	writePairs(s0, interArr, startsAddr, w.Sorted, w.Starts)
-	d.SealInit()
+	xArr, fArr, interArr, startsAddr, capPairs := im.xArr, im.fArr, im.interArr, im.startsAddr, im.capPairs
 
 	scans := ep.PerProc("scan_s") // indirection-scan seconds
 

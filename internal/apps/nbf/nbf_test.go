@@ -59,8 +59,8 @@ func runAll(t *testing.T, p Params) map[string]*apps.Result {
 	t.Helper()
 	w := Generate(p)
 	seq := RunSequential(w)
-	tmkBase := RunTmk(w, TmkOptions{})
-	tmkOpt := RunTmk(w, TmkOptions{Optimized: true})
+	tmkBase := RunTmk(w, BuildImage(w), TmkOptions{})
+	tmkOpt := RunTmk(w, BuildImage(w), TmkOptions{Optimized: true})
 	ch := RunChaos(w)
 	for _, r := range []*apps.Result{tmkBase, tmkOpt, ch} {
 		if err := apps.VerifyEqual(seq, r); err != nil {
@@ -109,14 +109,15 @@ func TestFalseSharingCostsMoreMessages(t *testing.T) {
 	// pages, boundary pages have two writers. Page = 1024 B = 128
 	// doubles; 4 procs x 128 = 512 aligns, 500 does not. The base system
 	// pays extra per-page exchanges; the optimized system pays in time.
-	alignedBase := RunTmk(Generate(testParams(512, 4, 4)), TmkOptions{})
-	sharedBase := RunTmk(Generate(testParams(500, 4, 4)), TmkOptions{})
+	wa, ws := Generate(testParams(512, 4, 4)), Generate(testParams(500, 4, 4))
+	alignedBase := RunTmk(wa, BuildImage(wa), TmkOptions{})
+	sharedBase := RunTmk(ws, BuildImage(ws), TmkOptions{})
 	if float64(sharedBase.Messages)/500 <= float64(alignedBase.Messages)/512 {
 		t.Errorf("no false-sharing message penalty in base: %.4f/mol aligned vs %.4f/mol misaligned",
 			float64(alignedBase.Messages)/512, float64(sharedBase.Messages)/500)
 	}
-	alignedOpt := RunTmk(Generate(testParams(512, 4, 4)), TmkOptions{Optimized: true})
-	sharedOpt := RunTmk(Generate(testParams(500, 4, 4)), TmkOptions{Optimized: true})
+	alignedOpt := RunTmk(wa, BuildImage(wa), TmkOptions{Optimized: true})
+	sharedOpt := RunTmk(ws, BuildImage(ws), TmkOptions{Optimized: true})
 	if sharedOpt.TimeSec/500 <= alignedOpt.TimeSec/512 {
 		t.Errorf("no false-sharing time penalty in opt: %.8f s/mol aligned vs %.8f s/mol misaligned",
 			alignedOpt.TimeSec/512, sharedOpt.TimeSec/500)
@@ -147,7 +148,7 @@ func TestTmkDeterministicAcrossRuns(t *testing.T) {
 	p := testParams(300, 4, 3)
 	w := Generate(p)
 	for name, run := range map[string]func() *apps.Result{
-		"tmk-opt": func() *apps.Result { return RunTmk(w, TmkOptions{Optimized: true}) },
+		"tmk-opt": func() *apps.Result { return RunTmk(w, BuildImage(w), TmkOptions{Optimized: true}) },
 		"chaos":   func() *apps.Result { return RunChaos(w) },
 	} {
 		a := run()
@@ -176,7 +177,7 @@ func TestScanMuchCheaperThanInspector(t *testing.T) {
 	// paper).
 	p := testParams(512, 8, 3)
 	w := Generate(p)
-	opt := RunTmk(w, TmkOptions{Optimized: true})
+	opt := RunTmk(w, BuildImage(w), TmkOptions{Optimized: true})
 	ch := RunChaos(w)
 	if opt.Detail["scan_s"]*2 >= ch.Detail["inspector_s"] {
 		t.Errorf("scan %.6fs not clearly cheaper than inspector %.6fs",
@@ -208,7 +209,7 @@ func TestRegistryKnobs(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := knob.TmkOpt()
-			sameResult(t, "tmk-opt", got, RunTmk(w, o))
+			sameResult(t, "tmk-opt", got, RunTmk(w, BuildImage(w), o))
 			if got.Messages == opt.Messages {
 				t.Errorf("%s left tmk-opt's %d messages unchanged", knobName, opt.Messages)
 			}

@@ -32,7 +32,7 @@ func init() {
 		opt := TmkOptions{Optimized: true,
 			NoAggregation: cfg.Knob("no_aggregation", 0) != 0,
 			NoWriteAll:    cfg.Knob("no_write_all", 0) != 0}
-		return apps.NewVariants("nbf", Generate(p), RunSequential, RunChaos, RunTmk,
+		return apps.NewVariants("nbf", Generate(p), RunSequential, RunChaos, BuildImage, RunTmk,
 			TmkOptions{}, opt)
 	}, "partners", "page_size", "table_budget_kb", "no_aggregation", "no_write_all")
 }

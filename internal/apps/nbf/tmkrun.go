@@ -26,8 +26,44 @@ type TmkOptions struct {
 	NoWriteAll    bool // ablation A4: reductions use READ&WRITE (twinned diffs)
 }
 
-// RunTmk executes nbf on the TreadMarks DSM.
-func RunTmk(w *Workload, opt TmkOptions) *apps.Result {
+// Image is nbf's initial TreadMarks image: x, forces and the partner
+// lists laid out in one sealed arena, built once per workload and shared
+// by both TreadMarks variants.
+type Image struct {
+	*tmk.Image
+	xArr, fArr, partArr *core.Array
+}
+
+// BuildImage lays out nbf's shared arrays and writes their initial
+// values: x0, zero forces, and the partner lists.
+func BuildImage(w *Workload) *Image {
+	p := w.P
+	n := p.N
+	arenaBytes := apps.PageRound(8*n, p.PageSize)*2 + apps.PageRound(4*n*p.Partners, p.PageSize) + 8*p.PageSize
+	img := tmk.NewImage(p.PageSize, arenaBytes)
+	// x and forces are allocated back to back *unaligned* so that the
+	// block boundaries of a non-power-of-two N fall inside pages — the
+	// false-sharing layout the paper's 64x1000 configuration probes. For
+	// page-multiple block sizes this is identical to aligned allocation.
+	im := &Image{Image: img,
+		xArr:    &core.Array{Name: "x", Base: img.Alloc(8 * n), ElemSize: 8, Len: n},
+		fArr:    &core.Array{Name: "forces", Base: img.AllocUnaligned(8 * n), ElemSize: 8, Len: n},
+		partArr: &core.Array{Name: "partners", Base: img.Alloc(4 * n * p.Partners), ElemSize: 4, Len: n * p.Partners},
+	}
+	s0 := img.Space()
+	for i := 0; i < n; i++ {
+		s0.WriteF64(im.xArr.Addr(i), w.X0[i])
+		s0.WriteF64(im.fArr.Addr(i), 0)
+	}
+	for i, pj := range w.Partners {
+		s0.WriteI32(im.partArr.Addr(i), pj)
+	}
+	img.Seal()
+	return im
+}
+
+// RunTmk executes nbf on the TreadMarks DSM, starting from im.
+func RunTmk(w *Workload, im *Image, opt TmkOptions) *apps.Result {
 	p := w.P
 	nprocs := p.Procs
 	n := p.N
@@ -35,26 +71,8 @@ func RunTmk(w *Workload, opt TmkOptions) *apps.Result {
 
 	ep := apps.NewEpisode(apps.TmkSystem(opt.Optimized), p.Machine.Config(nprocs))
 	cl := ep.Cluster
-	arenaBytes := apps.PageRound(8*n, p.PageSize)*2 + apps.PageRound(4*n*p.Partners, p.PageSize) + 8*p.PageSize
-	d := tmk.New(cl, p.PageSize, arenaBytes)
-
-	// x and forces are allocated back to back *unaligned* so that the
-	// block boundaries of a non-power-of-two N fall inside pages — the
-	// false-sharing layout the paper's 64x1000 configuration probes. For
-	// page-multiple block sizes this is identical to aligned allocation.
-	xArr := &core.Array{Name: "x", Base: d.Alloc(8 * n), ElemSize: 8, Len: n}
-	fArr := &core.Array{Name: "forces", Base: d.AllocUnaligned(8 * n), ElemSize: 8, Len: n}
-	partArr := &core.Array{Name: "partners", Base: d.Alloc(4 * n * p.Partners), ElemSize: 4, Len: n * p.Partners}
-
-	s0 := d.Node(0).Space()
-	for i := 0; i < n; i++ {
-		s0.WriteF64(xArr.Addr(i), w.X0[i])
-		s0.WriteF64(fArr.Addr(i), 0)
-	}
-	for i, pj := range w.Partners {
-		s0.WriteI32(partArr.Addr(i), pj)
-	}
-	d.SealInit()
+	d := tmk.NewFromImage(cl, im.Image)
+	xArr, fArr, partArr := im.xArr, im.fArr, im.partArr
 
 	scans := ep.PerProc("scan_s")
 

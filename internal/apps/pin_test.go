@@ -122,7 +122,7 @@ func pinnedDigests(t *testing.T) map[string]string {
 			{"Incremental", moldyn.TmkOptions{Optimized: true, Incremental: true}},
 			{"GCThresholdBytes", moldyn.TmkOptions{Optimized: true, GCThresholdBytes: 4 << 10}},
 		} {
-			got["moldyn/"+a.name+"/"+pm.name] = digest(t, moldyn.RunTmk(mw, a.opt))
+			got["moldyn/"+a.name+"/"+pm.name] = digest(t, moldyn.RunTmk(mw, moldyn.BuildImage(mw), a.opt))
 		}
 		np := nbf.DefaultParams(300, 4)
 		np.Steps, np.Partners, np.PageSize, np.Machine = 2, 10, 512, m
@@ -134,7 +134,7 @@ func pinnedDigests(t *testing.T) map[string]string {
 			{"NoAggregation", nbf.TmkOptions{Optimized: true, NoAggregation: true}},
 			{"NoWriteAll", nbf.TmkOptions{Optimized: true, NoWriteAll: true}},
 		} {
-			got["nbf/"+a.name+"/"+pm.name] = digest(t, nbf.RunTmk(nw, a.opt))
+			got["nbf/"+a.name+"/"+pm.name] = digest(t, nbf.RunTmk(nw, nbf.BuildImage(nw), a.opt))
 		}
 		if tr != nil {
 			got["trace/"+pm.name] = hashBytes(tr.JSON())

@@ -44,14 +44,18 @@ func (v Variants) TmkOpt() *Result     { return v.RunOpt() }
 
 // NewVariants closes an app's backends over its generated workload w:
 // seq and chaos run as they are, tmk once under the base and once under
-// the optimized options.
-func NewVariants[W, O any](app string, w W, seq, chaos func(W) *Result,
-	tmk func(W, O) *Result, base, opt O) Variants {
+// the optimized options, both from the one initial image that image
+// builds from w. The image is built at the first TreadMarks run, so a
+// caller that runs only seq or chaos never pays for it, and it lives in
+// the closures, not on w, which stays read-only.
+func NewVariants[W, I, O any](app string, w W, seq, chaos func(W) *Result,
+	image func(W) I, tmk func(W, I, O) *Result, base, opt O) Variants {
+	img := sync.OnceValue(func() I { return image(w) })
 	return Variants{App: app,
 		RunSeq:   func() *Result { return seq(w) },
 		RunChaos: func() *Result { return chaos(w) },
-		RunBase:  func() *Result { return tmk(w, base) },
-		RunOpt:   func() *Result { return tmk(w, opt) },
+		RunBase:  func() *Result { return tmk(w, img(), base) },
+		RunOpt:   func() *Result { return tmk(w, img(), opt) },
 	}
 }
 

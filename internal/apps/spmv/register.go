@@ -20,7 +20,7 @@ func init() {
 			p.TableKind = plan.Kind
 			p.TableCachePages = plan.CachePages
 		}
-		return apps.NewVariants("spmv", Generate(p), RunSequential, RunChaos, RunTmk,
+		return apps.NewVariants("spmv", Generate(p), RunSequential, RunChaos, BuildImage, RunTmk,
 			TmkOptions{}, TmkOptions{Optimized: true})
 	}, "nnz_row", "page_size", "far_per_row", "table_budget_kb")
 }

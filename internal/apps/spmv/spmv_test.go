@@ -60,8 +60,8 @@ func runAll(t *testing.T, p Params) map[string]*apps.Result {
 	t.Helper()
 	w := Generate(p)
 	seq := RunSequential(w)
-	tmkBase := RunTmk(w, TmkOptions{})
-	tmkOpt := RunTmk(w, TmkOptions{Optimized: true})
+	tmkBase := RunTmk(w, BuildImage(w), TmkOptions{})
+	tmkOpt := RunTmk(w, BuildImage(w), TmkOptions{Optimized: true})
 	ch := RunChaos(w)
 	for _, r := range []*apps.Result{tmkBase, tmkOpt, ch} {
 		if err := apps.VerifyEqual(seq, r); err != nil {
@@ -124,7 +124,7 @@ func TestInspectorExcludedFromWindow(t *testing.T) {
 	if ch.TimeSec <= 0 {
 		t.Fatal("no timed window")
 	}
-	opt := RunTmk(w, TmkOptions{Optimized: true})
+	opt := RunTmk(w, BuildImage(w), TmkOptions{Optimized: true})
 	if opt.Detail["scan_s"] <= 0 {
 		t.Fatal("scan time not recorded")
 	}
@@ -143,8 +143,8 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	// charges in a fixed order, and arbitrates contended resources at
 	// quiescence, so there is no tolerance band here — bit equality.
 	for name, run := range map[string]func() *apps.Result{
-		"tmk-opt": func() *apps.Result { return RunTmk(w, TmkOptions{Optimized: true}) },
-		"tmk":     func() *apps.Result { return RunTmk(w, TmkOptions{}) },
+		"tmk-opt": func() *apps.Result { return RunTmk(w, BuildImage(w), TmkOptions{Optimized: true}) },
+		"tmk":     func() *apps.Result { return RunTmk(w, BuildImage(w), TmkOptions{}) },
 		"chaos":   func() *apps.Result { return RunChaos(w) },
 	} {
 		a := run()

@@ -26,34 +26,52 @@ type TmkOptions struct {
 	Optimized bool
 }
 
-// RunTmk executes spmv on the TreadMarks DSM.
-func RunTmk(w *Workload, opt TmkOptions) *apps.Result {
+// Image is spmv's initial TreadMarks image: x, y and the matrix (cols,
+// vals) laid out in one sealed arena, built once per workload and shared
+// by both TreadMarks variants.
+type Image struct {
+	*tmk.Image
+	xArr, yArr, colArr *core.Array
+}
+
+// BuildImage lays out spmv's shared arrays and writes their initial
+// values: x0, a zero y, and the matrix.
+func BuildImage(w *Workload) *Image {
+	p := w.P
+	n := p.N
+	nnz := n * p.NNZRow
+	arenaBytes := apps.PageRound(8*n, p.PageSize)*2 +
+		apps.PageRound(4*nnz, p.PageSize) + apps.PageRound(8*nnz, p.PageSize) + 8*p.PageSize
+	img := tmk.NewImage(p.PageSize, arenaBytes)
+	im := &Image{Image: img,
+		xArr:   &core.Array{Name: "x", Base: img.Alloc(8 * n), ElemSize: 8, Len: n},
+		yArr:   &core.Array{Name: "y", Base: img.Alloc(8 * n), ElemSize: 8, Len: n},
+		colArr: &core.Array{Name: "cols", Base: img.Alloc(4 * nnz), ElemSize: 4, Len: nnz},
+	}
+	valArr := &core.Array{Name: "vals", Base: img.Alloc(8 * nnz), ElemSize: 8, Len: nnz}
+	s0 := img.Space()
+	for i := 0; i < n; i++ {
+		s0.WriteF64(im.xArr.Addr(i), w.X0[i])
+		s0.WriteF64(im.yArr.Addr(i), 0)
+	}
+	for i := 0; i < nnz; i++ {
+		s0.WriteI32(im.colArr.Addr(i), w.Cols[i])
+		s0.WriteF64(valArr.Addr(i), w.Vals[i])
+	}
+	img.Seal()
+	return im
+}
+
+// RunTmk executes spmv on the TreadMarks DSM, starting from im.
+func RunTmk(w *Workload, im *Image, opt TmkOptions) *apps.Result {
 	p := w.P
 	nprocs := p.Procs
 	n := p.N
-	nnz := n * p.NNZRow
 	cost := p.Costs
 
 	ep := apps.NewEpisode(apps.TmkSystem(opt.Optimized), p.Machine.Config(nprocs))
-	arenaBytes := apps.PageRound(8*n, p.PageSize)*2 +
-		apps.PageRound(4*nnz, p.PageSize) + apps.PageRound(8*nnz, p.PageSize) + 8*p.PageSize
-	d := tmk.New(ep.Cluster, p.PageSize, arenaBytes)
-
-	xArr := &core.Array{Name: "x", Base: d.Alloc(8 * n), ElemSize: 8, Len: n}
-	yArr := &core.Array{Name: "y", Base: d.Alloc(8 * n), ElemSize: 8, Len: n}
-	colArr := &core.Array{Name: "cols", Base: d.Alloc(4 * nnz), ElemSize: 4, Len: nnz}
-	valArr := &core.Array{Name: "vals", Base: d.Alloc(8 * nnz), ElemSize: 8, Len: nnz}
-
-	s0 := d.Node(0).Space()
-	for i := 0; i < n; i++ {
-		s0.WriteF64(xArr.Addr(i), w.X0[i])
-		s0.WriteF64(yArr.Addr(i), 0)
-	}
-	for i := 0; i < nnz; i++ {
-		s0.WriteI32(colArr.Addr(i), w.Cols[i])
-		s0.WriteF64(valArr.Addr(i), w.Vals[i])
-	}
-	d.SealInit()
+	d := tmk.NewFromImage(ep.Cluster, im.Image)
+	xArr, yArr, colArr := im.xArr, im.yArr, im.colArr
 
 	scans := ep.PerProc("scan_s")
 

@@ -23,7 +23,7 @@ func init() {
 		p.WorkLoUS = cfg.Knob("work_lo", p.WorkLoUS)
 		p.WorkHiUS = cfg.Knob("work_hi", p.WorkHiUS)
 		p.PageSize = cfg.Knob("page_size", p.PageSize)
-		return apps.NewVariants("taskq", Generate(p), RunSequential, RunMP, RunTmk,
+		return apps.NewVariants("taskq", Generate(p), RunSequential, RunMP, BuildImage, RunTmk,
 			TmkOptions{}, TmkOptions{Batched: true})
 	}, "batch", "work_lo", "work_hi", "page_size")
 }

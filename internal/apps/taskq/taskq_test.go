@@ -29,7 +29,7 @@ func TestAllVariantsAgreeExactly(t *testing.T) {
 
 func TestEveryProcClaimsUnderContention(t *testing.T) {
 	w := Generate(DefaultParams(200, 8))
-	r := RunTmk(w, TmkOptions{})
+	r := RunTmk(w, BuildImage(w), TmkOptions{})
 	per := sim.PerLock(r.Locks)
 	if per[lockCounter].Acquires < 200 {
 		// One acquire per item plus one empty-handed final acquire per
@@ -49,8 +49,8 @@ func TestEveryProcClaimsUnderContention(t *testing.T) {
 
 func TestBatchedClaimsFewerAcquires(t *testing.T) {
 	w := Generate(DefaultParams(128, 4))
-	base := RunTmk(w, TmkOptions{})
-	batched := RunTmk(w, TmkOptions{Batched: true})
+	base := RunTmk(w, BuildImage(w), TmkOptions{})
+	batched := RunTmk(w, BuildImage(w), TmkOptions{Batched: true})
 	b := sim.PerLock(base.Locks)[lockCounter].Acquires
 	o := sim.PerLock(batched.Locks)[lockCounter].Acquires
 	if o*2 >= b {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/sim"
 	"repro/internal/tmk"
+	"repro/internal/vm"
 )
 
 // lockCounter protects the shared queue-head counter.
@@ -21,8 +22,25 @@ type TmkOptions struct {
 	Batched bool // claim Params.Batch items per lock acquire
 }
 
-// RunTmk executes taskq on the TreadMarks DSM.
-func RunTmk(w *Workload, opt TmkOptions) *apps.Result {
+// Image is taskq's initial TreadMarks image: the zero queue-head
+// counter in a sealed two-page arena, built once per workload and
+// shared by both TreadMarks variants.
+type Image struct {
+	*tmk.Image
+	cAddr vm.Addr
+}
+
+// BuildImage lays out the shared counter and writes its initial zero.
+func BuildImage(w *Workload) *Image {
+	img := tmk.NewImage(w.P.PageSize, 2*w.P.PageSize)
+	im := &Image{Image: img, cAddr: img.Alloc(8)}
+	img.Space().WriteI64(im.cAddr, 0)
+	img.Seal()
+	return im
+}
+
+// RunTmk executes taskq on the TreadMarks DSM, starting from im.
+func RunTmk(w *Workload, im *Image, opt TmkOptions) *apps.Result {
 	p := w.P
 	nprocs := p.Procs
 	batch := int64(1)
@@ -31,10 +49,8 @@ func RunTmk(w *Workload, opt TmkOptions) *apps.Result {
 	}
 
 	ep := apps.NewEpisode(apps.TmkSystem(opt.Batched), p.Machine.Config(nprocs))
-	d := tmk.New(ep.Cluster, p.PageSize, 2*p.PageSize)
-	cAddr := d.Alloc(8)
-	d.Node(0).Space().WriteI64(cAddr, 0)
-	d.SealInit()
+	d := tmk.NewFromImage(ep.Cluster, im.Image)
+	cAddr := im.cAddr
 
 	sums := make([]int64, nprocs)
 	ep.Cluster.Run(func(proc *sim.Proc) {

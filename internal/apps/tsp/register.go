@@ -28,7 +28,7 @@ func params(cfg apps.Config) Params {
 
 func init() {
 	apps.Register("tsp", func(cfg apps.Config) apps.Workload {
-		return apps.NewVariants("tsp", Generate(params(cfg)), RunSequential, RunMP, RunTmk,
+		return apps.NewVariants("tsp", Generate(params(cfg)), RunSequential, RunMP, BuildImage, RunTmk,
 			TmkOptions{}, TmkOptions{Batched: true})
 	}, "depth", "batch", "page_size")
 }

@@ -57,8 +57,31 @@ func (b boundPage) write(space *vm.Space, cost int64, tour []int32) {
 	}
 }
 
-// RunTmk executes TSP on the TreadMarks DSM.
-func RunTmk(w *Workload, opt TmkOptions) *apps.Result {
+// Image is tsp's initial TreadMarks image: the zero queue head and the
+// empty bound in a sealed four-page arena, built once per workload and
+// shared by both TreadMarks variants.
+type Image struct {
+	*tmk.Image
+	qAddr vm.Addr
+	bound boundPage
+}
+
+// BuildImage lays out the shared queue head and bound and writes their
+// initial values.
+func BuildImage(w *Workload) *Image {
+	p := w.P
+	img := tmk.NewImage(p.PageSize, 4*p.PageSize)
+	im := &Image{Image: img, qAddr: img.Alloc(8)}
+	im.bound = boundPage{base: img.Alloc(8 + 4*p.N), n: p.N}
+	s0 := img.Space()
+	s0.WriteI64(im.qAddr, 0)
+	s0.WriteI64(im.bound.base, noBest)
+	img.Seal()
+	return im
+}
+
+// RunTmk executes TSP on the TreadMarks DSM, starting from im.
+func RunTmk(w *Workload, im *Image, opt TmkOptions) *apps.Result {
 	p := w.P
 	nprocs := p.Procs
 	batch := 1
@@ -67,14 +90,8 @@ func RunTmk(w *Workload, opt TmkOptions) *apps.Result {
 	}
 
 	ep := apps.NewEpisode(apps.TmkSystem(opt.Batched), p.Machine.Config(nprocs))
-	d := tmk.New(ep.Cluster, p.PageSize, 4*p.PageSize)
-	qAddr := d.Alloc(8)
-	bound := boundPage{base: d.Alloc(8 + 4*p.N), n: p.N}
-
-	s0 := d.Node(0).Space()
-	s0.WriteI64(qAddr, 0)
-	s0.WriteI64(bound.base, noBest)
-	d.SealInit()
+	d := tmk.NewFromImage(ep.Cluster, im.Image)
+	qAddr, bound := im.qAddr, im.bound
 
 	finals := make([]*searcher, nprocs)
 	ep.Cluster.Run(func(proc *sim.Proc) {

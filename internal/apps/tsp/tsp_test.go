@@ -83,8 +83,8 @@ func TestTmkVariantsRecordLockStats(t *testing.T) {
 	p := DefaultParams(9, 4)
 	w := Generate(p)
 
-	base := RunTmk(w, TmkOptions{})
-	batched := RunTmk(w, TmkOptions{Batched: true})
+	base := RunTmk(w, BuildImage(w), TmkOptions{})
+	batched := RunTmk(w, BuildImage(w), TmkOptions{Batched: true})
 	for _, tc := range []struct {
 		name string
 		r    *apps.Result
@@ -127,7 +127,7 @@ func TestTmkVariantsRecordLockStats(t *testing.T) {
 func TestTmkDeterministicIncludingLockStats(t *testing.T) {
 	p := DefaultParams(9, 8)
 	w := Generate(p)
-	run := func() *apps.Result { return RunTmk(w, TmkOptions{}) }
+	run := func() *apps.Result { return RunTmk(w, BuildImage(w), TmkOptions{}) }
 	ref := run()
 	for i := 1; i < 3; i++ {
 		r := run()

@@ -8,7 +8,7 @@ func init() {
 		p := DefaultParams(cfg.N, cfg.Procs)
 		cfg.ApplyCommon(&p.Steps, &p.Seed)
 		p.Machine = cfg.Machine
-		return apps.NewVariants("unstruct", Generate(p), RunSequential, RunChaos, RunTmk,
+		return apps.NewVariants("unstruct", Generate(p), RunSequential, RunChaos, BuildImage, RunTmk,
 			TmkOptions{}, TmkOptions{Optimized: true})
 	})
 }

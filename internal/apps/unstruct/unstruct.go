@@ -212,8 +212,42 @@ const (
 	barRelax
 )
 
-// RunTmk executes the mesh sweep on the TreadMarks DSM.
-func RunTmk(w *Workload, opt TmkOptions) *apps.Result {
+// Image is unstruct's initial TreadMarks image: x, y and the
+// owner-sorted edge list laid out in one sealed arena, built once per
+// workload and shared by both TreadMarks variants.
+type Image struct {
+	*tmk.Image
+	xArr, yArr, eArr *core.Array
+}
+
+// BuildImage lays out unstruct's shared arrays and writes their initial
+// values: x0, a zero y, and the edges in owner-sorted order.
+func BuildImage(w *Workload) *Image {
+	p := w.P
+	n := p.Nodes
+	arenaBytes := apps.PageRound(8*n, p.PageSize)*2 + apps.PageRound(8*len(w.Edges), p.PageSize) + 4*p.PageSize
+	img := tmk.NewImage(p.PageSize, arenaBytes)
+	im := &Image{Image: img,
+		xArr: &core.Array{Name: "x", Base: img.Alloc(8 * n), ElemSize: 8, Len: n},
+		yArr: &core.Array{Name: "y", Base: img.Alloc(8 * n), ElemSize: 8, Len: n},
+		eArr: &core.Array{Name: "edges", Base: img.Alloc(8 * len(w.Edges)), ElemSize: 4, Len: 2 * len(w.Edges)},
+	}
+	s0 := img.Space()
+	for i := 0; i < n; i++ {
+		s0.WriteF64(im.xArr.Addr(i), w.X0[i])
+		s0.WriteF64(im.yArr.Addr(i), 0)
+	}
+	for k, e := range w.Sorted {
+		s0.WriteI32(im.eArr.Addr(2*k), e[0])
+		s0.WriteI32(im.eArr.Addr(2*k+1), e[1])
+	}
+	img.Seal()
+	return im
+}
+
+// RunTmk executes the mesh sweep on the TreadMarks DSM, starting from
+// im.
+func RunTmk(w *Workload, im *Image, opt TmkOptions) *apps.Result {
 	p := w.P
 	nprocs := p.Procs
 	n := p.Nodes
@@ -221,22 +255,8 @@ func RunTmk(w *Workload, opt TmkOptions) *apps.Result {
 
 	ep := apps.NewEpisode(apps.TmkSystem(opt.Optimized), p.Machine.Config(nprocs))
 	cl := ep.Cluster
-	arenaBytes := apps.PageRound(8*n, p.PageSize)*2 + apps.PageRound(8*len(w.Edges), p.PageSize) + 4*p.PageSize
-	d := tmk.New(cl, p.PageSize, arenaBytes)
-	xArr := &core.Array{Name: "x", Base: d.Alloc(8 * n), ElemSize: 8, Len: n}
-	yArr := &core.Array{Name: "y", Base: d.Alloc(8 * n), ElemSize: 8, Len: n}
-	eArr := &core.Array{Name: "edges", Base: d.Alloc(8 * len(w.Edges)), ElemSize: 4, Len: 2 * len(w.Edges)}
-
-	s0 := d.Node(0).Space()
-	for i := 0; i < n; i++ {
-		s0.WriteF64(xArr.Addr(i), w.X0[i])
-		s0.WriteF64(yArr.Addr(i), 0)
-	}
-	for k, e := range w.Sorted {
-		s0.WriteI32(eArr.Addr(2*k), e[0])
-		s0.WriteI32(eArr.Addr(2*k+1), e[1])
-	}
-	d.SealInit()
+	d := tmk.NewFromImage(cl, im.Image)
+	xArr, yArr, eArr := im.xArr, im.yArr, im.eArr
 
 	cl.Run(func(proc *sim.Proc) {
 		me := proc.ID()

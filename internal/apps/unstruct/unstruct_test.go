@@ -72,8 +72,8 @@ func runAll(t *testing.T, p Params) map[string]*apps.Result {
 	t.Helper()
 	w := Generate(p)
 	seq := RunSequential(w)
-	base := RunTmk(w, TmkOptions{})
-	opt := RunTmk(w, TmkOptions{Optimized: true})
+	base := RunTmk(w, BuildImage(w), TmkOptions{})
+	opt := RunTmk(w, BuildImage(w), TmkOptions{Optimized: true})
 	ch := RunChaos(w)
 	for _, r := range []*apps.Result{base, opt, ch} {
 		if err := apps.VerifyEqual(seq, r); err != nil {
@@ -105,8 +105,9 @@ func TestStaticMeshValidatesOnce(t *testing.T) {
 	// The edge list never changes: after the warmup step the optimized
 	// runtime must not rescan it, so scan-heavy traffic must not grow
 	// with steps. Compare two run lengths.
-	short := RunTmk(Generate(testParams(512, 4, 2)), TmkOptions{Optimized: true})
-	long := RunTmk(Generate(testParams(512, 4, 8)), TmkOptions{Optimized: true})
+	ws, wl := Generate(testParams(512, 4, 2)), Generate(testParams(512, 4, 8))
+	short := RunTmk(ws, BuildImage(ws), TmkOptions{Optimized: true})
+	long := RunTmk(wl, BuildImage(wl), TmkOptions{Optimized: true})
 	perStepShort := float64(short.Messages) / 2
 	perStepLong := float64(long.Messages) / 8
 	// Steady-state per-step traffic should be comparable (within 2x),
@@ -162,8 +163,8 @@ func TestBackendsLeaveWorkloadUntouched(t *testing.T) {
 	for _, run := range []func() *apps.Result{
 		func() *apps.Result { return RunSequential(w) },
 		func() *apps.Result { return RunChaos(w) },
-		func() *apps.Result { return RunTmk(w, TmkOptions{}) },
-		func() *apps.Result { return RunTmk(w, TmkOptions{Optimized: true}) },
+		func() *apps.Result { return RunTmk(w, BuildImage(w), TmkOptions{}) },
+		func() *apps.Result { return RunTmk(w, BuildImage(w), TmkOptions{Optimized: true}) },
 	} {
 		wg.Add(1)
 		go func() { defer wg.Done(); run() }()

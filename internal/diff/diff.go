@@ -105,15 +105,6 @@ func nextEqual(a, b []byte, i int) int {
 	return i
 }
 
-// FullPage returns a diff that replaces the entire page — the
-// "send the entire page, not the diff" representation Validate requests
-// for WRITE_ALL / READ&WRITE_ALL reductions.
-func FullPage(cur []byte) Diff {
-	data := make([]byte, len(cur))
-	copy(data, cur)
-	return Diff{Runs: []Run{{Off: 0, Data: data}}}
-}
-
 // Apply writes the diff's runs into dst.
 func (d Diff) Apply(dst []byte) {
 	for _, r := range d.Runs {
@@ -133,12 +124,6 @@ func (d Diff) WireBytes() int {
 
 // Empty reports whether the diff carries no modifications.
 func (d Diff) Empty() bool { return len(d.Runs) == 0 }
-
-// IsFull reports whether the diff replaces the whole page of size
-// pageSize.
-func (d Diff) IsFull(pageSize int) bool {
-	return len(d.Runs) == 1 && d.Runs[0].Off == 0 && len(d.Runs[0].Data) == pageSize
-}
 
 // Twin returns a copy of page suitable for later Encode.
 func Twin(page []byte) []byte {

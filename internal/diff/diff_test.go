@@ -123,20 +123,6 @@ func TestRunsNeverOverlapAndAreSortedProperty(t *testing.T) {
 	}
 }
 
-func TestFullPage(t *testing.T) {
-	cur := []byte{1, 2, 3, 4}
-	d := FullPage(cur)
-	if !d.IsFull(4) {
-		t.Fatal("FullPage not recognized as full")
-	}
-	cur[0] = 99 // FullPage must have copied
-	dst := make([]byte, 4)
-	d.Apply(dst)
-	if dst[0] != 1 {
-		t.Fatal("FullPage aliases the source page")
-	}
-}
-
 func TestWireBytes(t *testing.T) {
 	d := Diff{Runs: []Run{{Off: 0, Data: make([]byte, 10)}, {Off: 20, Data: make([]byte, 5)}}}
 	want := 2*WireHeaderB + 15

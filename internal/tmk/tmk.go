@@ -39,11 +39,12 @@ const (
 	MemCatBoard = "tmk.board"
 )
 
-// DSM is the cluster-wide shared-memory system: the arena, one Node per
-// processor, and the centralized synchronization managers.
+// DSM is the cluster-wide shared-memory system: the image its nodes
+// attach to, one Node per processor, and the centralized
+// synchronization managers.
 type DSM struct {
 	cluster *sim.Cluster
-	arena   *vm.Arena
+	img     *Image
 	nodes   []*Node
 
 	board *noticeBoard
@@ -56,9 +57,8 @@ type DSM struct {
 	// bounded anyway).
 	GCThresholdBytes int64
 
-	sealed bool
 	closed bool
-	// pagesCharged is the per-node page-copy charge made at SealInit,
+	// pagesCharged is the per-node page-copy charge made at attach,
 	// remembered so Close can return exactly it.
 	pagesCharged int64
 	// boardBytes is the notice-board storage charged to the global mem
@@ -66,15 +66,96 @@ type DSM struct {
 	boardBytes int64
 }
 
+// Image is the initial contents of shared memory: the arena's layout and
+// the bytes written into it before the timed run, on one writable
+// Space. Once sealed it is immutable, and any number of DSMs — running
+// concurrently or not — attach to it with NewFromImage, every node's
+// page table aliasing its pages copy-on-write (DESIGN.md §9, "Host
+// memory"). Building and sealing happen on one goroutine.
+type Image struct {
+	arena  *vm.Arena
+	space  *vm.Space
+	sealed bool
+}
+
+// NewImage creates an image with the given page size and total shared
+// arena capacity in bytes, every byte zero.
+func NewImage(pageSize, arenaBytes int) *Image {
+	a := vm.NewArena(pageSize, arenaBytes)
+	return &Image{arena: a, space: vm.NewSpace(a, vm.ReadWrite)}
+}
+
+// Arena returns the image's address space geometry.
+func (im *Image) Arena() *vm.Arena { return im.arena }
+
+// Space returns the writable space the initial values are written
+// through. Once the image is sealed every page of it is read-only.
+func (im *Image) Space() *vm.Space { return im.space }
+
+// Alloc reserves page-aligned shared memory (the TreadMarks shared
+// malloc).
+func (im *Image) Alloc(size int) vm.Addr {
+	im.mustBeOpen()
+	return im.arena.Alloc(size)
+}
+
+// AllocUnaligned reserves shared memory with no page alignment (used to
+// reproduce false-sharing-prone layouts).
+func (im *Image) AllocUnaligned(size int) vm.Addr {
+	im.mustBeOpen()
+	return im.arena.AllocUnaligned(size)
+}
+
+func (im *Image) mustBeOpen() {
+	if im.sealed {
+		panic("tmk: Alloc on a sealed image (after SealInit)")
+	}
+}
+
+// Seal ends the image's initialization: every allocated page is frozen
+// read-only, so a write through any Space that aliases it — the image's
+// own included — breaks copy-on-write instead of changing it.
+func (im *Image) Seal() {
+	if im.sealed {
+		panic("tmk: image sealed twice")
+	}
+	im.sealed = true
+	for p := 0; p < im.arena.NumPages(); p++ {
+		im.space.Freeze(vm.PageID(p))
+	}
+}
+
 // New creates a DSM over the cluster with the given page size and total
-// shared arena capacity in bytes.
+// shared arena capacity in bytes, on an image of its own: processor 0
+// writes the initial values through Node(0).Space() until SealInit
+// seals the image and attaches every node to it. The other nodes have
+// no space before SealInit.
 func New(c *sim.Cluster, pageSize, arenaBytes int) *DSM {
+	img := NewImage(pageSize, arenaBytes)
+	d := newDSM(c, img)
+	d.nodes[0].space = img.space
+	return d
+}
+
+// NewFromImage creates a DSM over the cluster attached to a sealed image,
+// exactly as New, the image's allocations and writes, and SealInit
+// would leave it. The image stays untouched; many DSMs may share it.
+func NewFromImage(c *sim.Cluster, img *Image) *DSM {
+	if !img.sealed {
+		panic("tmk: NewFromImage of an unsealed image")
+	}
+	d := newDSM(c, img)
+	d.attach()
+	return d
+}
+
+func newDSM(c *sim.Cluster, img *Image) *DSM {
+	nprocs := c.NProcs()
 	d := &DSM{
 		cluster: c,
-		arena:   vm.NewArena(pageSize, arenaBytes),
-		board:   newNoticeBoard(c.NProcs()),
+		img:     img,
+		board:   newNoticeBoard(nprocs),
 	}
-	nprocs := c.NProcs()
 	for i := 0; i < nprocs; i++ {
 		n := &Node{
 			d:         d,
@@ -92,16 +173,6 @@ func New(c *sim.Cluster, pageSize, arenaBytes int) *DSM {
 		n.onGrant = n.snapshotGrant
 		n.barrierIn.reply = &n.barrierOut
 		n.combine = n.combineBarrier
-		// Proc 0 initializes shared data before SealInit; give it write
-		// access (and so the one private image), everyone else starts
-		// read-only on the zero page (they will share the initial image
-		// at SealInit).
-		prot := vm.ReadOnly
-		if i == 0 {
-			prot = vm.ReadWrite
-		}
-		n.space = vm.NewSpace(d.arena, prot)
-		n.space.SetHandler(n)
 		n.proc.RegisterHandler(msgDiff, n.handleDiffRequest)
 		n.proc.RegisterHandler(msgGC, n.handleDiffRequest)
 		d.nodes = append(d.nodes, n)
@@ -113,57 +184,48 @@ func New(c *sim.Cluster, pageSize, arenaBytes int) *DSM {
 func (d *DSM) Cluster() *sim.Cluster { return d.cluster }
 
 // Arena returns the shared address space geometry.
-func (d *DSM) Arena() *vm.Arena { return d.arena }
+func (d *DSM) Arena() *vm.Arena { return d.img.arena }
 
 // Node returns the protocol instance of processor i.
 func (d *DSM) Node(i int) *Node { return d.nodes[i] }
 
 // Alloc reserves page-aligned shared memory (the TreadMarks shared
 // malloc). Must be called before SealInit, from a single goroutine.
-func (d *DSM) Alloc(size int) vm.Addr {
-	if d.sealed {
-		panic("tmk: Alloc after SealInit")
-	}
-	return d.arena.Alloc(size)
-}
+func (d *DSM) Alloc(size int) vm.Addr { return d.img.Alloc(size) }
 
 // AllocUnaligned reserves shared memory with no page alignment (used to
 // reproduce false-sharing-prone layouts).
-func (d *DSM) AllocUnaligned(size int) vm.Addr {
-	if d.sealed {
-		panic("tmk: AllocUnaligned after SealInit")
-	}
-	return d.arena.AllocUnaligned(size)
-}
+func (d *DSM) AllocUnaligned(size int) vm.Addr { return d.img.AllocUnaligned(size) }
 
 // SealInit ends the (untimed, unmeasured) initialization phase: the
-// initial image written by processor 0 is replicated to every node, all
-// pages become clean read-only copies, and clocks and traffic statistics
-// are reset. The paper likewise excludes data initialization and
-// partitioning from all measurements. On the host the replicas are
-// copy-on-write aliases of processor 0's now-immutable image (DESIGN.md
-// §9, "Host memory"); the modeled ledger still charges every node a full
-// copy. Must be called once, from a single goroutine, before Cluster.Run.
+// initial image written by processor 0 is sealed and replicated to every
+// node, all pages become clean read-only copies, and clocks and traffic
+// statistics are reset. The paper likewise excludes data initialization
+// and partitioning from all measurements. On the host the replicas are
+// copy-on-write aliases of the now-immutable image (DESIGN.md §9, "Host
+// memory"); the modeled ledger still charges every node a full copy.
+// Must be called once, from a single goroutine, before Cluster.Run.
 func (d *DSM) SealInit() {
-	if d.sealed {
+	if d.img.sealed {
 		panic("tmk: SealInit called twice")
 	}
-	d.sealed = true
-	n0 := d.nodes[0]
-	if len(n0.dirty) != 0 {
-		panic("tmk: unexpected twins during initialization")
-	}
-	numPages := d.arena.NumPages()
-	for _, n := range d.nodes { // n0 first: its pages are sealed before they are shared
+	d.img.Seal()
+	d.attach()
+}
+
+// attach ends initialization on the sealed image: every node gets a
+// read-only page table aliasing the image's pages, and clocks, traffic
+// and lock statistics are reset. Both SealInit and NewFromImage end
+// here.
+func (d *DSM) attach() {
+	numPages := d.img.arena.NumPages()
+	for _, n := range d.nodes {
+		n.space = vm.NewSpace(d.img.arena, vm.ReadOnly)
+		n.space.SetHandler(n)
 		n.pages = make([]*pageMeta, numPages)
 		for p := 0; p < numPages; p++ {
-			n.space.Protect(vm.PageID(p), vm.ReadOnly)
-			if n != n0 {
-				n.space.SharePageFrom(n0.space, vm.PageID(p))
-			}
+			n.space.SharePageFrom(d.img.space, vm.PageID(p))
 		}
-		n.space.ReadFaults = 0
-		n.space.WriteFaults = 0
 	}
 	d.cluster.ResetClocks()
 	d.cluster.Stats.Reset()
@@ -172,7 +234,7 @@ func (d *DSM) SealInit() {
 	// reset here: unlike traffic, the memory allocated during
 	// initialization is exactly what the machine must hold for the rest
 	// of the run.
-	d.pagesCharged = int64(numPages) * int64(d.arena.PageSize())
+	d.pagesCharged = int64(numPages) * int64(d.img.arena.PageSize())
 	for i := range d.nodes {
 		d.cluster.Mem.Alloc(i, MemCatPages, d.pagesCharged)
 	}
@@ -192,7 +254,7 @@ func (d *DSM) Close() {
 		mem.Free(i, MemCatPages, d.pagesCharged)
 		for _, dp := range n.dirty {
 			if !dp.fullWrite {
-				mem.Free(i, MemCatTwins, int64(d.arena.PageSize()))
+				mem.Free(i, MemCatTwins, int64(d.img.arena.PageSize()))
 			}
 		}
 		clear(n.dirty)
@@ -453,7 +515,9 @@ func (n *Node) closeInterval() {
 		pg := n.space.Page(page)
 		sd := &storedDiff{page: page, proc: me, interval: n.vc[me], vc: nt.VC, vcSum: vcSum}
 		if dp.fullWrite {
-			sd.d = diff.FullPage(pg.Data())
+			// The snapshot is the page's own bytes, frozen: the next
+			// store to the page copies them instead.
+			sd.d = diff.Diff{Runs: []diff.Run{{Data: n.space.Freeze(page)}}}
 			sd.full = true
 			snapBytes += len(pg.Data())
 			nt.FullPages = append(nt.FullPages, page)
@@ -650,7 +714,7 @@ func (n *Node) FetchPages(pages []vm.PageID, kind string) {
 					// Covered by the snapshot.
 					continue
 				}
-				sd.d.Apply(n.space.MutableData(page))
+				n.install(page, sd)
 				applyBytes += sd.dataB
 				n.DiffsApplied++
 				if meta.applied[sd.proc] < sd.interval {
@@ -701,6 +765,18 @@ func (n *Node) FetchPages(pages []vm.PageID, kind string) {
 			}
 		}
 	}
+}
+
+// install brings one fetched diff into the local copy of page. A
+// whole-page snapshot replaces the bytes by aliasing the writer's frozen
+// page, unless the page is writable (dirty), which must stay private and
+// copies it.
+func (n *Node) install(page vm.PageID, sd *storedDiff) {
+	if sd.full && n.space.Page(page).Prot() != vm.ReadWrite {
+		n.space.Alias(page, sd.d.Runs[0].Data)
+		return
+	}
+	sd.d.Apply(n.space.MutableData(page))
 }
 
 // handleDiffRequest services a diff fetch on the writer side: it looks

@@ -424,6 +424,20 @@ func BenchmarkNewSealInit(b *testing.B) {
 	}
 }
 
+// BenchmarkNewFromImage is the per-episode set-up cost of a TreadMarks
+// variant attaching to its workload's sealed image: 16 address spaces
+// over an 8 MB image built once.
+func BenchmarkNewFromImage(b *testing.B) {
+	img := NewImage(4096, 8<<20)
+	img.Alloc(8 << 20)
+	img.Seal()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		NewFromImage(sim.NewCluster(sim.DefaultConfig(16)), img).Close()
+	}
+}
+
 func TestVCBasics(t *testing.T) {
 	a := VC{1, 2, 3}
 	b := VC{2, 2, 3}

@@ -102,7 +102,7 @@ type storedDiff struct {
 	interval int32
 	vc       VC
 	vcSum    int64 // vc.Sum(), the causal sort key
-	full     bool  // whole-page snapshot (WRITE_ALL reduction shipping)
+	full     bool  // whole-page snapshot: d is one run over the writer's frozen page
 	d        diff.Diff
 	dataB    int // d.WireBytes()
 }

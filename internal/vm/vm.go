@@ -146,9 +146,10 @@ func (a *Arena) allocAt(size int) Addr {
 
 // Page is one processor's view of a page: its protection and its bytes.
 // The bytes are copy-on-write: while shared is set they alias immutable
-// storage other Spaces also read (the arena's zero page, or a peer's
-// sealed image) and must not be written. A ReadWrite page is never
-// shared; Space.Protect is the one place that guarantees it.
+// storage other Spaces or stored snapshots also read (the arena's zero
+// page, a sealed image, a frozen whole-page snapshot) and must not be
+// written. A ReadWrite page is never shared; Space.Protect is the one
+// place that guarantees it.
 type Page struct {
 	data   []byte
 	prot   Prot
@@ -174,6 +175,10 @@ type Space struct {
 	arena   *Arena
 	pages   []Page
 	handler FaultHandler
+	// free holds the private buffers of pages that Alias pointed
+	// elsewhere, for the next copy-on-write break to reuse. No page
+	// refers to them.
+	free [][]byte
 
 	// Counters for the fault-driven behaviour under test.
 	ReadFaults  int64
@@ -182,7 +187,7 @@ type Space struct {
 
 // NewSpace creates a processor-local view with all pages present, zero,
 // and at protection prot. A ReadWrite space owns one private slab (it is
-// the initializing processor's image); any other space costs a page
+// an initial image under construction); any other space costs a page
 // table only, every page aliasing the arena's zero page until it is
 // written. (Initialization is untimed and replicated; see DESIGN.md §9,
 // "Host memory".)
@@ -211,10 +216,19 @@ func (s *Space) Arena() *Arena { return s.arena }
 // Page returns the processor's view of page id.
 func (s *Space) Page(id PageID) *Page { return &s.pages[id] }
 
-// privatize gives pg its own copy of the bytes it shares.
-func (pg *Page) privatize() {
-	pg.data = bytes.Clone(pg.data)
-	pg.shared = false
+// privatize gives pg its own copy of the bytes it shares, in a buffer
+// from the free list when one is there.
+func (s *Space) privatize(pg *Page) {
+	var buf []byte
+	if last := len(s.free) - 1; last >= 0 {
+		buf = s.free[last]
+		s.free[last] = nil
+		s.free = s.free[:last]
+		copy(buf, pg.data)
+	} else {
+		buf = bytes.Clone(pg.data)
+	}
+	pg.data, pg.shared = buf, false
 }
 
 // Protect sets the protection of page id, like mprotect on one page.
@@ -224,7 +238,7 @@ func (pg *Page) privatize() {
 func (s *Space) Protect(id PageID, p Prot) {
 	pg := &s.pages[id]
 	if p == ReadWrite && pg.shared {
-		pg.privatize()
+		s.privatize(pg)
 	}
 	pg.prot = p
 }
@@ -244,7 +258,7 @@ func (s *Space) ProtectRange(addr Addr, size int, p Prot) {
 func (s *Space) MutableData(id PageID) []byte {
 	pg := &s.pages[id]
 	if pg.shared {
-		pg.privatize()
+		s.privatize(pg)
 	}
 	return pg.data
 }
@@ -256,16 +270,51 @@ func (s *Space) CopyPageFrom(o *Space, id PageID) {
 }
 
 // SharePageFrom makes page id alias o's bytes copy-on-write instead of
-// copying them, used for the untimed initialization broadcast (DESIGN.md
-// §9, "Host memory"). o's page becomes shared too, so neither side can
-// write the common bytes; neither page may be writable.
+// copying them, used to attach a node to a sealed image (DESIGN.md §9,
+// "Host memory"). o's page is frozen, so neither side can write the
+// common bytes; neither page may be writable. Sharing an already frozen
+// page only reads o, so any number of Spaces may share from it at once.
 func (s *Space) SharePageFrom(o *Space, id PageID) {
-	src, dst := &o.pages[id], &s.pages[id]
-	if src.prot == ReadWrite || dst.prot == ReadWrite {
+	if o.pages[id].prot == ReadWrite || s.pages[id].prot == ReadWrite {
 		panic(fmt.Sprintf("vm: sharing writable page %d", id))
 	}
-	src.shared = true
-	dst.data, dst.shared = src.data, true
+	s.Alias(id, o.Freeze(id))
+}
+
+// Freeze makes page id's current bytes immutable and returns them, for
+// the caller to keep as a snapshot that aliases the page: the page is
+// marked shared, so its next store breaks copy-on-write into another
+// buffer and the returned bytes never change. A writable page becomes
+// ReadOnly (a shared page is never writable); any other protection
+// stays. Freezing a frozen page only reads it.
+func (s *Space) Freeze(id PageID) []byte {
+	pg := &s.pages[id]
+	if !pg.shared {
+		pg.shared = true
+	}
+	if pg.prot == ReadWrite {
+		pg.prot = ReadOnly
+	}
+	return pg.data
+}
+
+// Alias points page id at data — immutable bytes, such as a snapshot
+// another Space froze — copy-on-write instead of copying them. The
+// page's own private buffer goes on the free list for the next
+// copy-on-write break. A writable page cannot alias: it must stay
+// private.
+func (s *Space) Alias(id PageID, data []byte) {
+	pg := &s.pages[id]
+	if pg.prot == ReadWrite {
+		panic(fmt.Sprintf("vm: aliasing writable page %d", id))
+	}
+	if len(data) != s.arena.pageSize {
+		panic(fmt.Sprintf("vm: aliasing page %d to %d bytes", id, len(data)))
+	}
+	if !pg.shared {
+		s.free = append(s.free, pg.data)
+	}
+	pg.data, pg.shared = data, true
 }
 
 func (s *Space) faultRead(addr Addr) {
