@@ -46,7 +46,7 @@ LOAD_FILTER  := ^BenchmarkSimdLoad
 SIMD_ADDR     := 127.0.0.1:7077
 SIMLOAD_FLAGS := -addr http://$(SIMD_ADDR) -corpus scenarios/service -workers 8 -requests 200 -miss 0.25
 
-.PHONY: test race cover bench-baseline bench-check profile serve loadtest loadtest-baseline
+.PHONY: test race cover bench-baseline bench-check bench-ci profile serve loadtest loadtest-baseline
 
 test:
 	go build ./... && go test ./...
@@ -77,21 +77,38 @@ profile:
 		run -trace /tmp/traces ./scenarios/trace.yaml > /dev/null
 	@echo "profiles: /tmp/scenario.cpu.pprof /tmp/scenario.mem.pprof (go tool pprof <file>)"
 
-# Refresh the committed baseline on this machine. Separate commands,
-# not a pipe: a benchmark that panics mid-run must fail the target
-# instead of handing benchgate partial output.
+# Measure the gated set into the raw file $(1): one invocation per
+# group above. Separate commands, not a pipe: a benchmark that panics
+# mid-run must fail the target instead of handing benchgate partial
+# output.
+define bench-measure
+go test $(BENCH_FLAGS) $(BENCH_PKGS) > $(1)
+go test $(BENCH_SWEEP_FLAGS) ./internal/runner >> $(1)
+go test $(BENCH_LAYER_FLAGS) $(BENCH_LAYER_PKGS) >> $(1)
+endef
+
+# Refresh the committed baseline on this machine.
 bench-baseline:
-	go test $(BENCH_FLAGS) $(BENCH_PKGS) > /tmp/bench-raw.txt
-	go test $(BENCH_SWEEP_FLAGS) ./internal/runner >> /tmp/bench-raw.txt
-	go test $(BENCH_LAYER_FLAGS) $(BENCH_LAYER_PKGS) >> /tmp/bench-raw.txt
+	$(call bench-measure,/tmp/bench-raw.txt)
 	go run ./cmd/benchgate -filter '$(GATE_FILTER)' -merge BENCH_sim.json -out BENCH_sim.json < /tmp/bench-raw.txt
 
 # Run the same gate CI runs: fail if anything regressed >30%.
 bench-check:
-	go test $(BENCH_FLAGS) $(BENCH_PKGS) > /tmp/bench-raw.txt
-	go test $(BENCH_SWEEP_FLAGS) ./internal/runner >> /tmp/bench-raw.txt
-	go test $(BENCH_LAYER_FLAGS) $(BENCH_LAYER_PKGS) >> /tmp/bench-raw.txt
+	$(call bench-measure,/tmp/bench-raw.txt)
 	go run ./cmd/benchgate -filter '$(GATE_FILTER)' -baseline BENCH_sim.json < /tmp/bench-raw.txt
+
+# The CI bench leg's gate, for its first measurement and its one
+# re-measure: the raw numbers land in bench-raw.txt and the run's
+# snapshot in bench-current.json, the two files the leg uploads.
+# -cpu-mismatch=warn: a regression only fails when the committed
+# baseline came from this machine's CPU class — ratios across machine
+# classes are hardware, not code. Arm the gate by committing a
+# bench-current.json from a run on this class as BENCH_sim.json
+# (README "Performance").
+bench-ci:
+	$(call bench-measure,bench-raw.txt)
+	go run ./cmd/benchgate -filter '$(GATE_FILTER)' -baseline BENCH_sim.json -out bench-current.json \
+		-cpu-mismatch=warn < bench-raw.txt
 
 # Run the simd service in the foreground with a disk cache tier.
 serve:

@@ -292,7 +292,7 @@ func BenchmarkInteractionRebuild(b *testing.B) {
 	w := moldyn.Generate(p)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		moldyn.BuildPairs(&w.P, w.L, w.X0)
+		moldyn.BuildPairs(&w.P, w.L, w.X0, 1, 0)
 	}
 }
 

@@ -1,10 +1,10 @@
 // Package apps holds shared infrastructure for the irregular
 // applications (moldyn, nbf, unstruct, spmv — see registry.go for the
 // registry they plug into): the result record every backend produces,
-// the measurement window helper, and the quantized arithmetic that makes
-// all four backends (sequential, base TreadMarks, optimized TreadMarks,
-// CHAOS) produce bit-identical trajectories so correctness can be
-// asserted exactly.
+// the episode harness with its measurement window, and the quantized
+// arithmetic that makes all four backends (sequential, base TreadMarks,
+// optimized TreadMarks, CHAOS) produce bit-identical trajectories so
+// correctness can be asserted exactly.
 package apps
 
 import (
@@ -334,101 +334,4 @@ func VerifyEqual(a, b *Result) error {
 		}
 	}
 	return nil
-}
-
-// Measure delimits the timed window of a run (the paper excludes
-// initialization everywhere and, for nbf, the first iteration). Start
-// and End are collective; the statistics snapshot is taken inside the
-// barrier's combine step so it is consistent across processors.
-type Measure struct {
-	c         *sim.Cluster
-	startID   int
-	endID     int
-	startTime []float64
-	endTime   []float64
-	startCats map[string]sim.CatStat
-	endCats   map[string]sim.CatStat
-	startSync map[sim.LockKey]sim.LockStat
-	endSync   map[sim.LockKey]sim.LockStat
-	endMem    map[sim.MemKey]sim.MemStat
-	endMemPk  []sim.MemStat
-}
-
-// NewMeasure prepares a measurement window over the cluster.
-func NewMeasure(c *sim.Cluster) *Measure {
-	return &Measure{
-		c:         c,
-		startID:   c.UniqueBarrierID(),
-		endID:     c.UniqueBarrierID(),
-		startTime: make([]float64, c.NProcs()),
-		endTime:   make([]float64, c.NProcs()),
-	}
-}
-
-// Start opens the window. All processors must call it. The snapshot is
-// taken inside the barrier's combine step: with every processor blocked
-// in the barrier no requests are in flight, so clocks, interrupt
-// aggregates, and traffic counters are quiescent and the measurement is
-// deterministic.
-func (m *Measure) Start(p *sim.Proc) {
-	p.BarrierExchange(m.startID, nil, 0, func(contrib []any) ([]any, []int, float64) {
-		m.startCats = m.c.Stats.Categories()
-		m.startSync = m.c.Sync.Snapshot()
-		for i := 0; i < m.c.NProcs(); i++ {
-			m.startTime[i] = m.c.Proc(i).Time()
-		}
-		return nil, nil, 0
-	})
-}
-
-// End closes the window. All processors must call it.
-func (m *Measure) End(p *sim.Proc) {
-	p.BarrierExchange(m.endID, nil, 0, func(contrib []any) ([]any, []int, float64) {
-		m.endCats = m.c.Stats.Categories()
-		m.endSync = m.c.Sync.Snapshot()
-		m.endMem = m.c.Mem.Snapshot()
-		m.endMemPk, _ = m.c.Mem.ProcPeaks()
-		for i := 0; i < m.c.NProcs(); i++ {
-			m.endTime[i] = m.c.Proc(i).Time()
-		}
-		return nil, nil, 0
-	})
-}
-
-// TimeSec returns the window's makespan in (simulated) seconds.
-func (m *Measure) TimeSec() float64 {
-	worst := 0.0
-	for i := range m.startTime {
-		if d := m.endTime[i] - m.startTime[i]; d > worst {
-			worst = d
-		}
-	}
-	return worst / 1e6
-}
-
-// Traffic returns total messages and megabytes within the window.
-func (m *Measure) Traffic() (msgs int64, dataMB float64) {
-	var bytes int64
-	for k, end := range m.endCats {
-		start := m.startCats[k]
-		msgs += end.Messages - start.Messages
-		bytes += end.Bytes - start.Bytes
-	}
-	return msgs, float64(bytes) / 1e6
-}
-
-// Categories returns the per-category traffic within the window.
-func (m *Measure) Categories() map[string]sim.CatStat {
-	out := map[string]sim.CatStat{}
-	for k, end := range m.endCats {
-		start := m.startCats[k]
-		d := sim.CatStat{
-			Messages: end.Messages - start.Messages,
-			Bytes:    end.Bytes - start.Bytes,
-		}
-		if d.Messages != 0 || d.Bytes != 0 {
-			out[k] = d
-		}
-	}
-	return out
 }

@@ -110,11 +110,10 @@ func TestAddDetail(t *testing.T) {
 }
 
 func TestMeasureWindow(t *testing.T) {
-	c := sim.NewCluster(sim.DefaultConfig(4))
-	m := NewMeasure(c)
-	c.Run(func(p *sim.Proc) {
+	ep := NewEpisode("test", sim.DefaultConfig(4))
+	ep.Cluster.Run(func(p *sim.Proc) {
 		p.Advance(100) // warmup: excluded
-		m.Start(p)
+		ep.Start(p)
 		p.Advance(float64(50 * (p.ID() + 1))) // slowest: 200
 		if p.ID() == 0 {
 			p.Send(1, "x", 0, nil, 1000)
@@ -122,10 +121,12 @@ func TestMeasureWindow(t *testing.T) {
 		if p.ID() == 1 {
 			p.Recv("x", 0)
 		}
-		m.End(p)
+		ep.End(p)
 		p.Advance(999) // after window: excluded
 	})
-	sec := m.TimeSec()
+	r := ep.Finish()
+	ep.TrafficDetail()
+	sec := r.TimeSec
 	// Slowest proc computes 200us; the window also carries the message
 	// latency+transfer and barrier arrival costs, but not the warmup or
 	// the post-window work.
@@ -135,29 +136,26 @@ func TestMeasureWindow(t *testing.T) {
 	// The window's own boundary barriers leak 2*(N-1) messages into the
 	// window (release legs of Start, arrival legs of End); the payload
 	// message must be there exactly once.
-	msgs, mb := m.Traffic()
-	cats := m.Categories()
-	if cats["x"].Messages != 1 {
-		t.Fatalf("payload msgs = %d, want 1 (all: %v)", cats["x"].Messages, cats)
+	if r.Detail["msgs.x"] != 1 {
+		t.Fatalf("payload msgs = %v, want 1 (all: %v)", r.Detail["msgs.x"], r.Detail)
 	}
-	if msgs != 1+2*3 {
-		t.Fatalf("window msgs = %d, want 7 (payload + barrier legs)", msgs)
+	if r.Messages != 1+2*3 {
+		t.Fatalf("window msgs = %d, want 7 (payload + barrier legs)", r.Messages)
 	}
-	if mb <= 0 {
+	if r.DataMB <= 0 {
 		t.Fatal("window bytes missing")
 	}
 }
 
 func TestMeasureDeterministic(t *testing.T) {
 	run := func() float64 {
-		c := sim.NewCluster(sim.DefaultConfig(8))
-		m := NewMeasure(c)
-		c.Run(func(p *sim.Proc) {
-			m.Start(p)
+		ep := NewEpisode("test", sim.DefaultConfig(8))
+		ep.Cluster.Run(func(p *sim.Proc) {
+			ep.Start(p)
 			p.Advance(float64(p.ID()) * 7.3)
-			m.End(p)
+			ep.End(p)
 		})
-		return m.TimeSec()
+		return ep.Finish().TimeSec
 	}
 	a := run()
 	for i := 0; i < 5; i++ {

@@ -21,9 +21,17 @@ import (
 // figures the result reports as maxima.
 type Episode struct {
 	Cluster *sim.Cluster
-	Meas    *Measure
 	Res     *Result
 	maxima  []procSeconds
+
+	// The measurement window: the two barriers Start and End meet at,
+	// and the statistics snapshots taken inside them.
+	startID, endID     int
+	startTime, endTime []float64
+	startCats, endCats map[string]sim.CatStat
+	startSync, endSync map[sim.LockKey]sim.LockStat
+	endMem             map[sim.MemKey]sim.MemStat
+	endMemPk           []sim.MemStat
 }
 
 // procSeconds is one PerProc accumulator and its Detail key.
@@ -33,13 +41,51 @@ type procSeconds struct {
 }
 
 // NewEpisode builds the cluster a backend reporting as system runs on,
-// and the cluster's measurement window, whose two barrier ids are drawn
-// here, before anything runs on the cluster. Parallel
-// backends pass their workload's machine config; the sequential
-// references pass sim.DefaultConfig(1), which is never traced.
+// and draws the measurement window's two barrier ids from it before
+// anything runs on the cluster. Parallel backends pass their workload's
+// machine config; the sequential references pass sim.DefaultConfig(1),
+// which is never traced.
 func NewEpisode(system string, cfg sim.Config) *Episode {
 	cl := sim.NewCluster(cfg)
-	return &Episode{Cluster: cl, Meas: NewMeasure(cl), Res: &Result{System: system}}
+	e := &Episode{Cluster: cl, Res: &Result{System: system},
+		startTime: make([]float64, cl.NProcs()), endTime: make([]float64, cl.NProcs())}
+	e.startID = cl.UniqueBarrierID()
+	e.endID = cl.UniqueBarrierID()
+	return e
+}
+
+// Start opens the measurement window, which delimits the timed part of
+// a run (the paper excludes initialization everywhere and, for nbf, the
+// first iteration). All processors must call it. The snapshot is taken
+// inside the barrier's combine step: with every processor blocked in
+// the barrier no requests are in flight, so clocks, interrupt
+// aggregates, and traffic counters are quiescent and the measurement is
+// deterministic.
+func (e *Episode) Start(p *sim.Proc) {
+	c := e.Cluster
+	p.BarrierExchange(e.startID, nil, 0, func(contrib []any) ([]any, []int, float64) {
+		e.startCats = c.Stats.Categories()
+		e.startSync = c.Sync.Snapshot()
+		for i := range e.startTime {
+			e.startTime[i] = c.Proc(i).Time()
+		}
+		return nil, nil, 0
+	})
+}
+
+// End closes the measurement window. All processors must call it.
+func (e *Episode) End(p *sim.Proc) {
+	c := e.Cluster
+	p.BarrierExchange(e.endID, nil, 0, func(contrib []any) ([]any, []int, float64) {
+		e.endCats = c.Stats.Categories()
+		e.endSync = c.Sync.Snapshot()
+		e.endMem = c.Mem.Snapshot()
+		e.endMemPk, _ = c.Mem.ProcPeaks()
+		for i := range e.endTime {
+			e.endTime[i] = c.Proc(i).Time()
+		}
+		return nil, nil, 0
+	})
 }
 
 // TmkSystem is the Result.System name of a TreadMarks backend: "tmk-opt"
@@ -64,19 +110,28 @@ func (e *Episode) PerProc(key string) []float64 {
 // makespan, the traffic totals, the memory ledger, every PerProc
 // maximum and, when the window saw any lock activity, the lock grid.
 func (e *Episode) Finish() *Result {
-	r, m := e.Res, e.Meas
-	r.TimeSec = m.TimeSec()
-	r.Messages, r.DataMB = m.Traffic()
+	r := e.Res
+	worst := 0.0
+	for i := range e.startTime {
+		worst = max(worst, e.endTime[i]-e.startTime[i])
+	}
+	r.TimeSec = worst / 1e6
+	var bytes int64
+	for k, end := range e.endCats {
+		r.Messages += end.Messages - e.startCats[k].Messages
+		bytes += end.Bytes - e.startCats[k].Bytes
+	}
+	r.DataMB = float64(bytes) / 1e6
 	// Footprints are ledger state rather than flows: the snapshot taken
 	// inside the End barrier includes the memory allocated before Start,
 	// because the arrays set up during initialization stay resident.
-	r.Mem, r.MemPeak = m.endMem, m.endMemPk
+	r.Mem, r.MemPeak = e.endMem, e.endMemPk
 	for _, p := range e.maxima {
 		r.AddDetail(p.key, slices.Max(p.sec))
 	}
 	// The lock grid's aggregate is mirrored into Detail so the generic
 	// detail printers show it.
-	if locks := sim.SubSnapshots(m.endSync, m.startSync); len(locks) > 0 {
+	if locks := sim.SubSnapshots(e.endSync, e.startSync); len(locks) > 0 {
 		r.Locks = locks
 		t := sim.TotalLockStat(locks)
 		r.AddDetail("lock_acquires", float64(t.Acquires))
@@ -100,9 +155,12 @@ func (e *Episode) FinishSeq(t0 float64, x, f []float64) *Result {
 // TrafficDetail adds the window's traffic per category as Detail
 // entries "msgs.<category>" (messages) and "mb.<category>" (megabytes).
 func (e *Episode) TrafficDetail() {
-	for k, v := range e.Meas.Categories() {
-		e.Res.AddDetail("msgs."+k, float64(v.Messages))
-		e.Res.AddDetail("mb."+k, float64(v.Bytes)/1e6)
+	for k, end := range e.endCats {
+		start := e.startCats[k]
+		if msgs, bytes := end.Messages-start.Messages, end.Bytes-start.Bytes; msgs != 0 || bytes != 0 {
+			e.Res.AddDetail("msgs."+k, float64(msgs))
+			e.Res.AddDetail("mb."+k, float64(bytes)/1e6)
+		}
 	}
 }
 

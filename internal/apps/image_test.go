@@ -17,27 +17,24 @@ import (
 )
 
 // TestVariantsShareOneImage pins that both TreadMarks variants of one
-// Variants, which start from the one sealed image it builds, produce
-// exactly what each produces alone on a fresh Variants — run one after
+// Workload, which start from the one sealed image it builds, produce
+// exactly what each produces alone on a fresh Workload — run one after
 // the other or concurrently.
 func TestVariantsShareOneImage(t *testing.T) {
 	for app, cfg := range pinConfigs() {
 		t.Run(app, func(t *testing.T) {
 			t.Parallel()
-			fresh := func(slot func(apps.Workload) *apps.Result) string {
+			fresh := func() apps.Workload {
 				w, err := apps.New(app, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return digest(t, slot(w))
+				return w
 			}
-			wantBase := fresh(apps.Workload.TmkBase)
-			wantOpt := fresh(apps.Workload.TmkOpt)
+			wantBase := digest(t, fresh().TmkBase())
+			wantOpt := digest(t, fresh().TmkOpt())
 
-			w, err := apps.New(app, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			w := fresh()
 			if got := digest(t, w.TmkBase()); got != wantBase {
 				t.Errorf("tmk on a shared image differs from a fresh run")
 			}
@@ -45,10 +42,7 @@ func TestVariantsShareOneImage(t *testing.T) {
 				t.Errorf("tmk-opt after tmk on its image differs from a fresh run")
 			}
 
-			w, err = apps.New(app, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			w = fresh()
 			var base, opt *apps.Result
 			var wg sync.WaitGroup
 			wg.Add(2)

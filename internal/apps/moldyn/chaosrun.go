@@ -35,7 +35,7 @@ func RunChaos(w *Workload) *apps.Result {
 		me := proc.ID()
 		own := counts[me]
 		mem := &cl.Mem
-		ep.Meas.Start(proc)
+		ep.Start(proc)
 
 		// Working state: current pair section (the workload's, read
 		// only, until the first rebuild) and local arrays.
@@ -82,7 +82,7 @@ func RunChaos(w *Workload) *apps.Result {
 				// inspector.
 				tag++
 				allgatherX(proc, tag, part, ownGlobals, xLoc, xGlob)
-				myPairs, checks := BuildPairsStrided(&p, w.L, xGlob, nprocs, me)
+				myPairs, checks := BuildPairs(&p, w.L, xGlob, nprocs, me)
 				proc.Advance(cost.RebuildUSPerCheck * float64(checks))
 				tag++
 				mem.Free(me, apps.MemCatPairs, int64(8*len(pairs)))
@@ -131,7 +131,7 @@ func RunChaos(w *Workload) *apps.Result {
 			}
 			proc.Advance(cost.IntegrateUSPerMol * float64(own))
 		}
-		ep.Meas.End(proc)
+		ep.End(proc)
 		xs[me], fs[me] = xLoc[:3*own], fLoc[:3*own]
 		// Teardown: return the app-level charges so the ledger balances.
 		mem.Free(me, apps.MemCatData, dataBytes)

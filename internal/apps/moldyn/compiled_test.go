@@ -33,7 +33,7 @@ func TestForceDescAgainstCompiledKernel(t *testing.T) {
 	p := DefaultParams(128, 4)
 	w := Generate(p)
 	starts := w.Starts
-	capPairs := len(w.Pairs)*3/2 + 4096 // BuildImage's capacity rule
+	capPairs := len(w.Sorted)*3/2 + 4096 // BuildImage's capacity rule
 	xApp := &core.Array{Name: "x", ElemSize: 24, Len: p.N}
 	xDeclared := &core.Array{Name: "x", ElemSize: 8, Len: 3 * p.N}
 	inter := &core.Array{Name: "interaction_list", Base: 24 * 4096, ElemSize: 4, Len: 2 * capPairs}

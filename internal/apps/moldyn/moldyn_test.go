@@ -43,31 +43,10 @@ func TestPositionsOnLattice(t *testing.T) {
 	}
 }
 
-func TestBuildPairsBruteVsCell(t *testing.T) {
-	p := testParams(300, 2, 1, 0)
-	w := Generate(p)
-	brute, _ := BuildPairs(&p, w.L, w.X0)
-	pc := p
-	pc.CellRebuild = true
-	cell, _ := BuildPairs(&pc, w.L, w.X0)
-	if len(brute) != len(cell) {
-		t.Fatalf("pair counts differ: brute %d, cell %d", len(brute), len(cell))
-	}
-	seen := map[[2]int32]bool{}
-	for _, pr := range brute {
-		seen[pr] = true
-	}
-	for _, pr := range cell {
-		if !seen[pr] {
-			t.Fatalf("cell found pair %v absent from brute force", pr)
-		}
-	}
-}
-
 func TestPairsSymmetricIandJ(t *testing.T) {
 	p := testParams(200, 2, 1, 0)
 	w := Generate(p)
-	pairs, _ := BuildPairs(&p, w.L, w.X0)
+	pairs, _ := BuildPairs(&p, w.L, w.X0, 1, 0)
 	for _, pr := range pairs {
 		if pr[0] >= pr[1] {
 			t.Fatalf("pair %v not ordered i<j", pr)
@@ -78,7 +57,7 @@ func TestPairsSymmetricIandJ(t *testing.T) {
 func TestPartitionPairsSectionsAreContiguous(t *testing.T) {
 	p := testParams(256, 4, 1, 0)
 	w := Generate(p)
-	pairs, _ := BuildPairs(&p, w.L, w.X0)
+	pairs, _ := BuildPairs(&p, w.L, w.X0, 1, 0)
 	part := chaos.RCB(Coords(w.X0), 4)
 	sorted, starts := chaos.PartitionPairs(pairs, part)
 	if len(sorted) != len(pairs) {
@@ -163,14 +142,14 @@ func TestRebuildChangesPairs(t *testing.T) {
 	p := testParams(256, 2, 8, 0)
 	w := Generate(p)
 	x := append([]float64(nil), w.X0...)
-	before, _ := BuildPairs(&p, w.L, x)
+	before, _ := BuildPairs(&p, w.L, x, 1, 0)
 	// Integrate a few steps with zero force (drift only).
 	for s := 0; s < 8; s++ {
 		for i := range x {
 			x[i] = integrate(x[i], 0, w.Drift[i], w.L)
 		}
 	}
-	after, _ := BuildPairs(&p, w.L, x)
+	after, _ := BuildPairs(&p, w.L, x, 1, 0)
 	same := 0
 	seen := map[[2]int32]bool{}
 	for _, pr := range before {
@@ -216,8 +195,8 @@ func TestChaosInspectorCostGrowsWithRebuilds(t *testing.T) {
 	}
 }
 
-// TestBackendsLeaveWorkloadUntouched: Generate's pair list, partition
-// and sorted sections are shared by every backend and read-only. Run
+// TestBackendsLeaveWorkloadUntouched: Generate's partition and sorted
+// pair sections are shared by every backend and read-only. Run
 // all four backends with rebuilds on one Workload, concurrently so the
 // race detector sees any write, then compare the set-up with a fresh
 // Generate: a backend that appends into a section or rewrites shared
@@ -242,8 +221,8 @@ func TestBackendsLeaveWorkloadUntouched(t *testing.T) {
 		got, want any
 	}{
 		{"X0", w.X0, fresh.X0}, {"Drift", w.Drift, fresh.Drift},
-		{"Pairs", w.Pairs, fresh.Pairs}, {"Part", w.Part, fresh.Part},
-		{"Sorted", w.Sorted, fresh.Sorted}, {"Starts", w.Starts, fresh.Starts},
+		{"Part", w.Part, fresh.Part}, {"Sorted", w.Sorted, fresh.Sorted},
+		{"Starts", w.Starts, fresh.Starts},
 	} {
 		if !reflect.DeepEqual(f.got, f.want) {
 			t.Errorf("Workload.%s changed while the backends ran", f.name)

@@ -10,22 +10,6 @@ import (
 // The option matrix: every backend variant must still produce the exact
 // sequential result.
 
-func TestCellRebuildBackendAgreement(t *testing.T) {
-	p := testParams(256, 4, 6, 2)
-	p.CellRebuild = true
-	w := Generate(p)
-	seq := RunSequential(w)
-	for _, r := range []*apps.Result{
-		RunTmk(w, BuildImage(w), TmkOptions{}),
-		RunTmk(w, BuildImage(w), TmkOptions{Optimized: true}),
-		RunChaos(w),
-	} {
-		if err := apps.VerifyEqual(seq, r); err != nil {
-			t.Fatalf("cell rebuild, %s: %v", r.System, err)
-		}
-	}
-}
-
 func TestTableKindsProduceSameResults(t *testing.T) {
 	base := testParams(256, 4, 4, 2)
 	var ref *apps.Result

@@ -8,55 +8,23 @@ import (
 	"repro/internal/apps"
 )
 
-// refBuildPairs is BuildPairs as a plain append-grown loop, kept as the
-// reference the chunked builder must reproduce element for element.
+// refBuildPairs is the paper-era exhaustive scan as a plain
+// append-grown loop, kept as the reference BuildPairs(p, l, x, 1, 0)
+// must reproduce element for element.
 func refBuildPairs(p *Params, l float64, x []float64) (pairs [][2]int32, checks int64) {
-	n := p.N
 	rc2 := p.Cutoff * p.Cutoff
-	nc := int(l / p.Cutoff)
-	if !p.CellRebuild || nc < 3 {
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				checks++
-				if refWithin(x, i, j, l, rc2) {
-					pairs = append(pairs, [2]int32{int32(i), int32(j)})
-				}
-			}
-		}
-		return pairs, checks
-	}
-	cellOf := func(i int) (int, int, int) {
-		c := func(v float64) int { return clampCell(int(v/l*float64(nc)), nc) }
-		return c(x[3*i]), c(x[3*i+1]), c(x[3*i+2])
-	}
-	cells := make([][]int32, nc*nc*nc)
-	for i := 0; i < n; i++ {
-		cx, cy, cz := cellOf(i)
-		id := (cz*nc+cy)*nc + cx
-		cells[id] = append(cells[id], int32(i))
-	}
-	for i := 0; i < n; i++ {
-		cx, cy, cz := cellOf(i)
-		for dz := -1; dz <= 1; dz++ {
-			for dy := -1; dy <= 1; dy++ {
-				for dx := -1; dx <= 1; dx++ {
-					for _, j := range cells[(mod(cz+dz, nc)*nc+mod(cy+dy, nc))*nc+mod(cx+dx, nc)] {
-						if int(j) <= i {
-							continue
-						}
-						checks++
-						if refWithin(x, i, int(j), l, rc2) {
-							pairs = append(pairs, [2]int32{int32(i), j})
-						}
-					}
-				}
+	for i := 0; i < p.N; i++ {
+		for j := i + 1; j < p.N; j++ {
+			checks++
+			if refWithin(x, i, j, l, rc2) {
+				pairs = append(pairs, [2]int32{int32(i), int32(j)})
 			}
 		}
 	}
 	return pairs, checks
 }
 
-// refBuildPairsStrided is BuildPairsStrided as a plain append-grown loop.
+// refBuildPairsStrided is BuildPairs as a plain append-grown loop.
 func refBuildPairsStrided(p *Params, l float64, x []float64, m, eq int) (pairs [][2]int32, checks int64) {
 	rc2 := p.Cutoff * p.Cutoff
 	for i := eq; i < p.N; i += m {
@@ -77,11 +45,11 @@ func refWithin(x []float64, i, j int, l, rc2 float64) bool {
 	return dx*dx+dy*dy+dz*dz <= rc2
 }
 
-// TestBuildPairsMatchesReference pins the exact-size builders to the
-// append-grown reference: the same pairs in the same order, the same
+// TestBuildPairsMatchesReference pins the exact-size builder to the
+// append-grown references: the same pairs in the same order, the same
 // check counts, and a result whose capacity is its length — for the
-// exhaustive and cell scans and for several strided splits, with lists
-// spanning several builder chunks.
+// exhaustive scan and for several strided splits, with lists spanning
+// several builder chunks.
 func TestBuildPairsMatchesReference(t *testing.T) {
 	check := func(t *testing.T, got, want [][2]int32, gotChecks, wantChecks int64) {
 		t.Helper()
@@ -98,22 +66,18 @@ func TestBuildPairsMatchesReference(t *testing.T) {
 		if n == 600 {
 			p = w.P // the paper's cutoff fraction: about 40% of all pairs
 		}
-		for _, cell := range []bool{false, true} {
-			t.Run(fmt.Sprintf("n%d-cell=%v", n, cell), func(t *testing.T) {
-				q := p
-				q.CellRebuild = cell
-				got, gc := BuildPairs(&q, w.L, w.X0)
-				want, wc := refBuildPairs(&q, w.L, w.X0)
-				if len(want) < 2*8192 {
-					t.Fatalf("only %d pairs: the case spans no chunk boundary", len(want))
-				}
-				check(t, got, want, gc, wc)
-			})
-		}
+		t.Run(fmt.Sprintf("n%d-exhaustive", n), func(t *testing.T) {
+			got, gc := BuildPairs(&p, w.L, w.X0, 1, 0)
+			want, wc := refBuildPairs(&p, w.L, w.X0)
+			if len(want) < 2*8192 {
+				t.Fatalf("only %d pairs: the case spans no chunk boundary", len(want))
+			}
+			check(t, got, want, gc, wc)
+		})
 		for _, m := range []int{1, 3, 8} {
 			for eq := 0; eq < m; eq += 2 {
 				t.Run(fmt.Sprintf("n%d-strided%d/%d", n, eq, m), func(t *testing.T) {
-					got, gc := BuildPairsStrided(&p, w.L, w.X0, m, eq)
+					got, gc := BuildPairs(&p, w.L, w.X0, m, eq)
 					want, wc := refBuildPairsStrided(&p, w.L, w.X0, m, eq)
 					check(t, got, want, gc, wc)
 				})

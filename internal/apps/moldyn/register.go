@@ -1,4 +1,4 @@
-// Registry adapter: moldyn as apps.Variants. The factory maps the
+// Registry adapter: moldyn as an apps.Workload. The factory maps the
 // harness Config onto Params (knob "update_every" selects the
 // interaction-list rebuild interval Table 1 sweeps; "table_budget_kb"
 // hands the translation-table choice to the memory capacity policy;

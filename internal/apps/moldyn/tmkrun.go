@@ -57,7 +57,7 @@ func BuildImage(w *Workload) *Image {
 	n := p.N
 	// Capacity for the shared interaction list: the pair count drifts as
 	// molecules move; 1.5x the initial count plus slack covers it.
-	capPairs := len(w.Pairs)*3/2 + 4096
+	capPairs := len(w.Sorted)*3/2 + 4096
 	arenaBytes := apps.PageRound(24*n, p.PageSize) + apps.PageRound(8*3*n, p.PageSize) +
 		apps.PageRound(8*capPairs, p.PageSize) + apps.PageRound(8*(p.Procs+2), p.PageSize) +
 		8*p.PageSize
@@ -103,7 +103,7 @@ func RunTmk(w *Workload, im *Image, opt TmkOptions) *apps.Result {
 			rt.NoAggregation = opt.NoAggregation
 			rt.Incremental = opt.Incremental
 		}
-		ep.Meas.Start(proc)
+		ep.Start(proc)
 
 		lf := make([]float64, 3*n) // private local_forces (full size; §5.1)
 		cl.Mem.Alloc(me, apps.MemCatPrivate, int64(8*len(lf)))
@@ -171,7 +171,7 @@ func RunTmk(w *Workload, im *Image, opt TmkOptions) *apps.Result {
 			}
 			node.Barrier(barIntegrate)
 		}
-		ep.Meas.End(proc)
+		ep.End(proc)
 		cl.Mem.Free(me, apps.MemCatPrivate, int64(8*len(lf)))
 	})
 
@@ -218,7 +218,7 @@ func rebuildParallel(proc *sim.Proc, node *tmk.Node, rt *core.Runtime, w *Worklo
 	for i := range x {
 		x[i] = space.ReadF64(xArr.Base + vm.Addr(8*i))
 	}
-	pairs, checks := BuildPairsStrided(p, w.L, x, nprocs, me)
+	pairs, checks := BuildPairs(p, w.L, x, nprocs, me)
 	proc.Advance(p.Costs.RebuildUSPerCheck * float64(checks))
 	byOwner, bounds := chaos.PartitionPairs(pairs, w.Part)
 	counts := make([]int, nprocs)

@@ -64,8 +64,7 @@ type Params struct {
 	// (0 = sim.DefaultConfig). The memory ablation's anecdote run uses a
 	// large value: the measured CHAOS program's bulk inspector exchanges
 	// were not fragmented at the paper's message-count granularity.
-	MaxMsgB     int
-	CellRebuild bool // use an O(N) cell grid instead of the paper-era O(N^2) rebuild
+	MaxMsgB int
 	// Machine carries the latency/bandwidth overrides the scenario
 	// engine sweeps (zero fields = SP2 default).
 	Machine apps.Machine
@@ -110,9 +109,8 @@ type Workload struct {
 	X0    []float64 // 3N initial coordinates
 	Drift []float64 // 3N per-step drift (models thermal motion)
 
-	Pairs  [][2]int32       // initial interaction list, in BuildPairs order
 	Part   *chaos.Partition // RCB partition of X0 over P.Procs
-	Sorted [][2]int32       // Pairs by owner under Part (chaos.PartitionPairs)
+	Sorted [][2]int32       // initial interaction list by owner under Part (chaos.PartitionPairs)
 	Starts []int            // processor p's pairs are Sorted[Starts[p]:Starts[p+1]]
 }
 
@@ -148,9 +146,9 @@ func Generate(p Params) *Workload {
 		drift[i] = apps.Q((rng.Float64() - 0.5) * 0.08)
 	}
 	w := &Workload{P: p, L: l, X0: x, Drift: drift}
-	w.Pairs, _ = BuildPairs(&w.P, l, x)
+	pairs, _ := BuildPairs(&w.P, l, x, 1, 0)
 	w.Part = chaos.RCB(Coords(x), p.Procs)
-	w.Sorted, w.Starts = chaos.PartitionPairs(w.Pairs, w.Part)
+	w.Sorted, w.Starts = chaos.PartitionPairs(pairs, w.Part)
 	return w
 }
 
@@ -173,103 +171,15 @@ func Coords(x []float64) [][3]float64 {
 	return out
 }
 
-// BuildPairs computes the interaction list for positions x: all pairs
-// (i<j) with minimum-image distance at most Cutoff, in deterministic
-// order, plus the number of candidate checks performed (the rebuild's
-// compute cost). The paper-era code scans all N^2/2 pairs; CellRebuild
-// enables a cell-grid search as an ablation.
-func BuildPairs(p *Params, l float64, x []float64) (pairs [][2]int32, checks int64) {
-	n := p.N
-	rc2 := p.Cutoff * p.Cutoff
-	var b apps.PairBuilder
-	if !p.CellRebuild {
-		for i := 0; i < n; i++ {
-			xi, yi, zi := x[3*i], x[3*i+1], x[3*i+2]
-			for j := i + 1; j < n; j++ {
-				checks++
-				dx := apps.MinImage(xi-x[3*j], l)
-				dy := apps.MinImage(yi-x[3*j+1], l)
-				dz := apps.MinImage(zi-x[3*j+2], l)
-				if dx*dx+dy*dy+dz*dz <= rc2 {
-					b.Add(int32(i), int32(j))
-				}
-			}
-		}
-		return b.Pairs(), checks
-	}
-	// Cell-grid variant: cells of side >= cutoff; scan half the 27
-	// neighborhood to keep i<j order deterministic. With fewer than
-	// three cells per side the periodic neighborhood aliases (the same
-	// cell would be visited twice), so fall back to the exhaustive scan.
-	nc := int(l / p.Cutoff)
-	if nc < 3 {
-		q := *p
-		q.CellRebuild = false
-		return BuildPairs(&q, l, x)
-	}
-	cellOf := func(i int) (int, int, int) {
-		cx := int(x[3*i] / l * float64(nc))
-		cy := int(x[3*i+1] / l * float64(nc))
-		cz := int(x[3*i+2] / l * float64(nc))
-		return clampCell(cx, nc), clampCell(cy, nc), clampCell(cz, nc)
-	}
-	cells := make([][]int32, nc*nc*nc)
-	for i := 0; i < n; i++ {
-		cx, cy, cz := cellOf(i)
-		id := (cz*nc+cy)*nc + cx
-		cells[id] = append(cells[id], int32(i))
-	}
-	for i := 0; i < n; i++ {
-		cx, cy, cz := cellOf(i)
-		xi, yi, zi := x[3*i], x[3*i+1], x[3*i+2]
-		for dz := -1; dz <= 1; dz++ {
-			for dy := -1; dy <= 1; dy++ {
-				for dxc := -1; dxc <= 1; dxc++ {
-					id := (mod(cz+dz, nc)*nc+mod(cy+dy, nc))*nc + mod(cx+dxc, nc)
-					for _, j := range cells[id] {
-						if int(j) <= i {
-							continue
-						}
-						checks++
-						dx := apps.MinImage(xi-x[3*j], l)
-						dy2 := apps.MinImage(yi-x[3*j+1], l)
-						dz2 := apps.MinImage(zi-x[3*j+2], l)
-						if dx*dx+dy2*dy2+dz2*dz2 <= rc2 {
-							b.Add(int32(i), j)
-						}
-					}
-				}
-			}
-		}
-	}
-	return b.Pairs(), checks
-}
-
-func clampCell(c, nc int) int {
-	if c < 0 {
-		return 0
-	}
-	if c >= nc {
-		return nc - 1
-	}
-	return c
-}
-
-func mod(a, n int) int {
-	a %= n
-	if a < 0 {
-		a += n
-	}
-	return a
-}
-
-// BuildPairsStrided computes the interaction pairs whose first molecule
-// i satisfies i % mod == eq — the parallel rebuild decomposition: each
-// processor scans an interleaved subset of the rows, which balances the
-// triangular pair loop. The union over eq of the results equals
-// BuildPairs' pair set (in a different order; force accumulation is
-// exact, so results are unchanged).
-func BuildPairsStrided(p *Params, l float64, x []float64, mod, eq int) (pairs [][2]int32, checks int64) {
+// BuildPairs computes the interaction pairs (i<j, minimum-image
+// distance at most Cutoff) whose first molecule i satisfies
+// i % mod == eq, in deterministic order, plus the number of candidate
+// checks performed (the rebuild's compute cost). BuildPairs(p, l, x, 1, 0)
+// is the paper-era exhaustive N^2/2 scan; the parallel rebuilds give
+// each processor an interleaved subset of the rows, which balances the
+// triangular loop. The union over eq is the (1, 0) pair set in another
+// order; force accumulation is exact, so results are unchanged.
+func BuildPairs(p *Params, l float64, x []float64, mod, eq int) (pairs [][2]int32, checks int64) {
 	n := p.N
 	rc2 := p.Cutoff * p.Cutoff
 	var b apps.PairBuilder

@@ -50,7 +50,7 @@ func RunChaos(w *Workload) *apps.Result {
 		tag := 0
 		for step := 0; step <= p.Steps; step++ {
 			if step == 1 {
-				ep.Meas.Start(proc)
+				ep.Start(proc)
 			}
 			tag++
 			chaos.Gather(proc, tag, sch, xLoc, 1, ecost)
@@ -78,7 +78,7 @@ func RunChaos(w *Workload) *apps.Result {
 			}
 			proc.Advance(cost.IntegrateUSPerMol * float64(mhi-mlo))
 		}
-		ep.Meas.End(proc)
+		ep.End(proc)
 		xs[me], fs[me] = xLoc[:own], fLoc[:own]
 		cl.Mem.Free(me, apps.MemCatData, int64(2*8*slots))
 		sch.ReleaseMem(proc)

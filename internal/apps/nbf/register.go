@@ -1,4 +1,4 @@
-// Registry adapter: nbf as apps.Variants. The factory maps the
+// Registry adapter: nbf as an apps.Workload. The factory maps the
 // harness Config onto Params (knob "partners" sets the partner-list
 // length Table 2 uses). "no_aggregation" = 1 and "no_write_all" = 1
 // run the tmk-opt slot without message aggregation (ablation A3) or

@@ -91,7 +91,7 @@ func RunTmk(w *Workload, im *Image, opt TmkOptions) *apps.Result {
 
 		for step := 0; step <= p.Steps; step++ {
 			if step == 1 {
-				ep.Meas.Start(proc) // warmup (inspector/scan analog) excluded
+				ep.Start(proc) // warmup (inspector/scan analog) excluded
 			}
 			// Validate at the start of the time step: fetch the updated
 			// coordinate values through the partner-list section.
@@ -137,7 +137,7 @@ func RunTmk(w *Workload, im *Image, opt TmkOptions) *apps.Result {
 			}
 			node.Barrier(barIntegrate)
 		}
-		ep.Meas.End(proc)
+		ep.End(proc)
 		cl.Mem.Free(me, apps.MemCatPrivate, int64(8*len(lf)))
 	})
 

@@ -1,10 +1,10 @@
 // The application registry: every irregular application (moldyn, nbf,
-// unstruct, spmv, ...) adapts its generated workload to the Workload
-// interface and self-registers a named factory from an init function.
-// The table commands and the bench harness iterate the registry instead
-// of hard-coding per-app calls, so opening a new workload is: implement
-// the four backends on an Episode, register a factory returning them as
-// Variants, done.
+// unstruct, spmv, ...) closes its four backends over its generated
+// workload as a Workload and self-registers a named factory from an init
+// function. The table commands and the bench harness iterate the
+// registry instead of hard-coding per-app calls, so opening a new
+// workload is: implement the four backends on an Episode, register a
+// factory returning them through NewVariants, done.
 package apps
 
 import (
@@ -15,32 +15,16 @@ import (
 )
 
 // Workload is one generated problem instance that every backend can
-// execute. The four methods correspond to the paper's four systems: the
-// sequential reference, the CHAOS inspector-executor library, the base
-// TreadMarks DSM (demand paging), and the compiler-optimized TreadMarks
-// DSM (Validate with aggregated prefetch). Each returns the common
-// Result record with the Measure-window statistics filled in; the final
+// execute. The four funcs are the paper's four systems: the sequential
+// reference, the CHAOS inspector-executor library, the base TreadMarks
+// DSM (demand paging), and the compiler-optimized TreadMarks DSM
+// (Validate with aggregated prefetch). Each returns the common Result
+// record with the measurement window's statistics filled in; the final
 // state (X, Forces) must be bit-identical across all four.
-type Workload interface {
-	Name() string
-	Sequential() *Result
-	Chaos() *Result
-	TmkBase() *Result
-	TmkOpt() *Result
+type Workload struct {
+	App                                string
+	Sequential, Chaos, TmkBase, TmkOpt func() *Result
 }
-
-// Variants is the Workload every app's factory returns: its name and
-// four backend funcs closed over the generated workload, one per slot.
-type Variants struct {
-	App                               string
-	RunSeq, RunChaos, RunBase, RunOpt func() *Result
-}
-
-func (v Variants) Name() string        { return v.App }
-func (v Variants) Sequential() *Result { return v.RunSeq() }
-func (v Variants) Chaos() *Result      { return v.RunChaos() }
-func (v Variants) TmkBase() *Result    { return v.RunBase() }
-func (v Variants) TmkOpt() *Result     { return v.RunOpt() }
 
 // NewVariants closes an app's backends over its generated workload w:
 // seq and chaos run as they are, tmk once under the base and once under
@@ -49,13 +33,13 @@ func (v Variants) TmkOpt() *Result     { return v.RunOpt() }
 // caller that runs only seq or chaos never pays for it, and it lives in
 // the closures, not on w, which stays read-only.
 func NewVariants[W, I, O any](app string, w W, seq, chaos func(W) *Result,
-	image func(W) I, tmk func(W, I, O) *Result, base, opt O) Variants {
+	image func(W) I, tmk func(W, I, O) *Result, base, opt O) Workload {
 	img := sync.OnceValue(func() I { return image(w) })
-	return Variants{App: app,
-		RunSeq:   func() *Result { return seq(w) },
-		RunChaos: func() *Result { return chaos(w) },
-		RunBase:  func() *Result { return tmk(w, img(), base) },
-		RunOpt:   func() *Result { return tmk(w, img(), opt) },
+	return Workload{App: app,
+		Sequential: func() *Result { return seq(w) },
+		Chaos:      func() *Result { return chaos(w) },
+		TmkBase:    func() *Result { return tmk(w, img(), base) },
+		TmkOpt:     func() *Result { return tmk(w, img(), opt) },
 	}
 }
 
@@ -183,27 +167,27 @@ func New(name string, cfg Config) (w Workload, err error) {
 	r, ok := registry[name]
 	regMu.Unlock()
 	if !ok {
-		return nil, fmt.Errorf("apps: unknown application %q (registered: %v)", name, Names())
+		return Workload{}, fmt.Errorf("apps: unknown application %q (registered: %v)", name, Names())
 	}
 	if cfg.N <= 0 || cfg.Procs <= 0 {
-		return nil, fmt.Errorf("apps: %s needs positive N and Procs (got N=%d, Procs=%d)",
+		return Workload{}, fmt.Errorf("apps: %s needs positive N and Procs (got N=%d, Procs=%d)",
 			name, cfg.N, cfg.Procs)
 	}
 	for k, v := range cfg.Knobs {
 		if !r.knobs[k] {
-			return nil, fmt.Errorf("apps: %s does not understand knob %q (knows: %v)",
+			return Workload{}, fmt.Errorf("apps: %s does not understand knob %q (knows: %v)",
 				name, k, sortedKeys(r.knobs))
 		}
 		if v < 0 {
-			return nil, fmt.Errorf("apps: %s knob %q must be non-negative (got %d)", name, k, v)
+			return Workload{}, fmt.Errorf("apps: %s knob %q must be non-negative (got %d)", name, k, v)
 		}
 	}
 	if err := cfg.Machine.Validate(cfg.Procs); err != nil {
-		return nil, fmt.Errorf("apps: %s: %v", name, err)
+		return Workload{}, fmt.Errorf("apps: %s: %v", name, err)
 	}
 	defer func() {
 		if p := recover(); p != nil {
-			w, err = nil, fmt.Errorf("apps: %s: %v", name, p)
+			w, err = Workload{}, fmt.Errorf("apps: %s: %v", name, p)
 		}
 	}()
 	return r.f(cfg), nil
@@ -267,7 +251,7 @@ func RunAllCtx(ctx context.Context, w Workload) (*VariantSet, error) {
 	}
 	for _, r := range vs.Parallel() {
 		if err := VerifyEqual(vs.Seq, r); err != nil {
-			return nil, fmt.Errorf("%s %s: %w", w.Name(), r.System, err)
+			return nil, fmt.Errorf("%s %s: %w", w.App, r.System, err)
 		}
 		if r.TimeSec > 0 {
 			r.Speedup = vs.Seq.TimeSec / r.TimeSec

@@ -43,8 +43,8 @@ func TestAllRegisteredWorkloadsRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if w.Name() != name {
-				t.Errorf("Name() = %q, registered as %q", w.Name(), name)
+			if w.App != name {
+				t.Errorf("App = %q, registered as %q", w.App, name)
 			}
 			vs, err := apps.RunAll(w)
 			if err != nil {

@@ -52,7 +52,7 @@ func RunChaos(w *Workload) *apps.Result {
 		tag := 0
 		for step := 0; step <= p.Steps; step++ {
 			if step == 1 {
-				ep.Meas.Start(proc)
+				ep.Start(proc)
 			}
 			tag++
 			chaos.Gather(proc, tag, sch, xLoc, 1, ecost)
@@ -69,7 +69,7 @@ func RunChaos(w *Workload) *apps.Result {
 			}
 			proc.Advance(cost.RefreshUSPerRow * float64(rhi-rlo))
 		}
-		ep.Meas.End(proc)
+		ep.End(proc)
 		xs[me], ys[me] = xLoc[:own], yLoc
 		cl.Mem.Free(me, apps.MemCatData, int64(8*(2*own+sch.Ghosts)))
 		sch.ReleaseMem(proc)

@@ -1,4 +1,4 @@
-// Registry adapter: spmv as apps.Variants (knob "nnz_row" sets the
+// Registry adapter: spmv as an apps.Workload (knob "nnz_row" sets the
 // nonzeros per row).
 package spmv
 

@@ -87,7 +87,7 @@ func RunTmk(w *Workload, im *Image, opt TmkOptions) *apps.Result {
 
 		for step := 0; step <= p.Steps; step++ {
 			if step == 1 {
-				ep.Meas.Start(proc)
+				ep.Start(proc)
 			}
 			if opt.Optimized && rlo < rhi {
 				before := rt.ScanEntries
@@ -124,7 +124,7 @@ func RunTmk(w *Workload, im *Image, opt TmkOptions) *apps.Result {
 			proc.Advance(cost.RefreshUSPerRow * float64(rhi-rlo))
 			node.Barrier(barRefresh)
 		}
-		ep.Meas.End(proc)
+		ep.End(proc)
 	})
 
 	ep.Finish()

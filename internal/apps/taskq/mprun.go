@@ -27,7 +27,7 @@ func RunMP(w *Workload) *apps.Result {
 	var counter, sum int64
 	ep.Cluster.Run(func(proc *sim.Proc) {
 		me := proc.ID()
-		ep.Meas.Start(proc)
+		ep.Start(proc)
 		if nprocs == 1 {
 			// Degenerate cluster: the master drains the queue itself.
 			for i := 0; i < p.N; i++ {
@@ -35,7 +35,7 @@ func RunMP(w *Workload) *apps.Result {
 				sum += int64(i)
 				proc.Advance(w.WorkUS[i])
 			}
-			ep.Meas.End(proc)
+			ep.End(proc)
 			return
 		}
 		if me == 0 {
@@ -68,7 +68,7 @@ func RunMP(w *Workload) *apps.Result {
 				proc.Advance(w.WorkUS[idx])
 			}
 		}
-		ep.Meas.End(proc)
+		ep.End(proc)
 	})
 
 	res := resultOf(ep.Finish(), counter, sum)

@@ -1,4 +1,4 @@
-// Registry adapter: taskq as apps.Variants. The registry's Chaos
+// Registry adapter: taskq as an apps.Workload. The registry's Chaos
 // slot runs the message-passing master/worker program and the TmkOpt
 // slot the batched-claim variant. Knobs: "batch" (items per lock
 // acquire in the batched variant), "work_lo"/"work_hi" (per-item cost

@@ -57,7 +57,7 @@ func RunTmk(w *Workload, im *Image, opt TmkOptions) *apps.Result {
 		me := proc.ID()
 		node := d.Node(me)
 		space := node.Space()
-		ep.Meas.Start(proc)
+		ep.Start(proc)
 		for {
 			node.AcquireLock(lockCounter)
 			lo := space.ReadI64(cAddr)
@@ -79,7 +79,7 @@ func RunTmk(w *Workload, im *Image, opt TmkOptions) *apps.Result {
 			}
 		}
 		node.Barrier(1)
-		ep.Meas.End(proc)
+		ep.End(proc)
 	})
 
 	var sum int64

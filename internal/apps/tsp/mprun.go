@@ -40,7 +40,7 @@ func RunMP(w *Workload) *apps.Result {
 		me := proc.ID()
 		s := newSearcher(w)
 		finals[me] = s
-		ep.Meas.Start(proc)
+		ep.Start(proc)
 		for r := 0; r < rounds; r++ {
 			if ti := r*nprocs + me; ti < len(w.Tasks) {
 				nodes := s.exploreTask(w.Tasks[ti])
@@ -69,7 +69,7 @@ func RunMP(w *Workload) *apps.Result {
 				s.adopt(g.cost, g.tour)
 			}
 		}
-		ep.Meas.End(proc)
+		ep.End(proc)
 	})
 
 	master := finals[0]

@@ -1,4 +1,4 @@
-// Registry adapter: TSP as apps.Variants. The registry's Chaos slot
+// Registry adapter: TSP as an apps.Workload. The registry's Chaos slot
 // runs the message-passing master/worker program (the PVM-style
 // contrast — TSP has no inspector-executor form), and the TmkOpt slot
 // runs the batched-claim variant. Knobs: "depth" (seed-task prefix

@@ -100,7 +100,7 @@ func RunTmk(w *Workload, im *Image, opt TmkOptions) *apps.Result {
 		space := node.Space()
 		s := newSearcher(w)
 		finals[me] = s
-		ep.Meas.Start(proc)
+		ep.Start(proc)
 		for {
 			node.AcquireLock(lockQueue)
 			lo := space.ReadI64(qAddr)
@@ -137,7 +137,7 @@ func RunTmk(w *Workload, im *Image, opt TmkOptions) *apps.Result {
 		// every node (and the post-run state collection) sees the final
 		// bound.
 		node.Barrier(1)
-		ep.Meas.End(proc)
+		ep.End(proc)
 	})
 
 	cost, tour := bound.read(d.Node(0).Space())

@@ -6,9 +6,8 @@ import (
 	"testing"
 )
 
-// refEdges is Generate's edge search as a plain append-grown loop, kept
-// as the reference the chunked builder must reproduce element for
-// element.
+// refEdges is buildEdges as a plain append-grown loop, kept as the
+// reference the chunked builder must reproduce element for element.
 func refEdges(coords [][3]float64, l, radius float64) (edges [][2]int32) {
 	nc := max(int(l/radius), 1)
 	cell := func(v float64) int { return min(max(int(v/l*float64(nc)), 0), nc-1) }
@@ -43,19 +42,20 @@ func refEdges(coords [][3]float64, l, radius float64) (edges [][2]int32) {
 	return edges
 }
 
-// TestEdgesMatchReference pins Generate's exact-size edge list to the
+// TestEdgesMatchReference pins the exact-size edge search to the
 // append-grown reference, for meshes from under one builder chunk
 // (8,005 edges at 512 nodes) to several (77,014 at 4,096).
 func TestEdgesMatchReference(t *testing.T) {
 	for _, nodes := range []int{64, 512, 4096} {
 		t.Run(fmt.Sprint(nodes), func(t *testing.T) {
 			w := Generate(testParams(nodes, 4, 1))
+			got := buildEdges(w.Coords, w.L, w.P.Radius)
 			want := refEdges(w.Coords, w.L, w.P.Radius)
-			if !slices.Equal(w.Edges, want) {
-				t.Fatalf("%d edges, reference %d", len(w.Edges), len(want))
+			if !slices.Equal(got, want) {
+				t.Fatalf("%d edges, reference %d", len(got), len(want))
 			}
-			if len(w.Edges) != cap(w.Edges) {
-				t.Fatalf("len %d != cap %d", len(w.Edges), cap(w.Edges))
+			if len(got) != cap(got) {
+				t.Fatalf("len %d != cap %d", len(got), cap(got))
 			}
 		})
 	}

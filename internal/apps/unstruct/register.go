@@ -1,4 +1,4 @@
-// Registry adapter: the unstructured-mesh sweep as apps.Variants.
+// Registry adapter: the unstructured-mesh sweep as an apps.Workload.
 package unstruct
 
 import "repro/internal/apps"

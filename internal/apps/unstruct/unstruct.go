@@ -71,12 +71,11 @@ type Workload struct {
 	P      Params
 	L      float64 // box side
 	Coords [][3]float64
-	X0     []float64  // initial node values (quantized)
-	Drift  []float64  // per-node per-step drift
-	Edges  [][2]int32 // static edge list (a < b)
+	X0     []float64 // initial node values (quantized)
+	Drift  []float64 // per-node per-step drift
 
 	Part   *chaos.Partition // RCB partition of Coords over P.Procs
-	Sorted [][2]int32       // Edges by owner under Part (chaos.PartitionPairs)
+	Sorted [][2]int32       // static edge list (a < b) by owner under Part (chaos.PartitionPairs)
 	Starts []int            // processor p's edges are Sorted[Starts[p]:Starts[p+1]]
 }
 
@@ -101,9 +100,17 @@ func Generate(p Params) *Workload {
 		x[i] = apps.Q(rng.Float64() * 16)
 		drift[i] = apps.Q((rng.Float64() - 0.5) * 0.03)
 	}
-	// Edges: cell-grid neighbor search, deterministic order, a < b.
+	w := &Workload{P: p, L: l, Coords: coords, X0: x, Drift: drift}
+	w.Part = chaos.RCB(coords, p.Procs)
+	w.Sorted, w.Starts = chaos.PartitionPairs(buildEdges(coords, l, p.Radius), w.Part)
+	return w
+}
+
+// buildEdges is the mesh's edge search: every node pair (a < b) within
+// radius, found through a cell grid, in deterministic order.
+func buildEdges(coords [][3]float64, l, radius float64) [][2]int32 {
 	var edges apps.PairBuilder
-	nc := int(l / p.Radius)
+	nc := int(l / radius)
 	if nc < 1 {
 		nc = 1
 	}
@@ -121,12 +128,12 @@ func Generate(p Params) *Workload {
 		}
 		return f(coords[i][0]), f(coords[i][1]), f(coords[i][2])
 	}
-	for i := 0; i < p.Nodes; i++ {
+	for i := range coords {
 		cx, cy, cz := cellOf(i)
 		cells[(cz*nc+cy)*nc+cx] = append(cells[(cz*nc+cy)*nc+cx], int32(i))
 	}
-	r2 := p.Radius * p.Radius
-	for i := 0; i < p.Nodes; i++ {
+	r2 := radius * radius
+	for i := range coords {
 		cx, cy, cz := cellOf(i)
 		for dz := -1; dz <= 1; dz++ {
 			for dy := -1; dy <= 1; dy++ {
@@ -150,10 +157,7 @@ func Generate(p Params) *Workload {
 			}
 		}
 	}
-	w := &Workload{P: p, L: l, Coords: coords, X0: x, Drift: drift, Edges: edges.Pairs()}
-	w.Part = chaos.RCB(coords, p.Procs)
-	w.Sorted, w.Starts = chaos.PartitionPairs(w.Edges, w.Part)
-	return w
+	return edges.Pairs()
 }
 
 func cube(v float64) float64 {
@@ -188,12 +192,12 @@ func RunSequential(w *Workload) *apps.Result {
 			y[i] = 0
 		}
 		proc.Advance(p.Costs.ZeroUSPerElem * float64(p.Nodes))
-		for _, e := range w.Edges {
+		for _, e := range w.Sorted {
 			f := flux(x[e[0]], x[e[1]])
 			y[e[0]] += f
 			y[e[1]] -= f
 		}
-		proc.Advance(p.Costs.EdgeUS * float64(len(w.Edges)))
+		proc.Advance(p.Costs.EdgeUS * float64(len(w.Sorted)))
 		for i := 0; i < p.Nodes; i++ {
 			x[i] = relax(x[i], y[i], w.Drift[i])
 		}
@@ -225,12 +229,12 @@ type Image struct {
 func BuildImage(w *Workload) *Image {
 	p := w.P
 	n := p.Nodes
-	arenaBytes := apps.PageRound(8*n, p.PageSize)*2 + apps.PageRound(8*len(w.Edges), p.PageSize) + 4*p.PageSize
+	arenaBytes := apps.PageRound(8*n, p.PageSize)*2 + apps.PageRound(8*len(w.Sorted), p.PageSize) + 4*p.PageSize
 	img := tmk.NewImage(p.PageSize, arenaBytes)
 	im := &Image{Image: img,
 		xArr: &core.Array{Name: "x", Base: img.Alloc(8 * n), ElemSize: 8, Len: n},
 		yArr: &core.Array{Name: "y", Base: img.Alloc(8 * n), ElemSize: 8, Len: n},
-		eArr: &core.Array{Name: "edges", Base: img.Alloc(8 * len(w.Edges)), ElemSize: 4, Len: 2 * len(w.Edges)},
+		eArr: &core.Array{Name: "edges", Base: img.Alloc(8 * len(w.Sorted)), ElemSize: 4, Len: 2 * len(w.Sorted)},
 	}
 	s0 := img.Space()
 	for i := 0; i < n; i++ {
@@ -272,13 +276,13 @@ func RunTmk(w *Workload, im *Image, opt TmkOptions) *apps.Result {
 
 		for step := 0; step <= p.Steps; step++ {
 			if step == 1 {
-				ep.Meas.Start(proc)
+				ep.Start(proc)
 			}
 			if opt.Optimized && lo < hi {
 				rt.Validate(core.Desc{
 					Type: core.Indirect, Data: xArr, Indir: eArr,
 					Section:   rsd.New(rsd.Dim{Lo: 0, Hi: 1, Stride: 1}, rsd.Dim{Lo: lo, Hi: hi - 1, Stride: 1}),
-					IndirDims: []int{2, len(w.Edges)},
+					IndirDims: []int{2, len(w.Sorted)},
 					Access:    core.Read, Sched: 1,
 				})
 			}
@@ -314,7 +318,7 @@ func RunTmk(w *Workload, im *Image, opt TmkOptions) *apps.Result {
 			}
 			node.Barrier(barRelax)
 		}
-		ep.Meas.End(proc)
+		ep.End(proc)
 	})
 
 	// unstruct reports no traffic detail and no scan_s, unlike the other
@@ -364,7 +368,7 @@ func RunChaos(w *Workload) *apps.Result {
 		tag := 0
 		for step := 0; step <= p.Steps; step++ {
 			if step == 1 {
-				ep.Meas.Start(proc)
+				ep.Start(proc)
 			}
 			tag++
 			chaos.Gather(proc, tag, sch, xLoc, 1, ecost)
@@ -387,7 +391,7 @@ func RunChaos(w *Workload) *apps.Result {
 			}
 			proc.Advance(cost.RelaxUSPerNode * float64(own))
 		}
-		ep.Meas.End(proc)
+		ep.End(proc)
 		xs[me], ys[me] = xLoc[:own], yLoc[:own]
 		cl.Mem.Free(me, apps.MemCatData, int64(2*8*slots))
 		sch.ReleaseMem(proc)

@@ -19,11 +19,11 @@ func testParams(nodes, procs, steps int) Params {
 
 func TestMeshGeneration(t *testing.T) {
 	w := Generate(testParams(512, 4, 2))
-	if len(w.Edges) == 0 {
+	if len(w.Sorted) == 0 {
 		t.Fatal("no edges")
 	}
 	seen := map[[2]int32]bool{}
-	for _, e := range w.Edges {
+	for _, e := range w.Sorted {
 		if e[0] >= e[1] {
 			t.Fatalf("edge %v not ordered", e)
 		}
@@ -37,7 +37,7 @@ func TestMeshGeneration(t *testing.T) {
 	}
 	// Degrees must be irregular (that is the point of the app).
 	deg := make([]int, w.P.Nodes)
-	for _, e := range w.Edges {
+	for _, e := range w.Sorted {
 		deg[e[0]]++
 		deg[e[1]]++
 	}
@@ -58,11 +58,11 @@ func TestMeshGeneration(t *testing.T) {
 func TestMeshDeterministic(t *testing.T) {
 	a := Generate(testParams(256, 2, 1))
 	b := Generate(testParams(256, 2, 1))
-	if len(a.Edges) != len(b.Edges) {
+	if len(a.Sorted) != len(b.Sorted) {
 		t.Fatal("nondeterministic edge count")
 	}
-	for i := range a.Edges {
-		if a.Edges[i] != b.Edges[i] {
+	for i := range a.Sorted {
+		if a.Sorted[i] != b.Sorted[i] {
 			t.Fatal("nondeterministic edges")
 		}
 	}
@@ -133,14 +133,15 @@ func TestPartitionEdgesIsStableSortByOwner(t *testing.T) {
 	for g := range part.Owner {
 		part.Owner[g] = (g * 7) % 4 // owner 4 gets no edges
 	}
-	want := append([][2]int32(nil), w.Edges...)
+	edges := buildEdges(w.Coords, w.L, w.P.Radius)
+	want := append([][2]int32(nil), edges...)
 	sort.SliceStable(want, func(i, j int) bool { return part.Owner[want[i][0]] < part.Owner[want[j][0]] })
 
-	sorted, starts := chaos.PartitionPairs(w.Edges, part)
+	sorted, starts := chaos.PartitionPairs(edges, part)
 	if !reflect.DeepEqual(sorted, want) {
 		t.Fatal("edges are not in stable owner order")
 	}
-	if len(starts) != part.NProcs+1 || starts[0] != 0 || starts[part.NProcs] != len(w.Edges) {
+	if len(starts) != part.NProcs+1 || starts[0] != 0 || starts[part.NProcs] != len(edges) {
 		t.Fatalf("starts = %v", starts)
 	}
 	for p := 0; p < part.NProcs; p++ {

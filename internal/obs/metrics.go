@@ -118,8 +118,6 @@ type family struct {
 	labels []string
 	bounds []float64 // histogram families only
 
-	fn func() float64 // gauge-func families only
-
 	mu     sync.Mutex
 	series map[string]any // label-values key -> *Counter / *Gauge / *Histogram
 	order  []string       // insertion order of keys (render sorts; this bounds work)
@@ -182,7 +180,7 @@ func validName(s string) bool {
 	return true
 }
 
-func (r *Registry) register(name, help, typ string, labels []string, bounds []float64, fn func() float64) *family {
+func (r *Registry) register(name, help, typ string, labels []string, bounds []float64) *family {
 	if !validName(name) {
 		panic(fmt.Sprintf("obs: invalid metric name %q", name))
 	}
@@ -204,43 +202,37 @@ func (r *Registry) register(name, help, typ string, labels []string, bounds []fl
 	f := &family{name: name, help: help, typ: typ,
 		labels: append([]string(nil), labels...),
 		bounds: append([]float64(nil), bounds...),
-		fn:     fn, series: map[string]any{}}
+		series: map[string]any{}}
 	r.fams[name] = f
 	return f
 }
 
 // Counter registers and returns an unlabeled counter.
 func (r *Registry) Counter(name, help string) *Counter {
-	f := r.register(name, help, "counter", nil, nil, nil)
+	f := r.register(name, help, "counter", nil, nil)
 	return f.get(nil, func() any { return &Counter{} }).(*Counter)
 }
 
 // CounterVec registers a labeled counter family.
 func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
-	return &CounterVec{f: r.register(name, help, "counter", labels, nil, nil)}
+	return &CounterVec{f: r.register(name, help, "counter", labels, nil)}
 }
 
 // Gauge registers and returns an unlabeled gauge.
 func (r *Registry) Gauge(name, help string) *Gauge {
-	f := r.register(name, help, "gauge", nil, nil, nil)
+	f := r.register(name, help, "gauge", nil, nil)
 	return f.get(nil, func() any { return &Gauge{} }).(*Gauge)
 }
 
 // GaugeVec registers a labeled gauge family.
 func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	return &GaugeVec{f: r.register(name, help, "gauge", labels, nil, nil)}
-}
-
-// GaugeFunc registers a gauge whose value is read from fn at render
-// time (e.g. a cache's current entry count).
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	r.register(name, help, "gauge", nil, nil, fn)
+	return &GaugeVec{f: r.register(name, help, "gauge", labels, nil)}
 }
 
 // Histogram registers and returns an unlabeled fixed-bucket histogram.
 // buckets are ascending upper bounds; +Inf is implicit.
 func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
-	f := r.register(name, help, "histogram", nil, buckets, nil)
+	f := r.register(name, help, "histogram", nil, buckets)
 	return f.get(nil, func() any { return newHistogram(f.bounds) }).(*Histogram)
 }
 
@@ -301,10 +293,6 @@ func (f *family) write(b *strings.Builder) {
 		fmt.Fprintf(b, "# HELP %s %s\n", f.name, strings.ReplaceAll(f.help, "\n", " "))
 	}
 	fmt.Fprintf(b, "# TYPE %s %s\n", f.name, f.typ)
-	if f.fn != nil {
-		fmt.Fprintf(b, "%s %s\n", f.name, fmtFloat(f.fn()))
-		return
-	}
 	f.mu.Lock()
 	keys := append([]string(nil), f.order...)
 	series := make([]any, len(keys))

@@ -151,14 +151,6 @@ func TestLabelEscaping(t *testing.T) {
 	}
 }
 
-func TestGaugeFunc(t *testing.T) {
-	r := NewRegistry()
-	r.GaugeFunc("repro_test_live", "x", func() float64 { return 42 })
-	if !strings.Contains(r.Text(), "repro_test_live 42") {
-		t.Errorf("gauge func missing:\n%s", r.Text())
-	}
-}
-
 // TestTextDeterministic renders the registry twice and requires equal
 // bytes — families and series are sorted, not map-ordered.
 func TestTextDeterministic(t *testing.T) {

@@ -79,7 +79,7 @@ func writeAllReduce(t *testing.T, nprocs, rounds int, allRead bool) (pins string
 		writeBlock := func(arr vm.Addr, b int, read bool, v func(j int) float64) {
 			for k := 0; k < reduceBlockPages; k++ {
 				if read {
-					s.TouchRead(addr(arr, b, k*reducePageSize/8))
+					s.ReadF64(addr(arr, b, k*reducePageSize/8))
 				}
 				n.MarkFullyWritten(page(arr, b, k))
 			}

@@ -444,13 +444,10 @@ func TestVCBasics(t *testing.T) {
 	if !a.LEq(b) || b.LEq(a) {
 		t.Fatal("LEq wrong")
 	}
-	if a.Concurrent(b) {
-		t.Fatal("ordered clocks reported concurrent")
-	}
 	x := VC{1, 0}
 	y := VC{0, 1}
-	if !x.Concurrent(y) {
-		t.Fatal("concurrent clocks not detected")
+	if x.LEq(y) || y.LEq(x) {
+		t.Fatal("concurrent clocks reported ordered")
 	}
 	j := x.Clone()
 	j.Join(y)

@@ -42,11 +42,6 @@ func (v VC) LEq(o VC) bool {
 	return true
 }
 
-// Concurrent reports whether neither v ≤ o nor o ≤ v.
-func (v VC) Concurrent(o VC) bool {
-	return !v.LEq(o) && !o.LEq(v)
-}
-
 // Sum returns the sum of components. For any two ordered clocks
 // a < b (a ≤ b, a ≠ b), Sum(a) < Sum(b), so sorting by Sum yields a
 // valid linear extension of the happens-before partial order.

@@ -243,15 +243,6 @@ func (s *Space) Protect(id PageID, p Prot) {
 	pg.prot = p
 }
 
-// ProtectRange sets the protection of every page covering
-// [addr, addr+size).
-func (s *Space) ProtectRange(addr Addr, size int, p Prot) {
-	first, last := s.arena.PageRange(addr, size)
-	for id := first; id <= last; id++ {
-		s.Protect(id, p)
-	}
-}
-
 // MutableData returns page id's bytes for a protocol write (applying a
 // diff), whatever the page's protection; a shared page is made private
 // first.
@@ -401,21 +392,4 @@ func (s *Space) WriteI64(addr Addr, v int64) {
 	}
 	off := int(addr) & s.arena.mask
 	binary.LittleEndian.PutUint64(pg.data[off:], uint64(v))
-}
-
-// TouchRead forces the page containing addr valid (a prefetch-style
-// access with no data movement at the caller).
-func (s *Space) TouchRead(addr Addr) {
-	pg := &s.pages[addr>>s.arena.shift]
-	if pg.prot == NoAccess {
-		s.faultRead(addr)
-	}
-}
-
-// TouchWrite forces the page containing addr writable.
-func (s *Space) TouchWrite(addr Addr) {
-	pg := &s.pages[addr>>s.arena.shift]
-	if pg.prot != ReadWrite {
-		s.faultWrite(addr)
-	}
 }

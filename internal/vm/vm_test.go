@@ -149,38 +149,6 @@ func TestWriteFaultOnReadOnly(t *testing.T) {
 	}
 }
 
-func TestTouchReadAndWrite(t *testing.T) {
-	a := NewArena(512, 1<<16)
-	s := NewSpace(a, NoAccess)
-	h := &recordingHandler{s: s, upgradeTo: ReadWrite}
-	s.SetHandler(h)
-	addr := a.Alloc(8)
-	s.TouchRead(addr)
-	if len(h.faults) != 1 {
-		t.Fatal("TouchRead did not fault")
-	}
-	s.TouchWrite(addr)
-	if len(h.faults) != 1 {
-		t.Fatal("TouchWrite faulted on a ReadWrite page")
-	}
-}
-
-func TestProtectRange(t *testing.T) {
-	a := NewArena(256, 1<<16)
-	s := NewSpace(a, ReadWrite)
-	addr := a.Alloc(1000) // spans 4 pages
-	s.ProtectRange(addr, 1000, ReadOnly)
-	first, last := a.PageRange(addr, 1000)
-	if last-first+1 != 4 {
-		t.Fatalf("expected 4 pages, got %d", last-first+1)
-	}
-	for id := first; id <= last; id++ {
-		if s.Page(id).Prot() != ReadOnly {
-			t.Fatalf("page %d prot = %v", id, s.Page(id).Prot())
-		}
-	}
-}
-
 func TestCopyPageFrom(t *testing.T) {
 	a := NewArena(512, 1<<16)
 	s1 := NewSpace(a, ReadWrite)
