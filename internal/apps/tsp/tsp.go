@@ -221,10 +221,13 @@ func (s *searcher) adopt(cost int64, tour []int32) {
 }
 
 // exploreTask runs the depth-first search below one seed task and
-// returns the number of nodes expanded (for the compute charge).
+// returns the number of nodes expanded (for the compute charge). The
+// tour has room for every city, so the search extends it in place and
+// siblings overwrite the same slot: the task allocates the tour and
+// used, however large its subtree.
 func (s *searcher) exploreTask(t Task) int64 {
 	before := s.nodes
-	tour := append([]int32(nil), t.Prefix...)
+	tour := append(make([]int32, 0, s.w.P.N), t.Prefix...)
 	used := make([]bool, s.w.P.N)
 	for _, c := range tour {
 		used[c] = true

@@ -163,3 +163,23 @@ func TestRegistryKnobs(t *testing.T) {
 		t.Fatal("bogus knob accepted")
 	}
 }
+
+// TestExploreTaskAllocs pins that the search allocates per task, not per
+// node: the tour and used, on a task with a subtree ten times another's
+// as on the smaller one.
+func TestExploreTaskAllocs(t *testing.T) {
+	w := Generate(DefaultParams(10, 1))
+	s := newSearcher(w)
+	// Seeded with the optimum, the search finds no better tour, so adopt
+	// copies nothing.
+	s.adopt(bruteForce(w))
+	small, large := w.Tasks[0], Task{Prefix: []int32{0}}
+	if nSmall, nLarge := s.exploreTask(small), s.exploreTask(large); nLarge < 10*nSmall {
+		t.Fatalf("subtrees of %d and %d nodes, want one ten times the other", nSmall, nLarge)
+	}
+	for _, task := range []Task{small, large} {
+		if got := testing.AllocsPerRun(10, func() { s.exploreTask(task) }); got != 2 {
+			t.Errorf("exploreTask of prefix %v allocates %v times, want 2 (tour and used)", task.Prefix, got)
+		}
+	}
+}

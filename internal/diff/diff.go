@@ -16,11 +16,17 @@ type Run struct {
 	Data []byte // the new bytes
 }
 
-// Diff is the run-length encoding of the modifications to one page.
-// A nil/empty Runs means the page was compared and found unchanged.
-type Diff struct {
-	Runs []Run
-}
+// Diff is the run-length encoding of the modifications to one page, in
+// one buffer: for each run in ascending offset order, a hostHeaderB
+// header (offset, then length, each a little-endian uint32) followed by
+// the run's bytes. A nil/empty Diff means the page was compared and
+// found unchanged. The header is the host's layout, not the wire's:
+// WireBytes prices WireHeaderB per run.
+type Diff []byte
+
+// hostHeaderB is the per-run header in a Diff's buffer. 32-bit fields,
+// because the page size is a free parameter.
+const hostHeaderB = 8
 
 // WireHeaderB is the per-run wire overhead (offset + length fields).
 const WireHeaderB = 4
@@ -33,7 +39,7 @@ const WireHeaderB = 4
 // reaches the end of the page is never merged, whatever its length.
 //
 // The scan works a word at a time and only records run boundaries; the
-// payloads are then copied into one allocation shared by all runs.
+// headers and payloads are then written into one allocation.
 func Encode(twin, cur []byte, minGap int) Diff {
 	if len(twin) != len(cur) {
 		panic("diff: twin and page differ in length")
@@ -60,17 +66,17 @@ func Encode(twin, cur []byte, minGap int) Diff {
 		total += end - start
 	}
 	if len(bounds) == 0 {
-		return Diff{}
+		return nil
 	}
-	payload := make([]byte, total)
-	runs := make([]Run, len(bounds))
+	d := make(Diff, hostHeaderB*len(bounds)+total)
 	off := 0
-	for k, b := range bounds {
-		size := copy(payload[off:], cur[b[0]:b[1]])
-		runs[k] = Run{Off: b[0], Data: payload[off : off+size : off+size]}
-		off += size
+	for _, b := range bounds {
+		binary.LittleEndian.PutUint32(d[off:], uint32(b[0]))
+		binary.LittleEndian.PutUint32(d[off+4:], uint32(b[1]-b[0]))
+		off += hostHeaderB
+		off += copy(d[off:], cur[b[0]:b[1]])
 	}
-	return Diff{Runs: runs}
+	return d
 }
 
 // nextDiff returns the first index at or after i where a and b differ,
@@ -105,9 +111,20 @@ func nextEqual(a, b []byte, i int) int {
 	return i
 }
 
+// next decodes the run whose header starts at d[i] and returns it with
+// the index of the following header.
+func (d Diff) next(i int) (Run, int) {
+	off := int(binary.LittleEndian.Uint32(d[i:]))
+	size := int(binary.LittleEndian.Uint32(d[i+4:]))
+	i += hostHeaderB
+	return Run{Off: off, Data: d[i : i+size : i+size]}, i + size
+}
+
 // Apply writes the diff's runs into dst.
 func (d Diff) Apply(dst []byte) {
-	for _, r := range d.Runs {
+	for i := 0; i < len(d); {
+		var r Run
+		r, i = d.next(i)
 		copy(dst[r.Off:], r.Data)
 	}
 }
@@ -116,14 +133,28 @@ func (d Diff) Apply(dst []byte) {
 // per-run headers.
 func (d Diff) WireBytes() int {
 	n := 0
-	for _, r := range d.Runs {
+	for i := 0; i < len(d); {
+		var r Run
+		r, i = d.next(i)
 		n += WireHeaderB + len(r.Data)
 	}
 	return n
 }
 
+// Runs decodes the diff's runs, in ascending offset order. Each run's
+// Data aliases the diff's buffer.
+func (d Diff) Runs() []Run {
+	var runs []Run
+	for i := 0; i < len(d); {
+		var r Run
+		r, i = d.next(i)
+		runs = append(runs, r)
+	}
+	return runs
+}
+
 // Empty reports whether the diff carries no modifications.
-func (d Diff) Empty() bool { return len(d.Runs) == 0 }
+func (d Diff) Empty() bool { return len(d) == 0 }
 
 // Twin returns a copy of page suitable for later Encode.
 func Twin(page []byte) []byte {

@@ -12,7 +12,7 @@ func TestEncodeEmpty(t *testing.T) {
 	twin := make([]byte, 256)
 	d := Encode(twin, page, 8)
 	if !d.Empty() {
-		t.Fatalf("identical pages produced %d runs", len(d.Runs))
+		t.Fatalf("identical pages produced %d runs", len(d.Runs()))
 	}
 	if d.WireBytes() != 0 {
 		t.Fatalf("empty diff has %d wire bytes", d.WireBytes())
@@ -23,11 +23,11 @@ func TestEncodeSingleByte(t *testing.T) {
 	twin := make([]byte, 128)
 	cur := make([]byte, 128)
 	cur[57] = 0xAB
-	d := Encode(twin, cur, 8)
-	if len(d.Runs) != 1 {
-		t.Fatalf("want 1 run, got %d", len(d.Runs))
+	runs := Encode(twin, cur, 8).Runs()
+	if len(runs) != 1 {
+		t.Fatalf("want 1 run, got %d", len(runs))
 	}
-	r := d.Runs[0]
+	r := runs[0]
 	if r.Off != 57 || len(r.Data) != 1 || r.Data[0] != 0xAB {
 		t.Fatalf("bad run %+v", r)
 	}
@@ -38,12 +38,12 @@ func TestEncodeMergesShortGaps(t *testing.T) {
 	cur := make([]byte, 64)
 	cur[10] = 1
 	cur[14] = 1 // gap of 3 < minGap 8: should merge
-	d := Encode(twin, cur, 8)
-	if len(d.Runs) != 1 {
-		t.Fatalf("want merged single run, got %d runs: %+v", len(d.Runs), d.Runs)
+	runs := Encode(twin, cur, 8).Runs()
+	if len(runs) != 1 {
+		t.Fatalf("want merged single run, got %d runs: %+v", len(runs), runs)
 	}
-	if d.Runs[0].Off != 10 || len(d.Runs[0].Data) != 5 {
-		t.Fatalf("bad merged run %+v", d.Runs[0])
+	if runs[0].Off != 10 || len(runs[0].Data) != 5 {
+		t.Fatalf("bad merged run %+v", runs[0])
 	}
 }
 
@@ -52,9 +52,8 @@ func TestEncodeSplitsLongGaps(t *testing.T) {
 	cur := make([]byte, 64)
 	cur[5] = 1
 	cur[40] = 1 // gap of 34 >= minGap: two runs
-	d := Encode(twin, cur, 8)
-	if len(d.Runs) != 2 {
-		t.Fatalf("want 2 runs, got %d: %+v", len(d.Runs), d.Runs)
+	if runs := Encode(twin, cur, 8).Runs(); len(runs) != 2 {
+		t.Fatalf("want 2 runs, got %d: %+v", len(runs), runs)
 	}
 }
 
@@ -107,7 +106,7 @@ func TestRunsNeverOverlapAndAreSortedProperty(t *testing.T) {
 		}
 		d := Encode(twin, cur, 8)
 		prevEnd := -1
-		for _, r := range d.Runs {
+		for _, r := range d.Runs() {
 			if r.Off <= prevEnd {
 				return false
 			}
@@ -124,7 +123,17 @@ func TestRunsNeverOverlapAndAreSortedProperty(t *testing.T) {
 }
 
 func TestWireBytes(t *testing.T) {
-	d := Diff{Runs: []Run{{Off: 0, Data: make([]byte, 10)}, {Off: 20, Data: make([]byte, 5)}}}
+	// Two runs, [0,10) and [20,25): the wire carries their bytes and a
+	// WireHeaderB header each, whatever the host's header width.
+	twin := make([]byte, 64)
+	cur := make([]byte, 64)
+	for i := 0; i < 10; i++ {
+		cur[i] = 1
+	}
+	for i := 20; i < 25; i++ {
+		cur[i] = 1
+	}
+	d := Encode(twin, cur, 8)
 	want := 2*WireHeaderB + 15
 	if d.WireBytes() != want {
 		t.Fatalf("WireBytes = %d, want %d", d.WireBytes(), want)
@@ -160,12 +169,12 @@ func sparsePage() (twin, cur []byte) {
 	return twin, cur
 }
 
-// TestEncodeAllocs pins the encoder's allocation count: one payload
-// block and one []Run, however many runs the page has.
+// TestEncodeAllocs pins the encoder's allocation count: the one buffer
+// holding every run's header and bytes, however many runs the page has.
 func TestEncodeAllocs(t *testing.T) {
 	twin, cur := sparsePage()
-	if got := testing.AllocsPerRun(100, func() { Encode(twin, cur, 8) }); got > 2 {
-		t.Fatalf("Encode allocates %v times per sparse page, want <= 2", got)
+	if got := testing.AllocsPerRun(100, func() { Encode(twin, cur, 8) }); got > 1 {
+		t.Fatalf("Encode allocates %v times per sparse page, want <= 1", got)
 	}
 	if got := testing.AllocsPerRun(100, func() { Encode(twin, twin, 8) }); got != 0 {
 		t.Fatalf("Encode allocates %v times on an unchanged page, want 0", got)

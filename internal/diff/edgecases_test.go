@@ -88,8 +88,9 @@ func TestEncodeEdgeCases(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			twin, cur := tc.twin()
 			d := Encode(twin, cur, minGap)
-			if len(d.Runs) != tc.wantRuns {
-				t.Fatalf("runs = %d, want %d (%+v)", len(d.Runs), tc.wantRuns, d.Runs)
+			runs := d.Runs()
+			if len(runs) != tc.wantRuns {
+				t.Fatalf("runs = %d, want %d (%+v)", len(runs), tc.wantRuns, runs)
 			}
 			// Round trip: applying the diff to the twin must yield cur.
 			got := append([]byte(nil), twin...)
@@ -98,11 +99,11 @@ func TestEncodeEdgeCases(t *testing.T) {
 				t.Fatalf("round trip mismatch:\n got %v\nwant %v", got, cur)
 			}
 			// The wire never carries more than headers + the whole page.
-			if max := len(d.Runs)*WireHeaderB + len(cur); d.WireBytes() > max {
+			if max := len(runs)*WireHeaderB + len(cur); d.WireBytes() > max {
 				t.Fatalf("WireBytes = %d exceeds %d", d.WireBytes(), max)
 			}
 			if d.Empty() != (tc.wantRuns == 0) {
-				t.Fatalf("Empty() = %v with %d runs", d.Empty(), len(d.Runs))
+				t.Fatalf("Empty() = %v with %d runs", d.Empty(), len(runs))
 			}
 		})
 	}
@@ -116,11 +117,11 @@ func TestEncodeTrailingGapNotSwallowed(t *testing.T) {
 	twin := make([]byte, 64)
 	cur := make([]byte, 64)
 	cur[58] = 0xFF // bytes 59..63 identical: 5 < minGap but at page end
-	d := Encode(twin, cur, 8)
-	if len(d.Runs) != 1 {
-		t.Fatalf("want 1 run, got %+v", d.Runs)
+	runs := Encode(twin, cur, 8).Runs()
+	if len(runs) != 1 {
+		t.Fatalf("want 1 run, got %+v", runs)
 	}
-	if r := d.Runs[0]; r.Off != 58 || len(r.Data) != 1 {
+	if r := runs[0]; r.Off != 58 || len(r.Data) != 1 {
 		t.Fatalf("run spans [%d,%d), want exactly [58,59)", r.Off, r.Off+len(r.Data))
 	}
 }
@@ -136,11 +137,11 @@ func TestEncodeMergedGapCarriesCurrentBytes(t *testing.T) {
 	cur := append([]byte(nil), twin...)
 	cur[4] = 0xAA
 	cur[9] = 0xBB // gap of 4 < minGap 8: merged
-	d := Encode(twin, cur, 8)
-	if len(d.Runs) != 1 {
-		t.Fatalf("want merged run, got %+v", d.Runs)
+	runs := Encode(twin, cur, 8).Runs()
+	if len(runs) != 1 {
+		t.Fatalf("want merged run, got %+v", runs)
 	}
-	r := d.Runs[0]
+	r := runs[0]
 	if r.Off != 4 || len(r.Data) != 6 {
 		t.Fatalf("merged run spans [%d,%d), want [4,10)", r.Off, r.Off+len(r.Data))
 	}

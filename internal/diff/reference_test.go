@@ -11,8 +11,9 @@ import (
 
 // encodeReference is the original byte-at-a-time encoder, kept as the
 // specification Encode is checked against: same run boundaries, same
-// payload bytes, for every input and minGap.
-func encodeReference(twin, cur []byte, minGap int) Diff {
+// payload bytes, for every input and minGap. It returns the runs as a
+// plain list, the representation Diff had before it became one buffer.
+func encodeReference(twin, cur []byte, minGap int) []Run {
 	if len(twin) != len(cur) {
 		panic("diff: twin and page differ in length")
 	}
@@ -50,20 +51,31 @@ func encodeReference(twin, cur []byte, minGap int) Diff {
 		runs = append(runs, Run{Off: start, Data: data})
 		i = j
 	}
-	return Diff{Runs: runs}
+	return runs
 }
 
-// checkAgainstReference requires Encode to agree with encodeReference
-// on (twin, cur, minGap) and the result to reproduce cur from twin.
+// referenceWireBytes prices runs as the wire does: WireHeaderB per run
+// plus its bytes.
+func referenceWireBytes(runs []Run) int {
+	n := 0
+	for _, r := range runs {
+		n += WireHeaderB + len(r.Data)
+	}
+	return n
+}
+
+// checkAgainstReference requires the runs decoded from Encode's buffer
+// to agree with encodeReference on (twin, cur, minGap), its wire price
+// to be the reference's, and the diff to reproduce cur from twin.
 func checkAgainstReference(t *testing.T, twin, cur []byte, minGap int) {
 	t.Helper()
 	got, want := Encode(twin, cur, minGap), encodeReference(twin, cur, minGap)
-	if !reflect.DeepEqual(got.Runs, want.Runs) {
+	if !reflect.DeepEqual(got.Runs(), want) {
 		t.Fatalf("len %d minGap %d: runs differ\n got %s\nwant %s",
-			len(cur), minGap, describe(got), describe(want))
+			len(cur), minGap, describe(got.Runs()), describe(want))
 	}
-	if got.WireBytes() != want.WireBytes() {
-		t.Fatalf("WireBytes = %d, reference %d", got.WireBytes(), want.WireBytes())
+	if got.WireBytes() != referenceWireBytes(want) {
+		t.Fatalf("WireBytes = %d, reference %d", got.WireBytes(), referenceWireBytes(want))
 	}
 	page := append([]byte(nil), twin...)
 	got.Apply(page)
@@ -74,12 +86,12 @@ func checkAgainstReference(t *testing.T, twin, cur []byte, minGap int) {
 
 // describe prints run boundaries only; the payloads of a 4 KB page
 // would drown the failure message.
-func describe(d Diff) string {
-	if d.Runs == nil {
+func describe(runs []Run) string {
+	if runs == nil {
 		return "nil"
 	}
 	var b strings.Builder
-	for _, r := range d.Runs {
+	for _, r := range runs {
 		fmt.Fprintf(&b, "[%d,%d)", r.Off, r.Off+len(r.Data))
 	}
 	return b.String()
@@ -111,6 +123,32 @@ func TestEncodeMatchesReferenceProperty(t *testing.T) {
 			}
 		}
 		checkAgainstReference(t, twin, cur, minGap)
+	}
+}
+
+// TestEncodeMatchesReferenceLargePage runs on a page above 64 KiB, with
+// a run that starts past offset 65535 and one longer than 65535 bytes:
+// a 16-bit header field would truncate both.
+func TestEncodeMatchesReferenceLargePage(t *testing.T) {
+	const n = 160 << 10
+	rng := rand.New(rand.NewSource(7))
+	twin := make([]byte, n)
+	rng.Read(twin)
+	cur := append([]byte(nil), twin...)
+	flip := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			cur[i] ^= 0xFF
+		}
+	}
+	flip(100, 300)
+	flip(1000, 1000+70000) // longer than 65535
+	flip(90000, 90003)     // past offset 65535
+	flip(n-5, n)
+	for _, minGap := range []int{0, 8, 1 << 17} {
+		checkAgainstReference(t, twin, cur, minGap)
+	}
+	if runs := Encode(twin, cur, 8).Runs(); len(runs) != 4 || runs[1].Off != 1000 || len(runs[1].Data) != 70000 || runs[2].Off != 90000 {
+		t.Fatalf("runs %s, want [100,300)[1000,71000)[90000,90003)[%d,%d)", describe(runs), n-5, n)
 	}
 }
 

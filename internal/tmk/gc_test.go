@@ -102,12 +102,26 @@ func TestGCTrafficAccounted(t *testing.T) {
 	}
 }
 
+// testNotice builds the notice closeInterval would for writer proc's
+// interval, closed at vector time vc, that modified pages (ascending),
+// of which full were written whole. The diffs carry no data.
+func testNotice(proc int, interval int32, vc VC, pages []vm.PageID, full ...vm.PageID) *Notice {
+	nt := &Notice{Proc: proc, Interval: interval, VC: vc, vcSum: vc.Sum()}
+	for _, p := range pages {
+		sd := storedDiff{nt: nt, page: p, full: slices.Contains(full, p)}
+		if sd.full {
+			nt.nFull++
+		}
+		nt.diffs = append(nt.diffs, sd)
+	}
+	return nt
+}
+
 func TestPruneSuperseded(t *testing.T) {
 	page := vm.PageID(3)
-	older := &Notice{Proc: 0, Interval: 1, VC: VC{1, 0}, Pages: []vm.PageID{page}}
-	full := &Notice{Proc: 1, Interval: 1, VC: VC{1, 1},
-		Pages: []vm.PageID{page}, FullPages: []vm.PageID{page}}
-	concurrent := &Notice{Proc: 0, Interval: 2, VC: VC{2, 0}, Pages: []vm.PageID{page}}
+	older := testNotice(0, 1, VC{1, 0}, []vm.PageID{page})
+	full := testNotice(1, 1, VC{1, 1}, []vm.PageID{page}, page)
+	concurrent := testNotice(0, 2, VC{2, 0}, []vm.PageID{page})
 
 	got := pruneSuperseded([]*Notice{older, full, concurrent}, page)
 	if len(got) != 2 {
@@ -119,8 +133,7 @@ func TestPruneSuperseded(t *testing.T) {
 		}
 	}
 	// A full notice for a different page must not prune.
-	otherPage := &Notice{Proc: 1, Interval: 1, VC: VC{1, 1},
-		Pages: []vm.PageID{page, 9}, FullPages: []vm.PageID{9}}
+	otherPage := testNotice(1, 1, VC{1, 1}, []vm.PageID{page, 9}, 9)
 	got = pruneSuperseded([]*Notice{older, otherPage}, page)
 	if len(got) != 2 {
 		t.Fatalf("notice pruned by a full write of a different page")
@@ -128,9 +141,11 @@ func TestPruneSuperseded(t *testing.T) {
 }
 
 func TestNoticeIsFull(t *testing.T) {
-	nt := &Notice{Pages: []vm.PageID{1, 2, 3}, FullPages: []vm.PageID{2}}
-	if nt.IsFull(1) || !nt.IsFull(2) || nt.IsFull(3) {
-		t.Fatal("IsFull wrong")
+	nt := testNotice(0, 1, VC{1}, []vm.PageID{1, 2, 3, 7}, 2, 7)
+	for page, want := range map[vm.PageID]bool{0: false, 1: false, 2: true, 3: false, 5: false, 7: true, 8: false} {
+		if nt.IsFull(page) != want {
+			t.Errorf("IsFull(%d) = %v, want %v", page, !want, want)
+		}
 	}
 }
 
@@ -215,7 +230,7 @@ func TestDiffRequestRangeSemantics(t *testing.T) {
 }
 
 func TestWireDiffBytes(t *testing.T) {
-	sd := storedDiff{vc: NewVC(4), dataB: 5}
+	sd := storedDiff{nt: &Notice{VC: NewVC(4)}, dataB: 5}
 	if sd.wireBytes() != 16+16+5 {
 		t.Fatalf("wireBytes = %d", sd.wireBytes())
 	}
@@ -223,7 +238,7 @@ func TestWireDiffBytes(t *testing.T) {
 
 func TestSortDiffsCausalOrder(t *testing.T) {
 	mk := func(page vm.PageID, proc int, interval int32, vc VC) *storedDiff {
-		return &storedDiff{page: page, proc: proc, interval: interval, vc: vc, vcSum: vc.Sum()}
+		return &testNotice(proc, interval, vc, []vm.PageID{page}).diffs[0]
 	}
 	ds := []*storedDiff{
 		mk(7, 1, 2, VC{0, 2}),
@@ -241,9 +256,9 @@ func TestSortDiffsCausalOrder(t *testing.T) {
 		interval int32
 	}{{7, 0, 1}, {7, 1, 1}, {7, 1, 2}, {7, 0, 2}, {9, 0, 1}}
 	for i, w := range want {
-		if ds[i].page != w.page || ds[i].proc != w.proc || ds[i].interval != w.interval {
+		if ds[i].page != w.page || ds[i].nt.Proc != w.proc || ds[i].nt.Interval != w.interval {
 			t.Fatalf("order[%d] = page %d proc %d interval %d, want %+v",
-				i, ds[i].page, ds[i].proc, ds[i].interval, w)
+				i, ds[i].page, ds[i].nt.Proc, ds[i].nt.Interval, w)
 		}
 	}
 }

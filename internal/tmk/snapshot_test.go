@@ -94,8 +94,8 @@ func writeAllReduce(t *testing.T, nprocs, rounds int, allRead bool) (pins string
 			for k := 0; k < reduceBlockPages; k++ {
 				stored := n.diffStore[page(arr, b, k)]
 				sd := stored[len(stored)-1]
-				got := sd.d.Runs[0].Data
-				if !sd.full || sd.interval != n.vc[me] || string(got) != string(want[k*reducePageSize:(k+1)*reducePageSize]) {
+				got := sd.data
+				if !sd.full || sd.nt.Interval != n.vc[me] || string(got) != string(want[k*reducePageSize:(k+1)*reducePageSize]) {
 					fail(me, "interval %d: the snapshot of page %d is not what processor %d wrote", n.vc[me], page(arr, b, k), me)
 				}
 				frozen[me] = append(frozen[me], frozenSnapshot{sd, crc32.ChecksumIEEE(got)})
@@ -136,9 +136,9 @@ func writeAllReduce(t *testing.T, nprocs, rounds int, allRead bool) (pins string
 	}
 	for me, fs := range frozen {
 		for _, f := range fs {
-			if crc32.ChecksumIEEE(f.sd.d.Runs[0].Data) != f.sum {
+			if crc32.ChecksumIEEE(f.sd.data) != f.sum {
 				t.Fatalf("processor %d's snapshot of page %d (interval %d) changed after it was stored",
-					me, f.sd.page, f.sd.interval)
+					me, f.sd.page, f.sd.nt.Interval)
 			}
 		}
 	}

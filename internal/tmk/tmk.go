@@ -309,8 +309,6 @@ type Node struct {
 	// freeTwins holds the owned twins of closed intervals for the next
 	// write faults to reuse: at most as many as one interval dirtied.
 	freeTwins [][]byte
-	// dirtyOrder is closeInterval's sorted page list, reused.
-	dirtyOrder []vm.PageID
 	// fetch is FetchPages' scratch state.
 	fetch fetchScratch
 
@@ -493,43 +491,44 @@ func (n *Node) closeInterval() {
 	cfg := n.proc.Config()
 	me := n.proc.ID()
 	n.vc[me]++
-	nt := &Notice{Proc: me, Interval: n.vc[me], VC: n.vc.Clone()}
-	vcSum := nt.VC.Sum()
-	// Byte counts accumulate as integers and convert to time once, so
-	// the result is independent of iteration order (floating-point
-	// addition is not associative). The dirty set is still drained in
-	// sorted page order so the notice's page list — and everything that
-	// flows from it — has one canonical layout.
-	order := n.dirtyOrder[:0]
+	vc := n.vc.Clone()
+	nt := &Notice{Proc: me, Interval: n.vc[me], VC: vc, vcSum: vc.Sum()}
+	// The interval's diffs are one block, in page order, so the notice —
+	// and everything that flows from it — has one canonical layout. Byte
+	// counts accumulate as integers and convert to time once, so the
+	// result is independent of iteration order (floating-point addition
+	// is not associative).
+	nt.diffs = make([]storedDiff, 0, len(n.dirty))
 	for page := range n.dirty {
-		order = append(order, page)
+		nt.diffs = append(nt.diffs, storedDiff{nt: nt, page: page})
 	}
-	slices.Sort(order)
-	n.dirtyOrder = order
-	nt.Pages = slices.Clone(order)
+	slices.SortFunc(nt.diffs, func(a, b storedDiff) int { return cmp.Compare(a.page, b.page) })
 	var snapBytes, scanBytes int
 	var twinFreed, diffStored int64
 	n.mu.Lock()
-	for _, page := range order {
+	for i := range nt.diffs {
+		sd := &nt.diffs[i]
+		page := sd.page
 		dp := n.dirty[page]
-		pg := n.space.Page(page)
-		sd := &storedDiff{page: page, proc: me, interval: n.vc[me], vc: nt.VC, vcSum: vcSum}
 		if dp.fullWrite {
 			// The snapshot is the page's own bytes, frozen: the next
 			// store to the page copies them instead.
-			sd.d = diff.Diff{Runs: []diff.Run{{Data: n.space.Freeze(page)}}}
+			sd.data = n.space.Freeze(page)
 			sd.full = true
-			snapBytes += len(pg.Data())
-			nt.FullPages = append(nt.FullPages, page)
+			sd.dataB = int32(diff.WireHeaderB + len(sd.data))
+			snapBytes += len(sd.data)
+			nt.nFull++
 		} else {
-			sd.d = diff.Encode(dp.twin, pg.Data(), minGap)
-			scanBytes += len(pg.Data())
-			twinFreed += int64(len(pg.Data())) // twin discarded below
+			cur := n.space.Page(page).Data()
+			d := diff.Encode(dp.twin, cur, minGap)
+			sd.data = d
+			sd.dataB = int32(d.WireBytes())
+			scanBytes += len(cur)
+			twinFreed += int64(len(cur)) // twin discarded below
 			if dp.owned {
 				n.freeTwins = append(n.freeTwins, dp.twin)
 			}
 		}
-		sd.dataB = sd.d.WireBytes()
 		n.diffStore[page] = append(n.diffStore[page], sd)
 		diffStored += int64(sd.dataB)
 		n.DiffsCreated++
@@ -555,7 +554,8 @@ func (n *Node) applyNotices(nts []*Notice) {
 			continue
 		}
 		n.vc.Join(nt.VC)
-		for _, page := range nt.Pages {
+		for i := range nt.diffs {
+			page := nt.diffs[i].page
 			meta := n.meta(page)
 			if nt.Interval <= meta.applied[nt.Proc] {
 				continue
@@ -710,19 +710,20 @@ func (n *Node) FetchPages(pages []vm.PageID, kind string) {
 			}
 			for i := lo; i < hi; i++ {
 				sd := ds[i]
-				if snap >= 0 && i != snap && sd.interval <= ds[snap].vc[sd.proc] {
+				nt := sd.nt
+				if snap >= 0 && i != snap && nt.Interval <= ds[snap].nt.VC[nt.Proc] {
 					// Covered by the snapshot.
 					continue
 				}
 				n.install(page, sd)
-				applyBytes += sd.dataB
+				applyBytes += int(sd.dataB)
 				n.DiffsApplied++
-				if meta.applied[sd.proc] < sd.interval {
-					meta.applied[sd.proc] = sd.interval
+				if meta.applied[nt.Proc] < nt.Interval {
+					meta.applied[nt.Proc] = nt.Interval
 				}
 				if sd.full {
 					// Snapshot carries every write its writer had seen.
-					for w2, iv := range sd.vc {
+					for w2, iv := range nt.VC {
 						if meta.applied[w2] < iv {
 							meta.applied[w2] = iv
 						}
@@ -772,11 +773,14 @@ func (n *Node) FetchPages(pages []vm.PageID, kind string) {
 // page, unless the page is writable (dirty), which must stay private and
 // copies it.
 func (n *Node) install(page vm.PageID, sd *storedDiff) {
-	if sd.full && n.space.Page(page).Prot() != vm.ReadWrite {
-		n.space.Alias(page, sd.d.Runs[0].Data)
-		return
+	switch {
+	case !sd.full:
+		diff.Diff(sd.data).Apply(n.space.MutableData(page))
+	case n.space.Page(page).Prot() != vm.ReadWrite:
+		n.space.Alias(page, sd.data)
+	default:
+		copy(n.space.MutableData(page), sd.data)
 	}
-	sd.d.Apply(n.space.MutableData(page))
 }
 
 // handleDiffRequest services a diff fetch on the writer side: it looks
@@ -793,9 +797,9 @@ func (n *Node) handleDiffRequest(from int, req any) (any, int, float64) {
 	for _, pr := range r.pages {
 		stored := n.diffStore[pr.Page]
 		i, _ := slices.BinarySearchFunc(stored, pr.After+1, func(sd *storedDiff, iv int32) int {
-			return cmp.Compare(sd.interval, iv)
+			return cmp.Compare(sd.nt.Interval, iv)
 		})
-		for ; i < len(stored) && stored[i].interval <= pr.UpTo; i++ {
+		for ; i < len(stored) && stored[i].nt.Interval <= pr.UpTo; i++ {
 			out = append(out, stored[i])
 			bytes += stored[i].wireBytes()
 		}

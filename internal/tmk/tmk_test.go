@@ -460,7 +460,7 @@ func TestVCBasics(t *testing.T) {
 }
 
 func TestNoticeWireBytes(t *testing.T) {
-	nt := &Notice{Proc: 1, Interval: 2, VC: NewVC(4), Pages: []vm.PageID{1, 2, 3}}
+	nt := testNotice(1, 2, NewVC(4), []vm.PageID{1, 2, 3})
 	if nt.WireBytes() != 8+16+12 {
 		t.Fatalf("WireBytes = %d", nt.WireBytes())
 	}
