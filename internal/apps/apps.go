@@ -79,7 +79,7 @@ type Machine struct {
 	// run share a content address — which is exactly why the runner
 	// bypasses the result cache for traced requests (a cache hit would
 	// skip the side effect).
-	Trace *obs.Trace
+	Trace *obs.Trace `json:"-"`
 }
 
 // Perturb is the machine spec's perturbation block: per-processor CPU

@@ -41,42 +41,57 @@ func codecRequests() map[string]RunRequest {
 	}
 }
 
-// TestDecodeCanonicalRoundTrip checks the decoder's contract: for
-// every request shape, decoding the canonical bytes yields a request
-// that re-encodes to the same bytes (and therefore the same key).
-func TestDecodeCanonicalRoundTrip(t *testing.T) {
+// TestEntryCodecRoundTrip checks the disk entry's contract: for every
+// request shape, the request decoded from an entry filed under its key
+// re-encodes to the same canonical bytes (and therefore the same key),
+// and the result comes back with it.
+func TestEntryCodecRoundTrip(t *testing.T) {
+	res := &RunResult{Experiment: "app", Metrics: map[string]float64{"x": 1.5}}
 	for name, req := range codecRequests() {
-		canon := req.Canonical()
-		dec, err := DecodeCanonical(canon)
+		payload, err := EncodeEntry(req, res)
 		if err != nil {
-			t.Errorf("%s: DecodeCanonical: %v", name, err)
+			t.Fatalf("%s: EncodeEntry: %v", name, err)
+		}
+		dec, dres, err := DecodeEntry(req.Key(), payload)
+		if err != nil {
+			t.Errorf("%s: DecodeEntry: %v", name, err)
 			continue
 		}
-		if !canonEqual(req, dec) {
+		if got, want := dec.Canonical(), req.Canonical(); !bytes.Equal(got, want) {
 			t.Errorf("%s: round trip changed the encoding:\n--- in ---\n%s--- out ---\n%s",
-				name, canon, dec.Canonical())
+				name, want, got)
 		}
-		if dec.Key() != req.Key() {
-			t.Errorf("%s: round trip changed the content address", name)
+		if dres.Experiment != res.Experiment || dres.Metrics["x"] != 1.5 {
+			t.Errorf("%s: round trip changed the result: %+v", name, dres)
 		}
 	}
 }
 
-// TestDecodeCanonicalRejectsMalformed checks the strict parser fails
-// loudly rather than guessing.
-func TestDecodeCanonicalRejectsMalformed(t *testing.T) {
-	good := string(canned("table1", map[string]int{"n": 64, "procs": 2, "steps": 2}).Canonical())
-	bad := map[string]string{
-		"empty":            "",
-		"no header":        "experiment=table1\n",
-		"truncated":        "runrequest/v1\nexperiment=table1\n",
-		"no trailing nl":   good[:len(good)-1],
-		"trailing line":    good + "extra=1\n",
-		"non-numeric seed": "runrequest/v1\nexperiment=app\napp=taskq\nn=1\nsteps=1\nseed=x\n",
+// TestDecodeEntryRejectsUnservable checks the entry decoder refuses
+// anything that is not the request filed under the key: malformed
+// JSON, an older result-only payload, and a well-formed entry for a
+// different request.
+func TestDecodeEntryRejectsUnservable(t *testing.T) {
+	req := canned("table1", map[string]int{"n": 64, "procs": 2, "steps": 2})
+	res := &RunResult{Experiment: "table1"}
+	resultOnly, err := EncodeResult(res)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, s := range bad {
-		if _, err := DecodeCanonical([]byte(s)); err == nil {
-			t.Errorf("%s: DecodeCanonical accepted malformed input", name)
+	other := canned("table1", map[string]int{"n": 128, "procs": 2, "steps": 2})
+	wrongKey, err := EncodeEntry(other, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := map[string][]byte{
+		"empty":       nil,
+		"not json":    []byte("runrequest/v1\n"),
+		"result only": resultOnly,
+		"wrong key":   wrongKey,
+	}
+	for name, b := range bad {
+		if _, _, err := DecodeEntry(req.Key(), b); err == nil {
+			t.Errorf("%s: DecodeEntry accepted an unservable entry", name)
 		}
 	}
 }

@@ -32,13 +32,12 @@ import (
 )
 
 // RequestVersion is the canonical-encoding schema version; it moves
-// only with a breaking change to the encoding (the scenario spec's
-// "version:" key maps onto it). RequestVersionPerturb is the extended
-// schema carrying a machine perturbation block. The version in the
-// canonical header is derived from content, not from the struct field:
-// a request with no perturbation always encodes as runrequest/v1 —
+// only with a breaking change to the encoding. RequestVersionPerturb
+// is the extended schema carrying a machine perturbation block. The
+// version in the canonical header is derived from content: a request
+// with no perturbation always encodes as runrequest/v1 —
 // byte-for-byte what pre-perturbation builds produced, so existing
-// content addresses, disk-cache directories, and goldens stay valid —
+// content addresses and goldens stay valid —
 // and a perturbed request always encodes as runrequest/v2.
 const (
 	RequestVersion        = 1
@@ -59,9 +58,6 @@ type SweepAxis struct {
 // resolved — the encoding hashes exactly what is in the struct, and a
 // default left implicit would alias two different runs under one key.
 type RunRequest struct {
-	// Version is the encoding schema version; 0 is normalized to
-	// RequestVersion.
-	Version int
 	// Experiment is table1..table5, memory, or app.
 	Experiment string
 	// Params carries a canned experiment's fully-resolved parameters
@@ -90,13 +86,15 @@ type RunRequest struct {
 	// identical with or without it. The runner
 	// compensates by bypassing the result cache for traced requests —
 	// a cache hit cannot replay a side effect.
-	Trace bool
+	Trace bool `json:"-"`
 }
 
 // Canonical returns the request's canonical byte encoding: a
 // versioned header and every field in a fixed order with sorted map
 // keys, so two structurally-equal requests encode identically no
-// matter how they were built.
+// matter how they were built. The encoding is write-only: it is hashed
+// into the content address and never parsed back (the disk tier keeps
+// the request as JSON beside its result, EncodeEntry).
 func (r RunRequest) Canonical() []byte {
 	var b bytes.Buffer
 	v := RequestVersion
@@ -269,10 +267,6 @@ type MemSweepData struct {
 func Run(ctx context.Context, req RunRequest) (*RunResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-	if req.Version != 0 && req.Version != RequestVersion && req.Version != RequestVersionPerturb {
-		return nil, fmt.Errorf("bench: unsupported request version %d (supported: %d, %d)",
-			req.Version, RequestVersion, RequestVersionPerturb)
 	}
 	e, canned := experiments[req.Experiment]
 	if !canned && req.Experiment != "app" {

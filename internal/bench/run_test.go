@@ -63,20 +63,6 @@ func TestPresentationExcludedFromKey(t *testing.T) {
 	}
 }
 
-// TestRunRejectsUnknownVersion checks the version gate fails loudly.
-func TestRunRejectsUnknownVersion(t *testing.T) {
-	req := canned("table1", map[string]int{"n": 64, "procs": 2, "steps": 2})
-	req.Version = 3
-	_, err := Run(context.Background(), req)
-	if err == nil {
-		t.Fatal("Run accepted version 3")
-	}
-	want := "bench: unsupported request version 3 (supported: 1, 2)"
-	if err.Error() != want {
-		t.Errorf("error = %q, want %q", err, want)
-	}
-}
-
 // TestRunCanceledContext checks cancellation aborts before any
 // simulation work.
 func TestRunCanceledContext(t *testing.T) {

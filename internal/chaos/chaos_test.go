@@ -53,16 +53,6 @@ func TestBlockRangeMatchesOwner(t *testing.T) {
 	}
 }
 
-func TestCyclicPartition(t *testing.T) {
-	p := Cyclic(10, 3)
-	want := []int{0, 1, 2, 0, 1, 2, 0, 1, 2, 0}
-	for g, o := range p.Owner {
-		if o != want[g] {
-			t.Fatalf("owner[%d] = %d", g, o)
-		}
-	}
-}
-
 func TestRCBBalanceAndLocality(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	n := 4096
@@ -186,24 +176,6 @@ func TestRCBNonPowerOfTwoProcs(t *testing.T) {
 		if c < 999/3-40 || c > 999/3+40 {
 			t.Fatalf("proc %d owns %d", pr, c)
 		}
-	}
-}
-
-func TestAlmostOwnerComputes(t *testing.T) {
-	part := &Partition{Owner: []int{0, 0, 1, 1}, NProcs: 2}
-	iters := [][]int{
-		{0, 1},    // both proc 0 -> 0
-		{2, 3},    // both proc 1 -> 1
-		{0, 2},    // tie -> first element's owner, 0
-		{2, 0},    // tie -> 1
-		{1, 2, 3}, // majority proc 1 -> 1
-	}
-	got := AlmostOwnerComputes(iters, part)
-	if len(got[0]) != 2 || got[0][0] != 0 || got[0][1] != 2 {
-		t.Fatalf("proc0 iters = %v", got[0])
-	}
-	if len(got[1]) != 3 || got[1][0] != 1 || got[1][1] != 3 || got[1][2] != 4 {
-		t.Fatalf("proc1 iters = %v", got[1])
 	}
 }
 

@@ -73,20 +73,6 @@ func (s *Schedule) ReleaseMem(p *sim.Proc) {
 // LocalOf returns the local slot of global element g, or -1.
 func (s *Schedule) LocalOf(g int) int32 { return s.localOf[g] }
 
-// CommPairs returns the number of peers this processor exchanges data
-// with in each direction.
-func (s *Schedule) CommPairs() (recvPeers, sendPeers int) {
-	for q := 0; q < s.NProcs; q++ {
-		if len(s.RecvFrom[q]) > 0 {
-			recvPeers++
-		}
-		if len(s.SendTo[q]) > 0 {
-			sendPeers++
-		}
-	}
-	return
-}
-
 // InspectorCost models the per-entry costs of the inspector; the paper's
 // key observation is that hashing every indirection entry and consulting
 // the translation table makes the inspector expensive (6.2–9.2 s for

@@ -67,15 +67,6 @@ func BlockRange(n, nprocs, p int) (lo, hi int) {
 	return
 }
 
-// Cyclic partitions n elements round-robin (the CYCLIC distribution).
-func Cyclic(n, nprocs int) *Partition {
-	owner := make([]int, n)
-	for g := 0; g < n; g++ {
-		owner[g] = g % nprocs
-	}
-	return &Partition{Owner: owner, NProcs: nprocs}
-}
-
 // RCB implements the Recursive Coordinate Bisection partitioner: it
 // recursively splits the element set along the coordinate dimension with
 // the largest spatial extent, balancing element counts, so that
@@ -139,19 +130,6 @@ func rcbSplit(coords [][3]float64, ids []int, base, count int, owner []int) {
 	rcbSplit(coords, ids[cut:], base+leftProcs, rightProcs, owner)
 }
 
-// AlmostOwnerComputes assigns each iteration to the processor owning the
-// majority of the data elements it accesses (ties broken toward the
-// first element's owner), returning one iteration list per processor.
-// iters[i] lists the global data elements iteration i accesses.
-func AlmostOwnerComputes(iters [][]int, part *Partition) [][]int {
-	out := make([][]int, part.NProcs)
-	for i, elems := range iters {
-		o := chooseOwner(elems, part)
-		out[o] = append(out[o], i)
-	}
-	return out
-}
-
 // PartitionPairs applies almost-owner-computes to iterations that each
 // access two elements: with two elements the majority rule reduces to
 // the first element's owner. It returns the pairs stably sorted by that
@@ -181,27 +159,6 @@ func PartitionPairs(pairs [][2]int32, part *Partition) (sorted [][2]int32, start
 	copy(starts[1:], starts[:nprocs])
 	starts[0] = 0
 	return sorted, starts
-}
-
-// chooseOwner implements the almost-owner-computes rule for a single
-// iteration: the owner of the most accessed elements wins, with ties
-// going to whichever owner reached that count first (so the first
-// element's owner wins a clean tie). Deterministic.
-func chooseOwner(elems []int, part *Partition) int {
-	if len(elems) == 0 {
-		return 0
-	}
-	count := map[int]int{}
-	best := part.Owner[elems[0]]
-	count[best] = 0
-	for _, e := range elems {
-		o := part.Owner[e]
-		count[o]++
-		if count[o] > count[best] {
-			best = o
-		}
-	}
-	return best
 }
 
 // Remap is the CHAOS remapping step: it renumbers global elements so

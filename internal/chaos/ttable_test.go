@@ -74,33 +74,6 @@ func TestTranslateAllChargesReferenceStream(t *testing.T) {
 	}
 }
 
-func TestChooseOwnerProperty(t *testing.T) {
-	// The chosen owner always owns at least as many of the iteration's
-	// elements as any other processor.
-	f := func(raw [5]uint8, nRaw uint8) bool {
-		np := int(nRaw)%4 + 2
-		part := Cyclic(64, np)
-		elems := make([]int, len(raw))
-		for i, r := range raw {
-			elems[i] = int(r) % 64
-		}
-		o := chooseOwner(elems, part)
-		count := map[int]int{}
-		for _, e := range elems {
-			count[part.Owner[e]]++
-		}
-		for _, c := range count {
-			if c > count[o] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRemapRoundTripProperty(t *testing.T) {
 	// (owner, local) pairs are unique and dense per owner.
 	f := func(seed uint8, npRaw uint8) bool {
@@ -127,23 +100,5 @@ func TestRemapRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestScheduleCommPairs(t *testing.T) {
-	const n, np = 64, 4
-	scheds, _ := inspectorWorld(t, n, np, func(me int) []int {
-		lo, hi := BlockRange(n, np, me)
-		var g []int
-		for i := lo; i < hi; i++ {
-			g = append(g, i, (i+n/np)%n)
-		}
-		return g
-	})
-	for me, sch := range scheds {
-		recv, send := sch.CommPairs()
-		if recv != 1 || send != 1 {
-			t.Errorf("proc %d: comm pairs recv=%d send=%d, want 1/1 (ring)", me, recv, send)
-		}
 	}
 }

@@ -226,17 +226,3 @@ func (s Section) walkRuns(sizes []int, dim, lead, base, n int, f func(off, n int
 		s.walkRuns(sizes, dim-1, lead, base+i*stride, n, f)
 	}
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -91,13 +91,13 @@ func (s *Spec) Request() bench.RunRequest {
 	if s.Experiment != "app" {
 		// validate already ran bench.Request on these params.
 		req, _ := bench.Request(s.Experiment, s.Params)
-		req.Version, req.Trace = s.Version, s.Trace
+		req.Trace = s.Trace
 		if s.Sweep != nil {
 			req.BudgetSweepKB = append([]int(nil), s.Sweep.Values...)
 		}
 		return req
 	}
-	req := bench.RunRequest{Version: s.Version, Experiment: s.Experiment, Trace: s.Trace,
+	req := bench.RunRequest{Experiment: s.Experiment, Trace: s.Trace,
 		App: s.App, N: s.N, Steps: s.Steps, Seed: s.Seed,
 		Procs: append([]int(nil), s.Procs...), Machine: s.Machine}
 	if len(s.Knobs) > 0 {

@@ -208,9 +208,9 @@ assert:
 }
 
 // TestPresentResultMatchesEngine checks, for every canned experiment,
-// that the run service's render path — the request decoded from its
-// canonical bytes, served by the runner, rendered by bench.PresentResult
-// — prints exactly the scenario engine's bytes. Tiny sizes keep it
+// that the run service's render path — the request served by the
+// runner, stored and decoded as a disk entry, rendered by
+// bench.PresentResult — prints exactly the scenario engine's bytes. Tiny sizes keep it
 // fast; the shipped CI-size renderings are cmd/scenario's goldens.
 func TestPresentResultMatchesEngine(t *testing.T) {
 	if testing.Short() {
@@ -234,16 +234,21 @@ func TestPresentResultMatchesEngine(t *testing.T) {
 			if err != nil {
 				t.Fatalf("RunCtx: %v", err)
 			}
-			req, err := bench.DecodeCanonical(spec.Request().Canonical())
-			if err != nil {
-				t.Fatal(err)
-			}
+			req := spec.Request()
 			res, err := r.Do(context.Background(), req)
 			if err != nil {
 				t.Fatal(err)
 			}
+			payload, err := bench.EncodeEntry(req, res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dreq, dres, err := bench.DecodeEntry(req.Key(), payload)
+			if err != nil {
+				t.Fatal(err)
+			}
 			var buf bytes.Buffer
-			if err := bench.PresentResult(&buf, req, res); err != nil {
+			if err := bench.PresentResult(&buf, dreq, dres); err != nil {
 				t.Fatal(err)
 			}
 			if buf.String() != out.Rendered {

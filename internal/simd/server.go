@@ -296,26 +296,23 @@ func (s *Server) lookup(key cache.Key) (e *memEntry, fl *flight, failure string)
 // fromDisk serves a key from the disk tier, decoding and promoting
 // it to memory. Any decode failure is treated as a miss — the disk
 // store has already deleted files that fail its byte-level integrity
-// checks, and §7 determinism means a dropped entry is merely a
-// re-run away.
+// checks, bench.DecodeEntry refuses an entry whose request is not the
+// key's, and §7 determinism means a dropped entry is merely a re-run
+// away (runOne rewrites the file).
 func (s *Server) fromDisk(key cache.Key) *memEntry {
 	if s.disk == nil {
 		return nil
 	}
-	canon, payload, ok := s.disk.Get(key)
+	_, payload, ok := s.disk.Get(key)
 	if !ok {
 		return nil
 	}
-	req, err := bench.DecodeCanonical(canon)
-	if err != nil {
-		return nil
-	}
-	res, err := bench.DecodeResult(payload)
+	req, res, err := bench.DecodeEntry(key, payload)
 	if err != nil {
 		return nil
 	}
 	e := &memEntry{req: req, res: res}
-	s.mem.PutSized(key, e, res.SizeBytes())
+	s.mem.PutSized(key, e, int64(len(payload)))
 	return e
 }
 
@@ -412,14 +409,18 @@ func (s *Server) runOne(key cache.Key, fl *flight) {
 	s.executed.Add(1)
 	mExecuted.Inc()
 
-	if err == nil && s.disk != nil {
-		if payload, perr := bench.EncodeResult(res); perr == nil {
+	var payload []byte
+	if err == nil {
+		// One encoding serves both tiers: the disk file's payload and,
+		// by its length, the memory tier's size.
+		payload, _ = bench.EncodeEntry(fl.req, res)
+		if s.disk != nil && payload != nil {
 			s.disk.Put(fl.req.Canonical(), payload)
 		}
 	}
 	s.mu.Lock()
 	if err == nil {
-		s.mem.PutSized(key, &memEntry{req: fl.req, res: res}, res.SizeBytes())
+		s.mem.PutSized(key, &memEntry{req: fl.req, res: res}, int64(len(payload)))
 	} else {
 		if len(s.failOrder) >= maxFailures {
 			delete(s.fails, s.failOrder[0])

@@ -190,51 +190,160 @@ func TestCoalescing(t *testing.T) {
 	}
 }
 
+// perturbedSpec is taskqSpec on a perturbed machine (runrequest/v2):
+// every perturbation field, so the disk entry carries floats, link
+// overrides and a jitter seed.
+const perturbedSpec = taskqSpec + `machine:
+  perturb:
+    cpu: [1.3, 0.9]
+    links:
+      - from: 1
+        to: 0
+        latency_us: 170
+    jitter_us: 2.5
+    jitter_seed: 7
+`
+
+// table1Spec is a canned experiment at a tiny size.
+const table1Spec = `name: svc-table1
+experiment: table1
+params:
+  n: 64
+  procs: 2
+  steps: 2
+`
+
+// submitAndRender posts spec with wait, then renders the run by its
+// address; both must succeed.
+func submitAndRender(t *testing.T, ts *httptest.Server, spec string) (body, rendered []byte) {
+	t.Helper()
+	code, body := post(t, ts, "/v1/runs?wait=1", spec)
+	if code != http.StatusOK {
+		t.Fatalf("submit: %d %s", code, body)
+	}
+	addr := decodeStatus(t, body).Address
+	code, rendered, _ = get(t, ts, "/v1/runs/"+addr+"/render")
+	if code != http.StatusOK || len(rendered) == 0 {
+		t.Fatalf("render: %d %s", code, rendered)
+	}
+	return body, rendered
+}
+
+// restart opens a fresh server — fresh memory tier, fresh counters —
+// over the disk directory, as a new process would.
+func restart(t *testing.T, dir string) (*Server, *httptest.Server) {
+	t.Helper()
+	d, err := disk.Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Config{Disk: d})
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	return srv, ts
+}
+
 // TestDiskColdStart is the restart contract: a fresh server over a
-// warm disk directory serves the same submission byte-identically
-// with zero backend executions.
+// warm disk directory serves the same submission byte-identically,
+// and renders it identically, with zero backend executions — for an
+// app run, a perturbed app run and a canned experiment.
 func TestDiskColdStart(t *testing.T) {
-	dir := t.TempDir()
-	d1, err := disk.Open(dir, 0)
+	for name, spec := range map[string]string{
+		"app":       taskqSpec,
+		"perturbed": perturbedSpec,
+		"table1":    table1Spec,
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			srv1, ts1 := restart(t, dir)
+			warm, warmRender := submitAndRender(t, ts1, spec)
+			if srv1.Executed() != 1 {
+				t.Fatalf("warming executed = %d", srv1.Executed())
+			}
+
+			srv2, ts2 := restart(t, dir)
+			cold, coldRender := submitAndRender(t, ts2, spec)
+			if got := srv2.Executed(); got != 0 {
+				t.Fatalf("cold start executed %d backend runs, want 0", got)
+			}
+			if !bytes.Equal(warm, cold) {
+				t.Errorf("cold-start bytes differ from the original run:\n--- warm ---\n%s--- cold ---\n%s", warm, cold)
+			}
+			if !bytes.Equal(warmRender, coldRender) {
+				t.Errorf("cold-start render differs:\n--- warm ---\n%s--- cold ---\n%s", warmRender, coldRender)
+			}
+		})
+	}
+}
+
+// TestDiskUnservableEntryRerun plants entries the disk store itself
+// accepts but the service must not serve: an older result-only
+// payload, and an entry whose request is not the one its key names.
+// Each is a miss: one run, the file rewritten, and after a second
+// restart the run is served from disk with zero executions.
+func TestDiskUnservableEntryRerun(t *testing.T) {
+	spec, err := parseSpec([]byte(taskqSpec), "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv1 := New(Config{Disk: d1})
-	ts1 := httptest.NewServer(srv1)
-	code, warm := post(t, ts1, "/v1/runs?wait=1", taskqSpec)
-	ts1.Close()
-	if code != http.StatusOK {
-		t.Fatalf("warming run: %d %s", code, warm)
-	}
-	if srv1.Executed() != 1 {
-		t.Fatalf("warming executed = %d", srv1.Executed())
-	}
-
-	// Cold start: new process state (fresh memory tier, fresh server),
-	// same disk directory.
-	d2, err := disk.Open(dir, 0)
+	req, err := resolveRequest(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv2 := New(Config{Disk: d2})
-	ts2 := httptest.NewServer(srv2)
-	defer ts2.Close()
+	res := &bench.RunResult{Experiment: "app", Metrics: map[string]float64{"planted": 1}}
+	resultOnly, err := bench.EncodeResult(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := req
+	other.N = 128
+	wrongKey, err := bench.EncodeEntry(other, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, payload := range map[string][]byte{
+		"result only": resultOnly,
+		"wrong key":   wrongKey,
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			d, err := disk.Open(dir, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := d.Put(req.Canonical(), payload); err != nil {
+				t.Fatal(err)
+			}
 
-	code, cold := post(t, ts2, "/v1/runs?wait=1", taskqSpec)
-	if code != http.StatusOK {
-		t.Fatalf("cold submit: %d %s", code, cold)
-	}
-	if got := srv2.Executed(); got != 0 {
-		t.Fatalf("cold start executed %d backend runs, want 0", got)
-	}
-	if !bytes.Equal(warm, cold) {
-		t.Errorf("cold-start bytes differ from the original run:\n--- warm ---\n%s--- cold ---\n%s", warm, cold)
-	}
+			srv1, ts1 := restart(t, dir)
+			first, _ := submitAndRender(t, ts1, taskqSpec)
+			if got := srv1.Executed(); got != 1 {
+				t.Fatalf("unservable entry: executed = %d, want 1", got)
+			}
+			if decodeStatus(t, first).Result.Metrics["planted"] != 0 {
+				t.Fatal("the planted result was served")
+			}
+			d2, err := disk.Open(dir, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, stored, ok := d2.Get(req.Key())
+			if !ok {
+				t.Fatal("entry not rewritten")
+			}
+			if _, _, err := bench.DecodeEntry(req.Key(), stored); err != nil {
+				t.Fatalf("rewritten entry: %v", err)
+			}
 
-	// The render path must also work from promoted disk state.
-	st := decodeStatus(t, cold)
-	if code, rendered, _ := get(t, ts2, "/v1/runs/"+st.Address+"/render"); code != http.StatusOK || len(rendered) == 0 {
-		t.Errorf("cold render: %d", code)
+			srv2, ts2 := restart(t, dir)
+			second, _ := submitAndRender(t, ts2, taskqSpec)
+			if got := srv2.Executed(); got != 0 {
+				t.Fatalf("rewritten entry: executed = %d, want 0", got)
+			}
+			if !bytes.Equal(first, second) {
+				t.Error("rewritten entry serves different bytes")
+			}
+		})
 	}
 }
 
