@@ -60,11 +60,10 @@ import (
 func main() {
 	// realMain so the deferred profile writers run before the process
 	// exits (defers do not fire across os.Exit).
-	os.Exit(realMain())
+	os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func realMain() int {
-	args := os.Args[1:]
+func realMain(args []string, stdout, stderr io.Writer) int {
 	// Profiling flags come before the subcommand so every command can
 	// be profiled without each of them re-declaring the flags.
 	var cpuprofile, memprofile string
@@ -80,17 +79,17 @@ func realMain() int {
 	}
 parsed:
 	if len(args) < 1 {
-		usage(os.Stderr)
+		usage(stderr)
 		return 2
 	}
 	if cpuprofile != "" {
 		f, err := os.Create(cpuprofile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "scenario:", err)
+			fmt.Fprintln(stderr, "scenario:", err)
 			return 1
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "scenario:", err)
+			fmt.Fprintln(stderr, "scenario:", err)
 			return 1
 		}
 		defer f.Close()
@@ -100,13 +99,13 @@ parsed:
 		defer func() {
 			f, err := os.Create(memprofile)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "scenario:", err)
+				fmt.Fprintln(stderr, "scenario:", err)
 				return
 			}
 			defer f.Close()
 			runtime.GC()
 			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-				fmt.Fprintln(os.Stderr, "scenario:", err)
+				fmt.Fprintln(stderr, "scenario:", err)
 			}
 		}()
 	}
@@ -115,23 +114,23 @@ parsed:
 	var err error
 	switch cmd, rest := args[0], args[1:]; cmd {
 	case "run":
-		err = runCmd(ctx, os.Stdout, rest)
+		err = runCmd(ctx, stdout, rest)
 	case "validate":
-		err = validateCmd(os.Stdout, rest)
+		err = validateCmd(stdout, rest)
 	case "list":
-		err = listCmd(os.Stdout, rest)
+		err = listCmd(stdout, rest)
 	case "trace-summary":
-		err = traceSummaryCmd(os.Stdout, rest)
+		err = traceSummaryCmd(stdout, rest)
 	case "help", "-h", "-help", "--help":
-		usage(os.Stdout)
+		usage(stdout)
 		return 0
 	default:
-		fmt.Fprintf(os.Stderr, "scenario: unknown command %q\n", cmd)
-		usage(os.Stderr)
+		fmt.Fprintf(stderr, "scenario: unknown command %q\n", cmd)
+		usage(stderr)
 		return 2
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "scenario:", err)
+		fmt.Fprintln(stderr, "scenario:", err)
 		return 1
 	}
 	return 0
@@ -391,7 +390,7 @@ func expand(args []string) ([]string, error) {
 				if err != nil {
 					return err
 				}
-				if !d.IsDir() && isSpecFile(path) {
+				if !d.IsDir() && scenario.IsSpecFile(path) {
 					out = append(out, path)
 				}
 				return nil
@@ -419,12 +418,4 @@ func expand(args []string) ([]string, error) {
 		return nil, fmt.Errorf("no scenario files found under %s", strings.Join(args, " "))
 	}
 	return out, nil
-}
-
-func isSpecFile(path string) bool {
-	switch filepath.Ext(path) {
-	case ".yaml", ".yml", ".json":
-		return true
-	}
-	return false
 }

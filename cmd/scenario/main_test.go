@@ -113,6 +113,23 @@ func TestValidateTree(t *testing.T) {
 	}
 }
 
+// TestValidateReportsOnce: an invalid spec is reported with one
+// "scenario:" prefix, then its path, then what is wrong.
+func TestValidateReportsOnce(t *testing.T) {
+	bad := filepath.Join(t.TempDir(), "bad.yaml")
+	if err := os.WriteFile(bad, []byte("name: x\nexperiment: table1\nprocz: 8\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if code := realMain([]string{"validate", bad}, &stdout, &stderr); code != 1 {
+		t.Fatalf("validate exited %d, want 1", code)
+	}
+	want := "scenario: " + bad + ": unknown key \"procz\"\n"
+	if stderr.String() != want {
+		t.Errorf("validate printed %q, want %q", stderr.String(), want)
+	}
+}
+
 // TestListScenarios smoke-tests the list subcommand on the CI set.
 func TestListScenarios(t *testing.T) {
 	var buf bytes.Buffer

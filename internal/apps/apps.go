@@ -267,7 +267,7 @@ type Result struct {
 
 	// Final state for verification (global element order). Excluded
 	// from the JSON encoding: the bit-identity check runs at execution
-	// time (RunAllCtx), and a result served from the run service's
+	// time (RunAll), and a result served from the run service's
 	// disk tier carries the verified numbers, not the state vectors.
 	Forces []float64 `json:"-"`
 	X      []float64 `json:"-"`

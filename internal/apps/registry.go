@@ -224,16 +224,11 @@ func (v *VariantSet) All() []*Result {
 
 // RunAll executes every backend of one workload, verifies the parallel
 // backends against the sequential reference bit-exactly, and fills the
-// speedup column.
-func RunAll(w Workload) (*VariantSet, error) {
-	return RunAllCtx(context.Background(), w)
-}
-
-// RunAllCtx is RunAll observing a context: cancellation is checked
-// before each backend execution — the phase boundaries of one
-// configuration — so an aborted run stops between simulated cluster
-// episodes, never mid-episode, and returns no partial VariantSet.
-func RunAllCtx(ctx context.Context, w Workload) (*VariantSet, error) {
+// speedup column. Cancellation is checked before each backend
+// execution — the phase boundaries of one configuration — so an
+// aborted run stops between simulated cluster episodes, never
+// mid-episode, and returns no partial VariantSet.
+func RunAll(ctx context.Context, w Workload) (*VariantSet, error) {
 	vs := &VariantSet{}
 	for _, b := range []struct {
 		run  func() *Result

@@ -4,6 +4,7 @@
 package apps_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/apps"
@@ -46,7 +47,7 @@ func TestAllRegisteredWorkloadsRoundTrip(t *testing.T) {
 			if w.App != name {
 				t.Errorf("App = %q, registered as %q", w.App, name)
 			}
-			vs, err := apps.RunAll(w)
+			vs, err := apps.RunAll(context.Background(), w)
 			if err != nil {
 				t.Fatal(err) // RunAll already verifies bit-exact agreement
 			}
@@ -82,7 +83,7 @@ func TestRegisteredWorkloadsDeterministic(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				vs, err := apps.RunAll(w)
+				vs, err := apps.RunAll(context.Background(), w)
 				if err != nil {
 					t.Fatal(err)
 				}

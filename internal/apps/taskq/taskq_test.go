@@ -1,6 +1,7 @@
 package taskq
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/apps"
@@ -13,7 +14,7 @@ func TestAllVariantsAgreeExactly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vs, err := apps.RunAll(w)
+		vs, err := apps.RunAll(context.Background(), w)
 		if err != nil {
 			t.Fatalf("procs=%d: %v", procs, err)
 		}

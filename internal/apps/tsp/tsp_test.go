@@ -1,6 +1,7 @@
 package tsp
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -67,7 +68,7 @@ func TestAllVariantsAgreeExactly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vs, err := apps.RunAll(w)
+		vs, err := apps.RunAll(context.Background(), w)
 		if err != nil {
 			t.Fatalf("procs=%d: %v", procs, err)
 		}

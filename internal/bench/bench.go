@@ -78,14 +78,14 @@ type AppResults struct {
 // RunAppCtx builds the named registered application's workload from
 // cfg, executes all four backends, and verifies bit-exact agreement.
 // Cancellation is checked before each of the four backend executions
-// (apps.RunAllCtx), so an aborted run never returns a partially-verified
+// (apps.RunAll), so an aborted run never returns a partially-verified
 // result.
 func RunAppCtx(ctx context.Context, name string, cfg apps.Config, label string) (*AppResults, error) {
 	w, err := apps.New(name, cfg)
 	if err != nil {
 		return nil, err
 	}
-	vs, err := apps.RunAllCtx(ctx, w)
+	vs, err := apps.RunAll(ctx, w)
 	if err != nil {
 		return nil, err
 	}

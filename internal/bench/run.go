@@ -261,7 +261,7 @@ type MemSweepData struct {
 // Run executes one canonically-encoded experiment and returns its
 // structured result. The context is observed at phase boundaries:
 // between per-configuration runs and between the four backend
-// executions of each configuration (apps.RunAllCtx) — a simulated
+// executions of each configuration (apps.RunAll) — a simulated
 // cluster episode itself is never interrupted mid-flight, so a
 // canceled run leaves no partially-verified results behind.
 func Run(ctx context.Context, req RunRequest) (*RunResult, error) {
@@ -465,12 +465,11 @@ func runAppGrid(ctx context.Context, tr *obs.Trace, req RunRequest) ([]*AppResul
 	if req.Sweep != nil {
 		sweepVals = req.Sweep.Values
 	}
-	var all []*AppResults
+	var items []runItem
 	for _, sv := range sweepVals {
 		for _, procs := range req.Procs {
 			cfg := apps.Config{N: req.N, Procs: procs, Steps: req.Steps,
 				Seed: req.Seed, Machine: req.Machine}
-			cfg.Machine.Trace = tr
 			for k, v := range req.Knobs {
 				cfg = cfg.WithKnob(k, v)
 			}
@@ -490,15 +489,8 @@ func runAppGrid(ctx context.Context, tr *obs.Trace, req RunRequest) ([]*AppResul
 					cfg = cfg.WithKnob(req.Sweep.Axis, sv)
 				}
 			}
-			if tr != nil {
-				tr.SetPhase(req.App + "/" + label)
-			}
-			res, err := RunAppCtx(ctx, req.App, cfg, label)
-			if err != nil {
-				return nil, err
-			}
-			all = append(all, res)
+			items = append(items, runItem{App: req.App, Label: label, Cfg: cfg})
 		}
 	}
-	return all, nil
+	return runItems(ctx, tr, items)
 }

@@ -15,7 +15,8 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -66,13 +67,8 @@ type Outcome struct {
 // shortest-round-trip float formatting — the canonical byte-diffable
 // form the repro check and the determinism stress compare.
 func (o *Outcome) MetricsText() string {
-	keys := make([]string, 0, len(o.Metrics))
-	for k := range o.Metrics {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	var b strings.Builder
-	for _, k := range keys {
+	for _, k := range slices.Sorted(maps.Keys(o.Metrics)) {
 		fmt.Fprintf(&b, "%s = %s\n", k, fmtMetric(o.Metrics[k]))
 	}
 	return b.String()
@@ -93,7 +89,7 @@ func (s *Spec) Request() bench.RunRequest {
 		req, _ := bench.Request(s.Experiment, s.Params)
 		req.Trace = s.Trace
 		if s.Sweep != nil {
-			req.BudgetSweepKB = append([]int(nil), s.Sweep.Values...)
+			req.BudgetSweepKB = slices.Clone(s.Sweep.Values)
 		}
 		return req
 	}
@@ -101,14 +97,10 @@ func (s *Spec) Request() bench.RunRequest {
 		App: s.App, N: s.N, Steps: s.Steps, Seed: s.Seed,
 		Procs: append([]int(nil), s.Procs...), Machine: s.Machine}
 	if len(s.Knobs) > 0 {
-		req.Knobs = make(map[string]int, len(s.Knobs))
-		for k, v := range s.Knobs {
-			req.Knobs[k] = v
-		}
+		req.Knobs = maps.Clone(s.Knobs)
 	}
 	if s.Sweep != nil {
-		req.Sweep = &bench.SweepAxis{Axis: s.Sweep.Axis,
-			Values: append([]int(nil), s.Sweep.Values...)}
+		req.Sweep = &bench.SweepAxis{Axis: s.Sweep.Axis, Values: slices.Clone(s.Sweep.Values)}
 	}
 	return req
 }

@@ -100,7 +100,7 @@ func TestMachineSpecErrors(t *testing.T) {
 			`scenario: unknown machine.perturb key "cpus" (want cpu, links, jitter_us, jitter_seed)`},
 		{"unknown link key",
 			app + "machine:\n  perturb:\n    links:\n      - from: 0\n        to: 1\n        lat: 5\n",
-			`scenario: unknown link key "lat" (want from, to, latency_us, bandwidth_mbs)`},
+			`scenario: unknown machine.perturb.links key "lat" (want from, to, latency_us, bandwidth_mbs)`},
 		{"link without endpoints",
 			app + "machine:\n  perturb:\n    links:\n      - latency_us: 170\n",
 			`scenario: machine.perturb.links[0] needs "from" and "to"`},

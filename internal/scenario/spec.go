@@ -11,9 +11,12 @@ package scenario
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
+	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"reflect"
+	"slices"
 	"strings"
 
 	"repro/internal/apps"
@@ -28,9 +31,9 @@ const MaxProcs = 1024
 // Band is one assertion: the named metric must land inside [Min, Max]
 // (either side may be open).
 type Band struct {
-	Metric string
-	Min    *float64
-	Max    *float64
+	Metric string   `json:"metric"`
+	Min    *float64 `json:"min"`
+	Max    *float64 `json:"max"`
 }
 
 // Interval renders the band in interval notation for violation
@@ -45,13 +48,6 @@ func (b Band) Interval() string {
 		return fmt.Sprintf("(-inf, %g]", *b.Max)
 	}
 	return "(-inf, +inf)"
-}
-
-// Sweep names one swept axis of an app experiment: the run grid is the
-// cross product of the sweep values and the procs list.
-type Sweep struct {
-	Axis   string
-	Values []int
 }
 
 // SpecVersion is the schema version this package reads and writes. A
@@ -90,7 +86,10 @@ type Spec struct {
 	Procs    []int
 	Variants []string
 	Knobs    map[string]int
-	Sweep    *Sweep
+	// Sweep is the swept axis: for an app experiment the run grid is
+	// the cross product of its values and the procs list; the memory
+	// experiment sweeps only table_budget_kb.
+	Sweep *bench.SweepAxis
 	// Machine is the structured machine spec (`machine:` mapping):
 	// uniform latency/bandwidth overrides plus the optional perturb
 	// block. Absent keys inherit the SP2 defaults; explicit zeros are
@@ -106,6 +105,58 @@ type Spec struct {
 	Assert []Band
 }
 
+// specFile is a spec document as written. Its json tags, and those of
+// the types below it, are the whole vocabulary: checkShape rejects any
+// other key before encoding/json decodes the document. A pointer field
+// marks a key whose presence matters.
+type specFile struct {
+	Version     int            `json:"version"`
+	Name        string         `json:"name"`
+	Description string         `json:"description"`
+	Experiment  string         `json:"experiment"`
+	Params      map[string]int `json:"params"`
+	Repro       bool           `json:"repro"`
+	Trace       bool           `json:"trace"`
+	App         string         `json:"app"`
+	N           int            `json:"n"`
+	Steps       int            `json:"steps"`
+	Seed        int64          `json:"seed"`
+	Procs       []int          `json:"procs"`
+	Variants    []string       `json:"variants"`
+	Knobs       map[string]int `json:"knobs"`
+	Sweep       *sweepFile     `json:"sweep"`
+	Machine     *machineFile   `json:"machine"`
+	Assert      []Band         `json:"assert"`
+}
+
+type sweepFile struct {
+	Axis   string `json:"axis"`
+	Values []int  `json:"values"`
+}
+
+// machineFile keeps the uniform overrides as pointers: absent means
+// "inherit the SP2 default", so an explicit 0 cannot mean anything and
+// is rejected rather than silently becoming the default downstream.
+type machineFile struct {
+	LatencyUS    *int         `json:"latency_us"`
+	BandwidthMBs *int         `json:"bandwidth_mbs"`
+	Perturb      *perturbFile `json:"perturb"`
+}
+
+type perturbFile struct {
+	CPU        []float64  `json:"cpu"`
+	Links      []linkFile `json:"links"`
+	JitterUS   float64    `json:"jitter_us"`
+	JitterSeed int64      `json:"jitter_seed"`
+}
+
+type linkFile struct {
+	From         *int `json:"from"`
+	To           *int `json:"to"`
+	LatencyUS    int  `json:"latency_us"`
+	BandwidthMBs int  `json:"bandwidth_mbs"`
+}
+
 // variantSlots is the registry's four result slots (apps.Result.System).
 var variantSlots = []string{"seq", "chaos", "tmk", "tmk-opt"}
 
@@ -119,24 +170,33 @@ func (s *Spec) Param(name string) int {
 	return e.Params[name]
 }
 
+// IsSpecFile reports whether path names a spec file: .yaml or .yml
+// (decoded by Parse) or .json (decoded by ParseJSON).
+func IsSpecFile(path string) bool {
+	switch filepath.Ext(path) {
+	case ".yaml", ".yml", ".json":
+		return true
+	}
+	return false
+}
+
 // Load reads and validates one spec file; the format follows the
-// extension.
+// extension. Errors name the file once: "<path>: <what is wrong>".
 func Load(path string) (*Spec, error) {
+	if !IsSpecFile(path) {
+		return nil, fmt.Errorf("%s: unsupported extension %q (want .yaml, .yml, or .json)", path, filepath.Ext(path))
+	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var spec *Spec
-	switch ext := filepath.Ext(path); ext {
-	case ".yaml", ".yml":
-		spec, err = Parse(data)
-	case ".json":
-		spec, err = ParseJSON(data)
-	default:
-		return nil, fmt.Errorf("scenario: %s: unsupported extension %q (want .yaml, .yml, or .json)", path, ext)
+	parse := Parse
+	if filepath.Ext(path) == ".json" {
+		parse = ParseJSON
 	}
+	spec, err := parse(data)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+		return nil, fmt.Errorf("%s: %s", path, strings.TrimPrefix(err.Error(), "scenario: "))
 	}
 	return spec, nil
 }
@@ -147,7 +207,7 @@ func Parse(data []byte) (*Spec, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario: %v", err)
 	}
-	return FromGeneric(doc)
+	return decode(doc)
 }
 
 // ParseJSON decodes and validates one JSON spec document.
@@ -156,11 +216,11 @@ func ParseJSON(data []byte) (*Spec, error) {
 	if err := json.Unmarshal(data, &doc); err != nil {
 		return nil, fmt.Errorf("scenario: %v", err)
 	}
-	return FromGeneric(doc)
+	return decode(doc)
 }
 
-// Files lists the spec files (*.yaml, *.yml, *.json) directly under
-// dir, sorted; scenario directories are flat by convention.
+// Files lists the spec files (IsSpecFile) directly under dir, sorted;
+// scenario directories are flat by convention.
 func Files(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -168,99 +228,203 @@ func Files(dir string) ([]string, error) {
 	}
 	var out []string
 	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		switch filepath.Ext(e.Name()) {
-		case ".yaml", ".yml", ".json":
+		if !e.IsDir() && IsSpecFile(e.Name()) {
 			out = append(out, filepath.Join(dir, e.Name()))
 		}
 	}
-	sort.Strings(out)
 	return out, nil
 }
 
-// specKeys is the complete top-level vocabulary; anything else is a
-// typo and must not silently validate.
-var specKeys = map[string]bool{
-	"version": true,
-	"name":    true, "description": true, "experiment": true, "params": true,
-	"repro": true, "trace": true, "app": true, "n": true, "steps": true,
-	"seed": true, "procs": true, "variants": true, "knobs": true,
-	"sweep": true, "machine": true, "assert": true,
-}
-
-// FromGeneric builds and validates a Spec from the generic
-// map/slice/scalar shape both decoders produce.
-func FromGeneric(doc any) (*Spec, error) {
+// decode builds and validates a Spec from the generic
+// map/slice/scalar shape both parsers produce: the shape is checked
+// against specFile's tags, decoded into a specFile by encoding/json,
+// and converted.
+func decode(doc any) (*Spec, error) {
 	m, ok := doc.(map[string]any)
 	if !ok {
 		return nil, fmt.Errorf("scenario: top-level document must be a mapping")
 	}
-	for _, k := range sortedMapKeys(m) {
-		if !specKeys[k] {
-			return nil, fmt.Errorf("scenario: unknown key %q", k)
-		}
-	}
-	s := &Spec{}
-	var err error
-	if s.Version, _, err = optInt(m, "version"); err != nil {
+	if err := checkFields(m, reflect.TypeFor[specFile](), "", ""); err != nil {
 		return nil, err
 	}
-	if s.Name, err = optString(m, "name"); err != nil {
-		return nil, err
+	var f specFile
+	raw, err := json.Marshal(m)
+	if err == nil {
+		err = json.Unmarshal(raw, &f)
 	}
-	if s.Description, err = optString(m, "description"); err != nil {
-		return nil, err
-	}
-	if s.Experiment, err = optString(m, "experiment"); err != nil {
-		return nil, err
-	}
-	if s.Params, err = optIntMap(m, "params"); err != nil {
-		return nil, err
-	}
-	if s.Repro, err = optBool(m, "repro"); err != nil {
-		return nil, err
-	}
-	if s.Trace, err = optBool(m, "trace"); err != nil {
-		return nil, err
-	}
-	if s.App, err = optString(m, "app"); err != nil {
-		return nil, err
-	}
-	if s.N, _, err = optInt(m, "n"); err != nil {
-		return nil, err
-	}
-	if s.Steps, _, err = optInt(m, "steps"); err != nil {
-		return nil, err
-	}
-	seed, _, err := optInt(m, "seed")
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("scenario: %v", err)
 	}
-	s.Seed = int64(seed)
-	if s.Procs, err = optIntList(m, "procs"); err != nil {
-		return nil, err
+	s := &Spec{Version: f.Version, Name: f.Name, Description: f.Description,
+		Experiment: f.Experiment, Params: f.Params, Repro: f.Repro, Trace: f.Trace,
+		App: f.App, N: f.N, Steps: f.Steps, Seed: f.Seed, Procs: f.Procs,
+		Variants: f.Variants, Knobs: f.Knobs, Assert: f.Assert}
+	if f.Sweep != nil {
+		if f.Sweep.Axis == "" {
+			return nil, fmt.Errorf(`scenario: a sweep needs an "axis"`)
+		}
+		s.Sweep = &bench.SweepAxis{Axis: f.Sweep.Axis, Values: f.Sweep.Values}
 	}
-	if s.Variants, err = optStringList(m, "variants"); err != nil {
-		return nil, err
-	}
-	if s.Knobs, err = optIntMap(m, "knobs"); err != nil {
-		return nil, err
-	}
-	if s.Sweep, err = optSweep(m); err != nil {
-		return nil, err
-	}
-	if s.Machine, s.machineSet, err = optMachine(m); err != nil {
-		return nil, err
-	}
-	if s.Assert, err = optBands(m); err != nil {
-		return nil, err
+	if f.Machine != nil {
+		s.machineSet = true
+		if s.Machine, err = f.Machine.machine(); err != nil {
+			return nil, err
+		}
 	}
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
 	return s, nil
+}
+
+// machine converts the decoded `machine:` mapping.
+func (f *machineFile) machine() (apps.Machine, error) {
+	const ambiguous = `scenario: machine.%s: 0 is ambiguous (0 means "inherit the default"); omit the key to inherit the SP2 default`
+	var m apps.Machine
+	if f.LatencyUS != nil {
+		if m.LatencyUS = *f.LatencyUS; m.LatencyUS == 0 {
+			return m, fmt.Errorf(ambiguous, "latency_us")
+		}
+	}
+	if f.BandwidthMBs != nil {
+		if m.BandwidthMBs = *f.BandwidthMBs; m.BandwidthMBs == 0 {
+			return m, fmt.Errorf(ambiguous, "bandwidth_mbs")
+		}
+	}
+	p := f.Perturb
+	if p == nil {
+		return m, nil
+	}
+	pert := &apps.Perturb{CPU: p.CPU, JitterUS: p.JitterUS, JitterSeed: p.JitterSeed}
+	for i, l := range p.Links {
+		if l.From == nil || l.To == nil {
+			return m, fmt.Errorf(`scenario: machine.perturb.links[%d] needs "from" and "to"`, i)
+		}
+		pert.Links = append(pert.Links, apps.LinkOverride{From: *l.From, To: *l.To,
+			LatencyUS: l.LatencyUS, BandwidthMBs: l.BandwidthMBs})
+	}
+	if !pert.IsZero() {
+		m.Perturb = pert
+	}
+	return m, nil
+}
+
+// checkShape checks one value of the generic shape against the Go type
+// it decodes into, for what encoding/json does not: it matches keys
+// case-insensitively (even with DisallowUnknownFields), and its kind
+// errors name Go types, not the spec's key path. path names the value
+// in messages ("procs[1]", "knobs.warp"); schema is the same path
+// without list indices, naming the mapping an unknown key sits in.
+func checkShape(v any, t reflect.Type, path, schema string) error {
+	if t.Kind() == reflect.Pointer {
+		t = t.Elem()
+	}
+	m, isMap := v.(map[string]any)
+	l, isList := v.([]any)
+	f, isNum := v.(float64)
+	var ok bool
+	switch t.Kind() {
+	case reflect.Struct:
+		if isMap {
+			return checkFields(m, t, path, schema)
+		}
+	case reflect.Map:
+		for _, k := range slices.Sorted(maps.Keys(m)) {
+			if err := checkShape(m[k], t.Elem(), path+"."+k, schema); err != nil {
+				return err
+			}
+		}
+		ok = isMap
+	case reflect.Slice:
+		for i, e := range l {
+			if err := checkShape(e, t.Elem(), fmt.Sprintf("%s[%d]", path, i), schema); err != nil {
+				return err
+			}
+		}
+		ok = isList
+	case reflect.String:
+		_, ok = v.(string)
+	case reflect.Bool:
+		_, ok = v.(bool)
+	case reflect.Int, reflect.Int64:
+		ok = isNum && f == float64(int(f))
+	case reflect.Float64:
+		ok = isNum && !math.IsNaN(f) && !math.IsInf(f, 0)
+	}
+	if !ok {
+		return fmt.Errorf("scenario: %s must be %s (got %v)", path, kindNouns[t.Kind()], v)
+	}
+	return nil
+}
+
+var kindNouns = map[reflect.Kind]string{
+	reflect.Struct: "a mapping", reflect.Map: "a mapping", reflect.Slice: "a list",
+	reflect.String: "a string", reflect.Bool: "true or false",
+	reflect.Int: "an integer", reflect.Int64: "an integer", reflect.Float64: "a number",
+}
+
+// checkFields checks a mapping against struct type t: every key must be
+// exactly one of t's json tags (the smallest offender is reported, and
+// before any value is looked at), then each present, non-null value is
+// checked in field order. A null value is an absent key.
+func checkFields(m map[string]any, t reflect.Type, path, schema string) error {
+	fields := structFields[t]
+	for _, k := range slices.Sorted(maps.Keys(m)) {
+		if slices.ContainsFunc(fields, func(f field) bool { return f.tag == k }) {
+			continue
+		}
+		if schema == "" {
+			return fmt.Errorf("scenario: unknown key %q", k)
+		}
+		tags := make([]string, len(fields))
+		for i, f := range fields {
+			tags[i] = f.tag
+		}
+		return fmt.Errorf("scenario: unknown %s key %q (want %s)", schema, k, strings.Join(tags, ", "))
+	}
+	for _, f := range fields {
+		if v := m[f.tag]; v != nil {
+			if err := checkShape(v, f.typ, join(path, f.tag), join(schema, f.tag)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// field is one struct field's json tag and type.
+type field struct {
+	tag string
+	typ reflect.Type
+}
+
+// structFields lists the fields of specFile and of every struct type
+// below it, in order; filled once at start-up, read-only after.
+var structFields = map[reflect.Type][]field{}
+
+func init() { addFields(reflect.TypeFor[specFile]()) }
+
+func addFields(t reflect.Type) {
+	for t.Kind() == reflect.Pointer || t.Kind() == reflect.Slice || t.Kind() == reflect.Map {
+		t = t.Elem()
+	}
+	if t.Kind() != reflect.Struct || structFields[t] != nil {
+		return
+	}
+	fs := make([]field, t.NumField())
+	for i := range fs {
+		f := t.Field(i)
+		fs[i] = field{f.Tag.Get("json"), f.Type}
+		addFields(f.Type)
+	}
+	structFields[t] = fs
+}
+
+func join(path, key string) string {
+	if path == "" {
+		return key
+	}
+	return path + "." + key
 }
 
 // validate checks the decoded spec against the experiment schemas and
@@ -315,14 +479,6 @@ func (s *Spec) validate() error {
 				return fmt.Errorf(`scenario %q: the %s experiment can only sweep %q (got %q)`,
 					s.Name, s.Experiment, e.SweepAxis, s.Sweep.Axis)
 			}
-			if len(s.Sweep.Values) == 0 {
-				return fmt.Errorf("scenario %q: sweep over %q has no values", s.Name, s.Sweep.Axis)
-			}
-			for _, v := range s.Sweep.Values {
-				if v <= 0 {
-					return fmt.Errorf("scenario %q: sweep value %d must be positive", s.Name, v)
-				}
-			}
 		}
 		if p := s.Param("procs"); p < 1 || p > MaxProcs {
 			return fmt.Errorf("scenario %q: proc count %d out of range [1, %d]", s.Name, p, MaxProcs)
@@ -347,13 +503,13 @@ func (s *Spec) validate() error {
 			}
 		}
 		for _, v := range s.Variants {
-			if !contains(variantSlots, v) {
+			if !slices.Contains(variantSlots, v) {
 				return fmt.Errorf("scenario %q: unknown variant %q (want %s)",
 					s.Name, v, strings.Join(variantSlots, ", "))
 			}
 		}
-		for _, k := range sortedIntMapKeys(s.Knobs) {
-			if !contains(knobs, k) {
+		for _, k := range slices.Sorted(maps.Keys(s.Knobs)) {
+			if !slices.Contains(knobs, k) {
 				return fmt.Errorf("scenario %q: %s does not declare knob %q (declares: %v)", s.Name, s.App, k, knobs)
 			}
 		}
@@ -361,18 +517,10 @@ func (s *Spec) validate() error {
 			if s.Sweep.Axis == "procs" {
 				return fmt.Errorf(`scenario %q: "procs" is not a sweep axis (give a procs list instead)`, s.Name)
 			}
-			if !contains([]string{"n", "steps", "latency_us", "bandwidth_mbs"}, s.Sweep.Axis) &&
-				!contains(knobs, s.Sweep.Axis) {
+			if !slices.Contains([]string{"n", "steps", "latency_us", "bandwidth_mbs"}, s.Sweep.Axis) &&
+				!slices.Contains(knobs, s.Sweep.Axis) {
 				return fmt.Errorf("scenario %q: %s cannot sweep axis %q (axes: n, steps, latency_us, bandwidth_mbs, and knobs %v)",
 					s.Name, s.App, s.Sweep.Axis, knobs)
-			}
-			if len(s.Sweep.Values) == 0 {
-				return fmt.Errorf("scenario %q: sweep over %q has no values", s.Name, s.Sweep.Axis)
-			}
-			for _, v := range s.Sweep.Values {
-				if v <= 0 {
-					return fmt.Errorf("scenario %q: sweep value %d must be positive", s.Name, v)
-				}
 			}
 		}
 		if len(s.Procs) == 0 {
@@ -383,14 +531,18 @@ func (s *Spec) validate() error {
 		}
 		// The machine spec must be valid for every grid point, so it is
 		// checked against the smallest requested cluster.
-		minProcs := s.Procs[0]
-		for _, p := range s.Procs {
-			if p < minProcs {
-				minProcs = p
-			}
-		}
-		if err := s.Machine.Validate(minProcs); err != nil {
+		if err := s.Machine.Validate(slices.Min(s.Procs)); err != nil {
 			return fmt.Errorf("scenario %q: %v", s.Name, err)
+		}
+	}
+	if s.Sweep != nil {
+		if len(s.Sweep.Values) == 0 {
+			return fmt.Errorf("scenario %q: sweep over %q has no values", s.Name, s.Sweep.Axis)
+		}
+		for _, v := range s.Sweep.Values {
+			if v <= 0 {
+				return fmt.Errorf("scenario %q: sweep value %d must be positive", s.Name, v)
+			}
 		}
 	}
 
@@ -407,334 +559,4 @@ func (s *Spec) validate() error {
 		}
 	}
 	return nil
-}
-
-// --- generic-shape field extraction ---
-
-func optString(m map[string]any, key string) (string, error) {
-	v, ok := m[key]
-	if !ok || v == nil {
-		return "", nil
-	}
-	s, ok := v.(string)
-	if !ok {
-		return "", fmt.Errorf("scenario: key %q must be a string (got %v)", key, v)
-	}
-	return s, nil
-}
-
-func optBool(m map[string]any, key string) (bool, error) {
-	v, ok := m[key]
-	if !ok || v == nil {
-		return false, nil
-	}
-	b, ok := v.(bool)
-	if !ok {
-		return false, fmt.Errorf("scenario: key %q must be true or false (got %v)", key, v)
-	}
-	return b, nil
-}
-
-func optInt(m map[string]any, key string) (int, bool, error) {
-	v, ok := m[key]
-	if !ok || v == nil {
-		return 0, false, nil
-	}
-	n, err := intVal(v, key)
-	return n, err == nil, err
-}
-
-// intVal narrows a decoded number (always float64, matching
-// encoding/json) to an exact integer.
-func intVal(v any, what string) (int, error) {
-	f, ok := v.(float64)
-	if !ok || f != float64(int(f)) {
-		return 0, fmt.Errorf("scenario: %s must be an integer (got %v)", what, v)
-	}
-	return int(f), nil
-}
-
-func optIntMap(m map[string]any, key string) (map[string]int, error) {
-	v, ok := m[key]
-	if !ok || v == nil {
-		return nil, nil
-	}
-	mm, ok := v.(map[string]any)
-	if !ok {
-		return nil, fmt.Errorf("scenario: key %q must be a mapping of integers (got %v)", key, v)
-	}
-	out := make(map[string]int, len(mm))
-	for _, k := range sortedMapKeys(mm) {
-		n, err := intVal(mm[k], fmt.Sprintf("%s.%s", key, k))
-		if err != nil {
-			return nil, err
-		}
-		out[k] = n
-	}
-	return out, nil
-}
-
-func optIntList(m map[string]any, key string) ([]int, error) {
-	v, ok := m[key]
-	if !ok || v == nil {
-		return nil, nil
-	}
-	l, ok := v.([]any)
-	if !ok {
-		return nil, fmt.Errorf("scenario: key %q must be a list of integers (got %v)", key, v)
-	}
-	out := make([]int, 0, len(l))
-	for i, e := range l {
-		n, err := intVal(e, fmt.Sprintf("%s[%d]", key, i))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
-func optStringList(m map[string]any, key string) ([]string, error) {
-	v, ok := m[key]
-	if !ok || v == nil {
-		return nil, nil
-	}
-	l, ok := v.([]any)
-	if !ok {
-		return nil, fmt.Errorf("scenario: key %q must be a list of strings (got %v)", key, v)
-	}
-	out := make([]string, 0, len(l))
-	for i, e := range l {
-		s, ok := e.(string)
-		if !ok {
-			return nil, fmt.Errorf("scenario: %s[%d] must be a string (got %v)", key, i, e)
-		}
-		out = append(out, s)
-	}
-	return out, nil
-}
-
-func optSweep(m map[string]any) (*Sweep, error) {
-	v, ok := m["sweep"]
-	if !ok || v == nil {
-		return nil, nil
-	}
-	mm, ok := v.(map[string]any)
-	if !ok {
-		return nil, fmt.Errorf(`scenario: key "sweep" must be a mapping with "axis" and "values" (got %v)`, v)
-	}
-	for _, k := range sortedMapKeys(mm) {
-		if k != "axis" && k != "values" {
-			return nil, fmt.Errorf("scenario: unknown sweep key %q (want axis, values)", k)
-		}
-	}
-	sw := &Sweep{}
-	var err error
-	if sw.Axis, err = optString(mm, "axis"); err != nil {
-		return nil, err
-	}
-	if sw.Axis == "" {
-		return nil, fmt.Errorf(`scenario: a sweep needs an "axis"`)
-	}
-	if sw.Values, err = optIntList(mm, "values"); err != nil {
-		return nil, err
-	}
-	return sw, nil
-}
-
-// optMachine decodes the structured `machine:` mapping. The default-
-// inheritance rule (absent key = SP2 default) makes an explicit zero
-// unexpressible, so zeros are rejected here — where "key present with
-// value 0" is still distinguishable from "key absent" — instead of
-// silently becoming the default downstream.
-func optMachine(m map[string]any) (apps.Machine, bool, error) {
-	var mach apps.Machine
-	v, ok := m["machine"]
-	if !ok || v == nil {
-		return mach, false, nil
-	}
-	mm, ok := v.(map[string]any)
-	if !ok {
-		return mach, true, fmt.Errorf(`scenario: key "machine" must be a mapping (got %v)`, v)
-	}
-	for _, k := range sortedMapKeys(mm) {
-		if k != "latency_us" && k != "bandwidth_mbs" && k != "perturb" {
-			return mach, true, fmt.Errorf("scenario: unknown machine key %q (want latency_us, bandwidth_mbs, perturb)", k)
-		}
-	}
-	var err error
-	var set bool
-	if mach.LatencyUS, set, err = optInt(mm, "latency_us"); err != nil {
-		return mach, true, err
-	}
-	if set && mach.LatencyUS == 0 {
-		return mach, true, fmt.Errorf(`scenario: machine.latency_us: 0 is ambiguous (0 means "inherit the default"); omit the key to inherit the SP2 default`)
-	}
-	if mach.BandwidthMBs, set, err = optInt(mm, "bandwidth_mbs"); err != nil {
-		return mach, true, err
-	}
-	if set && mach.BandwidthMBs == 0 {
-		return mach, true, fmt.Errorf(`scenario: machine.bandwidth_mbs: 0 is ambiguous (0 means "inherit the default"); omit the key to inherit the SP2 default`)
-	}
-	pv, ok := mm["perturb"]
-	if !ok || pv == nil {
-		return mach, true, nil
-	}
-	pm, ok := pv.(map[string]any)
-	if !ok {
-		return mach, true, fmt.Errorf(`scenario: key "machine.perturb" must be a mapping (got %v)`, pv)
-	}
-	for _, k := range sortedMapKeys(pm) {
-		if k != "cpu" && k != "links" && k != "jitter_us" && k != "jitter_seed" {
-			return mach, true, fmt.Errorf("scenario: unknown machine.perturb key %q (want cpu, links, jitter_us, jitter_seed)", k)
-		}
-	}
-	pert := &apps.Perturb{}
-	if pert.CPU, err = optFloatList(pm, "cpu"); err != nil {
-		return mach, true, err
-	}
-	if j, err := optFloat(pm, "jitter_us"); err != nil {
-		return mach, true, err
-	} else if j != nil {
-		pert.JitterUS = *j
-	}
-	seed, _, err := optInt(pm, "jitter_seed")
-	if err != nil {
-		return mach, true, err
-	}
-	pert.JitterSeed = int64(seed)
-	if lv, ok := pm["links"]; ok && lv != nil {
-		ll, ok := lv.([]any)
-		if !ok {
-			return mach, true, fmt.Errorf(`scenario: key "machine.perturb.links" must be a list of mappings (got %v)`, lv)
-		}
-		for i, e := range ll {
-			lm, ok := e.(map[string]any)
-			if !ok {
-				return mach, true, fmt.Errorf("scenario: machine.perturb.links[%d] must be a mapping (got %v)", i, e)
-			}
-			for _, k := range sortedMapKeys(lm) {
-				if k != "from" && k != "to" && k != "latency_us" && k != "bandwidth_mbs" {
-					return mach, true, fmt.Errorf("scenario: unknown link key %q (want from, to, latency_us, bandwidth_mbs)", k)
-				}
-			}
-			var l apps.LinkOverride
-			fromSet, toSet := false, false
-			if l.From, fromSet, err = optInt(lm, "from"); err != nil {
-				return mach, true, err
-			}
-			if l.To, toSet, err = optInt(lm, "to"); err != nil {
-				return mach, true, err
-			}
-			if !fromSet || !toSet {
-				return mach, true, fmt.Errorf(`scenario: machine.perturb.links[%d] needs "from" and "to"`, i)
-			}
-			if l.LatencyUS, _, err = optInt(lm, "latency_us"); err != nil {
-				return mach, true, err
-			}
-			if l.BandwidthMBs, _, err = optInt(lm, "bandwidth_mbs"); err != nil {
-				return mach, true, err
-			}
-			pert.Links = append(pert.Links, l)
-		}
-	}
-	if !pert.IsZero() {
-		mach.Perturb = pert
-	}
-	return mach, true, nil
-}
-
-func optFloatList(m map[string]any, key string) ([]float64, error) {
-	v, ok := m[key]
-	if !ok || v == nil {
-		return nil, nil
-	}
-	l, ok := v.([]any)
-	if !ok {
-		return nil, fmt.Errorf("scenario: key %q must be a list of numbers (got %v)", key, v)
-	}
-	out := make([]float64, 0, len(l))
-	for i, e := range l {
-		f, ok := e.(float64)
-		if !ok {
-			return nil, fmt.Errorf("scenario: %s[%d] must be a number (got %v)", key, i, e)
-		}
-		out = append(out, f)
-	}
-	return out, nil
-}
-
-func optBands(m map[string]any) ([]Band, error) {
-	v, ok := m["assert"]
-	if !ok || v == nil {
-		return nil, nil
-	}
-	l, ok := v.([]any)
-	if !ok {
-		return nil, fmt.Errorf(`scenario: key "assert" must be a list of bands (got %v)`, v)
-	}
-	out := make([]Band, 0, len(l))
-	for i, e := range l {
-		mm, ok := e.(map[string]any)
-		if !ok {
-			return nil, fmt.Errorf(`scenario: assert[%d] must be a mapping with "metric" and "min"/"max" (got %v)`, i, e)
-		}
-		for _, k := range sortedMapKeys(mm) {
-			if k != "metric" && k != "min" && k != "max" {
-				return nil, fmt.Errorf("scenario: unknown assert key %q (want metric, min, max)", k)
-			}
-		}
-		var b Band
-		var err error
-		if b.Metric, err = optString(mm, "metric"); err != nil {
-			return nil, err
-		}
-		if b.Min, err = optFloat(mm, "min"); err != nil {
-			return nil, err
-		}
-		if b.Max, err = optFloat(mm, "max"); err != nil {
-			return nil, err
-		}
-		out = append(out, b)
-	}
-	return out, nil
-}
-
-func optFloat(m map[string]any, key string) (*float64, error) {
-	v, ok := m[key]
-	if !ok || v == nil {
-		return nil, nil
-	}
-	f, ok := v.(float64)
-	if !ok {
-		return nil, fmt.Errorf("scenario: key %q must be a number (got %v)", key, v)
-	}
-	return &f, nil
-}
-
-func sortedMapKeys(m map[string]any) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedIntMapKeys(m map[string]int) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func contains(l []string, s string) bool {
-	for _, e := range l {
-		if e == s {
-			return true
-		}
-	}
-	return false
 }

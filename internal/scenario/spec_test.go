@@ -2,7 +2,10 @@ package scenario
 
 import (
 	"reflect"
+	"strings"
 	"testing"
+
+	"repro/internal/bench"
 )
 
 // TestParseFullSpec decodes a spec exercising every field and checks
@@ -46,7 +49,7 @@ repro: true
 		Procs:       []int{2, 4},
 		Variants:    []string{"chaos", "tmk-opt"},
 		Knobs:       map[string]int{"update_every": 5},
-		Sweep:       &Sweep{Axis: "latency_us", Values: []int{85, 170}},
+		Sweep:       &bench.SweepAxis{Axis: "latency_us", Values: []int{85, 170}},
 		Assert: []Band{{
 			Metric: "moldyn/latency_us=85, 2 procs/chaos/speedup",
 			Min:    &min, Max: &max,
@@ -222,10 +225,67 @@ func TestValidationErrors(t *testing.T) {
 		{"unknown assert key",
 			"name: x\nexperiment: table1\nassert:\n  - metric: m\n    floor: 1\n",
 			`scenario: unknown assert key "floor" (want metric, min, max)`},
+		{"case-variant top-level key",
+			"NAME: x\nexperiment: table1\n",
+			`scenario: unknown key "NAME"`},
+		{"case-variant list key",
+			"name: x\nexperiment: app\napp: moldyn\nn: 64\nProcs: [3]\n",
+			`scenario: unknown key "Procs"`},
+		{"case-variant machine key",
+			"name: x\nexperiment: app\napp: moldyn\nn: 64\nmachine:\n  Latency_US: 5\n",
+			`scenario: unknown machine key "Latency_US" (want latency_us, bandwidth_mbs, perturb)`},
+		{"case-variant top-level key in JSON",
+			`{"name": "x", "Name": "y", "experiment": "table1"}`,
+			`scenario: unknown key "Name"`},
+		{"case-variant list key in JSON",
+			`{"name": "x", "experiment": "app", "app": "moldyn", "n": 64, "Procs": [3]}`,
+			`scenario: unknown key "Procs"`},
+		{"case-variant machine key in JSON",
+			`{"name": "x", "experiment": "app", "app": "moldyn", "n": 64, "machine": {"Latency_US": 5}}`,
+			`scenario: unknown machine key "Latency_US" (want latency_us, bandwidth_mbs, perturb)`},
+		{"case-variant assert key in JSON",
+			`{"name": "x", "experiment": "table1", "assert": [{"Metric": "m", "min": 1}]}`,
+			`scenario: unknown assert key "Metric" (want metric, min, max)`},
+		{"name not a string",
+			"name: 3\nexperiment: table1\n",
+			`scenario: name must be a string (got 3)`},
+		{"procs not a list",
+			"name: x\nexperiment: app\napp: moldyn\nn: 64\nprocs: 4\n",
+			`scenario: procs must be a list (got 4)`},
+		{"knobs not a mapping",
+			"name: x\nexperiment: app\napp: moldyn\nn: 64\nknobs: [1]\n",
+			`scenario: knobs must be a mapping (got [1])`},
+		{"repro not a bool",
+			"name: x\nexperiment: table1\nrepro: \"yes\"\n",
+			`scenario: repro must be true or false (got yes)`},
+		{"machine not a mapping",
+			"name: x\nexperiment: app\napp: moldyn\nn: 64\nmachine: 5\n",
+			`scenario: machine must be a mapping (got 5)`},
+		{"non-integer knob",
+			"name: x\nexperiment: app\napp: moldyn\nn: 64\nknobs:\n  warp: 1.5\n",
+			`scenario: knobs.warp must be an integer (got 1.5)`},
+		{"non-integer proc count",
+			"name: x\nexperiment: app\napp: moldyn\nn: 64\nprocs: [2, 2.5]\n",
+			`scenario: procs[1] must be an integer (got 2.5)`},
+		{"null proc count",
+			"name: x\nexperiment: app\napp: moldyn\nn: 64\nprocs: [2, null]\n",
+			`scenario: procs[1] must be an integer (got <nil>)`},
+		{"non-integer link endpoint in JSON",
+			`{"name": "x", "experiment": "app", "app": "moldyn", "n": 64, "machine": {"perturb": {"links": [{"from": "a", "to": 1}]}}}`,
+			`scenario: machine.perturb.links[0].from must be an integer (got a)`},
+		{"NaN band edge",
+			"name: x\nexperiment: table1\nassert:\n  - metric: m\n    min: NaN\n",
+			`scenario: assert[0].min must be a number (got NaN)`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Parse([]byte(tc.in))
+			// A document opening with "{" is JSON: the YAML subset
+			// rejects flow mappings, so no YAML row can start that way.
+			parse := Parse
+			if strings.HasPrefix(tc.in, "{") {
+				parse = ParseJSON
+			}
+			_, err := parse([]byte(tc.in))
 			if err == nil {
 				t.Fatalf("Parse accepted:\n%s", tc.in)
 			}
