@@ -240,7 +240,7 @@ func MinImage(d, l float64) float64 {
 
 // Result is what one backend run reports.
 type Result struct {
-	System   string  // "seq", "tmk", "tmk-opt", "chaos"
+	System   string  // "seq", "tmk", "tmk-opt", "chaos", or "mp" (lock workloads)
 	TimeSec  float64 // simulated execution time of the measured window
 	Speedup  float64 // filled by the harness: seq time / TimeSec
 	Messages int64

@@ -217,7 +217,13 @@ func (v *VariantSet) Parallel() []*Result {
 	return []*Result{v.Chaos, v.Base, v.Opt}
 }
 
-// All returns all four results, sequential first.
+// Slots names the four result slots of a VariantSet, in All() order.
+// A slot is the backend's role, not its Result.System: the lock
+// workloads run a message-passing program ("mp") in the chaos slot.
+// Metric keys and the scenario variants filter use these names.
+var Slots = []string{"seq", "chaos", "tmk", "tmk-opt"}
+
+// All returns all four results, sequential first, in Slots order.
 func (v *VariantSet) All() []*Result {
 	return []*Result{v.Seq, v.Chaos, v.Base, v.Opt}
 }

@@ -13,10 +13,10 @@ package bench
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/apps"
-	"repro/internal/sim"
 
 	// Register the first-class applications.
 	_ "repro/internal/apps/moldyn"
@@ -26,43 +26,6 @@ import (
 	_ "repro/internal/apps/tsp"
 	_ "repro/internal/apps/unstruct"
 )
-
-// Row is one line of a results table.
-type Row struct {
-	Config   string
-	System   string
-	TimeSec  float64
-	Speedup  float64
-	Messages int64
-	DataMB   float64
-}
-
-// Table is a formatted experiment result.
-type Table struct {
-	Title string
-	Rows  []Row
-}
-
-// String renders the table in the paper's layout.
-func (t *Table) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", t.Title)
-	fmt.Fprintf(&b, "%-34s %-14s %10s %8s %10s %10s\n",
-		"Configuration", "System", "Time (s)", "Speedup", "Messages", "Data (MB)")
-	b.WriteString(strings.Repeat("-", 92) + "\n")
-	last := ""
-	for _, r := range t.Rows {
-		cfg := r.Config
-		if cfg == last {
-			cfg = ""
-		} else {
-			last = r.Config
-		}
-		fmt.Fprintf(&b, "%-34s %-14s %10.2f %8.2f %10d %10.1f\n",
-			cfg, r.System, r.TimeSec, r.Speedup, r.Messages, r.DataMB)
-	}
-	return b.String()
-}
 
 // AppResults holds one configuration's verified backend runs for any
 // registered application. Config is the decorated row-group heading the
@@ -100,17 +63,15 @@ func RunAppCtx(ctx context.Context, name string, cfg apps.Config, label string) 
 // Metrics flattens verified results into the named metric values the
 // scenario engine asserts bands on and byte-diffs across runs. Keys are
 // "<app>/<label>/<variant>/<field>" with variant one of seq, chaos,
-// tmk, tmk-opt (the registry's four slots — for the lock workloads the
-// chaos slot is the message-passing program) and field one of time_s,
+// tmk, tmk-opt (apps.Slots — for the lock workloads the chaos slot is
+// the message-passing program) and field one of time_s,
 // speedup, messages, data_mb, peak_kb plus every Detail entry the
 // backend recorded (inspector_s, scan_s, lock_*, per-category traffic).
 func Metrics(all []*AppResults) map[string]float64 {
 	out := map[string]float64{}
 	for _, res := range all {
-		for slot, r := range map[string]*apps.Result{
-			"seq": res.Seq, "chaos": res.Chaos, "tmk": res.Base, "tmk-opt": res.Opt,
-		} {
-			prefix := res.App + "/" + res.Label + "/" + slot + "/"
+		for i, r := range res.All() {
+			prefix := res.App + "/" + res.Label + "/" + apps.Slots[i] + "/"
 			out[prefix+"time_s"] = r.TimeSec
 			out[prefix+"speedup"] = r.Speedup
 			out[prefix+"messages"] = float64(r.Messages)
@@ -124,98 +85,101 @@ func Metrics(all []*AppResults) map[string]float64 {
 	return out
 }
 
-// appTableView assembles a table from already-run results. withSeq
-// additionally emits the sequential row (Tables 1 and 2 fold it into
-// the configuration label; Table 3 prints it).
-func appTableView(title string, all []*AppResults, withSeq bool) *Table {
-	t := &Table{Title: title}
-	for _, res := range all {
-		t.Rows = append(t.Rows, rowsOf(res, withSeq)...)
-	}
-	return t
+// ---- Results tables: one layout per table, rendered over apps.Results ----
+
+// column is one results-table column after Configuration and System:
+// its heading, the heading's and the cell's formats (each carrying the
+// separator before it), and the cell's value read off a result.
+type column struct {
+	head, headFmt, cellFmt string
+	cell                   func(r *apps.Result) any
 }
 
-// rowsOf converts one configuration's results into table rows in the
-// paper's order (CHAOS, Tmk base, Tmk optimized), optionally preceded
-// by the sequential reference.
-func rowsOf(res *AppResults, withSeq bool) []Row {
-	mk := func(sys string, r *apps.Result) Row { return rowOf(res.Config, sys, r) }
-	var rows []Row
-	if withSeq {
-		rows = append(rows, mk("Sequential", res.Seq))
-	}
-	return append(rows,
-		mk("CHAOS", res.Chaos), mk("Tmk base", res.Base), mk("Tmk optimized", res.Opt))
+// layout is one results table's shape: the widths of the two label
+// columns, the width of the rule under the heading, and the columns.
+type layout struct {
+	cfgW, sysW, rule int
+	cols             []column
 }
 
-// rowOf is one backend's common columns under a configuration heading.
-func rowOf(config, sys string, r *apps.Result) Row {
-	return Row{Config: config, System: sys, TimeSec: r.TimeSec, Speedup: r.Speedup,
-		Messages: r.Messages, DataMB: r.DataMB}
+// row is one printed line: a configuration label (blanked when it
+// repeats the previous row's), a system label, and the result.
+type row struct {
+	config, system string
+	r              *apps.Result
 }
 
-// LockRow is one line of the lock-workload table: the common columns
-// plus the aggregated synchronization cell of the measured window.
-type LockRow struct {
-	Row
-	Locks sim.LockStat
-}
-
-// LockTable is the formatted lock-workload experiment result
-// (Table 4).
-type LockTable struct {
-	Title string
-	Rows  []LockRow
-}
-
-// String renders the table: the common columns of Tables 1-3 plus the
-// lock columns (acquire count, simulated wait and hold seconds, and the
-// write-notice kilobytes shipped on lock grants).
-func (t *LockTable) String() string {
+// render prints the title, the heading, the rule and the rows.
+func (l *layout) render(title string, rows []row) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", t.Title)
-	fmt.Fprintf(&b, "%-30s %-13s %9s %8s %9s %9s %8s %8s %8s %10s\n",
-		"Configuration", "System", "Time (s)", "Speedup", "Messages", "Data (MB)",
-		"Lock acq", "Wait (s)", "Hold (s)", "Grant (KB)")
-	b.WriteString(strings.Repeat("-", 122) + "\n")
+	b.WriteString(title + "\n")
+	fmt.Fprintf(&b, "%-*s %-*s", l.cfgW, "Configuration", l.sysW, "System")
+	for _, c := range l.cols {
+		fmt.Fprintf(&b, c.headFmt, c.head)
+	}
+	b.WriteString("\n" + strings.Repeat("-", l.rule) + "\n")
 	last := ""
-	for _, r := range t.Rows {
-		cfg := r.Config
+	for _, rw := range rows {
+		cfg := rw.config
 		if cfg == last {
 			cfg = ""
 		} else {
-			last = r.Config
+			last = rw.config
 		}
-		fmt.Fprintf(&b, "%-30s %-13s %9.3f %8.2f %9d %9.2f %8d %8.3f %8.3f %10.1f\n",
-			cfg, r.System, r.TimeSec, r.Speedup, r.Messages, r.DataMB,
-			r.Locks.Acquires, r.Locks.WaitUS/1e6, r.Locks.HoldUS/1e6,
-			float64(r.Locks.GrantBytes)/1e3)
+		fmt.Fprintf(&b, "%-*s %-*s", l.cfgW, cfg, l.sysW, rw.system)
+		for _, c := range l.cols {
+			fmt.Fprintf(&b, c.cellFmt, c.cell(rw.r))
+		}
+		b.WriteString("\n")
 	}
 	return b.String()
 }
 
-// lockRowsOf converts one configuration's results into lock-table rows.
-// The Chaos slot of the lock workloads runs the message-passing
-// master/worker program, and the Opt slot the batched-claim TreadMarks
-// variant; the labels say so.
-func lockRowsOf(res *AppResults) []LockRow {
-	mk := func(sys string, r *apps.Result) LockRow {
-		return LockRow{
-			Row:   rowOf(res.Config, sys, r),
-			Locks: r.LockTotal(),
+// appLayout is Tables 1-3 and the app experiment: time, speedup,
+// message count and data volume.
+var appLayout = layout{cfgW: 34, sysW: 14, rule: 92, cols: []column{
+	{"Time (s)", " %10s", " %10.2f", func(r *apps.Result) any { return r.TimeSec }},
+	{"Speedup", " %8s", " %8.2f", func(r *apps.Result) any { return r.Speedup }},
+	{"Messages", " %10s", " %10d", func(r *apps.Result) any { return r.Messages }},
+	{"Data (MB)", " %10s", " %10.1f", func(r *apps.Result) any { return r.DataMB }},
+}}
+
+// lockLayout is Table 4: the common columns plus the measured window's
+// lock totals (acquire count, simulated wait and hold seconds, and the
+// write-notice kilobytes shipped on lock grants).
+var lockLayout = layout{cfgW: 30, sysW: 13, rule: 122, cols: []column{
+	{"Time (s)", " %9s", " %9.3f", func(r *apps.Result) any { return r.TimeSec }},
+	{"Speedup", " %8s", " %8.2f", func(r *apps.Result) any { return r.Speedup }},
+	{"Messages", " %9s", " %9d", func(r *apps.Result) any { return r.Messages }},
+	{"Data (MB)", " %9s", " %9.2f", func(r *apps.Result) any { return r.DataMB }},
+	{"Lock acq", " %8s", " %8d", func(r *apps.Result) any { return r.LockTotal().Acquires }},
+	{"Wait (s)", " %8s", " %8.3f", func(r *apps.Result) any { return r.LockTotal().WaitUS / 1e6 }},
+	{"Hold (s)", " %8s", " %8.3f", func(r *apps.Result) any { return r.LockTotal().HoldUS / 1e6 }},
+	{"Grant (KB)", " %10s", " %10.1f", func(r *apps.Result) any { return float64(r.LockTotal().GrantBytes) / 1e3 }},
+}}
+
+// system is one printed row per configuration: its label and the
+// apps.Slots slot it reads.
+type system struct{ label, slot string }
+
+// The tables' row lists, in print order. Tables 1 and 2 fold the
+// sequential run into the configuration label; the lock workloads run
+// the message-passing master/worker program in the chaos slot and the
+// batched-claim TreadMarks variant in the tmk-opt slot.
+var (
+	paperSystems = []system{{"Sequential", "seq"}, {"CHAOS", "chaos"}, {"Tmk base", "tmk"}, {"Tmk optimized", "tmk-opt"}}
+	lockSystems  = []system{{"Sequential", "seq"}, {"PVM m/w", "chaos"}, {"Tmk base", "tmk"}, {"Tmk batched", "tmk-opt"}}
+)
+
+// tableRows lists each configuration's systems in order, under its
+// decorated configuration label.
+func tableRows(all []*AppResults, systems []system) []row {
+	rows := make([]row, 0, len(all)*len(systems))
+	for _, res := range all {
+		vs := res.All()
+		for _, s := range systems {
+			rows = append(rows, row{res.Config, s.label, vs[slices.Index(apps.Slots, s.slot)]})
 		}
 	}
-	return []LockRow{
-		mk("Sequential", res.Seq), mk("PVM m/w", res.Chaos),
-		mk("Tmk base", res.Base), mk("Tmk batched", res.Opt),
-	}
-}
-
-// lockTableView assembles the lock table from already-run results.
-func lockTableView(title string, all []*AppResults) *LockTable {
-	t := &LockTable{Title: title}
-	for _, res := range all {
-		t.Rows = append(t.Rows, lockRowsOf(res)...)
-	}
-	return t
+	return rows
 }

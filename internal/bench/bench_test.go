@@ -117,7 +117,7 @@ func TestTable3Shape(t *testing.T) {
 		t.Errorf("unstruct: opt (%.3fs) not faster than base (%.3fs)", u.Opt.TimeSec, u.Base.TimeSec)
 	}
 	// Table 3's view prints the sequential row of both groups.
-	out := appTableView("T3", []*AppResults{r, u}, true).String()
+	out := appLayout.render("T3", tableRows([]*AppResults{r, u}, paperSystems))
 	if n := strings.Count(out, "Sequential"); n != 2 {
 		t.Fatalf("table 3 view has %d sequential rows, want 2:\n%s", n, out)
 	}
@@ -129,17 +129,18 @@ func TestTable4Shape(t *testing.T) {
 	}
 	all := append(runApp(t, RunRequest{App: "tsp", N: 9, Procs: []int{4}}),
 		runApp(t, RunRequest{App: "taskq", N: 128, Procs: []int{4}})...)
-	tbl := lockTableView("T4", all)
-	if len(all) != 2 || len(tbl.Rows) != 8 {
-		t.Fatalf("expected 2 configs x 4 rows, got %d configs, %d rows", len(all), len(tbl.Rows))
+	rows := tableRows(all, lockSystems)
+	if len(all) != 2 || len(rows) != 8 {
+		t.Fatalf("expected 2 configs x 4 rows, got %d configs, %d rows", len(all), len(rows))
 	}
-	for _, r := range tbl.Rows {
-		lockBased := r.System == "Tmk base" || r.System == "Tmk batched"
-		if lockBased && (r.Locks.Acquires == 0 || r.Locks.GrantBytes == 0) {
-			t.Errorf("%s/%s: empty lock stats %+v", r.Config, r.System, r.Locks)
+	for _, rw := range rows {
+		locks := rw.r.LockTotal()
+		lockBased := rw.system == "Tmk base" || rw.system == "Tmk batched"
+		if lockBased && (locks.Acquires == 0 || locks.GrantBytes == 0) {
+			t.Errorf("%s/%s: empty lock stats %+v", rw.config, rw.system, locks)
 		}
-		if !lockBased && r.Locks.Acquires != 0 {
-			t.Errorf("%s/%s: unexpected lock stats %+v", r.Config, r.System, r.Locks)
+		if !lockBased && locks.Acquires != 0 {
+			t.Errorf("%s/%s: unexpected lock stats %+v", rw.config, rw.system, locks)
 		}
 	}
 	// Batching reduces queue-lock acquires on both workloads.
@@ -148,7 +149,7 @@ func TestTable4Shape(t *testing.T) {
 			t.Errorf("%s: batched acquires %d not below base %d", r.Config, o, b)
 		}
 	}
-	out := tbl.String()
+	out := lockLayout.render("T4", rows)
 	for _, want := range []string{"Lock acq", "Wait (s)", "PVM m/w", "Tmk batched"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("table 4 output missing %q:\n%s", want, out)
@@ -157,17 +158,20 @@ func TestTable4Shape(t *testing.T) {
 }
 
 func TestTableFormatting(t *testing.T) {
-	tbl := &Table{Title: "T", Rows: []Row{
-		{Config: "a", System: "CHAOS", TimeSec: 1.5, Speedup: 6, Messages: 100, DataMB: 2},
-		{Config: "a", System: "Tmk base", TimeSec: 2.5, Speedup: 4, Messages: 900, DataMB: 9},
-	}}
-	out := tbl.String()
-	if !strings.Contains(out, "CHAOS") || !strings.Contains(out, "Tmk base") {
-		t.Fatalf("bad table:\n%s", out)
-	}
-	// The repeated config label is blanked.
-	if strings.Count(out, "a ") < 1 {
-		t.Fatalf("config column wrong:\n%s", out)
+	out := appLayout.render("T", []row{
+		{"a", "CHAOS", &apps.Result{TimeSec: 1.5, Speedup: 6, Messages: 100, DataMB: 2}},
+		{"a", "Tmk base", &apps.Result{TimeSec: 2.5, Speedup: 4, Messages: 900, DataMB: 9}},
+		{"b", "CHAOS", &apps.Result{TimeSec: 0.5, Speedup: 3, Messages: 7, DataMB: 0.5}},
+	})
+	want := "T\n" +
+		"Configuration                      System           Time (s)  Speedup   Messages  Data (MB)\n" +
+		strings.Repeat("-", 92) + "\n" +
+		"a                                  CHAOS                1.50     6.00        100        2.0\n" +
+		"                                   Tmk base             2.50     4.00        900        9.0\n" +
+		"b                                  CHAOS                0.50     3.00          7        0.5\n"
+	// The repeated config label is blanked; a new one is printed.
+	if out != want {
+		t.Fatalf("table:\n%s\nwant:\n%s", out, want)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/apps"
 	"repro/internal/cache"
 )
 
@@ -83,22 +84,21 @@ func (r *RunResult) SizeBytes() int64 {
 }
 
 // PresentAppRows renders the generic app experiment: one table whose
-// rows are a backend selection over every verified configuration.
-// want filters rows by backend name; nil selects every row. The
-// scenario engine and the run service's render endpoint both go
-// through here, so a served result prints the same bytes a local
-// scenario run would.
+// rows are a slot selection over every verified configuration, each
+// labeled with its backend's Result.System. want filters rows by slot
+// (apps.Slots); nil selects every row. The scenario engine and the run
+// service's render endpoint both go through here, so the two print the
+// same rows and differ only in the title each passes.
 func PresentAppRows(w io.Writer, title string, want map[string]bool, res *RunResult) {
-	tbl := &Table{Title: title}
+	var rows []row
 	for _, ar := range res.Apps {
-		for _, r := range ar.All() {
-			if want != nil && !want[r.System] {
-				continue
+		for i, r := range ar.All() {
+			if want == nil || want[apps.Slots[i]] {
+				rows = append(rows, row{ar.Config, r.System, r})
 			}
-			tbl.Rows = append(tbl.Rows, rowOf(ar.Config, r.System, r))
 		}
 	}
-	fmt.Fprint(w, tbl.String())
+	fmt.Fprint(w, appLayout.render(title, rows))
 	fmt.Fprintln(w, verified)
 }
 

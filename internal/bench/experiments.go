@@ -10,7 +10,8 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 
 	"repro/internal/apps"
@@ -99,19 +100,16 @@ func Canned(name string) (Experiment, bool) {
 func Request(name string, params map[string]int) (RunRequest, error) {
 	e, ok := experiments[name]
 	if !ok {
-		names := []string{"app"}
-		for n := range experiments {
-			names = append(names, n)
-		}
-		sort.Strings(names)
+		names := slices.AppendSeq([]string{"app"}, maps.Keys(experiments))
+		slices.Sort(names)
 		last := len(names) - 1
 		return RunRequest{}, fmt.Errorf("unknown experiment %q (want %s, or %s)",
 			name, strings.Join(names[:last], ", "), names[last])
 	}
-	for _, k := range sortedIntKeys(params) {
+	for _, k := range slices.Sorted(maps.Keys(params)) {
 		if _, ok := e.Params[k]; !ok {
 			return RunRequest{}, fmt.Errorf("experiment %s does not take param %q (takes: %v)",
-				name, k, sortedIntKeys(e.Params))
+				name, k, slices.Sorted(maps.Keys(e.Params)))
 		}
 		if params[k] < 0 {
 			return RunRequest{}, fmt.Errorf("param %q must be non-negative (got %d)", k, params[k])
@@ -233,10 +231,10 @@ func table5Items(p map[string]int) []runItem {
 
 const verified = "\nAll parallel backends verified bit-identical to the sequential program."
 
-// presentRows prints a table, the verification line, and one claim
-// line per configuration.
-func presentRows(w io.Writer, tbl fmt.Stringer, all []*AppResults, claim func(w io.Writer, r *AppResults)) {
-	fmt.Fprint(w, tbl.String())
+// presentRows prints a rendered table, the verification line, and one
+// claim line per configuration.
+func presentRows(w io.Writer, table string, all []*AppResults, claim func(w io.Writer, r *AppResults)) {
+	fmt.Fprint(w, table)
 	fmt.Fprintln(w, verified)
 	fmt.Fprintln(w)
 	for _, r := range all {
@@ -257,7 +255,7 @@ func presentTable1(w io.Writer, p map[string]int, res *RunResult) {
 	title := fmt.Sprintf(
 		"Table 1: Moldyn - %d processor results (N=%d, %s). The interaction list is updated at varying intervals.",
 		p["procs"], p["n"], fmtN(p["steps"], "steps"))
-	presentRows(w, appTableView(title, res.Apps, false), res.Apps, func(w io.Writer, r *AppResults) {
+	presentRows(w, appLayout.render(title, tableRows(res.Apps, paperSystems[1:])), res.Apps, func(w io.Writer, r *AppResults) {
 		fmt.Fprintf(w, "%-36s inspector %.2f s/proc, Validate scan %.2f s, opt vs CHAOS %+.0f%%, opt vs base %+.0f%%\n",
 			r.Config, r.Chaos.Detail["inspector_s"], r.Opt.Detail["scan_s"],
 			100*(r.Chaos.TimeSec-r.Opt.TimeSec)/r.Chaos.TimeSec,
@@ -268,7 +266,7 @@ func presentTable1(w io.Writer, p map[string]int, res *RunResult) {
 func presentTable2(w io.Writer, p map[string]int, res *RunResult) {
 	title := fmt.Sprintf("Table 2: NBF Kernel - %d processor results (%s, %s).",
 		p["procs"], fmtN(p["partners"], "partners/molecule"), fmtN(p["steps"], "timed steps"))
-	presentRows(w, appTableView(title, res.Apps, false), res.Apps, func(w io.Writer, r *AppResults) {
+	presentRows(w, appLayout.render(title, tableRows(res.Apps, paperSystems[1:])), res.Apps, func(w io.Writer, r *AppResults) {
 		fmt.Fprintf(w, "%-28s inspector %.2f s/proc (untimed), Validate scan %.3f s, opt vs CHAOS %+.0f%%, opt vs base %+.0f%%\n",
 			r.Config, r.Chaos.Detail["inspector_s"], r.Opt.Detail["scan_s"],
 			100*(r.Chaos.TimeSec-r.Opt.TimeSec)/r.Chaos.TimeSec,
@@ -279,10 +277,15 @@ func presentTable2(w io.Writer, p map[string]int, res *RunResult) {
 func presentTable3(w io.Writer, p map[string]int, res *RunResult) {
 	title := fmt.Sprintf("Table 3: SPMV and Unstruct - %d processor results (%s, %s).",
 		p["procs"], fmtN(p["nnz"], "nonzeros/row"), fmtN(p["steps"], "timed sweeps"))
-	presentRows(w, appTableView(title, res.Apps, true), res.Apps, func(w io.Writer, r *AppResults) {
-		fmt.Fprintf(w, "%-28s inspector %.3f s/proc (untimed), Validate scan %.3f s, opt vs base: %.1fx fewer messages, %.0f%% less time\n",
-			r.Config, r.Chaos.Detail["inspector_s"], r.Opt.Detail["scan_s"],
-			float64(r.Base.Messages)/float64(r.Opt.Messages),
+	presentRows(w, appLayout.render(title, tableRows(res.Apps, paperSystems)), res.Apps, func(w io.Writer, r *AppResults) {
+		// A 1-processor run sends no data messages; there is no ratio
+		// to print then.
+		msgClause := "messages n/a (none sent)"
+		if r.Opt.Messages > 0 {
+			msgClause = fmt.Sprintf("%.1fx fewer messages", float64(r.Base.Messages)/float64(r.Opt.Messages))
+		}
+		fmt.Fprintf(w, "%-28s inspector %.3f s/proc (untimed), Validate scan %.3f s, opt vs base: %s, %.0f%% less time\n",
+			r.Config, r.Chaos.Detail["inspector_s"], r.Opt.Detail["scan_s"], msgClause,
 			100*(r.Base.TimeSec-r.Opt.TimeSec)/r.Base.TimeSec)
 	})
 }
@@ -291,7 +294,7 @@ func presentTable4(w io.Writer, p map[string]int, res *RunResult) {
 	title := fmt.Sprintf(
 		"Table 4: Lock-based workloads - %d processor results (branch-and-bound TSP; migratory task queue).",
 		p["procs"])
-	presentRows(w, lockTableView(title, res.Apps), res.Apps, func(w io.Writer, r *AppResults) {
+	presentRows(w, lockLayout.render(title, tableRows(res.Apps, lockSystems)), res.Apps, func(w io.Writer, r *AppResults) {
 		base, opt := r.Base.LockTotal(), r.Opt.LockTotal()
 		// All grants are idle on an uncontended (e.g. 1-processor)
 		// cluster; there is no wait to compare then.
@@ -313,7 +316,7 @@ func presentTable5(w io.Writer, p map[string]int, res *RunResult) {
 	}
 	title := fmt.Sprintf("Table 5: Simulated per-processor memory footprint - %d processor results (%s).",
 		p["procs"], budget)
-	presentRows(w, memTableView(title, res.Apps), res.Apps, func(w io.Writer, r *AppResults) {
+	presentRows(w, memLayout.render(title, tableRows(res.Apps, paperSystems)), res.Apps, func(w io.Writer, r *AppResults) {
 		fmt.Fprintf(w, "%-28s CHAOS table: %-18s CHAOS peak %7.1f KB/proc, Tmk opt peak %7.1f KB/proc\n",
 			r.Config, r.Chaos.TableOrg, r.Chaos.MaxPeakMB()*1e3, r.Opt.MaxPeakMB()*1e3)
 	})

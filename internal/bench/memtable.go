@@ -8,9 +8,9 @@
 package bench
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"strings"
 
 	"repro/internal/apps"
 	"repro/internal/apps/moldyn"
@@ -19,51 +19,25 @@ import (
 	"repro/internal/tmk"
 )
 
-// MemRow is one line of the memory table: the identity columns plus
-// per-processor footprint numbers (KB, max over processors of the
-// ledger peaks) and the table organization the run used.
-type MemRow struct {
-	Config    string
-	System    string
-	PeakKB    float64 // total per-processor footprint high-water mark
-	SharedKB  float64 // tmk.pages: the DSM page copies
-	PrivKB    float64 // app-level arrays: chaos data/ghosts/replicas/pairs, tmk private
-	TableKB   float64 // chaos.table: translation-table storage incl. cached pages
-	SchedKB   float64 // chaos.sched + transient inspector hash (peak)
-	ConsistKB float64 // tmk twins + diffs + the notice board
-	TableOrg  string
-}
-
-// MemTable is the formatted memory experiment result (Table 5).
-type MemTable struct {
-	Title string
-	Rows  []MemRow
-}
-
-// String renders the table.
-func (t *MemTable) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", t.Title)
-	fmt.Fprintf(&b, "%-30s %-13s %10s %10s %10s %10s %10s %11s  %s\n",
-		"Configuration", "System", "Peak (KB)", "Shared", "Private", "Table", "Sched", "Consist", "Table org")
-	b.WriteString(strings.Repeat("-", 122) + "\n")
-	last := ""
-	for _, r := range t.Rows {
-		cfg := r.Config
-		if cfg == last {
-			cfg = ""
-		} else {
-			last = r.Config
-		}
-		org := r.TableOrg
-		if org == "" {
-			org = "-"
-		}
-		fmt.Fprintf(&b, "%-30s %-13s %10.1f %10.1f %10.1f %10.1f %10.1f %11.1f  %s\n",
-			cfg, r.System, r.PeakKB, r.SharedKB, r.PrivKB, r.TableKB, r.SchedKB, r.ConsistKB, org)
-	}
-	return b.String()
-}
+// memLayout is Table 5: per-processor footprint numbers (KB, max over
+// processors of the ledger peaks) — the total high-water mark, the DSM
+// page copies, the app-level arrays (chaos data/ghosts/replicas/pairs,
+// tmk private), translation-table storage incl. cached pages, the
+// schedules plus the transient inspector hash, and tmk's twins, diffs
+// and notice board — then the table organization the run used.
+var memLayout = layout{cfgW: 30, sysW: 13, rule: 122, cols: []column{
+	{"Peak (KB)", " %10s", " %10.1f", func(r *apps.Result) any { return r.MaxPeakMB() * 1e3 }},
+	{"Shared", " %10s", " %10.1f", func(r *apps.Result) any { return catPeakKB(r, tmk.MemCatPages) }},
+	{"Private", " %10s", " %10.1f", func(r *apps.Result) any {
+		return catPeakKB(r, apps.MemCatData, apps.MemCatReplica, apps.MemCatPairs, apps.MemCatPrivate)
+	}},
+	{"Table", " %10s", " %10.1f", func(r *apps.Result) any { return catPeakKB(r, chaos.MemCatTable) }},
+	{"Sched", " %10s", " %10.1f", func(r *apps.Result) any { return catPeakKB(r, chaos.MemCatSched, chaos.MemCatInspector) }},
+	{"Consist", " %11s", " %11.1f", func(r *apps.Result) any {
+		return catPeakKB(r, tmk.MemCatTwins, tmk.MemCatDiffs, tmk.MemCatBoard)
+	}},
+	{"Table org", "  %s", "  %s", func(r *apps.Result) any { return cmp.Or(r.TableOrg, "-") }},
+}}
 
 // catPeakKB returns the largest per-processor peak of the listed ledger
 // categories, summed over categories (an upper bound when they do not
@@ -74,36 +48,6 @@ func catPeakKB(r *apps.Result, cats ...string) float64 {
 		total += r.MemCat(c).PeakBytes
 	}
 	return float64(total) / 1e3
-}
-
-// memRowsOf converts one configuration's results into memory rows.
-func memRowsOf(res *AppResults) []MemRow {
-	mk := func(sys string, r *apps.Result) MemRow {
-		return MemRow{
-			Config:    res.Config,
-			System:    sys,
-			PeakKB:    r.MaxPeakMB() * 1e3,
-			SharedKB:  catPeakKB(r, tmk.MemCatPages),
-			PrivKB:    catPeakKB(r, apps.MemCatData, apps.MemCatReplica, apps.MemCatPairs, apps.MemCatPrivate),
-			TableKB:   catPeakKB(r, chaos.MemCatTable),
-			SchedKB:   catPeakKB(r, chaos.MemCatSched, chaos.MemCatInspector),
-			ConsistKB: catPeakKB(r, tmk.MemCatTwins, tmk.MemCatDiffs, tmk.MemCatBoard),
-			TableOrg:  r.TableOrg,
-		}
-	}
-	return []MemRow{
-		mk("Sequential", res.Seq), mk("CHAOS", res.Chaos),
-		mk("Tmk base", res.Base), mk("Tmk optimized", res.Opt),
-	}
-}
-
-// memTableView assembles the memory table from already-run results.
-func memTableView(title string, all []*AppResults) *MemTable {
-	t := &MemTable{Title: title}
-	for _, res := range all {
-		t.Rows = append(t.Rows, memRowsOf(res)...)
-	}
-	return t
 }
 
 // ---- The moldyn anecdote ----------------------------------------------

@@ -20,6 +20,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"strconv"
 
 	"repro/internal/apps"
@@ -103,13 +105,13 @@ func (r RunRequest) Canonical() []byte {
 	}
 	fmt.Fprintf(&b, "runrequest/v%d\n", v)
 	fmt.Fprintf(&b, "experiment=%s\n", r.Experiment)
-	for _, k := range sortedIntKeys(r.Params) {
+	for _, k := range slices.Sorted(maps.Keys(r.Params)) {
 		fmt.Fprintf(&b, "param.%s=%d\n", k, r.Params[k])
 	}
 	fmt.Fprintf(&b, "app=%s\n", r.App)
 	fmt.Fprintf(&b, "n=%d\nsteps=%d\nseed=%d\n", r.N, r.Steps, r.Seed)
 	fmt.Fprintf(&b, "procs=%s\n", intList(r.Procs))
-	for _, k := range sortedIntKeys(r.Knobs) {
+	for _, k := range slices.Sorted(maps.Keys(r.Knobs)) {
 		fmt.Fprintf(&b, "knob.%s=%d\n", k, r.Knobs[k])
 	}
 	fmt.Fprintf(&b, "machine.latency_us=%d\nmachine.bandwidth_mbs=%d\n",
@@ -179,20 +181,6 @@ func floatList(vs []float64) string {
 		b.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
 	}
 	return b.String()
-}
-
-func sortedIntKeys(m map[string]int) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	// Tiny maps; insertion sort keeps the import list honest.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }
 
 // RunResult holds one experiment's structured numbers: the verified
@@ -457,13 +445,43 @@ func memBudgets(n, procs, workPages int) []int64 {
 
 // ---- The generic app experiment ----------------------------------------
 
+// sweepAxes is the app experiment's built-in sweep axes, each with the
+// configuration field it sets; any other axis names one of the app's
+// knobs.
+var sweepAxes = []struct {
+	name string
+	set  func(c *apps.Config, v int)
+}{
+	{"n", func(c *apps.Config, v int) { c.N = v }},
+	{"steps", func(c *apps.Config, v int) { c.Steps = v }},
+	{"latency_us", func(c *apps.Config, v int) { c.Machine.LatencyUS = v }},
+	{"bandwidth_mbs", func(c *apps.Config, v int) { c.Machine.BandwidthMBs = v }},
+}
+
+// SweepAxes returns the app experiment's built-in sweep axis names, in
+// order; an app's knobs are sweepable too.
+func SweepAxes() []string {
+	names := make([]string, len(sweepAxes))
+	for i, a := range sweepAxes {
+		names[i] = a.name
+	}
+	return names
+}
+
 // runAppGrid executes the cross product of the request's sweep values
 // (if any) and its procs list, each configuration verified across all
 // four backends.
 func runAppGrid(ctx context.Context, tr *obs.Trace, req RunRequest) ([]*AppResults, error) {
 	sweepVals := []int{0}
+	var set func(c *apps.Config, v int)
 	if req.Sweep != nil {
 		sweepVals = req.Sweep.Values
+		set = func(c *apps.Config, v int) { *c = c.WithKnob(req.Sweep.Axis, v) }
+		for _, a := range sweepAxes {
+			if a.name == req.Sweep.Axis {
+				set = a.set
+			}
+		}
 	}
 	var items []runItem
 	for _, sv := range sweepVals {
@@ -476,18 +494,7 @@ func runAppGrid(ctx context.Context, tr *obs.Trace, req RunRequest) ([]*AppResul
 			label := fmt.Sprintf("%d procs", procs)
 			if req.Sweep != nil {
 				label = fmt.Sprintf("%s=%d, %s", req.Sweep.Axis, sv, label)
-				switch req.Sweep.Axis {
-				case "n":
-					cfg.N = sv
-				case "steps":
-					cfg.Steps = sv
-				case "latency_us":
-					cfg.Machine.LatencyUS = sv
-				case "bandwidth_mbs":
-					cfg.Machine.BandwidthMBs = sv
-				default:
-					cfg = cfg.WithKnob(req.Sweep.Axis, sv)
-				}
+				set(&cfg, sv)
 			}
 			items = append(items, runItem{App: req.App, Label: label, Cfg: cfg})
 		}

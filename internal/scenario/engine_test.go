@@ -94,35 +94,37 @@ func TestClaims(t *testing.T) {
 	}
 }
 
-// TestVariantFilter checks the variants list selects table rows
-// without touching the metrics (bands can reference any slot).
+// TestVariantFilter checks the variants list selects table rows by
+// slot without touching the metrics (bands can reference any slot).
+// The lock workloads run the message-passing program in the chaos slot,
+// so "chaos" selects taskq's row labeled mp.
 func TestVariantFilter(t *testing.T) {
-	spec, err := Parse([]byte(`
-name: chaos-only
-experiment: app
-app: moldyn
-n: 64
-steps: 2
-procs: [2]
-variants: [chaos]
-`))
-	if err != nil {
-		t.Fatalf("Parse: %v", err)
-	}
-	out, err := Run(spec)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	for _, absent := range []string{" seq ", " tmk ", " tmk-opt "} {
-		if strings.Contains(out.Rendered, absent) {
-			t.Errorf("rendered output has filtered-out row %q:\n%s", absent, out.Rendered)
-		}
-	}
-	if !strings.Contains(out.Rendered, "chaos") {
-		t.Errorf("rendered output missing the chaos row:\n%s", out.Rendered)
-	}
-	if _, ok := out.Metrics["moldyn/2 procs/tmk/time_s"]; !ok {
-		t.Errorf("metrics must keep all slots regardless of variants")
+	for _, tc := range []struct{ app, extra, system string }{
+		{"moldyn", "steps: 2\n", "chaos"},
+		{"taskq", "", "mp"},
+	} {
+		t.Run(tc.app, func(t *testing.T) {
+			spec, err := Parse([]byte("name: chaos-only\nexperiment: app\napp: " + tc.app +
+				"\nn: 64\n" + tc.extra + "procs: [2]\nvariants: [chaos]\n"))
+			if err != nil {
+				t.Fatalf("Parse: %v", err)
+			}
+			out, err := Run(spec)
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			for _, absent := range []string{" seq ", " tmk ", " tmk-opt "} {
+				if strings.Contains(out.Rendered, absent) {
+					t.Errorf("rendered output has filtered-out row %q:\n%s", absent, out.Rendered)
+				}
+			}
+			if !strings.Contains(out.Rendered, " "+tc.system+" ") {
+				t.Errorf("rendered output missing the %s row:\n%s", tc.system, out.Rendered)
+			}
+			if _, ok := out.Metrics[tc.app+"/2 procs/tmk/time_s"]; !ok {
+				t.Errorf("metrics must keep all slots regardless of variants")
+			}
+		})
 	}
 }
 
@@ -216,16 +218,19 @@ func TestPresentResultMatchesEngine(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every canned experiment")
 	}
-	for name, params := range map[string]string{
-		"table1": "n: 64\n  procs: 2\n  steps: 2",
-		"table2": "scale: 2\n  procs: 2\n  steps: 1\n  partners: 8",
-		"table3": "n: 256\n  nnz: 4\n  procs: 2\n  steps: 1",
-		"table4": "cities: 5\n  items: 16\n  procs: 2",
-		"table5": "procs: 2\n  n: 64\n  nbf: 256\n  spmv: 256\n  moldyn_steps: 2\n  steps: 1",
-		"memory": "n: 64\n  procs: 2",
+	for _, tc := range []struct{ name, experiment, params string }{
+		{"table1", "table1", "n: 64\n  procs: 2\n  steps: 2"},
+		{"table2", "table2", "scale: 2\n  procs: 2\n  steps: 1\n  partners: 8"},
+		{"table3", "table3", "n: 256\n  nnz: 4\n  procs: 2\n  steps: 1"},
+		// One processor: no backend sends a message, so no ratio of
+		// message counts may reach the rendering.
+		{"table3-1proc", "table3", "n: 256\n  nnz: 4\n  procs: 1\n  steps: 1"},
+		{"table4", "table4", "cities: 5\n  items: 16\n  procs: 2"},
+		{"table5", "table5", "procs: 2\n  n: 64\n  nbf: 256\n  spmv: 256\n  moldyn_steps: 2\n  steps: 1"},
+		{"memory", "memory", "n: 64\n  procs: 2"},
 	} {
-		t.Run(name, func(t *testing.T) {
-			spec, err := Parse([]byte("name: x\nexperiment: " + name + "\nparams:\n  " + params + "\n"))
+		t.Run(tc.name, func(t *testing.T) {
+			spec, err := Parse([]byte("name: x\nexperiment: " + tc.experiment + "\nparams:\n  " + tc.params + "\n"))
 			if err != nil {
 				t.Fatalf("Parse: %v", err)
 			}
@@ -254,6 +259,11 @@ func TestPresentResultMatchesEngine(t *testing.T) {
 			if buf.String() != out.Rendered {
 				t.Errorf("PresentResult differs from the engine:\n--- served ---\n%s--- engine ---\n%s",
 					buf.String(), out.Rendered)
+			}
+			for _, bad := range []string{"NaN", "Inf"} {
+				if strings.Contains(out.Rendered, bad) {
+					t.Errorf("rendering prints %s:\n%s", bad, out.Rendered)
+				}
 			}
 		})
 	}

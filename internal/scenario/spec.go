@@ -157,9 +157,6 @@ type linkFile struct {
 	BandwidthMBs int  `json:"bandwidth_mbs"`
 }
 
-// variantSlots is the registry's four result slots (apps.Result.System).
-var variantSlots = []string{"seq", "chaos", "tmk", "tmk-opt"}
-
 // Param returns a canned experiment parameter, falling back to the
 // schema default.
 func (s *Spec) Param(name string) int {
@@ -503,9 +500,9 @@ func (s *Spec) validate() error {
 			}
 		}
 		for _, v := range s.Variants {
-			if !slices.Contains(variantSlots, v) {
+			if !slices.Contains(apps.Slots, v) {
 				return fmt.Errorf("scenario %q: unknown variant %q (want %s)",
-					s.Name, v, strings.Join(variantSlots, ", "))
+					s.Name, v, strings.Join(apps.Slots, ", "))
 			}
 		}
 		for _, k := range slices.Sorted(maps.Keys(s.Knobs)) {
@@ -517,17 +514,16 @@ func (s *Spec) validate() error {
 			if s.Sweep.Axis == "procs" {
 				return fmt.Errorf(`scenario %q: "procs" is not a sweep axis (give a procs list instead)`, s.Name)
 			}
-			if !slices.Contains([]string{"n", "steps", "latency_us", "bandwidth_mbs"}, s.Sweep.Axis) &&
-				!slices.Contains(knobs, s.Sweep.Axis) {
-				return fmt.Errorf("scenario %q: %s cannot sweep axis %q (axes: n, steps, latency_us, bandwidth_mbs, and knobs %v)",
-					s.Name, s.App, s.Sweep.Axis, knobs)
+			if axes := bench.SweepAxes(); !slices.Contains(axes, s.Sweep.Axis) && !slices.Contains(knobs, s.Sweep.Axis) {
+				return fmt.Errorf("scenario %q: %s cannot sweep axis %q (axes: %s, and knobs %v)",
+					s.Name, s.App, s.Sweep.Axis, strings.Join(axes, ", "), knobs)
 			}
 		}
 		if len(s.Procs) == 0 {
 			s.Procs = []int{8}
 		}
 		if len(s.Variants) == 0 {
-			s.Variants = append([]string(nil), variantSlots...)
+			s.Variants = slices.Clone(apps.Slots)
 		}
 		// The machine spec must be valid for every grid point, so it is
 		// checked against the smallest requested cluster.

@@ -1106,7 +1106,6 @@ type barrier struct {
 	gen         int64
 	waiting     int
 	contrib     []any
-	cbytes      []int
 	arrive      []float64
 	replies     []any
 	rbytesStash []int
@@ -1119,7 +1118,7 @@ func (c *Cluster) barrierLocked(id int) *barrier {
 	b := c.barriers[id]
 	if b == nil {
 		n := len(c.procs)
-		b = &barrier{contrib: make([]any, n), cbytes: make([]int, n), arrive: make([]float64, n)}
+		b = &barrier{contrib: make([]any, n), arrive: make([]float64, n)}
 		b.cond = sync.NewCond(&c.barMu)
 		c.barriers[id] = b
 	}
@@ -1171,7 +1170,6 @@ func (p *Proc) BarrierExchange(id int, data any, bytes int, combine CombineFunc)
 	b := c.barrierLocked(id)
 	gen := b.gen
 	b.contrib[p.id] = data
-	b.cbytes[p.id] = bytes
 	b.arrive[p.id] = arriveAt
 	b.waiting++
 	if b.waiting == n {
