@@ -15,8 +15,6 @@ import (
 	"repro/internal/apps/nbf"
 	"repro/internal/apps/spmv"
 	"repro/internal/chaos"
-	"repro/internal/core"
-	"repro/internal/rsd"
 	"repro/internal/sim"
 	"repro/internal/tmk"
 	"repro/internal/vm"
@@ -185,51 +183,6 @@ func BenchmarkTable3SpmvTmkOpt(b *testing.B) {
 
 // --- Protocol micro-benchmarks ---
 
-// BenchmarkValidateRevalidate measures the fast path: the indirection
-// array is unchanged, so Validate only re-checks the cached schedule.
-func BenchmarkValidateRevalidate(b *testing.B) {
-	cl := sim.NewCluster(sim.DefaultConfig(2))
-	d := tmk.New(cl, 4096, 1<<22)
-	data := &core.Array{Name: "d", Base: d.Alloc(8 * 4096), ElemSize: 8, Len: 4096}
-	idx := &core.Array{Name: "i", Base: d.Alloc(4 * 4096), ElemSize: 4, Len: 4096}
-	s0 := d.Node(0).Space()
-	for i := 0; i < 4096; i++ {
-		s0.WriteI32(idx.Addr(i), int32(i*7%4096))
-	}
-	d.SealInit()
-	rt := core.NewRuntime(d.Node(0))
-	desc := core.Desc{Type: core.Indirect, Data: data, Indir: idx,
-		Section: rsd.Range1(0, 4095), Access: core.Read, Sched: 1}
-	rt.Validate(desc)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rt.Validate(desc)
-	}
-}
-
-// BenchmarkPageFaultFetch measures the base system's demand-fetch path:
-// invalidate-and-refetch of a single page.
-func BenchmarkPageFaultFetch(b *testing.B) {
-	cl := sim.NewCluster(sim.DefaultConfig(2))
-	d := tmk.New(cl, 4096, 1<<22)
-	addr := d.Alloc(8 * 512)
-	d.SealInit()
-	b.ResetTimer()
-	cl.Run(func(p *sim.Proc) {
-		n := d.Node(p.ID())
-		for i := 0; i < b.N; i++ {
-			if p.ID() == 0 {
-				n.Space().WriteF64(addr, float64(i))
-			}
-			n.Barrier(1)
-			if p.ID() == 1 {
-				_ = n.Space().ReadF64(addr) // fault + diff fetch
-			}
-			n.Barrier(2)
-		}
-	})
-}
-
 // BenchmarkBarrier8 measures the 8-processor barrier round.
 func BenchmarkBarrier8(b *testing.B) {
 	cl := sim.NewCluster(sim.DefaultConfig(8))
@@ -242,23 +195,6 @@ func BenchmarkBarrier8(b *testing.B) {
 			n.Barrier(1)
 		}
 	})
-}
-
-// BenchmarkInspector measures one CHAOS inspector execution.
-func BenchmarkInspector(b *testing.B) {
-	part := chaos.Block(8192, 8)
-	tt := chaos.NewTransTable(part, chaos.Replicated)
-	globals := make([]int, 64*1024)
-	for i := range globals {
-		globals[i] = (i * 31) % 8192
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cl := sim.NewCluster(sim.DefaultConfig(8))
-		cl.Run(func(p *sim.Proc) {
-			chaos.Inspect(p, i, globals, tt, chaos.DefaultInspectorCost())
-		})
-	}
 }
 
 // BenchmarkStatsCountSharded measures the traffic-counter hot path with

@@ -99,7 +99,7 @@ func TestCompareRegressionFails(t *testing.T) {
 
 func TestFilterKeepsMatchingNames(t *testing.T) {
 	s := snap(map[string]float64{
-		"BenchmarkArbiter/procs=2": 100,
+		"BenchmarkArbiter/procs=2":    100,
 		"BenchmarkSimdLoad/workers=8": 500,
 	})
 	s.CPU = "test cpu"

@@ -14,13 +14,16 @@ import (
 	"repro/internal/cache"
 	"repro/internal/golden"
 	"repro/internal/raceflag"
+	"repro/internal/scenario"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden fixtures")
 
 // TestGoldenScenarios runs every shipped CI-size scenario and diffs
 // the output against its golden fixture. The shipped specs carry
-// repro: true, so each rendering here also run-twice byte-diffs itself.
+// repro: true, so each rendering here also run-twice byte-diffs itself;
+// this is the only tier-1 repro check of the golden specs, so a spec
+// that drops the key fails here.
 func TestGoldenScenarios(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("golden render skipped under -race (see internal/raceflag)")
@@ -37,6 +40,9 @@ func TestGoldenScenarios(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(filepath.Base(tc.spec), func(t *testing.T) {
+			if spec, err := scenario.Load(tc.spec); err != nil || !spec.Repro {
+				t.Fatalf("%s: want a valid spec with repro: true (err %v)", tc.spec, err)
+			}
 			var buf bytes.Buffer
 			// A single operand prints the rendering alone — stdout is the
 			// golden bytes, no header.

@@ -16,7 +16,6 @@ import (
 	"repro/internal/apps/spmv"
 	"repro/internal/apps/taskq"
 	"repro/internal/apps/tsp"
-	"repro/internal/bench"
 	"repro/internal/raceflag"
 	"repro/internal/scenario"
 )
@@ -151,61 +150,33 @@ func TestTaskqByteIdenticalAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestMoldynMemAnecdote is the acceptance test for the §9 ablation:
-// under the paper-scale per-processor table budget the capacity policy
-// must reject the replicated table, the forced distributed table's
-// inspector traffic must land in the 85 MB / 878-message regime, and
-// the whole report must be bit-identical across N runs. (RunMemAnecdote
-// itself errors when the policy or the traffic bands are violated.)
-func TestMoldynMemAnecdote(t *testing.T) {
-	if testing.Short() {
-		t.Skip("anecdote run is a full CHAOS execution; skipped with -short")
-	}
-	runs := 3
-	if raceflag.Enabled {
-		runs = 2 // the race detector makes each run ~10x slower
-	}
-	ref, err := bench.RunMemAnecdote()
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("anecdote: plan %v, %.1f MB in %d messages, peak %.1f KB/proc",
-		ref.Plan, float64(ref.TtableBytes)/1e6, ref.TtableMsgs, ref.PeakKB)
-	for i := 1; i < runs; i++ {
-		r, err := bench.RunMemAnecdote()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if *r != *ref {
-			t.Fatalf("run %d: %+v != reference %+v", i, r, ref)
-		}
-	}
-}
-
-// TestScenariosByteIdenticalAcrossRuns is the scenario determinism
-// leg: every shipped CI-size scenario (scenarios/*.yaml) runs twice
-// and the rendered output and flattened metrics are byte-diffed —
-// scenario.Run performs the comparison itself when Repro is set, so a
+// TestScenariosByteIdenticalAcrossRuns is the perturbation
+// determinism leg: every scenarios/perturb spec (runrequest/v2
+// requests) runs with Repro set, so scenario.Run re-runs it through
+// the cache and uncached and byte-diffs rendering and metrics — a
 // run-to-run difference is a test failure here and a non-zero exit in
-// `scenario run -repro`. Under -race only the two cheapest scenarios
-// run: the detector makes each full-table render ~10x slower, and the
-// stress tests above already race the same backend code paths.
+// `scenario run -repro`. The golden specs (scenarios/*.yaml) carry
+// repro: true and run in cmd/scenario's TestGoldenScenarios. That test
+// skips under -race, so under -race this one runs the two cheapest
+// golden specs and one perturbation spec instead: the detector makes
+// each full-table render ~10x slower, and the stress tests above
+// already race the same backend code paths.
 func TestScenariosByteIdenticalAcrossRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full scenario renders; skipped with -short")
 	}
 	racedOK := map[string]bool{"table4": true, "latency": true, "perturb-straggler": true}
-	files, err := scenario.Files("scenarios")
+	golden, err := scenario.Files("scenarios")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The perturbation ablation (runrequest/v2 requests) holds to the
-	// same bit-reproducibility contract as the uniform machine.
-	perturb, err := scenario.Files("scenarios/perturb")
+	files, err := scenario.Files("scenarios/perturb")
 	if err != nil {
 		t.Fatal(err)
 	}
-	files = append(files, perturb...)
+	if raceflag.Enabled {
+		files = append(golden, files...)
+	}
 	for _, f := range files {
 		spec, err := scenario.Load(f)
 		if err != nil {

@@ -146,16 +146,17 @@ var appLayout = layout{cfgW: 34, sysW: 14, rule: 92, cols: []column{
 
 // lockLayout is Table 4: the common columns plus the measured window's
 // lock totals (acquire count, simulated wait and hold seconds, and the
-// write-notice kilobytes shipped on lock grants).
+// write-notice kilobytes shipped on lock grants), read from the Detail
+// entries Episode.Finish derives from the lock grid once per run.
 var lockLayout = layout{cfgW: 30, sysW: 13, rule: 122, cols: []column{
 	{"Time (s)", " %9s", " %9.3f", func(r *apps.Result) any { return r.TimeSec }},
 	{"Speedup", " %8s", " %8.2f", func(r *apps.Result) any { return r.Speedup }},
 	{"Messages", " %9s", " %9d", func(r *apps.Result) any { return r.Messages }},
 	{"Data (MB)", " %9s", " %9.2f", func(r *apps.Result) any { return r.DataMB }},
-	{"Lock acq", " %8s", " %8d", func(r *apps.Result) any { return r.LockTotal().Acquires }},
-	{"Wait (s)", " %8s", " %8.3f", func(r *apps.Result) any { return r.LockTotal().WaitUS / 1e6 }},
-	{"Hold (s)", " %8s", " %8.3f", func(r *apps.Result) any { return r.LockTotal().HoldUS / 1e6 }},
-	{"Grant (KB)", " %10s", " %10.1f", func(r *apps.Result) any { return float64(r.LockTotal().GrantBytes) / 1e3 }},
+	{"Lock acq", " %8s", " %8d", func(r *apps.Result) any { return int64(r.Detail["lock_acquires"]) }},
+	{"Wait (s)", " %8s", " %8.3f", func(r *apps.Result) any { return r.Detail["lock_wait_s"] }},
+	{"Hold (s)", " %8s", " %8.3f", func(r *apps.Result) any { return r.Detail["lock_hold_s"] }},
+	{"Grant (KB)", " %10s", " %10.1f", func(r *apps.Result) any { return r.Detail["lock_grant_kb"] }},
 }}
 
 // system is one printed row per configuration: its label and the

@@ -72,9 +72,8 @@ var experiments = map[string]experiment{
 		run:     runList(table5Items),
 		present: presentTable5,
 	},
-	// The memory sweep stays untraced: its grids re-run one backend many
-	// times and the anecdote's run-twice identity check would double
-	// every episode (DESIGN.md §13).
+	// The memory sweep stays untraced: its grids re-run one backend
+	// many times, each a separate CHAOS episode (DESIGN.md §13).
 	"memory": {
 		Experiment: Experiment{Params: map[string]int{"n": 1024, "procs": 8}, SweepAxis: "table_budget_kb"},
 		run: func(ctx context.Context, _ *obs.Trace, req RunRequest, res *RunResult) (err error) {
@@ -323,7 +322,7 @@ func presentTable5(w io.Writer, p map[string]int, res *RunResult) {
 }
 
 // presentMemorySweep formats the §9 capacity sweep: both budget grids
-// and the verified anecdote. The table_budget_kb axis points
+// and the anecdote. The table_budget_kb axis points
 // (res.Mem.Budget) are metrics-only and deliberately unrendered, so a
 // budget-swept scenario renders byte-identically to an unswept one.
 func presentMemorySweep(w io.Writer, p map[string]int, res *RunResult) {
@@ -351,8 +350,8 @@ func presentMemorySweep(w io.Writer, p map[string]int, res *RunResult) {
 	fmt.Fprintln(w, "the policy degrades straight to the segment-only table.")
 
 	rep := d.Anecdote
-	ap := MoldynAnecdoteParams()
-	fmt.Fprintf(w, "\nThe moldyn anecdote (asserted, run twice, bit-identical):\n")
+	ap := anecdoteParams()
+	fmt.Fprintf(w, "\nThe moldyn anecdote (paper-scale configuration):\n")
 	fmt.Fprintf(w, "  N=%d, %d procs, %d steps, list updated every %d; table budget %d KB/proc\n",
 		ap.N, ap.Procs, ap.Steps, ap.UpdateEvery, mem.PaperTableBudget>>10)
 	fmt.Fprintf(w, "  policy: replicated table (%d KB) rejected -> %s\n",

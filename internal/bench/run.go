@@ -18,9 +18,11 @@ package bench
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 	"strconv"
 
@@ -78,8 +80,9 @@ type RunRequest struct {
 
 	// BudgetSweepKB extends the memory experiment with the
 	// table_budget_kb axis: the anecdote configuration re-planned and
-	// re-run at each per-processor budget (metrics only; the rendered
-	// sweep text is unchanged).
+	// run at each per-processor budget; the paper-scale budget reuses
+	// the anecdote run (metrics only; the rendered sweep text is
+	// unchanged).
 	BudgetSweepKB []int
 
 	// Trace asks the run to record a deterministic simulated-event
@@ -127,13 +130,10 @@ func (r RunRequest) Canonical() []byte {
 		if pert.JitterSeed != 0 {
 			fmt.Fprintf(&b, "perturb.jitter_seed=%d\n", pert.JitterSeed)
 		}
-		links := append([]apps.LinkOverride(nil), pert.Links...)
-		for i := 1; i < len(links); i++ {
-			for j := i; j > 0 && (links[j].From < links[j-1].From ||
-				(links[j].From == links[j-1].From && links[j].To < links[j-1].To)); j-- {
-				links[j], links[j-1] = links[j-1], links[j]
-			}
-		}
+		links := slices.Clone(pert.Links)
+		slices.SortStableFunc(links, func(a, b apps.LinkOverride) int {
+			return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
+		})
 		for _, l := range links {
 			if l.LatencyUS != 0 {
 				fmt.Fprintf(&b, "perturb.link.%d-%d.latency_us=%d\n", l.From, l.To, l.LatencyUS)
@@ -225,8 +225,9 @@ type SpmvBudgetRow struct {
 
 // BudgetPoint is one table_budget_kb axis point: the anecdote
 // configuration re-planned under the given per-processor budget and
-// re-run. PlanKind is the chaos.TableKind ordinal (0 replicated,
-// 1 distributed, 2 paged) so plans can be asserted as metric bands.
+// run (at mem.PaperTableBudget, the anecdote run itself). PlanKind is
+// the chaos.TableKind ordinal (0 replicated, 1 distributed, 2 paged)
+// so plans can be asserted as metric bands.
 type BudgetPoint struct {
 	BudgetKB   int
 	PlanKind   int
@@ -237,8 +238,8 @@ type BudgetPoint struct {
 }
 
 // MemSweepData is the memory experiment's structured result: both
-// budget grids, the verified (run-twice, bit-identical) anecdote, and
-// the optional table_budget_kb axis points.
+// budget grids, the anecdote, and the optional table_budget_kb axis
+// points.
 type MemSweepData struct {
 	Moldyn   []MemBudgetRow
 	Spmv     []SpmvBudgetRow
@@ -318,8 +319,8 @@ func runItems(ctx context.Context, tr *obs.Trace, items []runItem) ([]*AppResult
 // ---- The memory experiment's run side ----------------------------------
 
 // runMemorySweep computes the §9 capacity sweep's structured data: the
-// moldyn and banded-spmv budget grids, the anecdote run twice and
-// verified bit-identical, and the optional table_budget_kb axis.
+// moldyn and banded-spmv budget grids, the anecdote, and the optional
+// table_budget_kb axis.
 func runMemorySweep(ctx context.Context, n, procs int, budgetSweepKB []int) (*MemSweepData, error) {
 	data := &MemSweepData{}
 
@@ -363,57 +364,53 @@ func runMemorySweep(ctx context.Context, n, procs int, budgetSweepKB []int) (*Me
 		})
 	}
 
-	// The anecdote, run twice: the assertion and the bit-identity are
-	// both part of the sweep's contract.
+	// The anecdote, under the paper-scale budget. Its bands and plan
+	// are asserted by the memory specs; run-to-run identity is the
+	// scenario engine's repro check.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	rep, err := RunMemAnecdote()
-	if err != nil {
-		return nil, err
+	plan, r := runAnecdote(mem.PaperTableBudget)
+	data.Anecdote = AnecdoteReport{
+		Plan:        plan,
+		TtableMsgs:  int64(r.Detail["msgs.chaos.ttable"]),
+		TtableBytes: int64(math.Round(1e6 * r.Detail["mb.chaos.ttable"])),
+		PeakKB:      r.MaxPeakMB() * 1e3,
+		TimeSec:     r.TimeSec,
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	rep2, err := RunMemAnecdote()
-	if err != nil {
-		return nil, err
-	}
-	if *rep != *rep2 {
-		return nil, fmt.Errorf("anecdote not byte-identical across runs: %+v vs %+v", rep, rep2)
-	}
-	data.Anecdote = *rep
 
 	// The table_budget_kb axis: the anecdote configuration re-planned
 	// under each budget. Crossing mem.ReplicatedBytes(N) flips the
 	// policy from the replicated table to the forced distributed one —
-	// the crossover the scenario bands pin.
+	// the crossover the scenario bands pin. A point at the paper-scale
+	// budget is the anecdote run itself.
 	for _, kb := range budgetSweepKB {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		p := MoldynAnecdoteParams()
-		plan := mem.PlanTable(int64(kb)<<10, p.N, p.Procs, mem.TablePages(p.N))
-		p.TableKind = plan.Kind
-		p.TableCachePages = plan.CachePages
-		r := moldyn.RunChaos(moldyn.Generate(p))
+		bplan, br := plan, r
+		if budget := int64(kb) << 10; budget != mem.PaperTableBudget {
+			bplan, br = runAnecdote(budget)
+		}
 		data.Budget = append(data.Budget, BudgetPoint{
 			BudgetKB:   kb,
-			PlanKind:   int(plan.Kind),
-			Plan:       plan.String(),
-			TtableMsgs: int64(r.Detail["msgs.chaos.ttable"]),
-			TtableMB:   r.Detail["mb.chaos.ttable"],
-			PeakKB:     r.MaxPeakMB() * 1e3,
+			PlanKind:   int(bplan.Kind),
+			Plan:       bplan.String(),
+			TtableMsgs: int64(br.Detail["msgs.chaos.ttable"]),
+			TtableMB:   br.Detail["mb.chaos.ttable"],
+			PeakKB:     br.MaxPeakMB() * 1e3,
 		})
 	}
 	return data, nil
 }
 
 // metrics flattens the memory experiment's asserted numbers: the
-// anecdote's four plus, per budget-axis point, the plan ordinal and
-// the traffic/footprint the plan produced.
+// anecdote's plan ordinal (chaos.TableKind) and its four numbers plus,
+// per budget-axis point, the plan ordinal and the traffic/footprint
+// the plan produced.
 func (d *MemSweepData) metrics() map[string]float64 {
 	out := map[string]float64{
+		"anecdote/plan":        float64(d.Anecdote.Plan.Kind),
 		"anecdote/ttable_msgs": float64(d.Anecdote.TtableMsgs),
 		"anecdote/ttable_mb":   float64(d.Anecdote.TtableBytes) / 1e6,
 		"anecdote/peak_kb":     d.Anecdote.PeakKB,

@@ -80,7 +80,8 @@ func TestPlanMonotone(t *testing.T) {
 
 func TestPaperBudgetForcesMoldynOffReplicated(t *testing.T) {
 	// The anecdote configuration: 4096 molecules, 8 processors,
-	// whole-table working set (see bench.RunMemAnecdote).
+	// whole-table working set (see the memory experiment in
+	// internal/bench; scenarios/memory.yaml asserts its plan).
 	plan := PlanTable(PaperTableBudget, 4096, 8, TablePages(4096))
 	if plan.Kind != chaos.Distributed {
 		t.Fatalf("paper budget plan = %v, want distributed", plan)
