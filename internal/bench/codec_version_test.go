@@ -140,31 +140,60 @@ func TestCanonicalV1BytesPinned(t *testing.T) {
 // sorted by (from, to) with latency before bandwidth, and floats use
 // the shortest round-tripping spelling.
 func TestCanonicalV2BytesPinned(t *testing.T) {
-	req := RunRequest{Experiment: "app", App: "moldyn", N: 256, Steps: 4,
-		Procs: []int{4},
-		Machine: apps.Machine{Perturb: &apps.Perturb{
-			CPU:      []float64{1.3, 1},
-			JitterUS: 5, JitterSeed: 7,
-			Links: []apps.LinkOverride{
-				{From: 1, To: 0, LatencyUS: 170},
-				{From: 0, To: 1, BandwidthMBs: 20},
-			}}}}
-	want := "runrequest/v2\n" +
-		"experiment=app\n" +
-		"app=moldyn\n" +
-		"n=256\n" +
-		"steps=4\n" +
-		"seed=0\n" +
-		"procs=4\n" +
-		"machine.latency_us=0\n" +
-		"machine.bandwidth_mbs=0\n" +
-		"perturb.cpu=1.3,1\n" +
-		"perturb.jitter_us=5\n" +
-		"perturb.jitter_seed=7\n" +
-		"perturb.link.0-1.bandwidth_mbs=20\n" +
-		"perturb.link.1-0.latency_us=170\n"
-	if got := string(req.Canonical()); got != want {
-		t.Errorf("v2 canonical bytes changed:\n--- got ---\n%s--- want ---\n%s", got, want)
+	cases := []struct {
+		name string
+		req  RunRequest
+		want string
+	}{
+		{name: "every dimension",
+			req: RunRequest{Experiment: "app", App: "moldyn", N: 256, Steps: 4,
+				Procs: []int{4},
+				Machine: apps.Machine{Perturb: &apps.Perturb{
+					CPU:      []float64{1.3, 1},
+					JitterUS: 5, JitterSeed: 7,
+					Links: []apps.LinkOverride{
+						{From: 1, To: 0, LatencyUS: 170},
+						{From: 0, To: 1, BandwidthMBs: 20},
+					}}}},
+			want: "runrequest/v2\n" +
+				"experiment=app\n" +
+				"app=moldyn\n" +
+				"n=256\n" +
+				"steps=4\n" +
+				"seed=0\n" +
+				"procs=4\n" +
+				"machine.latency_us=0\n" +
+				"machine.bandwidth_mbs=0\n" +
+				"perturb.cpu=1.3,1\n" +
+				"perturb.jitter_us=5\n" +
+				"perturb.jitter_seed=7\n" +
+				"perturb.link.0-1.bandwidth_mbs=20\n" +
+				"perturb.link.1-0.latency_us=170\n"},
+		// Large integral link costs keep their integer spelling (no
+		// exponent form).
+		{name: "large link costs",
+			req: RunRequest{Experiment: "app", App: "taskq", N: 64,
+				Procs: []int{2},
+				Machine: apps.Machine{Perturb: &apps.Perturb{
+					Links: []apps.LinkOverride{
+						{From: 0, To: 1, LatencyUS: 2500000, BandwidthMBs: 1000000},
+					}}}},
+			want: "runrequest/v2\n" +
+				"experiment=app\n" +
+				"app=taskq\n" +
+				"n=64\n" +
+				"steps=0\n" +
+				"seed=0\n" +
+				"procs=2\n" +
+				"machine.latency_us=0\n" +
+				"machine.bandwidth_mbs=0\n" +
+				"perturb.link.0-1.latency_us=2500000\n" +
+				"perturb.link.0-1.bandwidth_mbs=1000000\n"},
+	}
+	for _, c := range cases {
+		if got := string(c.req.Canonical()); got != c.want {
+			t.Errorf("%s: v2 canonical bytes changed:\n--- got ---\n%s--- want ---\n%s", c.name, got, c.want)
+		}
 	}
 }
 
