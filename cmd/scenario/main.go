@@ -331,14 +331,12 @@ func bytesEventCount(trace []byte) int {
 
 // overrideProcs points every run of the spec at one cluster size — the
 // nightly matrix leg reuses one paper-scale spec set at 16 and 32
-// processors.
+// processors. A canned spec's params are already resolved, so its
+// "procs" entry is always there to replace.
 func overrideProcs(spec *scenario.Spec, procs int) {
 	if spec.Experiment == "app" {
 		spec.Procs = []int{procs}
 		return
-	}
-	if spec.Params == nil {
-		spec.Params = map[string]int{}
 	}
 	spec.Params["procs"] = procs
 }

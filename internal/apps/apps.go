@@ -69,8 +69,9 @@ type Machine struct {
 	// Perturb, when non-nil and non-zero, deterministically skews the
 	// uniform machine (DESIGN.md §15). It is real configuration:
 	// bench.RunRequest.Canonical encodes it (as runrequest/v2) and the
-	// content address moves with it.
-	Perturb *Perturb
+	// content address moves with it. Config hands it to the simulator
+	// as is; Validate is the user-facing check of its fields.
+	Perturb *sim.Perturb
 
 	// Trace, when non-nil, is the trace recorder every cluster built
 	// through Config records into (DESIGN.md §13). It is observability
@@ -80,43 +81,6 @@ type Machine struct {
 	// bypasses the result cache for traced requests (a cache hit would
 	// skip the side effect).
 	Trace *obs.Trace `json:"-"`
-}
-
-// Perturb is the machine spec's perturbation block: per-processor CPU
-// speed factors, per-directed-link latency/bandwidth overrides, and
-// seeded per-message arrival jitter. All three are pure functions of
-// the configuration and the message total order, so perturbed runs
-// stay bit-reproducible (DESIGN.md §15).
-type Perturb struct {
-	// CPU[i] scales every compute charge on processor i: 1.3 makes it
-	// a 30%-slow straggler, 0.5 a node twice as fast. Entries must be
-	// positive; processors beyond the list run at the nominal 1.0.
-	CPU []float64
-
-	// Links overrides individual directed links. Unlisted links keep
-	// the uniform machine values.
-	Links []LinkOverride
-
-	// JitterUS, when positive, adds a deterministic pseudo-random
-	// delay in [0, JitterUS) microseconds to every message arrival,
-	// keyed by (JitterSeed, sender, sender sequence number).
-	JitterUS   float64
-	JitterSeed int64
-}
-
-// LinkOverride overrides one directed link's cost model. A zero field
-// inherits the uniform machine value (same rule as Machine itself);
-// an override with both fields zero is a no-op and rejected.
-type LinkOverride struct {
-	From, To     int
-	LatencyUS    int // one-way latency on this link (us); 0 = inherit
-	BandwidthMBs int // bandwidth on this link (MB/s); 0 = inherit
-}
-
-// IsZero reports whether the block is absent or empty.
-func (p *Perturb) IsZero() bool {
-	return p == nil || (len(p.CPU) == 0 && len(p.Links) == 0 &&
-		p.JitterUS == 0 && p.JitterSeed == 0)
 }
 
 // Perturbed reports whether the machine carries a non-empty
@@ -130,7 +94,9 @@ func (m Machine) Perturbed() bool {
 // processors, returning a descriptive error for every way a spec file
 // can get it wrong (negative overrides, non-positive CPU factors,
 // out-of-range or duplicate links, no-op link overrides, negative
-// jitter). The zero Machine is always valid.
+// jitter). The zero Machine is always valid. sim.NewCluster panics on
+// the same faults; this is the check that reports them to a spec
+// author.
 func (m Machine) Validate(procs int) error {
 	if m.LatencyUS < 0 {
 		return fmt.Errorf("machine: latency_us must be >= 0 (got %d)", m.LatencyUS)
@@ -142,19 +108,16 @@ func (m Machine) Validate(procs int) error {
 	if p.IsZero() {
 		return nil
 	}
-	if len(p.CPU) > procs {
-		return fmt.Errorf("machine: perturb.cpu lists %d factors for %d procs", len(p.CPU), procs)
+	if len(p.CPUFactor) > procs {
+		return fmt.Errorf("machine: perturb.cpu lists %d factors for %d procs", len(p.CPUFactor), procs)
 	}
-	for i, f := range p.CPU {
+	for i, f := range p.CPUFactor {
 		if !(f > 0) {
 			return fmt.Errorf("machine: perturb.cpu[%d] must be positive (got %v)", i, f)
 		}
 	}
 	if p.JitterUS < 0 {
 		return fmt.Errorf("machine: perturb.jitter_us must be >= 0 (got %v)", p.JitterUS)
-	}
-	if p.JitterSeed < 0 {
-		return fmt.Errorf("machine: perturb.jitter_seed must be >= 0 (got %d)", p.JitterSeed)
 	}
 	seen := make(map[[2]int]bool, len(p.Links))
 	for _, l := range p.Links {
@@ -164,10 +127,10 @@ func (m Machine) Validate(procs int) error {
 		if l.From == l.To {
 			return fmt.Errorf("machine: perturb link %d->%d is a self-link", l.From, l.To)
 		}
-		if l.LatencyUS < 0 || l.BandwidthMBs < 0 {
+		if l.LatencyUS < 0 || l.BytesPerUS < 0 {
 			return fmt.Errorf("machine: perturb link %d->%d has a negative override", l.From, l.To)
 		}
-		if l.LatencyUS == 0 && l.BandwidthMBs == 0 {
+		if l.LatencyUS == 0 && l.BytesPerUS == 0 {
 			return fmt.Errorf("machine: perturb link %d->%d overrides nothing (set latency_us or bandwidth_mbs)", l.From, l.To)
 		}
 		k := [2]int{l.From, l.To}
@@ -190,20 +153,7 @@ func (m Machine) Config(procs int) sim.Config {
 		cfg.BytesPerUS = float64(m.BandwidthMBs)
 	}
 	if m.Perturbed() {
-		p := m.Perturb
-		sp := &sim.Perturb{
-			CPUFactor:  append([]float64(nil), p.CPU...),
-			JitterUS:   p.JitterUS,
-			JitterSeed: uint64(p.JitterSeed),
-		}
-		for _, l := range p.Links {
-			sp.Links = append(sp.Links, sim.LinkPerturb{
-				From: l.From, To: l.To,
-				LatencyUS:  float64(l.LatencyUS),
-				BytesPerUS: float64(l.BandwidthMBs),
-			})
-		}
-		cfg.Perturb = sp
+		cfg.Perturb = m.Perturb
 	}
 	cfg.Trace = m.Trace
 	return cfg

@@ -3,6 +3,8 @@ package apps
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // TestMachineValidate walks every rejection path of the structured
@@ -16,33 +18,31 @@ func TestMachineValidate(t *testing.T) {
 	}{
 		{"zero machine", Machine{}, ""},
 		{"base overrides", Machine{LatencyUS: 200, BandwidthMBs: 40}, ""},
-		{"empty perturb block", Machine{Perturb: &Perturb{}}, ""},
-		{"full perturb", Machine{Perturb: &Perturb{
-			CPU:      []float64{1.3, 1, 0.9, 1},
-			Links:    []LinkOverride{{From: 0, To: 1, LatencyUS: 170}, {From: 1, To: 0, BandwidthMBs: 20}},
-			JitterUS: 5, JitterSeed: 7}}, ""},
+		{"empty perturb block", Machine{Perturb: &sim.Perturb{}}, ""},
+		{"full perturb", Machine{Perturb: &sim.Perturb{
+			CPUFactor: []float64{1.3, 1, 0.9, 1},
+			Links:     []sim.LinkPerturb{{From: 0, To: 1, LatencyUS: 170}, {From: 1, To: 0, BytesPerUS: 20}},
+			JitterUS:  5, JitterSeed: 7}}, ""},
 		{"negative latency", Machine{LatencyUS: -1},
 			"machine: latency_us must be >= 0 (got -1)"},
 		{"negative bandwidth", Machine{BandwidthMBs: -1},
 			"machine: bandwidth_mbs must be >= 0 (got -1)"},
-		{"too many cpu factors", Machine{Perturb: &Perturb{CPU: []float64{1, 1, 1, 1, 1}}},
+		{"too many cpu factors", Machine{Perturb: &sim.Perturb{CPUFactor: []float64{1, 1, 1, 1, 1}}},
 			"machine: perturb.cpu lists 5 factors for 4 procs"},
-		{"zero cpu factor", Machine{Perturb: &Perturb{CPU: []float64{1, 0}}},
+		{"zero cpu factor", Machine{Perturb: &sim.Perturb{CPUFactor: []float64{1, 0}}},
 			"machine: perturb.cpu[1] must be positive (got 0)"},
-		{"negative jitter", Machine{Perturb: &Perturb{JitterUS: -1}},
+		{"negative jitter", Machine{Perturb: &sim.Perturb{JitterUS: -1}},
 			"machine: perturb.jitter_us must be >= 0"},
-		{"negative seed", Machine{Perturb: &Perturb{JitterSeed: -1}},
-			"machine: perturb.jitter_seed must be >= 0 (got -1)"},
-		{"link out of range", Machine{Perturb: &Perturb{Links: []LinkOverride{{From: 0, To: 4, LatencyUS: 5}}}},
+		{"link out of range", Machine{Perturb: &sim.Perturb{Links: []sim.LinkPerturb{{From: 0, To: 4, LatencyUS: 5}}}},
 			"machine: perturb link 0->4 out of range for 4 procs"},
-		{"self link", Machine{Perturb: &Perturb{Links: []LinkOverride{{From: 2, To: 2, LatencyUS: 5}}}},
+		{"self link", Machine{Perturb: &sim.Perturb{Links: []sim.LinkPerturb{{From: 2, To: 2, LatencyUS: 5}}}},
 			"machine: perturb link 2->2 is a self-link"},
-		{"negative link override", Machine{Perturb: &Perturb{Links: []LinkOverride{{From: 0, To: 1, LatencyUS: -5}}}},
+		{"negative link override", Machine{Perturb: &sim.Perturb{Links: []sim.LinkPerturb{{From: 0, To: 1, LatencyUS: -5}}}},
 			"machine: perturb link 0->1 has a negative override"},
-		{"no-op link", Machine{Perturb: &Perturb{Links: []LinkOverride{{From: 0, To: 1}}}},
+		{"no-op link", Machine{Perturb: &sim.Perturb{Links: []sim.LinkPerturb{{From: 0, To: 1}}}},
 			"machine: perturb link 0->1 overrides nothing (set latency_us or bandwidth_mbs)"},
-		{"duplicate link", Machine{Perturb: &Perturb{Links: []LinkOverride{
-			{From: 0, To: 1, LatencyUS: 5}, {From: 0, To: 1, BandwidthMBs: 20}}}},
+		{"duplicate link", Machine{Perturb: &sim.Perturb{Links: []sim.LinkPerturb{
+			{From: 0, To: 1, LatencyUS: 5}, {From: 0, To: 1, BytesPerUS: 20}}}},
 			"machine: duplicate perturb link 0->1"},
 	}
 	for _, tc := range cases {
@@ -70,47 +70,31 @@ func TestMachinePerturbed(t *testing.T) {
 	if (Machine{}).Perturbed() {
 		t.Error("zero Machine reports Perturbed")
 	}
-	if (Machine{Perturb: &Perturb{}}).Perturbed() {
+	if (Machine{Perturb: &sim.Perturb{}}).Perturbed() {
 		t.Error("all-zero perturb block reports Perturbed")
 	}
-	if !(Machine{Perturb: &Perturb{JitterSeed: 1}}).Perturbed() {
+	if !(Machine{Perturb: &sim.Perturb{JitterSeed: 1}}).Perturbed() {
 		t.Error("seed-only perturb block does not report Perturbed")
 	}
 }
 
-// TestMachineConfigPerturb checks the spec-to-sim translation: the
-// block lands in sim.Config.Perturb with the same values, and the
-// sim-side slices are copies (mutating the spec after Config must not
-// reach into a cluster built from it).
+// TestMachineConfigPerturb checks Config hands the perturbation block
+// to the simulator unchanged, and keeps an all-zero block off the
+// uniform path.
 func TestMachineConfigPerturb(t *testing.T) {
-	m := Machine{LatencyUS: 200, Perturb: &Perturb{
-		CPU:      []float64{1.3, 1},
-		Links:    []LinkOverride{{From: 0, To: 1, LatencyUS: 170, BandwidthMBs: 20}},
-		JitterUS: 5, JitterSeed: 7,
-	}}
-	cfg := m.Config(4)
+	p := &sim.Perturb{
+		CPUFactor: []float64{1.3, 1},
+		Links:     []sim.LinkPerturb{{From: 0, To: 1, LatencyUS: 170, BytesPerUS: 20}},
+		JitterUS:  5, JitterSeed: 7,
+	}
+	cfg := Machine{LatencyUS: 200, Perturb: p}.Config(4)
 	if cfg.LatencyUS != 200 {
 		t.Errorf("LatencyUS = %v, want 200", cfg.LatencyUS)
 	}
-	p := cfg.Perturb
-	if p == nil {
-		t.Fatal("Config dropped the perturbation block")
+	if cfg.Perturb != p {
+		t.Errorf("Config.Perturb = %+v, want the machine's block", cfg.Perturb)
 	}
-	if len(p.CPUFactor) != 2 || p.CPUFactor[0] != 1.3 {
-		t.Errorf("CPUFactor = %v, want [1.3 1]", p.CPUFactor)
-	}
-	if p.JitterUS != 5 || p.JitterSeed != 7 {
-		t.Errorf("jitter = (%v, %d), want (5, 7)", p.JitterUS, p.JitterSeed)
-	}
-	if len(p.Links) != 1 || p.Links[0].LatencyUS != 170 || p.Links[0].BytesPerUS != 20 {
-		t.Errorf("Links = %+v, want one 0->1 {170, 20} override", p.Links)
-	}
-	m.Perturb.CPU[0] = 99
-	if p.CPUFactor[0] != 1.3 {
-		t.Error("sim config aliases the spec's CPU slice")
-	}
-
-	if (Machine{Perturb: &Perturb{}}).Config(4).Perturb != nil {
+	if (Machine{Perturb: &sim.Perturb{}}).Config(4).Perturb != nil {
 		t.Error("all-zero perturb block reached sim.Config")
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"repro/internal/apps/moldyn"
 	"repro/internal/apps/nbf"
 	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
 var updatePins = flag.Bool("update", false, "rewrite testdata/pins.golden from this run")
@@ -46,8 +47,8 @@ var pinMachines = []struct {
 	m    apps.Machine
 }{
 	{"uniform", apps.Machine{}},
-	{"perturbed", apps.Machine{Perturb: &apps.Perturb{
-		CPU: []float64{1, 1.3}, JitterUS: 7, JitterSeed: 3,
+	{"perturbed", apps.Machine{Perturb: &sim.Perturb{
+		CPUFactor: []float64{1, 1.3}, JitterUS: 7, JitterSeed: 3,
 	}}},
 }
 

@@ -1,8 +1,8 @@
 // Registry adapter: taskq as an apps.Workload. The registry's Chaos
 // slot runs the message-passing master/worker program and the TmkOpt
-// slot the batched-claim variant. Knobs: "batch" (items per lock
-// acquire in the batched variant), "work_lo"/"work_hi" (per-item cost
-// range, us), "page_size".
+// slot the batched-claim variant. Knob: "batch" (items per lock
+// acquire in the batched variant); the per-item cost range and the
+// page size keep their Params defaults.
 package taskq
 
 import "repro/internal/apps"
@@ -20,10 +20,7 @@ func init() {
 		}
 		p.Machine = cfg.Machine
 		p.Batch = cfg.Knob("batch", p.Batch)
-		p.WorkLoUS = cfg.Knob("work_lo", p.WorkLoUS)
-		p.WorkHiUS = cfg.Knob("work_hi", p.WorkHiUS)
-		p.PageSize = cfg.Knob("page_size", p.PageSize)
 		return apps.NewVariants("taskq", Generate(p), RunSequential, RunMP, BuildImage, RunTmk,
 			TmkOptions{}, TmkOptions{Batched: true})
-	}, "batch", "work_lo", "work_hi", "page_size")
+	}, "batch")
 }

@@ -3,7 +3,7 @@
 // contrast — TSP has no inspector-executor form), and the TmkOpt slot
 // runs the batched-claim variant. Knobs: "depth" (seed-task prefix
 // depth), "batch" (tasks per queue-lock acquire in the batched
-// variant), "page_size".
+// variant); the page size keeps its Params default.
 package tsp
 
 import "repro/internal/apps"
@@ -22,7 +22,6 @@ func params(cfg apps.Config) Params {
 	p.Machine = cfg.Machine
 	p.SeedDepth = cfg.Knob("depth", p.SeedDepth)
 	p.Batch = cfg.Knob("batch", p.Batch)
-	p.PageSize = cfg.Knob("page_size", p.PageSize)
 	return p
 }
 
@@ -30,5 +29,5 @@ func init() {
 	apps.Register("tsp", func(cfg apps.Config) apps.Workload {
 		return apps.NewVariants("tsp", Generate(params(cfg)), RunSequential, RunMP, BuildImage, RunTmk,
 			TmkOptions{}, TmkOptions{Batched: true})
-	}, "depth", "batch", "page_size")
+	}, "depth", "batch")
 }

@@ -3,9 +3,14 @@ package bench
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/chaos"
+	"repro/internal/mem"
+	"repro/internal/sim"
 )
 
 // codecRequests is a spread of requests covering every optional field
@@ -27,15 +32,15 @@ func codecRequests() map[string]RunRequest {
 		// header (codec_version_test.go pins the exact bytes).
 		"app+perturb-cpu": {Experiment: "app", App: "moldyn", N: 256, Steps: 4,
 			Procs:   []int{4},
-			Machine: apps.Machine{Perturb: &apps.Perturb{CPU: []float64{1.3, 1, 1, 1}}}},
+			Machine: apps.Machine{Perturb: &sim.Perturb{CPUFactor: []float64{1.3, 1, 1, 1}}}},
 		"app+perturb-full": {Experiment: "app", App: "nbf", N: 512, Steps: 2,
 			Procs: []int{4, 8}, Knobs: map[string]int{"partners": 24},
-			Machine: apps.Machine{LatencyUS: 200, Perturb: &apps.Perturb{
-				CPU:      []float64{1.15, 1, 0.9},
-				JitterUS: 5, JitterSeed: 7,
-				Links: []apps.LinkOverride{
+			Machine: apps.Machine{LatencyUS: 200, Perturb: &sim.Perturb{
+				CPUFactor: []float64{1.15, 1, 0.9},
+				JitterUS:  5, JitterSeed: 7,
+				Links: []sim.LinkPerturb{
 					{From: 1, To: 0, LatencyUS: 170},
-					{From: 0, To: 1, LatencyUS: 340, BandwidthMBs: 20},
+					{From: 0, To: 1, LatencyUS: 340, BytesPerUS: 20},
 				}}},
 			Sweep: &SweepAxis{Axis: "latency_us", Values: []int{100, 500}}},
 	}
@@ -65,12 +70,76 @@ func TestEntryCodecRoundTrip(t *testing.T) {
 			t.Errorf("%s: round trip changed the result: %+v", name, dres)
 		}
 	}
+
+	// The memory experiment's structured result renders the same bytes
+	// from a decoded entry as from the run.
+	req := codecRequests()["memory+budget"]
+	mres := memoryFixture()
+	requireNonZero(t, "MemSweepData", reflect.ValueOf(*mres.Mem))
+	payload, err := EncodeEntry(req, mres)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dreq, dres, err := DecodeEntry(req.Key(), payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after bytes.Buffer
+	if err := PresentResult(&before, req, mres); err != nil {
+		t.Fatal(err)
+	}
+	if err := PresentResult(&after, dreq, dres); err != nil {
+		t.Fatal(err)
+	}
+	if before.String() != after.String() {
+		t.Errorf("memory rendering changed across the entry round trip:\n--- run ---\n%s--- decoded ---\n%s",
+			before.String(), after.String())
+	}
+}
+
+// memoryFixture is a memory-experiment result with every field of its
+// sweep data set, so a field the entry codec drops shows in the
+// rendering or in requireNonZero.
+func memoryFixture() *RunResult {
+	return &RunResult{Experiment: "memory",
+		Mem: &MemSweepData{
+			Moldyn: []MemBudgetRow{{BudgetKB: 64, Plan: "replicated", TtableMsgs: 12, TtableMB: 0.25, PeakKB: 80.5}},
+			Spmv:   []SpmvBudgetRow{{BudgetKB: 16, Plan: "paged(cache=3)", TableKB: 12.5, PeakKB: 30.25}},
+			Anecdote: AnecdoteReport{Plan: mem.TablePlan{Kind: chaos.Paged, CachePages: 4},
+				TtableMsgs: 878, TtableBytes: 85e6, PeakKB: 512.5, TimeSec: 1.75},
+			Budget: []BudgetPoint{{BudgetKB: 48, PlanKind: 2, Plan: "paged(cache=2)",
+				TtableMsgs: 40, TtableMB: 3.5, PeakKB: 47.25}},
+		},
+		Metrics: map[string]float64{"memory/anecdote/ttable_msgs": 878}}
+}
+
+// requireNonZero fails on any zero-valued leaf under v.
+func requireNonZero(t *testing.T, path string, v reflect.Value) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := range v.NumField() {
+			requireNonZero(t, path+"."+v.Type().Field(i).Name, v.Field(i))
+		}
+	case reflect.Slice:
+		if v.Len() == 0 {
+			t.Errorf("fixture leaves %s empty", path)
+		}
+		for i := range v.Len() {
+			requireNonZero(t, fmt.Sprintf("%s[%d]", path, i), v.Index(i))
+		}
+	default:
+		if v.IsZero() {
+			t.Errorf("fixture leaves %s zero", path)
+		}
+	}
 }
 
 // TestDecodeEntryRejectsUnservable checks the entry decoder refuses
 // anything that is not the request filed under the key: malformed
-// JSON, an older result-only payload, and a well-formed entry for a
-// different request.
+// JSON, an older result-only payload, a well-formed entry for a
+// different request, an entry with a result field this build does not
+// know, and trailing bytes after the entry.
 func TestDecodeEntryRejectsUnservable(t *testing.T) {
 	req := canned("table1", map[string]int{"n": 64, "procs": 2, "steps": 2})
 	res := &RunResult{Experiment: "table1"}
@@ -83,11 +152,20 @@ func TestDecodeEntryRejectsUnservable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	valid, err := EncodeEntry(req, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An entry from a build whose result carried a field this build
+	// lacks: serving it would drop that field.
+	extra := bytes.Replace(valid, []byte(`"result":{`), []byte(`"result":{"Extra":1,`), 1)
 	bad := map[string][]byte{
-		"empty":       nil,
-		"not json":    []byte("runrequest/v1\n"),
-		"result only": resultOnly,
-		"wrong key":   wrongKey,
+		"empty":         nil,
+		"not json":      []byte("runrequest/v1\n"),
+		"result only":   resultOnly,
+		"wrong key":     wrongKey,
+		"unknown field": extra,
+		"trailing data": append(valid, '}'),
 	}
 	for name, b := range bad {
 		if _, _, err := DecodeEntry(req.Key(), b); err == nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/sim"
 )
 
 // The cross-version codec contract (DESIGN.md §15): unperturbed
@@ -148,12 +149,12 @@ func TestCanonicalV2BytesPinned(t *testing.T) {
 		{name: "every dimension",
 			req: RunRequest{Experiment: "app", App: "moldyn", N: 256, Steps: 4,
 				Procs: []int{4},
-				Machine: apps.Machine{Perturb: &apps.Perturb{
-					CPU:      []float64{1.3, 1},
-					JitterUS: 5, JitterSeed: 7,
-					Links: []apps.LinkOverride{
+				Machine: apps.Machine{Perturb: &sim.Perturb{
+					CPUFactor: []float64{1.3, 1},
+					JitterUS:  5, JitterSeed: 7,
+					Links: []sim.LinkPerturb{
 						{From: 1, To: 0, LatencyUS: 170},
-						{From: 0, To: 1, BandwidthMBs: 20},
+						{From: 0, To: 1, BytesPerUS: 20},
 					}}}},
 			want: "runrequest/v2\n" +
 				"experiment=app\n" +
@@ -174,9 +175,9 @@ func TestCanonicalV2BytesPinned(t *testing.T) {
 		{name: "large link costs",
 			req: RunRequest{Experiment: "app", App: "taskq", N: 64,
 				Procs: []int{2},
-				Machine: apps.Machine{Perturb: &apps.Perturb{
-					Links: []apps.LinkOverride{
-						{From: 0, To: 1, LatencyUS: 2500000, BandwidthMBs: 1000000},
+				Machine: apps.Machine{Perturb: &sim.Perturb{
+					Links: []sim.LinkPerturb{
+						{From: 0, To: 1, LatencyUS: 2500000, BytesPerUS: 1000000},
 					}}}},
 			want: "runrequest/v2\n" +
 				"experiment=app\n" +
@@ -206,7 +207,7 @@ func TestZeroPerturbCanonicalizesToV1(t *testing.T) {
 	plain := RunRequest{Experiment: "app", App: "taskq", N: 64, Steps: 3,
 		Procs: []int{2}, Machine: apps.Machine{LatencyUS: 200}}
 	zero := plain
-	zero.Machine.Perturb = &apps.Perturb{}
+	zero.Machine.Perturb = &sim.Perturb{}
 
 	if !strings.HasPrefix(string(zero.Canonical()), "runrequest/v1\n") {
 		t.Errorf("all-zero perturbation encoded with header %q, want runrequest/v1",
@@ -227,7 +228,7 @@ func TestZeroPerturbCanonicalizesToV1(t *testing.T) {
 func TestPerturbedCanonicalIsV2(t *testing.T) {
 	req := RunRequest{Experiment: "app", App: "moldyn",
 		N: 256, Procs: []int{4},
-		Machine: apps.Machine{Perturb: &apps.Perturb{CPU: []float64{1.3}}}}
+		Machine: apps.Machine{Perturb: &sim.Perturb{CPUFactor: []float64{1.3}}}}
 	if !strings.HasPrefix(string(req.Canonical()), "runrequest/v2\n") {
 		t.Errorf("perturbed request encoded with header %q, want runrequest/v2",
 			strings.SplitN(string(req.Canonical()), "\n", 2)[0])

@@ -33,6 +33,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/mem"
 	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
 // RequestVersion is the canonical-encoding schema version; it moves
@@ -121,8 +122,8 @@ func (r RunRequest) Canonical() []byte {
 		r.Machine.LatencyUS, r.Machine.BandwidthMBs)
 	if r.Machine.Perturbed() {
 		pert := r.Machine.Perturb
-		if len(pert.CPU) > 0 {
-			fmt.Fprintf(&b, "perturb.cpu=%s\n", floatList(pert.CPU))
+		if len(pert.CPUFactor) > 0 {
+			fmt.Fprintf(&b, "perturb.cpu=%s\n", floatList(pert.CPUFactor))
 		}
 		if pert.JitterUS != 0 {
 			fmt.Fprintf(&b, "perturb.jitter_us=%s\n", strconv.FormatFloat(pert.JitterUS, 'g', -1, 64))
@@ -131,15 +132,17 @@ func (r RunRequest) Canonical() []byte {
 			fmt.Fprintf(&b, "perturb.jitter_seed=%d\n", pert.JitterSeed)
 		}
 		links := slices.Clone(pert.Links)
-		slices.SortStableFunc(links, func(a, b apps.LinkOverride) int {
+		slices.SortStableFunc(links, func(a, b sim.LinkPerturb) int {
 			return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
 		})
+		// Link costs are integral in every spec; 'f' spells them as
+		// the integers they are (1e6 stays 1000000, not 1e+06).
 		for _, l := range links {
 			if l.LatencyUS != 0 {
-				fmt.Fprintf(&b, "perturb.link.%d-%d.latency_us=%d\n", l.From, l.To, l.LatencyUS)
+				fmt.Fprintf(&b, "perturb.link.%d-%d.latency_us=%s\n", l.From, l.To, strconv.FormatFloat(l.LatencyUS, 'f', -1, 64))
 			}
-			if l.BandwidthMBs != 0 {
-				fmt.Fprintf(&b, "perturb.link.%d-%d.bandwidth_mbs=%d\n", l.From, l.To, l.BandwidthMBs)
+			if l.BytesPerUS != 0 {
+				fmt.Fprintf(&b, "perturb.link.%d-%d.bandwidth_mbs=%s\n", l.From, l.To, strconv.FormatFloat(l.BytesPerUS, 'f', -1, 64))
 			}
 		}
 	}

@@ -78,31 +78,14 @@ func fmtMetric(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// Request maps the validated spec onto its canonical bench.RunRequest.
-// Canned params are fully resolved against the schema defaults
+// Request returns the run request the spec resolved to at load time:
+// canned params fully resolved against the schema defaults
 // (bench.Request), so a spec relying on a default and one spelling it
 // out share a content address. Variants are presentation (a row
-// filter) and never reach the request.
+// filter) and never reach the request. The request shares its maps and
+// slices with the spec; treat it as read-only.
 func (s *Spec) Request() bench.RunRequest {
-	if s.Experiment != "app" {
-		// validate already ran bench.Request on these params.
-		req, _ := bench.Request(s.Experiment, s.Params)
-		req.Trace = s.Trace
-		if s.Sweep != nil {
-			req.BudgetSweepKB = slices.Clone(s.Sweep.Values)
-		}
-		return req
-	}
-	req := bench.RunRequest{Experiment: s.Experiment, Trace: s.Trace,
-		App: s.App, N: s.N, Steps: s.Steps, Seed: s.Seed,
-		Procs: append([]int(nil), s.Procs...), Machine: s.Machine}
-	if len(s.Knobs) > 0 {
-		req.Knobs = maps.Clone(s.Knobs)
-	}
-	if s.Sweep != nil {
-		req.Sweep = &bench.SweepAxis{Axis: s.Sweep.Axis, Values: slices.Clone(s.Sweep.Values)}
-	}
-	return req
+	return s.RunRequest
 }
 
 // Run executes the spec on the shared default runner with a background

@@ -61,7 +61,9 @@ assert:
 
 // TestClaims runs every spec under scenarios/claims — the paper's
 // claims C2 and C3 and ablations A1-A5 (DESIGN.md §4) — and fails on
-// any band violation: the bands are the claims.
+// any band violation: the bands are the claims. Each spec runs once:
+// CI's scenario leg runs the claims with -repro, and run-to-run
+// identity is TestGoldenScenarios' check on the golden specs.
 func TestClaims(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("claim sweeps skipped under -race (see internal/raceflag)")
@@ -83,6 +85,7 @@ func TestClaims(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			spec.Repro = false
 			out, err := Run(spec)
 			if err != nil {
 				t.Fatal(err)
@@ -209,11 +212,12 @@ assert:
 	}
 }
 
-// TestPresentResultMatchesEngine checks, for every canned experiment,
-// that the run service's render path — the request served by the
-// runner, stored and decoded as a disk entry, rendered by
-// bench.PresentResult — prints exactly the scenario engine's bytes. Tiny sizes keep it
-// fast; the shipped CI-size renderings are cmd/scenario's goldens.
+// TestPresentResultMatchesEngine checks, for every canned experiment
+// but memory, that the run service's render path — the request served
+// by the runner, stored and decoded as a disk entry, rendered by
+// bench.PresentResult — prints exactly the scenario engine's bytes.
+// Tiny sizes keep it fast; the shipped CI-size renderings are
+// cmd/scenario's goldens.
 func TestPresentResultMatchesEngine(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every canned experiment")
@@ -227,7 +231,10 @@ func TestPresentResultMatchesEngine(t *testing.T) {
 		{"table3-1proc", "table3", "n: 256\n  nnz: 4\n  procs: 1\n  steps: 1"},
 		{"table4", "table4", "cities: 5\n  items: 16\n  procs: 2"},
 		{"table5", "table5", "procs: 2\n  n: 64\n  nbf: 256\n  spmv: 256\n  moldyn_steps: 2\n  steps: 1"},
-		{"memory", "memory", "n: 64\n  procs: 2"},
+		// No memory row: the experiment always runs the N = 4096
+		// anecdote. TestEntryCodecRoundTrip (internal/bench) covers its
+		// render path on a fixture, TestGoldenScenarios/memory.yaml the
+		// engine's rendering.
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			spec, err := Parse([]byte("name: x\nexperiment: " + tc.experiment + "\nparams:\n  " + tc.params + "\n"))

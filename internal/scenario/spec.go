@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/bench"
+	"repro/internal/sim"
 )
 
 // MaxProcs bounds the simulated cluster a spec may ask for; the
@@ -50,59 +51,32 @@ func (b Band) Interval() string {
 	return "(-inf, +inf)"
 }
 
-// SpecVersion is the schema version this package reads and writes. A
-// spec may pin `version: 1` explicitly; an absent key means version 1
-// (every pre-versioning spec file is a valid version-1 spec), and any
-// other value is rejected so a future schema bump fails loudly here
-// instead of half-parsing.
+// SpecVersion is the schema version this package reads. A spec may
+// pin `version: 1` explicitly; an absent key means version 1 (every
+// pre-versioning spec file is a valid version-1 spec), and any other
+// value is rejected so a future schema bump fails loudly here instead
+// of half-parsing.
 const SpecVersion = 1
 
-// Spec is one validated scenario.
+// Spec is one validated scenario: the fully resolved run request it
+// executes (canned params filled from the schema defaults, the app
+// experiment's procs default applied) and what only the scenario layer
+// uses — its name and description, the variant rows it renders, the
+// bands it asserts and the repro check.
 type Spec struct {
 	Name        string
 	Description string
-	// Version is the spec schema version, normalized to SpecVersion
-	// during validation (0, the absent-key value, means "current").
-	Version int
-	// Experiment is table1..table5, memory, or app.
-	Experiment string
-	// Params carries the canned experiments' parameters; unset keys
-	// take the schema defaults (bench.Canned).
-	Params map[string]int
+	// Variants selects the rendered rows of an app experiment by slot
+	// (apps.Slots; all four by default). It is presentation, never part
+	// of the request.
+	Variants []string
+	// Assert carries the bands checked against the run's metrics.
+	Assert []Band
 	// Repro asks the engine to run the whole experiment twice and
 	// byte-diff the rendered output and the metrics text.
 	Repro bool
-	// Trace asks the run to record the deterministic simulated-event
-	// trace (DESIGN.md §13); `scenario run -trace <dir>` writes it to
-	// <dir>/<name>.trace.json. Rejected for canned experiments the run
-	// layer keeps untraced (bench.Experiment.Traceable).
-	Trace bool
 
-	// The app-experiment fields (rejected for the other experiments).
-	App      string
-	N        int
-	Steps    int
-	Seed     int64
-	Procs    []int
-	Variants []string
-	Knobs    map[string]int
-	// Sweep is the swept axis: for an app experiment the run grid is
-	// the cross product of its values and the procs list; the memory
-	// experiment sweeps only table_budget_kb.
-	Sweep *bench.SweepAxis
-	// Machine is the structured machine spec (`machine:` mapping):
-	// uniform latency/bandwidth overrides plus the optional perturb
-	// block. Absent keys inherit the SP2 defaults; explicit zeros are
-	// rejected as ambiguous during parsing.
-	Machine apps.Machine
-
-	// machineSet records whether the spec file carried a "machine" key
-	// (the canned experiments reject it even when it decodes to the
-	// zero Machine).
-	machineSet bool
-
-	// Assert carries the bands checked against the run's metrics.
-	Assert []Band
+	bench.RunRequest
 }
 
 // specFile is a spec document as written. Its json tags, and those of
@@ -155,16 +129,6 @@ type linkFile struct {
 	To           *int `json:"to"`
 	LatencyUS    int  `json:"latency_us"`
 	BandwidthMBs int  `json:"bandwidth_mbs"`
-}
-
-// Param returns a canned experiment parameter, falling back to the
-// schema default.
-func (s *Spec) Param(name string) int {
-	if v, ok := s.Params[name]; ok {
-		return v
-	}
-	e, _ := bench.Canned(s.Experiment)
-	return e.Params[name]
 }
 
 // IsSpecFile reports whether path names a spec file: .yaml or .yml
@@ -235,7 +199,7 @@ func Files(dir string) ([]string, error) {
 // decode builds and validates a Spec from the generic
 // map/slice/scalar shape both parsers produce: the shape is checked
 // against specFile's tags, decoded into a specFile by encoding/json,
-// and converted.
+// and validated into its run request.
 func decode(doc any) (*Spec, error) {
 	m, ok := doc.(map[string]any)
 	if !ok {
@@ -252,26 +216,7 @@ func decode(doc any) (*Spec, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario: %v", err)
 	}
-	s := &Spec{Version: f.Version, Name: f.Name, Description: f.Description,
-		Experiment: f.Experiment, Params: f.Params, Repro: f.Repro, Trace: f.Trace,
-		App: f.App, N: f.N, Steps: f.Steps, Seed: f.Seed, Procs: f.Procs,
-		Variants: f.Variants, Knobs: f.Knobs, Assert: f.Assert}
-	if f.Sweep != nil {
-		if f.Sweep.Axis == "" {
-			return nil, fmt.Errorf(`scenario: a sweep needs an "axis"`)
-		}
-		s.Sweep = &bench.SweepAxis{Axis: f.Sweep.Axis, Values: f.Sweep.Values}
-	}
-	if f.Machine != nil {
-		s.machineSet = true
-		if s.Machine, err = f.Machine.machine(); err != nil {
-			return nil, err
-		}
-	}
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return f.spec()
 }
 
 // machine converts the decoded `machine:` mapping.
@@ -292,13 +237,13 @@ func (f *machineFile) machine() (apps.Machine, error) {
 	if p == nil {
 		return m, nil
 	}
-	pert := &apps.Perturb{CPU: p.CPU, JitterUS: p.JitterUS, JitterSeed: p.JitterSeed}
+	pert := &sim.Perturb{CPUFactor: p.CPU, JitterUS: p.JitterUS, JitterSeed: uint64(p.JitterSeed)}
 	for i, l := range p.Links {
 		if l.From == nil || l.To == nil {
 			return m, fmt.Errorf(`scenario: machine.perturb.links[%d] needs "from" and "to"`, i)
 		}
-		pert.Links = append(pert.Links, apps.LinkOverride{From: *l.From, To: *l.To,
-			LatencyUS: l.LatencyUS, BandwidthMBs: l.BandwidthMBs})
+		pert.Links = append(pert.Links, sim.LinkPerturb{From: *l.From, To: *l.To,
+			LatencyUS: float64(l.LatencyUS), BytesPerUS: float64(l.BandwidthMBs)})
 	}
 	if !pert.IsZero() {
 		m.Perturb = pert
@@ -424,33 +369,45 @@ func join(path, key string) string {
 	return path + "." + key
 }
 
-// validate checks the decoded spec against the experiment schemas and
-// the application registry, then fills the app-experiment defaults
-// (procs [8], all four variants).
-func (s *Spec) validate() error {
-	if s.Name == "" {
-		return fmt.Errorf(`scenario: missing required key "name"`)
+// spec validates the decoded file against the experiment schemas and
+// the application registry and resolves it into its run request:
+// canned params take the schema defaults (bench.Request), the memory
+// experiment's sweep becomes the request's budget axis, and an app
+// experiment defaults to procs [8] and all four variants.
+func (f *specFile) spec() (*Spec, error) {
+	if f.Sweep != nil && f.Sweep.Axis == "" {
+		return nil, fmt.Errorf(`scenario: a sweep needs an "axis"`)
 	}
-	switch s.Version {
-	case 0:
-		s.Version = SpecVersion
-	case SpecVersion:
-	default:
-		return fmt.Errorf("scenario %q: unsupported spec version %d (supported: %d)",
-			s.Name, s.Version, SpecVersion)
-	}
-	if s.Experiment == "" {
-		return fmt.Errorf(`scenario %q: missing required key "experiment"`, s.Name)
-	}
-	e, canned := bench.Canned(s.Experiment)
-	if s.Experiment != "app" {
-		// Unknown experiments, unknown params, and negative values.
-		if _, err := bench.Request(s.Experiment, s.Params); err != nil {
-			return fmt.Errorf("scenario %q: %v", s.Name, err)
+	var machine apps.Machine
+	if f.Machine != nil {
+		var err error
+		if machine, err = f.Machine.machine(); err != nil {
+			return nil, err
 		}
 	}
-	if s.Trace && canned && !e.Traceable {
-		return fmt.Errorf("scenario %q: the %s experiment does not support trace: true (its grids re-run one backend many times; see DESIGN.md §13)", s.Name, s.Experiment)
+	if f.Name == "" {
+		return nil, fmt.Errorf(`scenario: missing required key "name"`)
+	}
+	if f.Version != 0 && f.Version != SpecVersion {
+		return nil, fmt.Errorf("scenario %q: unsupported spec version %d (supported: %d)",
+			f.Name, f.Version, SpecVersion)
+	}
+	if f.Experiment == "" {
+		return nil, fmt.Errorf(`scenario %q: missing required key "experiment"`, f.Name)
+	}
+	s := &Spec{Name: f.Name, Description: f.Description, Variants: f.Variants,
+		Assert: f.Assert, Repro: f.Repro}
+	e, canned := bench.Canned(f.Experiment)
+	if f.Experiment != "app" {
+		// Unknown experiments, unknown params, and negative values.
+		req, err := bench.Request(f.Experiment, f.Params)
+		if err != nil {
+			return nil, fmt.Errorf("scenario %q: %v", f.Name, err)
+		}
+		s.RunRequest = req
+	}
+	if f.Trace && canned && !e.Traceable {
+		return nil, fmt.Errorf("scenario %q: the %s experiment does not support trace: true (its grids re-run one backend many times; see DESIGN.md §13)", f.Name, f.Experiment)
 	}
 
 	if canned {
@@ -458,66 +415,75 @@ func (s *Spec) validate() error {
 			key string
 			set bool
 		}{
-			{"app", s.App != ""}, {"n", s.N != 0}, {"steps", s.Steps != 0},
-			{"seed", s.Seed != 0}, {"procs", len(s.Procs) > 0},
-			{"variants", len(s.Variants) > 0}, {"knobs", len(s.Knobs) > 0},
-			{"machine", s.machineSet},
+			{"app", f.App != ""}, {"n", f.N != 0}, {"steps", f.Steps != 0},
+			{"seed", f.Seed != 0}, {"procs", len(f.Procs) > 0},
+			{"variants", len(f.Variants) > 0}, {"knobs", len(f.Knobs) > 0},
+			{"machine", f.Machine != nil},
 		}
-		for _, f := range appOnly {
-			if f.set {
-				return fmt.Errorf("scenario %q: key %q only applies to the app experiment", s.Name, f.key)
+		for _, k := range appOnly {
+			if k.set {
+				return nil, fmt.Errorf("scenario %q: key %q only applies to the app experiment", f.Name, k.key)
 			}
 		}
-		if s.Sweep != nil {
+		if f.Sweep != nil {
 			if e.SweepAxis == "" {
-				return fmt.Errorf(`scenario %q: key "sweep" only applies to the app and memory experiments`, s.Name)
+				return nil, fmt.Errorf(`scenario %q: key "sweep" only applies to the app and memory experiments`, f.Name)
 			}
-			if s.Sweep.Axis != e.SweepAxis {
-				return fmt.Errorf(`scenario %q: the %s experiment can only sweep %q (got %q)`,
-					s.Name, s.Experiment, e.SweepAxis, s.Sweep.Axis)
+			if f.Sweep.Axis != e.SweepAxis {
+				return nil, fmt.Errorf(`scenario %q: the %s experiment can only sweep %q (got %q)`,
+					f.Name, f.Experiment, e.SweepAxis, f.Sweep.Axis)
 			}
+			s.BudgetSweepKB = f.Sweep.Values
 		}
-		if p := s.Param("procs"); p < 1 || p > MaxProcs {
-			return fmt.Errorf("scenario %q: proc count %d out of range [1, %d]", s.Name, p, MaxProcs)
+		if p := s.Params["procs"]; p < 1 || p > MaxProcs {
+			return nil, fmt.Errorf("scenario %q: proc count %d out of range [1, %d]", f.Name, p, MaxProcs)
 		}
 	} else {
-		if len(s.Params) > 0 {
-			return fmt.Errorf(`scenario %q: key "params" only applies to the table and memory experiments`, s.Name)
+		if len(f.Params) > 0 {
+			return nil, fmt.Errorf(`scenario %q: key "params" only applies to the table and memory experiments`, f.Name)
 		}
-		if s.App == "" {
-			return fmt.Errorf(`scenario %q: the app experiment needs "app"`, s.Name)
+		if f.App == "" {
+			return nil, fmt.Errorf(`scenario %q: the app experiment needs "app"`, f.Name)
 		}
-		knobs, ok := apps.Knobs(s.App)
+		knobs, ok := apps.Knobs(f.App)
 		if !ok {
-			return fmt.Errorf("scenario %q: unknown application %q (registered: %v)", s.Name, s.App, apps.Names())
+			return nil, fmt.Errorf("scenario %q: unknown application %q (registered: %v)", f.Name, f.App, apps.Names())
 		}
-		if s.N <= 0 {
-			return fmt.Errorf(`scenario %q: the app experiment needs a positive "n" (got %d)`, s.Name, s.N)
+		if f.N <= 0 {
+			return nil, fmt.Errorf(`scenario %q: the app experiment needs a positive "n" (got %d)`, f.Name, f.N)
 		}
-		for _, p := range s.Procs {
+		for _, p := range f.Procs {
 			if p < 1 || p > MaxProcs {
-				return fmt.Errorf("scenario %q: proc count %d out of range [1, %d]", s.Name, p, MaxProcs)
+				return nil, fmt.Errorf("scenario %q: proc count %d out of range [1, %d]", f.Name, p, MaxProcs)
 			}
 		}
-		for _, v := range s.Variants {
+		for _, v := range f.Variants {
 			if !slices.Contains(apps.Slots, v) {
-				return fmt.Errorf("scenario %q: unknown variant %q (want %s)",
-					s.Name, v, strings.Join(apps.Slots, ", "))
+				return nil, fmt.Errorf("scenario %q: unknown variant %q (want %s)",
+					f.Name, v, strings.Join(apps.Slots, ", "))
 			}
 		}
-		for _, k := range slices.Sorted(maps.Keys(s.Knobs)) {
+		for _, k := range slices.Sorted(maps.Keys(f.Knobs)) {
 			if !slices.Contains(knobs, k) {
-				return fmt.Errorf("scenario %q: %s does not declare knob %q (declares: %v)", s.Name, s.App, k, knobs)
+				return nil, fmt.Errorf("scenario %q: %s does not declare knob %q (declares: %v)", f.Name, f.App, k, knobs)
 			}
 		}
-		if s.Sweep != nil {
-			if s.Sweep.Axis == "procs" {
-				return fmt.Errorf(`scenario %q: "procs" is not a sweep axis (give a procs list instead)`, s.Name)
+		if f.Sweep != nil {
+			if f.Sweep.Axis == "procs" {
+				return nil, fmt.Errorf(`scenario %q: "procs" is not a sweep axis (give a procs list instead)`, f.Name)
 			}
-			if axes := bench.SweepAxes(); !slices.Contains(axes, s.Sweep.Axis) && !slices.Contains(knobs, s.Sweep.Axis) {
-				return fmt.Errorf("scenario %q: %s cannot sweep axis %q (axes: %s, and knobs %v)",
-					s.Name, s.App, s.Sweep.Axis, strings.Join(axes, ", "), knobs)
+			if axes := bench.SweepAxes(); !slices.Contains(axes, f.Sweep.Axis) && !slices.Contains(knobs, f.Sweep.Axis) {
+				return nil, fmt.Errorf("scenario %q: %s cannot sweep axis %q (axes: %s, and knobs %v)",
+					f.Name, f.App, f.Sweep.Axis, strings.Join(axes, ", "), knobs)
 			}
+		}
+		s.RunRequest = bench.RunRequest{Experiment: f.Experiment, App: f.App, N: f.N,
+			Steps: f.Steps, Seed: f.Seed, Procs: f.Procs, Machine: machine}
+		if len(f.Knobs) > 0 {
+			s.Knobs = f.Knobs
+		}
+		if f.Sweep != nil {
+			s.Sweep = &bench.SweepAxis{Axis: f.Sweep.Axis, Values: f.Sweep.Values}
 		}
 		if len(s.Procs) == 0 {
 			s.Procs = []int{8}
@@ -526,33 +492,38 @@ func (s *Spec) validate() error {
 			s.Variants = slices.Clone(apps.Slots)
 		}
 		// The machine spec must be valid for every grid point, so it is
-		// checked against the smallest requested cluster.
-		if err := s.Machine.Validate(slices.Min(s.Procs)); err != nil {
-			return fmt.Errorf("scenario %q: %v", s.Name, err)
+		// checked against the smallest requested cluster. The request
+		// carries the jitter seed unsigned, so its sign is checked here.
+		if m := f.Machine; m != nil && m.Perturb != nil && m.Perturb.JitterSeed < 0 {
+			return nil, fmt.Errorf("scenario %q: machine: perturb.jitter_seed must be >= 0 (got %d)", f.Name, m.Perturb.JitterSeed)
+		}
+		if err := machine.Validate(slices.Min(s.Procs)); err != nil {
+			return nil, fmt.Errorf("scenario %q: %v", f.Name, err)
 		}
 	}
-	if s.Sweep != nil {
-		if len(s.Sweep.Values) == 0 {
-			return fmt.Errorf("scenario %q: sweep over %q has no values", s.Name, s.Sweep.Axis)
+	if f.Sweep != nil {
+		if len(f.Sweep.Values) == 0 {
+			return nil, fmt.Errorf("scenario %q: sweep over %q has no values", f.Name, f.Sweep.Axis)
 		}
-		for _, v := range s.Sweep.Values {
+		for _, v := range f.Sweep.Values {
 			if v <= 0 {
-				return fmt.Errorf("scenario %q: sweep value %d must be positive", s.Name, v)
+				return nil, fmt.Errorf("scenario %q: sweep value %d must be positive", f.Name, v)
 			}
 		}
 	}
 
-	for _, b := range s.Assert {
+	for _, b := range f.Assert {
 		if b.Metric == "" {
-			return fmt.Errorf(`scenario %q: assertion needs a "metric"`, s.Name)
+			return nil, fmt.Errorf(`scenario %q: assertion needs a "metric"`, f.Name)
 		}
 		if b.Min == nil && b.Max == nil {
-			return fmt.Errorf(`scenario %q: assertion on %q needs "min" and/or "max"`, s.Name, b.Metric)
+			return nil, fmt.Errorf(`scenario %q: assertion on %q needs "min" and/or "max"`, f.Name, b.Metric)
 		}
 		if b.Min != nil && b.Max != nil && *b.Min > *b.Max {
-			return fmt.Errorf("scenario %q: assertion on %q has an empty band (min %g > max %g)",
-				s.Name, b.Metric, *b.Min, *b.Max)
+			return nil, fmt.Errorf("scenario %q: assertion on %q has an empty band (min %g > max %g)",
+				f.Name, b.Metric, *b.Min, *b.Max)
 		}
 	}
-	return nil
+	s.Trace = f.Trace
+	return s, nil
 }

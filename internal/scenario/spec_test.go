@@ -39,21 +39,22 @@ repro: true
 	want := &Spec{
 		Name:        "latency-sweep",
 		Description: "chaos vs tmk as the wire slows down",
-		Version:     1,
-		Experiment:  "app",
-		Repro:       true,
-		App:         "moldyn",
-		N:           256,
-		Steps:       4,
-		Seed:        7,
-		Procs:       []int{2, 4},
 		Variants:    []string{"chaos", "tmk-opt"},
-		Knobs:       map[string]int{"update_every": 5},
-		Sweep:       &bench.SweepAxis{Axis: "latency_us", Values: []int{85, 170}},
 		Assert: []Band{{
 			Metric: "moldyn/latency_us=85, 2 procs/chaos/speedup",
 			Min:    &min, Max: &max,
 		}},
+		Repro: true,
+		RunRequest: bench.RunRequest{
+			Experiment: "app",
+			App:        "moldyn",
+			N:          256,
+			Steps:      4,
+			Seed:       7,
+			Procs:      []int{2, 4},
+			Knobs:      map[string]int{"update_every": 5},
+			Sweep:      &bench.SweepAxis{Axis: "latency_us", Values: []int{85, 170}},
+		},
 	}
 	if !reflect.DeepEqual(spec, want) {
 		t.Fatalf("Parse:\n got  %+v\n want %+v", spec, want)
@@ -109,22 +110,12 @@ func TestSpecDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	if got := tbl.Param("scale"); got != 2 {
-		t.Errorf("Param(scale) = %d, want 2", got)
-	}
-	if got := tbl.Param("partners"); got != 100 {
-		t.Errorf("Param(partners) = %d, want the flag default 100", got)
-	}
-	if tbl.Version != SpecVersion {
-		t.Errorf("absent version normalized to %d, want %d", tbl.Version, SpecVersion)
+	if want := map[string]int{"scale": 2, "procs": 8, "steps": 10, "partners": 100}; !reflect.DeepEqual(tbl.Params, want) {
+		t.Errorf("Params = %v, want the flag defaults filled in: %v", tbl.Params, want)
 	}
 
-	pinned, err := Parse([]byte("name: v\nexperiment: table1\nversion: 1\n"))
-	if err != nil {
+	if _, err := Parse([]byte("name: v\nexperiment: table1\nversion: 1\n")); err != nil {
 		t.Fatalf("Parse rejected an explicit version 1: %v", err)
-	}
-	if pinned.Version != SpecVersion {
-		t.Errorf("explicit version parsed as %d, want %d", pinned.Version, SpecVersion)
 	}
 }
 
