@@ -39,48 +39,60 @@ func DecodeResult(b []byte) (*RunResult, error) {
 	return res, nil
 }
 
-// entry is the disk tier's payload: the request beside the result it
-// produced. The request's JSON carries exactly what Canonical encodes
-// (the trace flags are tagged out).
-type entry struct {
-	Request RunRequest `json:"request"`
-	Result  *RunResult `json:"result"`
-}
+// The disk tier's payload is the request beside the result it
+// produced: {"request":<RunRequest>,"result":<RunResult>}. The
+// request's JSON carries exactly what Canonical encodes (the trace
+// flags are tagged out). Only this file knows the layout; callers get
+// the result's bytes as a span of the payload.
 
 // EncodeEntry serializes a (request, result) pair as the disk tier's
-// payload. Its length is also the memory tier's size for the pair.
-func EncodeEntry(req RunRequest, res *RunResult) ([]byte, error) {
-	return json.Marshal(entry{Request: req, Result: res})
+// payload — the bytes json.Marshal gives the pair as a struct — and
+// returns with it the span of the payload that is the result's JSON,
+// exactly EncodeResult's bytes. The payload's length is also the
+// memory tier's size for the pair.
+func EncodeEntry(req RunRequest, res *RunResult) (payload, result []byte, err error) {
+	rq, err := json.Marshal(req)
+	if err != nil {
+		return nil, nil, err
+	}
+	rs, err := json.Marshal(res)
+	if err != nil {
+		return nil, nil, err
+	}
+	payload = make([]byte, 0, len(`{"request":,"result":}`)+len(rq)+len(rs))
+	payload = append(append(append(payload, `{"request":`...), rq...), `,"result":`...)
+	start := len(payload)
+	payload = append(append(payload, rs...), '}')
+	return payload, payload[start : len(payload)-1], nil
 }
 
-// DecodeEntry parses an EncodeEntry payload filed under key. The entry
-// is accepted only if it names no field this build lacks and its
-// request re-encodes to that key, so a decoded entry is always the
-// whole result of the request it claims to be; anything else (an older
-// result-only payload, an entry from a build whose result carried more,
-// a request under another key) is an error, which the disk tier's
-// reader treats as a miss.
-func DecodeEntry(key cache.Key, b []byte) (RunRequest, *RunResult, error) {
+// DecodeEntry parses an EncodeEntry payload filed under key and
+// returns the request, the result and the result's span of the
+// payload. The entry is accepted only if its object holds nothing but
+// one request and one result, neither names a field this build lacks,
+// nothing trails it, and its request re-encodes to that key — so a
+// decoded entry is always the whole result of the request it claims to
+// be, and the span is that result's JSON as stored. Anything else (an
+// older result-only payload, an entry from a build whose result carried
+// more, a request under another key) is an error, which the disk
+// tier's reader treats as a miss.
+func DecodeEntry(key cache.Key, b []byte) (RunRequest, *RunResult, []byte, error) {
 	d := entryDecoders.Get().(*entryDecoder)
-	d.in.Reset(b)
-	var e entry
-	if err := d.dec.Decode(&e); err != nil {
-		return RunRequest{}, nil, fmt.Errorf("bench: decoding entry: %w", err)
-	}
-	if _, err := d.dec.Token(); err != io.EOF {
-		return RunRequest{}, nil, fmt.Errorf("bench: entry has trailing data")
+	req, res, span, err := d.decode(b)
+	if err != nil {
+		return RunRequest{}, nil, nil, fmt.Errorf("bench: decoding entry: %w", err)
 	}
 	// Only a decoder that read exactly one entry goes back: a failed
 	// one may keep a sticky error or unread bytes.
 	d.in.Reset(nil)
 	entryDecoders.Put(d)
-	if e.Result == nil {
-		return RunRequest{}, nil, fmt.Errorf("bench: entry carries no result")
+	if res == nil {
+		return RunRequest{}, nil, nil, fmt.Errorf("bench: entry carries no result")
 	}
-	if e.Request.Key() != key {
-		return RunRequest{}, nil, fmt.Errorf("bench: entry request does not match its key %s", key)
+	if req.Key() != key {
+		return RunRequest{}, nil, nil, fmt.Errorf("bench: entry request does not match its key %s", key)
 	}
-	return e.Request, e.Result, nil
+	return req, res, span, nil
 }
 
 // entryDecoder is a strict entry decoder over a reader DecodeEntry
@@ -100,6 +112,50 @@ var entryDecoders = sync.Pool{New: func() any {
 	d.dec.DisallowUnknownFields()
 	return d
 }}
+
+// decode walks the entry object key by key, so the decoder's input
+// offsets bracket the result's value. Keys must be spelled exactly and
+// appear at most once: a repeated result would merge into one value no
+// single span holds.
+func (d *entryDecoder) decode(b []byte) (req RunRequest, res *RunResult, span []byte, err error) {
+	d.in.Reset(b)
+	base := d.dec.InputOffset() // a pooled decoder counts every entry it read
+	if t, err := d.dec.Token(); err != nil || t != json.Delim('{') {
+		return req, nil, nil, fmt.Errorf("not a JSON object")
+	}
+	var seenReq, seenRes bool
+	for d.dec.More() {
+		t, err := d.dec.Token()
+		if err != nil {
+			return req, nil, nil, err
+		}
+		switch {
+		case t == "request" && !seenReq:
+			seenReq = true
+			err = d.dec.Decode(&req)
+		case t == "result" && !seenRes:
+			seenRes = true
+			// The offset after the key precedes the colon, which the
+			// decoder consumes on the way to the value.
+			from := d.dec.InputOffset() - base
+			if err = d.dec.Decode(&res); err == nil {
+				span = bytes.TrimLeft(b[from:d.dec.InputOffset()-base], " \t\r\n:")
+			}
+		default:
+			return req, nil, nil, fmt.Errorf("unknown or repeated key %v", t)
+		}
+		if err != nil {
+			return req, nil, nil, err
+		}
+	}
+	if _, err := d.dec.Token(); err != nil { // the closing brace
+		return req, nil, nil, err
+	}
+	if _, err := d.dec.Token(); err != io.EOF {
+		return req, nil, nil, fmt.Errorf("trailing data")
+	}
+	return req, res, span, nil
+}
 
 // SizeBytes approximates the result's resident size as the length of
 // its JSON encoding — the number the cache byte gauges report. It is

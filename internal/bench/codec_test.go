@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"testing"
@@ -46,21 +47,43 @@ func codecRequests() map[string]RunRequest {
 	}
 }
 
+// entryOracle is the disk entry as a struct: json.Marshal of it is
+// the payload EncodeEntry has always written.
+type entryOracle struct {
+	Request RunRequest `json:"request"`
+	Result  *RunResult `json:"result"`
+}
+
 // TestEntryCodecRoundTrip checks the disk entry's contract: for every
-// request shape, the request decoded from an entry filed under its key
-// re-encodes to the same canonical bytes (and therefore the same key),
-// and the result comes back with it.
+// request shape, the payload is the struct oracle's bytes with the
+// result's span holding EncodeResult's, the request decoded from an
+// entry filed under its key re-encodes to the same canonical bytes
+// (and therefore the same key), and the result and its span come back
+// with it.
 func TestEntryCodecRoundTrip(t *testing.T) {
 	res := &RunResult{Experiment: "app", Metrics: map[string]float64{"x": 1.5}}
+	wantResult, err := EncodeResult(res)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, req := range codecRequests() {
-		payload, err := EncodeEntry(req, res)
+		payload, result, err := EncodeEntry(req, res)
 		if err != nil {
 			t.Fatalf("%s: EncodeEntry: %v", name, err)
 		}
-		dec, dres, err := DecodeEntry(req.Key(), payload)
+		if want, _ := json.Marshal(entryOracle{req, res}); !bytes.Equal(payload, want) {
+			t.Errorf("%s: payload\n%s\nwant the struct encoding\n%s", name, payload, want)
+		}
+		if !bytes.Equal(result, wantResult) {
+			t.Errorf("%s: encoded result span %s, want %s", name, result, wantResult)
+		}
+		dec, dres, dresult, err := DecodeEntry(req.Key(), payload)
 		if err != nil {
 			t.Errorf("%s: DecodeEntry: %v", name, err)
 			continue
+		}
+		if !bytes.Equal(dresult, wantResult) {
+			t.Errorf("%s: decoded result span %s, want %s", name, dresult, wantResult)
 		}
 		if got, want := dec.Canonical(), req.Canonical(); !bytes.Equal(got, want) {
 			t.Errorf("%s: round trip changed the encoding:\n--- in ---\n%s--- out ---\n%s",
@@ -76,11 +99,11 @@ func TestEntryCodecRoundTrip(t *testing.T) {
 	req := codecRequests()["memory+budget"]
 	mres := memoryFixture()
 	requireNonZero(t, "MemSweepData", reflect.ValueOf(*mres.Mem))
-	payload, err := EncodeEntry(req, mres)
+	payload, _, err := EncodeEntry(req, mres)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dreq, dres, err := DecodeEntry(req.Key(), payload)
+	dreq, dres, _, err := DecodeEntry(req.Key(), payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,11 +171,11 @@ func TestDecodeEntryRejectsUnservable(t *testing.T) {
 		t.Fatal(err)
 	}
 	other := canned("table1", map[string]int{"n": 128, "procs": 2, "steps": 2})
-	wrongKey, err := EncodeEntry(other, res)
+	wrongKey, _, err := EncodeEntry(other, res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	valid, err := EncodeEntry(req, res)
+	valid, _, err := EncodeEntry(req, res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +191,7 @@ func TestDecodeEntryRejectsUnservable(t *testing.T) {
 		"trailing data": append(valid, '}'),
 	}
 	for name, b := range bad {
-		if _, _, err := DecodeEntry(req.Key(), b); err == nil {
+		if _, _, _, err := DecodeEntry(req.Key(), b); err == nil {
 			t.Errorf("%s: DecodeEntry accepted an unservable entry", name)
 		}
 	}

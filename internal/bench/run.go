@@ -17,11 +17,9 @@
 package bench
 
 import (
-	"bytes"
 	"cmp"
 	"context"
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 	"strconv"
@@ -102,36 +100,54 @@ type RunRequest struct {
 // into the content address and never parsed back (the disk tier keeps
 // the request as JSON beside its result, EncodeEntry).
 func (r RunRequest) Canonical() []byte {
-	var b bytes.Buffer
+	return r.AppendCanonical(nil)
+}
+
+// AppendCanonical appends the canonical encoding (Canonical) to dst.
+// It formats with strconv alone, so into a buffer with room it
+// allocates nothing.
+func (r RunRequest) AppendCanonical(b []byte) []byte {
 	v := RequestVersion
 	if r.Machine.Perturbed() {
 		v = RequestVersionPerturb
 	}
-	fmt.Fprintf(&b, "runrequest/v%d\n", v)
-	fmt.Fprintf(&b, "experiment=%s\n", r.Experiment)
-	for _, k := range slices.Sorted(maps.Keys(r.Params)) {
-		fmt.Fprintf(&b, "param.%s=%d\n", k, r.Params[k])
+	b = strconv.AppendInt(append(b, "runrequest/v"...), int64(v), 10)
+	b = appendString(b, "\nexperiment=", r.Experiment)
+	var keys [16]string
+	for _, k := range sortedKeys(keys[:0], r.Params) {
+		b = appendInt(appendString(b, "\nparam.", k), "=", int64(r.Params[k]))
 	}
-	fmt.Fprintf(&b, "app=%s\n", r.App)
-	fmt.Fprintf(&b, "n=%d\nsteps=%d\nseed=%d\n", r.N, r.Steps, r.Seed)
-	fmt.Fprintf(&b, "procs=%s\n", intList(r.Procs))
-	for _, k := range slices.Sorted(maps.Keys(r.Knobs)) {
-		fmt.Fprintf(&b, "knob.%s=%d\n", k, r.Knobs[k])
+	b = appendString(b, "\napp=", r.App)
+	b = appendInt(b, "\nn=", int64(r.N))
+	b = appendInt(b, "\nsteps=", int64(r.Steps))
+	b = appendInt(b, "\nseed=", r.Seed)
+	b = appendInts(append(b, "\nprocs="...), r.Procs)
+	for _, k := range sortedKeys(keys[:0], r.Knobs) {
+		b = appendInt(appendString(b, "\nknob.", k), "=", int64(r.Knobs[k]))
 	}
-	fmt.Fprintf(&b, "machine.latency_us=%d\nmachine.bandwidth_mbs=%d\n",
-		r.Machine.LatencyUS, r.Machine.BandwidthMBs)
+	b = appendInt(b, "\nmachine.latency_us=", int64(r.Machine.LatencyUS))
+	b = appendInt(b, "\nmachine.bandwidth_mbs=", int64(r.Machine.BandwidthMBs))
 	if r.Machine.Perturbed() {
 		pert := r.Machine.Perturb
 		if len(pert.CPUFactor) > 0 {
-			fmt.Fprintf(&b, "perturb.cpu=%s\n", floatList(pert.CPUFactor))
+			// The shortest round-tripping form ('g'/-1): one float
+			// value, one spelling.
+			b = append(b, "\nperturb.cpu="...)
+			for i, f := range pert.CPUFactor {
+				if i > 0 {
+					b = append(b, ',')
+				}
+				b = strconv.AppendFloat(b, f, 'g', -1, 64)
+			}
 		}
 		if pert.JitterUS != 0 {
-			fmt.Fprintf(&b, "perturb.jitter_us=%s\n", strconv.FormatFloat(pert.JitterUS, 'g', -1, 64))
+			b = strconv.AppendFloat(append(b, "\nperturb.jitter_us="...), pert.JitterUS, 'g', -1, 64)
 		}
 		if pert.JitterSeed != 0 {
-			fmt.Fprintf(&b, "perturb.jitter_seed=%d\n", pert.JitterSeed)
+			b = strconv.AppendUint(append(b, "\nperturb.jitter_seed="...), pert.JitterSeed, 10)
 		}
-		links := slices.Clone(pert.Links)
+		var buf [8]sim.LinkPerturb
+		links := append(buf[:0], pert.Links...)
 		slices.SortStableFunc(links, func(a, b sim.LinkPerturb) int {
 			return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
 		})
@@ -139,51 +155,63 @@ func (r RunRequest) Canonical() []byte {
 		// the integers they are (1e6 stays 1000000, not 1e+06).
 		for _, l := range links {
 			if l.LatencyUS != 0 {
-				fmt.Fprintf(&b, "perturb.link.%d-%d.latency_us=%s\n", l.From, l.To, strconv.FormatFloat(l.LatencyUS, 'f', -1, 64))
+				b = appendLink(b, l, ".latency_us=", l.LatencyUS)
 			}
 			if l.BytesPerUS != 0 {
-				fmt.Fprintf(&b, "perturb.link.%d-%d.bandwidth_mbs=%s\n", l.From, l.To, strconv.FormatFloat(l.BytesPerUS, 'f', -1, 64))
+				b = appendLink(b, l, ".bandwidth_mbs=", l.BytesPerUS)
 			}
 		}
 	}
 	if r.Sweep != nil {
-		fmt.Fprintf(&b, "sweep.axis=%s\nsweep.values=%s\n", r.Sweep.Axis, intList(r.Sweep.Values))
+		b = appendString(b, "\nsweep.axis=", r.Sweep.Axis)
+		b = appendInts(append(b, "\nsweep.values="...), r.Sweep.Values)
 	}
 	if len(r.BudgetSweepKB) > 0 {
-		fmt.Fprintf(&b, "budget_sweep_kb=%s\n", intList(r.BudgetSweepKB))
+		b = appendInts(append(b, "\nbudget_sweep_kb="...), r.BudgetSweepKB)
 	}
-	return b.Bytes()
+	return append(b, '\n')
 }
 
 // Key returns the request's content address: the SHA-256 of the
-// canonical encoding.
+// canonical encoding. A service-size request encodes into the stack
+// buffer, so keying allocates nothing.
 func (r RunRequest) Key() cache.Key {
-	return cache.KeyOf(r.Canonical())
+	var buf [512]byte
+	return cache.KeyOf(r.AppendCanonical(buf[:0]))
 }
 
-func intList(vs []int) string {
-	var b bytes.Buffer
-	for i, v := range vs {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%d", v)
+// sortedKeys appends m's keys to dst in sorted order.
+func sortedKeys(dst []string, m map[string]int) []string {
+	for k := range m {
+		dst = append(dst, k)
 	}
-	return b.String()
+	slices.Sort(dst)
+	return dst
 }
 
-// floatList joins floats with the shortest round-tripping decimal form
-// ('g'/-1 — ParseFloat gives the identical bits back), so the encoding
-// is canonical: one float value, one spelling.
-func floatList(vs []float64) string {
-	var b bytes.Buffer
+func appendString(b []byte, prefix, s string) []byte {
+	return append(append(b, prefix...), s...)
+}
+
+func appendInt(b []byte, prefix string, v int64) []byte {
+	return strconv.AppendInt(append(b, prefix...), v, 10)
+}
+
+// appendInts appends vs comma-separated.
+func appendInts(b []byte, vs []int) []byte {
 	for i, v := range vs {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
+		b = strconv.AppendInt(b, int64(v), 10)
 	}
-	return b.String()
+	return b
+}
+
+func appendLink(b []byte, l sim.LinkPerturb, field string, v float64) []byte {
+	b = appendInt(b, "\nperturb.link.", int64(l.From))
+	b = appendInt(b, "-", int64(l.To))
+	return strconv.AppendFloat(append(b, field...), v, 'f', -1, 64)
 }
 
 // RunResult holds one experiment's structured numbers: the verified

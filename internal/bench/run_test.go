@@ -5,6 +5,8 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"repro/internal/raceflag"
 )
 
 // canned builds a canned experiment's request through Request, with an
@@ -70,5 +72,20 @@ func TestRunCanceledContext(t *testing.T) {
 	cancel()
 	if _, err := Run(ctx, canned("table1", map[string]int{"n": 64, "procs": 2, "steps": 2})); err != context.Canceled {
 		t.Errorf("Run on canceled context = %v, want context.Canceled", err)
+	}
+}
+
+// TestKeyAllocs pins keying at zero allocations for every request
+// shape of the canonical grammar: the encoding is appended into a
+// stack buffer with strconv, and the service keys every submission and
+// every disk read.
+func TestKeyAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector allocates")
+	}
+	for name, req := range codecRequests() {
+		if n := testing.AllocsPerRun(100, func() { req.Key() }); n != 0 {
+			t.Errorf("%s: Key() allocates %v times, want 0", name, n)
+		}
 	}
 }

@@ -13,6 +13,7 @@
 package disk
 
 import (
+	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -70,8 +71,8 @@ type Store struct {
 	mu        sync.Mutex
 	dir       string
 	maxBytes  int64
-	order     []*entry // index 0 = least recently used
-	items     map[cache.Key]*entry
+	order     *list.List // of *entry; front = least recently used
+	items     map[cache.Key]*list.Element
 	bytes     int64
 	hits      int64
 	misses    int64
@@ -87,7 +88,7 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("disk: opening store: %w", err)
 	}
-	s := &Store{dir: dir, maxBytes: maxBytes, items: map[cache.Key]*entry{}}
+	s := &Store{dir: dir, maxBytes: maxBytes, order: list.New(), items: map[cache.Key]*list.Element{}}
 
 	des, err := os.ReadDir(dir)
 	if err != nil {
@@ -118,8 +119,7 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 	}
 	sort.Slice(fs, func(i, j int) bool { return fs[i].mtime.Before(fs[j].mtime) })
 	for _, f := range fs {
-		s.order = append(s.order, f.e)
-		s.items[f.e.key] = f.e
+		s.items[f.e.key] = s.order.PushBack(f.e)
 		s.bytes += f.e.size
 	}
 	mEntries.Add(float64(len(fs)))
@@ -132,26 +132,17 @@ func (s *Store) path(k cache.Key) string {
 	return filepath.Join(s.dir, k.String()+fileSuffix)
 }
 
-// touch moves e to the most-recently-used end.
-func (s *Store) touch(e *entry) {
-	for i, o := range s.order {
-		if o == e {
-			s.order = append(append(s.order[:i:i], s.order[i+1:]...), e)
-			return
-		}
-	}
-	s.order = append(s.order, e)
+// indexed reports whether el is the element the index holds for its
+// key. Get and Put work on the file outside the lock; an element they
+// looked up before may have been evicted, and its key stored afresh,
+// in the meantime.
+func (s *Store) indexed(el *list.Element) bool {
+	return s.items[el.Value.(*entry).key] == el
 }
 
-// remove drops e from the index and deletes its file, crediting the
-// counters the caller names.
-func (s *Store) remove(e *entry) {
-	for i, o := range s.order {
-		if o == e {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
-	}
+// remove drops an indexed element and deletes its file.
+func (s *Store) remove(el *list.Element) {
+	e := s.order.Remove(el).(*entry)
 	delete(s.items, e.key)
 	s.bytes -= e.size
 	diskBytes.Add(-float64(e.size))
@@ -166,8 +157,8 @@ func (s *Store) evictOver() {
 	if s.maxBytes <= 0 {
 		return
 	}
-	for s.bytes > s.maxBytes && len(s.order) > 1 {
-		s.remove(s.order[0])
+	for s.bytes > s.maxBytes && s.order.Len() > 1 {
+		s.remove(s.order.Front())
 		s.evictions++
 		mEvictions.Inc()
 	}
@@ -177,7 +168,9 @@ func (s *Store) evictOver() {
 // The key is recomputed from the canonical bytes — a caller cannot
 // file a result under a key it does not hash to. Writes go through a
 // temp file and an atomic rename, so a crash mid-write leaves either
-// the old file or none, never a torn one.
+// the old file or none, never a torn one. The rename happens under
+// the lock with the index update, so an eviction cannot delete the
+// fresh file between the two.
 func (s *Store) Put(canonical, payload []byte) (cache.Key, error) {
 	k := cache.KeyOf(canonical)
 	sum := sha256.Sum256(payload)
@@ -201,25 +194,25 @@ func (s *Store) Put(canonical, payload []byte) (cache.Key, error) {
 		os.Remove(tmpName)
 		return k, fmt.Errorf("disk: writing entry: %w", err)
 	}
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if err := os.Rename(tmpName, s.path(k)); err != nil {
 		os.Remove(tmpName)
 		return k, fmt.Errorf("disk: writing entry: %w", err)
 	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.items[k]; ok {
+	if el, ok := s.items[k]; ok {
 		// Same content address, same bytes (determinism): only the
 		// recency and the accounted size can change.
+		e := el.Value.(*entry)
 		s.bytes += int64(len(buf)) - e.size
 		diskBytes.Add(float64(int64(len(buf)) - e.size))
 		e.size = int64(len(buf))
-		s.touch(e)
+		s.order.MoveToBack(el)
 		return k, nil
 	}
 	e := &entry{key: k, size: int64(len(buf))}
-	s.items[k] = e
-	s.order = append(s.order, e)
+	s.items[k] = s.order.PushBack(e)
 	s.bytes += e.size
 	diskBytes.Add(float64(e.size))
 	mEntries.Inc()
@@ -234,7 +227,7 @@ func (s *Store) Put(canonical, payload []byte) (cache.Key, error) {
 // entry can always be regenerated by simply re-running the request.
 func (s *Store) Get(k cache.Key) (canonical, payload []byte, ok bool) {
 	s.mu.Lock()
-	e, known := s.items[k]
+	el, known := s.items[k]
 	s.mu.Unlock()
 	if !known {
 		s.miss()
@@ -242,18 +235,20 @@ func (s *Store) Get(k cache.Key) (canonical, payload []byte, ok bool) {
 	}
 	raw, err := os.ReadFile(s.path(k))
 	if err != nil {
-		s.drop(e)
+		s.drop(el)
 		return nil, nil, false
 	}
 	canonical, payload, err = parseEntry(k, raw)
 	if err != nil {
-		s.drop(e)
+		s.drop(el)
 		return nil, nil, false
 	}
 
 	s.mu.Lock()
 	s.hits++
-	s.touch(e)
+	if s.indexed(el) {
+		s.order.MoveToBack(el)
+	}
 	s.mu.Unlock()
 	mHits.Inc()
 	// Mirror recency to the filesystem so a reopened store restores
@@ -272,13 +267,13 @@ func (s *Store) miss() {
 }
 
 // drop removes a corrupt or unreadable entry and counts a miss. The
-// pointer comparison guards against a racing Put that has already
-// replaced the entry under the same key — the fresh entry (and its
+// index check guards against a racing Put that has already replaced
+// the entry under the same key — the fresh entry (and its
 // freshly-written file) must survive.
-func (s *Store) drop(e *entry) {
+func (s *Store) drop(el *list.Element) {
 	s.mu.Lock()
-	if cur, still := s.items[e.key]; still && cur == e {
-		s.remove(e)
+	if s.indexed(el) {
+		s.remove(el)
 	}
 	s.misses++
 	s.mu.Unlock()
@@ -322,7 +317,7 @@ func parseEntry(k cache.Key, raw []byte) (canonical, payload []byte, err error) 
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.order)
+	return s.order.Len()
 }
 
 // Stats snapshots the counters.
@@ -333,7 +328,7 @@ func (s *Store) Stats() Stats {
 		Hits:      s.hits,
 		Misses:    s.misses,
 		Evictions: s.evictions,
-		Entries:   len(s.order),
+		Entries:   s.order.Len(),
 		Bytes:     s.bytes,
 		MaxBytes:  s.maxBytes,
 	}

@@ -3,12 +3,16 @@ package disk
 import (
 	"os"
 	"path/filepath"
+	"runtime"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/cache"
 	"repro/internal/obs"
+	"repro/internal/raceflag"
 )
 
 // pair fabricates a (canonical, payload) entry; the canonical bytes
@@ -234,5 +238,130 @@ func TestOpenIgnoresForeignFiles(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "README")); err != nil {
 		t.Error("foreign file was touched")
+	}
+}
+
+// checkConsistent fails unless the index, the recency list, the byte
+// count and the files on disk all describe the same entries.
+func checkConsistent(t *testing.T, s *Store) {
+	t.Helper()
+	des, err := os.ReadDir(s.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files, bytes := 0, int64(0)
+	for _, de := range des {
+		if !strings.HasSuffix(de.Name(), fileSuffix) {
+			t.Errorf("stray file %s", de.Name())
+			continue
+		}
+		info, err := de.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		files++
+		bytes += info.Size()
+	}
+	st := s.Stats()
+	if st.Entries != files || st.Bytes != bytes {
+		t.Errorf("stats count %d entries, %d bytes; the directory holds %d files, %d bytes",
+			st.Entries, st.Bytes, files, bytes)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.items) != s.order.Len() {
+		t.Errorf("index holds %d keys, recency list %d elements", len(s.items), s.order.Len())
+	}
+	for el := s.order.Front(); el != nil; el = el.Next() {
+		if !s.indexed(el) {
+			t.Errorf("recency list holds %s, which the index does not", el.Value.(*entry).key)
+		}
+	}
+}
+
+// TestConcurrentPutGetBounded races Put and Get over more keys than the
+// byte budget holds — the configuration `simd -disk-bytes` runs. A Get
+// reads its file outside the lock; an entry evicted meanwhile must not
+// come back into the recency list without its file and index entry,
+// where a later eviction would count its bytes twice and delete the
+// file of the key's next entry.
+func TestConcurrentPutGetBounded(t *testing.T) {
+	const workers, keys, rounds = 4, 24, 100
+	s, err := Open(t.TempDir(), 8800)
+	if err != nil {
+		t.Fatal(err)
+	}
+	filler := strings.Repeat("x", 600)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range rounds {
+				tag := strconv.Itoa((w*7 + i*5) % keys)
+				canon, payload := pair(tag + filler)
+				k, err := s.Put(canon, payload)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				s.Get(k)
+				s.Get(cache.KeyOf([]byte("runrequest/v1\nexperiment=" + strconv.Itoa(i%keys) + filler + "\n")))
+			}
+		}()
+	}
+	wg.Wait()
+	checkConsistent(t, s)
+	if st := s.Stats(); st.Evictions == 0 || st.Hits == 0 {
+		t.Errorf("the test did not exercise eviction and hits: %+v", st)
+	}
+}
+
+// getCost measures one Store.Get of k: mallocs (truncated, as
+// testing.AllocsPerRun does) and bytes allocated.
+func getCost(s *Store, k cache.Key) (allocs, bytes float64) {
+	const runs = 200
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	s.Get(k)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		s.Get(k)
+	}
+	runtime.ReadMemStats(&after)
+	return float64((after.Mallocs - before.Mallocs) / runs), float64(after.TotalAlloc-before.TotalAlloc) / runs
+}
+
+// TestGetCostIndependentOfSize pins that a hit's cost does not grow
+// with the store: refreshing recency moves one list element, it does
+// not copy the order.
+func TestGetCostIndependentOfSize(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector allocates")
+	}
+	s, err := Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 10 {
+		canon, payload := pair(strconv.Itoa(i))
+		if _, err := s.Put(canon, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	probe := cache.KeyOf([]byte("runrequest/v1\nexperiment=3\n"))
+	smallAllocs, smallBytes := getCost(s, probe)
+	// Only the probe's file is read, so the other entries are indexed
+	// without files (creating 2,000 costs about a second of system time).
+	s.mu.Lock()
+	for i := 10; i < 2000; i++ {
+		k := cache.KeyOf([]byte(strconv.Itoa(i)))
+		s.items[k] = s.order.PushFront(&entry{key: k})
+	}
+	s.mu.Unlock()
+	largeAllocs, largeBytes := getCost(s, probe)
+	if largeAllocs != smallAllocs || largeBytes > smallBytes+64 {
+		t.Errorf("Get at %d entries: %.0f allocs, %.0f B; at 10 entries: %.0f allocs, %.0f B",
+			s.Len(), largeAllocs, largeBytes, smallAllocs, smallBytes)
 	}
 }

@@ -251,11 +251,11 @@ func TestPresentResultMatchesEngine(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			payload, err := bench.EncodeEntry(req, res)
+			payload, _, err := bench.EncodeEntry(req, res)
 			if err != nil {
 				t.Fatal(err)
 			}
-			dreq, dres, err := bench.DecodeEntry(req.Key(), payload)
+			dreq, dres, _, err := bench.DecodeEntry(req.Key(), payload)
 			if err != nil {
 				t.Fatal(err)
 			}

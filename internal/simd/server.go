@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -90,18 +91,20 @@ type Config struct {
 
 // memEntry is what the memory tier stores: the result plus the
 // request that produced it, so the render endpoint can re-derive
-// presentation parameters without any side lookup.
+// presentation parameters without any side lookup, and the done
+// reply, encoded once for the content address (doneBody).
 type memEntry struct {
-	req bench.RunRequest
-	res *bench.RunResult
+	req  bench.RunRequest
+	res  *bench.RunResult
+	body []byte
 }
 
 // flight is one inflight run; submissions for the same content
-// address share it.
+// address share it. body is the done reply once the run succeeded.
 type flight struct {
 	req  bench.RunRequest
 	done chan struct{}
-	res  *bench.RunResult
+	body []byte
 	err  error
 }
 
@@ -219,13 +222,33 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
-// runStatus is the JSON envelope every run endpoint speaks.
+// runStatus is the JSON envelope every run endpoint speaks. A done
+// reply carries the result as well; doneBody splices it in from its
+// stored encoding.
 type runStatus struct {
-	Address    string           `json:"address"`
-	Experiment string           `json:"experiment,omitempty"`
-	Status     string           `json:"status"` // done | running | failed
-	Error      string           `json:"error,omitempty"`
-	Result     *bench.RunResult `json:"result,omitempty"`
+	Address    string `json:"address"`
+	Experiment string `json:"experiment,omitempty"`
+	Status     string `json:"status"` // running | failed
+	Error      string `json:"error,omitempty"`
+}
+
+// doneBody is the done reply for a content address: the runStatus
+// envelope around the result's stored JSON, byte for byte what
+// json.Encoder gives the envelope with the result in it. A result is a
+// pure function of its address, so the body is built once per entry —
+// when its run finishes or its disk entry is promoted — and every
+// later reply writes it as is.
+func doneBody(key cache.Key, experiment string, result []byte) []byte {
+	exp, _ := json.Marshal(experiment) // a string always encodes
+	b := make([]byte, 0, len(result)+len(exp)+128)
+	b = append(b, `{"address":"`...)
+	b = hex.AppendEncode(b, key[:])
+	b = append(b, '"')
+	if experiment != "" {
+		b = append(append(b, `,"experiment":`...), exp...)
+	}
+	b = append(append(b, `,"status":"done","result":`...), result...)
+	return append(b, "}\n"...)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -307,11 +330,11 @@ func (s *Server) fromDisk(key cache.Key) *memEntry {
 	if !ok {
 		return nil
 	}
-	req, res, err := bench.DecodeEntry(key, payload)
+	req, res, result, err := bench.DecodeEntry(key, payload)
 	if err != nil {
 		return nil
 	}
-	e := &memEntry{req: req, res: res}
+	e := &memEntry{req: req, res: res, body: doneBody(key, res.Experiment, result)}
 	s.mem.PutSized(key, e, int64(len(payload)))
 	return e
 }
@@ -342,7 +365,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	e, fl, _ := s.lookup(key)
 	if e != nil {
-		s.respondDone(w, addr, e)
+		respondDone(w, e.body)
 		return
 	}
 	if fl != nil {
@@ -372,7 +395,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if v, ok := s.mem.Get(key); ok {
 		s.mu.Unlock()
 		<-s.slots
-		s.respondDone(w, addr, v.(*memEntry))
+		respondDone(w, v.(*memEntry).body)
 		return
 	}
 	if prior, ok := s.inflight[key]; ok {
@@ -409,18 +432,24 @@ func (s *Server) runOne(key cache.Key, fl *flight) {
 	s.executed.Add(1)
 	mExecuted.Inc()
 
-	var payload []byte
+	var payload, result []byte
 	if err == nil {
-		// One encoding serves both tiers: the disk file's payload and,
-		// by its length, the memory tier's size.
-		payload, _ = bench.EncodeEntry(fl.req, res)
-		if s.disk != nil && payload != nil {
+		// One encoding serves every reader: the disk file's payload,
+		// by its length the memory tier's size, and the done body.
+		payload, result, err = bench.EncodeEntry(fl.req, res)
+		if err != nil {
+			err = fmt.Errorf("encoding the result: %w", err)
+		}
+	}
+	if err == nil {
+		fl.body = doneBody(key, res.Experiment, result)
+		if s.disk != nil {
 			s.disk.Put(fl.req.Canonical(), payload)
 		}
 	}
 	s.mu.Lock()
 	if err == nil {
-		s.mem.PutSized(key, &memEntry{req: fl.req, res: res}, int64(len(payload)))
+		s.mem.PutSized(key, &memEntry{req: fl.req, res: res, body: fl.body}, int64(len(payload)))
 	} else {
 		if len(s.failOrder) >= maxFailures {
 			delete(s.fails, s.failOrder[0])
@@ -432,13 +461,18 @@ func (s *Server) runOne(key cache.Key, fl *flight) {
 	delete(s.inflight, key)
 	s.mu.Unlock()
 
-	fl.res, fl.err = res, err
+	fl.err = err
 	close(fl.done)
 }
 
-func (s *Server) respondDone(w http.ResponseWriter, addr string, e *memEntry) {
-	writeJSON(w, http.StatusOK, runStatus{
-		Address: addr, Experiment: e.res.Experiment, Status: "done", Result: e.res})
+// respondDone writes a done body (doneBody): every done reply — hot,
+// cold, a coalesced waiter's, a status read — goes through here.
+func respondDone(w http.ResponseWriter, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	w.Write(body)
 }
 
 // respondFlight answers a submission that maps to an inflight run:
@@ -460,7 +494,7 @@ func (s *Server) respondFlight(w http.ResponseWriter, r *http.Request, addr stri
 			Address: addr, Experiment: fl.req.Experiment, Status: "failed", Error: fl.err.Error()})
 		return
 	}
-	s.respondDone(w, addr, &memEntry{req: fl.req, res: fl.res})
+	respondDone(w, fl.body)
 }
 
 // parseAddr decodes a 64-hex-char content address.
@@ -474,19 +508,20 @@ func parseAddr(addr string) (cache.Key, error) {
 	return k, nil
 }
 
-// handleStatus is GET /v1/runs/{addr}.
+// handleStatus is GET /v1/runs/{addr}. Replies spell the address
+// the canonical way, lower-case hex, whatever case the path used.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	mRequests.With("status").Inc()
-	addr := r.PathValue("addr")
-	key, err := parseAddr(addr)
+	key, err := parseAddr(r.PathValue("addr"))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	addr := key.String()
 	e, fl, failure := s.lookup(key)
 	switch {
 	case e != nil:
-		s.respondDone(w, addr, e)
+		respondDone(w, e.body)
 	case fl != nil:
 		writeJSON(w, http.StatusAccepted, runStatus{
 			Address: addr, Experiment: fl.req.Experiment, Status: "running"})

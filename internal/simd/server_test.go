@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,9 +15,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/apps"
 	"repro/internal/bench"
 	"repro/internal/cache"
 	"repro/internal/cache/disk"
+	"repro/internal/raceflag"
+	"repro/internal/runner"
 )
 
 // taskqSpec is the test corpus: a taskq run small enough to execute
@@ -56,9 +60,16 @@ func get(t *testing.T, ts *httptest.Server, path string) (int, []byte, http.Head
 	return resp.StatusCode, b, resp.Header
 }
 
-func decodeStatus(t *testing.T, b []byte) runStatus {
+// status is a decoded reply: the envelope and, for a done reply, the
+// result in it.
+type status struct {
+	runStatus
+	Result *bench.RunResult `json:"result"`
+}
+
+func decodeStatus(t *testing.T, b []byte) status {
 	t.Helper()
-	var st runStatus
+	var st status
 	if err := json.Unmarshal(b, &st); err != nil {
 		t.Fatalf("decoding %q: %v", b, err)
 	}
@@ -297,7 +308,7 @@ func TestDiskUnservableEntryRerun(t *testing.T) {
 	}
 	other := req
 	other.N = 128
-	wrongKey, err := bench.EncodeEntry(other, res)
+	wrongKey, _, err := bench.EncodeEntry(other, res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +342,7 @@ func TestDiskUnservableEntryRerun(t *testing.T) {
 			if !ok {
 				t.Fatal("entry not rewritten")
 			}
-			if _, _, err := bench.DecodeEntry(req.Key(), stored); err != nil {
+			if _, _, _, err := bench.DecodeEntry(req.Key(), stored); err != nil {
 				t.Fatalf("rewritten entry: %v", err)
 			}
 
@@ -493,6 +504,12 @@ func TestValidation(t *testing.T) {
 	if code, _, _ := get(t, ts, "/v1/runs/"+st.Address+"/render?view=table1"); code != http.StatusBadRequest {
 		t.Errorf("mismatched view = %d, want 400", code)
 	}
+	// An address is read in either case and always answered in its
+	// canonical lower-case spelling: the done body is stored once.
+	code, upper, _ := get(t, ts, "/v1/runs/"+strings.ToUpper(st.Address))
+	if code != http.StatusOK || !bytes.Equal(upper, body) {
+		t.Errorf("upper-case address: %d %s, want 200 and the submit's body %s", code, upper, body)
+	}
 }
 
 // TestFailedRunReported checks a failing backend surfaces as a 500
@@ -525,6 +542,25 @@ func TestFailedRunReported(t *testing.T) {
 	// Retry path: a fresh POST re-runs and succeeds.
 	if code, body := post(t, ts, "/v1/runs?wait=1", taskqSpec); code != http.StatusOK {
 		t.Errorf("retry: %d %s", code, body)
+	}
+}
+
+// TestUnencodableResultFails checks a result JSON cannot carry (a NaN
+// metric) is reported as a failed run, not served as an empty 200.
+func TestUnencodableResultFails(t *testing.T) {
+	srv := New(Config{
+		Exec: func(ctx context.Context, req bench.RunRequest) (*bench.RunResult, error) {
+			return &bench.RunResult{Experiment: req.Experiment,
+				Metrics: map[string]float64{"nan": math.NaN()}}, nil
+		},
+	})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	code, body := post(t, ts, "/v1/runs?wait=1", taskqSpec)
+	if st := decodeStatus(t, body); code != http.StatusInternalServerError ||
+		st.Status != "failed" || !strings.Contains(st.Error, "encoding the result") {
+		t.Fatalf("unencodable result: %d %s", code, body)
 	}
 }
 
@@ -617,5 +653,129 @@ func TestPerturbedRunOverHTTP(t *testing.T) {
 	}
 	if srv.Executed() != 2 {
 		t.Errorf("executed = %d, want 2 (distinct addresses, distinct runs)", srv.Executed())
+	}
+}
+
+// encodeDone is the oracle for a done reply: the envelope with the
+// result in it, through json.NewEncoder — how every done reply was
+// once produced.
+func encodeDone(t *testing.T, addr string, res *bench.RunResult) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	err := json.NewEncoder(&buf).Encode(struct {
+		Address    string           `json:"address"`
+		Experiment string           `json:"experiment,omitempty"`
+		Status     string           `json:"status"`
+		Result     *bench.RunResult `json:"result,omitempty"`
+	}{addr, res.Experiment, "done", res})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestDoneBodyEveryPath drives one address through every way a done
+// reply is produced — the miss waiter, a hot hit, a status read, a
+// disk promotion after memory eviction, and a cold start over the same
+// directory — and requires each body to be the oracle's bytes for the
+// result the run returned.
+func TestDoneBodyEveryPath(t *testing.T) {
+	dir := t.TempDir()
+	r := runner.New(1, nil)
+	var mu sync.Mutex
+	results := map[cache.Key]*bench.RunResult{}
+	runs := 0
+	newServer := func() *httptest.Server {
+		d, err := disk.Open(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := New(Config{Mem: cache.New(1), Disk: d,
+			Exec: func(ctx context.Context, req bench.RunRequest) (*bench.RunResult, error) {
+				res, err := r.DoUncached(ctx, req)
+				mu.Lock()
+				results[req.Key()] = res
+				runs++
+				mu.Unlock()
+				return res, err
+			}})
+		ts := httptest.NewServer(srv)
+		t.Cleanup(ts.Close)
+		return ts
+	}
+	ts := newServer()
+	code, miss := post(t, ts, "/v1/runs?wait=1", taskqSpec)
+	if code != http.StatusOK {
+		t.Fatalf("submit: %d %s", code, miss)
+	}
+	addr := decodeStatus(t, miss).Address
+	key, err := parseAddr(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := encodeDone(t, addr, results[key])
+
+	bodies := map[string][]byte{"miss waiter": miss}
+	_, bodies["hot hit"] = post(t, ts, "/v1/runs", taskqSpec)
+	_, bodies["status"], _ = get(t, ts, "/v1/runs/"+addr)
+	// A memory tier of one entry: another run evicts the address, so
+	// the next submission promotes it from disk.
+	if code, body := post(t, ts, "/v1/runs?wait=1", table1Spec); code != http.StatusOK {
+		t.Fatalf("evicting submit: %d %s", code, body)
+	}
+	_, bodies["disk promotion"] = post(t, ts, "/v1/runs", taskqSpec)
+	_, bodies["cold start"] = post(t, newServer(), "/v1/runs", taskqSpec)
+	_, bodies["cold status"], _ = get(t, newServer(), "/v1/runs/"+addr)
+
+	for path, body := range bodies {
+		if !bytes.Equal(body, want) {
+			t.Errorf("%s: body differs from the encoder's:\n--- got ---\n%s--- want ---\n%s", path, body, want)
+		}
+	}
+	if runs != 2 {
+		t.Errorf("executed %d runs, want 2 (the address and the evicting run)", runs)
+	}
+}
+
+// discardWriter is a ResponseWriter that keeps nothing, so a handler's
+// allocations are its own.
+type discardWriter struct{ h http.Header }
+
+func (d *discardWriter) Header() http.Header         { return d.h }
+func (d *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (d *discardWriter) WriteHeader(int)             {}
+
+// TestHotHitAllocsIndependentOfResult pins that a hot hit writes stored
+// bytes: its allocations are the same for a result of one app row and
+// one of hundreds.
+func TestHotHitAllocsIndependentOfResult(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector allocates")
+	}
+	hitAllocs := func(rows int) float64 {
+		res := &bench.RunResult{Experiment: "app", Metrics: map[string]float64{"m": 1}}
+		for i := range rows {
+			r := &apps.Result{System: "tmk", TimeSec: float64(i) / 7, Messages: int64(i),
+				Detail: map[string]float64{"inspector_s": 0.5, "scan_s": float64(i)}}
+			res.Apps = append(res.Apps, &bench.AppResults{App: "taskq", Label: fmt.Sprint(i),
+				Config: "procs=2", VariantSet: &apps.VariantSet{Seq: r, Chaos: r, Base: r, Opt: r}})
+		}
+		srv := New(Config{Exec: func(context.Context, bench.RunRequest) (*bench.RunResult, error) {
+			return res, nil
+		}})
+		serve := func(target string) *discardWriter {
+			w := &discardWriter{h: http.Header{}}
+			srv.ServeHTTP(w, httptest.NewRequest("POST", target, strings.NewReader(taskqSpec)))
+			return w
+		}
+		serve("/v1/runs?wait=1")
+		if srv.Executed() != 1 {
+			t.Fatalf("priming executed %d runs", srv.Executed())
+		}
+		return testing.AllocsPerRun(50, func() { serve("/v1/runs") })
+	}
+	small, large := hitAllocs(1), hitAllocs(300)
+	if large != small {
+		t.Errorf("a hot hit allocates %v times for 300 app rows, %v for one", large, small)
 	}
 }
