@@ -46,13 +46,28 @@ LOAD_FILTER  := ^BenchmarkSimdLoad
 SIMD_ADDR     := 127.0.0.1:7077
 SIMLOAD_FLAGS := -addr http://$(SIMD_ADDR) -corpus scenarios/service -workers 8 -requests 200 -miss 0.25
 
-.PHONY: test race cover bench-baseline bench-check bench-ci profile serve loadtest loadtest-baseline
+# The fuzz targets as pkg:Target pairs: diff.Encode against the
+# byte-at-a-time reference encoder, the scenario decoder, and the disk
+# entry decoder. `make fuzz` mutates each one's seeds for FUZZTIME in
+# turn and stops at the first failure, whose input lands under
+# <pkg>/testdata/fuzz/<Target>/ (commit it as a regression seed).
+FUZZ_TARGETS := ./internal/diff:FuzzEncode ./internal/scenario:FuzzParse ./internal/bench:FuzzDecodeEntry
+FUZZTIME     ?= 30s
+
+.PHONY: test race fuzz cover bench-baseline bench-check bench-ci profile serve loadtest loadtest-baseline
 
 test:
 	go build ./... && go test ./...
 
 race:
 	go test -race ./...
+
+fuzz:
+	@for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*} target=$${t##*:}; \
+		echo "go test -run '^$$' -fuzz '^$$target\$$' -fuzztime $(FUZZTIME) $$pkg"; \
+		go test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \
+	done
 
 # Coverage scoreboard: statement coverage of every internal/ package,
 # counted across the whole module's tests (a block is covered if any

@@ -6,6 +6,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -16,7 +17,9 @@ import (
 	"repro/internal/apps/spmv"
 	"repro/internal/apps/taskq"
 	"repro/internal/apps/tsp"
+	"repro/internal/cache"
 	"repro/internal/raceflag"
+	"repro/internal/runner"
 	"repro/internal/scenario"
 )
 
@@ -152,7 +155,7 @@ func TestTaskqByteIdenticalAcrossRuns(t *testing.T) {
 
 // TestScenariosByteIdenticalAcrossRuns is the perturbation
 // determinism leg: every scenarios/perturb spec (runrequest/v2
-// requests) runs with Repro set, so scenario.Run re-runs it through
+// requests) runs with Repro set, so scenario.RunCtx re-runs it through
 // the cache and uncached and byte-diffs rendering and metrics — a
 // run-to-run difference is a test failure here and a non-zero exit in
 // `scenario run -repro`. The golden specs (scenarios/*.yaml) carry
@@ -177,6 +180,7 @@ func TestScenariosByteIdenticalAcrossRuns(t *testing.T) {
 	if raceflag.Enabled {
 		files = append(golden, files...)
 	}
+	r := runner.New(0, cache.New(128))
 	for _, f := range files {
 		spec, err := scenario.Load(f)
 		if err != nil {
@@ -187,7 +191,7 @@ func TestScenariosByteIdenticalAcrossRuns(t *testing.T) {
 		}
 		t.Run(spec.Name, func(t *testing.T) {
 			spec.Repro = true
-			out, err := scenario.Run(spec)
+			out, err := scenario.RunCtx(context.Background(), r, spec)
 			if err != nil {
 				t.Fatal(err)
 			}

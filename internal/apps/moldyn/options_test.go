@@ -27,16 +27,6 @@ func TestTableKindsProduceSameResults(t *testing.T) {
 	}
 }
 
-func TestIncrementalOptionAgreement(t *testing.T) {
-	p := testParams(256, 4, 6, 2)
-	w := Generate(p)
-	seq := RunSequential(w)
-	r := RunTmk(w, BuildImage(w), TmkOptions{Optimized: true, Incremental: true})
-	if err := apps.VerifyEqual(seq, r); err != nil {
-		t.Fatalf("incremental: %v", err)
-	}
-}
-
 func TestNoAggregationAgreement(t *testing.T) {
 	p := testParams(256, 4, 4, 2)
 	w := Generate(p)

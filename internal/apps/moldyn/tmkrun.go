@@ -33,7 +33,6 @@ type TmkOptions struct {
 	Optimized        bool  // compiler-inserted Validate calls
 	NoAggregation    bool  // ablation A3: Validate without message aggregation
 	NoWriteAll       bool  // ablation A4: reductions use READ&WRITE (twinned diffs)
-	Incremental      bool  // extension S13: incremental page-set recomputation
 	GCThresholdBytes int64 // extension S16: consistency-data GC threshold (0 = off)
 }
 
@@ -101,7 +100,6 @@ func RunTmk(w *Workload, im *Image, opt TmkOptions) *apps.Result {
 		if opt.Optimized {
 			rt = core.NewRuntime(node)
 			rt.NoAggregation = opt.NoAggregation
-			rt.Incremental = opt.Incremental
 		}
 		ep.Start(proc)
 

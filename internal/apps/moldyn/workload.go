@@ -116,15 +116,6 @@ type Workload struct {
 
 // Generate builds the workload deterministically from Params.Seed.
 func Generate(p Params) *Workload {
-	if p.Costs == (Costs{}) {
-		p.Costs = DefaultCosts()
-	}
-	if p.Inspector == (chaos.InspectorCost{}) {
-		p.Inspector = chaos.InspectorCost{HashUSPerEntry: 2.0, BuildUSPerElem: 0.5, TranslateAll: true}
-	}
-	if p.PageSize == 0 {
-		p.PageSize = 4096
-	}
 	rng := rand.New(rand.NewSource(p.Seed))
 	side := cubeSide(float64(p.N) / p.Density)
 	l := apps.Q(side)

@@ -92,12 +92,6 @@ type Workload struct {
 // the paper's "partners of each molecule spread evenly in about 2/3 of
 // the total space".
 func Generate(p Params) *Workload {
-	if p.Costs == (Costs{}) {
-		p.Costs = DefaultCosts()
-	}
-	if p.Inspector == (chaos.InspectorCost{}) {
-		p.Inspector = chaos.InspectorCost{HashUSPerEntry: 0.95, BuildUSPerElem: 0.3}
-	}
 	if p.PageSize == 0 {
 		p.PageSize = 4096
 	}

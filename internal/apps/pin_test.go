@@ -120,7 +120,6 @@ func pinnedDigests(t *testing.T) map[string]string {
 		}{
 			{"NoAggregation", moldyn.TmkOptions{Optimized: true, NoAggregation: true}},
 			{"NoWriteAll", moldyn.TmkOptions{Optimized: true, NoWriteAll: true}},
-			{"Incremental", moldyn.TmkOptions{Optimized: true, Incremental: true}},
 			{"GCThresholdBytes", moldyn.TmkOptions{Optimized: true, GCThresholdBytes: 4 << 10}},
 		} {
 			got["moldyn/"+a.name+"/"+pm.name] = digest(t, moldyn.RunTmk(mw, moldyn.BuildImage(mw), a.opt))

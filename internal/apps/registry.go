@@ -1,7 +1,7 @@
 // The application registry: every irregular application (moldyn, nbf,
 // unstruct, spmv, ...) closes its four backends over its generated
 // workload as a Workload and self-registers a named factory from an init
-// function. The table commands and the bench harness iterate the
+// function. The scenario engine and the bench harness iterate the
 // registry instead of hard-coding per-app calls, so opening a new
 // workload is: implement the four backends on an Episode, register a
 // factory returning them through NewVariants, done.

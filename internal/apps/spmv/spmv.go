@@ -72,13 +72,6 @@ func (p *Params) WorkTablePages() int {
 	return (span + chaos.TablePageEntries - 1) / chaos.TablePageEntries
 }
 
-// defaultInspector is the calibrated CHAOS inspector cost model, shared
-// by DefaultParams and Generate's zero-value fallback so the two cannot
-// drift.
-func defaultInspector() chaos.InspectorCost {
-	return chaos.InspectorCost{HashUSPerEntry: 0.9, BuildUSPerElem: 0.3}
-}
-
 // DefaultParams returns the banded-random configuration of the former
 // example: 24 nonzeros per row, 4 of them far, a ±128 band.
 func DefaultParams(n, procs int) Params {
@@ -93,7 +86,7 @@ func DefaultParams(n, procs int) Params {
 		PageSize:  4096,
 		TableKind: chaos.Replicated,
 		Costs:     DefaultCosts(),
-		Inspector: defaultInspector(),
+		Inspector: chaos.InspectorCost{HashUSPerEntry: 0.9, BuildUSPerElem: 0.3},
 	}
 }
 
@@ -112,17 +105,8 @@ type Workload struct {
 // plus FarPerRow uniformly random ones; values are quantized and scaled
 // by 1/NNZRow so the relaxation stays bounded.
 func Generate(p Params) *Workload {
-	if p.Costs == (Costs{}) {
-		p.Costs = DefaultCosts()
-	}
-	if p.Inspector == (chaos.InspectorCost{}) {
-		p.Inspector = defaultInspector()
-	}
 	if p.PageSize == 0 {
 		p.PageSize = 4096
-	}
-	if p.Band == 0 {
-		p.Band = 128
 	}
 	rng := rand.New(rand.NewSource(p.Seed))
 	n := p.N

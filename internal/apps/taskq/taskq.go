@@ -65,9 +65,6 @@ func Generate(p Params) *Workload {
 	if p.N < 1 {
 		panic(fmt.Sprintf("taskq: need at least one item, got %d", p.N))
 	}
-	if p.PageSize == 0 {
-		p.PageSize = 4096
-	}
 	if p.Batch < 1 {
 		p.Batch = 1
 	}

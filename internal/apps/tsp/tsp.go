@@ -102,12 +102,6 @@ func Generate(p Params) *Workload {
 	if p.N > MaxCities {
 		panic(fmt.Sprintf("tsp: %d cities exceeds MaxCities=%d (factorial search tree)", p.N, MaxCities))
 	}
-	if p.Costs == (Costs{}) {
-		p.Costs = DefaultCosts()
-	}
-	if p.PageSize == 0 {
-		p.PageSize = 4096
-	}
 	if p.SeedDepth < 1 {
 		p.SeedDepth = 1
 	}

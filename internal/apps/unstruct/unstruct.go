@@ -81,15 +81,6 @@ type Workload struct {
 
 // Generate builds a random geometric mesh with unit density.
 func Generate(p Params) *Workload {
-	if p.Costs == (Costs{}) {
-		p.Costs = DefaultCosts()
-	}
-	if p.Inspector == (chaos.InspectorCost{}) {
-		p.Inspector = chaos.InspectorCost{HashUSPerEntry: 0.8, BuildUSPerElem: 0.3}
-	}
-	if p.PageSize == 0 {
-		p.PageSize = 4096
-	}
 	rng := rand.New(rand.NewSource(p.Seed))
 	l := apps.Q(cube(float64(p.Nodes)))
 	coords := make([][3]float64, p.Nodes)

@@ -48,8 +48,7 @@ func DecodeResult(b []byte) (*RunResult, error) {
 // EncodeEntry serializes a (request, result) pair as the disk tier's
 // payload — the bytes json.Marshal gives the pair as a struct — and
 // returns with it the span of the payload that is the result's JSON,
-// exactly EncodeResult's bytes. The payload's length is also the
-// memory tier's size for the pair.
+// exactly EncodeResult's bytes.
 func EncodeEntry(req RunRequest, res *RunResult) (payload, result []byte, err error) {
 	rq, err := json.Marshal(req)
 	if err != nil {

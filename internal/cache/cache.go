@@ -22,7 +22,7 @@ import (
 )
 
 // Registry metrics, aggregated across every LRU in the process (the
-// scenario pool's cache and the runner.Default one): the satellite of
+// scenario pool's cache and simd's memory tier): the satellite of
 // DESIGN.md §13 that makes the per-instance Stats() counters reachable
 // from `scenario run -metrics=-`. Entries is a gauge (insert +1, evict -1);
 // the rest only grow.

@@ -13,6 +13,7 @@
 package disk
 
 import (
+	"bytes"
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
@@ -20,6 +21,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -46,7 +48,10 @@ const fileSuffix = ".run"
 // payload follow back to back; the payload digest makes the result
 // half of the file self-verifying (the request half verifies against
 // the filename key by re-hashing).
-const headerFmt = "reprodisk/v1 %d %d %s\n"
+const (
+	headerMagic = "reprodisk/v1 "
+	headerFmt   = headerMagic + "%d %d %s\n"
+)
 
 // Stats is the store's counter snapshot.
 type Stats struct {
@@ -233,7 +238,8 @@ func (s *Store) Get(k cache.Key) (canonical, payload []byte, ok bool) {
 		s.miss()
 		return nil, nil, false
 	}
-	raw, err := os.ReadFile(s.path(k))
+	path := s.path(k)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		s.drop(el)
 		return nil, nil, false
@@ -254,7 +260,7 @@ func (s *Store) Get(k cache.Key) (canonical, payload []byte, ok bool) {
 	// Mirror recency to the filesystem so a reopened store restores
 	// the LRU order; purely advisory, so the error is ignored.
 	now := time.Now()
-	os.Chtimes(s.path(k), now, now)
+	os.Chtimes(path, now, now)
 	return canonical, payload, true
 }
 
@@ -280,34 +286,35 @@ func (s *Store) drop(el *list.Element) {
 	mMisses.Inc()
 }
 
-// parseEntry validates a file against the key it is filed under.
+// parseEntry validates a file against the key it is filed under. The
+// header must be exactly what Put writes: the magic, two decimal
+// lengths and a 64-hex-digit digest, single spaces between.
 func parseEntry(k cache.Key, raw []byte) (canonical, payload []byte, err error) {
-	nl := -1
-	for i, c := range raw {
-		if c == '\n' {
-			nl = i
-			break
-		}
-	}
-	if nl < 0 {
+	line, body, ok := bytes.Cut(raw, []byte{'\n'})
+	if !ok {
 		return nil, nil, fmt.Errorf("disk: missing header line")
 	}
-	var canonLen, payloadLen int
-	var digest string
-	n, err := fmt.Sscanf(string(raw[:nl]), "reprodisk/v1 %d %d %s", &canonLen, &payloadLen, &digest)
-	if err != nil || n != 3 {
+	fields, ok := bytes.CutPrefix(line, []byte(headerMagic))
+	canonField, fields, ok2 := bytes.Cut(fields, []byte{' '})
+	payloadField, digestField, ok3 := bytes.Cut(fields, []byte{' '})
+	if !ok || !ok2 || !ok3 || len(digestField) != 2*sha256.Size {
 		return nil, nil, fmt.Errorf("disk: malformed header")
 	}
-	body := raw[nl+1:]
-	if canonLen < 0 || payloadLen < 0 || len(body) != canonLen+payloadLen {
+	canonLen, err1 := strconv.Atoi(string(canonField))
+	payloadLen, err2 := strconv.Atoi(string(payloadField))
+	var digest [sha256.Size]byte
+	_, err3 := hex.Decode(digest[:], digestField)
+	if err1 != nil || err2 != nil || err3 != nil {
+		return nil, nil, fmt.Errorf("disk: malformed header")
+	}
+	if canonLen < 0 || canonLen > len(body) || payloadLen != len(body)-canonLen {
 		return nil, nil, fmt.Errorf("disk: length mismatch")
 	}
 	canonical, payload = body[:canonLen], body[canonLen:]
 	if cache.KeyOf(canonical) != k {
 		return nil, nil, fmt.Errorf("disk: canonical bytes do not hash to the filename key")
 	}
-	sum := sha256.Sum256(payload)
-	if hex.EncodeToString(sum[:]) != digest {
+	if sha256.Sum256(payload) != digest {
 		return nil, nil, fmt.Errorf("disk: payload digest mismatch")
 	}
 	return canonical, payload, nil

@@ -1,6 +1,8 @@
 package disk
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -61,36 +63,76 @@ func TestGetMiss(t *testing.T) {
 	}
 }
 
-// TestCorruptEntryDroppedAsMiss tampers with a stored file and checks
-// the integrity gate: the read reports a miss and deletes the file.
+// TestCorruptEntryDroppedAsMiss replaces a stored file with each
+// corruption below and checks the integrity gate: the read reports a
+// miss and deletes the file.
 func TestCorruptEntryDroppedAsMiss(t *testing.T) {
+	canon, payload := pair("a")
+	sum := sha256.Sum256(payload)
+	digest := hex.EncodeToString(sum[:])
+	cl, pl := strconv.Itoa(len(canon)), strconv.Itoa(len(payload))
+	header := func(canonLen, payloadLen, digest string) string {
+		return "reprodisk/v1 " + canonLen + " " + payloadLen + " " + digest + "\n"
+	}
+	flip := func(b []byte, i int) string {
+		b = []byte(string(b))
+		b[i] ^= 0xff
+		return string(b)
+	}
+	body := string(canon) + string(payload)
+	valid := header(cl, pl, digest) + body
+
+	// The test's own encoding of an entry must be the one Put writes.
 	dir := t.TempDir()
 	s, err := Open(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	canon, payload := pair("a")
 	k, err := s.Put(canon, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, k.String()+fileSuffix)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	if raw, err := os.ReadFile(filepath.Join(dir, k.String()+fileSuffix)); err != nil || string(raw) != valid {
+		t.Fatalf("Put wrote %q (%v), want %q", raw, err, valid)
 	}
-	raw[len(raw)-1] ^= 0xff // flip a payload byte; the digest check must catch it
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := s.Get(k); ok {
-		t.Fatal("Get served a tampered entry")
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Error("tampered file was not deleted")
-	}
-	if s.Len() != 0 {
-		t.Errorf("entries = %d after dropping the only entry", s.Len())
+
+	for _, tc := range []struct{ name, file string }{
+		{"no newline", strings.TrimSuffix(header(cl, pl, digest), "\n")},
+		{"bad magic", "reprodisk/v2" + strings.TrimPrefix(valid, "reprodisk/v1")},
+		{"negative canonical length", header("-1", pl, digest) + body},
+		{"negative payload length", header(cl, "-1", digest) + body},
+		{"overflowing length", header("99999999999999999999", pl, digest) + body},
+		{"lengths whose sum overflows", header("9223372036854775807", "9223372036854775807", digest) + body},
+		{"short body", header(cl, pl, digest) + body[:len(body)-1]},
+		{"non-hex digest", header(cl, pl, strings.Repeat("g", len(digest))) + body},
+		{"short digest", header(cl, pl, digest[:len(digest)-2]) + body},
+		{"flipped canonical byte", header(cl, pl, digest) + flip(canon, 0) + string(payload)},
+		{"flipped payload byte", header(cl, pl, digest) + string(canon) + flip(payload, len(payload)-1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(dir, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k, err := s.Put(canon, payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, k.String()+fileSuffix)
+			if err := os.WriteFile(path, []byte(tc.file), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, ok := s.Get(k); ok {
+				t.Fatal("Get served a corrupt entry")
+			}
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Error("corrupt file was not deleted")
+			}
+			if s.Len() != 0 {
+				t.Errorf("entries = %d after dropping the only entry", s.Len())
+			}
+		})
 	}
 }
 

@@ -151,12 +151,6 @@ type schedule struct {
 	section  rsd.Section // the section the page set was computed for
 	watch    []vm.PageID // write-protected indirection pages, sorted
 	call     uint64      // the Validate call that last resolved this schedule
-
-	// Incremental recomputation state (the paper's "more sophisticated
-	// version ... could use diffing to incrementally recompute the page
-	// sets"); populated only when the Runtime enables it.
-	prevIdx []int32 // previous indirection values
-	refcnt  []int32 // [page] entries of prevIdx touching it; nonzero exactly on pages
 }
 
 // pageSet is a dense set of pages: a page is a member while its stamp
@@ -200,13 +194,8 @@ type Runtime struct {
 	// Cost model for the index scan (the "checking the indirection
 	// array" times reported in §5: ~0.4–0.8 s for moldyn's list vs
 	// 6.2–9.2 s for the CHAOS inspector).
-	ScanUSPerEntry     float64
-	IncrScanUSPerEntry float64
-	PageSetUSPerPage   float64
-
-	// Incremental enables diff-style incremental page-set recomputation
-	// (extension S13; off by default to match the paper's implementation).
-	Incremental bool
+	ScanUSPerEntry   float64
+	PageSetUSPerPage float64
 
 	// Aggregation can be disabled for ablation A3: Validate then fetches
 	// each page with its own exchange, like the base system.
@@ -239,12 +228,11 @@ const DiffKind = "validate.diff"
 func NewRuntime(n *tmk.Node) *Runtime {
 	pages := n.Space().Arena().Capacity()
 	rt := &Runtime{
-		n:                  n,
-		ScanUSPerEntry:     0.030,
-		IncrScanUSPerEntry: 0.008,
-		PageSetUSPerPage:   0.30,
-		mark:               newPageSet(pages),
-		seen:               newPageSet(pages),
+		n:                n,
+		ScanUSPerEntry:   0.030,
+		PageSetUSPerPage: 0.30,
+		mark:             newPageSet(pages),
+		seen:             newPageSet(pages),
 	}
 	n.DSM().RegisterDiffKind(DiffKind)
 	// Both a local write fault (the paper's protection-violation handler
@@ -418,23 +406,7 @@ func (rt *Runtime) readIndices(sch *schedule, d *Desc) {
 	rt.prefetchSection(chain[0], d.Section, sizes)
 
 	single := len(chain) == 1
-	incremental := rt.Incremental && single
 	count := d.Section.Count()
-	if incremental && sch.refcnt != nil && count == len(sch.prevIdx) {
-		rt.incrementalScan(sch, d, sizes)
-		return
-	}
-	if incremental {
-		if sch.refcnt == nil {
-			sch.refcnt = make([]int32, len(rt.seen.stamp))
-		}
-		for _, pg := range sch.pages {
-			sch.refcnt[pg] = 0
-		}
-		sch.prevIdx = slices.Grow(sch.prevIdx[:0], count)
-	} else {
-		sch.refcnt, sch.prevIdx = nil, nil
-	}
 
 	// The last level's values index the data array; each adds its pages.
 	rt.mark.reset()
@@ -444,9 +416,6 @@ func (rt *Runtime) readIndices(sch *schedule, d *Desc) {
 		for pg := first; pg <= last; pg++ {
 			if rt.mark.add(pg) {
 				pages = append(pages, pg)
-			}
-			if incremental {
-				sch.refcnt[pg]++
 			}
 		}
 	}
@@ -465,9 +434,6 @@ func (rt *Runtime) readIndices(sch *schedule, d *Desc) {
 				addData(v)
 			} else {
 				cur = append(cur, v)
-			}
-			if incremental {
-				sch.prevIdx = append(sch.prevIdx, v)
 			}
 		}
 	})
@@ -510,53 +476,6 @@ func (rt *Runtime) readIndices(sch *schedule, d *Desc) {
 	rt.ScanEntries += scanned
 	rt.n.Proc().Advance(rt.ScanUSPerEntry*float64(scanned) +
 		rt.PageSetUSPerPage*float64(len(sch.pages)))
-}
-
-// incrementalScan is extension S13: instead of rebuilding the page set
-// from scratch, compare the current indirection values against the
-// previous snapshot and adjust per-page reference counts for the entries
-// that changed — the "diffing" recomputation the paper sketches but does
-// not implement. The section has as many entries as the snapshot.
-func (rt *Runtime) incrementalScan(sch *schedule, d *Desc, sizes []int) {
-	arena := rt.n.Space().Arena()
-	space := rt.n.Space()
-	pages := sch.pages
-	k, changed, added := 0, 0, false
-	d.Section.ForEachRun(sizes, func(off, n int) {
-		for e := off; e < off+n; e++ {
-			idx, old := space.ReadI32(d.Indir.Addr(e)), sch.prevIdx[k]
-			k++
-			if idx == old {
-				continue
-			}
-			changed++
-			sch.prevIdx[k-1] = idx
-			// A page whose count drops to zero leaves the set below.
-			of, ol := arena.PageRange(d.Data.Addr(int(old)), d.Data.ElemSize)
-			for pg := of; pg <= ol; pg++ {
-				sch.refcnt[pg]--
-			}
-			nf, nl := arena.PageRange(d.Data.Addr(int(idx)), d.Data.ElemSize)
-			for pg := nf; pg <= nl; pg++ {
-				if sch.refcnt[pg] == 0 {
-					pages = append(pages, pg) // maybe twice; Compact below
-					added = true
-				}
-				sch.refcnt[pg]++
-			}
-		}
-	})
-	if changed > 0 {
-		pages = slices.DeleteFunc(pages, func(pg vm.PageID) bool { return sch.refcnt[pg] == 0 })
-		if added {
-			slices.Sort(pages)
-			pages = slices.Compact(pages)
-		}
-	}
-	sch.pages = pages
-	rt.ScanEntries += int64(k)
-	rt.n.Proc().Advance(rt.IncrScanUSPerEntry*float64(k) +
-		rt.PageSetUSPerPage*float64(changed))
 }
 
 // writeProtect write-protects the pages holding the scanned section of

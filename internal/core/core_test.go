@@ -342,56 +342,6 @@ func Test2DIndirectionSection(t *testing.T) {
 	})
 }
 
-func TestIncrementalRecomputationMatchesFull(t *testing.T) {
-	// Extension S13: incremental page-set maintenance must produce the
-	// same page set as a full rescan after the indirection array
-	// changes, and must charge proc 0 less simulated time for it.
-	build := func(incremental bool) ([]vm.PageID, float64) {
-		e := newEnv(t, 2, 4000, 200, func(i int) int32 { return int32(i * 13 % 4000) })
-		var pages []vm.PageID
-		var spent float64
-		e.d.Cluster().Run(func(p *sim.Proc) {
-			n := e.d.Node(p.ID())
-			if p.ID() != 0 {
-				for i := 1; i <= 3; i++ {
-					n.Barrier(i)
-				}
-				return
-			}
-			rt := NewRuntime(n)
-			rt.Incremental = incremental
-			desc := Desc{Type: Indirect, Data: e.data, Indir: e.indir,
-				Section: rsd.Range1(0, 199), Access: Read, Sched: 1}
-			rt.Validate(desc)
-			n.Barrier(1)
-			// Change a handful of entries.
-			for _, k := range []int{3, 77, 150} {
-				n.Space().WriteI32(e.indir.Addr(k), int32(3999-k))
-			}
-			n.Barrier(2)
-			t0 := p.Clock()
-			rt.Validate(desc)
-			spent = p.Clock() - t0
-			pages = append([]vm.PageID(nil), rt.sched(1).pages...)
-			n.Barrier(3)
-		})
-		return pages, spent
-	}
-	full, fullSpent := build(false)
-	incr, incrSpent := build(true)
-	if incrSpent >= fullSpent {
-		t.Errorf("incremental Validate advanced the clock %g, full rescan %g: want less", incrSpent, fullSpent)
-	}
-	if len(full) == 0 || len(full) != len(incr) {
-		t.Fatalf("page set length mismatch: full=%d incr=%d", len(full), len(incr))
-	}
-	for i := range full {
-		if full[i] != incr[i] {
-			t.Fatalf("page sets differ at %d: %v vs %v", i, full, incr)
-		}
-	}
-}
-
 func TestWriteAllSkipsFetch(t *testing.T) {
 	// Pure WRITE_ALL sections are not fetched: no diff traffic even when
 	// the pages are invalid.

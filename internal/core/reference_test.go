@@ -21,11 +21,10 @@ import (
 // for every descriptor sequence. Sections are expanded element by
 // element, every set is a map, and every output is sorted afresh.
 type pageSetReference struct {
-	n           *tmk.Node
-	cost        Runtime // the default cost model, copied from NewRuntime
-	schedules   map[int]*refSchedule
-	watched     map[vm.PageID][]*refSchedule
-	incremental bool
+	n         *tmk.Node
+	cost      Runtime // the default cost model, copied from NewRuntime
+	schedules map[int]*refSchedule
+	watched   map[vm.PageID][]*refSchedule
 
 	scanEntries, recomputes, revalidates int64
 
@@ -41,17 +40,14 @@ type refSchedule struct {
 	computed, modified bool
 	section            rsd.Section
 	watch              []vm.PageID
-	prevIdx            []int32
-	refcnt             map[vm.PageID]int
 }
 
-func newPageSetReference(n *tmk.Node, incremental bool) *pageSetReference {
+func newPageSetReference(n *tmk.Node) *pageSetReference {
 	ref := &pageSetReference{
-		n:           n,
-		cost:        *NewRuntime(n), // registers DiffKind; the hooks are replaced below
-		schedules:   map[int]*refSchedule{},
-		watched:     map[vm.PageID][]*refSchedule{},
-		incremental: incremental,
+		n:         n,
+		cost:      *NewRuntime(n), // registers DiffKind; the hooks are replaced below
+		schedules: map[int]*refSchedule{},
+		watched:   map[vm.PageID][]*refSchedule{},
 	}
 	modified := func(pg vm.PageID) {
 		for _, sch := range ref.watched[pg] {
@@ -160,23 +156,12 @@ func (ref *pageSetReference) readIndices(sch *refSchedule, d *Desc) {
 	offsets := linearOffsets(d.Section, refIndirSizes(d))
 	ref.prefetchSection(chain[0], d.Section, refIndirSizes(d))
 
-	single := len(chain) == 1
-	if ref.incremental && sch.refcnt != nil && single && len(offsets) == len(sch.prevIdx) {
-		ref.incrementalScan(sch, d, offsets)
-		return
-	}
 	mark := map[vm.PageID]bool{}
-	var prev []int32
-	if ref.incremental && single {
-		prev = make([]int32, len(offsets))
-		sch.refcnt = map[vm.PageID]int{}
-	}
 	idxs := make([]int32, len(offsets))
 	for k, off := range offsets {
 		idxs[k] = space.ReadI32(chain[0].Addr(off))
 	}
 	scanned := int64(len(offsets))
-	copy(prev, idxs)
 	for lv := 1; lv < len(chain); lv++ {
 		arr := chain[lv]
 		lvPages := map[vm.PageID]bool{}
@@ -202,51 +187,12 @@ func (ref *pageSetReference) readIndices(sch *refSchedule, d *Desc) {
 		first, last := arena.PageRange(d.Data.Addr(int(v)), d.Data.ElemSize)
 		for pg := first; pg <= last; pg++ {
 			mark[pg] = true
-			if ref.incremental && single {
-				sch.refcnt[pg]++
-			}
 		}
 	}
 	ref.scanEntries += scanned
 	sch.pages = sortedPages(mark)
-	sch.prevIdx = prev
 	ref.n.Proc().Advance(ref.cost.ScanUSPerEntry*float64(scanned) +
 		ref.cost.PageSetUSPerPage*float64(len(sch.pages)))
-}
-
-func (ref *pageSetReference) incrementalScan(sch *refSchedule, d *Desc, offsets []int) {
-	arena := ref.n.Space().Arena()
-	space := ref.n.Space()
-	changed := 0
-	for k, off := range offsets {
-		idx := space.ReadI32(d.Indir.Addr(off))
-		old := sch.prevIdx[k]
-		if idx == old {
-			continue
-		}
-		changed++
-		sch.prevIdx[k] = idx
-		of, ol := arena.PageRange(d.Data.Addr(int(old)), d.Data.ElemSize)
-		for pg := of; pg <= ol; pg++ {
-			sch.refcnt[pg]--
-			if sch.refcnt[pg] == 0 {
-				delete(sch.refcnt, pg)
-			}
-		}
-		nf, nl := arena.PageRange(d.Data.Addr(int(idx)), d.Data.ElemSize)
-		for pg := nf; pg <= nl; pg++ {
-			sch.refcnt[pg]++
-		}
-	}
-	ref.scanEntries += int64(len(offsets))
-	pages := make([]vm.PageID, 0, len(sch.refcnt))
-	for pg := range sch.refcnt {
-		pages = append(pages, pg)
-	}
-	slices.Sort(pages)
-	sch.pages = pages
-	ref.n.Proc().Advance(ref.cost.IncrScanUSPerEntry*float64(len(offsets)) +
-		ref.cost.PageSetUSPerPage*float64(changed))
 }
 
 func (ref *pageSetReference) writeProtect(sch *refSchedule, d *Desc) {
@@ -531,14 +477,14 @@ func (w refWorld) descs(r *rand.Rand, a refArrays, last map[int]Desc) []Desc {
 
 // run executes the seeded program against one side and returns every
 // node's observations, the traffic statistics and the trace.
-func (w refWorld) run(seed int64, epochs int, incremental bool,
-	side func(n *tmk.Node, incremental bool) validator) ([][]validateObs, map[string]sim.CatStat, []byte) {
+func (w refWorld) run(seed int64, epochs int,
+	side func(n *tmk.Node) validator) ([][]validateObs, map[string]sim.CatStat, []byte) {
 	trace := obs.NewTrace()
 	d, a := w.build(seed, trace)
 	out := make([][]validateObs, w.nprocs)
 	d.Cluster().Run(func(p *sim.Proc) {
 		n := d.Node(p.ID())
-		v := side(n, incremental)
+		v := side(n)
 		r := rand.New(rand.NewSource(seed*131 + int64(p.ID())))
 		last := map[int]Desc{}
 		for e := 0; e < epochs; e++ {
@@ -563,24 +509,20 @@ func (w refWorld) run(seed int64, epochs int, incremental bool,
 	return out, d.Cluster().Stats.Categories(), trace.JSON()
 }
 
-func newRuntimeSide(n *tmk.Node, incremental bool) validator {
-	rt := NewRuntime(n)
-	rt.Incremental = incremental
-	return runtimeSide{rt}
-}
+func newRuntimeSide(n *tmk.Node) validator { return runtimeSide{NewRuntime(n)} }
 
-func newReferenceSide(n *tmk.Node, incremental bool) validator {
-	return referenceSide{newPageSetReference(n, incremental)}
+func newReferenceSide(n *tmk.Node) validator {
+	return referenceSide{newPageSetReference(n)}
 }
 
 // compareWithReference runs the same seeded program against Runtime and
 // against pageSetReference and requires identical observations after
 // every Validate, identical traffic, and byte-identical traces (which
 // pin every fetch exchange, barrier and memory charge with its time).
-func compareWithReference(t *testing.T, w refWorld, seed int64, epochs int, incremental bool) {
+func compareWithReference(t *testing.T, w refWorld, seed int64, epochs int) {
 	t.Helper()
-	got, gotStats, gotTrace := w.run(seed, epochs, incremental, newRuntimeSide)
-	want, wantStats, wantTrace := w.run(seed, epochs, incremental, newReferenceSide)
+	got, gotStats, gotTrace := w.run(seed, epochs, newRuntimeSide)
+	want, wantStats, wantTrace := w.run(seed, epochs, newReferenceSide)
 	for p := range want {
 		for e := range want[p] {
 			if !reflect.DeepEqual(got[p][e], want[p][e]) {
@@ -607,7 +549,7 @@ func TestValidateMatchesReferenceProperty(t *testing.T) {
 	}
 	for wi, w := range worlds {
 		for seed := int64(1); seed <= 4; seed++ {
-			compareWithReference(t, w, int64(wi)*100+seed, 8, seed%2 == 0)
+			compareWithReference(t, w, int64(wi)*100+seed, 8)
 		}
 	}
 }
@@ -618,50 +560,48 @@ func TestValidateMatchesReferenceSameSchedTwice(t *testing.T) {
 	// set is still to be twinned in pass 3, so the recomputation must not
 	// overwrite it.
 	w := refWorld{pageSize: 1024, elemSize: 8, nprocs: 2, indirLen: 600, dataLen: 800, spread: 5}
-	for _, incremental := range []bool{false, true} {
-		side := func(mk func(*tmk.Node, bool) validator) [][]validateObs {
-			d, a := w.build(7, nil)
-			out := make([][]validateObs, w.nprocs)
-			d.Cluster().Run(func(p *sim.Proc) {
-				n := d.Node(p.ID())
-				v := mk(n, incremental)
-				for e := 0; e < 3; e++ {
-					n.Barrier(e + 1)
-					descs := []Desc{
-						{Type: Indirect, Data: a.data, Indir: a.indir[0], Section: rsd.Range1(0, 99), Access: ReadWrite, Sched: 1},
-						{Type: Indirect, Data: a.data, Indir: a.indir[0], Section: rsd.Range1(300, 599), Access: ReadWrite, Sched: 1},
-						{Type: Indirect, Data: a.data, Indir: a.indir[0], Section: rsd.Range1(300, 599), Access: Read, Sched: 1},
-					}
-					v.validate(descs...)
-					out[p.ID()] = append(out[p.ID()], v.observe(descs))
-					n.Space().WriteI32(a.indir[0].Addr(50+p.ID()), int32(700+e))
+	side := func(mk func(*tmk.Node) validator) [][]validateObs {
+		d, a := w.build(7, nil)
+		out := make([][]validateObs, w.nprocs)
+		d.Cluster().Run(func(p *sim.Proc) {
+			n := d.Node(p.ID())
+			v := mk(n)
+			for e := 0; e < 3; e++ {
+				n.Barrier(e + 1)
+				descs := []Desc{
+					{Type: Indirect, Data: a.data, Indir: a.indir[0], Section: rsd.Range1(0, 99), Access: ReadWrite, Sched: 1},
+					{Type: Indirect, Data: a.data, Indir: a.indir[0], Section: rsd.Range1(300, 599), Access: ReadWrite, Sched: 1},
+					{Type: Indirect, Data: a.data, Indir: a.indir[0], Section: rsd.Range1(300, 599), Access: Read, Sched: 1},
 				}
-				n.Barrier(4)
-			})
-			return out
-		}
-		got, want := side(newRuntimeSide), side(newReferenceSide)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("incremental=%v: got %+v\nwant %+v", incremental, got, want)
-		}
-		if s := got[0][0].Sets; len(s) != 3 || slices.Equal(s[0], s[1]) {
-			t.Fatalf("incremental=%v: the two sections' page sets should differ: %v", incremental, s)
-		}
+				v.validate(descs...)
+				out[p.ID()] = append(out[p.ID()], v.observe(descs))
+				n.Space().WriteI32(a.indir[0].Addr(50+p.ID()), int32(700+e))
+			}
+			n.Barrier(4)
+		})
+		return out
+	}
+	got, want := side(newRuntimeSide), side(newReferenceSide)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("got %+v\nwant %+v", got, want)
+	}
+	if s := got[0][0].Sets; len(s) != 3 || slices.Equal(s[0], s[1]) {
+		t.Fatalf("the two sections' page sets should differ: %v", s)
 	}
 }
 
-func TestValidateMatchesReferenceIncrementalRewrites(t *testing.T) {
-	// Incremental recomputation across rounds of indirection rewrites,
-	// local and remote, with a fixed section: every round after the first
-	// goes through the refcount diff, not a rebuild.
+func TestValidateMatchesReferenceRewrites(t *testing.T) {
+	// Recomputation across rounds of indirection rewrites, local and
+	// remote, with a fixed section: the modified flag alone must trigger
+	// one rescan per round.
 	w := refWorld{pageSize: 1024, elemSize: 8, nprocs: 3, indirLen: 900, dataLen: 1200, spread: 20}
-	side := func(mk func(*tmk.Node, bool) validator) ([][]validateObs, []byte) {
+	side := func(mk func(*tmk.Node) validator) ([][]validateObs, []byte) {
 		trace := obs.NewTrace()
 		d, a := w.build(11, trace)
 		out := make([][]validateObs, w.nprocs)
 		d.Cluster().Run(func(p *sim.Proc) {
 			n := d.Node(p.ID())
-			v := mk(n, true)
+			v := mk(n)
 			r := rand.New(rand.NewSource(int64(p.ID())))
 			lo := 300 * p.ID()
 			descs := []Desc{{Type: Indirect, Data: a.data, Indir: a.indir[0],

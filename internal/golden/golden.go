@@ -1,5 +1,5 @@
 // Package golden compares rendered output against checked-in fixture
-// files. The table commands golden-diff their CI-size output with it:
+// files. cmd/scenario's golden tests diff their CI-size renders with it:
 // the determinism core (DESIGN.md §7) guarantees byte-identical
 // renders, so any fixture mismatch is a real change in the numbers and
 // must be an explicit edit — regenerate with `go test ./cmd/... -update`.

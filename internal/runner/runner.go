@@ -164,19 +164,3 @@ func Map[T, R any](ctx context.Context, items []T, fn func(context.Context, int,
 	}
 	return results, nil
 }
-
-var (
-	defaultOnce   sync.Once
-	defaultRunner *Runner
-)
-
-// Default returns the shared process-wide runner: GOMAXPROCS workers
-// and a modest LRU. The thin table commands route through it so a
-// repeated request within one process (e.g. a sweep revisiting a
-// configuration) is served from cache instead of re-simulating.
-func Default() *Runner {
-	defaultOnce.Do(func() {
-		defaultRunner = New(0, cache.New(128))
-	})
-	return defaultRunner
-}

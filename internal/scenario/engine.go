@@ -88,13 +88,6 @@ func (s *Spec) Request() bench.RunRequest {
 	return s.RunRequest
 }
 
-// Run executes the spec on the shared default runner with a background
-// context — the convenience entry the tests and single-scenario
-// callers use. Band violations land in the outcome, not the error.
-func Run(spec *Spec) (*Outcome, error) {
-	return RunCtx(context.Background(), runner.Default(), spec)
-}
-
 // RunCtx executes the spec through the given runner: one Do (cache or
 // pool), then — when the spec asks for the repro check — a second Do
 // that exercises the cache plus one uncached verification re-run, all

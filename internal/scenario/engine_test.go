@@ -13,6 +13,14 @@ import (
 	"repro/internal/runner"
 )
 
+// testRunner is the pool and cache every test here shares, so parallel
+// specs are bounded together as in one `scenario run`.
+var testRunner = runner.New(0, cache.New(128))
+
+func run(spec *Spec) (*Outcome, error) {
+	return RunCtx(context.Background(), testRunner, spec)
+}
+
 // TestAppExperiment runs the generic app experiment end to end on a
 // tiny moldyn: rendered table, flattened metrics, repro check, and a
 // band that holds.
@@ -33,7 +41,7 @@ assert:
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	out, err := Run(spec)
+	out, err := run(spec)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -86,7 +94,7 @@ func TestClaims(t *testing.T) {
 				t.Fatal(err)
 			}
 			spec.Repro = false
-			out, err := Run(spec)
+			out, err := run(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -112,7 +120,7 @@ func TestVariantFilter(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Parse: %v", err)
 			}
-			out, err := Run(spec)
+			out, err := run(spec)
 			if err != nil {
 				t.Fatalf("Run: %v", err)
 			}
@@ -149,7 +157,7 @@ sweep:
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	out, err := Run(spec)
+	out, err := run(spec)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -173,7 +181,7 @@ func TestFailingFixture(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	out, err := Run(spec)
+	out, err := run(spec)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -206,7 +214,7 @@ assert:
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	_, err = Run(spec)
+	_, err = run(spec)
 	if err == nil || !strings.Contains(err.Error(), `assertion metric "moldyn/2 procs/seq/wall_ns" was not produced`) {
 		t.Fatalf("Run error = %v, want unknown-metric error", err)
 	}

@@ -89,14 +89,23 @@ type Config struct {
 	Exec func(context.Context, bench.RunRequest) (*bench.RunResult, error)
 }
 
-// memEntry is what the memory tier stores: the result plus the
-// request that produced it, so the render endpoint can re-derive
-// presentation parameters without any side lookup, and the done
-// reply, encoded once for the content address (doneBody).
+// memEntry is what the memory tier stores: the done reply, encoded
+// once for the content address (doneBody), the result's JSON as a span
+// of it, and the request that produced it, so the render endpoint can
+// re-derive presentation parameters without any side lookup. The
+// entry's size is the body's length: the span and the request's few
+// fields add nothing worth counting.
 type memEntry struct {
-	req  bench.RunRequest
-	res  *bench.RunResult
-	body []byte
+	req    bench.RunRequest
+	body   []byte
+	result []byte
+}
+
+// newMemEntry wraps a result's JSON in its done body.
+func newMemEntry(key cache.Key, req bench.RunRequest, experiment string, result []byte) *memEntry {
+	body := doneBody(key, experiment, result)
+	end := len(body) - len("}\n")
+	return &memEntry{req: req, body: body, result: body[end-len(result) : end]}
 }
 
 // flight is one inflight run; submissions for the same content
@@ -316,8 +325,9 @@ func (s *Server) lookup(key cache.Key) (e *memEntry, fl *flight, failure string)
 	return s.fromDisk(key), nil, ""
 }
 
-// fromDisk serves a key from the disk tier, decoding and promoting
-// it to memory. Any decode failure is treated as a miss — the disk
+// fromDisk serves a key from the disk tier: the strict decode checks
+// the entry, and its done body is promoted to memory (the decoded
+// result is dropped). Any decode failure is treated as a miss — the disk
 // store has already deleted files that fail its byte-level integrity
 // checks, bench.DecodeEntry refuses an entry whose request is not the
 // key's, and §7 determinism means a dropped entry is merely a re-run
@@ -334,8 +344,8 @@ func (s *Server) fromDisk(key cache.Key) *memEntry {
 	if err != nil {
 		return nil
 	}
-	e := &memEntry{req: req, res: res, body: doneBody(key, res.Experiment, result)}
-	s.mem.PutSized(key, e, int64(len(payload)))
+	e := newMemEntry(key, req, res.Experiment, result)
+	s.mem.PutSized(key, e, int64(len(e.body)))
 	return e
 }
 
@@ -434,22 +444,24 @@ func (s *Server) runOne(key cache.Key, fl *flight) {
 
 	var payload, result []byte
 	if err == nil {
-		// One encoding serves every reader: the disk file's payload,
-		// by its length the memory tier's size, and the done body.
+		// One encoding serves every reader: the disk file's payload
+		// and, through the result's span of it, the done body.
 		payload, result, err = bench.EncodeEntry(fl.req, res)
 		if err != nil {
 			err = fmt.Errorf("encoding the result: %w", err)
 		}
 	}
+	var e *memEntry
 	if err == nil {
-		fl.body = doneBody(key, res.Experiment, result)
+		e = newMemEntry(key, fl.req, res.Experiment, result)
+		fl.body = e.body
 		if s.disk != nil {
 			s.disk.Put(fl.req.Canonical(), payload)
 		}
 	}
 	s.mu.Lock()
 	if err == nil {
-		s.mem.PutSized(key, &memEntry{req: fl.req, res: res, body: fl.body}, int64(len(payload)))
+		s.mem.PutSized(key, e, int64(len(e.body)))
 	} else {
 		if len(s.failOrder) >= maxFailures {
 			delete(s.fails, s.failOrder[0])
@@ -561,8 +573,13 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "view %q does not match experiment %q", view, e.req.Experiment)
 		return
 	}
+	res, err := bench.DecodeResult(e.result)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "%v", err)
+		return
+	}
 	var buf bytes.Buffer
-	if err := bench.PresentResult(&buf, e.req, e.res); err != nil {
+	if err := bench.PresentResult(&buf, e.req, res); err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}

@@ -737,6 +737,34 @@ func TestDoneBodyEveryPath(t *testing.T) {
 	}
 }
 
+// TestMemTierSizedByBody pins the memory tier's byte count to what it
+// holds: after a disk promotion and a fresh run, the resident bytes are
+// the two done bodies, so repro_cache_bytes{tier="memory"} reports the
+// tier's footprint.
+func TestMemTierSizedByBody(t *testing.T) {
+	dir := t.TempDir()
+	_, warm := restart(t, dir)
+	if code, body := post(t, warm, "/v1/runs?wait=1", taskqSpec); code != http.StatusOK {
+		t.Fatalf("warming submit: %d %s", code, body)
+	}
+	d, err := disk.Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := cache.New(4)
+	ts := httptest.NewServer(New(Config{Mem: mem, Disk: d}))
+	t.Cleanup(ts.Close)
+	_, promoted := post(t, ts, "/v1/runs", taskqSpec)
+	code, ran := post(t, ts, "/v1/runs?wait=1", perturbedSpec)
+	if code != http.StatusOK {
+		t.Fatalf("submit: %d %s", code, ran)
+	}
+	st := mem.Stats()
+	if want := int64(len(promoted) + len(ran)); st.Entries != 2 || st.Bytes != want {
+		t.Errorf("memory tier holds %d entries of %d bytes, want 2 of %d (the done bodies)", st.Entries, st.Bytes, want)
+	}
+}
+
 // discardWriter is a ResponseWriter that keeps nothing, so a handler's
 // allocations are its own.
 type discardWriter struct{ h http.Header }
