@@ -54,7 +54,7 @@ SIMLOAD_FLAGS := -addr http://$(SIMD_ADDR) -corpus scenarios/service -workers 8 
 FUZZ_TARGETS := ./internal/diff:FuzzEncode ./internal/scenario:FuzzParse ./internal/bench:FuzzDecodeEntry
 FUZZTIME     ?= 30s
 
-.PHONY: test race fuzz cover bench-baseline bench-check bench-ci profile serve loadtest loadtest-baseline
+.PHONY: test race fuzz cover size bench-baseline bench-check bench-ci profile serve loadtest loadtest-baseline
 
 test:
 	go build ./... && go test ./...
@@ -82,6 +82,14 @@ cover:
 		for (p in tot) printf "%6.1f%%  %s\n", 100 * cov[p] / tot[p], p }' /tmp/cover.out | sort -k2
 	@echo "functions at 0% coverage:"
 	@go tool cover -func=/tmp/cover.out | awk '$$NF == "0.0%" { print "  " $$1, $$2 }'
+
+# Code size: the non-test and test *.go line counts (wc -l) that the
+# ROADMAP quotes. A report, not a check.
+# Hidden directories (benchmark build copies) are skipped.
+size:
+	@printf 'non-test %s\ntest     %s\n' \
+		"$$(find . -path './.*' -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l)" \
+		"$$(find . -path './.*' -prune -o -name '*_test.go' -print | xargs cat | wc -l)"
 
 # Profile a representative traced scenario run end to end: CPU and
 # allocation profiles land in /tmp for `go tool pprof`. The flags are

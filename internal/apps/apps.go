@@ -92,11 +92,9 @@ func (m Machine) Perturbed() bool {
 
 // Validate checks the machine spec against a cluster of procs
 // processors, returning a descriptive error for every way a spec file
-// can get it wrong (negative overrides, non-positive CPU factors,
-// out-of-range or duplicate links, no-op link overrides, negative
-// jitter). The zero Machine is always valid. sim.NewCluster panics on
-// the same faults; this is the check that reports them to a spec
-// author.
+// can get it wrong: negative overrides here, and the perturbation
+// faults sim.(*Perturb).Validate reports (which sim.NewCluster panics
+// on). The zero Machine is always valid.
 func (m Machine) Validate(procs int) error {
 	if m.LatencyUS < 0 {
 		return fmt.Errorf("machine: latency_us must be >= 0 (got %d)", m.LatencyUS)
@@ -104,40 +102,8 @@ func (m Machine) Validate(procs int) error {
 	if m.BandwidthMBs < 0 {
 		return fmt.Errorf("machine: bandwidth_mbs must be >= 0 (got %d)", m.BandwidthMBs)
 	}
-	p := m.Perturb
-	if p.IsZero() {
-		return nil
-	}
-	if len(p.CPUFactor) > procs {
-		return fmt.Errorf("machine: perturb.cpu lists %d factors for %d procs", len(p.CPUFactor), procs)
-	}
-	for i, f := range p.CPUFactor {
-		if !(f > 0) {
-			return fmt.Errorf("machine: perturb.cpu[%d] must be positive (got %v)", i, f)
-		}
-	}
-	if p.JitterUS < 0 {
-		return fmt.Errorf("machine: perturb.jitter_us must be >= 0 (got %v)", p.JitterUS)
-	}
-	seen := make(map[[2]int]bool, len(p.Links))
-	for _, l := range p.Links {
-		if l.From < 0 || l.From >= procs || l.To < 0 || l.To >= procs {
-			return fmt.Errorf("machine: perturb link %d->%d out of range for %d procs", l.From, l.To, procs)
-		}
-		if l.From == l.To {
-			return fmt.Errorf("machine: perturb link %d->%d is a self-link", l.From, l.To)
-		}
-		if l.LatencyUS < 0 || l.BytesPerUS < 0 {
-			return fmt.Errorf("machine: perturb link %d->%d has a negative override", l.From, l.To)
-		}
-		if l.LatencyUS == 0 && l.BytesPerUS == 0 {
-			return fmt.Errorf("machine: perturb link %d->%d overrides nothing (set latency_us or bandwidth_mbs)", l.From, l.To)
-		}
-		k := [2]int{l.From, l.To}
-		if seen[k] {
-			return fmt.Errorf("machine: duplicate perturb link %d->%d", l.From, l.To)
-		}
-		seen[k] = true
+	if err := m.Perturb.Validate(procs); err != nil {
+		return fmt.Errorf("machine: %w", err)
 	}
 	return nil
 }

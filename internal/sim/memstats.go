@@ -8,35 +8,22 @@
 // function of the program like every other number in the tables
 // (DESIGN.md §9).
 //
-// Determinism follows the Stats.CountP recipe with one extra subtlety:
-// beyond per-category cells, each shard tracks the processor's *total*
-// current/peak bytes, and a peak of interleaved allocs and frees is
-// only reproducible if one goroutine owns the shard's update order.
-// The rule, therefore: a processor's memory is charged from its own
-// goroutine (or from the single-threaded init phase), in program
-// order. The one store mutated from foreign goroutines — the
-// TreadMarks notice board, appended to inside barrier combines — is
-// charged to the global shard (proc -1) and only ever grows until
-// teardown, so its peak equals its final size regardless of arrival
-// order. Counters are integers; merges are order-independent.
-//
-// Locking contract under the sharded scheduler (DESIGN.md §10): shard
-// mutexes are leaf locks, and no scheduler lock is ever needed to
-// charge memory — Alloc/Free run on the owning processor's goroutine
-// (or single-threaded setup/teardown), exactly as before the sharding.
-// The one foreign-goroutine path, the barrier-combine board charge,
-// runs while the combining processor holds Cluster.barMu; that is safe
-// (barMu → shard mutex nests downward) and still orders all board
-// charges, because combines of one barrier are serialized by the
-// episode itself. Nothing may block on a scheduler lock (mbMu, barMu,
-// arbMu) while holding a shard mutex.
+// Beyond the shard contract (ledger.go), each shard tracks the
+// processor's *total* current/peak bytes, and a peak of interleaved
+// allocs and frees is only reproducible if one goroutine owns the
+// shard's update order: a processor's memory is charged from its own
+// goroutine (or the single-threaded init phase), in program order.
+// The one store mutated from foreign goroutines — the TreadMarks
+// notice board, appended to inside barrier combines under
+// Cluster.barMu — is charged to the global shard (proc -1) and only
+// grows until teardown, so its peak equals its final size regardless
+// of arrival order.
 package sim
 
 import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // MemStat is one cell of the footprint grid: the bytes currently
@@ -60,33 +47,14 @@ type MemKey struct {
 	Proc int
 }
 
-// memShard is one processor's private ledger: per-category cells plus
-// the processor's total, whose peak is the true footprint high-water
-// mark (the sum of per-category peaks would overstate it — categories
-// rarely peak together).
-type memShard struct {
-	mu    sync.Mutex
-	byCat map[string]*MemStat
-	total MemStat
-}
-
-func (s *memShard) cell(cat string) *MemStat {
-	m := s.byCat[cat]
-	if m == nil {
-		m = &MemStat{}
-		if s.byCat == nil {
-			s.byCat = map[string]*MemStat{}
-		}
-		s.byCat[cat] = m
-	}
-	return m
-}
-
-// MemStats is the cluster-wide simulated-memory store, one shard per
-// processor plus the global shard.
+// MemStats is the cluster-wide simulated-memory store: one shard per
+// processor, then the global shard (proc -1) last.
 type MemStats struct {
-	global memShard
-	shards []memShard
+	shards []shard[string, MemStat]
+	// totals[i] is shard i's total, guarded by shards[i].mu. Its peak
+	// is the true footprint high-water mark (the sum of per-category
+	// peaks would overstate it — categories rarely peak together).
+	totals []MemStat
 
 	// c points back to the owning cluster so per-processor charges can
 	// emit trace counter events stamped with the processor's simulated
@@ -108,14 +76,21 @@ func NewMemStats(procs int) *MemStats {
 }
 
 func (m *MemStats) init(procs int) {
-	m.shards = make([]memShard, procs)
+	m.shards = make([]shard[string, MemStat], procs+1)
+	m.totals = make([]MemStat, procs+1)
 }
 
-func (m *MemStats) shard(proc int) *memShard {
-	if proc >= 0 && proc < len(m.shards) {
-		return &m.shards[proc]
+// index returns proc's shard index: proc itself, or the last shard for
+// the global proc -1. Any other id is a caller bug.
+func (m *MemStats) index(proc int) int {
+	n := len(m.shards) - 1
+	if proc == -1 {
+		return n
 	}
-	return &m.global
+	if proc < 0 || proc >= n {
+		panic(fmt.Sprintf("sim: mem charge to proc %d of a %d-proc cluster", proc, n))
+	}
+	return proc
 }
 
 // Alloc charges bytes of simulated memory to processor proc under
@@ -124,10 +99,11 @@ func (m *MemStats) Alloc(proc int, cat string, bytes int64) {
 	if bytes < 0 {
 		panic(fmt.Sprintf("sim: negative mem alloc of %d bytes (%s, proc %d)", bytes, cat, proc))
 	}
+	i := m.index(proc)
 	if bytes == 0 {
 		return
 	}
-	sh := m.shard(proc)
+	sh, t := &m.shards[i], &m.totals[i]
 	sh.mu.Lock()
 	c := sh.cell(cat)
 	c.CurBytes += bytes
@@ -135,9 +111,9 @@ func (m *MemStats) Alloc(proc int, cat string, bytes int64) {
 		c.PeakBytes = c.CurBytes
 	}
 	cur := c.CurBytes
-	sh.total.CurBytes += bytes
-	if sh.total.CurBytes > sh.total.PeakBytes {
-		sh.total.PeakBytes = sh.total.CurBytes
+	t.CurBytes += bytes
+	if t.CurBytes > t.PeakBytes {
+		t.PeakBytes = t.CurBytes
 	}
 	sh.mu.Unlock()
 	m.traceCharge(proc, cat, cur)
@@ -147,7 +123,7 @@ func (m *MemStats) Alloc(proc int, cat string, bytes int64) {
 // Charges follow the package's own-goroutine discipline, so the lane
 // append order is program order; global-shard charges are dropped.
 func (m *MemStats) traceCharge(proc int, cat string, cur int64) {
-	if m.c == nil || m.c.trace == nil || proc < 0 || proc >= len(m.shards) {
+	if m.c == nil || m.c.trace == nil || proc < 0 {
 		return
 	}
 	m.c.trace.MemCounter(proc, cat, m.c.procs[proc].Clock(), cur)
@@ -161,10 +137,11 @@ func (m *MemStats) Free(proc int, cat string, bytes int64) {
 	if bytes < 0 {
 		panic(fmt.Sprintf("sim: negative mem free of %d bytes (%s, proc %d)", bytes, cat, proc))
 	}
+	i := m.index(proc)
 	if bytes == 0 {
 		return
 	}
-	sh := m.shard(proc)
+	sh := &m.shards[i]
 	sh.mu.Lock()
 	c := sh.cell(cat)
 	if c.CurBytes < bytes {
@@ -175,7 +152,7 @@ func (m *MemStats) Free(proc int, cat string, bytes int64) {
 	}
 	c.CurBytes -= bytes
 	cur := c.CurBytes
-	sh.total.CurBytes -= bytes
+	m.totals[i].CurBytes -= bytes
 	sh.mu.Unlock()
 	m.traceCharge(proc, cat, cur)
 }
@@ -184,19 +161,18 @@ func (m *MemStats) Free(proc int, cat string, bytes int64) {
 // shard appears as Proc == -1.
 func (m *MemStats) Snapshot() map[MemKey]MemStat {
 	out := map[MemKey]MemStat{}
-	collect := func(sh *memShard, proc int) {
-		sh.mu.Lock()
-		for cat, ms := range sh.byCat {
+	global := len(m.shards) - 1
+	each(m.shards, func(i int, cells map[string]*MemStat) {
+		proc := i
+		if i == global {
+			proc = -1
+		}
+		for cat, ms := range cells {
 			if !ms.IsZero() {
 				out[MemKey{Cat: cat, Proc: proc}] = *ms
 			}
 		}
-		sh.mu.Unlock()
-	}
-	collect(&m.global, -1)
-	for i := range m.shards {
-		collect(&m.shards[i], i)
-	}
+	})
 	return out
 }
 
@@ -204,17 +180,10 @@ func (m *MemStats) Snapshot() map[MemKey]MemStat {
 // followed by the global shard's: current bytes and the true per-shard
 // high-water mark.
 func (m *MemStats) ProcPeaks() (procs []MemStat, global MemStat) {
-	procs = make([]MemStat, len(m.shards))
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		procs[i] = sh.total
-		sh.mu.Unlock()
-	}
-	m.global.mu.Lock()
-	global = m.global.total
-	m.global.mu.Unlock()
-	return procs, global
+	all := make([]MemStat, len(m.shards))
+	each(m.shards, func(i int, _ map[string]*MemStat) { all[i] = m.totals[i] })
+	n := len(all) - 1
+	return all[:n], all[n]
 }
 
 // MaxPeakBytes returns the largest per-processor footprint high-water

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -99,6 +100,29 @@ func TestMemNegativeAllocPanics(t *testing.T) {
 		}
 	}()
 	m.Alloc(0, "x", -1)
+}
+
+// TestMemBadProcPanics: only -1 (the global shard) and 0..procs-1 name
+// a shard; any other id is a caller bug, not a global-shard charge.
+func TestMemBadProcPanics(t *testing.T) {
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	for _, proc := range []int{-2, 2, 99} {
+		m := NewMemStats(2)
+		m.Alloc(-1, "x", 8)
+		mustPanic(fmt.Sprintf("Alloc on proc %d", proc), func() { m.Alloc(proc, "x", 8) })
+		mustPanic(fmt.Sprintf("Free on proc %d", proc), func() { m.Free(proc, "x", 8) })
+		if _, g := m.ProcPeaks(); g != (MemStat{CurBytes: 8, PeakBytes: 8}) {
+			t.Errorf("proc %d: global shard = %+v, want cur 8 peak 8", proc, g)
+		}
+	}
 }
 
 // TestMemShardedDeterminism races per-processor charge sequences on

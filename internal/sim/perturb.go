@@ -56,30 +56,49 @@ func (p *Perturb) IsZero() bool {
 		p.JitterUS == 0 && p.JitterSeed == 0)
 }
 
-// validate panics on malformed perturbations; the user-facing layers
-// (apps.Machine.Validate, the scenario validator) reject these with
-// errors long before a cluster is built, so reaching here is a
-// programming bug like a non-positive proc count.
-func (p *Perturb) validate(procs int) {
-	for i, f := range p.CPUFactor {
-		if !(f > 0) {
-			panic(fmt.Sprintf("sim: CPU factor for proc %d must be positive (got %v)", i, f))
-		}
+// Validate checks the perturbation against a cluster of procs
+// processors, returning an error for the first fault: too many or
+// non-positive CPU factors, negative jitter, and links that are out of
+// range, self-links, negative, override nothing, or repeat an earlier
+// link. Messages name the spec file's keys, since spec authors are who
+// read them (apps.Machine.Validate prefixes "machine: "). The zero
+// perturbation (and nil) is valid; NewCluster panics on an invalid one.
+func (p *Perturb) Validate(procs int) error {
+	if p.IsZero() {
+		return nil
 	}
 	if len(p.CPUFactor) > procs {
-		panic(fmt.Sprintf("sim: %d CPU factors for a %d-proc cluster", len(p.CPUFactor), procs))
+		return fmt.Errorf("perturb.cpu lists %d factors for %d procs", len(p.CPUFactor), procs)
 	}
-	for _, l := range p.Links {
-		if l.From < 0 || l.From >= procs || l.To < 0 || l.To >= procs || l.From == l.To {
-			panic(fmt.Sprintf("sim: link perturbation %d->%d out of range for %d procs", l.From, l.To, procs))
-		}
-		if l.LatencyUS < 0 || l.BytesPerUS < 0 {
-			panic(fmt.Sprintf("sim: link perturbation %d->%d has negative cost", l.From, l.To))
+	for i, f := range p.CPUFactor {
+		if !(f > 0) {
+			return fmt.Errorf("perturb.cpu[%d] must be positive (got %v)", i, f)
 		}
 	}
 	if p.JitterUS < 0 {
-		panic(fmt.Sprintf("sim: jitter must be non-negative (got %v)", p.JitterUS))
+		return fmt.Errorf("perturb.jitter_us must be >= 0 (got %v)", p.JitterUS)
 	}
+	seen := make(map[[2]int]bool, len(p.Links))
+	for _, l := range p.Links {
+		if l.From < 0 || l.From >= procs || l.To < 0 || l.To >= procs {
+			return fmt.Errorf("perturb link %d->%d out of range for %d procs", l.From, l.To, procs)
+		}
+		if l.From == l.To {
+			return fmt.Errorf("perturb link %d->%d is a self-link", l.From, l.To)
+		}
+		if l.LatencyUS < 0 || l.BytesPerUS < 0 {
+			return fmt.Errorf("perturb link %d->%d has a negative override", l.From, l.To)
+		}
+		if l.LatencyUS == 0 && l.BytesPerUS == 0 {
+			return fmt.Errorf("perturb link %d->%d overrides nothing (set latency_us or bandwidth_mbs)", l.From, l.To)
+		}
+		k := [2]int{l.From, l.To}
+		if seen[k] {
+			return fmt.Errorf("duplicate perturb link %d->%d", l.From, l.To)
+		}
+		seen[k] = true
+	}
+	return nil
 }
 
 // buildPerturb precomputes the cluster's dense lookup tables from the
@@ -90,7 +109,9 @@ func (c *Cluster) buildPerturb(p *Perturb) {
 		return
 	}
 	n := c.cfg.Procs
-	p.validate(n)
+	if err := p.Validate(n); err != nil {
+		panic("sim: " + err.Error())
+	}
 	hasLat, hasBpu := false, false
 	for _, l := range p.Links {
 		if l.LatencyUS != 0 {

@@ -209,6 +209,8 @@ func TestPerturbValidatePanics(t *testing.T) {
 		"out of range":        {Links: []LinkPerturb{{From: 0, To: 9, LatencyUS: 5}}},
 		"negative cost":       {Links: []LinkPerturb{{From: 0, To: 1, LatencyUS: -5}}},
 		"negative jitter":     {JitterUS: -1},
+		"no-op link":          {Links: []LinkPerturb{{From: 0, To: 1}}},
+		"duplicate link":      {Links: []LinkPerturb{{From: 0, To: 1, LatencyUS: 5}, {From: 0, To: 1, BytesPerUS: 20}}},
 	}
 	for name, p := range bad {
 		func() {

@@ -140,51 +140,17 @@ type CatStat struct {
 	Bytes    int64
 }
 
-// statsShard is one processor's private counter map, padded to a full
-// 64-byte cache line so adjacent shards never false-share on the hot
-// Count path. lastCat/last memoize the most recent category: hot loops
-// count the same kind back to back, and comparing two references to the
-// same string constant short-circuits before hashing the map key.
-type statsShard struct {
-	mu      sync.Mutex
-	byCat   map[string]*CatStat
-	lastCat string
-	last    *CatStat
-	_       [64 - 40]byte // Mutex (8) + map header (8) + string (16) + ptr (8)
-}
-
-func (s *statsShard) count(cat string, msgs, bytes int64) {
-	s.mu.Lock()
-	cs := s.last
-	if cs == nil || s.lastCat != cat {
-		cs = s.byCat[cat]
-		if cs == nil {
-			cs = &CatStat{}
-			s.byCat[cat] = cs
-		}
-		s.lastCat, s.last = cat, cs
-	}
-	cs.Messages += msgs
-	cs.Bytes += bytes
-	s.mu.Unlock()
-}
-
 // Stats accumulates cluster-wide message traffic, broken down by
 // category. Categories are free-form strings chosen by the protocol
-// layers (e.g. "diff.req", "barrier", "chaos.gather").
-//
-// Counts are sharded per processor (CountP) and merged at read time, so
-// the per-message hot path never touches a shared mutex. Counters are
-// integers, so the merge is order-independent and deterministic.
+// layers (e.g. "diff.req", "barrier", "chaos.gather"). Counts land in
+// the sending processor's shard and merge at read time, so the
+// per-message hot path never touches a shared mutex.
 type Stats struct {
-	shards []statsShard
+	shards []shard[string, CatStat]
 }
 
 func (s *Stats) init(procs int) {
-	s.shards = make([]statsShard, procs)
-	for i := range s.shards {
-		s.shards[i].byCat = map[string]*CatStat{}
-	}
+	s.shards = make([]shard[string, CatStat], procs)
 }
 
 // CountP records msgs messages totalling bytes payload bytes in category
@@ -192,24 +158,21 @@ func (s *Stats) init(procs int) {
 // are uncontended in steady state because a processor's traffic is
 // counted by its own goroutine.
 func (s *Stats) CountP(proc int, cat string, msgs, bytes int64) {
-	s.shards[proc].count(cat, msgs, bytes)
-}
-
-func (s *Stats) forEachShard(f func(sh *statsShard)) {
-	for i := range s.shards {
-		f(&s.shards[i])
-	}
+	sh := &s.shards[proc]
+	sh.mu.Lock()
+	cs := sh.cell(cat)
+	cs.Messages += msgs
+	cs.Bytes += bytes
+	sh.mu.Unlock()
 }
 
 // Totals returns the total messages and bytes across all categories.
 func (s *Stats) Totals() (msgs, bytes int64) {
-	s.forEachShard(func(sh *statsShard) {
-		sh.mu.Lock()
-		for _, cs := range sh.byCat {
+	each(s.shards, func(_ int, cells map[string]*CatStat) {
+		for _, cs := range cells {
 			msgs += cs.Messages
 			bytes += cs.Bytes
 		}
-		sh.mu.Unlock()
 	})
 	return
 }
@@ -217,15 +180,13 @@ func (s *Stats) Totals() (msgs, bytes int64) {
 // Categories returns a merged snapshot of per-category traffic.
 func (s *Stats) Categories() map[string]CatStat {
 	out := map[string]CatStat{}
-	s.forEachShard(func(sh *statsShard) {
-		sh.mu.Lock()
-		for k, v := range sh.byCat {
+	each(s.shards, func(_ int, cells map[string]*CatStat) {
+		for k, v := range cells {
 			cs := out[k]
 			cs.Messages += v.Messages
 			cs.Bytes += v.Bytes
 			out[k] = cs
 		}
-		sh.mu.Unlock()
 	})
 	return out
 }
@@ -246,14 +207,7 @@ func (s *Stats) String() string {
 }
 
 // Reset clears all counters.
-func (s *Stats) Reset() {
-	s.forEachShard(func(sh *statsShard) {
-		sh.mu.Lock()
-		sh.byCat = map[string]*CatStat{}
-		sh.lastCat, sh.last = "", nil
-		sh.mu.Unlock()
-	})
-}
+func (s *Stats) Reset() { reset(s.shards) }
 
 // Handler services one request on the target processor. It is invoked
 // "in interrupt context": the target's main thread keeps running, but is
@@ -270,11 +224,11 @@ type Handler func(from int, req any) (resp any, respBytes int, handlerUS float64
 //
 //	Proc.mbMu (per-processor mailbox shard)  ─┐
 //	Cluster.barMu (barrier episodes)          ├─> Cluster.arbMu (arbiter)
-//	                                          │       └─> stats shard
+//	                                          │       └─> ledger shard
 //	                                          └─────────> mutexes (leaf)
 //
 // That is: a goroutine holding a mailbox shard or the barrier lock may
-// take arbMu (blockSelf → arbitrate); the arbiter may take stats shard
+// take arbMu (blockSelf → arbitrate); the arbiter may take ledger shard
 // mutexes (SyncStats.recordGrant) and whatever leaf locks onGrant hooks
 // take; nothing holding arbMu ever takes a mailbox shard or barMu.
 //

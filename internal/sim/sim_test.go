@@ -239,6 +239,11 @@ func TestStatsCategories(t *testing.T) {
 	if m, b := c.Stats.Totals(); m != 0 || b != 0 {
 		t.Fatal("reset did not clear")
 	}
+	// Proc 1 counted "a" last; Reset must drop that memo with the cells.
+	c.Stats.CountP(1, "a", 2, 20)
+	if got := c.Stats.Categories()["a"]; got != (CatStat{Messages: 2, Bytes: 20}) {
+		t.Fatalf("after Reset: cat a = %+v, want 2 msgs 20 bytes", got)
+	}
 }
 
 func TestResetClocks(t *testing.T) {

@@ -3,30 +3,18 @@
 // how long acquirers waited (simulated time), how long grantees held,
 // and how many notice bytes rode on grants.
 //
-// Determinism follows the same recipe as Stats.CountP: every update
-// lands in the acquiring/holding processor's own shard, in that
-// processor's program order (grants and releases of one processor are
-// ordered by its own execution, which is deterministic by DESIGN.md
-// §7), and reads merge the shards in processor-id order so the
-// non-associative float additions happen in one canonical order.
-// AcquireResource panics outside Cluster.Run, so every update has an
-// owning processor and there is no unowned shard.
-//
-// Locking contract under the sharded scheduler (DESIGN.md §10): shard
-// mutexes are leaf locks. recordGrant and recordRelease run under
-// Cluster.arbMu — recordGrant at the quiescent grant instant (the
-// grantee is blocked, so its shard cannot be touched concurrently by
-// its owner), recordRelease on the releasing holder's own goroutine
-// inside ReleaseResource. CountGrantBytes runs on the grantee's own
-// goroutine after the grant, which the grant channel orders after the
-// arbiter's update of the same shard. Nothing may block on a scheduler
-// lock (mbMu, barMu, arbMu) while holding a shard mutex.
+// Updates follow the shard contract (ledger.go) with the grant
+// instant as the acting point: recordGrant and recordRelease run under
+// Cluster.arbMu, recordGrant while the grantee is blocked (so its
+// owner cannot touch the shard concurrently), recordRelease on the
+// holder's own goroutine; CountGrantBytes runs on the grantee's
+// goroutine after the grant channel has ordered it behind the
+// arbiter's update. AcquireResource panics outside Cluster.Run, so
+// every update has an owning processor. The wait and hold sums are
+// floats: SortedLockKeys gives their one merge order.
 package sim
 
-import (
-	"sort"
-	"sync"
-)
+import "sort"
 
 // LockStat aggregates one (resource, processor) cell of the
 // synchronization behavior. WaitUS is the simulated time between the
@@ -71,44 +59,14 @@ type LockKey struct {
 	Proc int // acquiring/holding processor
 }
 
-// syncShard is one processor's private cell map. Its mutex is a leaf of
-// the scheduler's locking hierarchy (DESIGN.md §10): it is taken while
-// Cluster.arbMu is held (the arbiter's recordGrant/recordRelease run at
-// the grant instant) and by the grantee's own goroutine
-// (CountGrantBytes), and nothing is ever locked under it. lastRes/last
-// memoize the most recent cell: a grant chain hammers one resource, and
-// the memo keeps the arbiter's critical section off the map.
-type syncShard struct {
-	mu      sync.Mutex
-	byRes   map[int]*LockStat
-	lastRes int
-	last    *LockStat
-}
-
-func (s *syncShard) cell(res int) *LockStat {
-	if s.last != nil && s.lastRes == res {
-		return s.last
-	}
-	ls := s.byRes[res]
-	if ls == nil {
-		ls = &LockStat{}
-		if s.byRes == nil {
-			s.byRes = map[int]*LockStat{}
-		}
-		s.byRes[res] = ls
-	}
-	s.lastRes, s.last = res, ls
-	return ls
-}
-
 // SyncStats is the cluster-wide synchronization-statistics store, one
 // shard per processor.
 type SyncStats struct {
-	shards []syncShard
+	shards []shard[int, LockStat]
 }
 
 func (s *SyncStats) init(procs int) {
-	s.shards = make([]syncShard, procs)
+	s.shards = make([]shard[int, LockStat], procs)
 }
 
 // recordGrant credits one acquire and its simulated wait to proc.
@@ -143,14 +101,11 @@ func (s *SyncStats) CountGrantBytes(proc, res int, bytes int64) {
 // Snapshot returns the full per-(resource, processor) grid.
 func (s *SyncStats) Snapshot() map[LockKey]LockStat {
 	out := map[LockKey]LockStat{}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for res, ls := range sh.byRes {
-			out[LockKey{Res: res, Proc: i}] = *ls
+	each(s.shards, func(proc int, cells map[int]*LockStat) {
+		for res, ls := range cells {
+			out[LockKey{Res: res, Proc: proc}] = *ls
 		}
-		sh.mu.Unlock()
-	}
+	})
 	return out
 }
 
@@ -204,12 +159,4 @@ func SubSnapshots(end, start map[LockKey]LockStat) map[LockKey]LockStat {
 }
 
 // Reset clears all counters.
-func (s *SyncStats) Reset() {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.byRes = map[int]*LockStat{}
-		sh.lastRes, sh.last = 0, nil
-		sh.mu.Unlock()
-	}
-}
+func (s *SyncStats) Reset() { reset(s.shards) }

@@ -93,6 +93,11 @@ func TestSyncStatsGrantBytesAndReset(t *testing.T) {
 	if snap := c.Sync.Snapshot(); len(snap) != 0 {
 		t.Fatalf("after Reset: %d cells, want 0", len(snap))
 	}
+	// Proc 1's memo held resource 5; Reset must drop it with the cells.
+	c.Sync.CountGrantBytes(1, 5, 7)
+	if got := c.Sync.Snapshot()[LockKey{Res: 5, Proc: 1}].GrantBytes; got != 7 {
+		t.Fatalf("after Reset: proc 1 grant bytes = %d, want 7", got)
+	}
 }
 
 func TestSubSnapshotsWindow(t *testing.T) {
