@@ -20,11 +20,11 @@ func RunChaos(w *Workload) *apps.Result {
 	ecost := chaos.DefaultExecutorCost()
 
 	ep := apps.NewEpisode("chaos", p.simConfig())
-	ep.Res.TableOrg = p.TableKind.String()
+	ep.Res.TableOrg = p.Table.Kind.String()
 	cl := ep.Cluster
 	part := w.Part
-	tt := chaos.NewTransTable(part, p.TableKind)
-	tt.CachePages = p.TableCachePages
+	tt := chaos.NewTransTable(part, p.Table.Kind)
+	tt.CachePages = p.Table.CachePages
 	counts := part.Counts()
 	ownGlobals := part.Owned() // in local-offset order
 

@@ -15,7 +15,7 @@ func TestTableKindsProduceSameResults(t *testing.T) {
 	var ref *apps.Result
 	for _, kind := range []chaos.TableKind{chaos.Replicated, chaos.Distributed, chaos.Paged} {
 		p := base
-		p.TableKind = kind
+		p.Table.Kind = kind
 		r := RunChaos(Generate(p))
 		if ref == nil {
 			ref = r

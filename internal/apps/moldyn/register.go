@@ -21,9 +21,7 @@ func init() {
 			// Budget-driven table selection: moldyn's reference stream
 			// spans the whole table (the cutoff sphere covers a large
 			// fraction of the box), so the working set is every page.
-			plan := mem.PlanTable(int64(kb)<<10, cfg.N, cfg.Procs, mem.TablePages(cfg.N))
-			p.TableKind = plan.Kind
-			p.TableCachePages = plan.CachePages
+			p.Table = mem.PlanTable(int64(kb)<<10, cfg.N, cfg.Procs, mem.TablePages(cfg.N))
 		}
 		opt := TmkOptions{Optimized: true, NoAggregation: cfg.Knob("no_aggregation", 0) != 0}
 		return apps.NewVariants("moldyn", Generate(p), RunSequential, RunChaos, BuildImage, RunTmk,

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/chaos"
+	"repro/internal/mem"
 	"repro/internal/sim"
 )
 
@@ -55,11 +56,10 @@ type Params struct {
 	Density     float64 // molecules per unit volume (sets the box side)
 	Seed        int64
 	PageSize    int
-	TableKind   chaos.TableKind // translation-table organization for CHAOS
-	// TableCachePages bounds the Paged table's per-processor cache
-	// (chaos.TransTable.CachePages); 0 = unbounded. Set by the memory
-	// capacity policy (internal/mem) when a budget is in force.
-	TableCachePages int
+	// Table is the CHAOS translation-table organization and, for Paged,
+	// its per-processor cache bound (0 = unbounded). The memory
+	// capacity policy (mem.PlanTable) sets it when a budget is in force.
+	Table mem.TablePlan
 	// MaxMsgB overrides the simulated machine's fragmentation threshold
 	// (0 = sim.DefaultConfig). The memory ablation's anecdote run uses a
 	// large value: the measured CHAOS program's bulk inspector exchanges
@@ -92,7 +92,7 @@ func DefaultParams(n, procs int) Params {
 		Density:     0.0625,
 		Seed:        1997,
 		PageSize:    4096,
-		TableKind:   chaos.Distributed,
+		Table:       mem.TablePlan{Kind: chaos.Distributed},
 		Costs:       DefaultCosts(),
 		Inspector:   chaos.InspectorCost{HashUSPerEntry: 2.0, BuildUSPerElem: 0.5, TranslateAll: true},
 	}

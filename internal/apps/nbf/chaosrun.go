@@ -19,11 +19,11 @@ func RunChaos(w *Workload) *apps.Result {
 	ecost := chaos.DefaultExecutorCost()
 
 	ep := apps.NewEpisode("chaos", p.Machine.Config(nprocs))
-	ep.Res.TableOrg = p.TableKind.String()
+	ep.Res.TableOrg = p.Table.Kind.String()
 	cl := ep.Cluster
 	part := chaos.Block(n, nprocs)
-	tt := chaos.NewTransTable(part, p.TableKind)
-	tt.CachePages = p.TableCachePages
+	tt := chaos.NewTransTable(part, p.Table.Kind)
+	tt.CachePages = p.Table.CachePages
 	counts := part.Counts()
 
 	inspectorSec := ep.PerProc("inspector_s")

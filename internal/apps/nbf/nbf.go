@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/chaos"
+	"repro/internal/mem"
 	"repro/internal/sim"
 )
 
@@ -41,17 +42,17 @@ func DefaultCosts() Costs {
 // N = 64x1024, 64x1000 (which misaligns the per-processor block with
 // page boundaries and induces false sharing), and 32x1024.
 type Params struct {
-	N         int // number of molecules
-	Partners  int // partners per molecule (paper: 100)
-	Steps     int // timed steps (one extra warmup step runs first)
-	Procs     int
-	Spread    float64 // fraction of the index space the partners span (paper: ~2/3)
-	Seed      int64
-	PageSize  int
-	TableKind chaos.TableKind
-	// TableCachePages bounds the Paged table's per-processor cache
-	// (0 = unbounded); set by the memory capacity policy.
-	TableCachePages int
+	N        int // number of molecules
+	Partners int // partners per molecule (paper: 100)
+	Steps    int // timed steps (one extra warmup step runs first)
+	Procs    int
+	Spread   float64 // fraction of the index space the partners span (paper: ~2/3)
+	Seed     int64
+	PageSize int
+	// Table is the CHAOS translation-table organization and, for Paged,
+	// its per-processor cache bound (0 = unbounded); set by the memory
+	// capacity policy.
+	Table mem.TablePlan
 	// Machine carries the latency/bandwidth overrides the scenario
 	// engine sweeps (zero fields = SP2 default).
 	Machine apps.Machine
@@ -71,7 +72,7 @@ func DefaultParams(n, procs int) Params {
 		Spread:    2.0 / 3.0,
 		Seed:      1997,
 		PageSize:  4096,
-		TableKind: chaos.Replicated,
+		Table:     mem.TablePlan{Kind: chaos.Replicated},
 		Costs:     DefaultCosts(),
 		Inspector: chaos.InspectorCost{HashUSPerEntry: 0.95, BuildUSPerElem: 0.3},
 	}

@@ -25,9 +25,7 @@ func init() {
 			if span > cfg.N {
 				span = cfg.N
 			}
-			plan := mem.PlanTable(int64(kb)<<10, cfg.N, cfg.Procs, mem.TablePages(span))
-			p.TableKind = plan.Kind
-			p.TableCachePages = plan.CachePages
+			p.Table = mem.PlanTable(int64(kb)<<10, cfg.N, cfg.Procs, mem.TablePages(span))
 		}
 		opt := TmkOptions{Optimized: true,
 			NoAggregation: cfg.Knob("no_aggregation", 0) != 0,

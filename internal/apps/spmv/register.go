@@ -16,9 +16,7 @@ func init() {
 		p.PageSize = cfg.Knob("page_size", p.PageSize)
 		p.FarPerRow = cfg.Knob("far_per_row", p.FarPerRow)
 		if kb := cfg.Knob("table_budget_kb", 0); kb > 0 {
-			plan := mem.PlanTable(int64(kb)<<10, cfg.N, cfg.Procs, p.WorkTablePages())
-			p.TableKind = plan.Kind
-			p.TableCachePages = plan.CachePages
+			p.Table = mem.PlanTable(int64(kb)<<10, cfg.N, cfg.Procs, p.WorkTablePages())
 		}
 		return apps.NewVariants("spmv", Generate(p), RunSequential, RunChaos, BuildImage, RunTmk,
 			TmkOptions{}, TmkOptions{Optimized: true})

@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/chaos"
+	"repro/internal/mem"
 	"repro/internal/sim"
 )
 
@@ -45,10 +46,10 @@ type Params struct {
 	FarPerRow int // far (uniformly random) columns per row
 	Seed      int64
 	PageSize  int
-	TableKind chaos.TableKind
-	// TableCachePages bounds the Paged table's per-processor cache
-	// (0 = unbounded); set by the memory capacity policy.
-	TableCachePages int
+	// Table is the CHAOS translation-table organization and, for Paged,
+	// its per-processor cache bound (0 = unbounded); set by the memory
+	// capacity policy.
+	Table mem.TablePlan
 	// Machine carries the latency/bandwidth overrides the scenario
 	// engine sweeps (zero fields = SP2 default).
 	Machine   apps.Machine
@@ -84,7 +85,7 @@ func DefaultParams(n, procs int) Params {
 		FarPerRow: 4,
 		Seed:      7,
 		PageSize:  4096,
-		TableKind: chaos.Replicated,
+		Table:     mem.TablePlan{Kind: chaos.Replicated},
 		Costs:     DefaultCosts(),
 		Inspector: chaos.InspectorCost{HashUSPerEntry: 0.9, BuildUSPerElem: 0.3},
 	}

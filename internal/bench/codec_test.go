@@ -126,12 +126,14 @@ func TestEntryCodecRoundTrip(t *testing.T) {
 func memoryFixture() *RunResult {
 	return &RunResult{Experiment: "memory",
 		Mem: &MemSweepData{
-			Moldyn: []MemBudgetRow{{BudgetKB: 64, Plan: "replicated", TtableMsgs: 12, TtableMB: 0.25, PeakKB: 80.5}},
-			Spmv:   []SpmvBudgetRow{{BudgetKB: 16, Plan: "paged(cache=3)", TableKB: 12.5, PeakKB: 30.25}},
-			Anecdote: AnecdoteReport{Plan: mem.TablePlan{Kind: chaos.Paged, CachePages: 4},
-				TtableMsgs: 878, TtableBytes: 85e6, PeakKB: 512.5, TimeSec: 1.75},
-			Budget: []BudgetPoint{{BudgetKB: 48, PlanKind: 2, Plan: "paged(cache=2)",
-				TtableMsgs: 40, TtableMB: 3.5, PeakKB: 47.25}},
+			Moldyn: []PlanRun{{BudgetKB: 64, Plan: mem.TablePlan{Kind: chaos.Paged, CachePages: 5},
+				TtableMsgs: 12, TtableMB: 0.25, TableKB: 32.5, PeakKB: 80.5, TimeSec: 0.5}},
+			Spmv: []PlanRun{{BudgetKB: 16, Plan: mem.TablePlan{Kind: chaos.Paged, CachePages: 3},
+				TtableMsgs: 6, TtableMB: 0.125, TableKB: 12.5, PeakKB: 30.25, TimeSec: 0.25}},
+			Anecdote: PlanRun{BudgetKB: 16, Plan: mem.TablePlan{Kind: chaos.Paged, CachePages: 4},
+				TtableMsgs: 878, TtableMB: 85, TableKB: 16.5, PeakKB: 512.5, TimeSec: 1.75},
+			Budget: []PlanRun{{BudgetKB: 48, Plan: mem.TablePlan{Kind: chaos.Paged, CachePages: 2},
+				TtableMsgs: 40, TtableMB: 3.5, TableKB: 20.5, PeakKB: 47.25, TimeSec: 1.5}},
 		},
 		Metrics: map[string]float64{"memory/anecdote/ttable_msgs": 878}}
 }

@@ -357,6 +357,6 @@ func presentMemorySweep(w io.Writer, p map[string]int, res *RunResult) {
 	fmt.Fprintf(w, "  policy: replicated table (%d KB) rejected -> %s\n",
 		mem.ReplicatedBytes(ap.N)>>10, rep.Plan)
 	fmt.Fprintf(w, "  inspector translation traffic: %.1f MB in %d messages (paper: 85 MB in 878)\n",
-		float64(rep.TtableBytes)/1e6, rep.TtableMsgs)
+		rep.TtableMB, rep.TtableMsgs)
 	fmt.Fprintf(w, "  peak footprint %.1f KB/proc, simulated time %.1f s\n", rep.PeakKB, rep.TimeSec)
 }

@@ -13,7 +13,6 @@ import (
 	"repro/internal/apps"
 	"repro/internal/apps/moldyn"
 	"repro/internal/chaos"
-	"repro/internal/mem"
 	"repro/internal/tmk"
 )
 
@@ -50,18 +49,6 @@ func catPeakKB(r *apps.Result, cats ...string) float64 {
 
 // ---- The moldyn anecdote ----------------------------------------------
 
-// AnecdoteReport is one anecdote run: the plan the policy chose under
-// the paper-scale budget and the CHAOS run's translation traffic. The
-// memory specs assert the paper's 85 MB / 878-message regime on it as
-// metric bands (MemSweepData.metrics).
-type AnecdoteReport struct {
-	Plan        mem.TablePlan
-	TtableMsgs  int64
-	TtableBytes int64
-	PeakKB      float64
-	TimeSec     float64
-}
-
 // anecdoteParams is the configuration of the §9 anecdote: a moldyn
 // whose translation table cannot be replicated under the paper-scale
 // per-processor budget, with enough interaction-list rebuilds that the
@@ -76,14 +63,4 @@ func anecdoteParams() moldyn.Params {
 	p.CutoffFrac = 0.2209
 	p.MaxMsgB = 1 << 20
 	return p
-}
-
-// runAnecdote plans the anecdote configuration's translation table
-// under the given per-processor budget and runs the CHAOS backend.
-func runAnecdote(budget int64) (mem.TablePlan, *apps.Result) {
-	p := anecdoteParams()
-	plan := mem.PlanTable(budget, p.N, p.Procs, mem.TablePages(p.N))
-	p.TableKind = plan.Kind
-	p.TableCachePages = plan.CachePages
-	return plan, moldyn.RunChaos(moldyn.Generate(p))
 }

@@ -20,7 +20,6 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"math"
 	"slices"
 	"strconv"
 
@@ -78,9 +77,9 @@ type RunRequest struct {
 	Sweep   *SweepAxis
 
 	// BudgetSweepKB extends the memory experiment with the
-	// table_budget_kb axis: the anecdote configuration re-planned and
-	// run at each per-processor budget; the paper-scale budget reuses
-	// the anecdote run (metrics only; the rendered sweep text is
+	// table_budget_kb axis: the anecdote configuration re-planned at
+	// each per-processor budget; a point whose plan matches a run
+	// already made reuses it (metrics only; the rendered sweep text is
 	// unchanged).
 	BudgetSweepKB []int
 
@@ -234,48 +233,29 @@ type RunResult struct {
 	Trace []byte
 }
 
-// MemBudgetRow is one budget point of the moldyn (whole-working-set)
-// grid of the memory sweep.
-type MemBudgetRow struct {
+// PlanRun is one planned CHAOS run of the memory experiment: the
+// per-processor table budget, the organization mem.PlanTable chose
+// under it, and what the CHAOS backend measured with that table —
+// translation traffic, table storage, peak footprint and simulated
+// time (max over processors for the per-processor numbers).
+type PlanRun struct {
 	BudgetKB   int64
-	Plan       string
+	Plan       mem.TablePlan
 	TtableMsgs int64
 	TtableMB   float64
+	TableKB    float64
 	PeakKB     float64
+	TimeSec    float64
 }
 
-// SpmvBudgetRow is one budget point of the banded-spmv (localized
-// working set) grid: storage, not traffic — the inspector runs before
-// the timed window there.
-type SpmvBudgetRow struct {
-	BudgetKB int64
-	Plan     string
-	TableKB  float64
-	PeakKB   float64
-}
-
-// BudgetPoint is one table_budget_kb axis point: the anecdote
-// configuration re-planned under the given per-processor budget and
-// run (at mem.PaperTableBudget, the anecdote run itself). PlanKind is
-// the chaos.TableKind ordinal (0 replicated, 1 distributed, 2 paged)
-// so plans can be asserted as metric bands.
-type BudgetPoint struct {
-	BudgetKB   int
-	PlanKind   int
-	Plan       string
-	TtableMsgs int64
-	TtableMB   float64
-	PeakKB     float64
-}
-
-// MemSweepData is the memory experiment's structured result: both
-// budget grids, the anecdote, and the optional table_budget_kb axis
-// points.
+// MemSweepData is the memory experiment's structured result: the
+// moldyn and banded-spmv budget grids, the anecdote, and the optional
+// table_budget_kb axis points (the anecdote configuration re-planned).
 type MemSweepData struct {
-	Moldyn   []MemBudgetRow
-	Spmv     []SpmvBudgetRow
-	Anecdote AnecdoteReport
-	Budget   []BudgetPoint
+	Moldyn   []PlanRun
+	Spmv     []PlanRun
+	Anecdote PlanRun
+	Budget   []PlanRun
 }
 
 // Run executes one canonically-encoded experiment and returns its
@@ -351,105 +331,107 @@ func runItems(ctx context.Context, tr *obs.Trace, items []runItem) ([]*AppResult
 
 // runMemorySweep computes the §9 capacity sweep's structured data: the
 // moldyn and banded-spmv budget grids, the anecdote, and the optional
-// table_budget_kb axis.
+// table_budget_kb axis. Each configuration is generated once.
 func runMemorySweep(ctx context.Context, n, procs int, budgetSweepKB []int) (*MemSweepData, error) {
 	data := &MemSweepData{}
-
+	var err error
 	moldynWork := mem.TablePages(n)
-	for _, budget := range memBudgets(n, procs, moldynWork) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		plan := mem.PlanTable(budget, n, procs, moldynWork)
-		p := moldyn.DefaultParams(n, procs)
-		p.TableKind = plan.Kind
-		p.TableCachePages = plan.CachePages
-		r := moldyn.RunChaos(moldyn.Generate(p))
-		data.Moldyn = append(data.Moldyn, MemBudgetRow{
-			BudgetKB:   budget >> 10,
-			Plan:       plan.String(),
-			TtableMsgs: int64(r.Detail["msgs.chaos.ttable"]),
-			TtableMB:   r.Detail["mb.chaos.ttable"],
-			PeakKB:     r.MaxPeakMB() * 1e3,
-		})
+	data.Moldyn, err = planRuns(ctx, memBudgets(n, procs, moldynWork), n, procs, moldynWork,
+		moldynChaos(moldyn.Generate(moldyn.DefaultParams(n, procs))))
+	if err != nil {
+		return nil, err
 	}
 
 	sn := 4 * n
 	spp := spmv.DefaultParams(sn, procs)
 	spp.FarPerRow = 0
 	spmvWork := spp.WorkTablePages()
-	for _, budget := range memBudgets(sn, procs, spmvWork) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		plan := mem.PlanTable(budget, sn, procs, spmvWork)
-		p := spp
-		p.TableKind = plan.Kind
-		p.TableCachePages = plan.CachePages
-		r := spmv.RunChaos(spmv.Generate(p))
-		data.Spmv = append(data.Spmv, SpmvBudgetRow{
-			BudgetKB: budget >> 10,
-			Plan:     plan.String(),
-			TableKB:  float64(r.MemCat(chaos.MemCatTable).PeakBytes) / 1e3,
-			PeakKB:   r.MaxPeakMB() * 1e3,
+	sw := spmv.Generate(spp)
+	data.Spmv, err = planRuns(ctx, memBudgets(sn, procs, spmvWork), sn, procs, spmvWork,
+		func(plan mem.TablePlan) *apps.Result {
+			c := *sw
+			c.P.Table = plan
+			return spmv.RunChaos(&c)
 		})
-	}
-
-	// The anecdote, under the paper-scale budget. Its bands and plan
-	// are asserted by the memory specs; run-to-run identity is the
-	// scenario engine's repro check.
-	if err := ctx.Err(); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	plan, r := runAnecdote(mem.PaperTableBudget)
-	data.Anecdote = AnecdoteReport{
-		Plan:        plan,
-		TtableMsgs:  int64(r.Detail["msgs.chaos.ttable"]),
-		TtableBytes: int64(math.Round(1e6 * r.Detail["mb.chaos.ttable"])),
-		PeakKB:      r.MaxPeakMB() * 1e3,
-		TimeSec:     r.TimeSec,
-	}
 
-	// The table_budget_kb axis: the anecdote configuration re-planned
-	// under each budget. Crossing mem.ReplicatedBytes(N) flips the
-	// policy from the replicated table to the forced distributed one —
-	// the crossover the scenario bands pin. A point at the paper-scale
-	// budget is the anecdote run itself.
+	// The anecdote runs under the paper-scale budget; the
+	// table_budget_kb axis re-plans its configuration under each
+	// budget. Crossing mem.ReplicatedBytes(N) flips the policy from the
+	// replicated table to the forced distributed one — the crossover
+	// the scenario bands pin.
+	ap := anecdoteParams()
+	budgets := []int64{mem.PaperTableBudget}
 	for _, kb := range budgetSweepKB {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		bplan, br := plan, r
-		if budget := int64(kb) << 10; budget != mem.PaperTableBudget {
-			bplan, br = runAnecdote(budget)
-		}
-		data.Budget = append(data.Budget, BudgetPoint{
-			BudgetKB:   kb,
-			PlanKind:   int(bplan.Kind),
-			Plan:       bplan.String(),
-			TtableMsgs: int64(br.Detail["msgs.chaos.ttable"]),
-			TtableMB:   br.Detail["mb.chaos.ttable"],
-			PeakKB:     br.MaxPeakMB() * 1e3,
-		})
+		budgets = append(budgets, int64(kb)<<10)
 	}
+	rows, err := planRuns(ctx, budgets, ap.N, ap.Procs, mem.TablePages(ap.N), moldynChaos(moldyn.Generate(ap)))
+	if err != nil {
+		return nil, err
+	}
+	data.Anecdote, data.Budget = rows[0], rows[1:]
 	return data, nil
 }
 
+// planRuns plans an n-entry table whose inspector touches workPages
+// pages under each budget and runs CHAOS once per distinct plan: a run
+// depends on the plan, not on the budget, so budgets that plan alike
+// share one run. Each row keeps its own budget.
+func planRuns(ctx context.Context, budgets []int64, n, procs, workPages int,
+	run func(mem.TablePlan) *apps.Result) ([]PlanRun, error) {
+	rows := make([]PlanRun, 0, len(budgets))
+	ran := map[mem.TablePlan]PlanRun{}
+	for _, budget := range budgets {
+		plan := mem.PlanTable(budget, n, procs, workPages)
+		row, ok := ran[plan]
+		if !ok {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			r := run(plan)
+			row = PlanRun{
+				TtableMsgs: int64(r.Detail["msgs.chaos.ttable"]),
+				TtableMB:   r.Detail["mb.chaos.ttable"],
+				TableKB:    float64(r.MemCat(chaos.MemCatTable).PeakBytes) / 1e3,
+				PeakKB:     r.MaxPeakMB() * 1e3,
+				TimeSec:    r.TimeSec,
+			}
+			ran[plan] = row
+		}
+		row.BudgetKB, row.Plan = budget>>10, plan
+		rows = append(rows, row)
+	}
+	return rows, nil
+}
+
+// moldynChaos runs moldyn's CHAOS backend on w under a plan, on a
+// shallow copy with only the plan changed (the backend only reads the
+// workload).
+func moldynChaos(w *moldyn.Workload) func(mem.TablePlan) *apps.Result {
+	return func(plan mem.TablePlan) *apps.Result {
+		c := *w
+		c.P.Table = plan
+		return moldyn.RunChaos(&c)
+	}
+}
+
 // metrics flattens the memory experiment's asserted numbers: the
-// anecdote's plan ordinal (chaos.TableKind) and its four numbers plus,
-// per budget-axis point, the plan ordinal and the traffic/footprint
-// the plan produced.
+// anecdote's plan ordinal (chaos.TableKind: 0 replicated, 1
+// distributed, 2 paged) and its four numbers plus, per budget-axis
+// point, the plan ordinal and the traffic/footprint the plan produced.
 func (d *MemSweepData) metrics() map[string]float64 {
 	out := map[string]float64{
 		"anecdote/plan":        float64(d.Anecdote.Plan.Kind),
 		"anecdote/ttable_msgs": float64(d.Anecdote.TtableMsgs),
-		"anecdote/ttable_mb":   float64(d.Anecdote.TtableBytes) / 1e6,
+		"anecdote/ttable_mb":   d.Anecdote.TtableMB,
 		"anecdote/peak_kb":     d.Anecdote.PeakKB,
 		"anecdote/time_s":      d.Anecdote.TimeSec,
 	}
 	for _, bp := range d.Budget {
 		prefix := fmt.Sprintf("anecdote/budget_kb=%d/", bp.BudgetKB)
-		out[prefix+"plan"] = float64(bp.PlanKind)
+		out[prefix+"plan"] = float64(bp.Plan.Kind)
 		out[prefix+"ttable_mb"] = bp.TtableMB
 		out[prefix+"ttable_msgs"] = float64(bp.TtableMsgs)
 		out[prefix+"peak_kb"] = bp.PeakKB

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/apps"
+	"repro/internal/mem"
 	"repro/internal/raceflag"
 )
 
@@ -86,6 +88,45 @@ func TestKeyAllocs(t *testing.T) {
 	for name, req := range codecRequests() {
 		if n := testing.AllocsPerRun(100, func() { req.Key() }); n != 0 {
 			t.Errorf("%s: Key() allocates %v times, want 0", name, n)
+		}
+	}
+}
+
+// TestPlanRunsOncePerPlan checks the memory experiment's plan-and-run
+// helper runs CHAOS once per distinct plan, not once per budget, and
+// that every row keeps its own budget, the plan that budget chose, and
+// the numbers of that plan's run.
+func TestPlanRunsOncePerPlan(t *testing.T) {
+	const n, procs, work = 4096, 8, 2
+	repl, seg := mem.ReplicatedBytes(n), mem.SegmentBytes(n, procs)
+	paged := seg + work*mem.TablePageBytes
+	// Two replicated, two paged(cache=2), one paged(cache=3), two
+	// distributed: four plans for seven budgets.
+	budgets := []int64{repl + 8<<10, repl, paged, paged + 100, paged + mem.TablePageBytes, seg, 0}
+	timeOf := func(plan mem.TablePlan) float64 { return float64(1 + 10*int(plan.Kind) + plan.CachePages) }
+	calls := map[mem.TablePlan]int{}
+	rows, err := planRuns(context.Background(), budgets, n, procs, work, func(plan mem.TablePlan) *apps.Result {
+		calls[plan]++
+		return &apps.Result{TimeSec: timeOf(plan)}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(calls) != 4 {
+		t.Fatalf("budgets planned %d distinct plans, want 4: %v", len(calls), calls)
+	}
+	for plan, c := range calls {
+		if c != 1 {
+			t.Errorf("plan %v ran %d times, want once", plan, c)
+		}
+	}
+	if len(rows) != len(budgets) {
+		t.Fatalf("%d rows for %d budgets", len(rows), len(budgets))
+	}
+	for i, row := range rows {
+		plan := mem.PlanTable(budgets[i], n, procs, work)
+		if row.BudgetKB != budgets[i]>>10 || row.Plan != plan || row.TimeSec != timeOf(plan) {
+			t.Errorf("row %d = %+v, want budget %d KB, plan %v and its run", i, row, budgets[i]>>10, plan)
 		}
 	}
 }

@@ -110,20 +110,14 @@ func (c *LRU) Get(k Key) (any, bool) {
 	return el.Value.(*entry).val, true
 }
 
-// Put inserts or refreshes a value, evicting the least-recently-used
-// entry when the cache is full. Storing under the same key replaces
-// the value (with content addressing the two are the same result, so
-// this only happens when two computations of one key race). The entry
-// is accounted as zero bytes; use PutSized when the value's size is
-// known so the repro_cache_bytes gauge means something.
-func (c *LRU) Put(k Key, v any) {
-	c.PutSized(k, v, 0)
-}
-
-// PutSized is Put with the value's approximate resident size attached,
-// feeding Stats.Bytes and the memory-tier repro_cache_bytes gauge.
-// Capacity is still counted in entries, not bytes — the size is
-// accounting, not an eviction policy.
+// PutSized inserts or refreshes a value with its approximate resident
+// size, evicting the least-recently-used entry when the cache is full.
+// Storing under the same key replaces the value and its size (with
+// content addressing the two are the same result, so this only happens
+// when two computations of one key race). The size feeds Stats.Bytes
+// and the memory-tier repro_cache_bytes gauge; capacity is still
+// counted in entries, not bytes — the size is accounting, not an
+// eviction policy.
 func (c *LRU) PutSized(k Key, v any, size int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

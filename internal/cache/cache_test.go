@@ -29,7 +29,7 @@ func TestGetPut(t *testing.T) {
 	if _, ok := c.Get(key("a")); ok {
 		t.Fatal("empty cache reported a hit")
 	}
-	c.Put(key("a"), "va")
+	c.PutSized(key("a"), "va", 0)
 	v, ok := c.Get(key("a"))
 	if !ok || v.(string) != "va" {
 		t.Fatalf("Get = %v, %v, want va, true", v, ok)
@@ -44,8 +44,8 @@ func TestGetPut(t *testing.T) {
 // value without growing the cache.
 func TestReplaceSameKey(t *testing.T) {
 	c := New(2)
-	c.Put(key("a"), 1)
-	c.Put(key("a"), 2)
+	c.PutSized(key("a"), 1, 0)
+	c.PutSized(key("a"), 2, 0)
 	if c.Len() != 1 {
 		t.Errorf("Len = %d after same-key re-Put, want 1", c.Len())
 	}
@@ -58,10 +58,10 @@ func TestReplaceSameKey(t *testing.T) {
 // least-recently-used entry is the one discarded.
 func TestLRUEviction(t *testing.T) {
 	c := New(2)
-	c.Put(key("a"), "va")
-	c.Put(key("b"), "vb")
+	c.PutSized(key("a"), "va", 0)
+	c.PutSized(key("b"), "vb", 0)
 	c.Get(key("a")) // a is now most-recently used
-	c.Put(key("c"), "vc")
+	c.PutSized(key("c"), "vc", 0)
 	if _, ok := c.Get(key("b")); ok {
 		t.Error("LRU entry b survived eviction")
 	}
@@ -93,7 +93,7 @@ func TestBytesAccounting(t *testing.T) {
 	if got := c.Stats().Bytes; got != 57 {
 		t.Errorf("Bytes = %d after eviction, want 57", got)
 	}
-	c.Put(key("d"), "vd") // plain Put accounts zero bytes; evicts b, -50
+	c.PutSized(key("d"), "vd", 0) // a zero size accounts zero bytes; evicts b, -50
 	if got := c.Stats().Bytes; got != 7 {
 		t.Errorf("Bytes = %d after zero-sized insert, want 7", got)
 	}

@@ -13,6 +13,7 @@ package tmk
 import (
 	"sync"
 
+	"repro/internal/sim"
 	"repro/internal/vm"
 )
 
@@ -21,10 +22,34 @@ import (
 type noticeBoard struct {
 	mu       sync.Mutex
 	byWriter [][]*Notice // byWriter[w][i] has Interval == i+1
+	// bytes is the board storage charged to the global mem shard so
+	// far (the posted notices' wire bytes).
+	bytes int64
 }
 
 func newNoticeBoard(nprocs int) *noticeBoard {
 	return &noticeBoard{byWriter: make([][]*Notice, nprocs)}
+}
+
+// postLocked posts each notice that extends its writer's interval
+// sequence (Interval == len+1; a notice already posted is skipped) and
+// charges the posted wire bytes to mem's global shard — grow-only, so
+// the peak does not depend on which goroutine posts first. It returns
+// how many notices it posted. The caller holds b.mu.
+func (b *noticeBoard) postLocked(nts []*Notice, mem *sim.MemStats) int {
+	posted := 0
+	var postedBytes int64
+	for _, nt := range nts {
+		w := nt.Proc
+		if int(nt.Interval) == len(b.byWriter[w])+1 {
+			b.byWriter[w] = append(b.byWriter[w], nt)
+			posted++
+			postedBytes += int64(nt.WireBytes())
+		}
+	}
+	b.bytes += postedBytes
+	mem.Alloc(-1, MemCatBoard, postedBytes)
+	return posted
 }
 
 // barrierContribution travels from each node to the barrier manager.
@@ -95,26 +120,11 @@ func (n *Node) combineBarrier(contribs []any) ([]any, []int, float64) {
 	board.mu.Lock()
 	defer board.mu.Unlock()
 	posted := 0
-	var postedBytes int64
-	for _, c := range contribs {
-		cb := c.(*barrierContribution)
-		for _, nt := range cb.notices {
-			w := nt.Proc
-			if int(nt.Interval) == len(board.byWriter[w])+1 {
-				board.byWriter[w] = append(board.byWriter[w], nt)
-				posted++
-				postedBytes += int64(nt.WireBytes())
-			}
-		}
-	}
-	// The retained store grows on the manager; charged to the global
-	// mem shard (grow-only, so the peak is interleaving-independent
-	// even though combines run on whichever goroutine arrives last).
-	n.d.boardBytes += postedBytes
-	n.d.cluster.Mem.Alloc(-1, MemCatBoard, postedBytes)
 	var retained int64
 	for _, c := range contribs {
-		retained += c.(*barrierContribution).diffBytes
+		cb := c.(*barrierContribution)
+		posted += board.postLocked(cb.notices, &n.d.cluster.Mem)
+		retained += cb.diffBytes
 	}
 	gc := n.d.GCThresholdBytes > 0 && retained > n.d.GCThresholdBytes
 	replies := make([]any, len(contribs))
@@ -241,19 +251,9 @@ func (n *Node) ReleaseLock(id int) {
 	for _, nt := range n.newNotices {
 		bytes += nt.WireBytes()
 	}
-	board := d.board
-	board.mu.Lock()
-	var postedBytes int64
-	for _, nt := range n.newNotices {
-		w := nt.Proc
-		if int(nt.Interval) == len(board.byWriter[w])+1 {
-			board.byWriter[w] = append(board.byWriter[w], nt)
-			postedBytes += int64(nt.WireBytes())
-		}
-	}
-	d.boardBytes += postedBytes
-	board.mu.Unlock()
-	d.cluster.Mem.Alloc(-1, MemCatBoard, postedBytes)
+	d.board.mu.Lock()
+	d.board.postLocked(n.newNotices, &d.cluster.Mem)
+	d.board.mu.Unlock()
 	n.seen[n.proc.ID()] = n.vc[n.proc.ID()]
 	n.newNotices = n.newNotices[:0]
 

@@ -61,9 +61,6 @@ type DSM struct {
 	// pagesCharged is the per-node page-copy charge made at attach,
 	// remembered so Close can return exactly it.
 	pagesCharged int64
-	// boardBytes is the notice-board storage charged to the global mem
-	// shard so far; guarded by board.mu.
-	boardBytes int64
 }
 
 // Image is the initial contents of shared memory: the arena's layout and
@@ -266,8 +263,8 @@ func (d *DSM) Close() {
 		n.mu.Unlock()
 	}
 	d.board.mu.Lock()
-	bb := d.boardBytes
-	d.boardBytes = 0
+	bb := d.board.bytes
+	d.board.bytes = 0
 	d.board.mu.Unlock()
 	mem.Free(-1, MemCatBoard, bb)
 }

@@ -2,6 +2,7 @@ package tmk
 
 import (
 	"math/rand"
+	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -402,6 +403,11 @@ func setUpTearDown(nprocs, arenaBytes int) {
 func TestNewSealInitAllocsIndependentOfPages(t *testing.T) {
 	// Set-up allocates per node (page table, maps), never
 	// per page: the image is one slab and the replicas alias it.
+	// Collection is paused while counting: after each GC cycle the
+	// runtime allocates a few objects of its own (the unique package's
+	// map cleanup), and the 1024-page arenas trigger cycles the 4-page
+	// ones do not.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const np = 8
 	allocs := func(pages int) float64 {
 		return testing.AllocsPerRun(5, func() { setUpTearDown(np, pages*4096) })
