@@ -35,6 +35,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -316,17 +317,11 @@ func serveMetrics(addr string) (url string, stop func(), err error) {
 	return fmt.Sprintf("http://%s/metrics", ln.Addr()), func() { hs.Close() }, nil
 }
 
-// bytesEventCount counts the recorded trace events (one per line
-// between the array brackets) without parsing the JSON.
+// bytesEventCount counts the recorded trace events without parsing the
+// JSON: every object opens a line of its own with its phase, and the
+// per-episode and per-lane metadata objects ("ph":"M") are not events.
 func bytesEventCount(trace []byte) int {
-	n := strings.Count(string(trace), "\n")
-	// Header line, closing "]}" line, and the per-episode metadata
-	// lines are not events; undercounting by metadata is fine for a
-	// human-facing hint, so just subtract the two frame lines.
-	if n >= 2 {
-		return n - 2
-	}
-	return 0
+	return bytes.Count(trace, []byte("\n{\"ph\":")) - bytes.Count(trace, []byte("\n{\"ph\":\"M\""))
 }
 
 // overrideProcs points every run of the spec at one cluster size — the

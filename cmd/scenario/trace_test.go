@@ -73,6 +73,19 @@ func TestTraceByteIdentity(t *testing.T) {
 	}
 }
 
+// TestBytesEventCount pins the event count `scenario run -trace` prints
+// for the committed trace golden: its 996 events, without the 15
+// metadata objects naming episodes and lanes.
+func TestBytesEventCount(t *testing.T) {
+	raw, err := os.ReadFile("testdata/trace.trace.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := bytesEventCount(raw); got != 996 {
+		t.Errorf("bytesEventCount = %d, want 996", got)
+	}
+}
+
 // TestTraceSummary smoke-tests the trace-summary subcommand on the
 // committed golden: the three tables render, the taskq queue lock is
 // the hottest, and the output is deterministic (run twice).

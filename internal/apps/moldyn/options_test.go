@@ -41,34 +41,12 @@ func TestNoAggregationAgreement(t *testing.T) {
 	}
 }
 
-func TestNoWriteAllAgreement(t *testing.T) {
-	p := testParams(256, 4, 4, 0)
-	w := Generate(p)
-	seq := RunSequential(w)
-	r := RunTmk(w, BuildImage(w), TmkOptions{Optimized: true, NoWriteAll: true})
-	if err := apps.VerifyEqual(seq, r); err != nil {
-		t.Fatalf("no-writeall: %v", err)
-	}
-}
-
 func TestTwoProcsMinimal(t *testing.T) {
 	runAll(t, testParams(128, 2, 3, 2))
 }
 
 func TestSixteenProcs(t *testing.T) {
 	runAll(t, testParams(512, 16, 3, 2))
-}
-
-func TestGCEnabledAgreement(t *testing.T) {
-	// Force frequent GC during a full moldyn run; results must be exact.
-	p := testParams(256, 4, 6, 2)
-	w := Generate(p)
-	seq := RunSequential(w)
-
-	r := RunTmk(w, BuildImage(w), TmkOptions{Optimized: true, GCThresholdBytes: 1024})
-	if err := apps.VerifyEqual(seq, r); err != nil {
-		t.Fatalf("with GC: %v", err)
-	}
 }
 
 // TestRegistryKnobs checks the no_aggregation knob reaches the tmk-opt

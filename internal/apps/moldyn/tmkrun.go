@@ -30,10 +30,8 @@ const (
 
 // TmkOptions selects the TreadMarks variant and its ablation knobs.
 type TmkOptions struct {
-	Optimized        bool  // compiler-inserted Validate calls
-	NoAggregation    bool  // ablation A3: Validate without message aggregation
-	NoWriteAll       bool  // ablation A4: reductions use READ&WRITE (twinned diffs)
-	GCThresholdBytes int64 // extension S16: consistency-data GC threshold (0 = off)
+	Optimized     bool // compiler-inserted Validate calls
+	NoAggregation bool // ablation A3: Validate without message aggregation
 }
 
 // Image is moldyn's initial TreadMarks image: the coordinates, the
@@ -87,7 +85,6 @@ func RunTmk(w *Workload, im *Image, opt TmkOptions) *apps.Result {
 	ep := apps.NewEpisode(apps.TmkSystem(opt.Optimized), p.simConfig())
 	cl := ep.Cluster
 	d := tmk.NewFromImage(cl, im.Image)
-	d.GCThresholdBytes = opt.GCThresholdBytes
 	xArr, fArr, interArr, startsAddr, capPairs := im.xArr, im.fArr, im.interArr, im.startsAddr, im.capPairs
 
 	scans := ep.PerProc("scan_s") // indirection-scan seconds
@@ -142,8 +139,9 @@ func RunTmk(w *Workload, im *Image, opt TmkOptions) *apps.Result {
 			}
 			proc.Advance(cost.InteractionUS * float64(hi-lo))
 
-			// Pipelined update of the shared forces (Figure 2).
-			apps.PipelinedReduce(proc, node, rt, fArr, lf, 3, barPipeline, opt.NoWriteAll, cost.ReduceUSPerElem)
+			// Pipelined update of the shared forces (Figure 2); ablation
+			// A4 (READ&WRITE stages) is nbf's no_write_all.
+			apps.PipelinedReduce(proc, node, rt, fArr, lf, 3, barPipeline, false, cost.ReduceUSPerElem)
 
 			// Integrate own block: x <- wrap(q(x + dt*f + drift)).
 			if mlo < mhi {

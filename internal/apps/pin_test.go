@@ -114,16 +114,8 @@ func pinnedDigests(t *testing.T) map[string]string {
 		mp := moldyn.DefaultParams(128, 4)
 		mp.Steps, mp.UpdateEvery, mp.PageSize, mp.Machine = 4, 2, 512, m
 		mw := moldyn.Generate(mp)
-		for _, a := range []struct {
-			name string
-			opt  moldyn.TmkOptions
-		}{
-			{"NoAggregation", moldyn.TmkOptions{Optimized: true, NoAggregation: true}},
-			{"NoWriteAll", moldyn.TmkOptions{Optimized: true, NoWriteAll: true}},
-			{"GCThresholdBytes", moldyn.TmkOptions{Optimized: true, GCThresholdBytes: 4 << 10}},
-		} {
-			got["moldyn/"+a.name+"/"+pm.name] = digest(t, moldyn.RunTmk(mw, moldyn.BuildImage(mw), a.opt))
-		}
+		got["moldyn/NoAggregation/"+pm.name] = digest(t,
+			moldyn.RunTmk(mw, moldyn.BuildImage(mw), moldyn.TmkOptions{Optimized: true, NoAggregation: true}))
 		np := nbf.DefaultParams(300, 4)
 		np.Steps, np.Partners, np.PageSize, np.Machine = 2, 10, 512, m
 		nw := nbf.Generate(np)

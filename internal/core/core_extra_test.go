@@ -91,48 +91,6 @@ func TestBoundaryPagesKeepTwins(t *testing.T) {
 	})
 }
 
-func TestValidateWithGCEnabled(t *testing.T) {
-	// The Validate machinery must compose with the diff GC: tiny
-	// threshold, many epochs, correctness preserved.
-	e := newEnv(t, 2, 2000, 100, func(i int) int32 { return int32(i * 19 % 2000) })
-	e.d.GCThresholdBytes = 256
-	e.d.Cluster().Run(func(p *sim.Proc) {
-		n := e.d.Node(p.ID())
-		rt := NewRuntime(n)
-		for epoch := 0; epoch < 6; epoch++ {
-			if p.ID() == 0 {
-				for i := 0; i < 2000; i += 37 {
-					n.Space().WriteF64(e.data.Addr(i), float64(epoch*10000+i))
-				}
-			}
-			n.Barrier(1)
-			if p.ID() == 1 {
-				rt.Validate(Desc{Type: Indirect, Data: e.data, Indir: e.indir,
-					Section: rsd.Range1(0, 99), Access: Read, Sched: 1})
-				for k := 0; k < 100; k++ {
-					idx := int(n.Space().ReadI32(e.indir.Addr(k)))
-					got := n.Space().ReadF64(e.data.Addr(idx))
-					var want float64
-					if idx%37 == 0 {
-						want = float64(epoch*10000 + idx)
-					} else {
-						want = float64(idx)
-					}
-					if got != want {
-						t.Errorf("epoch %d idx %d: %v != %v", epoch, idx, got, want)
-						return
-					}
-				}
-			}
-			n.Barrier(2)
-		}
-	})
-	gcs := e.d.Node(0).GCs + e.d.Node(1).GCs
-	if gcs == 0 {
-		t.Fatal("GC never ran despite tiny threshold")
-	}
-}
-
 func TestEmptySectionValidate(t *testing.T) {
 	// A processor with no work (empty section) must not crash or fetch.
 	e := newEnv(t, 2, 128, 8, func(i int) int32 { return 0 })

@@ -1138,7 +1138,7 @@ func (p *Proc) BarrierExchange(id int, data any, bytes int, combine CombineFunc)
 			}
 		}
 		var replies []any
-		rbytes := make([]int, n)
+		var rbytes []int
 		combineUS := 0.0
 		if combine != nil {
 			replies, rbytes, combineUS = combine(append([]any(nil), b.contrib...))

@@ -2,8 +2,11 @@ package sim
 
 import (
 	"math"
+	"runtime/debug"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/raceflag"
 )
 
 func tiny(procs int) Config {
@@ -207,6 +210,34 @@ func TestBarrierReusableAcrossEpisodes(t *testing.T) {
 	msgs, _ := c.Stats.Totals()
 	if msgs != 10*2*2 {
 		t.Fatalf("msgs = %d", msgs)
+	}
+}
+
+// TestBarrierEpisodeAllocs pins that a plain barrier episode allocates
+// nothing on the host: without a combine there are no replies and no
+// reply sizes to keep. The count is the difference between two round
+// counts, so the cluster's set-up cancels out; collection is paused
+// while counting, as the runtime allocates a few objects of its own
+// after each GC cycle.
+func TestBarrierEpisodeAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector allocates")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	run := func(rounds int) func() {
+		return func() {
+			NewCluster(DefaultConfig(4)).Run(func(p *Proc) {
+				for i := 0; i < rounds; i++ {
+					p.Barrier(1)
+				}
+			})
+		}
+	}
+	const from, to = 100, 400
+	lo := testing.AllocsPerRun(3, run(from))
+	hi := testing.AllocsPerRun(3, run(to))
+	if per := (hi - lo) / (to - from); per > 0.1 {
+		t.Fatalf("a 4-proc barrier episode allocates %.3f times, want 0", per)
 	}
 }
 

@@ -89,9 +89,9 @@ func TestSteadyStateAllocs(t *testing.T) {
 		// One write/barrier/fault/barrier round: a processor's barrier
 		// contribution and reply are reused, so what remains is per
 		// barrier — the reply and size lists of the combine and the
-		// simulator's own two — plus the one writer's interval (the same
-		// four as a hand-off), all amortized over the processors (3.01
-		// at 4 procs, 0.75 at 16).
+		// simulator's copy of the contributions — plus the one writer's
+		// interval (the same four as a hand-off), all amortized over the
+		// processors (2.51 at 4 procs, 0.63 at 16).
 		{"barrier round", faultRounds, 3.5},
 	}
 	for _, tc := range cases {

@@ -1,106 +1,12 @@
 package tmk
 
 import (
-	"math/rand"
 	"slices"
 	"testing"
 
 	"repro/internal/sim"
 	"repro/internal/vm"
 )
-
-// gcWorld runs the same random-writer workload with and without GC and
-// returns the DSM for inspection.
-func gcWorld(t *testing.T, threshold int64, epochs int) (*DSM, []float64) {
-	t.Helper()
-	const np = 4
-	const words = 1024
-	c := sim.NewCluster(sim.DefaultConfig(np))
-	d := New(c, 1024, 1<<22)
-	d.GCThresholdBytes = threshold
-	addr := d.Alloc(8 * words)
-	d.SealInit()
-
-	ref := make([]float64, words)
-	type wr struct {
-		slot int
-		val  float64
-	}
-	plans := make([][][]wr, np)
-	rng := rand.New(rand.NewSource(33))
-	for p := 0; p < np; p++ {
-		plans[p] = make([][]wr, epochs)
-		for e := 0; e < epochs; e++ {
-			for k := 0; k < 12; k++ {
-				slot := (rng.Intn(words/np))*np + p
-				v := rng.Float64()
-				plans[p][e] = append(plans[p][e], wr{slot, v})
-			}
-		}
-	}
-	for e := 0; e < epochs; e++ {
-		for p := 0; p < np; p++ {
-			for _, w := range plans[p][e] {
-				ref[w.slot] = w.val
-			}
-		}
-	}
-
-	d.Cluster().Run(func(p *sim.Proc) {
-		n := d.Node(p.ID())
-		for e := 0; e < epochs; e++ {
-			for _, w := range plans[p.ID()][e] {
-				n.Space().WriteF64(addr+vm.Addr(8*w.slot), w.val)
-			}
-			n.Barrier(1)
-		}
-		for s := 0; s < words; s++ {
-			if got := n.Space().ReadF64(addr + vm.Addr(8*s)); got != ref[s] {
-				t.Errorf("proc %d slot %d: %v != %v", p.ID(), s, got, ref[s])
-				return
-			}
-		}
-		n.Barrier(2)
-	})
-	return d, ref
-}
-
-func TestGCPreservesCorrectness(t *testing.T) {
-	// A tiny threshold forces GC at nearly every barrier; results must
-	// still match the reference replay.
-	d, _ := gcWorld(t, 512, 12)
-	gcs := int64(0)
-	for i := 0; i < 4; i++ {
-		gcs += d.Node(i).GCs
-	}
-	if gcs == 0 {
-		t.Fatal("threshold never triggered a GC")
-	}
-}
-
-func TestGCDiscardsDiffs(t *testing.T) {
-	withGC, _ := gcWorld(t, 512, 12)
-	withoutGC, _ := gcWorld(t, 0, 12)
-	var kept, keptNoGC int64
-	for i := 0; i < 4; i++ {
-		kept += withGC.Node(i).DiffStoreBytes()
-		keptNoGC += withoutGC.Node(i).DiffStoreBytes()
-	}
-	if kept >= keptNoGC {
-		t.Fatalf("GC retained %d bytes, no-GC %d", kept, keptNoGC)
-	}
-	if withoutGC.Node(0).GCs != 0 {
-		t.Fatal("GC ran with threshold disabled")
-	}
-}
-
-func TestGCTrafficAccounted(t *testing.T) {
-	d, _ := gcWorld(t, 512, 12)
-	cats := d.Cluster().Stats.Categories()
-	if cats["tmk.gc"].Messages == 0 {
-		t.Fatal("GC flush traffic not recorded under tmk.gc")
-	}
-}
 
 // testNotice builds the notice closeInterval would for writer proc's
 // interval, closed at vector time vc, that modified pages (ascending),

@@ -48,7 +48,7 @@ func TestSealInitBytesPerNodePageIndependentOfProcs(t *testing.T) {
 type lazyOutcome struct {
 	VC      [][]int32
 	Clocks  []float64
-	Counts  [][4]int64 // DiffsCreated, DiffsApplied, TwinsMade, GCs
+	Counts  [][3]int64 // DiffsCreated, DiffsApplied, TwinsMade
 	Prot    [][]vm.Prot
 	Applied [][][]int32
 	Pending [][]int
@@ -61,15 +61,14 @@ type lazyOutcome struct {
 // reaches the others as a remote write notice; page 3 is first touched
 // by processor 2's MarkFullyWritten (a WRITE_ALL); page 5 is written by
 // everyone. Processors 1 and 3 demand-fetch pages 0 and 3 between the
-// first two barriers; the GC threshold then makes the second barrier run
-// gcFlush over the mostly untouched arena. With eager set, every page's metadata is
-// created before the run, as an eager SealInit would.
+// first two barriers, and after the second every processor reads all
+// three pages. With eager set, every page's metadata is created before
+// the run, as an eager SealInit would.
 func lazyWorld(t *testing.T, eager bool) (lazyOutcome, []int) {
 	t.Helper()
 	const np, wordsPerPage = 4, 128
 	c := sim.NewCluster(sim.DefaultConfig(np))
 	d := New(c, 1024, 1<<22)
-	d.GCThresholdBytes = 1040 // crossed at barrier 2 (1,057 B retained), not at 1 (1,034 B)
 	base := d.Alloc(1 << 22)
 	d.SealInit()
 	numPages := d.Arena().NumPages()
@@ -123,7 +122,7 @@ func lazyWorld(t *testing.T, eager bool) (lazyOutcome, []int) {
 		n := d.Node(i)
 		out.VC = append(out.VC, n.vc.Clone())
 		out.Clocks = append(out.Clocks, n.proc.Clock())
-		out.Counts = append(out.Counts, [4]int64{n.DiffsCreated, n.DiffsApplied, n.TwinsMade, n.GCs})
+		out.Counts = append(out.Counts, [3]int64{n.DiffsCreated, n.DiffsApplied, n.TwinsMade})
 		prot := make([]vm.Prot, numPages)
 		applied := make([][]int32, numPages)
 		pending := make([]int, numPages)
@@ -165,16 +164,12 @@ func TestLazyPageMetadata(t *testing.T) {
 		if k == 0 || k > 3 {
 			t.Errorf("node %d created metadata for %d pages, want 1-3 (pages 0, 3, 5)", i, k)
 		}
-		if lazy.Counts[i][3] == 0 {
-			t.Errorf("node %d never ran gcFlush", i)
-		}
 	}
 	// The figures an eager SealInit produced for this program.
-	wantClocks := []float64{1385.21, 1471.01, 1471.01, 1471.01}
+	wantClocks := []float64{1399.21, 1485.01, 1485.01, 1485.01}
 	wantTraffic := map[string]sim.CatStat{
-		"barrier":  {Messages: 24, Bytes: 1428},
-		"tmk.diff": {Messages: 4, Bytes: 1250},
-		"tmk.gc":   {Messages: 24, Bytes: 3609},
+		"barrier":  {Messages: 18, Bytes: 1236},
+		"tmk.diff": {Messages: 36, Bytes: 5115},
 	}
 	if !reflect.DeepEqual(lazy.Clocks, wantClocks) || !reflect.DeepEqual(lazy.Traffic, wantTraffic) {
 		t.Errorf("end state moved: clocks %v traffic %v, want %v and %v", lazy.Clocks, lazy.Traffic, wantClocks, wantTraffic)

@@ -64,13 +64,13 @@ func TestMemLedgerConservation(t *testing.T) {
 		t.Error("notice board never charged")
 	}
 	// Twins are transient (freed at each interval close); diffs are
-	// retained until GC/Close.
+	// retained until Close.
 	for pr := 0; pr < np; pr++ {
 		if cur := snap[sim.MemKey{Cat: MemCatTwins, Proc: pr}].CurBytes; cur != 0 {
 			t.Errorf("proc %d: %d twin bytes live outside an interval", pr, cur)
 		}
-		if cur := snap[sim.MemKey{Cat: MemCatDiffs, Proc: pr}].CurBytes; cur != d.Node(pr).DiffStoreBytes() {
-			t.Errorf("proc %d: diff charge %d != store %d", pr, cur, d.Node(pr).DiffStoreBytes())
+		if cur := snap[sim.MemKey{Cat: MemCatDiffs, Proc: pr}].CurBytes; cur != d.Node(pr).diffBytes {
+			t.Errorf("proc %d: diff charge %d != store %d", pr, cur, d.Node(pr).diffBytes)
 		}
 	}
 
@@ -90,39 +90,5 @@ func TestMemLedgerConservation(t *testing.T) {
 	d.Close() // idempotent
 	if err := cl.Mem.CheckBalanced(); err != nil {
 		t.Fatalf("second Close unbalanced the ledger: %v", err)
-	}
-}
-
-// TestMemGCReturnsDiffBytes: the flush-validate GC frees the retained
-// diff charge.
-func TestMemGCReturnsDiffBytes(t *testing.T) {
-	const np = 2
-	cl := sim.NewCluster(sim.DefaultConfig(np))
-	d := New(cl, 4096, 1<<20)
-	d.GCThresholdBytes = 1 // collect at the first barrier with stored diffs
-	base := d.Alloc(8 * 1024)
-	d.SealInit()
-
-	cl.Run(func(p *sim.Proc) {
-		n := d.Node(p.ID())
-		for i := 512 * p.ID(); i < 512*p.ID()+512; i++ {
-			n.Space().WriteF64(base+vm.Addr(8*i), 1.0)
-		}
-		n.Barrier(1) // closes intervals, posts notices, triggers GC
-		n.Barrier(2)
-	})
-
-	if d.Node(0).GCs == 0 {
-		t.Fatal("GC did not run")
-	}
-	snap := cl.Mem.Snapshot()
-	for pr := 0; pr < np; pr++ {
-		if cur := snap[sim.MemKey{Cat: MemCatDiffs, Proc: pr}].CurBytes; cur != 0 {
-			t.Errorf("proc %d: %d diff bytes survive GC", pr, cur)
-		}
-	}
-	d.Close()
-	if err := cl.Mem.CheckBalanced(); err != nil {
-		t.Fatal(err)
 	}
 }

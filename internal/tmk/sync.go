@@ -14,7 +14,6 @@ import (
 	"sync"
 
 	"repro/internal/sim"
-	"repro/internal/vm"
 )
 
 // noticeBoard is the manager-side store of every write notice posted so
@@ -54,17 +53,14 @@ func (b *noticeBoard) postLocked(nts []*Notice, mem *sim.MemStats) int {
 
 // barrierContribution travels from each node to the barrier manager.
 type barrierContribution struct {
-	notices   []*Notice
-	seen      []int32
-	diffBytes int64
-	reply     *barrierReply // the arriving node's reply, filled by the combine
+	notices []*Notice
+	seen    []int32
+	reply   *barrierReply // the arriving node's reply, filled by the combine
 }
 
-// barrierReply travels back: the notices this node lacks, and whether a
-// garbage collection round follows the barrier.
+// barrierReply travels back: the notices this node lacks.
 type barrierReply struct {
 	notices []*Notice
-	gc      bool
 }
 
 // Barrier performs a TreadMarks barrier: the arrival message carries the
@@ -85,7 +81,6 @@ func (n *Node) Barrier(id int) {
 	contrib := &n.barrierIn
 	contrib.notices = n.newNotices
 	contrib.seen = append(contrib.seen[:0], n.seen...)
-	contrib.diffBytes = n.DiffStoreBytes()
 	bytes := 4 * len(contrib.seen)
 	for _, nt := range contrib.notices {
 		bytes += nt.WireBytes()
@@ -94,7 +89,6 @@ func (n *Node) Barrier(id int) {
 	reply := n.proc.BarrierExchange(id, contrib, bytes, n.combine)
 
 	n.newNotices = n.newNotices[:0]
-	gc := false
 	if reply != nil {
 		r := reply.(*barrierReply)
 		n.applyNotices(r.notices)
@@ -103,12 +97,8 @@ func (n *Node) Barrier(id int) {
 				n.seen[nt.Proc] = nt.Interval
 			}
 		}
-		gc = r.gc
 	}
 	n.seen[n.proc.ID()] = n.vc[n.proc.ID()]
-	if gc {
-		n.gcFlush(id)
-	}
 }
 
 // combineBarrier is the barrier manager's logic (Barrier's combine,
@@ -120,13 +110,9 @@ func (n *Node) combineBarrier(contribs []any) ([]any, []int, float64) {
 	board.mu.Lock()
 	defer board.mu.Unlock()
 	posted := 0
-	var retained int64
 	for _, c := range contribs {
-		cb := c.(*barrierContribution)
-		posted += board.postLocked(cb.notices, &n.d.cluster.Mem)
-		retained += cb.diffBytes
+		posted += board.postLocked(c.(*barrierContribution).notices, &n.d.cluster.Mem)
 	}
-	gc := n.d.GCThresholdBytes > 0 && retained > n.d.GCThresholdBytes
 	replies := make([]any, len(contribs))
 	rbytes := make([]int, len(contribs))
 	var totalNotices int
@@ -134,36 +120,11 @@ func (n *Node) combineBarrier(contribs []any) ([]any, []int, float64) {
 		cb := c.(*barrierContribution)
 		r := cb.reply
 		r.notices, rbytes[i] = board.missingForLocked(r.notices[:0], cb.seen, i)
-		r.gc = gc
 		replies[i] = r
 		totalNotices += len(r.notices)
 	}
 	combineUS := float64(posted)*1.0 + float64(totalNotices)*0.3
 	return replies, rbytes, combineUS
-}
-
-// gcFlush performs TreadMarks' consistency-data garbage collection: the
-// node brings every invalid page current (so no one will ever need the
-// old diffs again), synchronizes with the other nodes, and discards its
-// stored diffs. Traffic is counted under "tmk.gc".
-func (n *Node) gcFlush(barrierID int) {
-	var invalid []vm.PageID
-	for pg, meta := range n.pages {
-		if meta != nil && len(meta.pending) > 0 {
-			invalid = append(invalid, vm.PageID(pg))
-		}
-	}
-	if len(invalid) > 0 {
-		n.FetchPages(invalid, msgGC)
-	}
-	// Everyone must finish fetching before anyone discards.
-	n.proc.BarrierExchange(1<<19+barrierID, nil, 0, nil)
-	n.mu.Lock()
-	n.d.cluster.Mem.Free(n.proc.ID(), MemCatDiffs, n.diffBytes)
-	clear(n.diffStore)
-	n.diffBytes = 0
-	n.mu.Unlock()
-	n.GCs++
 }
 
 // missingForLocked appends to out the notices of every writer but self

@@ -49,14 +49,6 @@ type DSM struct {
 
 	board *noticeBoard
 
-	// GCThresholdBytes bounds the consistency data (stored diffs) the
-	// cluster retains. When the total crosses the threshold, the next
-	// barrier triggers a garbage collection: every processor brings its
-	// invalid pages current and all stored diffs are discarded —
-	// TreadMarks' flush-validate GC. Zero disables collection (runs are
-	// bounded anyway).
-	GCThresholdBytes int64
-
 	closed bool
 	// pagesCharged is the per-node page-copy charge made at attach,
 	// remembered so Close can return exactly it.
@@ -171,7 +163,6 @@ func newDSM(c *sim.Cluster, img *Image) *DSM {
 		n.barrierIn.reply = &n.barrierOut
 		n.combine = n.combineBarrier
 		n.proc.RegisterHandler(msgDiff, n.handleDiffRequest)
-		n.proc.RegisterHandler(msgGC, n.handleDiffRequest)
 		d.nodes = append(d.nodes, n)
 	}
 	return d
@@ -282,7 +273,7 @@ type dirtyPage struct {
 // Node.meta at the page's first protocol event: a write notice naming
 // it, an interval close covering it, or MarkFullyWritten. A page
 // without one has applied nothing and has nothing pending, so a fetch
-// or gcFlush that finds none has nothing to do for it.
+// that finds none has nothing to do for it.
 type pageMeta struct {
 	// applied[w] is the highest interval of writer w whose modifications
 	// are present in the local copy.
@@ -345,7 +336,6 @@ type Node struct {
 	DiffsCreated int64
 	DiffsApplied int64
 	TwinsMade    int64
-	GCs          int64
 }
 
 // meta returns page's coherence state, creating it at the page's first
@@ -359,13 +349,6 @@ func (n *Node) meta(page vm.PageID) *pageMeta {
 	return m
 }
 
-// DiffStoreBytes returns the wire bytes of retained diffs.
-func (n *Node) DiffStoreBytes() int64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.diffBytes
-}
-
 // Proc returns the simulated processor.
 func (n *Node) Proc() *sim.Proc { return n.proc }
 
@@ -375,10 +358,7 @@ func (n *Node) Space() *vm.Space { return n.space }
 // DSM returns the owning system.
 func (n *Node) DSM() *DSM { return n.d }
 
-const (
-	msgDiff = "tmk.diff"
-	msgGC   = "tmk.gc"
-)
+const msgDiff = "tmk.diff"
 
 // RegisterDiffKind makes every node answer diff requests arriving under
 // an additional stat category. The augmented run-time uses a separate
@@ -731,8 +711,8 @@ func (n *Node) FetchPages(pages []vm.PageID, kind string) {
 		}
 		n.proc.Advance(cfg.ApplyUSPerB * float64(applyBytes))
 
-		// Empty the scratch state; dropping the diff pointers lets a
-		// writer's gcFlush free its diffs on the host too.
+		// Empty the scratch state; dropping the diff pointers leaves each
+		// writer's store their only holder, so Close frees them on the host.
 		for _, w := range f.writers {
 			f.reqs[w].pages = f.reqs[w].pages[:0]
 		}
