@@ -47,11 +47,11 @@ SIMD_ADDR     := 127.0.0.1:7077
 SIMLOAD_FLAGS := -addr http://$(SIMD_ADDR) -corpus scenarios/service -workers 8 -requests 200 -miss 0.25
 
 # The fuzz targets as pkg:Target pairs: diff.Encode against the
-# byte-at-a-time reference encoder, the scenario decoder, and the disk
-# entry decoder. `make fuzz` mutates each one's seeds for FUZZTIME in
+# byte-at-a-time reference encoder, the scenario decoder, the disk
+# entry decoder, and the kernel front end (parse, analyse, transform). `make fuzz` mutates each one's seeds for FUZZTIME in
 # turn and stops at the first failure, whose input lands under
 # <pkg>/testdata/fuzz/<Target>/ (commit it as a regression seed).
-FUZZ_TARGETS := ./internal/diff:FuzzEncode ./internal/scenario:FuzzParse ./internal/bench:FuzzDecodeEntry
+FUZZ_TARGETS := ./internal/diff:FuzzEncode ./internal/scenario:FuzzParse ./internal/bench:FuzzDecodeEntry ./internal/compiler:FuzzAnalyze
 FUZZTIME     ?= 30s
 
 .PHONY: test race fuzz cover size bench-baseline bench-check bench-ci profile serve loadtest loadtest-baseline

@@ -9,8 +9,8 @@ import (
 	"slices"
 
 	"repro/internal/chaos"
+	"repro/internal/compiler"
 	"repro/internal/core"
-	"repro/internal/rsd"
 	"repro/internal/sim"
 	"repro/internal/tmk"
 	"repro/internal/vm"
@@ -201,10 +201,10 @@ func Assemble(res *Result, owned [][]int, width int, xs, fs [][]float64) {
 // over len(local)/width entries of width elements each (3 for moldyn's
 // force triples). The first writer of a block overwrites it, later
 // writers read-modify-write every element; with a runtime each stage
-// first validates its block (reduceDesc). usPerElem is the compute
-// charged per reduced element.
-func PipelinedReduce(proc *sim.Proc, node *tmk.Node, rt *core.Runtime, arr *core.Array,
-	local []float64, width, barrier int, noWriteAll bool, usPerElem float64) {
+// first validates its block with stages[s] (ReduceStages). usPerElem is
+// the compute charged per reduced element.
+func PipelinedReduce(proc *sim.Proc, node *tmk.Node, rt *core.Runtime, stages []core.Desc, arr *core.Array,
+	local []float64, width, barrier int, usPerElem float64) {
 
 	me, nprocs := proc.ID(), proc.NProcs()
 	space := node.Space()
@@ -212,7 +212,7 @@ func PipelinedReduce(proc *sim.Proc, node *tmk.Node, rt *core.Runtime, arr *core
 		blo, bhi := chaos.BlockRange(len(local)/width, nprocs, (me+s)%nprocs)
 		if lo, hi := width*blo, width*bhi; lo < hi {
 			if rt != nil {
-				rt.Validate(reduceDesc(arr, lo, hi, s, noWriteAll))
+				rt.Validate(stages[s])
 			}
 			if s == 0 {
 				for j := lo; j < hi; j++ {
@@ -229,17 +229,25 @@ func PipelinedReduce(proc *sim.Proc, node *tmk.Node, rt *core.Runtime, arr *core
 	}
 }
 
-// reduceDesc is the descriptor of reduction stage s over elements
-// [lo, hi) of arr: WRITE_ALL for the first writer, READ&WRITE_ALL for
-// the later ones — or plain READ&WRITE (twinned diffs) under the
-// NoWriteAll ablation.
-func reduceDesc(arr *core.Array, lo, hi, stage int, noWriteAll bool) core.Desc {
-	acc := core.ReadWriteAll
-	switch {
-	case noWriteAll:
-		acc = core.ReadWrite
-	case stage == 0:
-		acc = core.WriteAll
+// ReduceStages binds processor me's PipelinedReduce descriptors over
+// arr, taken as arr.Len/width blocks of width elements: stage 0 is the
+// compiled firststage (WRITE_ALL), every later stage the compiled
+// laterstage (READ&WRITE_ALL). The NoWriteAll ablation (A4) overrides
+// each stage's access to READ&WRITE, so the stages twin and diff.
+func ReduceStages(arr *core.Array, width, me, nprocs int, noWriteAll bool) []core.Desc {
+	be := &compiler.BindEnv{Arrays: map[string]*core.Array{"forces": arr}, Env: compiler.Env{}, Sched: 2}
+	stages := make([]core.Desc, nprocs)
+	for s := range stages {
+		blo, bhi := chaos.BlockRange(arr.Len/width, nprocs, (me+s)%nprocs)
+		be.Env["blo"], be.Env["bhi"] = width*blo+1, width*bhi
+		stage := "laterstage"
+		if s == 0 {
+			stage = "firststage"
+		}
+		stages[s] = compiler.MustBind(compiler.ReductionKernel, stage, be)[0]
+		if noWriteAll {
+			stages[s].Access = core.ReadWrite
+		}
 	}
-	return core.Desc{Type: core.Direct, Data: arr, Section: rsd.Range1(lo, hi-1), Access: acc, Sched: 2}
+	return stages
 }

@@ -5,12 +5,16 @@
 // on demand paging alone; the optimized variant carries the
 // compiler-inserted Validate calls — an INDIRECT descriptor on x through
 // the interaction-list section at the top of ComputeForces, and DIRECT
-// descriptors for the pipelined reduction and the integration loop.
+// descriptors for the pipelined reduction and the integration loop. The
+// first two are bound from the compiled MoldynKernel and
+// ReductionKernel; the integration and rebuild descriptors are still
+// written by hand.
 package moldyn
 
 import (
 	"repro/internal/apps"
 	"repro/internal/chaos"
+	"repro/internal/compiler"
 	"repro/internal/core"
 	"repro/internal/rsd"
 	"repro/internal/sim"
@@ -94,9 +98,21 @@ func RunTmk(w *Workload, im *Image, opt TmkOptions) *apps.Result {
 		node := d.Node(me)
 		space := node.Space()
 		var rt *core.Runtime
+		var be *compiler.BindEnv
+		var forceDescs, stages []core.Desc
+		flo, fhi := -1, -1 // the section forceDescs is bound for
 		if opt.Optimized {
 			rt = core.NewRuntime(node)
 			rt.NoAggregation = opt.NoAggregation
+			// x binds as one 24-byte unit per molecule, the unit the
+			// interaction list's molecule numbers index (DESIGN.md §3).
+			be = &compiler.BindEnv{
+				Arrays: map[string]*core.Array{"x": xArr, "interaction_list": interArr},
+				Dims:   map[string][]int{"interaction_list": {2, capPairs}},
+				Env:    compiler.Env{},
+				Sched:  1,
+			}
+			stages = apps.ReduceStages(fArr, 3, me, nprocs, false)
 		}
 		ep.Start(proc)
 
@@ -118,8 +134,12 @@ func RunTmk(w *Workload, im *Image, opt TmkOptions) *apps.Result {
 			lo := int(space.ReadI64(startsAddr + vm.Addr(8*me)))
 			hi := int(space.ReadI64(startsAddr + vm.Addr(8*(me+1))))
 			if opt.Optimized {
+				if lo != flo || hi != fhi { // the section moved: a rebuild
+					be.Env["mylo"], be.Env["myhi"] = lo+1, hi
+					forceDescs, flo, fhi = compiler.MustBind(compiler.MoldynKernel, "computeforces", be), lo, hi
+				}
 				before := rt.ScanEntries
-				rt.Validate(forceDesc(xArr, interArr, lo, hi, capPairs))
+				rt.Validate(forceDescs...)
 				scans[me] += rt.ScanUSPerEntry * float64(rt.ScanEntries-before) / 1e6
 			}
 			for i := range lf {
@@ -141,7 +161,7 @@ func RunTmk(w *Workload, im *Image, opt TmkOptions) *apps.Result {
 
 			// Pipelined update of the shared forces (Figure 2); ablation
 			// A4 (READ&WRITE stages) is nbf's no_write_all.
-			apps.PipelinedReduce(proc, node, rt, fArr, lf, 3, barPipeline, false, cost.ReduceUSPerElem)
+			apps.PipelinedReduce(proc, node, rt, stages, fArr, lf, 3, barPipeline, cost.ReduceUSPerElem)
 
 			// Integrate own block: x <- wrap(q(x + dt*f + drift)).
 			if mlo < mhi {
@@ -176,15 +196,6 @@ func RunTmk(w *Workload, im *Image, opt TmkOptions) *apps.Result {
 	ep.CollectShared(d, xArr, fArr, 3*n)
 	d.Close()
 	return ep.Res
-}
-
-// forceDesc is the descriptor the optimized program validates at the
-// top of ComputeForces: x through the section [0:1, lo:hi-1] of the
-// interaction list (capPairs pairs of capacity).
-func forceDesc(xArr, interArr *core.Array, lo, hi, capPairs int) core.Desc {
-	return core.Desc{Type: core.Indirect, Data: xArr, Indir: interArr,
-		Section:   rsd.New(rsd.Dim{Lo: 0, Hi: 1, Stride: 1}, rsd.Dim{Lo: lo, Hi: hi - 1, Stride: 1}),
-		IndirDims: []int{2, capPairs}, Access: core.Read, Sched: 1}
 }
 
 // rebuildParallel rebuilds the interaction list cooperatively: every

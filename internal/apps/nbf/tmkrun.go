@@ -2,14 +2,16 @@
 // arrays are shared; a Validate at the start of each time step fetches
 // the updated coordinate values through the partner-list section; force
 // updates accumulate in private memory and reach the shared array
-// through the pipelined nprocs-step reduction.
+// through the pipelined nprocs-step reduction. The optimized variant's
+// descriptors are all bound from the compiled NBFKernel and
+// ReductionKernel.
 package nbf
 
 import (
 	"repro/internal/apps"
 	"repro/internal/chaos"
+	"repro/internal/compiler"
 	"repro/internal/core"
-	"repro/internal/rsd"
 	"repro/internal/sim"
 	"repro/internal/tmk"
 )
@@ -80,24 +82,36 @@ func RunTmk(w *Workload, im *Image, opt TmkOptions) *apps.Result {
 		me := proc.ID()
 		node := d.Node(me)
 		space := node.Space()
+		mlo, mhi := chaos.BlockRange(n, nprocs, me)
 		var rt *core.Runtime
+		var forceDescs, integrateDescs, stages []core.Desc
 		if opt.Optimized {
 			rt = core.NewRuntime(node)
 			rt.NoAggregation = opt.NoAggregation
+			be := &compiler.BindEnv{
+				Arrays: map[string]*core.Array{"x": xArr, "forces": fArr, "partners": partArr},
+				Dims:   map[string][]int{"partners": {p.Partners, n}},
+				Env:    compiler.Env{"mylo": mlo + 1, "myhi": mhi, "ppm": p.Partners},
+				Sched:  1,
+			}
+			forceDescs = compiler.MustBind(compiler.NBFKernel, "forceloop", be)
+			be.Sched = 3
+			integrateDescs = compiler.MustBind(compiler.NBFKernel, "integrate", be)
+			stages = apps.ReduceStages(fArr, 1, me, nprocs, opt.NoWriteAll)
 		}
 		lf := make([]float64, n)
 		cl.Mem.Alloc(me, apps.MemCatPrivate, int64(8*len(lf)))
-		mlo, mhi := chaos.BlockRange(n, nprocs, me)
 
 		for step := 0; step <= p.Steps; step++ {
 			if step == 1 {
 				ep.Start(proc) // warmup (inspector/scan analog) excluded
 			}
 			// Validate at the start of the time step: fetch the updated
-			// coordinate values through the partner-list section.
+			// coordinate values through the partner-list section, and
+			// the processor's own block.
 			if opt.Optimized && mlo < mhi {
 				before := rt.ScanEntries
-				rt.Validate(forceDesc(xArr, partArr, mlo, mhi, p.Partners))
+				rt.Validate(forceDescs...)
 				scans[me] += rt.ScanUSPerEntry * float64(rt.ScanEntries-before) / 1e6
 			}
 			for i := range lf {
@@ -116,17 +130,12 @@ func RunTmk(w *Workload, im *Image, opt TmkOptions) *apps.Result {
 			proc.Advance(cost.InteractionUS * float64((mhi-mlo)*p.Partners))
 
 			// Pipelined reduction into the shared forces.
-			apps.PipelinedReduce(proc, node, rt, fArr, lf, 1, barPipeline, opt.NoWriteAll, cost.ReduceUSPerElem)
+			apps.PipelinedReduce(proc, node, rt, stages, fArr, lf, 1, barPipeline, cost.ReduceUSPerElem)
 
 			// Integrate own block.
 			if mlo < mhi {
 				if opt.Optimized {
-					rt.Validate(
-						core.Desc{Type: core.Direct, Data: fArr,
-							Section: rsd.Range1(mlo, mhi-1), Access: core.Read, Sched: 3},
-						core.Desc{Type: core.Direct, Data: xArr,
-							Section: rsd.Range1(mlo, mhi-1), Access: core.ReadWriteAll, Sched: 4},
-					)
+					rt.Validate(integrateDescs...)
 				}
 				for i := mlo; i < mhi; i++ {
 					xv := space.ReadF64(xArr.Addr(i))
@@ -146,12 +155,4 @@ func RunTmk(w *Workload, im *Image, opt TmkOptions) *apps.Result {
 	ep.CollectShared(d, xArr, fArr, n)
 	d.Close()
 	return ep.Res
-}
-
-// forceDesc is the descriptor the optimized program validates at the
-// start of each time step: x through the partner-list section of
-// molecules [mlo, mhi).
-func forceDesc(xArr, partArr *core.Array, mlo, mhi, partners int) core.Desc {
-	return core.Desc{Type: core.Indirect, Data: xArr, Indir: partArr,
-		Section: rsd.Range1(mlo*partners, mhi*partners-1), Access: core.Read, Sched: 1}
 }

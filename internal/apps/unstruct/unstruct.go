@@ -258,8 +258,10 @@ func RunTmk(w *Workload, im *Image, opt TmkOptions) *apps.Result {
 		node := d.Node(me)
 		space := node.Space()
 		var rt *core.Runtime
+		var stages []core.Desc
 		if opt.Optimized {
 			rt = core.NewRuntime(node)
+			stages = apps.ReduceStages(yArr, 1, me, nprocs, false)
 		}
 		ly := make([]float64, n)
 		lo, hi := w.Starts[me], w.Starts[me+1]
@@ -290,7 +292,7 @@ func RunTmk(w *Workload, im *Image, opt TmkOptions) *apps.Result {
 			}
 			proc.Advance(cost.EdgeUS * float64(hi-lo))
 
-			apps.PipelinedReduce(proc, node, rt, yArr, ly, 1, barPipeline, false, cost.ReduceUSPerElem)
+			apps.PipelinedReduce(proc, node, rt, stages, yArr, ly, 1, barPipeline, cost.ReduceUSPerElem)
 
 			if mlo < mhi {
 				if opt.Optimized {

@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -72,11 +73,36 @@ END
 	}
 }
 
+// flatPartnerKernel is nbf's force loop over a one-dimensional partner
+// list with a literal partner count: molecule i's partners are the
+// contiguous slice partners((i-1)*100+1 : i*100).
+const flatPartnerKernel = `
+program nbf
+shared real x(n)
+shared real forces(n)
+shared integer partners(m)
+private real local_forces(n)
+
+call forceloop()
+end
+
+subroutine forceloop()
+do i = mylo, myhi
+  do k = 1, 100
+    j = partners((i - 1) * 100 + k)
+    f = x(i) - x(j)
+    local_forces(i) = local_forces(i) + f
+    local_forces(j) = local_forces(j) - f
+  enddo
+enddo
+end
+`
+
 func TestNBFAnalysisFlattensPartnerList(t *testing.T) {
-	// The nbf partner subscript (i-1)*100+k over k=1..100 must collapse
-	// to the dense section [(mylo-1)*100+1 : (myhi-1)*100+100] — the
+	// The partner subscript (i-1)*100+k over k=1..100 must collapse to
+	// the dense section [(mylo-1)*100+1 : (myhi-1)*100+100] — the
 	// contiguous slice of the concatenated partner list.
-	prog := mustParse(t, NBFKernel)
+	prog := mustParse(t, flatPartnerKernel)
 	sum, err := Analyze(prog, "forceloop")
 	if err != nil {
 		t.Fatal(err)
@@ -115,6 +141,25 @@ func TestNBFAnalysisFlattensPartnerList(t *testing.T) {
 	}
 	if lo != (11-1)*100+1 || hi != (20-1)*100+100 {
 		t.Fatalf("bound section = [%d:%d], want [1001:2000]", lo, hi)
+	}
+}
+
+func TestNBFKernelSummaries(t *testing.T) {
+	// What nbf's tmk-opt validates: x through column i of the partner
+	// list and x's own block before the force loop, then the own blocks
+	// of forces and x before the integration.
+	prog := mustParse(t, NBFKernel)
+	for sub, want := range map[string][]string{
+		"forceloop": {"INDIRECT, x, partners[1:ppm, mylo:myhi], READ", "DIRECT, x[mylo:myhi], READ"},
+		"integrate": {"DIRECT, forces[mylo:myhi], READ", "DIRECT, x[mylo:myhi], READ&WRITE_ALL"},
+	} {
+		sum, err := Analyze(prog, sub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := descStrings(sum); !slices.Equal(got, want) {
+			t.Errorf("%s: %q, want %q", sub, got, want)
+		}
 	}
 }
 
@@ -231,15 +276,17 @@ end
 	}
 }
 
+// badSources are programs the parser must reject.
+var badSources = []string{
+	"",                       // no program
+	"program p\ndo i = 1\n",  // malformed do
+	"program p\nx(1 = 2\n",   // unbalanced
+	"program p\n@\nend\n",    // bad rune
+	"program p\ncall\nend\n", // call without name
+}
+
 func TestParserErrors(t *testing.T) {
-	bad := []string{
-		"",                       // no program
-		"program p\ndo i = 1\n",  // malformed do
-		"program p\nx(1 = 2\n",   // unbalanced
-		"program p\n@\nend\n",    // bad rune
-		"program p\ncall\nend\n", // call without name
-	}
-	for _, src := range bad {
+	for _, src := range badSources {
 		if _, err := lang.Parse(src); err == nil {
 			t.Errorf("no error for %q", src)
 		}

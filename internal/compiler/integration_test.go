@@ -63,8 +63,8 @@ func TestCompiledKernelDrivesRuntime(t *testing.T) {
 		mylo, myhi := me*blk+1, (me+1)*blk // 1-based bounds, like the source
 		be := &BindEnv{
 			Arrays: arrays,
-			Dims:   map[string][]int{},
-			Env:    Env{"mylo": mylo, "myhi": myhi},
+			Dims:   map[string][]int{"partners": {ppm, n}},
+			Env:    Env{"mylo": mylo, "myhi": myhi, "ppm": ppm},
 			Sched:  1,
 		}
 		descs := make([]core.Desc, 0, len(sum.Descs))

@@ -1,8 +1,17 @@
-// The paper's kernels, written in the kernel description language. These
-// are the inputs the compiler front-end is demonstrated on: moldyn's
-// ComputeForces (Figure 1) and nbf's force loop (§5.2). The examples and
-// tests compile these and feed the resulting descriptors to the runtime.
+// The paper's kernels, written in the kernel description language:
+// moldyn's ComputeForces (Figure 1), nbf's force loop and integration
+// (§5.2), and the pipelined force reduction (Figure 2). The TreadMarks
+// backends bind (MustBind) the descriptors compiled from them into the
+// Validate calls they pass to the runtime.
 package compiler
+
+import (
+	"fmt"
+	"sync"
+
+	"repro/internal/core"
+	"repro/internal/lang"
+)
 
 // MoldynKernel is the moldyn main program and ComputeForces subroutine
 // of Figure 1, with the per-processor section bounds (mylo, myhi) made
@@ -34,27 +43,34 @@ enddo
 end
 `
 
-// NBFKernel is the nbf force loop: molecule i's partners are the
-// contiguous slice partners((i-1)*ppm+1 : i*ppm) of the concatenated
-// partner list.
+// NBFKernel is nbf's time step: the force loop over each molecule's ppm
+// partners, column i of the partner list, and the integration of the
+// processor's own block.
 const NBFKernel = `
 program nbf
 shared real x(n)
 shared real forces(n)
-shared integer partners(m)
+shared integer partners(ppm, n)
 private real local_forces(n)
 
 call forceloop()
+call integrate()
 end
 
 subroutine forceloop()
 do i = mylo, myhi
-  do k = 1, 100
-    j = partners((i - 1) * 100 + k)
+  do k = 1, ppm
+    j = partners(k, i)
     f = x(i) - x(j)
     local_forces(i) = local_forces(i) + f
     local_forces(j) = local_forces(j) - f
   enddo
+enddo
+end
+
+subroutine integrate()
+do i = mylo, myhi
+  x(i) = x(i) + forces(i)
 enddo
 end
 `
@@ -105,3 +121,44 @@ do i = mylo, myhi
 enddo
 end
 `
+
+// bundled holds the access summary of every subroutine of the bundled
+// kernels, keyed by kernel source and subroutine name, computed on first
+// use.
+var bundled = sync.OnceValue(func() map[[2]string]*Summary {
+	sums := map[[2]string]*Summary{}
+	for _, src := range []string{MoldynKernel, NBFKernel, ReductionKernel, TwoLevelKernel} {
+		prog, err := lang.Parse(src)
+		if err != nil {
+			panic(err)
+		}
+		for _, s := range prog.Subs {
+			if sums[[2]string{src, s.Name}], err = Analyze(prog, s.Name); err != nil {
+				panic(err)
+			}
+		}
+	}
+	return sums
+})
+
+// MustBind binds, in order, every descriptor the compiler emits for
+// subroutine sub of src, one of the bundled kernels above, into be. The
+// kernels are parsed and analysed once per process. It panics on an
+// error: the kernels are constants that this package's tests compile,
+// and a backend binding its own kernel supplies every array and symbol
+// the kernel names.
+func MustBind(src, sub string, be *BindEnv) []core.Desc {
+	sum := bundled()[[2]string{src, sub}]
+	if sum == nil {
+		panic(fmt.Sprintf("compiler: no subroutine %q in the bundled kernel", sub))
+	}
+	descs := make([]core.Desc, len(sum.Descs))
+	for i, spec := range sum.Descs {
+		d, err := Bind(spec, be)
+		if err != nil {
+			panic(err)
+		}
+		descs[i] = d
+	}
+	return descs
+}

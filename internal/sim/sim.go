@@ -1052,7 +1052,11 @@ func (c *Cluster) grantQuiescentLocked() {
 // CombineFunc merges the per-processor barrier contributions (indexed by
 // processor id) into per-processor replies and their payload sizes. It
 // runs once per barrier episode, on the manager, and its cost in
-// microseconds is the third return value.
+// microseconds is the third return value. contrib is the barrier's own
+// arrival slot list, valid only during the call: a combine may keep the
+// elements but not the slice. Each processor reads its reply and size
+// before it can arrive at a later barrier, so a combine may return the
+// same two slices every episode.
 type CombineFunc func(contrib []any) (replies []any, replyBytes []int, combineUS float64)
 
 type barrier struct {
@@ -1141,7 +1145,7 @@ func (p *Proc) BarrierExchange(id int, data any, bytes int, combine CombineFunc)
 		var rbytes []int
 		combineUS := 0.0
 		if combine != nil {
-			replies, rbytes, combineUS = combine(append([]any(nil), b.contrib...))
+			replies, rbytes, combineUS = combine(b.contrib)
 		}
 		// Manager bookkeeping and the combine both run on proc 0's CPU,
 		// so both scale with its speed factor (a factor of exactly 1.0

@@ -87,12 +87,12 @@ func TestSteadyStateAllocs(t *testing.T) {
 		// measured at 4, 8 and 16 procs).
 		{"lock hand-off", lockRounds, 5},
 		// One write/barrier/fault/barrier round: a processor's barrier
-		// contribution and reply are reused, so what remains is per
-		// barrier — the reply and size lists of the combine and the
-		// simulator's copy of the contributions — plus the one writer's
-		// interval (the same four as a hand-off), all amortized over the
-		// processors (2.51 at 4 procs, 0.63 at 16).
-		{"barrier round", faultRounds, 3.5},
+		// contribution and reply, the combine's reply and size lists and
+		// the simulator's contribution slots are all reused, so what
+		// remains is the one writer's interval (the same four as a
+		// hand-off), amortized over the processors (1.01 at 4 procs,
+		// 0.25 at 16).
+		{"barrier round", faultRounds, 1.5},
 	}
 	for _, tc := range cases {
 		for _, nprocs := range []int{4, 8, 16} {

@@ -113,8 +113,7 @@ func (n *Node) combineBarrier(contribs []any) ([]any, []int, float64) {
 	for _, c := range contribs {
 		posted += board.postLocked(c.(*barrierContribution).notices, &n.d.cluster.Mem)
 	}
-	replies := make([]any, len(contribs))
-	rbytes := make([]int, len(contribs))
+	replies, rbytes := n.d.barReplies, n.d.barBytes
 	var totalNotices int
 	for i, c := range contribs {
 		cb := c.(*barrierContribution)

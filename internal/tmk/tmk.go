@@ -48,6 +48,10 @@ type DSM struct {
 	nodes   []*Node
 
 	board *noticeBoard
+	// barReplies and barBytes are the barrier combine's reply and size
+	// lists, reused every barrier (DESIGN.md §3, rule 4).
+	barReplies []any
+	barBytes   []int
 
 	closed bool
 	// pagesCharged is the per-node page-copy charge made at attach,
@@ -141,9 +145,11 @@ func NewFromImage(c *sim.Cluster, img *Image) *DSM {
 func newDSM(c *sim.Cluster, img *Image) *DSM {
 	nprocs := c.NProcs()
 	d := &DSM{
-		cluster: c,
-		img:     img,
-		board:   newNoticeBoard(nprocs),
+		cluster:    c,
+		img:        img,
+		board:      newNoticeBoard(nprocs),
+		barReplies: make([]any, nprocs),
+		barBytes:   make([]int, nprocs),
 	}
 	for i := 0; i < nprocs; i++ {
 		n := &Node{
