@@ -193,7 +193,7 @@ func (f *metricsFlag) Set(s string) error {
 func runCmd(ctx context.Context, w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("scenario run", flag.ContinueOnError)
 	opts := runOpts{}
-	fs.IntVar(&opts.jobs, "j", 0, "run up to N scenarios concurrently (0 = GOMAXPROCS)")
+	fs.IntVar(&opts.jobs, "j", 0, "run up to N scenarios concurrently (0 = GOMAXPROCS); each may run its backends in two lanes")
 	fs.BoolVar(&opts.repro, "repro", false, "run every scenario twice and byte-diff the results")
 	fs.IntVar(&opts.procs, "procs", 0, "override every scenario's processor count (0 = as specified)")
 	fs.StringVar(&opts.outDir, "out", "", "also write each scenario's rendered output to <dir>/<name>.txt")

@@ -40,9 +40,9 @@ type AppResults struct {
 
 // RunAppCtx builds the named registered application's workload from
 // cfg, executes all four backends, and verifies bit-exact agreement.
-// Cancellation is checked before each of the four backend executions
-// (apps.RunAll), so an aborted run never returns a partially-verified
-// result.
+// apps.RunAll runs the backends in two lanes (one when cfg is traced)
+// and each lane checks the context before each backend, so an aborted
+// run never returns a partially-verified result.
 func RunAppCtx(ctx context.Context, name string, cfg apps.Config, label string) (*AppResults, error) {
 	w, err := apps.New(name, cfg)
 	if err != nil {

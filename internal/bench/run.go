@@ -260,10 +260,11 @@ type MemSweepData struct {
 
 // Run executes one canonically-encoded experiment and returns its
 // structured result. The context is observed at phase boundaries:
-// between per-configuration runs and between the four backend
-// executions of each configuration (apps.RunAll) — a simulated
-// cluster episode itself is never interrupted mid-flight, so a
-// canceled run leaves no partially-verified results behind.
+// between per-configuration runs and, in each of a configuration's
+// backend lanes (apps.RunAll: two, one for a traced run), before each
+// backend — a simulated cluster episode itself is never interrupted
+// mid-flight, so a canceled run leaves no partially-verified results
+// behind.
 func Run(ctx context.Context, req RunRequest) (*RunResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -438,7 +438,7 @@ func (s *Server) runOne(key cache.Key, fl *flight) {
 		ctx, cancel = context.WithTimeout(ctx, s.runTimeout)
 		defer cancel()
 	}
-	res, err := s.exec(ctx, fl.req)
+	res, err := s.execRecovered(ctx, fl.req)
 	s.executed.Add(1)
 	mExecuted.Inc()
 
@@ -475,6 +475,19 @@ func (s *Server) runOne(key cache.Key, fl *flight) {
 
 	fl.err = err
 	close(fl.done)
+}
+
+// execRecovered runs one execution and returns a panic in it as that
+// run's error: the address is answered as failed (500), coalesced
+// waiters are released, nothing is cached, and a re-POST runs it again.
+// One bad run must not take down the server and every other run in it.
+func (s *Server) execRecovered(ctx context.Context, req bench.RunRequest) (res *bench.RunResult, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			res, err = nil, fmt.Errorf("run panicked: %v", p)
+		}
+	}()
+	return s.exec(ctx, req)
 }
 
 // respondDone writes a done body (doneBody): every done reply — hot,

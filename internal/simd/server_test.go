@@ -545,6 +545,42 @@ func TestFailedRunReported(t *testing.T) {
 	}
 }
 
+// TestPanickingRunFails checks a run whose execution panics is
+// answered as failed to its waiters, leaves the server up, caches
+// nothing, and runs again on a re-submission.
+func TestPanickingRunFails(t *testing.T) {
+	var calls atomic.Int32
+	srv := New(Config{
+		Exec: func(ctx context.Context, req bench.RunRequest) (*bench.RunResult, error) {
+			if calls.Add(1) == 1 {
+				panic("synthetic panic")
+			}
+			return &bench.RunResult{Experiment: req.Experiment}, nil
+		},
+	})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	code, body := post(t, ts, "/v1/runs?wait=1", taskqSpec)
+	st := decodeStatus(t, body)
+	if code != http.StatusInternalServerError || st.Status != "failed" ||
+		!strings.Contains(st.Error, "synthetic panic") {
+		t.Fatalf("panicking run: %d %s", code, body)
+	}
+	if code, _, _ := get(t, ts, "/v1/runs/"+st.Address); code != http.StatusInternalServerError {
+		t.Errorf("failed status = %d, want 500", code)
+	}
+	if code, body := post(t, ts, "/v1/runs?wait=1", taskqSpec); code != http.StatusOK {
+		t.Errorf("re-submission: %d %s", code, body)
+	}
+	if n := calls.Load(); n != 2 {
+		t.Errorf("%d executions, want 2 (the panic cached nothing)", n)
+	}
+	if code, _, _ := get(t, ts, "/v1/runs/"+st.Address); code != http.StatusOK {
+		t.Errorf("status after the re-run = %d, want 200", code)
+	}
+}
+
 // TestUnencodableResultFails checks a result JSON cannot carry (a NaN
 // metric) is reported as a failed run, not served as an empty 200.
 func TestUnencodableResultFails(t *testing.T) {
