@@ -14,33 +14,34 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/compiler"
 	"repro/internal/lang"
 )
 
-var builtins = map[string]string{
-	"moldyn":    compiler.MoldynKernel,
-	"nbf":       compiler.NBFKernel,
-	"reduction": compiler.ReductionKernel,
-	"twolevel":  compiler.TwoLevelKernel,
-}
-
 func main() {
+	names := make([]string, len(compiler.Kernels))
+	for i, k := range compiler.Kernels {
+		names[i] = k.Name
+	}
 	sub := flag.String("sub", "", "subroutine to transform (default: all)")
-	builtin := flag.String("builtin", "", "use a bundled kernel: moldyn, nbf, reduction, twolevel")
+	builtin := flag.String("builtin", "", "use a bundled kernel: "+strings.Join(names, ", "))
 	summaryOnly := flag.Bool("summary", false, "print only the access summaries")
 	flag.Parse()
 
 	var src string
 	switch {
 	case *builtin != "":
-		s, ok := builtins[*builtin]
-		if !ok {
+		for _, k := range compiler.Kernels {
+			if k.Name == *builtin {
+				src = k.Src
+			}
+		}
+		if src == "" {
 			fmt.Fprintf(os.Stderr, "compilekernel: unknown builtin %q\n", *builtin)
 			os.Exit(2)
 		}
-		src = s
 	case flag.NArg() == 1:
 		b, err := os.ReadFile(flag.Arg(0))
 		if err != nil {

@@ -235,7 +235,7 @@ func PipelinedReduce(proc *sim.Proc, node *tmk.Node, rt *core.Runtime, stages []
 // laterstage (READ&WRITE_ALL). The NoWriteAll ablation (A4) overrides
 // each stage's access to READ&WRITE, so the stages twin and diff.
 func ReduceStages(arr *core.Array, width, me, nprocs int, noWriteAll bool) []core.Desc {
-	be := &compiler.BindEnv{Arrays: map[string]*core.Array{"forces": arr}, Env: compiler.Env{}, Sched: 2}
+	be := &compiler.BindEnv{Arrays: map[string]*core.Array{"forces": arr}, Env: compiler.Env{}}
 	stages := make([]core.Desc, nprocs)
 	for s := range stages {
 		blo, bhi := chaos.BlockRange(arr.Len/width, nprocs, (me+s)%nprocs)

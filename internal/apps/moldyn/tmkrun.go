@@ -5,10 +5,9 @@
 // on demand paging alone; the optimized variant carries the
 // compiler-inserted Validate calls — an INDIRECT descriptor on x through
 // the interaction-list section at the top of ComputeForces, and DIRECT
-// descriptors for the pipelined reduction and the integration loop. The
-// first two are bound from the compiled MoldynKernel and
-// ReductionKernel; the integration and rebuild descriptors are still
-// written by hand.
+// descriptors for the pipelined reduction, the integration loop and the
+// list rebuild's read of every coordinate. All are bound from the
+// compiled MoldynKernel and ReductionKernel.
 package moldyn
 
 import (
@@ -16,7 +15,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/compiler"
 	"repro/internal/core"
-	"repro/internal/rsd"
 	"repro/internal/sim"
 	"repro/internal/tmk"
 	"repro/internal/vm"
@@ -97,28 +95,37 @@ func RunTmk(w *Workload, im *Image, opt TmkOptions) *apps.Result {
 		me := proc.ID()
 		node := d.Node(me)
 		space := node.Space()
+		mlo, mhi := chaos.BlockRange(n, nprocs, me)
 		var rt *core.Runtime
 		var be *compiler.BindEnv
-		var forceDescs, stages []core.Desc
+		var forceDescs, integrateDescs, rebuildDescs, stages []core.Desc
 		flo, fhi := -1, -1 // the section forceDescs is bound for
 		if opt.Optimized {
 			rt = core.NewRuntime(node)
 			rt.NoAggregation = opt.NoAggregation
-			// x binds as one 24-byte unit per molecule, the unit the
-			// interaction list's molecule numbers index (DESIGN.md §3).
+			// The force loop binds x as one 24-byte unit per molecule,
+			// the unit the interaction list's molecule numbers index; the
+			// integration and the rebuild bind the same bytes as the
+			// 8-byte coordinates x(3, n) of their dense sections
+			// (DESIGN.md §3).
 			be = &compiler.BindEnv{
 				Arrays: map[string]*core.Array{"x": xArr, "interaction_list": interArr},
 				Dims:   map[string][]int{"interaction_list": {2, capPairs}},
 				Env:    compiler.Env{},
-				Sched:  1,
 			}
+			coords := &compiler.BindEnv{
+				Arrays: map[string]*core.Array{"x": {Name: "x", Base: xArr.Base, ElemSize: 8, Len: 3 * n}, "forces": fArr},
+				Dims:   map[string][]int{"x": {3, n}, "forces": {3, n}},
+				Env:    compiler.Env{"mylo": mlo + 1, "myhi": mhi, "n": n},
+			}
+			integrateDescs = compiler.MustBind(compiler.MoldynKernel, "integrate", coords)
+			rebuildDescs = compiler.MustBind(compiler.MoldynKernel, "buildlist", coords)
 			stages = apps.ReduceStages(fArr, 3, me, nprocs, false)
 		}
 		ep.Start(proc)
 
 		lf := make([]float64, 3*n) // private local_forces (full size; §5.1)
 		cl.Mem.Alloc(me, apps.MemCatPrivate, int64(8*len(lf)))
-		mlo, mhi := chaos.BlockRange(n, nprocs, me)
 
 		for step := 1; step <= p.Steps; step++ {
 			// Rebuild the interaction list in parallel: each processor
@@ -126,7 +133,7 @@ func RunTmk(w *Workload, im *Image, opt TmkOptions) *apps.Result {
 			// are merged deterministically in shared memory.
 			if p.UpdateEvery > 0 && step > 1 && (step-1)%p.UpdateEvery == 0 {
 				node.Barrier(barBeforeRebuild)
-				rebuildParallel(proc, node, rt, w, &p, xArr, interArr, startsAddr)
+				rebuildParallel(proc, node, rt, rebuildDescs, w, &p, xArr, interArr, startsAddr)
 				node.Barrier(barAfterRebuild)
 			}
 
@@ -166,14 +173,7 @@ func RunTmk(w *Workload, im *Image, opt TmkOptions) *apps.Result {
 			// Integrate own block: x <- wrap(q(x + dt*f + drift)).
 			if mlo < mhi {
 				if opt.Optimized {
-					rt.Validate(
-						core.Desc{Type: core.Direct, Data: fArr,
-							Section: rsd.Range1(3*mlo, 3*mhi-1),
-							Access:  core.Read, Sched: 3},
-						core.Desc{Type: core.Direct, Data: xArr,
-							Section: rsd.Range1(mlo, mhi-1),
-							Access:  core.ReadWriteAll, Sched: 4},
-					)
+					rt.Validate(integrateDescs...)
 				}
 				for i := mlo; i < mhi; i++ {
 					for dd := 0; dd < 3; dd++ {
@@ -206,8 +206,9 @@ func RunTmk(w *Workload, im *Image, opt TmkOptions) *apps.Result {
 // each owner's pairs into that owner's section of the shared list. The
 // stores fault, twin, and diff through the normal protocol — the writes
 // to the write-protected indirection pages are exactly what flips every
-// processor's Validate modified flag.
-func rebuildParallel(proc *sim.Proc, node *tmk.Node, rt *core.Runtime, w *Workload,
+// processor's Validate modified flag. With a runtime, descs (the
+// compiled buildlist) prefetch the coordinates first.
+func rebuildParallel(proc *sim.Proc, node *tmk.Node, rt *core.Runtime, descs []core.Desc, w *Workload,
 	p *Params, xArr, interArr *core.Array, startsAddr vm.Addr) {
 
 	me := proc.ID()
@@ -218,8 +219,7 @@ func rebuildParallel(proc *sim.Proc, node *tmk.Node, rt *core.Runtime, w *Worklo
 	// Every processor needs all current coordinates for the distance
 	// checks; the optimized version prefetches them aggregated.
 	if rt != nil {
-		rt.Validate(core.Desc{Type: core.Direct, Data: xArr,
-			Section: rsd.Range1(0, n-1), Access: core.Read, Sched: 5})
+		rt.Validate(descs...)
 	}
 	x := make([]float64, 3*n)
 	for i := range x {

@@ -92,10 +92,8 @@ func RunTmk(w *Workload, im *Image, opt TmkOptions) *apps.Result {
 				Arrays: map[string]*core.Array{"x": xArr, "forces": fArr, "partners": partArr},
 				Dims:   map[string][]int{"partners": {p.Partners, n}},
 				Env:    compiler.Env{"mylo": mlo + 1, "myhi": mhi, "ppm": p.Partners},
-				Sched:  1,
 			}
 			forceDescs = compiler.MustBind(compiler.NBFKernel, "forceloop", be)
-			be.Sched = 3
 			integrateDescs = compiler.MustBind(compiler.NBFKernel, "integrate", be)
 			stages = apps.ReduceStages(fArr, 1, me, nprocs, opt.NoWriteAll)
 		}

@@ -4,14 +4,15 @@
 // over the column-index section of the owned rows, prefetching exactly
 // the x pages those columns name in one aggregated exchange per remote
 // processor, plus WRITE_ALL/READ&WRITE_ALL direct descriptors for the
-// owner-computed y and x blocks.
+// owner-computed y and x blocks. All are bound from the compiled
+// SpmvKernel.
 package spmv
 
 import (
 	"repro/internal/apps"
 	"repro/internal/chaos"
+	"repro/internal/compiler"
 	"repro/internal/core"
-	"repro/internal/rsd"
 	"repro/internal/sim"
 	"repro/internal/tmk"
 )
@@ -79,11 +80,19 @@ func RunTmk(w *Workload, im *Image, opt TmkOptions) *apps.Result {
 		me := proc.ID()
 		node := d.Node(me)
 		space := node.Space()
+		rlo, rhi := chaos.BlockRange(n, nprocs, me)
 		var rt *core.Runtime
+		var matvecDescs, refreshDescs []core.Desc
 		if opt.Optimized {
 			rt = core.NewRuntime(node)
+			be := &compiler.BindEnv{
+				Arrays: map[string]*core.Array{"x": xArr, "y": yArr, "cols": colArr},
+				Dims:   map[string][]int{"cols": {p.NNZRow, n}},
+				Env:    compiler.Env{"mylo": rlo + 1, "myhi": rhi, "nnzrow": p.NNZRow},
+			}
+			matvecDescs = compiler.MustBind(compiler.SpmvKernel, "matvec", be)
+			refreshDescs = compiler.MustBind(compiler.SpmvKernel, "refresh", be)
 		}
-		rlo, rhi := chaos.BlockRange(n, nprocs, me)
 
 		for step := 0; step <= p.Steps; step++ {
 			if step == 1 {
@@ -91,14 +100,7 @@ func RunTmk(w *Workload, im *Image, opt TmkOptions) *apps.Result {
 			}
 			if opt.Optimized && rlo < rhi {
 				before := rt.ScanEntries
-				rt.Validate(
-					core.Desc{Type: core.Indirect, Data: xArr, Indir: colArr,
-						Section: rsd.Range1(rlo*p.NNZRow, rhi*p.NNZRow-1),
-						Access:  core.Read, Sched: 1},
-					core.Desc{Type: core.Direct, Data: yArr,
-						Section: rsd.Range1(rlo, rhi-1),
-						Access:  core.WriteAll, Sched: 2},
-				)
+				rt.Validate(matvecDescs...)
 				scans[me] += rt.ScanUSPerEntry * float64(rt.ScanEntries-before) / 1e6
 			}
 			for i := rlo; i < rhi; i++ {
@@ -110,12 +112,7 @@ func RunTmk(w *Workload, im *Image, opt TmkOptions) *apps.Result {
 			node.Barrier(barCompute)
 
 			if opt.Optimized && rlo < rhi {
-				rt.Validate(
-					core.Desc{Type: core.Direct, Data: yArr,
-						Section: rsd.Range1(rlo, rhi-1), Access: core.Read, Sched: 3},
-					core.Desc{Type: core.Direct, Data: xArr,
-						Section: rsd.Range1(rlo, rhi-1), Access: core.ReadWriteAll, Sched: 4},
-				)
+				rt.Validate(refreshDescs...)
 			}
 			for i := rlo; i < rhi; i++ {
 				space.WriteF64(xArr.Addr(i),

@@ -17,8 +17,8 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/chaos"
+	"repro/internal/compiler"
 	"repro/internal/core"
-	"repro/internal/rsd"
 	"repro/internal/sim"
 	"repro/internal/tmk"
 )
@@ -241,7 +241,10 @@ func BuildImage(w *Workload) *Image {
 }
 
 // RunTmk executes the mesh sweep on the TreadMarks DSM, starting from
-// im.
+// im. The optimized variant validates x through its edge section before
+// the sweep, its block of y in each stage of the pipelined reduction,
+// and its own nodes before the relaxation: every descriptor is bound
+// from the compiled UnstructKernel and ReductionKernel.
 func RunTmk(w *Workload, im *Image, opt TmkOptions) *apps.Result {
 	p := w.P
 	nprocs := p.Procs
@@ -257,27 +260,29 @@ func RunTmk(w *Workload, im *Image, opt TmkOptions) *apps.Result {
 		me := proc.ID()
 		node := d.Node(me)
 		space := node.Space()
-		var rt *core.Runtime
-		var stages []core.Desc
-		if opt.Optimized {
-			rt = core.NewRuntime(node)
-			stages = apps.ReduceStages(yArr, 1, me, nprocs, false)
-		}
 		ly := make([]float64, n)
 		lo, hi := w.Starts[me], w.Starts[me+1]
 		mlo, mhi := chaos.BlockRange(n, nprocs, me)
+		var rt *core.Runtime
+		var edgeDescs, relaxDescs, stages []core.Desc
+		if opt.Optimized {
+			rt = core.NewRuntime(node)
+			be := &compiler.BindEnv{
+				Arrays: map[string]*core.Array{"x": xArr, "y": yArr, "edges": eArr},
+				Dims:   map[string][]int{"edges": {2, len(w.Sorted)}},
+				Env:    compiler.Env{"elo": lo + 1, "ehi": hi, "mylo": mlo + 1, "myhi": mhi},
+			}
+			edgeDescs = compiler.MustBind(compiler.UnstructKernel, "edgeloop", be)
+			relaxDescs = compiler.MustBind(compiler.UnstructKernel, "relax", be)
+			stages = apps.ReduceStages(yArr, 1, me, nprocs, false)
+		}
 
 		for step := 0; step <= p.Steps; step++ {
 			if step == 1 {
 				ep.Start(proc)
 			}
 			if opt.Optimized && lo < hi {
-				rt.Validate(core.Desc{
-					Type: core.Indirect, Data: xArr, Indir: eArr,
-					Section:   rsd.New(rsd.Dim{Lo: 0, Hi: 1, Stride: 1}, rsd.Dim{Lo: lo, Hi: hi - 1, Stride: 1}),
-					IndirDims: []int{2, len(w.Sorted)},
-					Access:    core.Read, Sched: 1,
-				})
+				rt.Validate(edgeDescs...)
 			}
 			for i := range ly {
 				ly[i] = 0
@@ -296,12 +301,7 @@ func RunTmk(w *Workload, im *Image, opt TmkOptions) *apps.Result {
 
 			if mlo < mhi {
 				if opt.Optimized {
-					rt.Validate(
-						core.Desc{Type: core.Direct, Data: yArr,
-							Section: rsd.Range1(mlo, mhi-1), Access: core.Read, Sched: 3},
-						core.Desc{Type: core.Direct, Data: xArr,
-							Section: rsd.Range1(mlo, mhi-1), Access: core.ReadWriteAll, Sched: 4},
-					)
+					rt.Validate(relaxDescs...)
 				}
 				for i := mlo; i < mhi; i++ {
 					space.WriteF64(xArr.Addr(i),

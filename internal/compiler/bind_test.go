@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/lang"
+	"repro/internal/rsd"
 	"repro/internal/sim"
 	"repro/internal/tmk"
 )
@@ -32,9 +33,9 @@ func TestBindResolvesSymbolsAndShiftsBase(t *testing.T) {
 		}},
 		Access: Read,
 	}
-	d, err := Bind(spec, &BindEnv{
+	d, err := bind(spec, &BindEnv{
 		Arrays: arrays, Dims: map[string][]int{},
-		Env: Env{"lo": 1, "hi": 10}, Sched: 3,
+		Env: Env{"lo": 1, "hi": 10},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -46,33 +47,74 @@ func TestBindResolvesSymbolsAndShiftsBase(t *testing.T) {
 	if d.Section.Dims[0].Lo != 0 || d.Section.Dims[0].Hi != 9 {
 		t.Fatalf("section = %v", d.Section)
 	}
-	if d.Sched != 3 {
-		t.Fatalf("sched = %d", d.Sched)
+}
+
+// TestMustBindNumbersIndirectDescriptors checks that every INDIRECT
+// descriptor of the bundled kernels binds under a schedule number of its
+// own, and every DIRECT one under none.
+func TestMustBindNumbersIndirectDescriptors(t *testing.T) {
+	seen := map[int]string{}
+	for key, c := range bundled() {
+		for i, spec := range c.sum.Descs {
+			id := c.sched[i]
+			switch {
+			case !spec.Indirect() && id != 0:
+				t.Errorf("%s: DIRECT %s numbered %d", key[1], spec, id)
+			case spec.Indirect() && id == 0:
+				t.Errorf("%s: INDIRECT %s not numbered", key[1], spec)
+			case spec.Indirect() && seen[id] != "":
+				t.Errorf("%s: INDIRECT %s shares number %d with %s", key[1], spec, id, seen[id])
+			case spec.Indirect():
+				seen[id] = key[1] + ": " + spec.String()
+			}
+		}
+	}
+	if len(seen) == 0 {
+		t.Fatal("no INDIRECT descriptor in the bundled kernels")
 	}
 }
 
 func TestBindErrors(t *testing.T) {
 	arrays, _ := bindWorld(t)
-	// Unknown data array.
-	_, err := Bind(&DescSpec{Data: "nope",
-		Section: []DimSpec{{Lo: &lang.Num{Value: 1}, Hi: &lang.Num{Value: 2}, Stride: 1}}},
-		&BindEnv{Arrays: arrays, Env: Env{}})
-	if err == nil || !strings.Contains(err.Error(), "not bound") {
-		t.Fatalf("missing-array error: %v", err)
-	}
-	// Unknown indirection array.
-	_, err = Bind(&DescSpec{Data: "x", Indirs: []string{"ghost"},
-		Section: []DimSpec{{Lo: &lang.Num{Value: 1}, Hi: &lang.Num{Value: 2}, Stride: 1}}},
-		&BindEnv{Arrays: arrays, Env: Env{}})
-	if err == nil {
-		t.Fatal("missing indirection array not detected")
-	}
-	// Unbound symbol.
-	_, err = Bind(&DescSpec{Data: "x",
-		Section: []DimSpec{{Lo: &lang.Ident{Name: "mystery"}, Hi: &lang.Num{Value: 2}, Stride: 1}}},
-		&BindEnv{Arrays: arrays, Env: Env{}})
-	if err == nil || !strings.Contains(err.Error(), "unbound") {
-		t.Fatalf("unbound-symbol error: %v", err)
+	one, two := &lang.Num{Value: 1}, &lang.Num{Value: 2}
+	dim := func(lo, hi lang.Expr, stride int) DimSpec { return DimSpec{Lo: lo, Hi: hi, Stride: stride} }
+	block := dim(&lang.Ident{Name: "mylo"}, &lang.Ident{Name: "myhi"}, 1)
+	env := Env{"mylo": 5, "myhi": 9}
+	grid := map[string][]int{"x": {3, 30}}
+	for _, c := range []struct {
+		name string
+		spec *DescSpec
+		dims map[string][]int
+		err  string      // a substring of the error; "" binds
+		want rsd.Section // the bound section when err is ""
+	}{
+		{name: "unknown data array", err: "not bound",
+			spec: &DescSpec{Data: "nope", Section: []DimSpec{dim(one, two, 1)}}},
+		{name: "unknown indirection array", err: `indirection array "ghost" not bound`,
+			spec: &DescSpec{Data: "x", Indirs: []string{"ghost"}, Section: []DimSpec{dim(one, two, 1)}}},
+		{name: "unbound symbol", err: "unbound",
+			spec: &DescSpec{Data: "x", Section: []DimSpec{dim(&lang.Ident{Name: "mystery"}, two, 1)}}},
+		// x[1:3, mylo:myhi] over x(3, 30) is the flat [3(mylo-1), 3*myhi-1].
+		{name: "dense 2-D DIRECT", dims: grid, want: rsd.Range1(3*(5-1), 3*9-1),
+			spec: &DescSpec{Data: "x", Section: []DimSpec{dim(one, &lang.Num{Value: 3}, 1), block}}},
+		{name: "leading dimension not covered", dims: grid, err: "does not cover dimension 1",
+			spec: &DescSpec{Data: "x", Section: []DimSpec{dim(one, two, 1), block}}},
+		{name: "leading stride", dims: grid, err: "stride 2 in dimension 1",
+			spec: &DescSpec{Data: "x", Section: []DimSpec{dim(one, &lang.Num{Value: 3}, 2), block}}},
+		{name: "trailing stride", dims: grid, err: "stride 2 in dimension 2",
+			spec: &DescSpec{Data: "x", Section: []DimSpec{dim(one, &lang.Num{Value: 3}, 1), dim(block.Lo, block.Hi, 2)}}},
+		{name: "2-D DIRECT without sizes", err: "2 dimensions, 0 sizes",
+			spec: &DescSpec{Data: "x", Section: []DimSpec{dim(one, &lang.Num{Value: 3}, 1), block}}},
+	} {
+		d, err := bind(c.spec, &BindEnv{Arrays: arrays, Dims: c.dims, Env: env})
+		switch {
+		case c.err != "" && (err == nil || !strings.Contains(err.Error(), c.err)):
+			t.Errorf("%s: error %v, want one containing %q", c.name, err, c.err)
+		case c.err == "" && err != nil:
+			t.Errorf("%s: %v", c.name, err)
+		case c.err == "" && !d.Section.Equal(c.want):
+			t.Errorf("%s: section %v, want %v", c.name, d.Section, c.want)
+		}
 	}
 }
 
@@ -82,7 +124,7 @@ func TestBindDirectAccessTypes(t *testing.T) {
 		Read: core.Read, Write: core.Write, ReadWrite: core.ReadWrite,
 		WriteAll: core.WriteAll, ReadWriteAll: core.ReadWriteAll,
 	} {
-		d, err := Bind(&DescSpec{Data: "x", Access: spec,
+		d, err := bind(&DescSpec{Data: "x", Access: spec,
 			Section: []DimSpec{{Lo: &lang.Num{Value: 1}, Hi: &lang.Num{Value: 50}, Stride: 1}}},
 			&BindEnv{Arrays: arrays, Env: Env{}})
 		if err != nil {

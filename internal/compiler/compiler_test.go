@@ -131,11 +131,11 @@ func TestNBFAnalysisFlattensPartnerList(t *testing.T) {
 	}
 	// Bind the section with concrete bounds and check the range.
 	env := Env{"mylo": 11, "myhi": 20}
-	lo, err := Eval(indirect.Section[0].Lo, env)
+	lo, err := eval(indirect.Section[0].Lo, env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hi, err := Eval(indirect.Section[0].Hi, env)
+	hi, err := eval(indirect.Section[0].Hi, env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,21 +144,50 @@ func TestNBFAnalysisFlattensPartnerList(t *testing.T) {
 	}
 }
 
-func TestNBFKernelSummaries(t *testing.T) {
-	// What nbf's tmk-opt validates: x through column i of the partner
-	// list and x's own block before the force loop, then the own blocks
-	// of forces and x before the integration.
-	prog := mustParse(t, NBFKernel)
-	for sub, want := range map[string][]string{
-		"forceloop": {"INDIRECT, x, partners[1:ppm, mylo:myhi], READ", "DIRECT, x[mylo:myhi], READ"},
-		"integrate": {"DIRECT, forces[mylo:myhi], READ", "DIRECT, x[mylo:myhi], READ&WRITE_ALL"},
+// TestKernelSummaries pins the descriptors of every subroutine a
+// TreadMarks backend binds (MustBind): which sections each Validate
+// carries and with which access tags. The scenario pins do not guard the
+// tags: a READ&WRITE_ALL that decays to WRITE_ALL, or the reverse, can
+// leave every simulated number of a small run unchanged.
+func TestKernelSummaries(t *testing.T) {
+	srcs := map[string]string{}
+	for _, k := range Kernels {
+		srcs[k.Name] = k.Src
+	}
+	for _, c := range []struct {
+		kernel, sub string
+		want        []string
+	}{
+		// nbf: x through column i of the partner list and x's own block
+		// before the force loop, then the own blocks of forces and x
+		// before the integration.
+		{"nbf", "forceloop", []string{"INDIRECT, x, partners[1:ppm, mylo:myhi], READ", "DIRECT, x[mylo:myhi], READ"}},
+		{"nbf", "integrate", []string{"DIRECT, forces[mylo:myhi], READ", "DIRECT, x[mylo:myhi], READ&WRITE_ALL"}},
+		// moldyn: Figure 2's force loop; the integration and the list
+		// rebuild over dense 2-D sections, which bind to 1-D ranges.
+		{"moldyn", "computeforces", []string{"INDIRECT, x, interaction_list[1:2, mylo:myhi], READ"}},
+		{"moldyn", "integrate", []string{"DIRECT, forces[1:3, mylo:myhi], READ", "DIRECT, x[1:3, mylo:myhi], READ&WRITE_ALL"}},
+		{"moldyn", "buildlist", []string{"DIRECT, x[1:3, 1:n], READ"}},
+		// spmv: x through the owned rows' column indices, y's own block
+		// overwritten; then x's own block refreshed from y.
+		{"spmv", "matvec", []string{"INDIRECT, x, cols[1:nnzrow, mylo:myhi], READ", "DIRECT, y[mylo:myhi], WRITE_ALL"}},
+		{"spmv", "refresh", []string{"DIRECT, x[mylo:myhi], READ&WRITE_ALL", "DIRECT, y[mylo:myhi], READ"}},
+		// unstruct: x through the processor's edge section; then x's own
+		// nodes relaxed from y.
+		{"unstruct", "edgeloop", []string{"INDIRECT, x, edges[1:2, elo:ehi], READ"}},
+		{"unstruct", "relax", []string{"DIRECT, x[mylo:myhi], READ&WRITE_ALL", "DIRECT, y[mylo:myhi], READ"}},
+		// The pipelined reduction: the first writer overwrites its block,
+		// later writers read-modify-write it.
+		{"reduction", "firststage", []string{"DIRECT, forces[blo:bhi], WRITE_ALL"}},
+		{"reduction", "laterstage", []string{"DIRECT, forces[blo:bhi], READ&WRITE_ALL"}},
 	} {
-		sum, err := Analyze(prog, sub)
-		if err != nil {
-			t.Fatal(err)
+		b, ok := bundled()[[2]string{srcs[c.kernel], c.sub}]
+		if !ok {
+			t.Errorf("%s %s: not a bundled subroutine", c.kernel, c.sub)
+			continue
 		}
-		if got := descStrings(sum); !slices.Equal(got, want) {
-			t.Errorf("%s: %q, want %q", sub, got, want)
+		if got := descStrings(b.sum); !slices.Equal(got, c.want) {
+			t.Errorf("%s %s: %q, want %q", c.kernel, c.sub, got, c.want)
 		}
 	}
 }
@@ -301,10 +330,10 @@ func TestUnknownSubroutine(t *testing.T) {
 }
 
 func TestEvalErrors(t *testing.T) {
-	if _, err := Eval(&lang.Ident{Name: "unbound"}, Env{}); err == nil {
+	if _, err := eval(&lang.Ident{Name: "unbound"}, Env{}); err == nil {
 		t.Fatal("unbound symbol must error")
 	}
-	v, err := Eval(&lang.BinOp{Op: "*",
+	v, err := eval(&lang.BinOp{Op: "*",
 		L: &lang.Num{Value: 3},
 		R: &lang.BinOp{Op: "+", L: &lang.Ident{Name: "a"}, R: &lang.Num{Value: 2}},
 	}, Env{"a": 4})

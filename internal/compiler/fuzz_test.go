@@ -12,9 +12,10 @@ import (
 // the parser-error inputs; inputs that once panicked are under
 // testdata/fuzz/FuzzAnalyze.
 func FuzzAnalyze(f *testing.F) {
-	for _, src := range []string{MoldynKernel, NBFKernel, ReductionKernel, TwoLevelKernel, flatPartnerKernel} {
-		f.Add(src)
+	for _, k := range Kernels {
+		f.Add(k.Src)
 	}
+	f.Add(flatPartnerKernel)
 	for _, src := range badSources {
 		f.Add(src)
 	}

@@ -10,20 +10,10 @@ import (
 )
 
 // TestCompiledKernelDrivesRuntime closes the full loop of the paper: the
-// kernel source is parsed, analyzed, and transformed; the emitted
-// descriptors are bound to runtime arrays; and the bound Validate call
-// prefetches exactly what the loop needs — the loop runs fault-free and
-// produces correct values.
+// kernel's emitted descriptors are bound to runtime arrays (MustBind, as
+// the backends bind them), and the bound Validate call prefetches
+// exactly what the loop needs — the loop runs fault-free.
 func TestCompiledKernelDrivesRuntime(t *testing.T) {
-	prog, err := lang.Parse(NBFKernel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, sum, err := Transform(prog, "forceloop")
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	const n = 512
 	const ppm = 100
 	const nprocs = 4
@@ -65,19 +55,8 @@ func TestCompiledKernelDrivesRuntime(t *testing.T) {
 			Arrays: arrays,
 			Dims:   map[string][]int{"partners": {ppm, n}},
 			Env:    Env{"mylo": mylo, "myhi": myhi, "ppm": ppm},
-			Sched:  1,
 		}
-		descs := make([]core.Desc, 0, len(sum.Descs))
-		for i, spec := range sum.Descs {
-			bd, err := Bind(spec, be)
-			if err != nil {
-				t.Errorf("bind %s: %v", spec, err)
-				return
-			}
-			bd.Sched = i + 1
-			descs = append(descs, bd)
-		}
-		rt.Validate(descs...)
+		rt.Validate(MustBind(NBFKernel, "forceloop", be)...)
 
 		// The compiled loop must now run without a single fault.
 		rf, wf := space.ReadFaults, space.WriteFaults
@@ -151,8 +130,8 @@ func TestTwoLevelChainDrivesRuntime(t *testing.T) {
 		node.Barrier(1)
 		if me == 1 {
 			be := &BindEnv{Arrays: arrays, Dims: map[string][]int{},
-				Env: Env{"mylo": 1, "myhi": m}, Sched: 7}
-			bd, err := Bind(chain, be)
+				Env: Env{"mylo": 1, "myhi": m}}
+			bd, err := bind(chain, be)
 			if err != nil {
 				t.Errorf("bind: %v", err)
 				return

@@ -57,8 +57,8 @@ func renderStmts(b *strings.Builder, body []lang.Stmt, depth int) {
 // section bounds (processor-local loop bounds, array extents).
 type Env map[string]int
 
-// Eval evaluates a bound expression under the environment.
-func Eval(e lang.Expr, env Env) (int, error) {
+// eval evaluates a bound expression under the environment.
+func eval(e lang.Expr, env Env) (int, error) {
 	switch x := e.(type) {
 	case *lang.Num:
 		return int(x.Value), nil
@@ -69,11 +69,11 @@ func Eval(e lang.Expr, env Env) (int, error) {
 		}
 		return v, nil
 	case *lang.BinOp:
-		l, err := Eval(x.L, env)
+		l, err := eval(x.L, env)
 		if err != nil {
 			return 0, err
 		}
-		r, err := Eval(x.R, env)
+		r, err := eval(x.R, env)
 		if err != nil {
 			return 0, err
 		}
@@ -104,19 +104,18 @@ type BindEnv struct {
 	// Env supplies scalar symbol values. Source sections are 1-based
 	// (Fortran); binding shifts them to 0-based.
 	Env Env
-	// Sched assigns the schedule number for INDIRECT descriptors.
-	Sched int
 }
 
-// Bind resolves a compiler-emitted descriptor into a runtime core.Desc.
-func Bind(spec *DescSpec, be *BindEnv) (core.Desc, error) {
+// bind resolves a compiler-emitted descriptor into a runtime core.Desc
+// with no schedule number (MustBind numbers it).
+func bind(spec *DescSpec, be *BindEnv) (core.Desc, error) {
 	dims := make([]rsd.Dim, len(spec.Section))
 	for i, ds := range spec.Section {
-		lo, err := Eval(ds.Lo, be.Env)
+		lo, err := eval(ds.Lo, be.Env)
 		if err != nil {
 			return core.Desc{}, err
 		}
-		hi, err := Eval(ds.Hi, be.Env)
+		hi, err := eval(ds.Hi, be.Env)
 		if err != nil {
 			return core.Desc{}, err
 		}
@@ -131,7 +130,6 @@ func Bind(spec *DescSpec, be *BindEnv) (core.Desc, error) {
 		Data:    data,
 		Section: rsd.Section{Dims: dims},
 		Access:  bindAccess(spec.Access),
-		Sched:   be.Sched,
 	}
 	if spec.Indirect() {
 		d.Type = core.Indirect
@@ -152,8 +150,39 @@ func Bind(spec *DescSpec, be *BindEnv) (core.Desc, error) {
 		}
 	} else {
 		d.Type = core.Direct
+		if len(dims) > 1 {
+			sec, err := linearize(spec.Data, dims, be.Dims[spec.Data])
+			if err != nil {
+				return core.Desc{}, err
+			}
+			d.Section = sec
+		}
 	}
 	return d, nil
+}
+
+// linearize turns a multi-dimensional DIRECT section over an array of
+// the given column-major sizes into the one-dimensional range of the
+// same elements, the only DIRECT shape Validate takes. The section must
+// be dense: every leading dimension covered whole, stride 1 throughout.
+func linearize(name string, dims []rsd.Dim, sizes []int) (rsd.Section, error) {
+	if len(sizes) != len(dims) {
+		return rsd.Section{}, fmt.Errorf("compiler: DIRECT section of %q has %d dimensions, %d sizes bound", name, len(dims), len(sizes))
+	}
+	unit := 1
+	for i, dim := range dims {
+		if dim.Stride != 1 {
+			return rsd.Section{}, fmt.Errorf("compiler: DIRECT section of %q has stride %d in dimension %d", name, dim.Stride, i+1)
+		}
+		if i < len(dims)-1 {
+			if dim.Lo != 0 || dim.Hi != sizes[i]-1 {
+				return rsd.Section{}, fmt.Errorf("compiler: DIRECT section of %q does not cover dimension %d", name, i+1)
+			}
+			unit *= sizes[i]
+		}
+	}
+	last := dims[len(dims)-1]
+	return rsd.Range1(unit*last.Lo, unit*(last.Hi+1)-1), nil
 }
 
 func bindAccess(a Access) core.AccessType {
