@@ -154,6 +154,23 @@ func MinImage(d, l float64) float64 {
 	return d
 }
 
+// Integrate advances one lattice coordinate x by force f and drift over
+// one step: exact arithmetic, re-quantized and wrapped into the periodic
+// box of side l.
+func Integrate(x, f, drift, l float64) float64 {
+	return Wrap(Q(x+Dt*f+drift), l)
+}
+
+// CubeRoot returns the cube root of v by 64 Newton steps, the box side
+// of a workload of volume v. Generated sizes depend on its every bit.
+func CubeRoot(v float64) float64 {
+	s := v
+	for i := 0; i < 64; i++ {
+		s = (2*s + v/(s*s)) / 3
+	}
+	return s
+}
+
 // Result is what one backend run reports.
 type Result struct {
 	System   string  // "seq", "tmk", "tmk-opt", "chaos", or "mp" (lock workloads)

@@ -105,8 +105,8 @@ func imageUntouched[W, I, O any](t *testing.T, w W, build func(W) I, run func(W,
 		run(w, im, o)
 	}
 	got, want := tmkImage(im), tmkImage(build(w))
-	pages := want.Arena().NumPages()
-	if n := got.Arena().NumPages(); n != pages {
+	pages := want.Space().Arena().NumPages()
+	if n := got.Space().Arena().NumPages(); n != pages {
 		t.Fatalf("%T: image spans %d pages after the runs, %d fresh", im, n, pages)
 	}
 	for p := vm.PageID(0); p < vm.PageID(pages); p++ {

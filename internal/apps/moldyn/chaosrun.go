@@ -126,7 +126,7 @@ func RunChaos(w *Workload) *apps.Result {
 			// Integrate owned molecules.
 			for k, g := range ownGlobals[me] {
 				for dd := 0; dd < 3; dd++ {
-					xLoc[3*k+dd] = integrate(xLoc[3*k+dd], fLoc[3*k+dd], w.Drift[3*g+dd], w.L)
+					xLoc[3*k+dd] = apps.Integrate(xLoc[3*k+dd], fLoc[3*k+dd], w.Drift[3*g+dd], w.L)
 				}
 			}
 			proc.Advance(cost.IntegrateUSPerMol * float64(own))

@@ -146,7 +146,7 @@ func TestRebuildChangesPairs(t *testing.T) {
 	// Integrate a few steps with zero force (drift only).
 	for s := 0; s < 8; s++ {
 		for i := range x {
-			x[i] = integrate(x[i], 0, w.Drift[i], w.L)
+			x[i] = apps.Integrate(x[i], 0, w.Drift[i], w.L)
 		}
 	}
 	after, _ := BuildPairs(&p, w.L, x, 1, 0)

@@ -49,7 +49,7 @@ func RunSequential(w *Workload) *apps.Result {
 		// Integrate.
 		for i := 0; i < n; i++ {
 			for d := 0; d < 3; d++ {
-				x[3*i+d] = integrate(x[3*i+d], forces[3*i+d], w.Drift[3*i+d], w.L)
+				x[3*i+d] = apps.Integrate(x[3*i+d], forces[3*i+d], w.Drift[3*i+d], w.L)
 			}
 		}
 		proc.Advance(cost.IntegrateUSPerMol * float64(n))

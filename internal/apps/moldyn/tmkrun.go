@@ -180,7 +180,7 @@ func RunTmk(w *Workload, im *Image, opt TmkOptions) *apps.Result {
 						xv := space.ReadF64(xArr.Base + vm.Addr(8*(3*i+dd)))
 						fv := space.ReadF64(fArr.Base + vm.Addr(8*(3*i+dd)))
 						space.WriteF64(xArr.Base+vm.Addr(8*(3*i+dd)),
-							integrate(xv, fv, w.Drift[3*i+dd], w.L))
+							apps.Integrate(xv, fv, w.Drift[3*i+dd], w.L))
 					}
 				}
 				proc.Advance(cost.IntegrateUSPerMol * float64(mhi-mlo))

@@ -117,7 +117,7 @@ type Workload struct {
 // Generate builds the workload deterministically from Params.Seed.
 func Generate(p Params) *Workload {
 	rng := rand.New(rand.NewSource(p.Seed))
-	side := cubeSide(float64(p.N) / p.Density)
+	side := apps.CubeRoot(float64(p.N) / p.Density)
 	l := apps.Q(side)
 	if p.CutoffFrac > 0 {
 		// The paper's data set has each molecule interacting with
@@ -141,15 +141,6 @@ func Generate(p Params) *Workload {
 	w.Part = chaos.RCB(Coords(x), p.Procs)
 	w.Sorted, w.Starts = chaos.PartitionPairs(pairs, w.Part)
 	return w
-}
-
-// cubeSide returns the cube root.
-func cubeSide(v float64) float64 {
-	s := v
-	for i := 0; i < 64; i++ {
-		s = (2*s + v/(s*s)) / 3
-	}
-	return s
 }
 
 // Coords converts flat coordinates to the [][3]float64 view RCB expects.
@@ -187,12 +178,6 @@ func BuildPairs(p *Params, l float64, x []float64, mod, eq int) (pairs [][2]int3
 		}
 	}
 	return b.Pairs(), checks
-}
-
-// stepPositions integrates one molecule's coordinate: exact arithmetic
-// followed by re-quantization and periodic wrap.
-func integrate(x, f, drift, l float64) float64 {
-	return apps.Wrap(apps.Q(x+apps.Dt*f+drift), l)
 }
 
 // simConfig returns the simulated-machine description for this

@@ -74,7 +74,7 @@ func RunChaos(w *Workload) *apps.Result {
 			chaos.ScatterAdd(proc, tag, sch, fLoc, 1, ecost)
 			for i := mlo; i < mhi; i++ {
 				li := int(sch.LocalOf(i))
-				xLoc[li] = integrate(xLoc[li], fLoc[li], w.Drift[i], w.L)
+				xLoc[li] = apps.Integrate(xLoc[li], fLoc[li], w.Drift[i], w.L)
 			}
 			proc.Advance(cost.IntegrateUSPerMol * float64(mhi-mlo))
 		}

@@ -119,11 +119,6 @@ func Generate(p Params) *Workload {
 	return &Workload{P: p, L: l, X0: x, Drift: drift, Partners: partners}
 }
 
-// integrate advances one molecule's value (exact + re-quantized).
-func integrate(x, f, drift, l float64) float64 {
-	return apps.Wrap(apps.Q(x+apps.Dt*f+drift), l)
-}
-
 // force is the pair interaction (minimum-image separation; exact on the
 // lattice).
 func force(xi, xj, l float64) float64 {
@@ -159,7 +154,7 @@ func RunSequential(w *Workload) *apps.Result {
 		}
 		proc.Advance(p.Costs.InteractionUS * float64(n*p.Partners))
 		for i := 0; i < n; i++ {
-			x[i] = integrate(x[i], forces[i], w.Drift[i], w.L)
+			x[i] = apps.Integrate(x[i], forces[i], w.Drift[i], w.L)
 		}
 		proc.Advance(p.Costs.IntegrateUSPerMol * float64(n))
 	}

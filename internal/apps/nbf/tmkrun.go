@@ -138,7 +138,7 @@ func RunTmk(w *Workload, im *Image, opt TmkOptions) *apps.Result {
 				for i := mlo; i < mhi; i++ {
 					xv := space.ReadF64(xArr.Addr(i))
 					fv := space.ReadF64(fArr.Addr(i))
-					space.WriteF64(xArr.Addr(i), integrate(xv, fv, w.Drift[i], w.L))
+					space.WriteF64(xArr.Addr(i), apps.Integrate(xv, fv, w.Drift[i], w.L))
 				}
 				proc.Advance(cost.IntegrateUSPerMol * float64(mhi-mlo))
 			}

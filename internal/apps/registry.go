@@ -127,14 +127,6 @@ func Register(name string, f Factory, knobs ...string) {
 	registry[name] = registration{f: f, knobs: ks}
 }
 
-// Lookup returns the named factory.
-func Lookup(name string) (Factory, bool) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	r, ok := registry[name]
-	return r.f, ok
-}
-
 // Knobs returns the sorted knob names the named application declared,
 // and whether the application is registered at all — the parameter
 // schema the scenario validator checks sweep axes and knob maps

@@ -161,10 +161,10 @@ func TestNewRejectsNonPositiveSize(t *testing.T) {
 }
 
 func TestLookupAndNames(t *testing.T) {
-	if _, ok := apps.Lookup("spmv"); !ok {
+	if _, ok := apps.Knobs("spmv"); !ok {
 		t.Fatal("spmv not registered")
 	}
-	if _, ok := apps.Lookup("nope"); ok {
+	if _, ok := apps.Knobs("nope"); ok {
 		t.Fatal("phantom registration")
 	}
 	if _, err := apps.New("nope", apps.Config{}); err == nil {

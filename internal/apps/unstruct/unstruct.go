@@ -82,7 +82,7 @@ type Workload struct {
 // Generate builds a random geometric mesh with unit density.
 func Generate(p Params) *Workload {
 	rng := rand.New(rand.NewSource(p.Seed))
-	l := apps.Q(cube(float64(p.Nodes)))
+	l := apps.Q(apps.CubeRoot(float64(p.Nodes)))
 	coords := make([][3]float64, p.Nodes)
 	x := make([]float64, p.Nodes)
 	drift := make([]float64, p.Nodes)
@@ -149,14 +149,6 @@ func buildEdges(coords [][3]float64, l, radius float64) [][2]int32 {
 		}
 	}
 	return edges.Pairs()
-}
-
-func cube(v float64) float64 {
-	s := v
-	for i := 0; i < 64; i++ {
-		s = (2*s + v/(s*s)) / 3
-	}
-	return s
 }
 
 // flux is the edge interaction (exact on the value lattice).

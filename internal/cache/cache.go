@@ -146,13 +146,6 @@ func (c *LRU) PutSized(k Key, v any, size int64) {
 	mEntries.Inc()
 }
 
-// Len returns the current entry count.
-func (c *LRU) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
 // Stats snapshots the counters.
 func (c *LRU) Stats() Stats {
 	c.mu.Lock()

@@ -46,8 +46,8 @@ func TestReplaceSameKey(t *testing.T) {
 	c := New(2)
 	c.PutSized(key("a"), 1, 0)
 	c.PutSized(key("a"), 2, 0)
-	if c.Len() != 1 {
-		t.Errorf("Len = %d after same-key re-Put, want 1", c.Len())
+	if n := c.Stats().Entries; n != 1 {
+		t.Errorf("entries = %d after same-key re-Put, want 1", n)
 	}
 	if v, _ := c.Get(key("a")); v.(int) != 2 {
 		t.Errorf("value = %v, want the replacement 2", v)

@@ -320,13 +320,6 @@ func parseEntry(k cache.Key, raw []byte) (canonical, payload []byte, err error) 
 	return canonical, payload, nil
 }
 
-// Len returns the current entry count.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.order.Len()
-}
-
 // Stats snapshots the counters.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()

@@ -129,8 +129,8 @@ func TestCorruptEntryDroppedAsMiss(t *testing.T) {
 			if _, err := os.Stat(path); !os.IsNotExist(err) {
 				t.Error("corrupt file was not deleted")
 			}
-			if s.Len() != 0 {
-				t.Errorf("entries = %d after dropping the only entry", s.Len())
+			if s.Stats().Entries != 0 {
+				t.Errorf("entries = %d after dropping the only entry", s.Stats().Entries)
 			}
 		})
 	}
@@ -147,8 +147,8 @@ func TestEvictionOrder(t *testing.T) {
 	ka, _ := s.Put(ca, pa)
 	cb, pb := pair("b")
 	kb, _ := s.Put(cb, pb)
-	if s.Len() != 1 {
-		t.Fatalf("entries = %d under a 1-byte budget, want 1", s.Len())
+	if s.Stats().Entries != 1 {
+		t.Fatalf("entries = %d under a 1-byte budget, want 1", s.Stats().Entries)
 	}
 	if _, _, ok := s.Get(ka); ok {
 		t.Error("oldest entry survived eviction")
@@ -172,8 +172,8 @@ func TestGetRefreshesRecency(t *testing.T) {
 	}
 	ka, _ := s.Put(ca, pa)
 	kb, _ := s.Put(cb, pb)
-	if s.Len() != 2 {
-		t.Fatalf("budget %d does not hold two entries (got %d); fix the test arithmetic", budget, s.Len())
+	if s.Stats().Entries != 2 {
+		t.Fatalf("budget %d does not hold two entries (got %d); fix the test arithmetic", budget, s.Stats().Entries)
 	}
 	s.Get(ka) // a is now most recent; b should evict when c arrives
 	kc, _ := s.Put(cc, pc)
@@ -209,8 +209,8 @@ func TestReopenRestoresEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.Len() != 2 {
-		t.Fatalf("reopened store has %d entries, want 2", s2.Len())
+	if s2.Stats().Entries != 2 {
+		t.Fatalf("reopened store has %d entries, want 2", s2.Stats().Entries)
 	}
 	gc, gp, ok := s2.Get(ka)
 	if !ok || string(gc) != string(ca) || string(gp) != string(pa) {
@@ -227,8 +227,8 @@ func TestReopenRestoresEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s3.Len() != 1 {
-		t.Fatalf("budgeted reopen kept %d entries, want 1", s3.Len())
+	if s3.Stats().Entries != 1 {
+		t.Fatalf("budgeted reopen kept %d entries, want 1", s3.Stats().Entries)
 	}
 	if _, _, ok := s3.Get(kb); !ok {
 		t.Error("budgeted reopen evicted the newer entry instead of the older")
@@ -275,8 +275,8 @@ func TestOpenIgnoresForeignFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Len() != 0 {
-		t.Errorf("scan adopted %d foreign files", s.Len())
+	if s.Stats().Entries != 0 {
+		t.Errorf("scan adopted %d foreign files", s.Stats().Entries)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "README")); err != nil {
 		t.Error("foreign file was touched")
@@ -404,6 +404,6 @@ func TestGetCostIndependentOfSize(t *testing.T) {
 	largeAllocs, largeBytes := getCost(s, probe)
 	if largeAllocs != smallAllocs || largeBytes > smallBytes+64 {
 		t.Errorf("Get at %d entries: %.0f allocs, %.0f B; at 10 entries: %.0f allocs, %.0f B",
-			s.Len(), largeAllocs, largeBytes, smallAllocs, smallBytes)
+			s.Stats().Entries, largeAllocs, largeBytes, smallAllocs, smallBytes)
 	}
 }

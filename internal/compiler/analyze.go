@@ -82,22 +82,21 @@ func (d DimSpec) String() string {
 type DescSpec struct {
 	// Data is the shared data array accessed.
 	Data string
-	// Indirs is the indirection chain: empty for a DIRECT access; one
-	// entry for the common case; more for multi-level indirection
-	// (§3.3: the approach "naturally extends to multiple levels").
-	Indirs []string
-	// Section describes the accessed part of Indirs[0] (INDIRECT) or of
-	// Data itself (DIRECT).
+	// Indir is the indirection array an INDIRECT access goes through,
+	// "" for a DIRECT one.
+	Indir string
+	// Section describes the accessed part of Indir (INDIRECT) or of Data
+	// itself (DIRECT).
 	Section []DimSpec
 	Access  Access
 }
 
 // Indirect reports whether the access goes through an indirection array.
-func (d *DescSpec) Indirect() bool { return len(d.Indirs) > 0 }
+func (d *DescSpec) Indirect() bool { return d.Indir != "" }
 
 // Key identifies the (data, indirection, section) tuple for merging.
 func (d *DescSpec) Key() string {
-	return d.Data + "|" + strings.Join(d.Indirs, ">") + "|" + d.sectionString()
+	return d.Data + "|" + d.Indir + "|" + d.sectionString()
 }
 
 func (d *DescSpec) sectionString() string {
@@ -114,10 +113,7 @@ func (d *DescSpec) String() string {
 	target := d.Data
 	if d.Indirect() {
 		kind = "INDIRECT"
-		target = fmt.Sprintf("%s, %s%s", d.Data, d.Indirs[0], d.sectionString())
-		if len(d.Indirs) > 1 {
-			target = fmt.Sprintf("%s via %s", target, strings.Join(d.Indirs[1:], " via "))
-		}
+		target = fmt.Sprintf("%s, %s%s", d.Data, d.Indir, d.sectionString())
 	} else {
 		target = fmt.Sprintf("%s%s", d.Data, d.sectionString())
 	}
@@ -192,7 +188,7 @@ func coalesce(descs []*DescSpec) []*DescSpec {
 // sections of the same arrays with the same access, else nil.
 func tryMerge(a, b *DescSpec) *DescSpec {
 	if a.Data != b.Data || a.Access != b.Access ||
-		strings.Join(a.Indirs, ">") != strings.Join(b.Indirs, ">") ||
+		a.Indir != b.Indir ||
 		len(a.Section) != len(b.Section) {
 		return nil
 	}
@@ -247,16 +243,14 @@ func litOf(e lang.Expr) (int, bool) {
 func numExpr(v int) lang.Expr { return &lang.Num{Value: float64(v)} }
 
 // dropScannedIndirectionReads removes DIRECT read descriptors on arrays
-// that some INDIRECT descriptor already scans as its level-0 indirection
-// array: Read_indices fetches those pages itself (§3.2), so a separate
+// that some INDIRECT descriptor already scans as its indirection array:
+// Read_indices fetches those pages itself (§3.2), so a separate
 // descriptor would be redundant — and the paper's Figure 2 emits none.
 func dropScannedIndirectionReads(descs []*DescSpec) []*DescSpec {
 	scanned := map[string]bool{}
 	for _, d := range descs {
 		if d.Indirect() {
-			for _, name := range d.Indirs {
-				scanned[name] = true
-			}
+			scanned[d.Indir] = true
 		}
 	}
 	out := descs[:0]

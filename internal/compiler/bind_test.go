@@ -26,8 +26,8 @@ func bindWorld(t *testing.T) (map[string]*core.Array, *tmk.DSM) {
 func TestBindResolvesSymbolsAndShiftsBase(t *testing.T) {
 	arrays, _ := bindWorld(t)
 	spec := &DescSpec{
-		Data:   "x",
-		Indirs: []string{"partners"},
+		Data:  "x",
+		Indir: "partners",
 		Section: []DimSpec{{
 			Lo: &lang.Ident{Name: "lo"}, Hi: &lang.Ident{Name: "hi"}, Stride: 1,
 		}},
@@ -91,7 +91,7 @@ func TestBindErrors(t *testing.T) {
 		{name: "unknown data array", err: "not bound",
 			spec: &DescSpec{Data: "nope", Section: []DimSpec{dim(one, two, 1)}}},
 		{name: "unknown indirection array", err: `indirection array "ghost" not bound`,
-			spec: &DescSpec{Data: "x", Indirs: []string{"ghost"}, Section: []DimSpec{dim(one, two, 1)}}},
+			spec: &DescSpec{Data: "x", Indir: "ghost", Section: []DimSpec{dim(one, two, 1)}}},
 		{name: "unbound symbol", err: "unbound",
 			spec: &DescSpec{Data: "x", Section: []DimSpec{dim(&lang.Ident{Name: "mystery"}, two, 1)}}},
 		// x[1:3, mylo:myhi] over x(3, 30) is the flat [3(mylo-1), 3*myhi-1].
@@ -157,11 +157,11 @@ func TestAccessMergeTable(t *testing.T) {
 }
 
 func TestDescSpecStrings(t *testing.T) {
-	d := &DescSpec{Data: "x", Indirs: []string{"idx", "outer"},
+	d := &DescSpec{Data: "x", Indir: "idx",
 		Section: []DimSpec{{Lo: &lang.Num{Value: 1}, Hi: &lang.Ident{Name: "n"}, Stride: 1}},
 		Access:  Read}
 	s := d.String()
-	if !strings.Contains(s, "INDIRECT") || !strings.Contains(s, "via outer") {
+	if s != "INDIRECT, x, idx[1:n], READ" {
 		t.Fatalf("string = %q", s)
 	}
 	direct := &DescSpec{Data: "y",

@@ -38,7 +38,7 @@ func TestMoldynAnalysis(t *testing.T) {
 		t.Fatalf("want 1 descriptor, got %v", descStrings(sum))
 	}
 	d := sum.Descs[0]
-	if !d.Indirect() || d.Data != "x" || d.Indirs[0] != "interaction_list" {
+	if !d.Indirect() || d.Data != "x" || d.Indir != "interaction_list" {
 		t.Fatalf("bad descriptor: %s", d)
 	}
 	if d.Access != Read {
@@ -119,7 +119,7 @@ func TestNBFAnalysisFlattensPartnerList(t *testing.T) {
 	if indirect == nil {
 		t.Fatalf("no INDIRECT descriptor: %v", descStrings(sum))
 	}
-	if indirect.Data != "x" || indirect.Indirs[0] != "partners" {
+	if indirect.Data != "x" || indirect.Indir != "partners" {
 		t.Fatalf("bad indirect descriptor: %s", indirect)
 	}
 	if len(indirect.Section) != 1 || indirect.Section[0].Stride != 1 {
@@ -260,26 +260,75 @@ end
 	}
 }
 
-func TestTwoLevelIndirection(t *testing.T) {
-	prog := mustParse(t, TwoLevelKernel)
-	sum, err := Analyze(prog, "walk")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var chain *DescSpec
-	for _, d := range sum.Descs {
-		if d.Data == "data" {
-			chain = d
-		}
-	}
-	if chain == nil {
-		t.Fatalf("no descriptor for data: %v", descStrings(sum))
-	}
-	if len(chain.Indirs) != 2 || chain.Indirs[0] != "inner" || chain.Indirs[1] != "outer" {
-		t.Fatalf("chain = %v, want [inner outer]", chain.Indirs)
-	}
-	if got := chain.sectionString(); got != "[mylo:myhi]" {
-		t.Fatalf("section = %s", got)
+// chainKernel reaches data through an index array that is itself
+// indexed through another (data(outer(inner(i)))): a multi-level chain,
+// which the analysis rejects.
+const chainKernel = `
+program twolevel
+shared real data(n)
+shared integer outer(m)
+shared integer inner(m)
+
+call walk()
+end
+
+subroutine walk()
+do i = mylo, myhi
+  a = inner(i)
+  b = outer(a)
+  s = s + data(b)
+enddo
+end
+`
+
+func TestAnalyzeErrors(t *testing.T) {
+	for _, c := range []struct {
+		name, src, sub string
+		err            string // a substring of the error
+	}{
+		{"chained_subscript", chainKernel, "walk", "indirection chain inner -> outer"},
+		{"non-affine_subscript", `
+program p
+shared real x(n)
+shared integer idx(n)
+call s()
+end
+subroutine s()
+do i = lo, hi
+  j = idx(i * i)
+  t = x(j)
+enddo
+end
+`, "s", "subscript 0 of idx is neither affine nor an indirection"},
+		{"non-constant_step", `
+program p
+shared real x(n)
+call s()
+end
+subroutine s()
+do i = lo, hi, k
+  x(i) = 1
+enddo
+end
+`, "s", "non-constant loop step"},
+		{"negative_coefficient", `
+program p
+shared real x(n)
+call s()
+end
+subroutine s()
+do i = lo, hi
+  x(0 - i) = 1
+enddo
+end
+`, "s", "negative subscript coefficient"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := Analyze(mustParse(t, c.src), c.sub)
+			if err == nil || !strings.Contains(err.Error(), c.err) {
+				t.Fatalf("error %v, want one containing %q", err, c.err)
+			}
+		})
 	}
 }
 

@@ -8,14 +8,15 @@ import (
 
 // FuzzAnalyze drives the front end with arbitrary source: a program the
 // parser accepts must analyse and transform every subroutine without a
-// panic (an error is a fine answer). Seeds are the bundled kernels and
-// the parser-error inputs; inputs that once panicked are under
-// testdata/fuzz/FuzzAnalyze.
+// panic (an error is a fine answer). Seeds are the bundled kernels, the
+// test kernels and the parser-error inputs; inputs that once panicked
+// are under testdata/fuzz/FuzzAnalyze.
 func FuzzAnalyze(f *testing.F) {
 	for _, k := range Kernels {
 		f.Add(k.Src)
 	}
 	f.Add(flatPartnerKernel)
+	f.Add(chainKernel)
 	for _, src := range badSources {
 		f.Add(src)
 	}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/lang"
 	"repro/internal/sim"
 	"repro/internal/tmk"
 )
@@ -71,85 +70,6 @@ func TestCompiledKernelDrivesRuntime(t *testing.T) {
 		if space.ReadFaults != rf || space.WriteFaults != wf {
 			t.Errorf("proc %d: compiled-descriptor loop faulted (+%d r, +%d w)",
 				me, space.ReadFaults-rf, space.WriteFaults-wf)
-		}
-		node.Barrier(2)
-	})
-}
-
-// TestTwoLevelChainDrivesRuntime exercises the multi-level extension end
-// to end: the compiler's chained descriptor makes Validate follow
-// inner -> outer -> data, and the loop runs fault-free.
-func TestTwoLevelChainDrivesRuntime(t *testing.T) {
-	prog, err := lang.Parse(TwoLevelKernel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum, err := Analyze(prog, "walk")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var chain *DescSpec
-	for _, dsc := range sum.Descs {
-		if dsc.Data == "data" {
-			chain = dsc
-		}
-	}
-	if chain == nil {
-		t.Fatal("no chained descriptor")
-	}
-
-	const n = 2048
-	const m = 256
-	cl := sim.NewCluster(sim.DefaultConfig(2))
-	d := tmk.New(cl, 1024, 1<<22)
-	arrays := map[string]*core.Array{
-		"data":  {Name: "data", Base: d.Alloc(8 * n), ElemSize: 8, Len: n},
-		"outer": {Name: "outer", Base: d.Alloc(4 * n), ElemSize: 4, Len: n},
-		"inner": {Name: "inner", Base: d.Alloc(4 * m), ElemSize: 4, Len: m},
-	}
-	s0 := d.Node(0).Space()
-	for i := 0; i < n; i++ {
-		s0.WriteF64(arrays["data"].Addr(i), float64(i))
-		s0.WriteI32(arrays["outer"].Addr(i), int32((i*7)%n))
-	}
-	for i := 0; i < m; i++ {
-		s0.WriteI32(arrays["inner"].Addr(i), int32((i*13)%n))
-	}
-	d.SealInit()
-
-	cl.Run(func(p *sim.Proc) {
-		me := p.ID()
-		node := d.Node(me)
-		space := node.Space()
-		rt := core.NewRuntime(node)
-		if me == 0 {
-			for i := 0; i < n; i += 8 {
-				space.WriteF64(arrays["data"].Addr(i), float64(10*i))
-			}
-		}
-		node.Barrier(1)
-		if me == 1 {
-			be := &BindEnv{Arrays: arrays, Dims: map[string][]int{},
-				Env: Env{"mylo": 1, "myhi": m}}
-			bd, err := bind(chain, be)
-			if err != nil {
-				t.Errorf("bind: %v", err)
-				return
-			}
-			rt.Validate(bd)
-			rf := space.ReadFaults
-			total := 0.0
-			for i := 0; i < m; i++ {
-				a := int(space.ReadI32(arrays["inner"].Addr(i)))
-				b := int(space.ReadI32(arrays["outer"].Addr(a)))
-				total += space.ReadF64(arrays["data"].Addr(b))
-			}
-			if space.ReadFaults != rf {
-				t.Errorf("two-level loop faulted %d times after Validate", space.ReadFaults-rf)
-			}
-			if total == 0 {
-				t.Error("suspicious zero sum")
-			}
 		}
 		node.Barrier(2)
 	})

@@ -124,27 +124,6 @@ enddo
 end
 `
 
-// TwoLevelKernel exercises multi-level indirection (§3.3: "naturally
-// extends to multiple levels"): data is reached through an index array
-// that is itself indexed through another.
-const TwoLevelKernel = `
-program twolevel
-shared real data(n)
-shared integer outer(m)
-shared integer inner(m)
-
-call walk()
-end
-
-subroutine walk()
-do i = mylo, myhi
-  a = inner(i)
-  b = outer(a)
-  s = s + data(b)
-enddo
-end
-`
-
 // SpmvKernel is spmv's sweep: the product of the processor's own rows
 // with x, reached through column indices cols(k, i), and the refresh of
 // the processor's own block of x from y. The matrix values are private:
@@ -224,7 +203,6 @@ var Kernels = []Kernel{
 	{"moldyn", MoldynKernel},
 	{"nbf", NBFKernel},
 	{"reduction", ReductionKernel},
-	{"twolevel", TwoLevelKernel},
 	{"spmv", SpmvKernel},
 	{"unstruct", UnstructKernel},
 }

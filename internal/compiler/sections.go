@@ -32,7 +32,7 @@ func (a *analyzer) classifyRef(ref *lang.ArrayRef, loops []*loopCtx, defs map[st
 			if def, ok := defs[id.Name]; ok {
 				// ref.Name is accessed through indirection array def.Name:
 				// the descriptor's section is the section of the
-				// indirection array (§3.3), possibly chained.
+				// indirection array (§3.3).
 				return a.recordIndirect(ref, def, loops, defs, isWrite)
 			}
 		}
@@ -69,39 +69,21 @@ func (a *analyzer) classifyRef(ref *lang.ArrayRef, loops []*loopCtx, defs map[st
 	return nil
 }
 
-// recordIndirect emits the INDIRECT descriptor for data access
-// ref through indirection load def, following chains (B(C(i))) to
-// arbitrary depth.
+// recordIndirect emits the INDIRECT descriptor for data access ref
+// through indirection load def. An indirection array whose own subscript
+// goes through another one (a chain, B(C(i))) is an error: Validate
+// scans a single level.
 func (a *analyzer) recordIndirect(ref *lang.ArrayRef, def *lang.ArrayRef, loops []*loopCtx, defs map[string]*lang.ArrayRef, isWrite bool) error {
-	chain := []string{}
-	secRef := def
-	for {
-		chain = append(chain, secRef.Name)
-		// Does the indirection array's own subscript go through another
-		// indirection?
-		var deeper *lang.ArrayRef
-		for _, sub := range secRef.Subs {
-			if id, ok := sub.(*lang.Ident); ok {
-				if d2, ok := defs[id.Name]; ok {
-					deeper = d2
-				}
+	dims := make([]DimSpec, len(def.Subs))
+	for i, sub := range def.Subs {
+		if id, ok := sub.(*lang.Ident); ok {
+			if inner, ok := defs[id.Name]; ok {
+				return fmt.Errorf("compiler: %s is reached through the indirection chain %s -> %s; only one level of indirection is supported", ref.Name, inner.Name, def.Name)
 			}
 		}
-		if deeper == nil {
-			break
-		}
-		secRef = deeper
-		if len(chain) > 8 {
-			return fmt.Errorf("compiler: indirection chain too deep at %s", ref.Name)
-		}
-	}
-	// The section describes the innermost (affine-subscripted) array of
-	// the chain; Validate scans it and follows the chain outward.
-	dims := make([]DimSpec, len(secRef.Subs))
-	for i, sub := range secRef.Subs {
 		af, ok := a.affineOf(sub, loops)
 		if !ok {
-			return fmt.Errorf("compiler: indirection array %s subscript %d not affine (%s)", secRef.Name, i, sub)
+			return fmt.Errorf("compiler: indirection array %s subscript %d not affine (%s)", def.Name, i, sub)
 		}
 		dim, _, err := dimOf(af, loops)
 		if err != nil {
@@ -109,18 +91,11 @@ func (a *analyzer) recordIndirect(ref *lang.ArrayRef, def *lang.ArrayRef, loops 
 		}
 		dims[i] = dim
 	}
-	// Chain is recorded outermost-scan-first: Validate reads
-	// chain[last] over Section... we store scan order: the innermost
-	// (regular) array first.
-	ordered := make([]string, len(chain))
-	for i := range chain {
-		ordered[i] = chain[len(chain)-1-i]
-	}
 	acc := Read
 	if isWrite {
 		acc = ReadWrite // conservative: indirect writes scatter
 	}
-	a.record(&DescSpec{Data: ref.Name, Indirs: ordered, Section: dims, Access: acc})
+	a.record(&DescSpec{Data: ref.Name, Indir: def.Name, Section: dims, Access: acc})
 	return nil
 }
 

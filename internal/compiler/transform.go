@@ -133,19 +133,11 @@ func bind(spec *DescSpec, be *BindEnv) (core.Desc, error) {
 	}
 	if spec.Indirect() {
 		d.Type = core.Indirect
-		chain := make([]*core.Array, len(spec.Indirs))
-		for i, name := range spec.Indirs {
-			arr := be.Arrays[name]
-			if arr == nil {
-				return core.Desc{}, fmt.Errorf("compiler: indirection array %q not bound", name)
-			}
-			chain[i] = arr
+		d.Indir = be.Arrays[spec.Indir]
+		if d.Indir == nil {
+			return core.Desc{}, fmt.Errorf("compiler: indirection array %q not bound", spec.Indir)
 		}
-		d.Indir = chain[0]
-		if len(chain) > 1 {
-			d.Indirs = chain
-		}
-		if sizes := be.Dims[spec.Indirs[0]]; sizes != nil {
+		if sizes := be.Dims[spec.Indir]; sizes != nil {
 			d.IndirDims = sizes
 		}
 	} else {

@@ -99,9 +99,6 @@ type Array struct {
 	Len      int
 }
 
-// Bytes returns the array's total size.
-func (a *Array) Bytes() int { return a.ElemSize * a.Len }
-
 // Addr returns the address of unit i.
 func (a *Array) Addr(i int) vm.Addr {
 	return a.Base + vm.Addr(i*a.ElemSize)
@@ -110,15 +107,9 @@ func (a *Array) Addr(i int) vm.Addr {
 // Desc is one access descriptor passed to Validate (Figure 3: type,
 // base, section, access type, schedule number).
 type Desc struct {
-	Type  DescType
-	Data  *Array // the shared data structure being accessed
-	Indir *Array // the indirection array (Indirect only)
-	// Indirs, when non-nil, is a multi-level indirection chain (§3.3:
-	// the approach "naturally extends to multiple levels of indirection
-	// without additional mechanisms"): Section applies to Indirs[0],
-	// each level's values index the next, and the last level's values
-	// index Data. Indirs[0] must equal Indir.
-	Indirs  []*Array
+	Type    DescType
+	Data    *Array      // the shared data structure being accessed
+	Indir   *Array      // the indirection array (Indirect only)
 	Section rsd.Section // section of Indir (Indirect) or of Data (Direct)
 	// IndirDims gives the indirection array's per-dimension sizes
 	// (column-major) when it is multi-dimensional, e.g. [2, M] for
@@ -210,10 +201,9 @@ type Runtime struct {
 	// path"). Validate runs on its node's goroutine only and never
 	// re-enters, so one instance per Runtime suffices.
 	calls    uint64
-	mark     pageSet       // readIndices: the pages of one level
+	mark     pageSet       // readIndices: the data pages already collected
 	seen     pageSet       // Validate: the pages on the fetch list
-	levels   [2][]int32    // readIndices: this and the next level's values
-	prefetch []vm.PageID   // readIndices: an indirection section's or level's invalid pages
+	prefetch []vm.PageID   // readIndices: the indirection section's invalid pages
 	pageSets [][]vm.PageID // Validate: each descriptor's pages
 	covered  []pageRange   // Validate: each descriptor's fully covered pages
 	direct   []vm.PageID   // Validate: the Direct descriptors' pages, back to back
@@ -383,96 +373,37 @@ func (rt *Runtime) fullyCovered(d *Desc) pageRange {
 
 // readIndices recomputes pages[sch] by scanning the section of the
 // indirection array and collecting the pages of the data array that the
-// indices touch (Figure 3's Read_indices). Multi-level chains are
-// followed level by level, prefetching each level's pages aggregated.
+// indices touch (Figure 3's Read_indices).
 func (rt *Runtime) readIndices(sch *schedule, d *Desc) {
 	if d.Indir == nil {
 		panic("core: INDIRECT descriptor without indirection array")
-	}
-	chain := d.Indirs
-	if chain == nil {
-		chain = []*Array{d.Indir}
-	} else if chain[0] != d.Indir {
-		panic("core: Indirs[0] must be the Indir array")
 	}
 	arena := rt.n.Space().Arena()
 	space := rt.n.Space()
 	var one [1]int
 	sizes := d.indirSizes(&one)
 
-	// The first indirection level is a regular section: fetch it
-	// aggregated before scanning (it may have been invalidated by a
-	// rebuild).
-	rt.prefetchSection(chain[0], d.Section, sizes)
+	// The indirection array's section is regular: fetch it aggregated
+	// before scanning (it may have been invalidated by a rebuild).
+	rt.prefetchSection(d.Indir, d.Section, sizes)
 
-	single := len(chain) == 1
-	count := d.Section.Count()
-
-	// The last level's values index the data array; each adds its pages.
+	// Each index read adds the pages of the data unit it names.
 	rt.mark.reset()
 	pages := sch.pages[:0]
-	addData := func(v int32) {
-		first, last := arena.PageRange(d.Data.Addr(int(v)), d.Data.ElemSize)
-		for pg := first; pg <= last; pg++ {
-			if rt.mark.add(pg) {
-				pages = append(pages, pg)
-			}
-		}
-	}
-
-	// Level 0: read the indices named by the section. A single level
-	// indexes the data as it is read; a chain keeps the values for the
-	// next level.
-	cur, next := rt.levels[0][:0], rt.levels[1]
-	if !single {
-		cur = slices.Grow(cur, count)
-	}
 	d.Section.ForEachRun(sizes, func(off, n int) {
 		for k := off; k < off+n; k++ {
-			v := space.ReadI32(chain[0].Addr(k))
-			if single {
-				addData(v)
-			} else {
-				cur = append(cur, v)
-			}
-		}
-	})
-	scanned := int64(count)
-	// Intermediate levels: each value indexes the next array. Prefetch
-	// the touched pages of the level aggregated, then load its values.
-	for lv := 1; lv < len(chain); lv++ {
-		arr := chain[lv]
-		rt.mark.reset()
-		fetch := rt.prefetch[:0]
-		for _, v := range cur {
-			first, last := arena.PageRange(arr.Addr(int(v)), arr.ElemSize)
+			v := space.ReadI32(d.Indir.Addr(k))
+			first, last := arena.PageRange(d.Data.Addr(int(v)), d.Data.ElemSize)
 			for pg := first; pg <= last; pg++ {
-				if rt.n.IsInvalid(pg) && rt.mark.add(pg) {
-					fetch = append(fetch, pg)
+				if rt.mark.add(pg) {
+					pages = append(pages, pg)
 				}
 			}
 		}
-		if len(fetch) > 0 {
-			slices.Sort(fetch)
-			rt.n.FetchPages(fetch, DiffKind)
-		}
-		rt.prefetch = fetch
-		next = slices.Grow(next[:0], len(cur))
-		for _, v := range cur {
-			next = append(next, space.ReadI32(arr.Addr(int(v))))
-		}
-		cur, next = next, cur
-		scanned += int64(len(cur))
-	}
-	rt.levels = [2][]int32{cur, next}
-	if !single {
-		rt.mark.reset()
-		for _, v := range cur {
-			addData(v)
-		}
-	}
+	})
 	slices.Sort(pages)
 	sch.pages = pages
+	scanned := int64(d.Section.Count())
 	rt.ScanEntries += scanned
 	rt.n.Proc().Advance(rt.ScanUSPerEntry*float64(scanned) +
 		rt.PageSetUSPerPage*float64(len(sch.pages)))
@@ -483,20 +414,9 @@ func (rt *Runtime) readIndices(sch *schedule, d *Desc) {
 // later write (local fault) or invalidation (remote notice) flips its
 // modified flag (§3.2: "the pages in section are write protected").
 func (rt *Runtime) writeProtect(sch *schedule, d *Desc) {
-	arena := rt.n.Space().Arena()
 	space := rt.n.Space()
 	var one [1]int
-	watch := rt.sectionPages(sch.watch[:0], d.Indir, d.Section, d.indirSizes(&one))
-	// Deeper chain levels are watched in full (their accessed subset is
-	// value-dependent, so any change must trigger recomputation).
-	for _, arr := range d.Indirs[min(1, len(d.Indirs)):] {
-		first, last := arena.PageRange(arr.Addr(0), arr.Bytes())
-		for pg := first; pg <= last; pg++ {
-			watch = append(watch, pg)
-		}
-	}
-	slices.Sort(watch)
-	sch.watch = slices.Compact(watch)
+	sch.watch = rt.sectionPages(sch.watch[:0], d.Indir, d.Section, d.indirSizes(&one))
 	for _, pg := range sch.watch {
 		if space.Page(pg).Prot() == vm.ReadWrite {
 			space.Protect(pg, vm.ReadOnly)

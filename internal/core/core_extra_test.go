@@ -38,7 +38,7 @@ func TestFullyCoveredGeometry(t *testing.T) {
 
 	// Strided sections never qualify.
 	desc := &Desc{Type: Direct, Data: arr,
-		Section: rsd.New(rsd.Dim{Lo: 0, Hi: 1022, Stride: 2}), Access: WriteAll}
+		Section: rsd.Section{Dims: []rsd.Dim{{Lo: 0, Hi: 1022, Stride: 2}}}, Access: WriteAll}
 	if got := rt.fullyCovered(desc); got.hi != got.lo {
 		t.Errorf("strided section claimed %d full pages", got.hi-got.lo)
 	}
@@ -56,7 +56,7 @@ func TestBoundaryPagesKeepTwins(t *testing.T) {
 	// twin those pages (their outside bytes belong to someone else) and
 	// may skip twins only on interior pages.
 	e := newEnv(t, 2, 1024, 4, func(i int) int32 { return 0 })
-	e.d.Cluster().Run(func(p *sim.Proc) {
+	e.c.Run(func(p *sim.Proc) {
 		n := e.d.Node(p.ID())
 		if p.ID() == 0 {
 			rt := NewRuntime(n)
@@ -94,7 +94,7 @@ func TestBoundaryPagesKeepTwins(t *testing.T) {
 func TestEmptySectionValidate(t *testing.T) {
 	// A processor with no work (empty section) must not crash or fetch.
 	e := newEnv(t, 2, 128, 8, func(i int) int32 { return 0 })
-	e.d.Cluster().Run(func(p *sim.Proc) {
+	e.c.Run(func(p *sim.Proc) {
 		n := e.d.Node(p.ID())
 		if p.ID() == 1 {
 			rt := NewRuntime(n)
@@ -109,7 +109,7 @@ func TestSectionChangeForcesRecompute(t *testing.T) {
 	// Changing only the section bounds (the rebuild-moved-my-boundaries
 	// case) must recompute even with no modification flag.
 	e := newEnv(t, 2, 1000, 100, func(i int) int32 { return int32(i) })
-	e.d.Cluster().Run(func(p *sim.Proc) {
+	e.c.Run(func(p *sim.Proc) {
 		n := e.d.Node(p.ID())
 		if p.ID() == 1 {
 			rt := NewRuntime(n)
@@ -132,7 +132,7 @@ func TestWatchedPageSharedByTwoSchedules(t *testing.T) {
 	// Two schedules watching overlapping indirection pages must both see
 	// the modified flag flip.
 	e := newEnv(t, 2, 1000, 100, func(i int) int32 { return int32(i) })
-	e.d.Cluster().Run(func(p *sim.Proc) {
+	e.c.Run(func(p *sim.Proc) {
 		n := e.d.Node(p.ID())
 		if p.ID() != 0 {
 			n.Barrier(1)
@@ -159,7 +159,7 @@ func TestIndirectWriteTwinsDataPages(t *testing.T) {
 	// An INDIRECT READ&WRITE descriptor must write-enable the data pages
 	// so scatter stores run fault-free.
 	e := newEnv(t, 2, 512, 64, func(i int) int32 { return int32(i * 7 % 512) })
-	e.d.Cluster().Run(func(p *sim.Proc) {
+	e.c.Run(func(p *sim.Proc) {
 		n := e.d.Node(p.ID())
 		if p.ID() == 1 {
 			rt := NewRuntime(n)
@@ -178,73 +178,22 @@ func TestIndirectWriteTwinsDataPages(t *testing.T) {
 	})
 }
 
-func TestChainValidatePrefetchesAllLevels(t *testing.T) {
-	// Build inner -> outer -> data and confirm a chained Validate leaves
-	// the whole walk fault-free on a remote processor.
-	c := sim.NewCluster(sim.DefaultConfig(2))
-	d := tmk.New(c, 1024, 1<<22)
-	data := &Array{Name: "data", Base: d.Alloc(8 * 2048), ElemSize: 8, Len: 2048}
-	outer := &Array{Name: "outer", Base: d.Alloc(4 * 512), ElemSize: 4, Len: 512}
-	inner := &Array{Name: "inner", Base: d.Alloc(4 * 128), ElemSize: 4, Len: 128}
-	s0 := d.Node(0).Space()
-	for i := 0; i < 2048; i++ {
-		s0.WriteF64(data.Addr(i), float64(i))
-	}
-	for i := 0; i < 512; i++ {
-		s0.WriteI32(outer.Addr(i), int32((i*11)%2048))
-	}
-	for i := 0; i < 128; i++ {
-		s0.WriteI32(inner.Addr(i), int32((i*3)%512))
-	}
-	d.SealInit()
-	c.Run(func(p *sim.Proc) {
-		n := d.Node(p.ID())
-		if p.ID() == 0 {
-			for i := 0; i < 2048; i += 64 {
-				n.Space().WriteF64(data.Addr(i), -1)
-			}
-			for i := 0; i < 512; i += 32 {
-				n.Space().WriteI32(outer.Addr(i), int32((i*13)%2048))
-			}
-		}
-		n.Barrier(1)
-		if p.ID() == 1 {
-			rt := NewRuntime(n)
-			rt.Validate(Desc{
-				Type: Indirect, Data: data, Indir: inner,
-				Indirs:  []*Array{inner, outer},
-				Section: rsd.Range1(0, 127), Access: Read, Sched: 1,
-			})
-			rf := n.Space().ReadFaults
-			for i := 0; i < 128; i++ {
-				a := int(n.Space().ReadI32(inner.Addr(i)))
-				b := int(n.Space().ReadI32(outer.Addr(a)))
-				_ = n.Space().ReadF64(data.Addr(b))
-			}
-			if n.Space().ReadFaults != rf {
-				t.Errorf("chained walk faulted %d times", n.Space().ReadFaults-rf)
-			}
-		}
-		n.Barrier(2)
-	})
-}
-
 func TestSectionPagesMatchesPerElementExpansion(t *testing.T) {
 	// sectionPages walks contiguous runs; the definition it must agree
 	// with expands every element: dense and strided sections, a
 	// two-dimensional one, elements smaller and larger than the 1 KB
 	// page, aligned and unaligned bases.
-	c := sim.NewCluster(sim.DefaultConfig(1))
-	d := tmk.New(c, 1024, 1<<22)
-	d.AllocUnaligned(40) // push the next unaligned array off the page boundary
+	img := tmk.NewImage(1024, 1<<22)
+	img.AllocUnaligned(40) // push the next unaligned array off the page boundary
 	arrays := []*Array{
-		{Name: "i32", Base: d.AllocUnaligned(4 * 6000), ElemSize: 4, Len: 6000},
-		{Name: "vec3", Base: d.Alloc(24 * 3000), ElemSize: 24, Len: 3000},
-		{Name: "blob", Base: d.Alloc(2500 * 40), ElemSize: 2500, Len: 40},
+		{Name: "i32", Base: img.AllocUnaligned(4 * 6000), ElemSize: 4, Len: 6000},
+		{Name: "vec3", Base: img.Alloc(24 * 3000), ElemSize: 24, Len: 3000},
+		{Name: "blob", Base: img.Alloc(2500 * 40), ElemSize: 2500, Len: 40},
 	}
-	d.SealInit()
+	img.Seal()
+	d := tmk.NewFromImage(sim.NewCluster(sim.DefaultConfig(1)), img)
 	rt := NewRuntime(d.Node(0))
-	arena := d.Arena()
+	arena := img.Space().Arena()
 	for _, arr := range arrays {
 		rows := arr.Len / 2
 		cases := []struct {
@@ -254,9 +203,9 @@ func TestSectionPagesMatchesPerElementExpansion(t *testing.T) {
 			{rsd.Range1(0, arr.Len-1), []int{arr.Len}},
 			{rsd.Range1(arr.Len/3, arr.Len/2), []int{arr.Len}},
 			{rsd.Range1(7, 6), []int{arr.Len}}, // empty
-			{rsd.New(rsd.Dim{Lo: 3, Hi: arr.Len - 1, Stride: 37}), []int{arr.Len}},
-			{rsd.New(rsd.Dim{Lo: 0, Hi: 1, Stride: 1}, rsd.Dim{Lo: 5, Hi: rows - 3, Stride: 1}), []int{2, rows}},
-			{rsd.New(rsd.Dim{Lo: 1, Hi: 1, Stride: 1}, rsd.Dim{Lo: 0, Hi: rows - 1, Stride: 9}), []int{2, rows}},
+			{rsd.Section{Dims: []rsd.Dim{{Lo: 3, Hi: arr.Len - 1, Stride: 37}}}, []int{arr.Len}},
+			{rsd.Section{Dims: []rsd.Dim{{Lo: 0, Hi: 1, Stride: 1}, {Lo: 5, Hi: rows - 3, Stride: 1}}}, []int{2, rows}},
+			{rsd.Section{Dims: []rsd.Dim{{Lo: 1, Hi: 1, Stride: 1}, {Lo: 0, Hi: rows - 1, Stride: 9}}}, []int{2, rows}},
 		}
 		for _, cs := range cases {
 			mark := map[vm.PageID]bool{}

@@ -12,6 +12,7 @@ import (
 // env is a 2-array test world: a data array of n float64 units and an
 // indirection array of m int32 indices into it, initialized by proc 0.
 type env struct {
+	c     *sim.Cluster
 	d     *tmk.DSM
 	data  *Array
 	indir *Array
@@ -31,7 +32,7 @@ func newEnv(t testing.TB, nprocs, dataLen, indirLen int, indices func(i int) int
 		s0.WriteI32(indir.Addr(i), indices(i))
 	}
 	d.SealInit()
-	return &env{d: d, data: data, indir: indir}
+	return &env{c: c, d: d, data: data, indir: indir}
 }
 
 func TestReadIndicesComputesPageSet(t *testing.T) {
@@ -43,7 +44,7 @@ func TestReadIndicesComputesPageSet(t *testing.T) {
 		}
 		return 500
 	})
-	e.d.Cluster().Run(func(p *sim.Proc) {
+	e.c.Run(func(p *sim.Proc) {
 		if p.ID() != 1 {
 			e.d.Node(p.ID()).Barrier(1)
 			return
@@ -56,7 +57,7 @@ func TestReadIndicesComputesPageSet(t *testing.T) {
 		if rt.Recomputes != 1 {
 			t.Errorf("Recomputes = %d", rt.Recomputes)
 		}
-		arena := e.d.Arena()
+		arena := e.d.Node(0).Space().Arena()
 		sch := rt.sched(1)
 		want := []vm.PageID{arena.PageOf(e.data.Addr(0)), arena.PageOf(e.data.Addr(500))}
 		if len(sch.pages) != 2 || sch.pages[0] != want[0] || sch.pages[1] != want[1] {
@@ -68,7 +69,7 @@ func TestReadIndicesComputesPageSet(t *testing.T) {
 
 func TestScheduleReusedWhenIndirectionUnchanged(t *testing.T) {
 	e := newEnv(t, 2, 1000, 50, func(i int) int32 { return int32(i * 17 % 1000) })
-	e.d.Cluster().Run(func(p *sim.Proc) {
+	e.c.Run(func(p *sim.Proc) {
 		n := e.d.Node(p.ID())
 		if p.ID() == 1 {
 			rt := NewRuntime(n)
@@ -93,7 +94,7 @@ func TestLocalWriteToIndirectionTriggersRecompute(t *testing.T) {
 	// The same processor that validated later rewrites the indirection
 	// array: the write-protection fault must set the modified flag.
 	e := newEnv(t, 2, 1000, 50, func(i int) int32 { return int32(i) })
-	e.d.Cluster().Run(func(p *sim.Proc) {
+	e.c.Run(func(p *sim.Proc) {
 		n := e.d.Node(p.ID())
 		if p.ID() != 0 {
 			for i := 1; i <= 3; i++ {
@@ -113,7 +114,7 @@ func TestLocalWriteToIndirectionTriggersRecompute(t *testing.T) {
 		if rt.Recomputes != 2 {
 			t.Errorf("Recomputes = %d, want 2 after local modification", rt.Recomputes)
 		}
-		arena := e.d.Arena()
+		arena := e.d.Node(0).Space().Arena()
 		found := false
 		for _, pg := range rt.sched(1).pages {
 			if pg == arena.PageOf(e.data.Addr(999)) {
@@ -132,7 +133,7 @@ func TestRemoteWriteToIndirectionTriggersRecompute(t *testing.T) {
 	// arriving at the barrier must set the modified flag ("both local and
 	// remote modifications").
 	e := newEnv(t, 2, 1000, 50, func(i int) int32 { return int32(i) })
-	e.d.Cluster().Run(func(p *sim.Proc) {
+	e.c.Run(func(p *sim.Proc) {
 		n := e.d.Node(p.ID())
 		if p.ID() == 0 {
 			rt := NewRuntime(n)
@@ -159,7 +160,7 @@ func TestValidatePrefetchEliminatesLoopFaults(t *testing.T) {
 	// After Validate, the indirect loop must run without a single page
 	// fault — the pages were fetched and (for writes) twinned ahead.
 	e := newEnv(t, 2, 2000, 100, func(i int) int32 { return int32(i * 19 % 2000) })
-	e.d.Cluster().Run(func(p *sim.Proc) {
+	e.c.Run(func(p *sim.Proc) {
 		n := e.d.Node(p.ID())
 		if p.ID() == 0 {
 			// Touch many data pages so proc 1's copies get invalidated.
@@ -193,7 +194,7 @@ func TestValidateAggregationMessageCount(t *testing.T) {
 	// aggregation.
 	run := func(noAgg bool) int64 {
 		e := newEnv(t, 2, 2000, 100, func(i int) int32 { return int32(i * 20 % 2000) })
-		e.d.Cluster().Run(func(p *sim.Proc) {
+		e.c.Run(func(p *sim.Proc) {
 			n := e.d.Node(p.ID())
 			if p.ID() == 0 {
 				for i := 0; i < 2000; i += 64 {
@@ -209,7 +210,7 @@ func TestValidateAggregationMessageCount(t *testing.T) {
 			}
 			n.Barrier(2)
 		})
-		return e.d.Cluster().Stats.Categories()[DiffKind].Messages
+		return e.c.Stats.Categories()[DiffKind].Messages
 	}
 	agg := run(false)
 	per := run(true)
@@ -223,7 +224,7 @@ func TestValidateAggregationMessageCount(t *testing.T) {
 
 func TestDirectDescriptorFetchesSection(t *testing.T) {
 	e := newEnv(t, 2, 1000, 10, func(i int) int32 { return 0 })
-	e.d.Cluster().Run(func(p *sim.Proc) {
+	e.c.Run(func(p *sim.Proc) {
 		n := e.d.Node(p.ID())
 		if p.ID() == 0 {
 			for i := 400; i < 600; i++ {
@@ -254,7 +255,7 @@ func TestReadWriteAllShipsWholePage(t *testing.T) {
 	// The pipelined-reduction pattern: with READ&WRITE_ALL, no twins are
 	// made and a subsequent requester receives a full-page snapshot.
 	e := newEnv(t, 2, 128, 10, func(i int) int32 { return 0 })
-	e.d.Cluster().Run(func(p *sim.Proc) {
+	e.c.Run(func(p *sim.Proc) {
 		n := e.d.Node(p.ID())
 		if p.ID() == 0 {
 			rt := NewRuntime(n)
@@ -286,7 +287,7 @@ func TestMultiDescriptorValidate(t *testing.T) {
 	// One Validate call with an INDIRECT read and a DIRECT read&write —
 	// the moldyn pattern (Figure 2) — must handle both in one pass.
 	e := newEnv(t, 2, 1000, 40, func(i int) int32 { return int32(i * 25 % 1000) })
-	e.d.Cluster().Run(func(p *sim.Proc) {
+	e.c.Run(func(p *sim.Proc) {
 		n := e.d.Node(p.ID())
 		if p.ID() == 0 {
 			for i := 0; i < 1000; i += 50 {
@@ -324,13 +325,13 @@ func Test2DIndirectionSection(t *testing.T) {
 	// [2, M].
 	const m = 30
 	e := newEnv(t, 2, 1000, 2*m, func(i int) int32 { return int32((i * 31) % 1000) })
-	e.d.Cluster().Run(func(p *sim.Proc) {
+	e.c.Run(func(p *sim.Proc) {
 		n := e.d.Node(p.ID())
 		if p.ID() == 1 {
 			rt := NewRuntime(n)
 			rt.Validate(Desc{
 				Type: Indirect, Data: e.data, Indir: e.indir,
-				Section:   rsd.New(rsd.Dim{Lo: 0, Hi: 1, Stride: 1}, rsd.Dim{Lo: 5, Hi: 14, Stride: 1}),
+				Section:   rsd.Section{Dims: []rsd.Dim{{Lo: 0, Hi: 1, Stride: 1}, {Lo: 5, Hi: 14, Stride: 1}}},
 				IndirDims: []int{2, m},
 				Access:    Read, Sched: 1,
 			})
@@ -346,7 +347,7 @@ func TestWriteAllSkipsFetch(t *testing.T) {
 	// Pure WRITE_ALL sections are not fetched: no diff traffic even when
 	// the pages are invalid.
 	e := newEnv(t, 2, 128, 4, func(i int) int32 { return 0 })
-	e.d.Cluster().Run(func(p *sim.Proc) {
+	e.c.Run(func(p *sim.Proc) {
 		n := e.d.Node(p.ID())
 		if p.ID() == 0 {
 			for i := 0; i < 128; i++ {
@@ -364,7 +365,7 @@ func TestWriteAllSkipsFetch(t *testing.T) {
 		}
 		n.Barrier(2)
 	})
-	if got := e.d.Cluster().Stats.Categories()[DiffKind].Messages; got != 0 {
+	if got := e.c.Stats.Categories()[DiffKind].Messages; got != 0 {
 		t.Errorf("WRITE_ALL fetched %d messages, want 0", got)
 	}
 }

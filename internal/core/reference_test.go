@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -147,48 +146,20 @@ func refIndirSizes(d *Desc) []int {
 }
 
 func (ref *pageSetReference) readIndices(sch *refSchedule, d *Desc) {
-	chain := d.Indirs
-	if chain == nil {
-		chain = []*Array{d.Indir}
-	}
 	arena := ref.n.Space().Arena()
 	space := ref.n.Space()
 	offsets := linearOffsets(d.Section, refIndirSizes(d))
-	ref.prefetchSection(chain[0], d.Section, refIndirSizes(d))
+	ref.prefetchSection(d.Indir, d.Section, refIndirSizes(d))
 
 	mark := map[vm.PageID]bool{}
-	idxs := make([]int32, len(offsets))
-	for k, off := range offsets {
-		idxs[k] = space.ReadI32(chain[0].Addr(off))
-	}
-	scanned := int64(len(offsets))
-	for lv := 1; lv < len(chain); lv++ {
-		arr := chain[lv]
-		lvPages := map[vm.PageID]bool{}
-		for _, v := range idxs {
-			first, last := arena.PageRange(arr.Addr(int(v)), arr.ElemSize)
-			for pg := first; pg <= last; pg++ {
-				if ref.n.IsInvalid(pg) {
-					lvPages[pg] = true
-				}
-			}
-		}
-		if len(lvPages) > 0 {
-			ref.n.FetchPages(sortedPages(lvPages), DiffKind)
-		}
-		next := make([]int32, len(idxs))
-		for k, v := range idxs {
-			next[k] = space.ReadI32(arr.Addr(int(v)))
-		}
-		idxs = next
-		scanned += int64(len(idxs))
-	}
-	for _, v := range idxs {
+	for _, off := range offsets {
+		v := space.ReadI32(d.Indir.Addr(off))
 		first, last := arena.PageRange(d.Data.Addr(int(v)), d.Data.ElemSize)
 		for pg := first; pg <= last; pg++ {
 			mark[pg] = true
 		}
 	}
+	scanned := int64(len(offsets))
 	ref.scanEntries += scanned
 	sch.pages = sortedPages(mark)
 	ref.n.Proc().Advance(ref.cost.ScanUSPerEntry*float64(scanned) +
@@ -206,19 +177,8 @@ func (ref *pageSetReference) writeProtect(sch *refSchedule, d *Desc) {
 		}
 	}
 	sch.watch = nil
-	arena := ref.n.Space().Arena()
 	space := ref.n.Space()
-	mark := map[vm.PageID]bool{}
 	for _, pg := range ref.sectionPages(d.Indir, d.Section, refIndirSizes(d)) {
-		mark[pg] = true
-	}
-	for _, arr := range d.Indirs[min(1, len(d.Indirs)):] {
-		first, last := arena.PageRange(arr.Addr(0), arr.Bytes())
-		for pg := first; pg <= last; pg++ {
-			mark[pg] = true
-		}
-	}
-	for _, pg := range sortedPages(mark) {
 		sch.watch = append(sch.watch, pg)
 		ref.watched[pg] = append(ref.watched[pg], sch)
 		if space.Page(pg).Prot() == vm.ReadWrite {
@@ -254,17 +214,26 @@ func (ref *pageSetReference) sectionPages(arr *Array, sec rsd.Section, sizes []i
 }
 
 // linearOffsets expands sec element by element into flat column-major
-// offsets within an array of the given dimension sizes.
+// offsets within an array of the given dimension sizes, the last
+// dimension varying slowest.
 func linearOffsets(sec rsd.Section, sizes []int) []int {
-	var out []int
-	sec.ForEach(func(idx []int) {
-		off, stride := 0, 1
-		for i, v := range idx {
-			off += v * stride
-			stride *= sizes[i]
+	if len(sec.Dims) == 0 {
+		return nil
+	}
+	out := []int{0}
+	for i := len(sec.Dims) - 1; i >= 0; i-- {
+		stride := 1
+		for _, sz := range sizes[:i] {
+			stride *= sz
 		}
-		out = append(out, off)
-	})
+		var next []int
+		for _, off := range out {
+			for v := sec.Dims[i].Lo; v <= sec.Dims[i].Hi; v += sec.Dims[i].Stride {
+				next = append(next, off+v*stride)
+			}
+		}
+		out = next
+	}
 	return out
 }
 
@@ -376,9 +345,9 @@ func nodeObs(n *tmk.Node, scan, recomputes, revalidates int64) validateObs {
 	}
 }
 
-// refWorld is one seeded test world: a data array and three int32
-// indirection arrays of the same length whose values all lie in
-// [0, len), so every array can index the data and every level the next.
+// refWorld is one seeded test world: a data array and an int32
+// indirection array whose values all lie in [0, indirLen), within the
+// data.
 type refWorld struct {
 	pageSize  int
 	elemSize  int // data element size; 24 at a 1 KB page straddles pages
@@ -386,46 +355,43 @@ type refWorld struct {
 	nprocs    int
 	indirLen  int
 	dataLen   int
-	// spread > 0 draws entry i of an indirection array from i±spread, as
+	// spread > 0 draws entry i of the indirection array from i±spread, as
 	// a partitioned mesh does; 0 draws it uniformly from [0, indirLen).
 	spread int
 }
 
 type refArrays struct {
-	data  *Array
-	indir [3]*Array
+	data, indir *Array
 }
 
-func (w refWorld) build(seed int64, trace *obs.Trace) (*tmk.DSM, refArrays) {
-	cfg := sim.DefaultConfig(w.nprocs)
-	cfg.Trace = trace
-	d := tmk.New(sim.NewCluster(cfg), w.pageSize, 1<<22)
-	alloc := d.Alloc
+func (w refWorld) build(seed int64, trace *obs.Trace) (*sim.Cluster, *tmk.DSM, refArrays) {
+	img := tmk.NewImage(w.pageSize, 1<<22)
+	alloc := img.Alloc
 	if w.unaligned {
-		d.AllocUnaligned(44)
-		alloc = d.AllocUnaligned
+		img.AllocUnaligned(44)
+		alloc = img.AllocUnaligned
 	}
-	var a refArrays
-	a.data = &Array{Name: "x", Base: alloc(w.elemSize * w.dataLen), ElemSize: w.elemSize, Len: w.dataLen}
-	for l := range a.indir {
-		a.indir[l] = &Array{Name: fmt.Sprintf("list%d", l), Base: alloc(4 * w.indirLen), ElemSize: 4, Len: w.indirLen}
+	a := refArrays{
+		data:  &Array{Name: "x", Base: alloc(w.elemSize * w.dataLen), ElemSize: w.elemSize, Len: w.dataLen},
+		indir: &Array{Name: "list", Base: alloc(4 * w.indirLen), ElemSize: 4, Len: w.indirLen},
 	}
 	rng := rand.New(rand.NewSource(seed))
-	s0 := d.Node(0).Space()
+	s0 := img.Space()
 	for i := 0; i < w.dataLen; i++ {
 		s0.WriteI32(a.data.Addr(i), int32(i))
 	}
-	for _, arr := range a.indir {
-		for i := 0; i < w.indirLen; i++ {
-			v := rng.Intn(w.indirLen)
-			if w.spread > 0 {
-				v = (i + rng.Intn(2*w.spread+1) - w.spread + w.indirLen) % w.indirLen
-			}
-			s0.WriteI32(arr.Addr(i), int32(v))
+	for i := 0; i < w.indirLen; i++ {
+		v := rng.Intn(w.indirLen)
+		if w.spread > 0 {
+			v = (i + rng.Intn(2*w.spread+1) - w.spread + w.indirLen) % w.indirLen
 		}
+		s0.WriteI32(a.indir.Addr(i), int32(v))
 	}
-	d.SealInit()
-	return d, a
+	img.Seal()
+	cfg := sim.DefaultConfig(w.nprocs)
+	cfg.Trace = trace
+	c := sim.NewCluster(cfg)
+	return c, tmk.NewFromImage(c, img), a
 }
 
 // section draws a 1-D section of [0, n): usually non-empty, sometimes a
@@ -436,7 +402,7 @@ func section(r *rand.Rand, n int) rsd.Section {
 	if r.Intn(12) == 0 {
 		hi = lo - 1
 	}
-	return rsd.New(rsd.Dim{Lo: lo, Hi: hi, Stride: []int{1, 1, 2, 3, 7}[r.Intn(5)]})
+	return rsd.Section{Dims: []rsd.Dim{{Lo: lo, Hi: hi, Stride: []int{1, 1, 2, 3, 7}[r.Intn(5)]}}}
 }
 
 // descs draws one Validate call's descriptors. Each kind of descriptor
@@ -447,20 +413,16 @@ func (w refWorld) descs(r *rand.Rand, a refArrays, last map[int]Desc) []Desc {
 	var out []Desc
 	for k := 1 + r.Intn(3); k > 0; k-- {
 		var d Desc
-		switch kind := r.Intn(5); kind {
+		switch kind := r.Intn(4); kind {
 		case 0: // 1-D indirect
-			d = Desc{Type: Indirect, Data: a.data, Indir: a.indir[0], Section: section(r, w.indirLen),
+			d = Desc{Type: Indirect, Data: a.data, Indir: a.indir, Section: section(r, w.indirLen),
 				Access: []AccessType{Read, Write, ReadWrite, ReadWriteAll}[r.Intn(4)], Sched: 1 + r.Intn(2)}
 		case 1: // the moldyn shape: interaction_list(2, M)
 			cols := w.indirLen / 2
 			col := section(r, cols).Dims[0]
 			row := []rsd.Dim{{Lo: 0, Hi: 1, Stride: 1}, {Lo: 1, Hi: 1, Stride: 1}, {Lo: 0, Hi: 0, Stride: 1}}[r.Intn(3)]
-			d = Desc{Type: Indirect, Data: a.data, Indir: a.indir[0], Section: rsd.New(row, col),
+			d = Desc{Type: Indirect, Data: a.data, Indir: a.indir, Section: rsd.Section{Dims: []rsd.Dim{row, col}},
 				IndirDims: []int{2, cols}, Access: []AccessType{Read, ReadWrite}[r.Intn(2)], Sched: 3}
-		case 2: // a 2- or 3-level chain
-			depth := 2 + r.Intn(2)
-			d = Desc{Type: Indirect, Data: a.data, Indir: a.indir[0], Indirs: a.indir[:depth],
-				Section: section(r, w.indirLen), Access: Read, Sched: 2 + depth}
 		default: // direct, WRITE_ALL half the time
 			d = Desc{Type: Direct, Data: a.data, Section: section(r, w.dataLen),
 				Access: []AccessType{Read, ReadWrite, WriteAll, WriteAll, ReadWriteAll}[r.Intn(5)], Sched: 9}
@@ -480,9 +442,9 @@ func (w refWorld) descs(r *rand.Rand, a refArrays, last map[int]Desc) []Desc {
 func (w refWorld) run(seed int64, epochs int,
 	side func(n *tmk.Node) validator) ([][]validateObs, map[string]sim.CatStat, []byte) {
 	trace := obs.NewTrace()
-	d, a := w.build(seed, trace)
+	c, d, a := w.build(seed, trace)
 	out := make([][]validateObs, w.nprocs)
-	d.Cluster().Run(func(p *sim.Proc) {
+	c.Run(func(p *sim.Proc) {
 		n := d.Node(p.ID())
 		v := side(n)
 		r := rand.New(rand.NewSource(seed*131 + int64(p.ID())))
@@ -493,20 +455,19 @@ func (w refWorld) run(seed int64, epochs int,
 			v.validate(descs...)
 			out[p.ID()] = append(out[p.ID()], v.observe(descs))
 			// Loop body: stores into the data, and now and then a rebuild
-			// of part of an indirection array.
+			// of part of the indirection array.
 			for k := r.Intn(6); k > 0; k-- {
 				n.Space().WriteI32(a.data.Addr(r.Intn(w.dataLen)), int32(e))
 			}
 			if r.Intn(3) == 0 {
-				arr := a.indir[r.Intn(3)]
 				for k := 1 + r.Intn(8); k > 0; k-- {
-					n.Space().WriteI32(arr.Addr(r.Intn(w.indirLen)), int32(r.Intn(w.indirLen)))
+					n.Space().WriteI32(a.indir.Addr(r.Intn(w.indirLen)), int32(r.Intn(w.indirLen)))
 				}
 			}
 		}
 		n.Barrier(epochs + 1)
 	})
-	return out, d.Cluster().Stats.Categories(), trace.JSON()
+	return out, c.Stats.Categories(), trace.JSON()
 }
 
 func newRuntimeSide(n *tmk.Node) validator { return runtimeSide{NewRuntime(n)} }
@@ -561,21 +522,21 @@ func TestValidateMatchesReferenceSameSchedTwice(t *testing.T) {
 	// overwrite it.
 	w := refWorld{pageSize: 1024, elemSize: 8, nprocs: 2, indirLen: 600, dataLen: 800, spread: 5}
 	side := func(mk func(*tmk.Node) validator) [][]validateObs {
-		d, a := w.build(7, nil)
+		c, d, a := w.build(7, nil)
 		out := make([][]validateObs, w.nprocs)
-		d.Cluster().Run(func(p *sim.Proc) {
+		c.Run(func(p *sim.Proc) {
 			n := d.Node(p.ID())
 			v := mk(n)
 			for e := 0; e < 3; e++ {
 				n.Barrier(e + 1)
 				descs := []Desc{
-					{Type: Indirect, Data: a.data, Indir: a.indir[0], Section: rsd.Range1(0, 99), Access: ReadWrite, Sched: 1},
-					{Type: Indirect, Data: a.data, Indir: a.indir[0], Section: rsd.Range1(300, 599), Access: ReadWrite, Sched: 1},
-					{Type: Indirect, Data: a.data, Indir: a.indir[0], Section: rsd.Range1(300, 599), Access: Read, Sched: 1},
+					{Type: Indirect, Data: a.data, Indir: a.indir, Section: rsd.Range1(0, 99), Access: ReadWrite, Sched: 1},
+					{Type: Indirect, Data: a.data, Indir: a.indir, Section: rsd.Range1(300, 599), Access: ReadWrite, Sched: 1},
+					{Type: Indirect, Data: a.data, Indir: a.indir, Section: rsd.Range1(300, 599), Access: Read, Sched: 1},
 				}
 				v.validate(descs...)
 				out[p.ID()] = append(out[p.ID()], v.observe(descs))
-				n.Space().WriteI32(a.indir[0].Addr(50+p.ID()), int32(700+e))
+				n.Space().WriteI32(a.indir.Addr(50+p.ID()), int32(700+e))
 			}
 			n.Barrier(4)
 		})
@@ -597,21 +558,21 @@ func TestValidateMatchesReferenceRewrites(t *testing.T) {
 	w := refWorld{pageSize: 1024, elemSize: 8, nprocs: 3, indirLen: 900, dataLen: 1200, spread: 20}
 	side := func(mk func(*tmk.Node) validator) ([][]validateObs, []byte) {
 		trace := obs.NewTrace()
-		d, a := w.build(11, trace)
+		c, d, a := w.build(11, trace)
 		out := make([][]validateObs, w.nprocs)
-		d.Cluster().Run(func(p *sim.Proc) {
+		c.Run(func(p *sim.Proc) {
 			n := d.Node(p.ID())
 			v := mk(n)
 			r := rand.New(rand.NewSource(int64(p.ID())))
 			lo := 300 * p.ID()
-			descs := []Desc{{Type: Indirect, Data: a.data, Indir: a.indir[0],
+			descs := []Desc{{Type: Indirect, Data: a.data, Indir: a.indir,
 				Section: rsd.Range1(lo, lo+299), Access: ReadWrite, Sched: 1}}
 			for e := 0; e < 6; e++ {
 				n.Barrier(e + 1)
 				v.validate(descs...)
 				out[p.ID()] = append(out[p.ID()], v.observe(descs))
 				for k := 0; k < 5; k++ {
-					n.Space().WriteI32(a.indir[0].Addr(r.Intn(w.indirLen)), int32(r.Intn(w.dataLen)))
+					n.Space().WriteI32(a.indir.Addr(r.Intn(w.indirLen)), int32(r.Intn(w.dataLen)))
 				}
 			}
 			n.Barrier(7)

@@ -141,21 +141,6 @@ func (d Diff) WireBytes() int {
 	return n
 }
 
-// Runs decodes the diff's runs, in ascending offset order. Each run's
-// Data aliases the diff's buffer.
-func (d Diff) Runs() []Run {
-	var runs []Run
-	for i := 0; i < len(d); {
-		var r Run
-		r, i = d.next(i)
-		runs = append(runs, r)
-	}
-	return runs
-}
-
-// Empty reports whether the diff carries no modifications.
-func (d Diff) Empty() bool { return len(d) == 0 }
-
 // Twin returns a copy of page suitable for later Encode.
 func Twin(page []byte) []byte {
 	t := make([]byte, len(page))

@@ -7,12 +7,24 @@ import (
 	"testing/quick"
 )
 
+// runs decodes the diff's runs, in ascending offset order. Each run's
+// Data aliases the diff's buffer.
+func (d Diff) runs() []Run {
+	var runs []Run
+	for i := 0; i < len(d); {
+		var r Run
+		r, i = d.next(i)
+		runs = append(runs, r)
+	}
+	return runs
+}
+
 func TestEncodeEmpty(t *testing.T) {
 	page := make([]byte, 256)
 	twin := make([]byte, 256)
 	d := Encode(twin, page, 8)
-	if !d.Empty() {
-		t.Fatalf("identical pages produced %d runs", len(d.Runs()))
+	if len(d) != 0 {
+		t.Fatalf("identical pages produced %d runs", len(d.runs()))
 	}
 	if d.WireBytes() != 0 {
 		t.Fatalf("empty diff has %d wire bytes", d.WireBytes())
@@ -23,7 +35,7 @@ func TestEncodeSingleByte(t *testing.T) {
 	twin := make([]byte, 128)
 	cur := make([]byte, 128)
 	cur[57] = 0xAB
-	runs := Encode(twin, cur, 8).Runs()
+	runs := Encode(twin, cur, 8).runs()
 	if len(runs) != 1 {
 		t.Fatalf("want 1 run, got %d", len(runs))
 	}
@@ -38,7 +50,7 @@ func TestEncodeMergesShortGaps(t *testing.T) {
 	cur := make([]byte, 64)
 	cur[10] = 1
 	cur[14] = 1 // gap of 3 < minGap 8: should merge
-	runs := Encode(twin, cur, 8).Runs()
+	runs := Encode(twin, cur, 8).runs()
 	if len(runs) != 1 {
 		t.Fatalf("want merged single run, got %d runs: %+v", len(runs), runs)
 	}
@@ -52,7 +64,7 @@ func TestEncodeSplitsLongGaps(t *testing.T) {
 	cur := make([]byte, 64)
 	cur[5] = 1
 	cur[40] = 1 // gap of 34 >= minGap: two runs
-	if runs := Encode(twin, cur, 8).Runs(); len(runs) != 2 {
+	if runs := Encode(twin, cur, 8).runs(); len(runs) != 2 {
 		t.Fatalf("want 2 runs, got %d: %+v", len(runs), runs)
 	}
 }
@@ -106,7 +118,7 @@ func TestRunsNeverOverlapAndAreSortedProperty(t *testing.T) {
 		}
 		d := Encode(twin, cur, 8)
 		prevEnd := -1
-		for _, r := range d.Runs() {
+		for _, r := range d.runs() {
 			if r.Off <= prevEnd {
 				return false
 			}

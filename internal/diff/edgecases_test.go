@@ -88,7 +88,7 @@ func TestEncodeEdgeCases(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			twin, cur := tc.twin()
 			d := Encode(twin, cur, minGap)
-			runs := d.Runs()
+			runs := d.runs()
 			if len(runs) != tc.wantRuns {
 				t.Fatalf("runs = %d, want %d (%+v)", len(runs), tc.wantRuns, runs)
 			}
@@ -102,8 +102,8 @@ func TestEncodeEdgeCases(t *testing.T) {
 			if max := len(runs)*WireHeaderB + len(cur); d.WireBytes() > max {
 				t.Fatalf("WireBytes = %d exceeds %d", d.WireBytes(), max)
 			}
-			if d.Empty() != (tc.wantRuns == 0) {
-				t.Fatalf("Empty() = %v with %d runs", d.Empty(), len(runs))
+			if (len(d) == 0) != (tc.wantRuns == 0) {
+				t.Fatalf("%d bytes with %d runs", len(d), len(runs))
 			}
 		})
 	}
@@ -117,7 +117,7 @@ func TestEncodeTrailingGapNotSwallowed(t *testing.T) {
 	twin := make([]byte, 64)
 	cur := make([]byte, 64)
 	cur[58] = 0xFF // bytes 59..63 identical: 5 < minGap but at page end
-	runs := Encode(twin, cur, 8).Runs()
+	runs := Encode(twin, cur, 8).runs()
 	if len(runs) != 1 {
 		t.Fatalf("want 1 run, got %+v", runs)
 	}
@@ -137,7 +137,7 @@ func TestEncodeMergedGapCarriesCurrentBytes(t *testing.T) {
 	cur := append([]byte(nil), twin...)
 	cur[4] = 0xAA
 	cur[9] = 0xBB // gap of 4 < minGap 8: merged
-	runs := Encode(twin, cur, 8).Runs()
+	runs := Encode(twin, cur, 8).runs()
 	if len(runs) != 1 {
 		t.Fatalf("want merged run, got %+v", runs)
 	}

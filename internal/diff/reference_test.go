@@ -70,9 +70,9 @@ func referenceWireBytes(runs []Run) int {
 func checkAgainstReference(t *testing.T, twin, cur []byte, minGap int) {
 	t.Helper()
 	got, want := Encode(twin, cur, minGap), encodeReference(twin, cur, minGap)
-	if !reflect.DeepEqual(got.Runs(), want) {
+	if !reflect.DeepEqual(got.runs(), want) {
 		t.Fatalf("len %d minGap %d: runs differ\n got %s\nwant %s",
-			len(cur), minGap, describe(got.Runs()), describe(want))
+			len(cur), minGap, describe(got.runs()), describe(want))
 	}
 	if got.WireBytes() != referenceWireBytes(want) {
 		t.Fatalf("WireBytes = %d, reference %d", got.WireBytes(), referenceWireBytes(want))
@@ -147,7 +147,7 @@ func TestEncodeMatchesReferenceLargePage(t *testing.T) {
 	for _, minGap := range []int{0, 8, 1 << 17} {
 		checkAgainstReference(t, twin, cur, minGap)
 	}
-	if runs := Encode(twin, cur, 8).Runs(); len(runs) != 4 || runs[1].Off != 1000 || len(runs[1].Data) != 70000 || runs[2].Off != 90000 {
+	if runs := Encode(twin, cur, 8).runs(); len(runs) != 4 || runs[1].Off != 1000 || len(runs[1].Data) != 70000 || runs[2].Off != 90000 {
 		t.Fatalf("runs %s, want [100,300)[1000,71000)[90000,90003)[%d,%d)", describe(runs), n-5, n)
 	}
 }

@@ -35,14 +35,6 @@ type Counter struct {
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n; negative deltas panic (a counter only goes up).
-func (c *Counter) Add(n int64) {
-	if n < 0 {
-		panic("obs: negative counter increment")
-	}
-	c.v.Add(n)
-}
-
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
@@ -50,9 +42,6 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 type Gauge struct {
 	bits atomic.Uint64
 }
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
 // Add applies a delta (lock-free CAS loop).
 func (g *Gauge) Add(d float64) {

@@ -109,13 +109,6 @@ func (t *Trace) Episode(procs int) *Episode {
 	return ep
 }
 
-// Episodes returns the number of episodes recorded so far.
-func (t *Trace) Episodes() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.eps)
-}
-
 func (e *Episode) emit(proc int, ev traceEvent) {
 	if proc < 0 || proc >= len(e.shards) {
 		return

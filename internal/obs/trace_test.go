@@ -135,9 +135,6 @@ func TestTracePhaseOrdinals(t *testing.T) {
 			t.Fatalf("missing episode label %s:\n%s", want, out)
 		}
 	}
-	if tr.Episodes() != 4 {
-		t.Fatalf("Episodes() = %d, want 4", tr.Episodes())
-	}
 }
 
 // TestTraceNegativeDurationClamped: a dur that would be negative (e.g.

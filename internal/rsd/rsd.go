@@ -29,20 +29,10 @@ func (d Dim) Count() int {
 	return (d.Hi-d.Lo)/d.Stride + 1
 }
 
-// Contains reports whether i lies on the dimension's lattice.
-func (d Dim) Contains(i int) bool {
-	return i >= d.Lo && i <= d.Hi && (i-d.Lo)%d.Stride == 0
-}
-
 // Section is an RSD: one Dim per array dimension, in Fortran
 // (column-major, leftmost fastest) order.
 type Section struct {
 	Dims []Dim
-}
-
-// New builds a section from (lo, hi, stride) triples.
-func New(dims ...Dim) Section {
-	return Section{Dims: dims}
 }
 
 // Range1 builds a one-dimensional dense section lo:hi.
@@ -57,100 +47,6 @@ func (s Section) Count() int {
 		n *= d.Count()
 	}
 	return n
-}
-
-// Empty reports whether the section covers no elements.
-func (s Section) Empty() bool { return s.Count() == 0 }
-
-// Contains reports whether the index tuple idx (one entry per dimension)
-// is in the section.
-func (s Section) Contains(idx ...int) bool {
-	if len(idx) != len(s.Dims) {
-		panic("rsd: index arity mismatch")
-	}
-	for i, d := range s.Dims {
-		if !d.Contains(idx[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// ForEach visits every index tuple in the section in column-major order
-// (leftmost dimension varying fastest, matching Fortran array layout).
-// The callback receives a reused slice; it must not retain it.
-func (s Section) ForEach(f func(idx []int)) {
-	if len(s.Dims) == 0 {
-		return
-	}
-	idx := make([]int, len(s.Dims))
-	for i, d := range s.Dims {
-		if d.Count() == 0 {
-			return
-		}
-		idx[i] = d.Lo
-	}
-	for {
-		f(idx)
-		// Column-major increment.
-		k := 0
-		for {
-			idx[k] += s.Dims[k].Stride
-			if idx[k] <= s.Dims[k].Hi {
-				break
-			}
-			idx[k] = s.Dims[k].Lo
-			k++
-			if k == len(s.Dims) {
-				return
-			}
-		}
-	}
-}
-
-// Intersect returns the intersection of two sections with the same
-// arity, and whether it is non-empty. Strides must match for exact
-// intersection; mismatched strides fall back to the conservative
-// (dense-stride) hull, which is sound for invalidation-style uses.
-func (s Section) Intersect(o Section) (Section, bool) {
-	if len(s.Dims) != len(o.Dims) {
-		panic("rsd: arity mismatch in Intersect")
-	}
-	out := Section{Dims: make([]Dim, len(s.Dims))}
-	for i := range s.Dims {
-		a, b := s.Dims[i], o.Dims[i]
-		lo := max(a.Lo, b.Lo)
-		hi := min(a.Hi, b.Hi)
-		if hi < lo {
-			return Section{}, false
-		}
-		stride := 1
-		if a.Stride == b.Stride {
-			stride = a.Stride
-			// Align lo to both lattices.
-			if (lo-a.Lo)%stride != 0 {
-				lo += stride - (lo-a.Lo)%stride
-			}
-			if (lo-b.Lo)%stride != 0 {
-				// The two lattices are offset; with equal strides they
-				// either coincide or are disjoint.
-				return Section{}, false
-			}
-			if hi < lo {
-				return Section{}, false
-			}
-			hi = lo + (hi-lo)/stride*stride
-		}
-		out.Dims[i] = Dim{Lo: lo, Hi: hi, Stride: stride}
-	}
-	return out, true
-}
-
-// Overlaps reports whether the sections share at least one element
-// (conservatively true for offset lattices with unequal strides).
-func (s Section) Overlaps(o Section) bool {
-	_, ok := s.Intersect(o)
-	return ok
 }
 
 // Equal reports structural equality.

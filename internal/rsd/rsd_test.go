@@ -1,7 +1,6 @@
 package rsd
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -24,10 +23,45 @@ func TestDimCount(t *testing.T) {
 	}
 }
 
+// sec builds a section from its dimensions.
+func sec(dims ...Dim) Section { return Section{Dims: dims} }
+
+// forEach visits every index tuple in the section in column-major order
+// (leftmost dimension varying fastest, matching Fortran array layout):
+// the element-by-element definition ForEachRun is checked against. The
+// callback receives a reused slice.
+func forEach(s Section, f func(idx []int)) {
+	if len(s.Dims) == 0 {
+		return
+	}
+	idx := make([]int, len(s.Dims))
+	for i, d := range s.Dims {
+		if d.Count() == 0 {
+			return
+		}
+		idx[i] = d.Lo
+	}
+	for {
+		f(idx)
+		k := 0
+		for {
+			idx[k] += s.Dims[k].Stride
+			if idx[k] <= s.Dims[k].Hi {
+				break
+			}
+			idx[k] = s.Dims[k].Lo
+			k++
+			if k == len(s.Dims) {
+				return
+			}
+		}
+	}
+}
+
 func TestForEachColumnMajor(t *testing.T) {
-	s := New(Dim{0, 1, 1}, Dim{10, 12, 1})
+	s := sec(Dim{0, 1, 1}, Dim{10, 12, 1})
 	var got [][2]int
-	s.ForEach(func(idx []int) {
+	forEach(s, func(idx []int) {
 		got = append(got, [2]int{idx[0], idx[1]})
 	})
 	want := [][2]int{{0, 10}, {1, 10}, {0, 11}, {1, 11}, {0, 12}, {1, 12}}
@@ -38,12 +72,12 @@ func TestForEachColumnMajor(t *testing.T) {
 
 func TestForEachCountMatchesCountProperty(t *testing.T) {
 	f := func(lo1, n1, st1, lo2, n2, st2 uint8) bool {
-		s := New(
+		s := sec(
 			Dim{int(lo1 % 20), int(lo1%20) + int(n1%15), int(st1%4) + 1},
 			Dim{int(lo2 % 20), int(lo2%20) + int(n2%15), int(st2%4) + 1},
 		)
 		cnt := 0
-		s.ForEach(func([]int) { cnt++ })
+		forEach(s, func([]int) { cnt++ })
 		return cnt == s.Count()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -51,89 +85,9 @@ func TestForEachCountMatchesCountProperty(t *testing.T) {
 	}
 }
 
-func TestContains(t *testing.T) {
-	s := New(Dim{0, 10, 2})
-	for i := 0; i <= 10; i += 2 {
-		if !s.Contains(i) {
-			t.Errorf("should contain %d", i)
-		}
-	}
-	for _, i := range []int{1, 3, 11, -2} {
-		if s.Contains(i) {
-			t.Errorf("should not contain %d", i)
-		}
-	}
-}
-
-func TestIntersectDense(t *testing.T) {
-	a := Range1(0, 100)
-	b := Range1(50, 150)
-	got, ok := a.Intersect(b)
-	if !ok || !got.Equal(Range1(50, 100)) {
-		t.Fatalf("got %v ok=%v", got, ok)
-	}
-}
-
-func TestIntersectDisjoint(t *testing.T) {
-	a := Range1(0, 10)
-	b := Range1(20, 30)
-	if _, ok := a.Intersect(b); ok {
-		t.Fatal("disjoint ranges intersected")
-	}
-}
-
-func TestIntersectStridedAligned(t *testing.T) {
-	a := New(Dim{0, 20, 2})
-	b := New(Dim{4, 16, 2})
-	got, ok := a.Intersect(b)
-	if !ok || !got.Equal(New(Dim{4, 16, 2})) {
-		t.Fatalf("got %v ok=%v", got, ok)
-	}
-}
-
-func TestIntersectStridedOffsetLattices(t *testing.T) {
-	a := New(Dim{0, 20, 2}) // evens
-	b := New(Dim{1, 21, 2}) // odds
-	if _, ok := a.Intersect(b); ok {
-		t.Fatal("offset lattices with equal stride should be disjoint")
-	}
-}
-
-func TestIntersectIsSoundProperty(t *testing.T) {
-	// Every element in the exact intersection must be in both sections,
-	// and (for equal strides) every common element must be in the result.
-	f := func(lo1, n1, lo2, n2, stRaw uint8) bool {
-		st := int(stRaw%3) + 1
-		a := New(Dim{int(lo1 % 30), int(lo1%30) + int(n1%20), st})
-		b := New(Dim{int(lo2 % 30), int(lo2%30) + int(n2%20), st})
-		in := map[int]bool{}
-		a.ForEach(func(idx []int) {
-			if b.Contains(idx[0]) {
-				in[idx[0]] = true
-			}
-		})
-		got, ok := a.Intersect(b)
-		if !ok {
-			return len(in) == 0
-		}
-		cnt := 0
-		okAll := true
-		got.ForEach(func(idx []int) {
-			cnt++
-			if !in[idx[0]] {
-				okAll = false
-			}
-		})
-		return okAll && cnt == len(in)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestLinearOffsets2D(t *testing.T) {
 	// A (2, M) Fortran array: column-major, leftmost fastest.
-	s := New(Dim{0, 1, 1}, Dim{3, 4, 1})
+	s := sec(Dim{0, 1, 1}, Dim{3, 4, 1})
 	got := linearOffsets(s, []int{2, 10})
 	want := []int{6, 7, 8, 9} // columns 3 and 4: offsets 2*3..2*3+1, 2*4..2*4+1
 	if !reflect.DeepEqual(got, want) {
@@ -150,34 +104,20 @@ func TestLinearOffsets1D(t *testing.T) {
 }
 
 func TestString(t *testing.T) {
-	s := New(Dim{1, 2, 1}, Dim{1, 100, 2})
+	s := sec(Dim{1, 2, 1}, Dim{1, 100, 2})
 	if s.String() != "[1:2, 1:100:2]" {
 		t.Fatalf("got %q", s.String())
 	}
 }
 
 func TestEmpty(t *testing.T) {
-	if !Range1(5, 4).Empty() {
-		t.Fatal("reversed range should be empty")
+	if n := Range1(5, 4).Count(); n != 0 {
+		t.Fatalf("reversed range counts %d elements", n)
 	}
-	if Range1(5, 5).Empty() {
-		t.Fatal("singleton range should not be empty")
-	}
-}
-
-func TestOverlapsRandomAgainstBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 300; trial++ {
-		a := New(Dim{rng.Intn(20), rng.Intn(20) + 10, 1})
-		b := New(Dim{rng.Intn(20), rng.Intn(20) + 10, 1})
-		brute := false
-		a.ForEach(func(idx []int) {
-			if b.Contains(idx[0]) {
-				brute = true
-			}
-		})
-		if got := a.Overlaps(b); got != brute {
-			t.Fatalf("Overlaps(%v, %v) = %v, brute force %v", a, b, got, brute)
-		}
+	Range1(5, 4).ForEachRun([]int{10}, func(off, n int) {
+		t.Fatalf("reversed range visited a run at %d", off)
+	})
+	if n := Range1(5, 5).Count(); n != 1 {
+		t.Fatalf("singleton range counts %d elements", n)
 	}
 }

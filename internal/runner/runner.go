@@ -49,15 +49,6 @@ func New(workers int, c *cache.LRU) *Runner {
 	return &Runner{sem: make(chan struct{}, workers), c: c}
 }
 
-// CacheStats snapshots the cache counters (zero Stats when caching is
-// disabled).
-func (r *Runner) CacheStats() cache.Stats {
-	if r.c == nil {
-		return cache.Stats{}
-	}
-	return r.c.Stats()
-}
-
 // Do returns the request's result, serving it from the cache when the
 // content address has been executed before and running it under the
 // pool bound otherwise. Only successful results are inserted, so a

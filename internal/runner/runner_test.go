@@ -21,7 +21,8 @@ func tinyRequest(n int) bench.RunRequest {
 // deep-equal to a cold run of the same request on a fresh runner.
 func TestCacheHit(t *testing.T) {
 	ctx := context.Background()
-	r := New(2, cache.New(8))
+	c := cache.New(8)
+	r := New(2, c)
 	first, err := r.Do(ctx, tinyRequest(64))
 	if err != nil {
 		t.Fatal(err)
@@ -33,7 +34,7 @@ func TestCacheHit(t *testing.T) {
 	if first != again {
 		t.Error("repeated request was re-executed instead of served from cache")
 	}
-	if st := r.CacheStats(); st.Hits != 1 || st.Misses != 1 {
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 {
 		t.Errorf("cache stats = %+v, want 1 hit, 1 miss", st)
 	}
 
@@ -50,7 +51,8 @@ func TestCacheHit(t *testing.T) {
 // neither reads nor writes the cache.
 func TestDoUncachedBypassesCache(t *testing.T) {
 	ctx := context.Background()
-	r := New(2, cache.New(8))
+	c := cache.New(8)
+	r := New(2, c)
 	warm, err := r.Do(ctx, tinyRequest(64))
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +67,7 @@ func TestDoUncachedBypassesCache(t *testing.T) {
 	if !reflect.DeepEqual(warm, re) {
 		t.Error("uncached re-run differs from the cached result (determinism broken)")
 	}
-	if st := r.CacheStats(); st.Hits != 0 {
+	if st := c.Stats(); st.Hits != 0 {
 		t.Errorf("DoUncached consulted the cache: %+v", st)
 	}
 }
@@ -74,20 +76,21 @@ func TestDoUncachedBypassesCache(t *testing.T) {
 // error, leaves nothing in the cache, and that the runner still
 // executes subsequent requests normally.
 func TestCanceledContext(t *testing.T) {
-	r := New(2, cache.New(8))
+	c := cache.New(8)
+	r := New(2, c)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := r.Do(ctx, tinyRequest(64)); err == nil {
 		t.Fatal("Do succeeded on a canceled context")
 	}
-	if st := r.CacheStats(); st.Entries != 0 {
+	if st := c.Stats(); st.Entries != 0 {
 		t.Errorf("canceled run left %d cache entries", st.Entries)
 	}
 	res, err := r.Do(context.Background(), tinyRequest(64))
 	if err != nil || res == nil {
 		t.Fatalf("Do after cancellation: %v", err)
 	}
-	if st := r.CacheStats(); st.Entries != 1 {
+	if st := c.Stats(); st.Entries != 1 {
 		t.Errorf("successful run not cached: %+v", st)
 	}
 }

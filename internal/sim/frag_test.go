@@ -57,7 +57,7 @@ func TestLargeSendCountsFragments(t *testing.T) {
 		}
 	})
 	msgs, _ := c.Stats.Totals()
-	want := c.Config().Frags(100000)
+	want := c.Proc(0).Config().Frags(100000)
 	if msgs != want {
 		t.Fatalf("large send counted %d msgs, want %d", msgs, want)
 	}
@@ -103,7 +103,7 @@ func TestInterruptAggregationAcrossCalls(t *testing.T) {
 		p0.CallMulti([]CallSpec{{Target: 1, Kind: "h"}})
 	}
 	want := 4 * (cfg.InterruptUS + 2.5)
-	if got := c.Proc(1).InterruptUS(); got != want {
+	if got := c.Proc(1).Time(); got != want { // clock 0: Time is the interrupt aggregate
 		t.Fatalf("interrupt aggregate = %v, want %v", got, want)
 	}
 }

@@ -67,14 +67,6 @@ type MemStats struct {
 // attach wires the owning cluster (NewCluster calls this after init).
 func (m *MemStats) attach(c *Cluster) { m.c = c }
 
-// NewMemStats returns a MemStats with procs per-processor shards (the
-// cluster does this itself; the constructor exists for tests).
-func NewMemStats(procs int) *MemStats {
-	m := &MemStats{}
-	m.init(procs)
-	return m
-}
-
 func (m *MemStats) init(procs int) {
 	m.shards = make([]shard[string, MemStat], procs+1)
 	m.totals = make([]MemStat, procs+1)
@@ -184,19 +176,6 @@ func (m *MemStats) ProcPeaks() (procs []MemStat, global MemStat) {
 	each(m.shards, func(i int, _ map[string]*MemStat) { all[i] = m.totals[i] })
 	n := len(all) - 1
 	return all[:n], all[n]
-}
-
-// MaxPeakBytes returns the largest per-processor footprint high-water
-// mark — the number a per-processor memory budget constrains.
-func (m *MemStats) MaxPeakBytes() int64 {
-	procs, _ := m.ProcPeaks()
-	max := int64(0)
-	for _, p := range procs {
-		if p.PeakBytes > max {
-			max = p.PeakBytes
-		}
-	}
-	return max
 }
 
 // CheckBalanced reports an error if any cell still has bytes charged —

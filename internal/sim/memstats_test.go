@@ -7,8 +7,16 @@ import (
 	"testing"
 )
 
+// newMemStats returns a MemStats with procs per-processor shards and no
+// cluster, as NewCluster builds its own.
+func newMemStats(procs int) *MemStats {
+	m := &MemStats{}
+	m.init(procs)
+	return m
+}
+
 func TestMemAllocFreePeak(t *testing.T) {
-	m := NewMemStats(2)
+	m := newMemStats(2)
 	m.Alloc(0, "pages", 100)
 	m.Alloc(0, "twins", 50)
 	m.Free(0, "twins", 50)
@@ -26,15 +34,12 @@ func TestMemAllocFreePeak(t *testing.T) {
 	if procs[0] != (MemStat{CurBytes: 120, PeakBytes: 150}) {
 		t.Errorf("proc 0 total = %+v, want cur 120 peak 150", procs[0])
 	}
-	if m.MaxPeakBytes() != 150 {
-		t.Errorf("MaxPeakBytes = %d, want 150", m.MaxPeakBytes())
-	}
 }
 
 // TestMemPeakNeverBelowCur samples the invariant peak >= cur at every
 // step of an alloc/free walk, per cell and per shard total.
 func TestMemPeakNeverBelowCur(t *testing.T) {
-	m := NewMemStats(1)
+	m := newMemStats(1)
 	sizes := []int64{64, 4096, 1, 300, 7}
 	for i, sz := range sizes {
 		m.Alloc(0, "a", sz)
@@ -58,7 +63,7 @@ func TestMemPeakNeverBelowCur(t *testing.T) {
 }
 
 func TestMemConservationAtTeardown(t *testing.T) {
-	m := NewMemStats(3)
+	m := newMemStats(3)
 	for p := 0; p < 3; p++ {
 		m.Alloc(p, "pages", 8192)
 		m.Alloc(p, "diffs", int64(100*(p+1)))
@@ -76,13 +81,13 @@ func TestMemConservationAtTeardown(t *testing.T) {
 		t.Fatalf("CheckBalanced after full teardown: %v", err)
 	}
 	// Peaks survive the teardown (they are the report).
-	if m.MaxPeakBytes() == 0 {
+	if procs, _ := m.ProcPeaks(); procs[0].PeakBytes == 0 {
 		t.Error("peaks were lost at teardown")
 	}
 }
 
 func TestMemUnderflowPanics(t *testing.T) {
-	m := NewMemStats(1)
+	m := newMemStats(1)
 	m.Alloc(0, "x", 10)
 	defer func() {
 		if recover() == nil {
@@ -93,7 +98,7 @@ func TestMemUnderflowPanics(t *testing.T) {
 }
 
 func TestMemNegativeAllocPanics(t *testing.T) {
-	m := NewMemStats(1)
+	m := newMemStats(1)
 	defer func() {
 		if recover() == nil {
 			t.Error("negative alloc did not panic")
@@ -115,7 +120,7 @@ func TestMemBadProcPanics(t *testing.T) {
 		f()
 	}
 	for _, proc := range []int{-2, 2, 99} {
-		m := NewMemStats(2)
+		m := newMemStats(2)
 		m.Alloc(-1, "x", 8)
 		mustPanic(fmt.Sprintf("Alloc on proc %d", proc), func() { m.Alloc(proc, "x", 8) })
 		mustPanic(fmt.Sprintf("Free on proc %d", proc), func() { m.Free(proc, "x", 8) })
@@ -130,7 +135,7 @@ func TestMemBadProcPanics(t *testing.T) {
 // independent of scheduling.
 func TestMemShardedDeterminism(t *testing.T) {
 	run := func() map[MemKey]MemStat {
-		m := NewMemStats(8)
+		m := newMemStats(8)
 		var wg sync.WaitGroup
 		for p := 0; p < 8; p++ {
 			wg.Add(1)
@@ -163,7 +168,7 @@ func TestMemShardedDeterminism(t *testing.T) {
 }
 
 func TestMemStringCanonical(t *testing.T) {
-	m := NewMemStats(2)
+	m := newMemStats(2)
 	m.Alloc(1, "b", 2)
 	m.Alloc(0, "b", 1)
 	m.Alloc(0, "a", 3)

@@ -227,10 +227,10 @@ func TestSendRecvCountsFragmentBytes(t *testing.T) {
 		}
 	})
 	msgs, bytes := c.Stats.Totals()
-	if want := c.Config().Frags(payload); msgs != want {
+	if want := c.Proc(0).Config().Frags(payload); msgs != want {
 		t.Errorf("msgs = %d, want %d", msgs, want)
 	}
-	if want := c.Config().WireBytes(payload); bytes != want {
+	if want := c.Proc(0).Config().WireBytes(payload); bytes != want {
 		t.Errorf("bytes = %d, want %d", bytes, want)
 	}
 }

@@ -147,7 +147,7 @@ func TestBlockingOutsideRunPanics(t *testing.T) {
 		op   func(p *Proc)
 	}{
 		{"Recv", 1, func(p *Proc) { p.Recv("ext", 0) }},
-		{"Barrier", 0, func(p *Proc) { p.Barrier(1) }},
+		{"Barrier", 0, func(p *Proc) { p.BarrierExchange(1, nil, 0, nil) }},
 		{"AcquireResource", 1, func(p *Proc) { p.AcquireResource(3, 0, nil) }},
 	} {
 		func() {
@@ -166,7 +166,7 @@ func TestBlockingOutsideRunPanics(t *testing.T) {
 		} else if _, v := p.Recv("ext", 0); v != "hello" {
 			t.Errorf("payload = %v", v)
 		}
-		p.Barrier(1)
+		p.BarrierExchange(1, nil, 0, nil)
 		p.AcquireResource(3, float64(p.ID()), nil)
 		p.ReleaseResource(3, p.Clock())
 	})
@@ -213,7 +213,7 @@ func TestQuiescenceEpochTorture(t *testing.T) {
 				// Quiescence churn: a barrier every few rounds forces full
 				// block/release cycles through the barrier path too.
 				if r%6 == 5 {
-					p.Barrier(1000 + r)
+					p.BarrierExchange(1000+r, nil, 0, nil)
 				}
 			}
 		})

@@ -321,9 +321,6 @@ func NewCluster(cfg Config) *Cluster {
 	return c
 }
 
-// Config returns the cluster's machine description.
-func (c *Cluster) Config() *Config { return &c.cfg }
-
 // NProcs returns the number of processors.
 func (c *Cluster) NProcs() int { return len(c.procs) }
 
@@ -607,13 +604,6 @@ func (p *Proc) chargeInterrupt(from int, us float64) {
 	p.mu.Lock()
 	p.intrBy[from] += us
 	p.mu.Unlock()
-}
-
-// InterruptUS returns the accumulated request-service time.
-func (p *Proc) InterruptUS() float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.intrLocked()
 }
 
 func (p *Proc) intrLocked() float64 {
@@ -1081,11 +1071,6 @@ func (c *Cluster) barrierLocked(id int) *barrier {
 		c.barriers[id] = b
 	}
 	return b
-}
-
-// Barrier performs a plain barrier with no data exchange.
-func (p *Proc) Barrier(id int) {
-	p.BarrierExchange(id, nil, 0, nil)
 }
 
 // BarrierExchange implements the centralized barrier of TreadMarks (the

@@ -61,9 +61,6 @@ func TestCallRoundTripTiming(t *testing.T) {
 	if got := c.Proc(1).Clock(); got != 0 {
 		t.Fatalf("target clock = %v, want 0 (interrupts are side-accounted)", got)
 	}
-	if got := c.Proc(1).InterruptUS(); math.Abs(got-wantTgt) > 1e-9 {
-		t.Fatalf("target interrupt time = %v, want %v", got, wantTgt)
-	}
 	if got := c.Proc(1).Time(); math.Abs(got-wantTgt) > 1e-9 {
 		t.Fatalf("target Time = %v, want %v", got, wantTgt)
 	}
@@ -141,7 +138,7 @@ func TestBarrierSynchronizesClocks(t *testing.T) {
 	c := NewCluster(cfg)
 	c.Run(func(p *Proc) {
 		p.Advance(float64(100 * (p.ID() + 1))) // proc 3 is slowest: 400
-		p.Barrier(1)
+		p.BarrierExchange(1, nil, 0, nil)
 		// All release at >= 400 (+ barrier costs).
 		if p.Clock() < 400 {
 			t.Errorf("proc %d released at %v before slowest arrival", p.ID(), p.Clock())
@@ -161,9 +158,9 @@ func TestBarrierDeterministicRelease(t *testing.T) {
 		c := NewCluster(tiny(8))
 		c.Run(func(p *Proc) {
 			p.Advance(float64(p.ID()) * 13.7)
-			p.Barrier(1)
+			p.BarrierExchange(1, nil, 0, nil)
 			p.Advance(float64(p.ID()) * 3.1)
-			p.Barrier(2)
+			p.BarrierExchange(2, nil, 0, nil)
 		})
 		got := c.MaxTime()
 		if trial == 0 {
@@ -202,7 +199,7 @@ func TestBarrierReusableAcrossEpisodes(t *testing.T) {
 	c := NewCluster(tiny(3))
 	c.Run(func(p *Proc) {
 		for i := 0; i < 10; i++ {
-			p.Barrier(99)
+			p.BarrierExchange(99, nil, 0, nil)
 			p.Advance(1)
 		}
 	})
@@ -228,7 +225,7 @@ func TestBarrierEpisodeAllocs(t *testing.T) {
 		return func() {
 			NewCluster(DefaultConfig(4)).Run(func(p *Proc) {
 				for i := 0; i < rounds; i++ {
-					p.Barrier(1)
+					p.BarrierExchange(1, nil, 0, nil)
 				}
 			})
 		}
@@ -244,7 +241,7 @@ func TestBarrierEpisodeAllocs(t *testing.T) {
 func TestSingleProcBarrierIsFree(t *testing.T) {
 	c := NewCluster(tiny(1))
 	p := c.Proc(0)
-	p.Barrier(1)
+	p.BarrierExchange(1, nil, 0, nil)
 	if p.Clock() != 0 {
 		t.Fatalf("1-proc barrier advanced clock to %v", p.Clock())
 	}

@@ -109,16 +109,6 @@ func (s *SyncStats) Snapshot() map[LockKey]LockStat {
 	return out
 }
 
-// PerLock merges a snapshot over processors: one LockStat per resource,
-// summed in processor-id order (SortedKeys fixes the float order).
-func PerLock(snap map[LockKey]LockStat) map[int]LockStat {
-	out := map[int]LockStat{}
-	for _, k := range SortedLockKeys(snap) {
-		out[k.Res] = out[k.Res].Add(snap[k])
-	}
-	return out
-}
-
 // TotalLockStat merges a snapshot down to a single cell, summing in
 // (resource, processor) order.
 func TotalLockStat(snap map[LockKey]LockStat) LockStat {

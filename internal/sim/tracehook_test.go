@@ -92,7 +92,7 @@ func TestTracedRunDeterministic(t *testing.T) {
 				}
 				p.RecvEach("x", round, procs-1, nil)
 				p.TraceMark("round", p.Clock(), int64(round))
-				p.Barrier(100 + round)
+				p.BarrierExchange(100+round, nil, 0, nil)
 			}
 			mem.Free(me, "test.buf", 1024)
 			p.TraceSpan("body", 0, p.Clock(), 0)

@@ -133,7 +133,6 @@ type Server struct {
 	fails     map[cache.Key]string
 	failOrder []cache.Key
 
-	executed atomic.Int64
 	draining atomic.Bool
 	wg       sync.WaitGroup
 }
@@ -207,10 +206,6 @@ func (s *Server) handleVersion(w http.ResponseWriter, _ *http.Request) {
 		RunRequestVersions: []int{bench.RequestVersion, bench.RequestVersionPerturb},
 	})
 }
-
-// Executed returns how many backend runs the server has launched —
-// the number the coalescing tests pin to exactly one.
-func (s *Server) Executed() int64 { return s.executed.Load() }
 
 // Drain stops admitting new runs (readyz flips to 503, submissions
 // get 503) and waits until every inflight run has finished or ctx
@@ -439,7 +434,6 @@ func (s *Server) runOne(key cache.Key, fl *flight) {
 		defer cancel()
 	}
 	res, err := s.execRecovered(ctx, fl.req)
-	s.executed.Add(1)
 	mExecuted.Inc()
 
 	var payload, result []byte

@@ -23,6 +23,22 @@ import (
 	"repro/internal/runner"
 )
 
+// execFunc is the type of Config.Exec.
+type execFunc = func(context.Context, bench.RunRequest) (*bench.RunResult, error)
+
+// countRuns returns an Exec that counts the backend runs the server
+// launches in n and hands each to exec, or runs it for real as the
+// server's default does when exec is nil.
+func countRuns(n *atomic.Int64, exec execFunc) execFunc {
+	if exec == nil {
+		exec = runner.New(0, nil).DoUncached
+	}
+	return func(ctx context.Context, req bench.RunRequest) (*bench.RunResult, error) {
+		n.Add(1)
+		return exec(ctx, req)
+	}
+}
+
 // taskqSpec is the test corpus: a taskq run small enough to execute
 // for real in the end-to-end tests.
 const taskqSpec = `name: svc-test
@@ -79,7 +95,8 @@ func decodeStatus(t *testing.T, b []byte) status {
 // TestEndToEnd drives the whole API against a real (tiny) run: submit
 // with wait, re-fetch by address, render, and scrape /metrics.
 func TestEndToEnd(t *testing.T) {
-	srv := New(Config{})
+	var runs atomic.Int64
+	srv := New(Config{Exec: countRuns(&runs, nil)})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -91,8 +108,8 @@ func TestEndToEnd(t *testing.T) {
 	if st.Status != "done" || st.Result == nil || st.Experiment != "app" {
 		t.Fatalf("submit envelope: %+v", st)
 	}
-	if srv.Executed() != 1 {
-		t.Fatalf("executed = %d after one run", srv.Executed())
+	if runs.Load() != 1 {
+		t.Fatalf("executed = %d after one run", runs.Load())
 	}
 
 	// A repeat submission is a pure cache hit: 200 immediately, no
@@ -101,8 +118,8 @@ func TestEndToEnd(t *testing.T) {
 	if code2 != http.StatusOK {
 		t.Fatalf("repeat submit: %d %s", code2, body2)
 	}
-	if srv.Executed() != 1 {
-		t.Errorf("executed = %d after a cached repeat", srv.Executed())
+	if runs.Load() != 1 {
+		t.Errorf("executed = %d after a cached repeat", runs.Load())
 	}
 	if !bytes.Equal(body, body2) {
 		t.Error("cached submission returned different bytes")
@@ -158,13 +175,14 @@ func TestCoalescing(t *testing.T) {
 	const workers = 16
 	started := make(chan struct{})
 	release := make(chan struct{})
+	var runs atomic.Int64
 	srv := New(Config{
-		Exec: func(ctx context.Context, req bench.RunRequest) (*bench.RunResult, error) {
+		Exec: countRuns(&runs, func(ctx context.Context, req bench.RunRequest) (*bench.RunResult, error) {
 			close(started) // a second execution would close twice and panic
 			<-release
 			return &bench.RunResult{Experiment: req.Experiment,
 				Metrics: map[string]float64{"probe": 42}}, nil
-		},
+		}),
 	})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -188,7 +206,7 @@ func TestCoalescing(t *testing.T) {
 	close(release)
 	wg.Wait()
 
-	if got := srv.Executed(); got != 1 {
+	if got := runs.Load(); got != 1 {
 		t.Fatalf("executed = %d for %d identical submissions, want 1", got, workers)
 	}
 	for i := 0; i < workers; i++ {
@@ -241,17 +259,18 @@ func submitAndRender(t *testing.T, ts *httptest.Server, spec string) (body, rend
 }
 
 // restart opens a fresh server — fresh memory tier, fresh counters —
-// over the disk directory, as a new process would.
-func restart(t *testing.T, dir string) (*Server, *httptest.Server) {
+// over the disk directory, as a new process would. It returns the
+// server's backend run count with it.
+func restart(t *testing.T, dir string) (*atomic.Int64, *httptest.Server) {
 	t.Helper()
 	d, err := disk.Open(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(Config{Disk: d})
-	ts := httptest.NewServer(srv)
+	runs := new(atomic.Int64)
+	ts := httptest.NewServer(New(Config{Disk: d, Exec: countRuns(runs, nil)}))
 	t.Cleanup(ts.Close)
-	return srv, ts
+	return runs, ts
 }
 
 // TestDiskColdStart is the restart contract: a fresh server over a
@@ -266,15 +285,15 @@ func TestDiskColdStart(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			srv1, ts1 := restart(t, dir)
+			runs1, ts1 := restart(t, dir)
 			warm, warmRender := submitAndRender(t, ts1, spec)
-			if srv1.Executed() != 1 {
-				t.Fatalf("warming executed = %d", srv1.Executed())
+			if runs1.Load() != 1 {
+				t.Fatalf("warming executed = %d", runs1.Load())
 			}
 
-			srv2, ts2 := restart(t, dir)
+			runs2, ts2 := restart(t, dir)
 			cold, coldRender := submitAndRender(t, ts2, spec)
-			if got := srv2.Executed(); got != 0 {
+			if got := runs2.Load(); got != 0 {
 				t.Fatalf("cold start executed %d backend runs, want 0", got)
 			}
 			if !bytes.Equal(warm, cold) {
@@ -326,9 +345,9 @@ func TestDiskUnservableEntryRerun(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			srv1, ts1 := restart(t, dir)
+			runs1, ts1 := restart(t, dir)
 			first, _ := submitAndRender(t, ts1, taskqSpec)
-			if got := srv1.Executed(); got != 1 {
+			if got := runs1.Load(); got != 1 {
 				t.Fatalf("unservable entry: executed = %d, want 1", got)
 			}
 			if decodeStatus(t, first).Result.Metrics["planted"] != 0 {
@@ -346,9 +365,9 @@ func TestDiskUnservableEntryRerun(t *testing.T) {
 				t.Fatalf("rewritten entry: %v", err)
 			}
 
-			srv2, ts2 := restart(t, dir)
+			runs2, ts2 := restart(t, dir)
 			second, _ := submitAndRender(t, ts2, taskqSpec)
-			if got := srv2.Executed(); got != 0 {
+			if got := runs2.Load(); got != 0 {
 				t.Fatalf("rewritten entry: executed = %d, want 0", got)
 			}
 			if !bytes.Equal(first, second) {
@@ -454,10 +473,11 @@ func TestDrain(t *testing.T) {
 // TestValidation checks the request gate: malformed bodies, engine
 // flags, bad addresses, unknown runs.
 func TestValidation(t *testing.T) {
+	var runs atomic.Int64
 	srv := New(Config{
-		Exec: func(ctx context.Context, req bench.RunRequest) (*bench.RunResult, error) {
+		Exec: countRuns(&runs, func(ctx context.Context, req bench.RunRequest) (*bench.RunResult, error) {
 			return &bench.RunResult{Experiment: req.Experiment}, nil
-		},
+		}),
 	})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -480,8 +500,8 @@ func TestValidation(t *testing.T) {
 			t.Errorf("%s: code %d body %s, want %d", tc.name, code, body, tc.want)
 		}
 	}
-	if srv.Executed() != 0 {
-		t.Errorf("executed = %d; invalid submissions must start nothing", srv.Executed())
+	if runs.Load() != 0 {
+		t.Errorf("executed = %d; invalid submissions must start nothing", runs.Load())
 	}
 
 	if code, _, _ := get(t, ts, "/v1/runs/nothex"); code != http.StatusBadRequest {
@@ -666,7 +686,8 @@ func TestUnprefixedAliases(t *testing.T) {
 // unperturbed run of the same workload.
 func TestPerturbedRunOverHTTP(t *testing.T) {
 	perturbed := taskqSpec + "machine:\n  perturb:\n    cpu: [1.3]\n"
-	srv := New(Config{})
+	var runs atomic.Int64
+	srv := New(Config{Exec: countRuns(&runs, nil)})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -687,8 +708,8 @@ func TestPerturbedRunOverHTTP(t *testing.T) {
 	if pert.Address == base.Address {
 		t.Error("perturbed run shares a content address with the baseline")
 	}
-	if srv.Executed() != 2 {
-		t.Errorf("executed = %d, want 2 (distinct addresses, distinct runs)", srv.Executed())
+	if runs.Load() != 2 {
+		t.Errorf("executed = %d, want 2 (distinct addresses, distinct runs)", runs.Load())
 	}
 }
 
@@ -824,17 +845,18 @@ func TestHotHitAllocsIndependentOfResult(t *testing.T) {
 			res.Apps = append(res.Apps, &bench.AppResults{App: "taskq", Label: fmt.Sprint(i),
 				Config: "procs=2", VariantSet: &apps.VariantSet{Seq: r, Chaos: r, Base: r, Opt: r}})
 		}
-		srv := New(Config{Exec: func(context.Context, bench.RunRequest) (*bench.RunResult, error) {
+		var runs atomic.Int64
+		srv := New(Config{Exec: countRuns(&runs, func(context.Context, bench.RunRequest) (*bench.RunResult, error) {
 			return res, nil
-		}})
+		})})
 		serve := func(target string) *discardWriter {
 			w := &discardWriter{h: http.Header{}}
 			srv.ServeHTTP(w, httptest.NewRequest("POST", target, strings.NewReader(taskqSpec)))
 			return w
 		}
 		serve("/v1/runs?wait=1")
-		if srv.Executed() != 1 {
-			t.Fatalf("priming executed %d runs", srv.Executed())
+		if runs.Load() != 1 {
+			t.Fatalf("priming executed %d runs", runs.Load())
 		}
 		return testing.AllocsPerRun(50, func() { serve("/v1/runs") })
 	}

@@ -120,7 +120,7 @@ func TestSharedTwinNotRecycled(t *testing.T) {
 	d.Node(0).Space().WriteF64(a, 1)
 	d.Node(0).Space().WriteF64(b, 2)
 	d.SealInit()
-	pageA := d.Arena().PageOf(a)
+	pageA := d.img.arena.PageOf(a)
 	image := d.Node(0).Space().Page(pageA).Data()
 	cl.Run(func(p *sim.Proc) {
 		if p.ID() != 1 {

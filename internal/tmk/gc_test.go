@@ -61,7 +61,7 @@ func TestLockFairnessAndQueueing(t *testing.T) {
 	const np = 8
 	const iters = 3
 	d, addr := harness(t, np, 2)
-	d.Cluster().Run(func(p *sim.Proc) {
+	d.cluster.Run(func(p *sim.Proc) {
 		n := d.Node(p.ID())
 		for i := 0; i < iters; i++ {
 			n.AcquireLock(0)
@@ -80,7 +80,7 @@ func TestLockFairnessAndQueueing(t *testing.T) {
 		}
 		n.Barrier(2)
 	})
-	cats := d.Cluster().Stats.Categories()
+	cats := d.cluster.Stats.Categories()
 	if cats["tmk.lock"].Messages == 0 {
 		t.Fatal("lock traffic not recorded")
 	}
@@ -90,7 +90,7 @@ func TestLocksComposeWithBarriers(t *testing.T) {
 	// Alternating lock-protected updates and barrier-phase reads.
 	const np = 4
 	d, addr := harness(t, np, 8)
-	d.Cluster().Run(func(p *sim.Proc) {
+	d.cluster.Run(func(p *sim.Proc) {
 		n := d.Node(p.ID())
 		for round := 0; round < 3; round++ {
 			n.AcquireLock(1)
@@ -112,7 +112,7 @@ func TestDiffRequestRangeSemantics(t *testing.T) {
 	// A reader that skipped several epochs must receive exactly the
 	// missing intervals in one exchange per writer.
 	d, addr := harness(t, 2, 128)
-	d.Cluster().Run(func(p *sim.Proc) {
+	d.cluster.Run(func(p *sim.Proc) {
 		n := d.Node(p.ID())
 		for e := 0; e < 4; e++ {
 			if p.ID() == 0 {
@@ -129,7 +129,7 @@ func TestDiffRequestRangeSemantics(t *testing.T) {
 		}
 		n.Barrier(2)
 	})
-	cats := d.Cluster().Stats.Categories()
+	cats := d.cluster.Stats.Categories()
 	if cats["tmk.diff"].Messages != 2 {
 		t.Errorf("range fetch used %d messages, want 2", cats["tmk.diff"].Messages)
 	}

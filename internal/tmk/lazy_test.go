@@ -71,7 +71,7 @@ func lazyWorld(t *testing.T, eager bool) (lazyOutcome, []int) {
 	d := New(c, 1024, 1<<22)
 	base := d.Alloc(1 << 22)
 	d.SealInit()
-	numPages := d.Arena().NumPages()
+	numPages := d.img.arena.NumPages()
 	if eager {
 		for i := 0; i < np; i++ {
 			for pg := 0; pg < numPages; pg++ {
@@ -80,7 +80,7 @@ func lazyWorld(t *testing.T, eager bool) (lazyOutcome, []int) {
 		}
 	}
 	word := func(page, w int) vm.Addr { return base + vm.Addr(8*(page*wordsPerPage+w)) }
-	page3 := d.Arena().PageOf(word(3, 0))
+	page3 := d.img.arena.PageOf(word(3, 0))
 	c.Run(func(p *sim.Proc) {
 		me := p.ID()
 		n := d.Node(me)

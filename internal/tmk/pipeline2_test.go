@@ -23,7 +23,7 @@ func TestPipelineWithPriorReads(t *testing.T) {
 		}
 	}
 	blk := n / np
-	d.Cluster().Run(func(p *sim.Proc) {
+	d.cluster.Run(func(p *sim.Proc) {
 		me := p.ID()
 		nd := d.Node(me)
 		sp := nd.Space()

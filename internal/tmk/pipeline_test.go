@@ -24,7 +24,7 @@ func TestPipelinedReduction(t *testing.T) {
 		}
 	}
 	blk := n / np
-	d.Cluster().Run(func(p *sim.Proc) {
+	d.cluster.Run(func(p *sim.Proc) {
 		me := p.ID()
 		nd := d.Node(me)
 		sp := nd.Space()

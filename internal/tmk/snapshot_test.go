@@ -58,7 +58,7 @@ func writeAllReduce(t *testing.T, nprocs, rounds int, allRead bool) (pins string
 	f := d.Alloc(nprocs * blockBytes)
 	x := d.Alloc(nprocs * blockBytes)
 	addr := func(arr vm.Addr, b, j int) vm.Addr { return arr + vm.Addr(8*(b*reduceBlockWords+j)) }
-	page := func(arr vm.Addr, b, k int) vm.PageID { return d.Arena().PageOf(addr(arr, b, k*reducePageSize/8)) }
+	page := func(arr vm.Addr, b, k int) vm.PageID { return d.img.arena.PageOf(addr(arr, b, k*reducePageSize/8)) }
 	d.SealInit()
 	frozen := make([][]frozenSnapshot, nprocs)
 	errs := make([]error, nprocs)

@@ -78,9 +78,6 @@ func NewImage(pageSize, arenaBytes int) *Image {
 	return &Image{arena: a, space: vm.NewSpace(a, vm.ReadWrite)}
 }
 
-// Arena returns the image's address space geometry.
-func (im *Image) Arena() *vm.Arena { return im.arena }
-
 // Space returns the writable space the initial values are written
 // through. Once the image is sealed every page of it is read-only.
 func (im *Image) Space() *vm.Space { return im.space }
@@ -174,22 +171,12 @@ func newDSM(c *sim.Cluster, img *Image) *DSM {
 	return d
 }
 
-// Cluster returns the underlying simulated cluster.
-func (d *DSM) Cluster() *sim.Cluster { return d.cluster }
-
-// Arena returns the shared address space geometry.
-func (d *DSM) Arena() *vm.Arena { return d.img.arena }
-
 // Node returns the protocol instance of processor i.
 func (d *DSM) Node(i int) *Node { return d.nodes[i] }
 
 // Alloc reserves page-aligned shared memory (the TreadMarks shared
 // malloc). Must be called before SealInit, from a single goroutine.
 func (d *DSM) Alloc(size int) vm.Addr { return d.img.Alloc(size) }
-
-// AllocUnaligned reserves shared memory with no page alignment (used to
-// reproduce false-sharing-prone layouts).
-func (d *DSM) AllocUnaligned(size int) vm.Addr { return d.img.AllocUnaligned(size) }
 
 // SealInit ends the (untimed, unmeasured) initialization phase: the
 // initial image written by processor 0 is sealed and replicated to every

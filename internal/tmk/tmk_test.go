@@ -23,7 +23,7 @@ func harness(t testing.TB, nprocs, nwords int) (*DSM, vm.Addr) {
 
 func TestWriteBarrierReadVisibility(t *testing.T) {
 	d, addr := harness(t, 2, 8)
-	d.Cluster().Run(func(p *sim.Proc) {
+	d.cluster.Run(func(p *sim.Proc) {
 		n := d.Node(p.ID())
 		if p.ID() == 0 {
 			n.Space().WriteF64(addr, 42.0)
@@ -42,7 +42,7 @@ func TestInvalidationIsLazy(t *testing.T) {
 	d, addr := harness(t, 2, 8)
 	var phase sync.WaitGroup
 	phase.Add(1)
-	d.Cluster().Run(func(p *sim.Proc) {
+	d.cluster.Run(func(p *sim.Proc) {
 		n := d.Node(p.ID())
 		if p.ID() == 0 {
 			n.Space().WriteF64(addr, 1.0)
@@ -65,7 +65,7 @@ func TestMultipleWriterFalseSharingMerge(t *testing.T) {
 	// after the barrier both see both writes (the multiple-writer
 	// protocol's diff merge).
 	d, addr := harness(t, 2, 8)
-	d.Cluster().Run(func(p *sim.Proc) {
+	d.cluster.Run(func(p *sim.Proc) {
 		n := d.Node(p.ID())
 		me := p.ID()
 		n.Space().WriteF64(addr+vm.Addr(8*me), float64(me+1))
@@ -82,7 +82,7 @@ func TestMultipleWriterFalseSharingMerge(t *testing.T) {
 func TestManyProcsFalseSharingMerge(t *testing.T) {
 	const np = 8
 	d, addr := harness(t, np, np)
-	d.Cluster().Run(func(p *sim.Proc) {
+	d.cluster.Run(func(p *sim.Proc) {
 		n := d.Node(p.ID())
 		n.Space().WriteF64(addr+vm.Addr(8*p.ID()), float64(p.ID()+100))
 		n.Barrier(1)
@@ -99,7 +99,7 @@ func TestSuccessiveIntervalsAccumulate(t *testing.T) {
 	// One writer updates across several barrier epochs; a reader that
 	// skips epochs must receive all missing diffs at once.
 	d, addr := harness(t, 2, 8)
-	d.Cluster().Run(func(p *sim.Proc) {
+	d.cluster.Run(func(p *sim.Proc) {
 		n := d.Node(p.ID())
 		for it := 1; it <= 5; it++ {
 			if p.ID() == 0 {
@@ -122,7 +122,7 @@ func TestWriterSeesOwnWritesAfterInvalidation(t *testing.T) {
 	// A writer whose page is invalidated by a concurrent (false-sharing)
 	// writer must, after merging, still see its own contribution.
 	d, addr := harness(t, 2, 8)
-	d.Cluster().Run(func(p *sim.Proc) {
+	d.cluster.Run(func(p *sim.Proc) {
 		n := d.Node(p.ID())
 		me := p.ID()
 		for it := 0; it < 3; it++ {
@@ -221,7 +221,7 @@ func TestLockTransferConsistency(t *testing.T) {
 	const np = 4
 	const iters = 5
 	d, addr := harness(t, np, 4)
-	d.Cluster().Run(func(p *sim.Proc) {
+	d.cluster.Run(func(p *sim.Proc) {
 		n := d.Node(p.ID())
 		for i := 0; i < iters; i++ {
 			n.AcquireLock(3)
@@ -239,7 +239,7 @@ func TestLockTransferConsistency(t *testing.T) {
 
 func TestWriteAllSkipsTwin(t *testing.T) {
 	d, addr := harness(t, 2, 256)
-	d.Cluster().Run(func(p *sim.Proc) {
+	d.cluster.Run(func(p *sim.Proc) {
 		n := d.Node(p.ID())
 		if p.ID() == 0 {
 			pg := n.Space().Arena().PageOf(addr)
@@ -270,7 +270,7 @@ func TestFullPageSnapshotSupersedesOlderDiffs(t *testing.T) {
 	// fetched A's update. A late reader must end up with B's content
 	// exactly, and its applied-state must reflect the snapshot.
 	d, addr := harness(t, 3, 128)
-	d.Cluster().Run(func(p *sim.Proc) {
+	d.cluster.Run(func(p *sim.Proc) {
 		n := d.Node(p.ID())
 		if p.ID() == 0 {
 			n.Space().WriteF64(addr, 1.0)
@@ -305,7 +305,7 @@ func TestFetchPagesAggregatesMessages(t *testing.T) {
 	const pages = 10
 	run := func(aggregated bool) int64 {
 		d, addr := harness(t, 2, 128*pages) // page = 1024B = 128 words
-		d.Cluster().Run(func(p *sim.Proc) {
+		d.cluster.Run(func(p *sim.Proc) {
 			n := d.Node(p.ID())
 			if p.ID() == 0 {
 				for pg := 0; pg < pages; pg++ {
@@ -329,7 +329,7 @@ func TestFetchPagesAggregatesMessages(t *testing.T) {
 			}
 			n.Barrier(2)
 		})
-		cats := d.Cluster().Stats.Categories()
+		cats := d.cluster.Stats.Categories()
 		return cats["tmk.diff"].Messages
 	}
 	agg := run(true)
@@ -346,7 +346,7 @@ func TestDemandFaultCountsAndTraffic(t *testing.T) {
 	// Base TreadMarks behaviour: each invalid page read costs one fault
 	// and one exchange.
 	d, addr := harness(t, 2, 256) // 2 pages
-	d.Cluster().Run(func(p *sim.Proc) {
+	d.cluster.Run(func(p *sim.Proc) {
 		n := d.Node(p.ID())
 		if p.ID() == 0 {
 			n.Space().WriteF64(addr, 1)
@@ -363,7 +363,7 @@ func TestDemandFaultCountsAndTraffic(t *testing.T) {
 		}
 		n.Barrier(2)
 	})
-	cats := d.Cluster().Stats.Categories()
+	cats := d.cluster.Stats.Categories()
 	if cats["tmk.diff"].Messages != 4 {
 		t.Errorf("demand traffic = %d msgs, want 4", cats["tmk.diff"].Messages)
 	}
@@ -481,7 +481,7 @@ func TestLockContentionDeterministicTimes(t *testing.T) {
 	run := func() (float64, int64, int64) {
 		const np = 6
 		d, addr := harness(t, np, 8)
-		d.Cluster().Run(func(p *sim.Proc) {
+		d.cluster.Run(func(p *sim.Proc) {
 			n := d.Node(p.ID())
 			for i := 0; i < 4; i++ {
 				n.AcquireLock(2)
@@ -491,8 +491,8 @@ func TestLockContentionDeterministicTimes(t *testing.T) {
 			}
 			n.Barrier(1)
 		})
-		m, b := d.Cluster().Stats.Totals()
-		return d.Cluster().MaxTime(), m, b
+		m, b := d.cluster.Stats.Totals()
+		return d.cluster.MaxTime(), m, b
 	}
 	t1, m1, b1 := run()
 	for i := 0; i < 4; i++ {
@@ -509,7 +509,7 @@ func TestDeterministicSimTimes(t *testing.T) {
 	// traffic across runs.
 	run := func() (float64, int64, int64) {
 		d, addr := harness(t, 4, 512)
-		d.Cluster().Run(func(p *sim.Proc) {
+		d.cluster.Run(func(p *sim.Proc) {
 			n := d.Node(p.ID())
 			for it := 0; it < 4; it++ {
 				n.Space().WriteF64(addr+vm.Addr(8*(p.ID()*17+it)), float64(it))
@@ -518,8 +518,8 @@ func TestDeterministicSimTimes(t *testing.T) {
 				n.Barrier(100 + it)
 			}
 		})
-		m, b := d.Cluster().Stats.Totals()
-		return d.Cluster().MaxTime(), m, b
+		m, b := d.cluster.Stats.Totals()
+		return d.cluster.MaxTime(), m, b
 	}
 	t1, m1, b1 := run()
 	for i := 0; i < 3; i++ {

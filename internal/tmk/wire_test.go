@@ -46,7 +46,7 @@ func TestWirePrices(t *testing.T) {
 			base := d.Alloc(npages * pageSize)
 			d.SealInit()
 			addr := func(page, word int) vm.Addr { return base + vm.Addr(page*pageSize+8*word) }
-			pageID := func(page int) vm.PageID { return d.Arena().PageOf(addr(page, 0)) }
+			pageID := func(page int) vm.PageID { return d.img.arena.PageOf(addr(page, 0)) }
 
 			// expect[p] records writer p's intervals; shipped[p] and
 			// respBytes[p] the diffs processor p received and the sizes
