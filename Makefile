@@ -54,7 +54,7 @@ SIMLOAD_FLAGS := -addr http://$(SIMD_ADDR) -corpus scenarios/service -workers 8 
 FUZZ_TARGETS := ./internal/diff:FuzzEncode ./internal/scenario:FuzzParse ./internal/bench:FuzzDecodeEntry ./internal/compiler:FuzzAnalyze
 FUZZTIME     ?= 30s
 
-.PHONY: test race fuzz cover size bench-baseline bench-check bench-ci profile serve loadtest loadtest-baseline
+.PHONY: test race fuzz cover reach size bench-baseline bench-check bench-ci profile serve loadtest loadtest-baseline
 
 test:
 	go build ./... && go test ./...
@@ -82,6 +82,52 @@ cover:
 		for (p in tot) printf "%6.1f%%  %s\n", 100 * cov[p] / tot[p], p }' /tmp/cover.out | sort -k2
 	@echo "functions at 0% coverage:"
 	@go tool cover -func=/tmp/cover.out | awk '$$NF == "0.0%" { print "  " $$1, $$2 }'
+
+# Reach scan: the internal/ functions the shipped product never runs,
+# as opposed to `make cover`'s functions no test reaches. cmd/scenario
+# and cmd/simd are built with coverage over the whole module and run
+# the shipped corpus (./scenarios, claims/, perturb/ and service/ with
+# -metrics), a traced -repro run and its trace-summary, and one round
+# of the scenarios/service specs through simd on loopback: each spec
+# submitted twice (a run, then a memory-tier hit), then once more to a
+# restarted simd over the same disk tier (a cold start). The functions
+# at 0% are printed, minus String, MarshalText and UnmarshalText.
+# Advisory, like `make cover`: nothing gates on the list.
+REACH_DIR  := /tmp/reach
+REACH_ADDR := 127.0.0.1:7078
+REACH_COV  := GOCOVERDIR=$(REACH_DIR)/cov
+
+# One simd process over $(REACH_DIR)/cache that gets every
+# scenarios/service spec $(1) times (status and rendering fetched each
+# time) and whose /metrics is scraped once. simd is stopped by its own
+# PID with SIGTERM, on which it drains and exits 0, writing its
+# coverage counters.
+define reach-service
+$(REACH_COV) $(REACH_DIR)/simd -addr $(REACH_ADDR) -cache-dir $(REACH_DIR)/cache -workers 2 2>> $(REACH_DIR)/simd.log & \
+pid=$$!; trap 'kill -TERM $$pid 2>/dev/null; wait $$pid' EXIT; \
+for _ in $$(seq 50); do curl -sf http://$(REACH_ADDR)/readyz > /dev/null && break; sleep 0.2; done; \
+for f in scenarios/service/*.yaml; do for _ in $$(seq $(1)); do \
+	addr=$$(curl -sf -X POST --data-binary @$$f 'http://$(REACH_ADDR)/v1/runs?wait=1' \
+		| sed -n 's/.*"address":"\([0-9a-f]\{64\}\)".*/\1/p'); \
+	test -n "$$addr" || { echo "reach: simd did not serve $$f" >&2; exit 1; }; \
+	curl -sf http://$(REACH_ADDR)/v1/runs/$$addr > /dev/null && \
+	curl -sf http://$(REACH_ADDR)/v1/runs/$$addr/render > /dev/null || exit 1; \
+done; done; \
+curl -sf http://$(REACH_ADDR)/metrics > /dev/null
+endef
+
+reach:
+	rm -rf $(REACH_DIR) && mkdir -p $(REACH_DIR)/cov
+	go build -cover -coverpkg=./... -o $(REACH_DIR)/scenario ./cmd/scenario
+	go build -cover -coverpkg=./... -o $(REACH_DIR)/simd ./cmd/simd
+	$(REACH_COV) $(REACH_DIR)/scenario run -metrics ./scenarios ./scenarios/claims ./scenarios/perturb ./scenarios/service > /dev/null
+	$(REACH_COV) $(REACH_DIR)/scenario run -repro -trace $(REACH_DIR)/traces ./scenarios/trace.yaml > /dev/null
+	$(REACH_COV) $(REACH_DIR)/scenario trace-summary $(REACH_DIR)/traces/*.trace.json > /dev/null
+	@$(call reach-service,2)
+	@$(call reach-service,1)
+	@echo "internal/ functions the product never runs:"
+	@go tool covdata func -i=$(REACH_DIR)/cov | awk '$$1 ~ /\/internal\// && $$NF == "0.0%" { \
+		name = $$2; sub(/.*\./, "", name); if (name !~ /^(String|MarshalText|UnmarshalText)$$/) print "  " $$1, $$2 }'
 
 # Code size: the non-test and test *.go line counts (wc -l) that the
 # ROADMAP quotes. A report, not a check.

@@ -119,7 +119,7 @@ func TestMeasureWindow(t *testing.T) {
 			p.Send(1, "x", 0, nil, 1000)
 		}
 		if p.ID() == 1 {
-			p.Recv("x", 0)
+			p.RecvEach("x", 0, 1, nil)
 		}
 		ep.End(p)
 		p.Advance(999) // after window: excluded
@@ -162,6 +162,73 @@ func TestMeasureDeterministic(t *testing.T) {
 		if b := run(); b != a {
 			t.Fatalf("nondeterministic window: %v vs %v", a, b)
 		}
+	}
+}
+
+// TestWindowExcludesInitialization: the Episode window is the only
+// thing that leaves initialization out of a result. Compute, a ring of
+// sends and a lock acquire on every processor before Start must not
+// reach TimeSec, Messages or Locks: the result equals that of the same
+// window run on a cluster that did nothing first. The window opens at
+// each processor's own arrival at Start, so an early arrival's wait for
+// the last one would count; initialization therefore ends on every
+// processor at the one instant initEnd.
+func TestWindowExcludesInitialization(t *testing.T) {
+	const procs, initLock, windowLock, initEnd = 4, 7, 9, 1e5
+	run := func(initialize bool) *Result {
+		ep := NewEpisode("test", sim.DefaultConfig(procs))
+		ep.Cluster.Run(func(p *sim.Proc) {
+			me := p.ID()
+			if initialize {
+				p.Advance(float64(1000 * (me + 1)))
+				p.Send((me+1)%procs, "init", 0, nil, 4096)
+				p.RecvEach("init", 0, 1, nil)
+				p.AdvanceTo(p.AcquireResource(initLock, p.Clock(), nil))
+				p.Advance(10)
+				p.ReleaseResource(initLock, p.Clock())
+				if p.Clock() >= initEnd {
+					t.Errorf("proc %d initialized until %v, past %v", me, p.Clock(), initEnd)
+				}
+				p.AdvanceTo(initEnd)
+			}
+			ep.Start(p)
+			p.Advance(float64(50 * (me + 1)))
+			if me == 0 {
+				p.Send(1, "x", 0, nil, 1000)
+			}
+			if me == 1 {
+				p.RecvEach("x", 0, 1, nil)
+			}
+			if me == 2 {
+				p.AdvanceTo(p.AcquireResource(windowLock, p.Clock(), nil))
+				p.Advance(5)
+				p.ReleaseResource(windowLock, p.Clock())
+			}
+			ep.End(p)
+		})
+		r := ep.Finish()
+		ep.TrafficDetail()
+		return r
+	}
+	got, want := run(true), run(false)
+	if got.Messages != want.Messages || got.Messages != 1+2*(procs-1) {
+		t.Errorf("window msgs = %d, want %d (payload + barrier legs, as without initialization)",
+			got.Messages, want.Messages)
+	}
+	if _, ok := got.Detail["msgs.init"]; ok {
+		t.Errorf("initialization traffic reached the result: %v", got.Detail)
+	}
+	if math.Abs(got.TimeSec-want.TimeSec) > 1e-12 {
+		t.Errorf("window = %v s, want %v s as without initialization", got.TimeSec, want.TimeSec)
+	}
+	if len(got.Locks) != 1 {
+		t.Fatalf("lock cells = %v, want only the window's acquire", got.Locks)
+	}
+	if c := got.Locks[sim.LockKey{Res: windowLock, Proc: 2}]; c.Acquires != 1 || c.HoldUS != 5 {
+		t.Errorf("window lock cell = %+v, want 1 acquire held 5us", c)
+	}
+	if got.Detail["lock_acquires"] != 1 {
+		t.Errorf("lock_acquires = %v, want 1", got.Detail["lock_acquires"])
 	}
 }
 

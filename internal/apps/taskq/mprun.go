@@ -4,7 +4,8 @@
 // round, every still-active worker sends a claim; the master drains
 // them with RecvEach (so the assignment order is the message total
 // order, deterministic by DESIGN.md §7) and replies with the next item
-// index, or -1 once the queue is dry, which retires that worker.
+// index, or -1 once the queue is dry, which retires that worker. A
+// worker takes its one reply per round with RecvEach(…, 1, …).
 package taskq
 
 import (
@@ -60,8 +61,10 @@ func RunMP(w *Workload) *apps.Result {
 		} else {
 			for round := 0; ; round++ {
 				proc.Send(0, kindClaim, round, nil, 4)
-				_, payload := proc.Recv(kindGrant, round)
-				idx := payload.(int64)
+				var idx int64
+				proc.RecvEach(kindGrant, round, 1, func(_ int, payload any) {
+					idx = payload.(int64)
+				})
 				if idx == noItem {
 					break
 				}

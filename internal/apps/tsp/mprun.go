@@ -5,8 +5,9 @@
 // global bound lives at the master, refreshed by one gather/broadcast
 // exchange per round — each worker sends its best tour to the master,
 // the master merges (a (cost, lex)-min, order-insensitive) and
-// broadcasts the result. The exchange uses RecvEach, so the merge order
-// and every clock are deterministic (DESIGN.md §7).
+// broadcasts the result. Both legs use RecvEach — the master drains
+// every worker's contribution, each worker takes its one broadcast —
+// so the merge order and every clock are deterministic (DESIGN.md §7).
 package tsp
 
 import (
@@ -64,9 +65,10 @@ func RunMP(w *Workload) *apps.Result {
 			} else {
 				m := bestMsg{cost: s.bestCost, tour: s.bestTour}
 				proc.Send(0, kindBest, r, m, m.bytes())
-				_, payload := proc.Recv(kindBcast, r)
-				g := payload.(bestMsg)
-				s.adopt(g.cost, g.tour)
+				proc.RecvEach(kindBcast, r, 1, func(_ int, payload any) {
+					g := payload.(bestMsg)
+					s.adopt(g.cost, g.tour)
+				})
 			}
 		}
 		ep.End(proc)

@@ -370,7 +370,7 @@ func TestGatherUsesOneMessagePerPair(t *testing.T) {
 		}
 		return g
 	})
-	c.Stats.Reset()
+	before := c.Stats.Categories()["chaos.gather"].Messages
 	part := Block(n, np)
 	counts := part.Counts()
 	c.Run(func(p *sim.Proc) {
@@ -378,10 +378,9 @@ func TestGatherUsesOneMessagePerPair(t *testing.T) {
 		data := make([]float64, counts[p.ID()]+sch.Ghosts)
 		Gather(p, 9, sch, data, 1, DefaultExecutorCost())
 	})
-	cats := c.Stats.Categories()
 	// Each proc receives from exactly one peer: np messages total.
-	if cats["chaos.gather"].Messages != np {
-		t.Fatalf("gather messages = %d, want %d", cats["chaos.gather"].Messages, np)
+	if got := c.Stats.Categories()["chaos.gather"].Messages - before; got != np {
+		t.Fatalf("gather messages = %d, want %d", got, np)
 	}
 }
 

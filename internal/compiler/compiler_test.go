@@ -300,6 +300,25 @@ do i = lo, hi
 enddo
 end
 `, "s", "subscript 0 of idx is neither affine nor an indirection"},
+		// k * k is loop invariant where idx is loaded but a product of
+		// loop variables where x(j) is used, inside do k: only
+		// recordIndirect, which classifies the load's subscript in the
+		// use's loop nest, rejects it.
+		{"subscript_not_affine_at_use", `
+program p
+shared real x(n)
+shared integer idx(n)
+call s()
+end
+subroutine s()
+do i = lo, hi
+  j = idx(k * k)
+  do k = lo, hi
+    t = x(j)
+  enddo
+enddo
+end
+`, "s", "indirection array idx subscript 0 not affine"},
 		{"non-constant_step", `
 program p
 shared real x(n)

@@ -53,7 +53,7 @@ func TestLargeSendCountsFragments(t *testing.T) {
 		if p.ID() == 0 {
 			p.Send(1, "big", 0, nil, 100000)
 		} else {
-			p.Recv("big", 0)
+			p.RecvEach("big", 0, 1, nil)
 		}
 	})
 	msgs, _ := c.Stats.Totals()
@@ -72,8 +72,8 @@ func TestTagIsolation(t *testing.T) {
 			p.Send(1, "k", 2, "second", 8) // future phase first
 			p.Send(1, "k", 1, "first", 8)
 		} else {
-			_, v1 := p.Recv("k", 1)
-			_, v2 := p.Recv("k", 2)
+			_, v1 := recvOne(p, "k", 1)
+			_, v2 := recvOne(p, "k", 2)
 			if v1.(string) != "first" || v2.(string) != "second" {
 				t.Errorf("tag isolation broken: %v, %v", v1, v2)
 			}

@@ -21,7 +21,8 @@ import "sync"
 //
 // last memoizes the most recently used cell: hot loops hit one key
 // back to back (a message category, a contended lock), and the memo
-// keeps them off the map. The trailing pad keeps the hot fields of
+// keeps them off the map. Cells are never dropped, so the memo never
+// goes stale. The trailing pad keeps the hot fields of
 // adjacent shards at least a cache line apart, so they never
 // false-share.
 type shard[K comparable, V any] struct {
@@ -57,16 +58,6 @@ func each[K comparable, V any](shards []shard[K, V], f func(i int, cells map[K]*
 		sh := &shards[i]
 		sh.mu.Lock()
 		f(i, sh.cells)
-		sh.mu.Unlock()
-	}
-}
-
-// reset drops every shard's cells and memo.
-func reset[K comparable, V any](shards []shard[K, V]) {
-	for i := range shards {
-		sh := &shards[i]
-		sh.mu.Lock()
-		sh.cells, sh.last = nil, nil
 		sh.mu.Unlock()
 	}
 }

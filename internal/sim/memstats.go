@@ -28,9 +28,10 @@ import (
 
 // MemStat is one cell of the footprint grid: the bytes currently
 // charged and the high-water mark since the cluster was created.
-// Footprints are ledger state, not flows — SealInit-style resets do
-// not clear them, because the arrays allocated during initialization
-// are exactly the memory the machine must hold.
+// Footprints are ledger state, not flows: a measurement window reads
+// them as they stand rather than subtracting its start, because the
+// arrays allocated during initialization are exactly the memory the
+// machine must hold.
 type MemStat struct {
 	CurBytes  int64
 	PeakBytes int64

@@ -223,7 +223,7 @@ func TestSendRecvCountsFragmentBytes(t *testing.T) {
 		if p.ID() == 0 {
 			p.Send(1, "big", 0, nil, payload)
 		} else {
-			p.Recv("big", 0)
+			p.RecvEach("big", 0, 1, nil)
 		}
 	})
 	msgs, bytes := c.Stats.Totals()
@@ -252,9 +252,5 @@ func TestStatsShardsMerge(t *testing.T) {
 	msgs, bytes := s.Totals()
 	if msgs != 4 || bytes != 35 {
 		t.Errorf("totals = %d msgs %d bytes", msgs, bytes)
-	}
-	s.Reset()
-	if m, b := s.Totals(); m != 0 || b != 0 {
-		t.Error("reset did not clear shards")
 	}
 }

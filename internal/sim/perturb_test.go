@@ -147,7 +147,7 @@ func TestSlowLinkDelaysMessages(t *testing.T) {
 		var at [2]float64
 		c.Run(func(p *Proc) {
 			p.Send(1-p.ID(), "x", 0, nil, 64)
-			p.Recv("x", 0)
+			p.RecvEach("x", 0, 1, nil)
 			at[p.ID()] = p.Clock()
 		})
 		return at

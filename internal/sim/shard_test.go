@@ -97,7 +97,7 @@ func TestMailboxRecycleAcrossPhases(t *testing.T) {
 			return
 		}
 		for tag := phases - 1; tag >= 0; tag-- {
-			from, v := p.Recv("ph", tag)
+			from, v := recvOne(p, "ph", tag)
 			if from != 0 || v.(int) != tag {
 				t.Errorf("tag %d: got from=%d payload=%v", tag, from, v)
 			}
@@ -146,7 +146,7 @@ func TestBlockingOutsideRunPanics(t *testing.T) {
 		proc int
 		op   func(p *Proc)
 	}{
-		{"Recv", 1, func(p *Proc) { p.Recv("ext", 0) }},
+		{"RecvEach", 1, func(p *Proc) { p.RecvEach("ext", 0, 1, nil) }},
 		{"Barrier", 0, func(p *Proc) { p.BarrierExchange(1, nil, 0, nil) }},
 		{"AcquireResource", 1, func(p *Proc) { p.AcquireResource(3, 0, nil) }},
 	} {
@@ -163,7 +163,7 @@ func TestBlockingOutsideRunPanics(t *testing.T) {
 	c.Run(func(p *Proc) {
 		if p.ID() == 0 {
 			p.Send(1, "ext", 0, "hello", 8)
-		} else if _, v := p.Recv("ext", 0); v != "hello" {
+		} else if _, v := recvOne(p, "ext", 0); v != "hello" {
 			t.Errorf("payload = %v", v)
 		}
 		p.BarrierExchange(1, nil, 0, nil)

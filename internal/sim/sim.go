@@ -27,10 +27,15 @@
 //     (key, proc) waiter is reproducible.
 //
 // Every simulated action belongs to one processor. Its blocking
-// operations (Recv, RecvEach, a multi-processor barrier, AcquireResource)
-// run on its own goroutine inside Cluster.Run and panic anywhere else,
+// operations (RecvEach, a multi-processor barrier, AcquireResource) run
+// on its own goroutine inside Cluster.Run and panic anywhere else,
 // so the quiescence count sees every blocked goroutine, and traffic and
 // lock statistics are kept per processor.
+//
+// Clocks, traffic and lock statistics only grow: nothing resets them.
+// A measurement that leaves something out (data initialization, say)
+// snapshots them where the measured phase starts and ends and takes the
+// difference, as the apps.Episode window does inside its two barriers.
 //
 // The scheduler that enforces these rules is sharded (DESIGN.md §10):
 // mailbox delivery takes only the target processor's shard lock,
@@ -206,9 +211,6 @@ func (s *Stats) String() string {
 	return out
 }
 
-// Reset clears all counters.
-func (s *Stats) Reset() { reset(s.shards) }
-
 // Handler services one request on the target processor. It is invoked
 // "in interrupt context": the target's main thread keeps running, but is
 // charged Config.InterruptUS plus the handler cost the handler reports.
@@ -364,19 +366,6 @@ func (c *Cluster) MaxTime() float64 {
 		}
 	}
 	return m
-}
-
-// ResetClocks zeroes all processor clocks (used to exclude untimed
-// initialization, as the paper does).
-func (c *Cluster) ResetClocks() {
-	for _, p := range c.procs {
-		p.mu.Lock()
-		p.clock = 0
-		for i := range p.intrBy {
-			p.intrBy[i] = 0
-		}
-		p.mu.Unlock()
-	}
 }
 
 // mustBeRunning is every blocking operation's entry check, made before
@@ -697,8 +686,8 @@ func (p *Proc) CallMulti(specs []CallSpec) []any {
 // separates communication phases so a fast peer's next-phase message is
 // never consumed by the current phase; traffic is counted under kind
 // alone. The sender's clock is charged only the injection overhead; the
-// receiver pays latency + transfer when it Recvs. Send must be called by
-// the processor's own goroutine.
+// receiver pays latency + transfer when it drains the message with
+// RecvEach. Send must be called by the processor's own goroutine.
 func (p *Proc) Send(target int, kind string, tag int, payload any, bytes int) {
 	cfg := &p.c.cfg
 	c := p.c
@@ -729,37 +718,19 @@ func (p *Proc) Send(target int, kind string, tag int, payload any, bytes int) {
 	c.Stats.CountP(p.id, kind, cfg.Frags(bytes), cfg.WireBytes(bytes))
 }
 
-// Recv blocks until a message of the given kind and tag arrives, merges
-// the sender's causal time into the local clock, and returns the payload.
-// When a phase has several senders into the same (kind, tag), use
-// RecvEach instead: a lone Recv takes the least-keyed message *present*,
-// which is only deterministic when at most one message is outstanding.
-func (p *Proc) Recv(kind string, tag int) (from int, payload any) {
-	cfg := &p.c.cfg
-	envs := p.drain(kind, tag, 1)
-	env := envs[0]
-	p.reclaimDrainBuf(envs)
-	arrival := p.c.arrivalUS(env, p.id)
-	if tr := p.c.trace; tr != nil {
-		tr.Deliver(p.id, env.from, kind, arrival, cfg.WireBytes(env.bytes))
-	}
-	p.AdvanceTo(arrival)
-	return env.from, env.payload
-}
-
 // RecvEach blocks until n messages of the given kind and tag have
 // arrived, then processes them in the total order (sentAt, from, seq) —
 // not in arrival order: for each message the sender's causal time is
 // merged into the local clock and fn (if non-nil) is invoked. fn may
 // charge per-message unpack costs with Advance; because the drain order
 // is the total order, the resulting max/plus interleave is identical
-// every run. This is the collective receive the CHAOS executor and the
-// schedule exchange use.
+// every run. It is the only receive: the CHAOS executor and the
+// schedule exchange drain a phase's n senders, and a one-message
+// hand-off is RecvEach(kind, tag, 1, fn).
 //
 // n must cover every message the phase's senders put into (kind, tag):
 // a partial drain selects the n least-keyed messages *present*, which
-// depends on real arrival order and would break determinism exactly
-// like a lone Recv with several outstanding senders.
+// depends on real arrival order and would break determinism.
 func (p *Proc) RecvEach(kind string, tag int, n int, fn func(from int, payload any)) {
 	if n <= 0 {
 		return
@@ -767,31 +738,15 @@ func (p *Proc) RecvEach(kind string, tag int, n int, fn func(from int, payload a
 	cfg := &p.c.cfg
 	tr := p.c.trace
 	envs := p.drain(kind, tag, n)
-	if fn == nil {
-		// No per-message charges interleave, so the max/plus folds
-		// collapse: the final clock is the max arrival time. One clock
-		// update instead of n.
-		last := 0.0
-		for _, env := range envs {
-			t := p.c.arrivalUS(env, p.id)
-			if tr != nil {
-				tr.Deliver(p.id, env.from, kind, t, cfg.WireBytes(env.bytes))
-			}
-			if t > last {
-				last = t
-			}
-		}
-		p.AdvanceTo(last)
-		p.reclaimDrainBuf(envs)
-		return
-	}
 	for _, env := range envs {
 		arrival := p.c.arrivalUS(env, p.id)
 		if tr != nil {
 			tr.Deliver(p.id, env.from, kind, arrival, cfg.WireBytes(env.bytes))
 		}
 		p.AdvanceTo(arrival)
-		fn(env.from, env.payload)
+		if fn != nil {
+			fn(env.from, env.payload)
+		}
 	}
 	p.reclaimDrainBuf(envs)
 }

@@ -147,6 +147,3 @@ func SubSnapshots(end, start map[LockKey]LockStat) map[LockKey]LockStat {
 	}
 	return out
 }
-
-// Reset clears all counters.
-func (s *SyncStats) Reset() { reset(s.shards) }

@@ -178,14 +178,15 @@ func (d *DSM) Node(i int) *Node { return d.nodes[i] }
 // malloc). Must be called before SealInit, from a single goroutine.
 func (d *DSM) Alloc(size int) vm.Addr { return d.img.Alloc(size) }
 
-// SealInit ends the (untimed, unmeasured) initialization phase: the
-// initial image written by processor 0 is sealed and replicated to every
-// node, all pages become clean read-only copies, and clocks and traffic
-// statistics are reset. The paper likewise excludes data initialization
-// and partitioning from all measurements. On the host the replicas are
-// copy-on-write aliases of the now-immutable image (DESIGN.md §9, "Host
-// memory"); the modeled ledger still charges every node a full copy.
-// Must be called once, from a single goroutine, before Cluster.Run.
+// SealInit ends the initialization phase: the initial image written by
+// processor 0 is sealed and replicated to every node, and all pages
+// become clean read-only copies. Initialization runs on the host and
+// costs no simulated time or traffic; the paper likewise excludes data
+// initialization and partitioning from all measurements. On the host
+// the replicas are copy-on-write aliases of the now-immutable image
+// (DESIGN.md §9, "Host memory"); the modeled ledger still charges every
+// node a full copy. Must be called once, from a single goroutine, before
+// Cluster.Run.
 func (d *DSM) SealInit() {
 	if d.img.sealed {
 		panic("tmk: SealInit called twice")
@@ -195,9 +196,10 @@ func (d *DSM) SealInit() {
 }
 
 // attach ends initialization on the sealed image: every node gets a
-// read-only page table aliasing the image's pages, and clocks, traffic
-// and lock statistics are reset. Both SealInit and NewFromImage end
-// here.
+// read-only page table aliasing the image's pages, and every node is
+// charged its page copies. Both SealInit and NewFromImage end here.
+// Clocks, traffic and lock statistics are left as they stand; a
+// measurement excludes initialization by its own window (apps.Episode).
 func (d *DSM) attach() {
 	numPages := d.img.arena.NumPages()
 	for _, n := range d.nodes {
@@ -208,13 +210,8 @@ func (d *DSM) attach() {
 			n.space.SharePageFrom(d.img.space, vm.PageID(p))
 		}
 	}
-	d.cluster.ResetClocks()
-	d.cluster.Stats.Reset()
-	d.cluster.Sync.Reset()
-	// Charge every node's page copies. The footprint ledger is NOT
-	// reset here: unlike traffic, the memory allocated during
-	// initialization is exactly what the machine must hold for the rest
-	// of the run.
+	// The memory allocated during initialization is exactly what the
+	// machine must hold for the rest of the run.
 	d.pagesCharged = int64(numPages) * int64(d.img.arena.PageSize())
 	for i := range d.nodes {
 		d.cluster.Mem.Alloc(i, MemCatPages, d.pagesCharged)

@@ -369,11 +369,16 @@ func TestDemandFaultCountsAndTraffic(t *testing.T) {
 	}
 }
 
-func TestSealInitResetsAndReplicates(t *testing.T) {
+// TestSealInitReplicatesAndLeavesClocks: SealInit replicates processor
+// 0's image to every node without a fault, a message or a clock charge,
+// and leaves a clock advanced before it as it stands (only a
+// measurement window, apps.Episode, excludes initialization).
+func TestSealInitReplicatesAndLeavesClocks(t *testing.T) {
 	c := sim.NewCluster(sim.DefaultConfig(3))
 	d := New(c, 1024, 1<<20)
 	addr := d.Alloc(8)
 	d.Node(0).Space().WriteF64(addr, 9.5)
+	c.Proc(1).Advance(50)
 	d.SealInit()
 	for i := 0; i < 3; i++ {
 		if got := d.Node(i).Space().ReadF64(addr); got != 9.5 {
@@ -384,10 +389,10 @@ func TestSealInitResetsAndReplicates(t *testing.T) {
 		}
 	}
 	if m, _ := c.Stats.Totals(); m != 0 {
-		t.Fatal("stats not reset")
+		t.Fatalf("SealInit sent %d messages", m)
 	}
-	if c.MaxTime() != 0 {
-		t.Fatal("clocks not reset")
+	if got := c.MaxTime(); got != 50 {
+		t.Fatalf("makespan after SealInit = %v, want the 50us advanced before it", got)
 	}
 }
 
